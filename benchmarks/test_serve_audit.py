@@ -33,7 +33,7 @@ from repro.server import KarousosPolicy, run_server
 from repro.service import AuditService, TenantConfig
 from repro.storage import backend_for
 from repro.store import IsolationLevel, KVStore
-from repro.verifier import DagAuditor
+from repro.verifier import Auditor
 from repro.workload import feed_workload, motd_workload, wiki_workload
 
 BASELINE = os.path.join(
@@ -186,11 +186,9 @@ def _measure_isolation(scale, tmp_path):
     big_epochs = slice_epochs(big.trace, big.advice, n_big)  # one huge epoch
     small_epochs = slice_epochs(small.trace, small.advice, 3)[:1]
 
-    probe = DagAuditor(
+    small_nodes = len(Auditor(
         make_app("motd"), small_epochs[0].trace, small_epochs[0].advice
-    )
-    small_nodes = len(probe.prepare()[0])
-    probe.abandon()
+    ).prepare()[0])
 
     results = {}
     for policy, quotas_enabled in (("fair", True), ("fifo", False)):

@@ -96,7 +96,7 @@ def _strip(stats):
 def _timed_audit(run, partition, hints):
     auditor = Auditor(
         wiki_app(), run.trace, run.advice,
-        parallelism=JOBS, parallel_mode="process",
+        parallelism=JOBS, scheduler="process",
         partition=partition, hints=hints,
     )
     start = time.perf_counter()

@@ -104,10 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="use the sequential OOOAudit (one group per request)")
     aud.add_argument("--jobs", type=int, default=1,
                      help="shard re-execution groups across N workers "
-                     "(>1 enables the parallel audit pipeline)")
-    aud.add_argument("--parallel-mode", default="auto",
-                     choices=["auto", "process", "thread", "serial"],
-                     help="worker flavour for --jobs > 1 (default: auto)")
+                     "(processes when the inputs pickle, else threads, "
+                     "unless --scheduler says otherwise)")
     aud.add_argument("--static-hints", action="store_true",
                      help="consult the static effect analysis "
                      "(repro analyze --conflicts): --jobs > 1 pre-partitions "
@@ -136,17 +134,18 @@ def _build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--no-cache", action="store_true",
                      help="with --dedup: in-run batching only, no verdict "
                      "cache carried across epochs or runs")
-    aud.add_argument("--scheduler", default="pipeline",
-                     choices=["pipeline", "serial", "thread", "process"],
-                     help="execution driver: the staged pipeline (default) or "
-                     "the compiled execution DAG under the named scheduler "
-                     "(verdict-identical; see DESIGN.md §13 and repro plan)")
+    aud.add_argument("--scheduler", default=None,
+                     choices=["serial", "thread", "process"],
+                     help="worker-pool backend of the audit engine's "
+                     "ready-queue loop (default: serial for --jobs 1, else "
+                     "process or thread; verdict-identical; see DESIGN.md "
+                     "§5 and repro plan)")
     aud.add_argument("--node-journal", metavar="DIR",
-                     help="with --scheduler: persist per-node completion "
-                     "records here (digest-chained), enabling node-granular "
-                     "crash resume via --resume")
+                     help="persist per-node completion records here "
+                     "(digest-chained), enabling node-granular crash "
+                     "resume via --resume")
     aud.add_argument("--resume", action="store_true",
-                     help="resume a killed DAG audit from --node-journal: "
+                     help="resume a killed audit from --node-journal: "
                      "journaled re-execution results replay, only the "
                      "unfinished frontier re-executes")
 
@@ -226,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="fold the static conflict matrix into the wave "
                       "pre-partitioning (DESIGN.md §12)")
     plan.add_argument("--format", default="text", choices=["text", "json"],
-                      help="human text (default) or the repro.plan/1 JSON "
+                      help="human text (default) or the repro.plan/2 JSON "
                       "document on stdout")
 
     cache = sub.add_parser(
@@ -345,7 +344,7 @@ def _write_metrics(args, metrics) -> None:
 
 
 def _progress_hook(args):
-    """The audit pipeline's per-stage hook behind --progress."""
+    """The audit engine's per-node hook behind --progress."""
     if not getattr(args, "progress", False):
         return None
 
@@ -370,23 +369,6 @@ def _dedup_usage_error(args) -> Optional[str]:
     if args.no_cache and not args.dedup:
         return "--no-cache requires --dedup"
     return None
-
-
-def _dag_usage_error(args) -> Optional[str]:
-    if args.scheduler == "pipeline":
-        if args.node_journal:
-            return "--node-journal requires --scheduler serial/thread/process"
-        if args.resume:
-            return "--resume requires --scheduler serial/thread/process"
-        return None
-    if args.resume and not args.node_journal:
-        return "--resume requires --node-journal"
-    return None
-
-
-def _scheduler_arg(args) -> Optional[str]:
-    sched = getattr(args, "scheduler", "pipeline")
-    return None if sched == "pipeline" else sched
 
 
 def _make_node_journal(args, metrics=None):
@@ -562,8 +544,8 @@ def _cmd_audit(args) -> int:
             usage = "--trace and --advice are required unless --epochs-dir is given"
     if usage is None:
         usage = _dedup_usage_error(args)
-    if usage is None:
-        usage = _dag_usage_error(args)
+    if usage is None and args.resume and not args.node_journal:
+        usage = "--resume requires --node-journal"
     if usage is not None:
         print(f"error: {usage}", file=sys.stderr)
         return EXIT_USAGE
@@ -627,18 +609,16 @@ def _dispatch_audit_inner(args, metrics, progress, dedup, hints=None) -> int:
         from repro.trace.codec import iter_trace_records
 
         # The auditor consumes the record stream as an iterator; the
-        # whole-document JSON form never exists in this process.  run()
-        # stays inside the reader scope so the decode stage's timings
-        # cover the streamed read.
+        # whole-document JSON form never exists in this process: the
+        # constructor drains the reader into a frozen trace.
         with backend.reader("trace") as reader:
             auditor = Auditor(
                 make_app(args.app), iter_trace_records(reader), advice,
                 singleton_groups=args.singleton_groups,
-                parallelism=args.jobs, parallel_mode=args.parallel_mode,
+                parallelism=args.jobs, scheduler=args.scheduler,
                 partition="static" if hints is not None else None,
                 hints=hints,
                 metrics=metrics, progress=progress, dedup=dedup,
-                scheduler=_scheduler_arg(args),
                 node_journal=_make_node_journal(args, metrics),
                 resume=args.resume,
             )
@@ -662,11 +642,10 @@ def _dispatch_audit_inner(args, metrics, progress, dedup, hints=None) -> int:
     auditor = Auditor(
         make_app(args.app), trace, advice,
         singleton_groups=args.singleton_groups,
-        parallelism=args.jobs, parallel_mode=args.parallel_mode,
+        parallelism=args.jobs, scheduler=args.scheduler,
         partition="static" if hints is not None else None,
         hints=hints,
         metrics=metrics, progress=progress, dedup=dedup,
-        scheduler=_scheduler_arg(args),
         node_journal=_make_node_journal(args, metrics),
         resume=args.resume,
     )
@@ -773,7 +752,7 @@ def _cmd_audit_continuous(
     auditor = ContinuousAuditor(
         make_app(args.app),
         parallelism=args.jobs,
-        parallel_mode=args.parallel_mode,
+        scheduler=args.scheduler,
         partition="static" if hints is not None else None,
         hints=hints,
         checkpoints=checkpoints,
@@ -781,7 +760,6 @@ def _cmd_audit_continuous(
         metrics=metrics,
         progress=progress,
         dedup=dedup,
-        scheduler=_scheduler_arg(args),
         node_journal=_make_node_journal(args, metrics),
     )
     try:

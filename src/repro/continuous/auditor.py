@@ -2,8 +2,8 @@
 
 :class:`ContinuousAuditor` consumes :class:`~repro.continuous.epoch.Epoch`
 objects -- typically as the :class:`~repro.continuous.sealer.EpochSealer`'s
-sink, so verification overlaps serving -- and drives each through the
-existing :class:`~repro.verifier.audit.Auditor`:
+sink, so verification overlaps serving -- and audits each on its own
+:class:`~repro.verifier.audit.Auditor` (one compiled plan per epoch):
 
 * epoch 0 audits from genesis; epoch k > 0 audits with the *carry-in*
   state of checkpoint k-1 (:class:`~repro.verifier.carry.CarryIn`);
@@ -37,8 +37,7 @@ from repro.continuous.epoch import Epoch
 from repro.continuous.journal import AuditJournal
 from repro.kem.program import AppSpec
 from repro.obs import MetricsRegistry, NamespacedMetrics, ensure_metrics
-from repro.verifier.audit import Auditor, AuditResult
-from repro.verifier.pipeline import StageHook
+from repro.verifier.audit import Auditor, AuditResult, StageHook
 
 
 @dataclass
@@ -67,7 +66,6 @@ class ContinuousAuditor:
         self,
         app: AppSpec,
         parallelism: int = 1,
-        parallel_mode: str = "auto",
         max_pending: int = 4,
         checkpoints: Optional[CheckpointStore] = None,
         journal: Optional[AuditJournal] = None,
@@ -84,7 +82,6 @@ class ContinuousAuditor:
             raise ValueError("max_pending must be >= 1")
         self.app = app
         self.parallelism = parallelism
-        self.parallel_mode = parallel_mode
         # Several auditors sharing one registry (the fleet service, or
         # any two instances in one process) must not sum each other's
         # ``continuous.*`` counters: a namespace scopes every metric this
@@ -98,11 +95,10 @@ class ContinuousAuditor:
         # cover the carry-in state (checkpoint-anchored), so a group that
         # recurs in a later epoch under the same carried values is a hit.
         self.dedup = dedup
-        # A non-pipeline scheduler routes every per-epoch audit through
-        # the DAG driver (repro.verifier.dag); with a node journal, a
-        # mid-epoch kill resumes at node granularity inside the epoch the
-        # journal-level resume re-audits ("auto": a journal left by a
-        # different epoch's plan is discarded, not trusted).
+        # With a node journal, a mid-epoch kill resumes at node
+        # granularity inside the epoch the journal-level resume re-audits
+        # ("auto": a journal left by a different epoch's plan is
+        # discarded, not trusted).
         self.scheduler = scheduler
         self.node_journal = node_journal
         self.max_pending = max_pending
@@ -233,8 +229,7 @@ class ContinuousAuditor:
         if verdict is not None:
             return verdict
         auditor = self._build_auditor(epoch, parent)
-        result = auditor.run()
-        return self._commit(epoch, result, auditor.checkpoint)
+        return self._commit(epoch, auditor.run(), auditor.checkpoint)
 
     def _preflight(
         self, epoch: Epoch
@@ -279,13 +274,19 @@ class ContinuousAuditor:
         outer, index = self.progress, epoch.index
         return lambda stage, secs: outer(f"epoch[{index}].{stage}", secs)
 
-    def _auditor_kwargs(self, epoch: Epoch, parent: Optional[Checkpoint]) -> dict:
-        """The per-epoch audit configuration, shared between the inline
-        :class:`Auditor` built here and any external driver (the fleet
-        service compiles the same epoch to a DAG with these kwargs)."""
-        return dict(
+    def _build_auditor(
+        self, epoch: Epoch, parent: Optional[Checkpoint]
+    ) -> Auditor:
+        """The epoch's engine.  Its checkpoint node is armed with this
+        epoch's index and parent: an accepted run leaves the
+        digest-chained checkpoint in ``auditor.checkpoint``; an
+        unextractable one rejects as ``checkpoint-unextractable``."""
+        return Auditor(
+            self.app,
+            epoch.trace,
+            epoch.advice,
             parallelism=self.parallelism,
-            parallel_mode=self.parallel_mode,
+            scheduler=self.scheduler,
             partition=self.partition,
             hints=self.hints,
             carry=parent.carry_in() if parent is not None else None,
@@ -294,23 +295,8 @@ class ContinuousAuditor:
             checkpoint_index=epoch.index,
             checkpoint_parent=parent,
             dedup=self.dedup,
-            scheduler=self.scheduler,
             node_journal=self.node_journal,
             resume="auto" if self.node_journal is not None else False,
-        )
-
-    def _build_auditor(
-        self, epoch: Epoch, parent: Optional[Checkpoint]
-    ) -> Auditor:
-        # The pipeline's checkpoint stage is armed with this epoch's index
-        # and parent: an accepted run leaves the digest-chained checkpoint
-        # in ``auditor.checkpoint``; an unextractable one rejects as
-        # ``checkpoint-unextractable`` through the shared verdict mapping.
-        return Auditor(
-            self.app,
-            epoch.trace,
-            epoch.advice,
-            **self._auditor_kwargs(epoch, parent),
         )
 
     def _commit(
@@ -349,7 +335,7 @@ class ContinuousAuditor:
         """Aggregate statistics across audited epochs.
 
         Count-valued keys share their names (and int-ness) with
-        :func:`~repro.verifier.pipeline.collect_stats`, so per-epoch and
+        :func:`~repro.verifier.audit.collect_stats`, so per-epoch and
         stream-level statistics line up key-for-key;
         ``first_verdict_seconds`` (time to the first verdict, the
         continuous-audit latency metric) is reported *alongside* the

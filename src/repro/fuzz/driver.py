@@ -9,9 +9,9 @@ Two end-to-end properties over the bundled apps:
   may accept (they can be semantically neutral); their verdicts are
   tallied but never escalate.
 * **completeness** -- serve an honest workload and audit it unmutated
-  through every driver (sequential, singleton-group, parallel,
-  continuous) and storage backend (direct objects, memory, file, gzip
-  record streams).  Any REJECT of an honest run is a **failure** of the
+  through every engine configuration (``driver``: grouped,
+  singleton-group, two workers, continuous) and storage backend (direct
+  objects, memory, file, gzip record streams).  Any REJECT of an honest run is a **failure** of the
   audit's completeness guarantee.
 
 Hypothesis drives both: a failing case shrinks to the smallest workload
@@ -252,7 +252,7 @@ def run_completeness_case(
         kwargs["singleton_groups"] = True
     elif case.driver == "parallel":
         kwargs["parallelism"] = 2
-        kwargs["parallel_mode"] = "thread"
+        kwargs["scheduler"] = "thread"
     result = Auditor(app, trace, advice, dedup=dedup, **kwargs).run()
     if not result.accepted:
         stats.record_reject(result.reason)

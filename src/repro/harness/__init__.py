@@ -5,7 +5,6 @@ from repro.harness.experiment import (
     AdviceSizes,
     ContinuousAuditComparison,
     ExperimentConfig,
-    ParallelAuditComparison,
     ServerComparison,
     StorageIoComparison,
     StreamingMemoryComparison,
@@ -14,7 +13,6 @@ from repro.harness.experiment import (
     make_store,
     measure_advice_sizes,
     measure_continuous_audit,
-    measure_parallel_audit,
     measure_server_overhead,
     measure_storage_io,
     measure_streaming_memory,
@@ -27,7 +25,6 @@ __all__ = [
     "AdviceSizes",
     "ContinuousAuditComparison",
     "ExperimentConfig",
-    "ParallelAuditComparison",
     "ServerComparison",
     "StorageIoComparison",
     "StreamingMemoryComparison",
@@ -36,7 +33,6 @@ __all__ = [
     "make_store",
     "measure_advice_sizes",
     "measure_continuous_audit",
-    "measure_parallel_audit",
     "measure_server_overhead",
     "measure_storage_io",
     "measure_streaming_memory",

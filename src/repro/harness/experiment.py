@@ -187,97 +187,23 @@ def measure_verification(cfg: ExperimentConfig, repeats: int = 1) -> VerifierCom
     )
 
 
-@dataclass
-class ParallelAuditComparison:
-    """Sequential vs sharded audit of one served trace (same advice)."""
-
-    sequential_seconds: float
-    parallel_seconds: Dict[int, float]  # jobs -> seconds
-    sequential_accepted: bool
-    parallel_accepted: Dict[int, bool]
-    stats_identical: Dict[int, bool]  # modulo elapsed_seconds
-    mode_used: Dict[int, str]
-
-    def speedup(self, jobs: int) -> float:
-        return self.sequential_seconds / self.parallel_seconds[jobs]
-
-
-def measure_parallel_audit(
-    cfg: ExperimentConfig,
-    jobs_list: Tuple[int, ...] = (2, 4),
-    repeats: int = 1,
-    mode: str = "auto",
-) -> ParallelAuditComparison:
-    """Audit one Karousos-served trace sequentially and with the parallel
-    pipeline at each worker count in ``jobs_list``; minimum time over
-    ``repeats`` per configuration.  Also records whether verdict and
-    deterministic stats matched the sequential audit (they must)."""
-    from repro.verifier import Auditor
-
-    full = ExperimentConfig(**{**cfg.__dict__, "warmup_fraction": 0.0})
-    _, trace, advice, _ = _serve_with_warmup(full, KarousosPolicy())
-
-    def strip(stats: Dict[str, float]) -> Dict[str, float]:
-        return {k: v for k, v in stats.items() if k != "elapsed_seconds"}
-
-    seq_seconds = []
-    seq_result = None
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        seq_result = audit(make_app(cfg.app_name), trace, advice)
-        seq_seconds.append(time.perf_counter() - started)
-
-    par_seconds: Dict[int, float] = {}
-    par_accepted: Dict[int, bool] = {}
-    stats_identical: Dict[int, bool] = {}
-    mode_used: Dict[int, str] = {}
-    for jobs in jobs_list:
-        timings = []
-        for _ in range(max(1, repeats)):
-            auditor = Auditor(
-                make_app(cfg.app_name), trace, advice,
-                parallelism=jobs, parallel_mode=mode,
-            )
-            started = time.perf_counter()
-            result = auditor.run()
-            timings.append(time.perf_counter() - started)
-        par_seconds[jobs] = min(timings)
-        par_accepted[jobs] = result.accepted
-        stats_identical[jobs] = (
-            result.accepted == seq_result.accepted
-            and result.reason == seq_result.reason
-            and strip(result.stats) == strip(seq_result.stats)
-        )
-        mode_used[jobs] = auditor.parallel.mode_used if auditor.parallel else "sequential"
-
-    return ParallelAuditComparison(
-        sequential_seconds=min(seq_seconds),
-        parallel_seconds=par_seconds,
-        sequential_accepted=seq_result.accepted,
-        parallel_accepted=par_accepted,
-        stats_identical=stats_identical,
-        mode_used=mode_used,
-    )
-
-
-# -- audit phase breakdown (DESIGN.md §9) --------------------------------------
+# -- audit phase breakdown (DESIGN.md §5) --------------------------------------
 
 
 @dataclass
 class AuditPhaseBreakdown:
     """Where one audit's wall-clock went, stage by stage.
 
-    ``stage_seconds`` follows the pipeline's stage order (decode,
-    preprocess, isolation, reexec, postprocess, checkpoint);
-    ``metrics`` is the full registry snapshot of the run.  Under the DAG
-    driver (``scheduler=``), ``node_seconds`` carries the per-node spans
-    the stage totals aggregate: ``(epoch, stage, group, seconds)``."""
+    ``stage_seconds`` follows the engine's stage order (decode,
+    preprocess, isolation, reexec, postprocess, checkpoint) and is the
+    per-stage fold of ``node_seconds``, the per-node spans
+    ``(epoch, stage, group, seconds)``; ``metrics`` is the full registry
+    snapshot of the run."""
 
     accepted: bool
     elapsed_seconds: float
     stage_seconds: Dict[str, float]
     metrics: Dict[str, object]
-    driver: str = "pipeline"
     node_seconds: List[Tuple[int, str, Optional[str], float]] = field(
         default_factory=list
     )
@@ -291,16 +217,10 @@ class AuditPhaseBreakdown:
         return {name: sec / total for name, sec in self.stage_seconds.items()}
 
 
-def measure_audit_phases(
-    cfg: ExperimentConfig, scheduler: Optional[str] = None
-) -> AuditPhaseBreakdown:
-    """Serve once on the Karousos server, then audit with the staged
-    pipeline's per-stage timers on; reports the phase breakdown the paper
-    discusses qualitatively (preprocess vs re-execution vs postprocess).
-
-    ``scheduler`` routes the audit through the DAG driver instead
-    (DESIGN.md §13): stage totals then aggregate the per-node spans also
-    returned in ``node_seconds``."""
+def measure_audit_phases(cfg: ExperimentConfig) -> AuditPhaseBreakdown:
+    """Serve once on the Karousos server, then audit with metrics on;
+    reports the phase breakdown the paper discusses qualitatively
+    (preprocess vs re-execution vs postprocess)."""
     from repro.obs import MetricsRegistry
     from repro.verifier import Auditor
 
@@ -309,7 +229,7 @@ def measure_audit_phases(
     metrics = MetricsRegistry()
     auditor = Auditor(
         make_app(cfg.app_name), trace, advice,
-        parallelism=cfg.jobs, metrics=metrics, scheduler=scheduler,
+        parallelism=cfg.jobs, metrics=metrics,
     )
     result = auditor.run()
     return AuditPhaseBreakdown(
@@ -317,8 +237,7 @@ def measure_audit_phases(
         elapsed_seconds=result.stats["elapsed_seconds"],
         stage_seconds=dict(auditor.stage_seconds),
         metrics=metrics.snapshot(),
-        driver="dag" if auditor.dag is not None else "pipeline",
-        node_seconds=list(auditor.dag.node_seconds) if auditor.dag else [],
+        node_seconds=list(auditor.node_seconds),
     )
 
 

@@ -21,7 +21,7 @@ yields the same registry no matter which worker finished first.
 
 Ownership model: one registry has one *writer* at a time -- drivers
 record from the scheduling thread, workers record into worker-local
-registries and hand snapshots back (see DESIGN.md §13).  The registry
+registries and hand snapshots back (see DESIGN.md §5).  The registry
 is nevertheless safe against the two cross-thread operations the
 fleet service actually performs: :meth:`MetricsRegistry.merge` and
 :meth:`MetricsRegistry.snapshot` take an internal lock (so a status

@@ -1,11 +1,11 @@
-"""The shared multi-plan DAG pool (DESIGN.md §15).
+"""The fleet service's pick policy over the shared ready-queue loop
+(DESIGN.md §15).
 
 One :class:`SharedDagPool` executes the node DAGs of *many* tenants'
-epoch audits at once.  Each admitted :class:`PlanJob` wraps a prepared
-:class:`~repro.verifier.dag.driver.DagAuditor` (via its
-``prepare()`` / runner-protocol / ``finalize()`` surface) plus that
-plan's private Kahn bookkeeping; the pool interleaves ready nodes
-across jobs behind a weighted-fair pick:
+epoch audits at once.  It is the audit engine's own loop
+(:class:`~repro.verifier.dag.scheduler.Scheduler`: per-plan ready heaps,
+one worker pool, deterministic ticks) with the service's answer to
+"which plan's next node runs":
 
 * **fair mode** (quotas on): round-robin over tenants with ready work;
   a re-execution node costs one token from the tenant's
@@ -13,106 +13,29 @@ across jobs behind a weighted-fair pick:
   When every ready tenant is token-blocked the pool refills all buckets
   (one *round*), so service rates converge to the quota ratios and a
   super-producer cannot starve a small tenant.
-* **FIFO mode** (quotas off): strict job-admission order -- the
-  head-of-line behaviour that *exhibits* the super-producer threat (a
-  huge epoch admitted first delays everyone behind it by its full node
-  count; the starvation benchmark measures exactly this).
+* **FIFO mode** (quotas off): the loop's base policy, strict
+  job-admission order -- the head-of-line behaviour that *exhibits* the
+  super-producer threat (a huge epoch admitted first delays everyone
+  behind it by its full node count; the starvation benchmark measures
+  exactly this).  FIFO never charges a bucket.
 
 Correctness does not depend on the pick at all: within one plan, node
-results are only *absorbed* here (always in the admitting thread) and
-merged by the driver in canonical group order later, so any cross- or
-intra-tenant interleaving yields byte-identical per-tenant verdicts --
-the same argument that makes the single-plan schedulers equivalent
-(DESIGN.md §13).  Fairness buys latency, not different answers.
-
-Parallel backends reuse the single-plan schedulers' pool hooks
-(``_submit`` / ``_resolve`` / worker-failure fallback): one shared
-thread or process pool serves every tenant's parallel-safe nodes.
-
-Time is counted in deterministic *ticks* (one absorbed node = one
-tick): latency bounds in tests and benchmarks are stated in ticks, so
-they hold under any wall-clock conditions.
+results are only *absorbed* by the loop (always in the admitting thread)
+and merged by the engine in canonical group order later, so any cross-
+or intra-tenant interleaving yields byte-identical per-tenant verdicts
+(DESIGN.md §5).  Fairness buys latency, not different answers.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
-from repro.verifier.dag.driver import PlanAborted
-from repro.verifier.dag.plan import NODE_REEXEC, PlanNode
-from repro.verifier.dag.scheduler import (
-    SCHEDULER_SERIAL,
-    _RunLocal,
-    make_scheduler,
-)
 from repro.service.quota import TokenBucket
+from repro.verifier.dag.plan import NODE_REEXEC
+from repro.verifier.dag.scheduler import SCHEDULER_SERIAL, PlanJob, Scheduler
 
 
-class PlanJob:
-    """One tenant-epoch plan being executed in the pool."""
-
-    def __init__(
-        self,
-        tenant: str,
-        runner: object,
-        nodes: Sequence[PlanNode],
-        edges: Sequence[Tuple[str, str]],
-        seq: int = 0,
-        tag: object = None,
-    ):
-        self.tenant = tenant
-        self.runner = runner  # the DagAuditor (runner protocol + finalize)
-        self.seq = seq  # admission order (FIFO mode's sort key)
-        self.tag = tag  # opaque caller context (the epoch, typically)
-        self._by_id = {n.node_id: n for n in nodes}
-        self._canonical = {n.node_id: i for i, n in enumerate(nodes)}
-        self._indegree: Dict[str, int] = {nid: 0 for nid in self._by_id}
-        self._successors: Dict[str, List[str]] = {nid: [] for nid in self._by_id}
-        for src, dst in edges:
-            self._indegree[dst] += 1
-            self._successors[src].append(dst)
-        self.ready: List[PlanNode] = sorted(
-            (n for n in nodes if self._indegree[n.node_id] == 0),
-            key=self._key,
-        )
-        self.remaining = len(self._by_id)
-        self.outstanding = 0  # futures in flight for this job
-        self.aborted = False
-        self.admitted_tick: Optional[int] = None
-        self.completed_tick: Optional[int] = None
-
-    def _key(self, node: PlanNode) -> int:
-        return self._canonical[node.node_id]
-
-    @property
-    def done(self) -> bool:
-        if self.outstanding:
-            return False
-        return self.aborted or self.remaining == 0
-
-    def peek(self) -> Optional[PlanNode]:
-        return self.ready[0] if self.ready else None
-
-    def pop(self) -> PlanNode:
-        return self.ready.pop(0)
-
-    def complete(self, node: PlanNode) -> None:
-        """Mark one node absorbed; promote newly unblocked successors
-        in canonical order (the per-tenant solo order)."""
-        self.remaining -= 1
-        for succ in self._successors[node.node_id]:
-            self._indegree[succ] -= 1
-            if self._indegree[succ] == 0:
-                self.ready.append(self._by_id[succ])
-        self.ready.sort(key=self._key)
-
-    def abort(self) -> None:
-        self.aborted = True
-        self.ready.clear()
-
-
-class SharedDagPool:
+class SharedDagPool(Scheduler):
     """Weighted-fair execution of many plans over one worker pool."""
 
     def __init__(
@@ -121,126 +44,30 @@ class SharedDagPool:
         jobs: int = 1,
         quotas: Optional[Dict[str, TokenBucket]] = None,
         fair: bool = True,
-        on_tick: Optional[Callable[[int], None]] = None,
     ):
-        self._impl = make_scheduler(scheduler, jobs=jobs)
-        self.scheduler_name = self._impl.name
-        self.width = self._impl.jobs
-        self.parallel = self._impl.parallel and self._impl.jobs > 1
+        super().__init__(scheduler, jobs=jobs)
         self.fair = fair
         self.quotas: Dict[str, TokenBucket] = quotas if quotas is not None else {}
-        self.on_tick = on_tick
-        self.ticks = 0
         self.quota_rounds = 0
         self.throttled: Dict[str, int] = {}
-        self._jobs: List[PlanJob] = []
-        self._seq = 0
         self._rr = 0  # round-robin cursor over tenant names
-        self._pool = None
-        self._futures: Dict[object, Tuple[PlanJob, PlanNode]] = {}
 
-    # -- admission ---------------------------------------------------------
-
-    def admit(
-        self,
-        tenant: str,
-        runner: object,
-        nodes: Sequence[PlanNode],
-        edges: Sequence[Tuple[str, str]],
-        tag: object = None,
-    ) -> PlanJob:
-        job = PlanJob(tenant, runner, nodes, edges, seq=self._seq, tag=tag)
-        self._seq += 1
-        job.admitted_tick = self.ticks
-        self._jobs.append(job)
-        return job
-
-    @property
-    def active(self) -> List[PlanJob]:
-        return list(self._jobs)
-
-    def take_done(self) -> List[PlanJob]:
-        """Remove and return every finished job (admission order)."""
-        done = [j for j in self._jobs if j.done]
-        self._jobs = [j for j in self._jobs if not j.done]
-        for job in done:
-            if job.completed_tick is None:
-                job.completed_tick = self.ticks
-        return done
-
-    @property
-    def idle(self) -> bool:
-        return not self._jobs and not self._futures
-
-    # -- the pump ----------------------------------------------------------
-
-    def pump(
-        self,
-        max_nodes: Optional[int] = None,
-        launch: bool = True,
-        stop: Optional[Callable[[], bool]] = None,
-    ) -> int:
-        """Execute ready nodes until nothing is runnable (or
-        ``max_nodes`` absorbed).  ``stop`` is polled before each
-        launch so a SIGTERM interrupts *between nodes*, not between
-        pump batches -- that is what makes the drain node-granular.
-        ``launch=False`` is the drain mode: no new work starts,
-        outstanding futures are still absorbed (and journaled) so a
-        restart resumes past them."""
-        executed = 0
-        while max_nodes is None or executed < max_nodes:
-            if launch and stop is not None and stop():
-                break
-            if not launch:
-                if not self._futures:
-                    break
-                executed += self._absorb_completed(block=True)
-                continue
-            if self.parallel:
-                self._fan_out()
-            pick = self._pick()
-            if pick is not None:
-                job, node = pick
-                self._run_inline(job, node)
-                executed += 1
-                executed += self._absorb_completed(block=False)
-                continue
-            if self._futures:
-                executed += self._absorb_completed(block=True)
-                continue
-            break
-        return executed
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    # -- fair pick ---------------------------------------------------------
-
-    def _runnable_jobs(self) -> List[PlanJob]:
-        return [j for j in self._jobs if j.ready and not j.aborted]
-
-    def _charge(self, tenant: str, node: PlanNode) -> bool:
+    def _charge(self, job: PlanJob, node: object) -> bool:
         """True if the node may run now (token taken when it costs one)."""
-        if node.stage != NODE_REEXEC:
+        if not self.fair or node.stage != NODE_REEXEC:
             return True
-        bucket = self.quotas.get(tenant)
-        if bucket is None:
+        bucket = self.quotas.get(job.tenant)
+        if bucket is None or bucket.try_take():
             return True
-        if bucket.try_take():
-            return True
-        self.throttled[tenant] = self.throttled.get(tenant, 0) + 1
+        self.throttled[job.tenant] = self.throttled.get(job.tenant, 0) + 1
         return False
 
-    def _pick(self) -> Optional[Tuple[PlanJob, PlanNode]]:
-        candidates = self._runnable_jobs()
+    def _pick(self) -> Optional[PlanJob]:
+        if not self.fair:
+            return super()._pick()
+        candidates = self._runnable()
         if not candidates:
             return None
-        if not self.fair:
-            # FIFO: strict admission order, full head-of-line blocking.
-            job = min(candidates, key=lambda j: j.seq)
-            return job, job.pop()
         # Round-robin over tenants; within a tenant, the earliest job's
         # minimal canonical node (= the solo serial order).
         tenants = sorted({j.tenant for j in candidates})
@@ -251,95 +78,15 @@ class SharedDagPool:
                     (j for j in candidates if j.tenant == tenant),
                     key=lambda j: j.seq,
                 )
-                node = job.peek()
-                if self._charge(tenant, node):
+                if self._charge(job, job.peek()):
                     self._rr = (self._rr + offset + 1) % len(tenants)
-                    return job, job.pop()
+                    return job
             if attempt == 0:
                 # Every ready tenant is token-blocked: round boundary.
                 for bucket in self.quotas.values():
                     bucket.refill()
                 self.quota_rounds += 1
         return None
-
-    # -- execution ---------------------------------------------------------
-
-    def _run_inline(self, job: PlanJob, node: PlanNode) -> None:
-        outcome = job.runner.execute(node)
-        self._absorb(job, node, outcome)
-
-    def _fan_out(self) -> None:
-        """Ship every ready parallel-safe node whose tenant has budget
-        to the shared worker pool (admission order, same token charge
-        as the fair pick; FIFO mode never charges -- same as
-        :meth:`_pick`'s FIFO branch)."""
-        for job in sorted(self._runnable_jobs(), key=lambda j: j.seq):
-            for node in [n for n in job.ready if job.runner.parallel_safe(n)]:
-                if job.aborted:
-                    break  # an inline fallback rejected this plan
-                if self.fair and node.stage == NODE_REEXEC:
-                    bucket = self.quotas.get(job.tenant)
-                    if bucket is not None and not bucket.try_take():
-                        self.throttled[job.tenant] = (
-                            self.throttled.get(job.tenant, 0) + 1
-                        )
-                        break  # tenant out of budget this round
-                job.ready.remove(node)
-                self._ship(job, node)
-
-    def _ship(self, job: PlanJob, node: PlanNode) -> None:
-        if self._pool is None:
-            self._pool = self._impl._make_pool(job.runner, self.width)
-        try:
-            fut = self._impl._submit(self._pool, job.runner, node)
-        except _RunLocal:
-            # Not shippable (cache replay, unpicklable inputs): inline.
-            self._run_inline(job, node)
-            return
-        except Exception:
-            outcome = job.runner.on_worker_failure(node)
-            self._absorb(job, node, outcome)
-            return
-        self._futures[fut] = (job, node)
-        job.outstanding += 1
-
-    def _absorb_completed(self, block: bool) -> int:
-        if not self._futures:
-            return 0
-        done, _ = wait(
-            set(self._futures),
-            timeout=None if block else 0,
-            return_when=FIRST_COMPLETED,
-        )
-        absorbed = 0
-        for fut in sorted(
-            done, key=lambda f: (self._futures[f][0].seq,
-                                 self._futures[f][0]._key(self._futures[f][1])),
-        ):
-            job, node = self._futures.pop(fut)
-            job.outstanding -= 1
-            if job.aborted:
-                continue  # plan already rejected; result is irrelevant
-            try:
-                outcome = self._impl._resolve(job.runner, node, fut.result())
-            except Exception:
-                outcome = job.runner.on_worker_failure(node)
-            self._absorb(job, node, outcome)
-            absorbed += 1
-        return absorbed
-
-    def _absorb(self, job: PlanJob, node: PlanNode, outcome: object) -> None:
-        self.ticks += 1
-        if self.on_tick is not None:
-            self.on_tick(self.ticks)
-        try:
-            job.runner.absorb(node, outcome)
-        except PlanAborted:
-            job.abort()
-        else:
-            job.complete(node)
-        if job.done and job.completed_tick is None:
-            job.completed_tick = self.ticks
 
 
 __all__ = ["PlanJob", "SharedDagPool"]

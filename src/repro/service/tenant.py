@@ -12,8 +12,8 @@ each tenant:
   stream is classified corrupt, so batch mode can reject the tenant
   instead of waiting forever);
 * a :class:`TenantStream` -- a :class:`~repro.continuous.ContinuousAuditor`
-  whose per-epoch audits are compiled to DAGs and executed by the
-  *shared* pool instead of inline.  Everything that defines the
+  whose per-epoch plans are executed by the *shared* pool instead of
+  each by a loop of its own.  Everything that defines the
   continuous-audit semantics is inherited unchanged: the bounded
   pending queue, the sealed/verified/rejected journal, checkpoint
   chaining, crash resume (journal + chain verification), and the
@@ -49,7 +49,7 @@ from repro.continuous.journal import AuditJournal
 from repro.errors import AdviceFormatError, KarousosError
 from repro.storage.backend import StorageBackend, backend_for
 from repro.storage.records import RecordFormatError, RecordTruncatedError
-from repro.verifier.dag.driver import DagAuditor
+from repro.verifier.audit import Auditor
 from repro.verifier.dag.journal import NodeJournal
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -254,44 +254,28 @@ class TenantStream(ContinuousAuditor):
 
     # -- pool integration --------------------------------------------------
 
-    def start_job(self) -> Optional[Tuple[Epoch, DagAuditor, list, list]]:
+    def start_job(self) -> Optional[Tuple[Epoch, Auditor, list, list]]:
         """Pop queued epochs until one needs re-execution; short-circuit
         verdicts (chain forged, predecessor rejected, missing
-        checkpoint) are recorded inline.  Returns ``(epoch, dag, nodes,
-        edges)`` for the pool, or None when the queue is drained."""
+        checkpoint) are recorded inline.  Returns ``(epoch, auditor,
+        nodes, edges)`` for the pool, or None when the queue is
+        drained."""
         while self._queue:
             epoch = self._queue.popleft()
             verdict, parent = self._preflight(epoch)
             if verdict is not None:
                 self._record_verdict(epoch, verdict)
                 continue
-            dag = DagAuditor(
-                self.app,
-                epoch.trace,
-                epoch.advice,
-                app_name=self.config.app,
-                partition=self.partition,
-                hints=self.hints,
-                dedup=self.dedup,
-                carry=parent.carry_in() if parent is not None else None,
-                metrics=self.metrics,
-                progress=self._epoch_progress(epoch),
-                checkpoint_index=epoch.index,
-                checkpoint_parent=parent,
-                journal=self.node_journal,
-                resume="auto" if self.node_journal is not None else False,
-            )
-            nodes, edges = dag.prepare()
-            return epoch, dag, nodes, edges
+            auditor = self._build_auditor(epoch, parent)
+            nodes, edges = auditor.prepare()
+            return epoch, auditor, nodes, edges
         return None
 
-    def finish_job(self, epoch: Epoch, dag: DagAuditor) -> EpochVerdict:
+    def finish_job(self, epoch: Epoch, auditor: Auditor) -> EpochVerdict:
         """Commit a pool-completed epoch exactly like the solo driver:
         journal the verdict, extend the checkpoint chain, account the
         stream metrics."""
-        dag.finalize()
-        result = dag.collect()
-        verdict = self._commit(epoch, result, dag.checkpoint)
+        verdict = self._commit(epoch, auditor.collect(), auditor.checkpoint)
         self._record_verdict(epoch, verdict)
         return verdict
 

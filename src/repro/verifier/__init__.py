@@ -6,10 +6,9 @@ consumes a trusted trace and untrusted advice and either ACCEPTs or
 REJECTs with a machine-readable reason.
 """
 
-from repro.verifier.audit import AuditResult, Auditor, audit
+from repro.verifier.audit import STAGES, AuditResult, Auditor, audit
 from repro.verifier.carry import CarryIn
 from repro.verifier.dag import (
-    DagAuditor,
     NodeJournal,
     compile_plan,
     format_plan_text,
@@ -20,34 +19,20 @@ from repro.verifier.explain import (
     explain_rejection,
     report_from_result,
 )
-from repro.verifier.parallel import ParallelAuditor, compute_waves, parallel_audit
-from repro.verifier.pipeline import (
-    STAGES,
-    AuditPipeline,
-    AuditStage,
-    PipelineContext,
-    build_pipeline,
-)
+from repro.verifier.parallel import compute_waves
 
 __all__ = [
     "STAGES",
-    "AuditPipeline",
     "AuditResult",
-    "AuditStage",
     "Auditor",
     "CarryIn",
-    "DagAuditor",
     "DivergenceReport",
     "NodeJournal",
     "compile_plan",
     "format_plan_text",
     "validate_plan",
-    "ParallelAuditor",
-    "PipelineContext",
     "audit",
-    "build_pipeline",
     "compute_waves",
     "explain_rejection",
-    "parallel_audit",
     "report_from_result",
 ]

@@ -1,7 +1,7 @@
-"""Execution-DAG audit driver: plan compiler, node journal, pluggable
-schedulers, and the DAG driver itself (DESIGN.md §13)."""
+"""The audit engine's execution DAG: plan compiler, node journal, and
+the ready-queue loop (DESIGN.md §5).  The engine itself is
+:class:`repro.verifier.audit.Auditor`."""
 
-from repro.verifier.dag.driver import DagAuditor, PlanAborted, SimulatedKill
 from repro.verifier.dag.journal import (
     NodeJournal,
     NodeJournalError,
@@ -22,8 +22,9 @@ from repro.verifier.dag.scheduler import (
     SCHEDULER_SERIAL,
     SCHEDULER_THREAD,
     SCHEDULERS,
+    PlanAborted,
+    PlanJob,
     Scheduler,
-    make_scheduler,
 )
 
 __all__ = [
@@ -33,18 +34,16 @@ __all__ = [
     "SCHEDULER_SERIAL",
     "SCHEDULER_THREAD",
     "AuditPlan",
-    "DagAuditor",
     "NodeJournal",
     "NodeJournalError",
     "NodeJournalState",
     "PlanAborted",
     "PlanError",
+    "PlanJob",
     "PlanNode",
     "Scheduler",
-    "SimulatedKill",
     "compile_plan",
     "format_plan_text",
-    "make_scheduler",
     "single_epoch",
     "validate_plan",
 ]

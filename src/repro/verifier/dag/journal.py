@@ -1,5 +1,5 @@
 """The node journal: digest-chained per-node completion records
-(DESIGN.md §13).
+(DESIGN.md §5).
 
 A DAG-driven audit appends one record per completed node to a
 ``nodes`` record stream (any :class:`repro.storage.backend.StorageBackend`),

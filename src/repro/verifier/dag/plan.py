@@ -1,35 +1,38 @@
-"""The audit plan compiler: one run, one explicit DAG (DESIGN.md §13).
+"""The audit plan compiler: one run, one explicit DAG (DESIGN.md §5).
 
 Following the ELSPETH execution-graph contract (SNIPPETS.md §3), every
 audit run is compiled -- *before* any node executes -- into an explicit
-DAG of typed nodes whose IDs are deterministic content hashes.  The DAG
-is the single source of truth for what a run will do: the scheduler
-(:mod:`repro.verifier.dag.scheduler`) topologically executes it, the
-node journal (:mod:`repro.verifier.dag.journal`) keys completion records
-by node ID, and resume (:mod:`repro.verifier.dag.driver`) replays
-completed nodes by looking their IDs up again.  If it is not in the
-plan, it cannot happen.
+DAG of typed nodes.  The DAG is the single source of truth for what a
+run will do: the scheduler (:mod:`repro.verifier.dag.scheduler`)
+topologically executes it, the node journal
+(:mod:`repro.verifier.dag.journal`) keys completion records by node ID,
+and resume (:mod:`repro.verifier.audit`) replays completed nodes by
+looking their IDs up again.  If it is not in the plan, it cannot happen.
 
 Node types, per epoch:
 
 * ``decode``, ``preprocess``, ``isolation``, ``postprocess``,
-  ``checkpoint`` -- one each, mirroring the staged pipeline;
+  ``checkpoint`` -- one each (the paper's Figure 14 stages);
 * ``dedup`` -- the canonical-order digest/fetch barrier, present only
   when deduplicated re-execution is armed (it is the node every
   dedup-cache dependency edge flows through);
 * ``reexec`` -- one per re-execution group (the unit of fan-out and of
   crash-resume granularity);
 * ``merge`` -- the canonical-order reduction + final checks (surfaces
-  as pipeline stage ``reexec`` in verdicts, like the parallel driver's
-  reduction).
+  as stage ``reexec`` in verdicts).
 
-Node IDs are SHA-256 over ``(epoch digest, group digest, stage name,
-spec version)``: the epoch digest pins the exact trace + advice bytes,
-the group digest pins the group's tag and members (empty for epoch-level
-nodes), and the spec version makes any format change a cache-wide
-invalidation instead of a silent misread.  Two runs over the same inputs
-therefore compile to byte-identical plans -- which is what makes a node
-journal written by a killed run addressable from the resumed one.
+Node IDs are structural -- ``<epoch>/<stage>`` or
+``<epoch>/reexec/<group tag>`` -- so naming a node costs nothing and a
+journal record reads as what it is.  What pins *content* is the plan
+digest: SHA-256 over the plan document, which embeds each epoch's digest
+(the exact trace + advice bytes) and the compile options (which, with
+the advice, determine every group's members).  Two runs over the same
+inputs compile to byte-identical plans with equal digests -- which is
+what makes a node journal written by a killed run addressable from the
+resumed one -- and a journal is refused against any other digest.  The
+digests re-encode the whole trace and advice, so they are computed on
+first use, by their two consumers: the node journal's resume guard and
+the printed plan document (``repro plan``).
 
 Edges encode stage order, the carry-in chain (``checkpoint(k-1) ->
 preprocess(k)``), dedup-cache dependencies (``isolation -> dedup ->
@@ -42,19 +45,21 @@ regardless); edges only constrain *scheduling*.
 :func:`validate_plan` is the pre-flight gate: spec-version match,
 edge-endpoint existence, acyclicity, reachability of every node to the
 terminal checkpoint, carry-in completeness (contiguous epochs, each
-chained to its predecessor), and exactly-once group coverage.
+chained to its predecessor), exactly-once group and member coverage, and
+node IDs naming what their nodes hold.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import KarousosError
 
-PLAN_SPEC = "repro.plan/1"
+PLAN_SPEC = "repro.plan/2"
 
 NODE_DECODE = "decode"
 NODE_PREPROCESS = "preprocess"
@@ -79,10 +84,9 @@ STAGE_ORDER = (
 )
 _STAGE_RANK = {stage: rank for rank, stage in enumerate(STAGE_ORDER)}
 
-# How a DAG node reports itself in AuditResult.stage: the dedup barrier
-# and the merge reduction are both parts of the pipeline's reexec stage,
-# so a rejection raised there carries the same stage name the sequential
-# and parallel drivers produce.
+# How a node reports itself in AuditResult.stage and in the per-stage
+# timing fold: the dedup barrier and the merge reduction are both parts
+# of Figure 14's ReExec.
 PIPELINE_STAGE = {
     NODE_DEDUP: NODE_REEXEC,
     NODE_MERGE: NODE_REEXEC,
@@ -115,23 +119,14 @@ def epoch_digest(trace: object, advice: object) -> str:
     return _sha256(encode_trace(trace) + "\x00" + encoded_advice)
 
 
-def group_digest(tag: str, rids: Sequence[str]) -> str:
-    """SHA-256 over the group's tag and (sorted) membership.
-
-    This is the *identity* digest that names a plan node -- deliberately
-    cheap, unlike the activation digest of :mod:`repro.verifier.dedup`
-    which pins everything the group's execution can observe.
-    """
-    return _sha256(canonical_json([tag, sorted(rids)]))
+def node_id(epoch: int, stage: str, group: Optional[str] = None) -> str:
+    """The structural node ID: ``<epoch>/<stage>[/<group tag>]``."""
+    if group is None:
+        return f"{epoch}/{stage}"
+    return f"{epoch}/{stage}/{group}"
 
 
-def node_id(epoch_dig: str, group_dig: str, stage: str) -> str:
-    """SHA-256 over (epoch digest, group digest, stage name, spec)."""
-    return _sha256(canonical_json([epoch_dig, group_dig, stage, PLAN_SPEC]))
-
-
-@dataclass(frozen=True)
-class PlanNode:
+class PlanNode(NamedTuple):
     """One typed node of the execution DAG."""
 
     node_id: str
@@ -145,22 +140,36 @@ class PlanNode:
     def pipeline_stage(self) -> str:
         return PIPELINE_STAGE.get(self.stage, self.stage)
 
+    @property
+    def rank(self) -> Tuple[int, int, int]:
+        """``(epoch, stage, wave)``: every edge must advance it."""
+        return (self.epoch, _STAGE_RANK.get(self.stage, -1), self.wave)
+
     def __repr__(self) -> str:
         group = f" group={self.group}" if self.group is not None else ""
         return (
-            f"<PlanNode {self.stage} epoch={self.epoch}{group} "
-            f"id={self.node_id[:12]}>"
+            f"<PlanNode {self.stage} epoch={self.epoch}{group}>"
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class EpochPlanMeta:
-    """Per-epoch summary carried by the plan document."""
+    """Per-epoch summary carried by the plan document.  ``requests`` and
+    ``digest`` walk the whole trace, so they are computed when a document
+    or the journal's resume guard asks."""
 
     index: int
-    digest: str
-    requests: int
     groups: int
+    trace: object = field(repr=False)
+    advice: object = field(repr=False)
+
+    @property
+    def requests(self) -> int:
+        return len(self.trace.request_ids())
+
+    @functools.cached_property
+    def digest(self) -> str:
+        return epoch_digest(self.trace, self.advice)
 
 
 @dataclass
@@ -176,25 +185,29 @@ class AuditPlan:
     # deterministic ready-queue tiebreak and the serial execution order.
     node_order: List[str] = field(default_factory=list)
     edges: List[Tuple[str, str]] = field(default_factory=list)
-    digest: str = ""
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """SHA-256 over the plan document (epoch digests included)."""
+        return _sha256(canonical_json(self.to_doc(with_digest=False)))
 
     def ordered_nodes(self) -> List[PlanNode]:
         return [self.nodes[nid] for nid in self.node_order]
 
-    def epoch_nodes(self, index: int) -> List[PlanNode]:
-        return [n for n in self.ordered_nodes() if n.epoch == index]
+    def nodes_by_epoch(self) -> Dict[int, List[PlanNode]]:
+        """Canonical-order node lists per epoch, in one pass."""
+        out: Dict[int, List[PlanNode]] = {}
+        for node in self.ordered_nodes():
+            out.setdefault(node.epoch, []).append(node)
+        return out
 
     def node(self, epoch: int, stage: str, group: Optional[str] = None
              ) -> Optional[PlanNode]:
-        for nid in self.node_order:
-            n = self.nodes[nid]
-            if n.epoch == epoch and n.stage == stage and n.group == group:
-                return n
-        return None
+        return self.nodes.get(node_id(epoch, stage, group))
 
-    # -- serialization (the repro.plan/1 document) -------------------------
+    # -- serialization (the PLAN_SPEC document) -------------------------
 
-    def to_doc(self) -> Dict[str, object]:
+    def to_doc(self, with_digest: bool = True) -> Dict[str, object]:
         doc: Dict[str, object] = {
             "spec": self.spec,
             "app": self.app,
@@ -220,18 +233,13 @@ class AuditPlan:
                 for n in self.ordered_nodes()
             ],
             "edges": [[src, dst] for src, dst in sorted(self.edges)],
-            "digest": self.digest,
         }
+        if with_digest:
+            doc["digest"] = self.digest
         return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True)
-
-
-def _plan_digest(plan: AuditPlan) -> str:
-    doc = plan.to_doc()
-    doc.pop("digest", None)
-    return _sha256(canonical_json(doc))
 
 
 class _WaveShim:
@@ -248,8 +256,8 @@ class _WaveShim:
 
 
 def epoch_groups(advice: object, singleton_groups: bool) -> Dict[str, List[str]]:
-    """The epoch's re-execution groups, exactly as every driver forms
-    them (singleton OOOAudit or the advice's grouping)."""
+    """The epoch's re-execution groups (singleton OOOAudit or the
+    advice's grouping)."""
     if singleton_groups:
         return {rid: [rid] for rid in advice.tags}
     return advice.groups()
@@ -292,7 +300,7 @@ def compile_plan(
     def add_node(node: PlanNode) -> PlanNode:
         if node.node_id in plan.nodes:
             raise PlanError(
-                f"duplicate node id {node.node_id[:12]} "
+                f"duplicate node id {node.node_id!r} "
                 f"({node.stage}, epoch {node.epoch})"
             )
         plan.nodes[node.node_id] = node
@@ -305,20 +313,16 @@ def compile_plan(
         advice = epoch.advice
         if advice is None:
             raise PlanError(f"epoch {index} carries no advice")
-        edig = epoch_digest(epoch.trace, advice)
         groups = epoch_groups(advice, singleton_groups)
         plan.epochs.append(
             EpochPlanMeta(
-                index=index,
-                digest=edig,
-                requests=len(epoch.trace.request_ids()),
-                groups=len(groups),
+                index=index, groups=len(groups), trace=epoch.trace, advice=advice
             )
         )
 
         def stage_node(stage: str) -> PlanNode:
             return add_node(
-                PlanNode(node_id=node_id(edig, "", stage), stage=stage,
+                PlanNode(node_id=node_id(index, stage), stage=stage,
                          epoch=index)
             )
 
@@ -343,7 +347,7 @@ def compile_plan(
             for tag in sorted(wave):
                 rids = groups[tag]
                 reexec_nodes[tag] = PlanNode(
-                    node_id=node_id(edig, group_digest(tag, rids), NODE_REEXEC),
+                    node_id=node_id(index, NODE_REEXEC, tag),
                     stage=NODE_REEXEC,
                     epoch=index,
                     group=tag,
@@ -375,8 +379,6 @@ def compile_plan(
         plan.edges.append((merge.node_id, postprocess.node_id))
         plan.edges.append((postprocess.node_id, checkpoint.node_id))
         prev_checkpoint = checkpoint
-
-    plan.digest = _plan_digest(plan)
     return plan
 
 
@@ -398,30 +400,20 @@ def validate_plan(plan: AuditPlan) -> None:
     for src, dst in plan.edges:
         if src not in plan.nodes or dst not in plan.nodes:
             raise PlanError(
-                f"edge ({src[:12]}, {dst[:12]}) references an unknown node"
+                f"edge ({src!r}, {dst!r}) references an unknown node"
             )
 
-    # Acyclicity (Kahn): every node must drain.
-    indegree = {nid: 0 for nid in plan.nodes}
-    successors: Dict[str, List[str]] = {nid: [] for nid in plan.nodes}
-    for src, dst in plan.edges:
-        indegree[dst] += 1
-        successors[src].append(dst)
-    ready = [nid for nid in plan.node_order if indegree[nid] == 0]
-    drained = 0
-    while ready:
-        nid = ready.pop()
-        drained += 1
-        for succ in successors[nid]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    if drained != len(plan.nodes):
-        stuck = sorted(nid for nid, deg in indegree.items() if deg > 0)
-        raise PlanError(
-            f"plan is cyclic: {len(plan.nodes) - drained} nodes never "
-            f"become ready (first: {stuck[0][:12]})"
-        )
+    # Acyclicity, by the stronger invariant compilation maintains: every
+    # edge advances (epoch, stage order, wave), so no path can return.
+    edge_set = set(plan.edges)
+    feeders: Dict[str, List[str]] = {nid: [] for nid in plan.node_order}
+    for src, dst in edge_set:
+        if not plan.nodes[src].rank < plan.nodes[dst].rank:
+            raise PlanError(
+                f"plan is cyclic: edge {src!r} -> {dst!r} does not advance "
+                "(epoch, stage, wave)"
+            )
+        feeders[dst].append(src)
 
     # Epoch contiguity + carry-in completeness.
     indices = [e.index for e in plan.epochs]
@@ -430,7 +422,6 @@ def validate_plan(plan: AuditPlan) -> None:
     for a, b in zip(indices, indices[1:]):
         if b != a + 1:
             raise PlanError(f"epoch indices not contiguous: {a} -> {b}")
-    edge_set = set(plan.edges)
     for prev_meta, meta in zip(plan.epochs, plan.epochs[1:]):
         src = plan.node(prev_meta.index, NODE_CHECKPOINT)
         dst = plan.node(meta.index, NODE_PREPROCESS)
@@ -445,17 +436,13 @@ def validate_plan(plan: AuditPlan) -> None:
     terminal = plan.node(plan.epochs[-1].index, NODE_CHECKPOINT)
     if terminal is None:
         raise PlanError("plan has no terminal checkpoint node")
-    predecessors: Dict[str, List[str]] = {nid: [] for nid in plan.nodes}
-    for src, dst in plan.edges:
-        predecessors[dst].append(src)
     reached = {terminal.node_id}
     frontier = [terminal.node_id]
     while frontier:
-        nid = frontier.pop()
-        for pred in predecessors[nid]:
-            if pred not in reached:
-                reached.add(pred)
-                frontier.append(pred)
+        for feeder in feeders[frontier.pop()]:
+            if feeder not in reached:
+                reached.add(feeder)
+                frontier.append(feeder)
     unreachable = [nid for nid in plan.node_order if nid not in reached]
     if unreachable:
         node = plan.nodes[unreachable[0]]
@@ -464,27 +451,28 @@ def validate_plan(plan: AuditPlan) -> None:
             f"checkpoint (first: {node.stage} epoch {node.epoch})"
         )
 
-    # Exactly-once group coverage, and node IDs must match their content.
+    # Exactly-once coverage of groups and of their members, and every
+    # node ID must name what its node holds.
+    by_epoch = plan.nodes_by_epoch()
     for meta in plan.epochs:
-        tags = [
-            n.group for n in plan.epoch_nodes(meta.index)
-            if n.stage == NODE_REEXEC
-        ]
+        nodes = by_epoch.get(meta.index, [])
+        reexec = [n for n in nodes if n.stage == NODE_REEXEC]
+        tags = [n.group for n in reexec]
         if len(tags) != len(set(tags)) or len(tags) != meta.groups:
             raise PlanError(
                 f"epoch {meta.index}: reexec nodes cover {len(tags)} groups, "
                 f"expected {meta.groups} exactly once"
             )
-        for node in plan.epoch_nodes(meta.index):
-            gdig = (
-                group_digest(node.group, list(node.rids))
-                if node.stage == NODE_REEXEC
-                else ""
+        members = [rid for n in reexec for rid in n.rids]
+        if len(members) != len(set(members)):
+            raise PlanError(
+                f"epoch {meta.index}: a request is a member of two groups"
             )
-            if node.node_id != node_id(meta.digest, gdig, node.stage):
+        for node in nodes:
+            if node.node_id != node_id(node.epoch, node.stage, node.group):
                 raise PlanError(
                     f"node id mismatch for {node.stage} in epoch "
-                    f"{meta.index}: content does not hash to its id"
+                    f"{meta.index}: {node.node_id!r} does not name its node"
                 )
 
 
@@ -498,19 +486,17 @@ def format_plan_text(plan: AuditPlan) -> str:
         f"{len(plan.epochs)} epoch(s), {len(plan.nodes)} nodes, "
         f"{len(plan.edges)} edges",
     ]
+    by_epoch = plan.nodes_by_epoch()
     for meta in plan.epochs:
         lines.append(
             f"epoch {meta.index}  digest {meta.digest[:16]}  "
             f"{meta.requests} requests, {meta.groups} groups"
         )
-        for node in plan.epoch_nodes(meta.index):
-            label = node.stage
+        for node in by_epoch.get(meta.index, []):
+            detail = ""
             if node.group is not None:
-                label = (
-                    f"{node.stage}[{node.group}] "
-                    f"({len(node.rids)} rids, wave {node.wave})"
-                )
-            lines.append(f"  {node.node_id[:12]}  {label}")
+                detail = f"  ({len(node.rids)} rids, wave {node.wave})"
+            lines.append(f"  {node.node_id}{detail}")
     return "\n".join(lines)
 
 
@@ -538,7 +524,6 @@ __all__: Iterable[str] = [
     "epoch_digest",
     "epoch_groups",
     "format_plan_text",
-    "group_digest",
     "node_id",
     "single_epoch",
     "validate_plan",

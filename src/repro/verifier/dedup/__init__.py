@@ -13,10 +13,9 @@ the same read-set values.  This package makes that redundancy explicit:
 * :mod:`repro.verifier.dedup.cache` -- the persistent verdict cache on
   the storage backend layer, storing per-digest verdict + output digest
   + post-state effects behind self-certifying records;
-* :mod:`repro.verifier.dedup.executor` -- the :class:`Deduplicator`
-  driver: the dedup-aware sequential reexec stage, plus the digest /
-  match / rehydrate / store hooks the parallel and continuous drivers
-  share.
+* :mod:`repro.verifier.dedup.executor` -- the :class:`Deduplicator`:
+  the digest / match / rehydrate / store hooks the audit engine's
+  ``dedup`` and ``merge`` nodes call.
 
 The trust model (a cache hit can never flip a verdict) lives with the
 executor; see DESIGN.md §11.

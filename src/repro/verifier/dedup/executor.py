@@ -1,11 +1,10 @@
-"""The dedup-aware re-execution driver (DESIGN.md §11).
+"""Deduplicated re-execution (DESIGN.md §11).
 
 :class:`Deduplicator` wraps the activation digest and the verdict cache
-behind three hooks every driver shares -- ``fetch`` (digest + validated
-lookup + rehydration), ``store`` (normalise a cleanly merged group's
-effects and cache them), and ``begin_stage``/``finish_stage`` (metrics)
--- plus :meth:`Deduplicator.stage`, the sequential pipeline's dedup
-reexec stage.
+behind the three hooks the audit engine's ``dedup`` and ``merge`` nodes
+call -- ``fetch`` (digest + validated lookup + rehydration), ``store``
+(normalise a cleanly merged group's effects and cache them), and
+``begin_stage``/``finish_stage`` (metrics).
 
 Trust model (why a hit can never flip a verdict):
 
@@ -39,7 +38,7 @@ could equally replace the auditor binary).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import MetricsRegistry
 from repro.server.variables import INIT_REF
@@ -54,9 +53,8 @@ from repro.verifier.dedup.digest import (
     member_token,
     normalize_value,
 )
-from repro.verifier.parallel import GroupDelta, execute_group, merge_delta
+from repro.verifier.parallel import GroupDelta
 from repro.verifier.preprocess import AuditState
-from repro.verifier.reexec import ReExecutor
 
 
 class _Uncacheable(Exception):
@@ -305,7 +303,7 @@ def rehydrate_delta(
     return delta
 
 
-# -- the driver ----------------------------------------------------------------
+# -- the deduplicator ----------------------------------------------------------
 
 
 @dataclass
@@ -326,7 +324,7 @@ class StageStats:
 
 
 class Deduplicator:
-    """Content-addressed re-execution dedup shared by every driver.
+    """Content-addressed re-execution dedup.
 
     ``cache=None`` disables the verdict cache (the CLI's ``--no-cache``)
     but keeps the in-run memo: digest-identical groups within one stage
@@ -509,47 +507,11 @@ class Deduplicator:
         if self.cache is not None:
             self.cache.close()
 
-    # -- the sequential reexec stage ---------------------------------------------
-
-    def stage(self, ctx: Any) -> None:
-        """Drop-in replacement for ``stage_reexec_sequential``: same
-        canonical group order, same merge semantics as the parallel
-        driver's reduction, with digest-hit groups replayed instead of
-        executed.  ``_final_checks`` runs for real on the merged state."""
-        state = ctx.state
-        ctx.re_exec = re_exec = ReExecutor(state)
-        if ctx.singleton_groups:
-            groups = {rid: [rid] for rid in state.advice.tags}
-        else:
-            groups = state.advice.groups()
-        self.begin_stage()
-        try:
-            for tag in sorted(groups, reverse=ctx.reverse_groups):
-                rids = groups[tag]
-                digest, delta = self.fetch(state, tag, rids)
-                executed = delta is None
-                if executed:
-                    delta = execute_group(state, tag, rids, False)
-                merge_delta(re_exec, delta)
-                if executed and digest is not None:
-                    self.store(state, rids, digest, delta)
-            re_exec._final_checks()
-        finally:
-            ctx.metrics.counter("reexec.groups").inc(re_exec.groups_executed)
-            ctx.metrics.counter("reexec.handlers").inc(re_exec.handlers_executed)
-            self.finish_stage(ctx.metrics)
-
-
-def make_reexec_stage(dedup: Deduplicator) -> Callable[[Any], None]:
-    """The sequential pipeline's dedup reexec stage."""
-    return dedup.stage
-
 
 __all__ = [
     "Deduplicator",
     "RehydrateMismatch",
     "StageStats",
-    "make_reexec_stage",
     "normalize_effect",
     "rehydrate_delta",
 ]

@@ -7,7 +7,7 @@ arrival order -- so the rejection localises to the **first diverging
 operation** rather than to whatever grouped batch happened to trip the
 check.  The structured ``site`` payload carried by
 :class:`~repro.errors.AuditRejected` (and surfaced on
-:class:`~repro.verifier.pipeline.AuditResult`) then pins the handler,
+:class:`~repro.verifier.audit.AuditResult`) then pins the handler,
 operation number, variable/key, and the expected-vs-claimed values; the
 reporter walks the advice's own precedence links (variable-log ``prec``
 chains, transaction-log dictating-write references) to reconstruct the
@@ -29,23 +29,11 @@ from repro.advice.records import TX_GET, TX_PUT, Advice
 from repro.kem.program import AppSpec
 from repro.server.variables import INIT_REF
 from repro.trace.trace import TraceLike
+from repro.verifier.audit import Auditor, AuditResult, jsonable
 from repro.verifier.carry import CarryIn
-from repro.verifier.pipeline import AuditResult, PipelineContext, build_pipeline
 
 # Precedence chains are advice-controlled; never follow them unboundedly.
 MAX_CHAIN = 8
-
-
-def _jsonable(value: object) -> object:
-    """Best-effort JSON sanitisation: containers recurse, scalars pass,
-    everything else (HandlerId, TxId, ...) collapses to its repr."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return repr(value)
 
 
 @dataclass
@@ -91,13 +79,13 @@ class DivergenceReport:
         for name in ("epoch", "rid", "opnum", "var", "key"):
             value = getattr(self, name)
             if value is not None:
-                doc[name] = _jsonable(value)
+                doc[name] = jsonable(value)
         for name in ("handler", "tx", "expected", "claimed", "cycle"):
             value = getattr(self, name)
             if value is not None:
-                doc[name] = _jsonable(value)
+                doc[name] = jsonable(value)
         if self.chain:
-            doc["chain"] = _jsonable(self.chain)
+            doc["chain"] = jsonable(self.chain)
         return doc
 
     def as_text(self) -> str:
@@ -269,21 +257,12 @@ def explain_rejection(
     callers should treat that as "not reproducible here" (e.g. an
     explain invoked with the wrong epoch slice).
     """
-    pipeline = build_pipeline()
-    singleton = pipeline.run(
-        PipelineContext(
-            app=app,
-            trace_input=trace,
-            advice=advice,
-            carry=carry,
-            singleton_groups=True,
-        )
-    )
+    singleton = Auditor(
+        app, trace, advice, carry=carry, singleton_groups=True
+    ).run()
     if not singleton.accepted:
         return report_from_result(singleton, advice, localized=True, epoch=epoch)
-    grouped = pipeline.run(
-        PipelineContext(app=app, trace_input=trace, advice=advice, carry=carry)
-    )
+    grouped = Auditor(app, trace, advice, carry=carry).run()
     if not grouped.accepted:
         return report_from_result(grouped, advice, localized=False, epoch=epoch)
     return None

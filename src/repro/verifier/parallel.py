@@ -1,9 +1,11 @@
-"""Parallel audit pipeline: shard re-execution groups across workers.
+"""Group-level re-execution: the unit the audit engine fans out, and
+the canonical-order merge that makes every schedule verdict-identical
+(DESIGN.md §5).
 
 The paper's Lemma 1 (see :mod:`repro.verifier.oooaudit`) proves all
 well-formed op schedules equivalent, which licenses re-executing
-independent groups concurrently.  In this verifier group re-execution is
-*value-isolated* by construction:
+independent groups in any order, concurrently.  In this verifier group
+re-execution is *value-isolated* by construction:
 
 * unlogged variable reads resolve via FindNearestRPrecedingWrite, which
   only consults the reading request's own handler tree and the trusted
@@ -18,80 +20,50 @@ So a group re-executes to the same values regardless of what other groups
 ran before it.  The only cross-group mutable state is the write-history
 bookkeeping of :class:`~repro.verifier.state.VarState` -- overwrite
 claims (whose duplication is the ``double-overwrite`` rejection) and
-claim fallbacks/initializer updates, all order-sensitive.  Workers record
-exactly these events in an ordered per-group *journal*
-(:class:`GroupDelta`), and the parent replays every journal in canonical
-group order (sorted tags -- the sequential auditor's order) before
-merging the group's bulk state.  Consequences:
+claim fallbacks/initializer updates, all order-sensitive.
+:func:`execute_group` records exactly these events in an ordered
+per-group *journal* (:class:`GroupDelta`), and the engine's merge node
+replays every journal in canonical group order (sorted tags) through
+:func:`merge_delta` before merging the group's bulk state.  Consequences:
 
 * the verdict, rejection reason, and deterministic statistics are
-  identical to the sequential :class:`~repro.verifier.audit.Auditor`, no
-  matter how groups were sharded or in which order workers finished;
+  identical no matter how groups were scheduled, on which worker, or in
+  which order they finished -- and equal to the straight-line
+  :func:`~repro.verifier.oooaudit.ooo_audit` reference on verdict;
 * a cross-group conflict that the wave partition did not anticipate
-  (advice is untrusted and may lie about footprints) surfaces as the same
-  deterministic REJECT the sequential audit raises -- never a race.
+  (advice is untrusted and may lie about footprints) surfaces as one
+  deterministic REJECT at its canonical position -- never a race.
 
-:class:`ParallelAuditor` is a thin driver over the staged pipeline
-(:mod:`repro.verifier.pipeline`): it supplies only the ``reexec`` stage
-(fan-out + canonical-order merge); decode, preprocess, isolation,
-postprocess, checkpoint, and the exception-to-REJECT mapping are the
-shared pipeline's.  When metrics are enabled, each group's execution
-produces a per-worker metrics snapshot that the parent merges in
-canonical group order -- deterministic no matter which worker finished
-first.
+When metrics are enabled, each group's execution produces a per-worker
+metrics snapshot that the merge folds in, in the same canonical order.
 
 Waves: :func:`compute_waves` stages groups into topological waves from
-the advice's read/write sets.  Under the ``structural`` policy (default)
-every cross-group coupling found in the advice is value-carrying (per the
+the advice's read/write sets; the plan compiler folds them in as
+scheduling edges.  Under the ``structural`` policy (default) every
+cross-group coupling found in the advice is value-carrying (per the
 three bullets above), so all groups land in one wave and fan out
 maximally; the ``footprint`` policy conservatively stages groups whose
 written variable/key footprints intersect another group's footprint --
 useful for debugging and for exercising plan invariance in tests.
-
-Executors: ``process`` (ProcessPoolExecutor; workers rebuild the audit
-state once per process from pickled inputs), ``thread`` (shared state;
-useful when inputs cannot cross a process boundary, e.g. closure-based
-test apps), and ``serial`` (in-process, for debugging and Windows-spawn
-environments).  ``auto`` picks processes when the inputs pickle, else
-threads.  A worker that dies mid-group (killed process, broken pool) is
-an infrastructure failure, not evidence about the advice: the affected
-groups are deterministically re-executed in-process so the verdict never
-depends on worker health.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.advice.records import Advice, TX_GET, TX_PUT
+from repro.advice.records import TX_GET, TX_PUT
 from repro.errors import AuditRejected
-from repro.kem.program import AppSpec
-from repro.obs import MetricsRegistry, ensure_metrics
+from repro.obs import MetricsRegistry
 from repro.server.variables import INIT_RID
-from repro.trace.trace import TraceLike
-from repro.verifier.carry import CarryIn
-from repro.verifier.pipeline import (
-    AuditResult,
-    PipelineContext,
-    StageHook,
-    build_pipeline,
-)
 from repro.verifier.preprocess import AuditState
 from repro.verifier.reexec import ReExecutor
 from repro.verifier.state import VarState
 
-MODE_AUTO = "auto"
-MODE_PROCESS = "process"
-MODE_THREAD = "thread"
-MODE_SERIAL = "serial"
-MODES = (MODE_AUTO, MODE_PROCESS, MODE_THREAD, MODE_SERIAL)
-
 PARTITION_STRUCTURAL = "structural"
 PARTITION_FOOTPRINT = "footprint"
 PARTITION_STATIC = "static"
+PARTITIONS = (PARTITION_STRUCTURAL, PARTITION_FOOTPRINT, PARTITION_STATIC)
 
 # Test hook: a worker whose task tag equals this environment variable's
 # value dies without cleanup, simulating a hard worker crash (segfault,
@@ -262,7 +234,7 @@ class GroupDelta:
     plain_values: Dict[str, Dict] = field(default_factory=dict)
     metrics: Optional[Dict[str, object]] = None
     # (kind, reason, detail, site); kind is "rejected" (AuditRejected) or
-    # "crash" (any other exception, the sequential audit's audit-crash).
+    # "crash" (any other exception: the audit-crash verdict).
     rejection: Optional[Tuple[str, str, str, Optional[dict]]] = None
 
 
@@ -288,7 +260,7 @@ def execute_group(
         delta.rejection = (
             "rejected", rejection.reason, rejection.detail, rejection.site
         )
-    except Exception as exc:  # mirrors the pipeline's audit-crash clause
+    except Exception as exc:  # the engine's audit-crash clause
         delta.rejection = (
             "crash", "audit-crash", f"{type(exc).__name__}: {exc}", None
         )
@@ -330,15 +302,13 @@ def merge_delta(
     """Replay one group's delta into the merge-target executor.
 
     Called in canonical (sorted-tag) order, this reproduces exactly the
-    write-history bookkeeping the sequential audit performs: journals
-    replay the order-sensitive events -- including the
-    ``double-overwrite`` conflict check, raised with the same reason,
-    detail, and site the sequential :class:`~repro.verifier.state.VarState`
-    produces -- and a group's own rejection fires at its recorded
-    position.  Bulk state merges wholesale only after the journal
-    replayed cleanly.  Shared by the parallel reduction and the dedup
-    driver (:mod:`repro.verifier.dedup.executor`), so both are
-    verdict-equivalent to the sequential audit by the same argument.
+    write-history bookkeeping of one executor running the groups in that
+    order (:meth:`ReExecutor.run`): journals replay the order-sensitive
+    events -- including the ``double-overwrite`` conflict check, raised
+    with the same reason, detail, and site
+    :class:`~repro.verifier.state.VarState` produces -- and a group's
+    own rejection fires at its recorded position.  Bulk state merges
+    wholesale only after the journal replayed cleanly.
     """
     if metrics is not None:
         metrics.merge(delta.metrics)
@@ -379,306 +349,3 @@ def merge_delta(
         re_exec.vars[var_id].consumed.update(consumed)
     for var_id, values in delta.plain_values.items():
         re_exec.vars[var_id].values.update(values)
-
-
-# -- scheduler plumbing --------------------------------------------------------
-
-
-@dataclass
-class _GroupNode:
-    """A group as a schedulable DAG node (``node_id`` is the tag)."""
-
-    node_id: str
-    rids: List[str]
-    wave: int
-
-
-class _GroupRunner:
-    """The scheduler runner protocol (see
-    :mod:`repro.verifier.dag.scheduler`) over bare group re-execution:
-    every node is a parallel-safe group, results are the deltas
-    themselves, and a dead worker falls back to deterministic in-process
-    execution."""
-
-    def __init__(self, auditor: "ParallelAuditor", groups, collect: bool):
-        self.auditor = auditor
-        self.groups = groups
-        self.collect = collect
-        self.deltas: Dict[str, GroupDelta] = {}
-
-    def parallel_safe(self, node: _GroupNode) -> bool:
-        return True
-
-    def execute(self, node: _GroupNode) -> GroupDelta:
-        return execute_group(
-            self.auditor.state, node.node_id, self.groups[node.node_id],
-            self.collect,
-        )
-
-    def absorb(self, node: _GroupNode, delta: GroupDelta) -> None:
-        self.deltas[node.node_id] = delta
-
-    def remote_spec(self, node: _GroupNode):
-        payload = self.auditor._payload
-        if payload is None:
-            return None
-        return ("epoch", payload, node.node_id,
-                list(self.groups[node.node_id]), self.collect)
-
-    def wrap_remote(self, node: _GroupNode, value: GroupDelta) -> GroupDelta:
-        return value
-
-    def on_worker_failure(self, node: _GroupNode) -> GroupDelta:
-        # Infrastructure, not advice (see the module docstring): the
-        # verdict must never depend on worker health.
-        self.auditor.fallback_tags.append(node.node_id)
-        return self.execute(node)
-
-
-# -- the pipeline ----------------------------------------------------------------
-
-
-class ParallelAuditor:
-    """The parallel audit: the staged pipeline with the ``reexec`` stage
-    fanned out over workers and reduced in canonical order.
-    Verdict-equivalent to :class:`~repro.verifier.audit.Auditor` by
-    construction.
-
-    ``waves`` injects an explicit wave plan (a list of tag lists covering
-    every group exactly once) -- used by the schedule-fuzz tests to check
-    Lemma 1's observable content over random partitions.
-    """
-
-    def __init__(
-        self,
-        app: AppSpec,
-        trace: TraceLike,
-        advice: Advice,
-        jobs: Optional[int] = None,
-        mode: str = MODE_AUTO,
-        partition: str = PARTITION_STRUCTURAL,
-        singleton_groups: bool = False,
-        waves: Optional[Sequence[Sequence[str]]] = None,
-        carry: Optional[CarryIn] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        progress: Optional[StageHook] = None,
-        checkpoint_index: Optional[int] = None,
-        checkpoint_parent: Optional[object] = None,
-        dedup: Optional[object] = None,
-        hints: Optional[object] = None,
-    ):
-        if mode not in MODES:
-            raise ValueError(f"unknown parallel mode {mode!r}")
-        if dedup is not None and waves is not None:
-            raise ValueError("injected waves cannot be combined with dedup")
-        if partition == PARTITION_STATIC and hints is None:
-            raise ValueError("static partition requires StaticHints")
-        self.app = app
-        self.trace = trace
-        self.advice = advice
-        self.carry = carry
-        self.jobs = max(1, int(jobs if jobs is not None else (os.cpu_count() or 1)))
-        self.mode = mode
-        self.partition = partition
-        self.hints = hints
-        self.singleton_groups = singleton_groups
-        self.metrics = ensure_metrics(metrics)
-        self.progress = progress
-        self.checkpoint_index = checkpoint_index
-        self.checkpoint_parent = checkpoint_parent
-        self.dedup = dedup
-        self._forced_waves = waves
-        self._payload: Optional[bytes] = None
-        self.state: Optional[AuditState] = None
-        self.re_exec: Optional[ReExecutor] = None
-        self.checkpoint = None
-        self.stage_seconds: Dict[str, float] = {}
-        self.plan: Optional[List[List[str]]] = None
-        self.mode_used: Optional[str] = None
-        # Tags recovered in-process after a hard worker failure.
-        self.fallback_tags: List[str] = []
-
-    # -- entry point -------------------------------------------------------
-
-    def run(self) -> AuditResult:
-        ctx = PipelineContext(
-            app=self.app,
-            trace_input=self.trace,
-            advice=self.advice,
-            carry=self.carry,
-            singleton_groups=self.singleton_groups,
-            metrics=self.metrics,
-            checkpoint_index=self.checkpoint_index,
-            checkpoint_parent=self.checkpoint_parent,
-        )
-        pipeline = build_pipeline(
-            reexec_stage=self._stage_reexec, on_stage=self.progress
-        )
-        result = pipeline.run(ctx)
-        self.state = ctx.state
-        self.re_exec = ctx.re_exec
-        self.checkpoint = ctx.checkpoint
-        self.stage_seconds = ctx.stage_seconds
-        return result
-
-    def _stage_reexec(self, ctx: PipelineContext) -> None:
-        """The fan-out reexec stage: plan waves, execute groups on
-        workers, reduce deltas in canonical order, run the sequential
-        audit's final checks.
-
-        With a :class:`~repro.verifier.dedup.executor.Deduplicator`
-        attached, every group is digested first (in canonical order, so
-        the in-run memo behaves exactly as in the sequential driver);
-        validated hits rehydrate their delta in the parent and only the
-        misses fan out to workers.  The reduction then merges hit and
-        miss deltas in the same canonical order, so the verdict is still
-        byte-identical to the sequential audit's, and freshly executed
-        clean groups are offered back to the cache after their journal
-        replayed conflict-free.
-        """
-        self.state = ctx.state
-        ctx.re_exec = self.re_exec = ReExecutor(ctx.state)  # the merge target
-        if self.singleton_groups:
-            groups = {rid: [rid] for rid in self.advice.tags}
-        else:
-            groups = self.advice.groups()
-        deltas: Dict[str, GroupDelta] = {}
-        digests: Dict[str, object] = {}
-        misses = groups
-        if self.dedup is not None:
-            self.dedup.begin_stage()
-            misses = {}
-            for tag in sorted(groups):
-                digest, delta = self.dedup.fetch(ctx.state, tag, groups[tag])
-                digests[tag] = digest
-                if delta is not None:
-                    deltas[tag] = delta
-                else:
-                    misses[tag] = groups[tag]
-        self.plan = self._plan(misses)
-        if misses or self.dedup is None:
-            deltas.update(self._execute_waves(misses))
-
-        def _store(tag: str, delta: GroupDelta) -> None:
-            if tag in misses and digests.get(tag) is not None:
-                self.dedup.store(ctx.state, groups[tag], digests[tag], delta)
-
-        try:
-            self._merge(
-                groups, deltas, _store if self.dedup is not None else None
-            )
-            self.re_exec._final_checks()
-        finally:
-            if self.dedup is not None:
-                self.dedup.finish_stage(ctx.metrics)
-        ctx.metrics.counter("reexec.groups").inc(self.re_exec.groups_executed)
-        ctx.metrics.counter("reexec.handlers").inc(self.re_exec.handlers_executed)
-        ctx.metrics.gauge("parallel.jobs").set(self.jobs)
-        ctx.metrics.gauge("parallel.waves").set(len(self.plan))
-        ctx.metrics.counter("parallel.fallback_groups").inc(len(self.fallback_tags))
-
-    # -- planning -----------------------------------------------------------
-
-    def _plan(self, groups: Dict[str, List[str]]) -> List[List[str]]:
-        if self._forced_waves is None:
-            return compute_waves(self.state, groups, self.partition, self.hints)
-        waves = [list(wave) for wave in self._forced_waves]
-        covered = [tag for wave in waves for tag in wave]
-        if sorted(covered) != sorted(groups):
-            raise ValueError(
-                "injected waves must cover every group exactly once; "
-                f"got {sorted(covered)!r}, want {sorted(groups)!r}"
-            )
-        return waves
-
-    def _resolve_mode(self) -> str:
-        if self.mode != MODE_AUTO:
-            return self.mode
-        if self.jobs <= 1:
-            return MODE_SERIAL
-        try:
-            self._payload = pickle.dumps(
-                (self.app, self.state.trace, self.advice, self.carry)
-            )
-        except Exception:
-            # Closure-based apps (tests) cannot cross a process boundary.
-            return MODE_THREAD
-        return MODE_PROCESS
-
-    # -- execution -----------------------------------------------------------
-
-    def _execute_waves(self, groups: Dict[str, List[str]]) -> Dict[str, GroupDelta]:
-        """Run the wave plan through the pluggable scheduler
-        (:mod:`repro.verifier.dag.scheduler`): groups become DAG nodes,
-        consecutive waves become bipartite edges, and the resolved
-        executor mode picks the scheduler (serial / thread / process)."""
-        # Imported lazily: the dag package imports this module.
-        from repro.verifier.dag.scheduler import make_scheduler
-
-        self.mode_used = self._resolve_mode()
-        collect = self.metrics.enabled
-        if self.mode_used == MODE_PROCESS and self._payload is None:
-            self._payload = pickle.dumps(
-                (self.app, self.state.trace, self.advice, self.carry)
-            )
-        nodes: List[_GroupNode] = []
-        for wave_index, wave in enumerate(self.plan):
-            for tag in wave:
-                nodes.append(
-                    _GroupNode(node_id=tag, rids=groups[tag], wave=wave_index)
-                )
-        edges: List[Tuple[str, str]] = []
-        for wave_index in range(1, len(self.plan)):
-            # Wave pre-partitioning as scheduling edges (any wave plan is
-            # verdict-identical; the merge is canonical-order regardless).
-            for prev in self.plan[wave_index - 1]:
-                for tag in self.plan[wave_index]:
-                    edges.append((prev, tag))
-        runner = _GroupRunner(self, groups, collect)
-        # More workers than groups would only pay fork + preprocess for
-        # idle processes.
-        workers = max(1, min(self.jobs, len(groups)))
-        scheduler = make_scheduler(self.mode_used, jobs=workers)
-        scheduler.execute(nodes, edges, runner)
-        return runner.deltas
-
-    # -- canonical-order reduction ----------------------------------------------
-
-    def _merge(
-        self,
-        groups: Dict[str, List[str]],
-        deltas: Dict[str, GroupDelta],
-        on_merged=None,
-    ) -> None:
-        """Reduce group deltas in canonical (sorted-tag) order via
-        :func:`merge_delta`.  A worker delta of kind "crash" raises with
-        reason ``audit-crash`` -- the same verdict the sequential audit's
-        crashed phase produces.  Worker metrics snapshots merge here, in
-        the same canonical order, so the parent registry is deterministic
-        regardless of worker completion order.  ``on_merged(tag, delta)``
-        fires after each group replays cleanly (the dedup driver stores
-        freshly executed groups from it).
-        """
-        for tag in sorted(groups):
-            delta = deltas[tag]
-            merge_delta(self.re_exec, delta, self.metrics)
-            if on_merged is not None:
-                on_merged(tag, delta)
-
-
-def parallel_audit(
-    app: AppSpec,
-    trace: TraceLike,
-    advice: Advice,
-    jobs: Optional[int] = None,
-    mode: str = MODE_AUTO,
-    partition: str = PARTITION_STRUCTURAL,
-    carry: Optional[CarryIn] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    hints: Optional[object] = None,
-) -> AuditResult:
-    """Audit with re-execution groups sharded across ``jobs`` workers."""
-    return ParallelAuditor(
-        app, trace, advice, jobs=jobs, mode=mode, partition=partition,
-        carry=carry, metrics=metrics, hints=hints,
-    ).run()

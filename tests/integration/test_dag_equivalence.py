@@ -1,227 +1,114 @@
-"""Differential equivalence of the DAG audit driver (DESIGN.md §13).
+"""The audit engine's plan-level surface against the golden verdicts
+(:mod:`tests.verdict_goldens`).
 
-A DAG-compiled audit must be observationally identical to all three
-pipeline drivers -- same verdict, same rejection reason, same
-deterministic statistics:
-
-* the sequential :class:`~repro.verifier.audit.Auditor`, across apps x
-  isolation levels x seeds (honest traces) and every tamper in the
-  attack library;
-* the :class:`~repro.verifier.parallel.ParallelAuditor`, under every
-  scheduler flavour (serial / thread / process);
-* the :class:`~repro.continuous.auditor.ContinuousAuditor`, epoch for
-  epoch (verdict, reason, stats, checkpoint digest) in stream mode.
-
-Stats are compared byte-for-byte modulo ``elapsed_seconds`` (wall clock).
+* single epochs: singleton plans (one reexec node per request -- the
+  widest DAGs) under every scheduler backend, the post-run surface the
+  tooling reads, and every tamper in the attack library;
+* epoch streams: :class:`~repro.continuous.auditor.ContinuousAuditor`
+  (one plan per epoch, chained through checkpoints) epoch for epoch
+  against the golden stream fingerprints, including the rejection
+  cascade.
 """
 
 import pytest
 
-from repro.apps import feed_app, motd_app, stackdump_app, wiki_app
 from repro.attacks import ALL_ATTACKS
-from repro.continuous import ContinuousAuditor, slice_epochs
-from repro.kem.scheduler import RandomScheduler
-from repro.server import KarousosPolicy, run_server
-from repro.store import IsolationLevel, KVStore
-from repro.verifier import Auditor, DagAuditor, audit, parallel_audit
-from repro.workload import (
-    feed_workload,
-    motd_workload,
-    stacks_workload,
-    wiki_workload,
-)
+from repro.storage import MemoryBackend
+from repro.verifier import STAGES, Auditor
+from repro.verifier.dag import NodeJournal
+from repro.verifier.dedup import Deduplicator, VerdictCache
+from tests import verdict_goldens as vg
 
 pytestmark = pytest.mark.tier1
 
 JOBS = 2
 
 
-def _strip(stats):
-    return {k: v for k, v in stats.items() if k != "elapsed_seconds"}
-
-
-def _assert_matches(dag, ref, context=()):
-    __tracebackhide__ = True
-    assert dag.accepted == ref.accepted, (*context, dag.reason, ref.reason)
-    assert dag.reason == ref.reason, (*context, dag.reason, ref.reason)
-    assert _strip(dag.stats) == _strip(ref.stats), (
-        *context,
-        _strip(dag.stats),
-        _strip(ref.stats),
-    )
-
-
-def _runs():
-    yield "motd-s21", motd_app, motd_workload(14, mix="mixed", seed=21), None
-    yield "motd-s31", motd_app, motd_workload(14, mix="write-heavy", seed=31), None
-    yield "stacks-ser", stackdump_app, stacks_workload(14, mix="mixed", seed=22), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-    yield "stacks-rc", stackdump_app, stacks_workload(14, mix="read-heavy", seed=32), (
-        lambda: KVStore(IsolationLevel.READ_COMMITTED)
-    )
-    yield "wiki-ser", wiki_app, wiki_workload(14, seed=23), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-    yield "wiki-snap", wiki_app, wiki_workload(14, seed=33), (
-        lambda: KVStore(IsolationLevel.SNAPSHOT)
-    )
-    yield "feed-ser", feed_app, feed_workload(14, mix="mixed", seed=24), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-
-
-@pytest.fixture(scope="module", params=list(_runs()), ids=lambda r: r[0])
+@pytest.fixture(scope="module", params=list(vg.RUNS))
 def served(request):
-    name, app_fn, workload, store_fn = request.param
-    run = run_server(
-        app_fn(),
-        workload,
-        KarousosPolicy(),
-        store=store_fn() if store_fn else None,
-        scheduler=RandomScheduler(1),
-        concurrency=5,
-    )
-    return app_fn, run
-
-
-def _dag(app_fn, trace, advice, **kwargs):
-    return DagAuditor(app_fn(), trace, advice, **kwargs).run()
+    return request.param
 
 
 class TestHonestEquivalence:
     def test_dag_matches_sequential(self, served):
-        app_fn, run = served
-        seq = audit(app_fn(), run.trace, run.advice)
-        dag = _dag(app_fn, run.trace, run.advice)
-        assert seq.accepted, seq.reason
-        _assert_matches(dag, seq)
+        for grouping in vg.GROUPINGS:
+            got = vg.assert_golden(served, grouping)
+            assert got["accepted"], got["reason"]
 
     def test_dag_matches_parallel(self, served):
-        app_fn, run = served
-        par = parallel_audit(app_fn(), run.trace, run.advice, jobs=JOBS)
-        dag = _dag(
-            app_fn, run.trace, run.advice, scheduler="thread", jobs=JOBS
-        )
-        _assert_matches(dag, par)
+        vg.assert_golden(served, "singleton", parallelism=JOBS)
 
     @pytest.mark.parametrize("scheduler", ["serial", "thread", "process"])
     def test_every_scheduler_matches(self, served, scheduler):
-        app_fn, run = served
-        seq = audit(app_fn(), run.trace, run.advice)
-        dag = _dag(
-            app_fn, run.trace, run.advice, scheduler=scheduler, jobs=JOBS
+        vg.assert_golden(
+            served, "singleton", scheduler=scheduler, parallelism=JOBS
         )
-        _assert_matches(dag, seq, context=(scheduler,))
 
     def test_auditor_scheduler_flag_routes_to_dag(self, served):
-        """The thin Auditor driver over ``scheduler=`` must surface the
-        same post-run state as its pipeline-driven self."""
-        app_fn, run = served
-        seq = Auditor(app_fn(), run.trace, run.advice)
-        ref = seq.run()
-        via = Auditor(app_fn(), run.trace, run.advice, scheduler="serial")
-        got = via.run()
-        _assert_matches(got, ref)
-        assert via.dag is not None and via.dag.plan is not None
-        assert via.re_exec.groups_executed == seq.re_exec.groups_executed
-        assert set(via.stage_seconds) == set(seq.stage_seconds)
+        """The post-run surface: plan, merged executor, per-stage fold of
+        the node spans."""
+        trace, advice = vg.cases(served)["honest"]
+        auditor = Auditor(vg.app_of(served)(), trace, advice)
+        result = auditor.run()
+        assert vg.fingerprint(result) == vg.expected(served, "grouped", "honest")
+        assert auditor.scheduler == "serial"
+        assert auditor.plan is not None and auditor.state is not None
+        assert auditor.re_exec.groups_executed == result.stats["groups"]
+        assert set(auditor.stage_seconds) == set(STAGES)
+        assert len(auditor.node_seconds) == len(auditor.plan.nodes)
 
     def test_dedup_armed_dag_matches_dedup_pipeline(self, served):
-        from repro.verifier.dedup import Deduplicator, VerdictCache
-
-        app_fn, run = served
-        ded_seq = Deduplicator(VerdictCache())
-        seq = Auditor(app_fn(), run.trace, run.advice, dedup=ded_seq).run()
-        ded_seq.close()
-        ded_dag = Deduplicator(VerdictCache())
-        dag = _dag(app_fn, run.trace, run.advice, dedup=ded_dag)
-        ded_dag.close()
-        _assert_matches(dag, seq, context=("dedup",))
+        """Dedup hits are rehydrated in the scheduling thread while the
+        misses fan out."""
+        dedup = Deduplicator(VerdictCache())
+        for _phase in ("cold", "warm"):
+            vg.assert_golden(
+                served, "singleton", scheduler="thread", parallelism=JOBS,
+                dedup=dedup,
+            )
+        dedup.close()
 
 
 @pytest.mark.parametrize("attack", ALL_ATTACKS, ids=lambda a: a.name)
 def test_tampered_equivalence(served, attack):
-    """On every tamper the DAG audit must match the sequential audit
-    exactly (verdict, reason, stats)."""
-    app_fn, run = served
-    try:
-        trace, advice = attack.apply(run.trace, run.advice)
-    except LookupError:
+    """On every tamper the audit that journals every node (and its
+    rejection site) must reproduce the golden fingerprint exactly.
+    (Singleton plans under every tamper: test_verdict_golden.py.)"""
+    if attack.name not in vg.cases(served):
         pytest.skip("no target")
-    seq = audit(app_fn(), trace, advice)
-    dag = _dag(app_fn, trace, advice)
-    _assert_matches(dag, seq, context=(attack.name,))
-    assert dag.detail == seq.detail or seq.reason == "cycle", attack.name
-
-
-# -- stream mode vs the continuous driver --------------------------------------
-
-
-@pytest.fixture(scope="module")
-def served_stream():
-    # concurrency=1 leaves quiescent cut points, so the trace slices
-    # into several epochs.
-    run = run_server(
-        wiki_app(),
-        wiki_workload(18, seed=53),
-        KarousosPolicy(),
-        store=KVStore(IsolationLevel.SERIALIZABLE),
-        scheduler=RandomScheduler(1),
-        concurrency=1,
+    vg.assert_golden(
+        served, case=attack.name, node_journal=NodeJournal(MemoryBackend())
     )
-    epochs = slice_epochs(run.trace, run.advice, 4)
-    assert len(epochs) > 1
-    return run, epochs
 
 
-def _epoch_fingerprints(verdicts):
-    return [
-        (
-            v.epoch,
-            v.accepted,
-            v.result.reason,
-            v.result.detail,
-            _strip(v.result.stats),
-            v.checkpoint_digest,
-        )
-        for v in verdicts
-    ]
+# -- epoch streams -------------------------------------------------------------
 
 
 class TestStreamEquivalence:
-    def test_stream_matches_continuous(self, served_stream):
-        run, epochs = served_stream
-        cont = ContinuousAuditor(wiki_app()).run(epochs)
-        dag = DagAuditor(
-            wiki_app(), epochs=epochs, app_name="wiki"
-        ).run_stream()
-        assert _epoch_fingerprints(dag) == _epoch_fingerprints(cont)
+    def test_stream_matches_continuous(self):
+        for app in vg.APPS:
+            got = vg.assert_stream_golden(app)
+            assert all(accepted for _, accepted, _, _ in got), (app, got)
 
-    def test_stream_rejection_cascade_matches_continuous(self, served_stream):
-        run, epochs = served_stream
-        attack = next(a for a in ALL_ATTACKS if a.name == "tamper-response")
-        trace, advice = attack.apply(run.trace, run.advice)
-        bad = slice_epochs(trace, advice, 4)
-        cont = ContinuousAuditor(wiki_app()).run(bad)
-        dag = DagAuditor(wiki_app(), epochs=bad, app_name="wiki").run_stream()
-        assert _epoch_fingerprints(dag) == _epoch_fingerprints(cont)
-        assert any(not v.accepted for v in dag)
+    def test_stream_rejection_cascade_matches_continuous(self):
+        for app in vg.APPS:
+            got = vg.assert_stream_golden(app, "tampered")
+            reasons = [reason for _, _, reason, _ in got]
+            assert reasons[0] == "accepted", (app, got)
+            assert reasons[-1] == "predecessor-rejected", (app, got)
 
     @pytest.mark.parametrize("scheduler", ["thread", "process"])
-    def test_stream_schedulers_match_serial(self, served_stream, scheduler):
-        run, epochs = served_stream
-        serial = DagAuditor(
-            wiki_app(), epochs=epochs, app_name="wiki"
-        ).run_stream()
-        par = DagAuditor(
-            wiki_app(), epochs=epochs, app_name="wiki",
-            scheduler=scheduler, jobs=JOBS,
-        ).run_stream()
-        assert _epoch_fingerprints(par) == _epoch_fingerprints(serial)
+    def test_stream_schedulers_match_serial(self, scheduler):
+        for which in ("honest", "tampered"):
+            vg.assert_stream_golden(
+                "wiki", which, scheduler=scheduler, parallelism=JOBS
+            )
 
-    def test_continuous_auditor_delegates_per_epoch(self, served_stream):
-        run, epochs = served_stream
-        ref = ContinuousAuditor(wiki_app()).run(epochs)
-        via = ContinuousAuditor(wiki_app(), scheduler="serial").run(epochs)
-        assert _epoch_fingerprints(via) == _epoch_fingerprints(ref)
+    def test_continuous_auditor_delegates_per_epoch(self):
+        """One node journal serves every epoch's plan in turn (a journal
+        left by the previous epoch's plan is discarded, not trusted)."""
+        for which in ("honest", "tampered"):
+            vg.assert_stream_golden(
+                "wiki", which, scheduler="serial",
+                node_journal=NodeJournal(MemoryBackend()),
+            )

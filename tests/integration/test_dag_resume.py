@@ -1,8 +1,8 @@
-"""End-to-end crash/resume of a DAG audit killed with SIGKILL.
+"""End-to-end crash/resume of an audit killed with SIGKILL.
 
 A wiki audit (compute scaled up via :data:`~repro.core.work.WORK_SCALE_ENV`
 so re-execution takes long enough to interrupt) runs as a real ``repro
-audit --scheduler --node-journal`` subprocess and is SIGKILLed once the
+audit --node-journal`` subprocess and is SIGKILLed once the
 node journal holds some completions but before the verdict lands.  The
 resumed run must accept with the same statistics as an uninterrupted
 audit, replaying the journaled re-execution nodes (``reexec.nodes_resumed``)
@@ -61,7 +61,7 @@ def _audit_cmd(trace, advice, journal_dir, *extra):
     return [
         sys.executable, "-m", "repro", "audit", "--app", "wiki",
         "--trace", trace, "--advice", advice,
-        "--scheduler", "serial", "--node-journal", journal_dir,
+        "--node-journal", journal_dir,
         "--format", "json", *extra,
     ]
 

@@ -93,7 +93,7 @@ def test_poisoned_cache_parallel_driver(served, op, tmp_path):
     poisoned = Deduplicator(VerdictCache(backend))
     got = Auditor(
         app_fn(), run.trace, run.advice,
-        parallelism=2, parallel_mode="serial", dedup=poisoned,
+        parallelism=2, scheduler="thread", dedup=poisoned,
     ).run()
     _assert_matches(got, plain, context=(op.name, "parallel"))
 

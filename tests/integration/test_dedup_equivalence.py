@@ -1,209 +1,95 @@
-"""Differential equivalence of deduplicated re-execution (DESIGN.md §11).
+"""Deduplicated re-execution is invisible in the verdict (DESIGN.md §11).
 
-The dedup subsystem's contract is that it is *invisible* in the verdict:
-audits with the deduplicated reexec stage -- cold cache, warm cache, or
-warm across runs from a persisted stream -- must be observationally
-identical to the plain audit (verdict, rejection reason, deterministic
-statistics), across
+Audits with the dedup barrier armed -- cold cache, warm cache, or warm
+across runs from a persisted stream -- must reproduce the golden verdict
+fingerprints (:mod:`tests.verdict_goldens`), across
 
 * apps x isolation levels x seeds (honest traces),
 * every tamper in the attack library, audited against a cache warmed on
   the *honest* run -- the adversarial configuration, since a hit that
   failed to revalidate would mask the tamper, and
-* the sequential, parallel, and continuous drivers.
-
-Stats are compared byte-for-byte modulo ``elapsed_seconds``.
+* single-epoch and continuous audits.
 """
+
+import functools
 
 import pytest
 
-from repro.apps import feed_app, motd_app, stackdump_app, wiki_app
 from repro.attacks import ALL_ATTACKS
-from repro.continuous import ContinuousAuditor, EpochSealer
-from repro.kem.scheduler import RandomScheduler
-from repro.server import KarousosPolicy, run_server
 from repro.storage import backend_for
-from repro.store import IsolationLevel, KVStore
-from repro.verifier import Auditor
 from repro.verifier.dedup import Deduplicator, VerdictCache
-from repro.workload import (
-    feed_workload,
-    motd_workload,
-    stacks_workload,
-    wiki_workload,
-)
+from tests import verdict_goldens as vg
 
 pytestmark = pytest.mark.tier1
 
 
-_WALL_CLOCK = {"elapsed_seconds", "first_verdict_seconds"}
-
-
-def _strip(stats):
-    return {k: v for k, v in stats.items() if k not in _WALL_CLOCK}
-
-
-def _assert_matches(got, want, context=()):
-    __tracebackhide__ = True
-    assert got.accepted == want.accepted, (*context, got.reason, want.reason)
-    assert got.reason == want.reason, (*context, got.reason, want.reason)
-    assert got.detail == want.detail, (*context, got.detail, want.detail)
-    assert _strip(got.stats) == _strip(want.stats), (
-        *context,
-        _strip(got.stats),
-        _strip(want.stats),
-    )
-
-
-def _runs():
-    yield "motd-s21", motd_app, motd_workload(14, mix="mixed", seed=21), None
-    yield "motd-s31", motd_app, motd_workload(14, mix="write-heavy", seed=31), None
-    yield "stacks-ser", stackdump_app, stacks_workload(14, mix="mixed", seed=22), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-    yield "stacks-rc", stackdump_app, stacks_workload(14, mix="read-heavy", seed=32), (
-        lambda: KVStore(IsolationLevel.READ_COMMITTED)
-    )
-    yield "wiki-ser", wiki_app, wiki_workload(14, seed=23), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-    yield "wiki-snap", wiki_app, wiki_workload(14, seed=33), (
-        lambda: KVStore(IsolationLevel.SNAPSHOT)
-    )
-    yield "feed-ser", feed_app, feed_workload(14, mix="mixed", seed=24), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-
-
-@pytest.fixture(scope="module", params=list(_runs()), ids=lambda r: r[0])
+@pytest.fixture(scope="module", params=list(vg.RUNS))
 def served(request):
-    name, app_fn, workload, store_fn = request.param
-    run = run_server(
-        app_fn(),
-        workload,
-        KarousosPolicy(),
-        store=store_fn() if store_fn else None,
-        scheduler=RandomScheduler(1),
-        concurrency=5,
-    )
-    return app_fn, run
+    return request.param
 
 
 class TestHonestEquivalence:
     def test_cold_and_warm_match_plain(self, served):
-        app_fn, run = served
-        plain = Auditor(app_fn(), run.trace, run.advice).run()
-        assert plain.accepted, plain.reason
         dedup = Deduplicator(VerdictCache())
-        cold = Auditor(app_fn(), run.trace, run.advice, dedup=dedup).run()
-        warm = Auditor(app_fn(), run.trace, run.advice, dedup=dedup).run()
-        _assert_matches(cold, plain, context=("cold",))
-        _assert_matches(warm, plain, context=("warm",))
+        cold = vg.assert_golden(served, dedup=dedup)
+        assert cold["accepted"], cold["reason"]
+        vg.assert_golden(served, dedup=dedup)  # warm
 
     def test_warm_across_runs_from_persisted_cache(self, served, tmp_path):
-        app_fn, run = served
-        plain = Auditor(app_fn(), run.trace, run.advice).run()
-        backend = backend_for("file", str(tmp_path))
-        first = Deduplicator(VerdictCache(backend))
-        Auditor(app_fn(), run.trace, run.advice, dedup=first).run()
+        first = Deduplicator(VerdictCache(backend_for("file", str(tmp_path))))
+        vg.assert_golden(served, dedup=first)
         first.close()
         # A fresh Deduplicator over the stored stream: the cross-run path.
         second = Deduplicator(VerdictCache(backend_for("file", str(tmp_path))))
-        warm = Auditor(app_fn(), run.trace, run.advice, dedup=second).run()
-        _assert_matches(warm, plain, context=("cross-run",))
+        vg.assert_golden(served, dedup=second)
         assert second.cache.loaded > 0
 
     def test_no_cache_batching_matches_plain(self, served):
-        app_fn, run = served
-        plain = Auditor(app_fn(), run.trace, run.advice).run()
-        batched = Auditor(
-            app_fn(), run.trace, run.advice, dedup=Deduplicator(cache=None)
-        ).run()
-        _assert_matches(batched, plain, context=("no-cache",))
+        vg.assert_golden(served, dedup=Deduplicator(cache=None))
 
     def test_parallel_dedup_matches_plain(self, served):
-        app_fn, run = served
-        plain = Auditor(app_fn(), run.trace, run.advice).run()
         dedup = Deduplicator(VerdictCache())
-        for phase in ("cold", "warm"):
-            par = Auditor(
-                app_fn(), run.trace, run.advice,
-                parallelism=2, parallel_mode="serial", dedup=dedup,
-            ).run()
-            _assert_matches(par, plain, context=("parallel", phase))
+        for _phase in ("cold", "warm"):
+            vg.assert_golden(
+                served, scheduler="thread", parallelism=2, dedup=dedup
+            )
 
     def test_singleton_groups_dedup_matches_plain(self, served):
         """Singleton grouping is where *within-run* batching materialises:
         digest-identical requests execute once and fan out via the memo."""
-        app_fn, run = served
-        plain = Auditor(app_fn(), run.trace, run.advice,
-                        singleton_groups=True).run()
-        dedup = Deduplicator(VerdictCache())
-        got = Auditor(app_fn(), run.trace, run.advice,
-                      singleton_groups=True, dedup=dedup).run()
-        _assert_matches(got, plain, context=("singleton",))
+        vg.assert_golden(served, "singleton", dedup=Deduplicator(VerdictCache()))
+
+
+@functools.lru_cache(maxsize=None)
+def _warmed(run_name):
+    """One cache per run, warmed on the honest pair."""
+    dedup = Deduplicator(VerdictCache())
+    honest = vg.audit_case(run_name, "grouped", "honest", dedup=dedup)
+    assert honest["accepted"], ("priming run must accept", honest["reason"])
+    return dedup
 
 
 @pytest.mark.parametrize("attack", ALL_ATTACKS, ids=lambda a: a.name)
 def test_tampered_equivalence_warm_cache(served, attack):
-    """Every tamper must produce the identical verdict with a cache warmed
+    """Every tamper must produce the golden verdict with a cache warmed
     on the honest run -- the configuration where an unsound hit would
     mask the tamper."""
-    app_fn, run = served
-    try:
-        trace, advice = attack.apply(run.trace, run.advice)
-    except LookupError:
+    if attack.name not in vg.cases(served):
         pytest.skip("no target")
-    plain = Auditor(app_fn(), trace, advice).run()
-    dedup = Deduplicator(VerdictCache())
-    honest = Auditor(app_fn(), run.trace, run.advice, dedup=dedup).run()
-    assert honest.accepted, ("priming run must accept", honest.reason)
-    got = Auditor(app_fn(), trace, advice, dedup=dedup).run()
-    _assert_matches(got, plain, context=(attack.name,))
+    vg.assert_golden(served, case=attack.name, dedup=_warmed(served))
 
 
 class TestContinuousEquivalence:
-    @pytest.fixture(scope="class")
-    def sealed(self):
-        sealer = EpochSealer(6)
-        run_server(
-            wiki_app(),
-            wiki_workload(18, seed=41),
-            KarousosPolicy(),
-            store=KVStore(IsolationLevel.SERIALIZABLE),
-            scheduler=RandomScheduler(2),
-            concurrency=4,
-            sealer=sealer,
-        )
-        assert len(sealer.epochs) >= 2
-        return tuple(sealer.epochs)
+    def test_continuous_dedup_matches_plain(self):
+        for app in vg.APPS:
+            for which in ("honest", "tampered"):
+                vg.assert_stream_golden(
+                    app, which, dedup=Deduplicator(VerdictCache())
+                )
 
-    def test_continuous_dedup_matches_plain(self, sealed):
-        plain = ContinuousAuditor(wiki_app())
-        plain_verdicts = plain.run(sealed)
-        dedup = Deduplicator(VerdictCache())
-        deduped = ContinuousAuditor(wiki_app(), dedup=dedup)
-        dedup_verdicts = deduped.run(sealed)
-        assert [
-            (v.epoch, v.accepted, v.result.reason, v.checkpoint_digest)
-            for v in plain_verdicts
-        ] == [
-            (v.epoch, v.accepted, v.result.reason, v.checkpoint_digest)
-            for v in dedup_verdicts
-        ]
-        assert _strip(plain.stats()) == _strip(deduped.stats())
-
-    def test_continuous_warm_second_stream(self, sealed):
+    def test_continuous_warm_second_stream(self):
         """A second continuous audit sharing the Deduplicator replays the
         whole stream from the cache -- checkpoints included."""
         dedup = Deduplicator(VerdictCache())
-        first = ContinuousAuditor(wiki_app(), dedup=dedup)
-        first_verdicts = first.run(sealed)
-        second = ContinuousAuditor(wiki_app(), dedup=dedup)
-        second_verdicts = second.run(sealed)
-        assert [
-            (v.epoch, v.accepted, v.checkpoint_digest) for v in first_verdicts
-        ] == [
-            (v.epoch, v.accepted, v.checkpoint_digest) for v in second_verdicts
-        ]
-        assert all(v.accepted for v in second_verdicts)
+        vg.assert_stream_golden("wiki", dedup=dedup)
+        vg.assert_stream_golden("wiki", dedup=dedup)

@@ -1,8 +1,8 @@
 """Observability must be observe-only: auditing with metrics enabled and
 disabled yields byte-identical verdicts, reasons, details, and identical
 deterministic stats, on every bundled app -- honest and under every
-applicable guaranteed attack -- and for the sequential, parallel, and
-continuous drivers alike."""
+applicable guaranteed attack -- inline, on two workers, and in
+continuous audits alike."""
 
 import pytest
 

@@ -1,144 +1,60 @@
-"""Differential equivalence of the parallel audit pipeline.
+"""The audit engine under every worker-pool backend.
 
-The parallel audit (repro.verifier.parallel) must be observationally
-identical to the sequential Auditor -- same verdict, same rejection
-reason, same deterministic statistics -- and verdict-equivalent to
-OOOAudit (Lemma 1/3), across:
-
-* apps x isolation levels x seeds (honest traces), and
-* every tamper in the attack library.
-
-Stats are compared byte-for-byte modulo ``elapsed_seconds`` (wall clock).
-Reasons are compared exactly; details can differ only where a rejection
-is witnessed by a graph cycle (cycle enumeration order is not canonical),
-so details are not asserted here.
+However re-execution groups are fanned out -- inline, over threads, over
+processes, in footprint-staged waves -- the engine must reproduce the
+golden verdict fingerprints (:mod:`tests.verdict_goldens`: verdict,
+reason, detail, stage, site, deterministic statistics), on honest traces
+and under every tamper in the attack library, and agree with OOOAudit
+(Lemma 1/3) on the verdict.
 """
 
 import pytest
 
-from repro.apps import feed_app, motd_app, stackdump_app, wiki_app
 from repro.attacks import ALL_ATTACKS
-from repro.kem.scheduler import RandomScheduler
-from repro.server import KarousosPolicy, run_server
-from repro.store import IsolationLevel, KVStore
-from repro.verifier import audit, parallel_audit
 from repro.verifier.oooaudit import ooo_audit
-from repro.workload import (
-    feed_workload,
-    motd_workload,
-    stacks_workload,
-    wiki_workload,
-)
+from tests import verdict_goldens as vg
 
 pytestmark = pytest.mark.tier1
 
-# CI default: 2 workers (the ISSUE's budget); modes beyond "process" are
-# covered by dedicated tests below.
+# CI default: 2 workers.
 JOBS = 2
 
 
-def _strip(stats):
-    return {k: v for k, v in stats.items() if k != "elapsed_seconds"}
-
-
-def _assert_matches(par, seq, context=()):
-    __tracebackhide__ = True
-    assert par.accepted == seq.accepted, (*context, par.reason, seq.reason)
-    assert par.reason == seq.reason, (*context, par.reason, seq.reason)
-    assert _strip(par.stats) == _strip(seq.stats), (
-        *context,
-        _strip(par.stats),
-        _strip(seq.stats),
-    )
-
-
-def _runs():
-    # apps x isolation levels x seeds; motd is storeless so isolation
-    # sweeps ride on the store-backed apps.
-    yield "motd-s21", motd_app, motd_workload(14, mix="mixed", seed=21), None
-    yield "motd-s31", motd_app, motd_workload(14, mix="write-heavy", seed=31), None
-    yield "stacks-ser", stackdump_app, stacks_workload(14, mix="mixed", seed=22), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-    yield "stacks-rc", stackdump_app, stacks_workload(14, mix="read-heavy", seed=32), (
-        lambda: KVStore(IsolationLevel.READ_COMMITTED)
-    )
-    yield "wiki-ser", wiki_app, wiki_workload(14, seed=23), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-    yield "wiki-snap", wiki_app, wiki_workload(14, seed=33), (
-        lambda: KVStore(IsolationLevel.SNAPSHOT)
-    )
-    yield "feed-ser", feed_app, feed_workload(14, mix="mixed", seed=24), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-
-
-@pytest.fixture(scope="module", params=list(_runs()), ids=lambda r: r[0])
+@pytest.fixture(scope="module", params=list(vg.RUNS))
 def served(request):
-    name, app_fn, workload, store_fn = request.param
-    run = run_server(
-        app_fn(),
-        workload,
-        KarousosPolicy(),
-        store=store_fn() if store_fn else None,
-        scheduler=RandomScheduler(1),
-        concurrency=5,
-    )
-    return app_fn, run
+    return request.param
 
 
 class TestHonestEquivalence:
     def test_parallel_matches_sequential_and_ooo(self, served):
-        app_fn, run = served
-        seq = audit(app_fn(), run.trace, run.advice)
-        par = parallel_audit(app_fn(), run.trace, run.advice, jobs=JOBS)
-        ooo = ooo_audit(app_fn(), run.trace, run.advice)
-        assert seq.accepted, seq.reason
-        _assert_matches(par, seq)
-        assert par.accepted == ooo.accepted
+        """Two workers, backend left to the engine (processes: the
+        bundled apps pickle)."""
+        got = vg.assert_golden(served, parallelism=JOBS)
+        assert got["accepted"], got["reason"]
+        trace, advice = vg.cases(served)["honest"]
+        assert ooo_audit(vg.app_of(served)(), trace, advice).accepted
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_every_executor_mode_matches(self, served, mode):
-        app_fn, run = served
-        seq = audit(app_fn(), run.trace, run.advice)
-        par = parallel_audit(app_fn(), run.trace, run.advice, jobs=JOBS, mode=mode)
-        _assert_matches(par, seq, context=(mode,))
+        vg.assert_golden(served, scheduler=mode, parallelism=JOBS)
 
     def test_footprint_partition_matches(self, served):
-        app_fn, run = served
-        seq = audit(app_fn(), run.trace, run.advice)
-        par = parallel_audit(
-            app_fn(), run.trace, run.advice, jobs=JOBS, mode="serial",
-            partition="footprint",
+        vg.assert_golden(
+            served, scheduler="thread", parallelism=JOBS, partition="footprint"
         )
-        _assert_matches(par, seq, context=("footprint",))
-
-
-# merge-tags corrupts only the *grouping* advice: the batched audits
-# (sequential and parallel alike) reject on divergence while OOOAudit,
-# which ignores groups, correctly accepts (see
-# test_oooaudit_equivalence.py) -- so it is excluded from the OOO
-# comparison only; parallel-vs-sequential must still agree on it.
-_GROUPING_ONLY = {"merge-tags"}
 
 
 @pytest.mark.parametrize("attack", ALL_ATTACKS, ids=lambda a: a.name)
 def test_tampered_equivalence(served, attack):
-    """On every tamper the parallel audit must match the sequential audit
-    exactly (verdict, reason, stats) and OOOAudit on verdict."""
-    app_fn, run = served
-    try:
-        trace, advice = attack.apply(run.trace, run.advice)
-    except LookupError:
+    """On every tamper the fanned-out audit must reproduce the golden
+    fingerprint exactly.  (Agreement with OOOAudit on every tamper is
+    pinned on the goldens themselves, in test_verdict_golden.py.)"""
+    if attack.name not in vg.cases(served):
         pytest.skip("no target")
-    seq = audit(app_fn(), trace, advice)
-    # Serial-executor mode keeps the 6 runs x 21 attacks sweep fast; the
-    # shard -> journal -> canonical-merge path under test is identical in
-    # every executor mode (process/thread flavours are covered above and
-    # in test_worker_crash.py).
-    par = parallel_audit(app_fn(), trace, advice, jobs=JOBS, mode="serial")
-    _assert_matches(par, seq, context=(attack.name,))
-    if attack.name not in _GROUPING_ONLY:
-        ooo = ooo_audit(app_fn(), trace, advice)
-        assert par.accepted == ooo.accepted, (attack.name, par.reason, ooo.reason)
+    # The thread backend keeps the 7 runs x 21 attacks sweep fast; the
+    # ship -> delta -> canonical-merge path under test is the same under
+    # every backend (process flavours are covered above and in
+    # test_worker_crash.py).
+    vg.assert_golden(
+        served, case=attack.name, scheduler="thread", parallelism=JOBS
+    )

@@ -1,14 +1,15 @@
-"""Golden-pinned ``repro.plan/1`` documents (DESIGN.md §13).
+"""Golden-pinned ``repro.plan/2`` documents (DESIGN.md §5).
 
 Node-granular resume is only sound if plan compilation is
-*reproducible*: the killed run's node journal is keyed by node IDs, and
-the resumed run finds them again only because the same inputs compile to
-the byte-identical plan -- on every machine, in every process, forever.
-These goldens freeze the full plan document (node IDs, edges, digest)
-for a fixed workload per app, so any accidental change to epoch
-digesting, group digesting, node-ID derivation, canonical ordering, or
-edge construction shows up as a diff against the committed file instead
-of as a mystery "refusing to resume" regression.
+*reproducible*: the killed run's node journal is keyed by node IDs and
+guarded by the plan digest, and the resumed run finds them again only
+because the same inputs compile to the byte-identical plan -- on every
+machine, in every process, forever.  These goldens freeze the full plan
+document (node IDs, edges, epoch digests, plan digest) for a fixed
+workload per app, so any accidental change to epoch digesting, node-ID
+derivation, canonical ordering, or edge construction shows up as a diff
+against the committed file instead of as a mystery "refusing to resume"
+regression.
 
 An *intentional* format change must bump ``PLAN_SPEC`` (old journals
 then refuse to resume -- a fresh start, never a misread) and regenerate

@@ -1,13 +1,14 @@
-"""Seeded schedule fuzz: verdict invariance over random group partitions.
+"""Seeded schedule fuzz: verdict invariance over random ready-queue
+orders.
 
 Lemma 1 (the paper, via :mod:`repro.verifier.oooaudit`) states all
-well-formed op schedules are audit-equivalent.  The parallel pipeline's
-observable content of that lemma: whatever wave plan shards the groups
--- however many waves, however the groups are shuffled among them -- the
-verdict, reason, and deterministic stats must equal the sequential
-audit's.  This test drives :class:`ParallelAuditor` with N random
-well-formed plans per served run (honest and tampered) and prints the
-failing fuzz seed on assertion failure so the exact plan reproduces.
+well-formed op schedules are audit-equivalent.  The engine's observable
+content of that lemma: whatever order the ready queue drains re-execution
+nodes in -- shuffled through ``order_key``, over singleton or advice
+groups, with or without footprint-staged waves -- the verdict, reason,
+detail, site and deterministic stats must equal the canonical-order
+run's, and the verdict must equal OOOAudit's.  The failing fuzz seed is
+printed on assertion failure so the exact order reproduces.
 """
 
 import random
@@ -19,49 +20,35 @@ from repro.attacks import ALL_ATTACKS
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.store import IsolationLevel, KVStore
-from repro.verifier import ParallelAuditor, audit
+from repro.verifier import Auditor
+from repro.verifier.oooaudit import ooo_audit
 from repro.workload import motd_workload, stacks_workload
+from tests.verdict_goldens import fingerprint
 
 pytestmark = pytest.mark.tier1
 
-N_PLANS = 8
+N_ORDERS = 4
 
 
-def _random_waves(tags, rng):
-    """A random well-formed plan: shuffle the tags, cut into 1..n waves."""
-    tags = list(tags)
-    rng.shuffle(tags)
-    n_waves = rng.randint(1, len(tags)) if tags else 1
-    cuts = sorted(rng.sample(range(1, len(tags)), n_waves - 1)) if len(tags) > 1 else []
-    waves, start = [], 0
-    for cut in cuts + [len(tags)]:
-        if tags[start:cut]:
-            waves.append(tags[start:cut])
-        start = cut
-    return waves
-
-
-def _strip(stats):
-    return {k: v for k, v in stats.items() if k != "elapsed_seconds"}
-
-
-def _fuzz(app_fn, trace, advice, fuzz_seed, context):
+def _fuzz(app_fn, trace, advice, fuzz_seed, context, check_ooo=True):
     rng = random.Random(fuzz_seed)
-    seq = audit(app_fn(), trace, advice)
-    tags = sorted(advice.groups())
-    for trial in range(N_PLANS):
-        waves = _random_waves(tags, rng)
-        par = ParallelAuditor(
-            app_fn(), trace, advice, jobs=2, mode="serial", waves=waves
-        ).run()
-        blame = (
-            f"{context}: fuzz_seed={fuzz_seed} trial={trial} waves={waves!r}"
+    for singleton in (False, True):
+        want = fingerprint(
+            Auditor(app_fn(), trace, advice, singleton_groups=singleton).run()
         )
-        assert par.accepted == seq.accepted, (blame, par.reason, seq.reason)
-        assert par.reason == seq.reason, (blame, par.reason, seq.reason)
-        assert _strip(par.stats) == _strip(seq.stats), (
-            blame, _strip(par.stats), _strip(seq.stats),
-        )
+        for trial in range(N_ORDERS):
+            rank = {}
+            got = Auditor(
+                app_fn(), trace, advice, singleton_groups=singleton,
+                partition=rng.choice(["structural", "footprint"]),
+                order_key=lambda n: rank.setdefault(n.node_id, rng.random()),
+            ).run()
+            assert fingerprint(got) == want, (
+                f"{context}: fuzz_seed={fuzz_seed} singleton={singleton} "
+                f"trial={trial}"
+            )
+    if check_ooo:
+        assert want["accepted"] == ooo_audit(app_fn(), trace, advice).accepted
 
 
 def _runs():
@@ -96,24 +83,12 @@ def test_honest_plan_invariance(served):
     ids=lambda a: a.name,
 )
 def test_tampered_plan_invariance(served, attack):
-    """Rejections must also be plan-invariant: the canonical-order merge
-    pins the observed conflict regardless of which wave found it."""
+    """Rejections must also be order-invariant: the canonical-order merge
+    pins the observed conflict regardless of which node found it."""
     name, app_fn, run = served
     try:
         trace, advice = attack.apply(run.trace, run.advice)
     except LookupError:
         pytest.skip("no target")
-    _fuzz(app_fn, trace, advice, fuzz_seed=200, context=f"{name}/{attack.name}")
-
-
-def test_plan_must_cover_groups_exactly_once(served):
-    name, app_fn, run = served
-    tags = sorted(run.advice.groups())
-    bad = ParallelAuditor(
-        app_fn(), run.trace, run.advice, mode="serial", waves=[tags, tags[:1]]
-    ).run()
-    # A malformed plan is an audit-infrastructure error, reported as a
-    # clean rejection rather than a crash or a silent partial audit.
-    assert not bad.accepted
-    assert bad.reason == "audit-crash"
-    assert "exactly once" in bad.detail
+    _fuzz(app_fn, trace, advice, fuzz_seed=200, context=f"{name}/{attack.name}",
+          check_ooo=attack.name != "merge-tags")  # grouping-only tamper

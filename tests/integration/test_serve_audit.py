@@ -9,7 +9,7 @@ off, and whatever the *other* tenants are doing (including getting
 rejected).  Fairness and quotas may only move latency, never verdicts:
 the shared pool absorbs node results and merges them in canonical
 order, the same argument that makes the single-plan schedulers
-equivalent (DESIGN.md §13).
+equivalent (DESIGN.md §5).
 
 Also covered: cross-tenant verdict-cache attribution, the fleet
 ``/metrics.json`` endpoint and ``--metrics-out`` document (both valid
@@ -397,14 +397,12 @@ class TestStarvation:
     @pytest.fixture(scope="class")
     def small_nodes(self, traffic):
         """The small tenant's plan size (its solo latency in ticks)."""
-        from repro.verifier import DagAuditor
+        from repro.verifier import Auditor
 
         _, small_epochs = traffic
-        dag = DagAuditor(
+        nodes, _ = Auditor(
             make_app("motd"), small_epochs[0].trace, small_epochs[0].advice
-        )
-        nodes, _ = dag.prepare()
-        dag.abandon()
+        ).prepare()
         return len(nodes)
 
     def _run(self, tmp_path, traffic, quotas_enabled, label):

@@ -389,3 +389,32 @@ class TestWriteSkew:
         )
         result = audit(app, run.trace, run.advice)
         assert result.accepted, (result.reason, result.detail)
+
+
+class TestUnplannableAdvice:
+    def test_tags_that_cannot_be_grouped_reject_like_the_reference(self):
+        """Plan compilation reads the grouping tags before preprocess has
+        vetted them; tags that cannot even be sorted into groups must
+        come out as the same rejection the straight-line reference
+        gives, never as an exception."""
+        from repro.apps import motd_app
+        from repro.kem.scheduler import RandomScheduler
+        from repro.verifier import Auditor
+        from repro.verifier.oooaudit import ooo_audit
+        from repro.workload import motd_workload
+
+        run = run_server(
+            motd_app(),
+            motd_workload(6, mix="mixed", seed=3),
+            KarousosPolicy(),
+            scheduler=RandomScheduler(1),
+            concurrency=2,
+        )
+        advice = copy.deepcopy(run.advice)
+        victim = sorted(advice.tags)[0]
+        advice.tags[victim] = None  # unsortable next to the str tags
+        result = Auditor(motd_app(), run.trace, advice).run()
+        reference = ooo_audit(motd_app(), run.trace, advice)
+        assert not result.accepted
+        assert (result.reason, result.stage) == (reference.reason, reference.stage)
+        assert result.reason == "malformed-advice"

@@ -1,135 +1,62 @@
-"""Differential equivalence of the static hints (DESIGN.md §12).
+"""Static hints are invisible in the verdict (DESIGN.md §12).
 
 ``StaticHints`` steers two performance layers -- conflict-driven wave
-pre-partitioning in the parallel driver and digest restriction/skip in
-the dedup stage -- and its contract is the same as dedup's: *invisible
-in the verdict*.  Every configuration here runs hints-on and hints-off
-and must produce byte-identical results (verdict, reason, detail, and
-deterministic statistics), on honest traces and under every tamper in
-the attack library.  A wrong hint may cost parallelism or cache hits,
-never correctness.
+pre-partitioning of the plan and digest restriction/skip in the dedup
+barrier -- and its contract is the same as dedup's.  Every configuration
+here runs hints-on and must reproduce the golden verdict fingerprints
+(:mod:`tests.verdict_goldens`, recorded hints-off), on honest traces and
+under every tamper in the attack library.  A wrong hint may cost
+parallelism or cache hits, never correctness.
 """
 
 import pytest
 
-from repro.analysis.effects import StaticHints
-from repro.apps import feed_app, motd_app, stackdump_app, wiki_app
-from repro.attacks import ALL_ATTACKS
-from repro.kem.scheduler import RandomScheduler
-from repro.server import KarousosPolicy, run_server
-from repro.store import IsolationLevel, KVStore
-from repro.verifier import Auditor
 from repro.verifier.dedup import Deduplicator, VerdictCache
-from repro.workload import (
-    feed_workload,
-    motd_workload,
-    stacks_workload,
-    wiki_workload,
-)
+from tests import verdict_goldens as vg
 
 pytestmark = pytest.mark.tier1
 
-_WALL_CLOCK = {"elapsed_seconds", "first_verdict_seconds"}
+RUN_OF = {"motd": "motd-s21", "stacks": "stacks-ser", "wiki": "wiki-ser",
+          "feed": "feed-ser"}
 
 
-def _strip(stats):
-    return {k: v for k, v in stats.items() if k not in _WALL_CLOCK}
-
-
-def _assert_matches(got, want, context=()):
-    __tracebackhide__ = True
-    assert got.accepted == want.accepted, (*context, got.reason, want.reason)
-    assert got.reason == want.reason, (*context, got.reason, want.reason)
-    assert got.detail == want.detail, (*context, got.detail, want.detail)
-    assert _strip(got.stats) == _strip(want.stats), context
-
-
-def _runs():
-    yield "motd", motd_app, motd_workload(12, mix="mixed", seed=41), None
-    yield "stacks", stackdump_app, stacks_workload(12, mix="mixed", seed=42), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-    yield "wiki", wiki_app, wiki_workload(12, seed=43), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-    yield "feed", feed_app, feed_workload(12, mix="mixed", seed=44), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-
-
-@pytest.fixture(scope="module", params=list(_runs()), ids=lambda r: r[0])
+@pytest.fixture(scope="module", params=list(RUN_OF))
 def served(request):
-    name, app_fn, workload, store_fn = request.param
-    run = run_server(
-        app_fn(),
-        workload,
-        KarousosPolicy(),
-        store=store_fn() if store_fn else None,
-        scheduler=RandomScheduler(3),
-        concurrency=5,
+    return RUN_OF[request.param]
+
+
+def _configs(hints):
+    """(context, engine kwargs) per hinted layer; dedup state is fresh
+    per call."""
+    yield "dedup", lambda: dict(
+        dedup=Deduplicator(VerdictCache(), hints=hints)
     )
-    return app_fn, run
-
-
-def _configs(app_fn, hints):
-    """(context, auditor-factory) pairs: each yields hints-off/hints-on
-    twins of one driver configuration."""
-
-    def seq_dedup(h):
-        return lambda trace, advice: Auditor(
-            app_fn(), trace, advice,
-            dedup=Deduplicator(VerdictCache(), hints=h),
-        )
-
-    def par(h):
-        return lambda trace, advice: Auditor(
-            app_fn(), trace, advice,
-            parallelism=2, parallel_mode="thread",
-            partition="static" if h is not None else None, hints=h,
-        )
-
-    def par_dedup(h):
-        return lambda trace, advice: Auditor(
-            app_fn(), trace, advice,
-            parallelism=2, parallel_mode="thread",
-            partition="static" if h is not None else None, hints=h,
-            dedup=Deduplicator(VerdictCache(), hints=h),
-        )
-
-    yield "sequential+dedup", seq_dedup(None), seq_dedup(hints)
-    yield "parallel", par(None), par(hints)
-    yield "parallel+dedup", par_dedup(None), par_dedup(hints)
+    yield "waves", lambda: dict(
+        scheduler="thread", parallelism=2, partition="static", hints=hints
+    )
+    yield "waves+dedup", lambda: dict(
+        scheduler="thread", parallelism=2, partition="static", hints=hints,
+        dedup=Deduplicator(VerdictCache(), hints=hints),
+    )
 
 
 class TestHonestEquivalence:
     def test_hints_do_not_change_the_verdict(self, served):
-        app_fn, run = served
-        hints = StaticHints.from_app(app_fn())
-        plain = Auditor(app_fn(), run.trace, run.advice).run()
-        assert plain.accepted, plain.reason
-        for context, off_fn, on_fn in _configs(app_fn, hints):
-            off = off_fn(run.trace, run.advice).run()
-            on = on_fn(run.trace, run.advice).run()
-            _assert_matches(on, off, context=(context,))
-            _assert_matches(on, plain, context=(context, "vs-plain"))
+        hints = vg.hints_of(served)
+        for _context, engine in _configs(hints):
+            for grouping in vg.GROUPINGS:
+                got = vg.assert_golden(served, grouping, **engine())
+                assert got["accepted"], got["reason"]
 
 
 class TestAdversarialEquivalence:
     def test_every_attack_rejects_identically(self, served):
-        app_fn, run = served
-        hints = StaticHints.from_app(app_fn())
-        applied = 0
-        for attack in ALL_ATTACKS:
-            try:
-                t_trace, t_advice = attack.apply(run.trace, run.advice)
-            except LookupError:
-                continue  # no target of this shape in the run
-            applied += 1
+        hints = vg.hints_of(served)
+        tampered = [case for case in vg.cases(served) if case != "honest"]
+        assert tampered, "attack library found no target at all"
+        for case in tampered:
             # Equivalence, not rejection: a tamper with no observable
             # consequence on this run legitimately still accepts, and it
             # must do so identically hints-on and hints-off.
-            for context, off_fn, on_fn in _configs(app_fn, hints):
-                off = off_fn(t_trace, t_advice).run()
-                on = on_fn(t_trace, t_advice).run()
-                _assert_matches(on, off, context=(attack.name, context))
-        assert applied, "attack library found no target at all"
+            for _context, engine in _configs(hints):
+                vg.assert_golden(served, case=case, **engine())

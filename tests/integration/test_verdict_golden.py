@@ -50,3 +50,46 @@ def test_golden_verdicts_equal_the_ooo_reference(run_name):
         if case not in _GROUPING_ONLY:
             grouped = vg.expected(run_name, "grouped", case)
             assert grouped["accepted"] == ref.accepted, (run_name, case)
+
+
+# -- the engine's option matrix ------------------------------------------------
+
+# One storeless and one store-backed (snapshot isolation) run.
+_MATRIX_RUNS = ("motd-s21", "wiki-snap")
+# The per-axis files sweep every tamper along one option each; the cross
+# product takes one tamper per layer of the audit (response, variable
+# log, tags, grouping, transaction log).
+_CASES = ("honest", "tamper-response", "forge-write-value", "drop-tag",
+          "merge-tags", "swap-tx-entries")
+_PROCESS_CASES = _CASES[:2]
+
+
+@pytest.mark.parametrize("hinted", [False, True], ids=["nohints", "hints"])
+@pytest.mark.parametrize("dedup_state", ["off", "cold", "warm"])
+@pytest.mark.parametrize("scheduler", ["serial", "thread", "process"])
+def test_engine_options_reproduce_golden(scheduler, dedup_state, hinted):
+    """Scheduler backend x dedup state x static hints: none of them is
+    visible in a fingerprint."""
+    from repro.verifier.dedup import Deduplicator, VerdictCache
+
+    for run_name in _MATRIX_RUNS:
+        hints = vg.hints_of(run_name) if hinted else None
+        engine = dict(scheduler=scheduler, parallelism=2)
+        if hinted:
+            engine.update(partition="static", hints=hints)
+        if dedup_state == "warm":
+            # One cache per run, primed on the honest pair: every tamper
+            # then meets the hits an unsound revalidation would trust.
+            engine["dedup"] = Deduplicator(VerdictCache(), hints=hints)
+            vg.audit_case(run_name, "grouped", "honest", **engine)
+        # Process pools and digests are the slow parts: those rows take
+        # fewer tampers.
+        names = _CASES[:3] if dedup_state != "off" else _CASES
+        if scheduler == "process":
+            names = _PROCESS_CASES
+        for case in names:
+            if case not in vg.cases(run_name):
+                continue  # no target in this run
+            if dedup_state == "cold":
+                engine["dedup"] = Deduplicator(VerdictCache(), hints=hints)
+            vg.assert_golden(run_name, case=case, **engine)

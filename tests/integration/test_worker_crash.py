@@ -1,45 +1,37 @@
-"""Worker-crash robustness of the parallel audit pipeline.
+"""Worker-crash robustness of the audit engine's process and thread
+backends.
 
 A worker dying or raising is an *infrastructure* failure, not evidence
-about the advice: the pipeline must never hang, never leak worker
+about the advice: the engine must never hang, never leak worker
 processes, and must surface a clean :class:`AuditResult` -- either the
-sequential audit's exact verdict (after deterministic in-process
-recovery of the lost groups) or, when the failure is in the audit
-machinery itself, a clean ``audit-crash`` rejection.
+golden verdict (after deterministic in-process recovery of the lost
+groups) or, when the failure is in the audit machinery itself, a clean
+``audit-crash`` rejection.
 """
 
 import dataclasses
+import importlib
 import multiprocessing
 import time
 
 import pytest
 
 from repro.apps import motd_app
-from repro.kem.scheduler import RandomScheduler
-from repro.server import KarousosPolicy, run_server
-from repro.verifier import ParallelAuditor, audit
-from repro.verifier import parallel as parallel_mod
+from repro.verifier import Auditor, audit
 from repro.verifier.parallel import CRASH_ENV
+from tests import verdict_goldens as vg
 
 pytestmark = pytest.mark.tier1
+
+# ``repro.verifier.audit`` the attribute is the audit() function.
+audit_mod = importlib.import_module("repro.verifier.audit")
+
+RUN = "motd-s21"
 
 
 @pytest.fixture(scope="module")
 def served():
-    from repro.workload import motd_workload
-
-    run = run_server(
-        motd_app(),
-        motd_workload(14, mix="mixed", seed=51),
-        KarousosPolicy(),
-        scheduler=RandomScheduler(3),
-        concurrency=5,
-    )
-    return run
-
-
-def _strip(stats):
-    return {k: v for k, v in stats.items() if k != "elapsed_seconds"}
+    return vg.served(RUN)
 
 
 def _assert_no_orphans(deadline=5.0):
@@ -53,32 +45,30 @@ def _assert_no_orphans(deadline=5.0):
 def test_hard_worker_crash_recovers_to_sequential_verdict(served, monkeypatch):
     """A worker process that dies mid-group (os._exit, standing in for a
     segfault or OOM-kill) must not change the verdict: the affected
-    groups are re-executed in-process and the result still matches the
-    sequential audit byte-for-byte."""
+    groups are re-executed in-process and the result is still the golden
+    fingerprint, byte for byte."""
     victim = sorted(served.advice.groups())[0]
     monkeypatch.setenv(CRASH_ENV, victim)
-    seq = audit(motd_app(), served.trace, served.advice)
 
-    pipeline = ParallelAuditor(
-        motd_app(), served.trace, served.advice, jobs=2, mode="process"
+    auditor = Auditor(
+        motd_app(), served.trace, served.advice,
+        parallelism=2, scheduler="process",
     )
     started = time.monotonic()
-    par = pipeline.run()
+    result = auditor.run()
     elapsed = time.monotonic() - started
 
     assert elapsed < 30, "crashed worker must not stall the audit"
-    assert victim in pipeline.fallback_tags
-    assert par.accepted == seq.accepted
-    assert par.reason == seq.reason
-    assert _strip(par.stats) == _strip(seq.stats)
+    assert victim in auditor.fallback_tags
+    assert vg.fingerprint(result) == vg.expected(RUN, "grouped", "honest")
     _assert_no_orphans()
 
 
 def test_exception_in_pipeline_machinery_is_clean_reject(served, monkeypatch):
     """If the audit machinery itself raises inside a worker (bug, resource
-    exhaustion), the pipeline reports a clean audit-crash rejection rather
+    exhaustion), the engine reports a clean audit-crash rejection rather
     than hanging or escaping with a traceback."""
-    real = parallel_mod.execute_group
+    real = audit_mod.execute_group
     victim = sorted(served.advice.groups())[0]
 
     def sabotaged(state, tag, rids, collect_metrics=False):
@@ -86,20 +76,21 @@ def test_exception_in_pipeline_machinery_is_clean_reject(served, monkeypatch):
             raise RuntimeError("worker machinery failure (injected)")
         return real(state, tag, rids, collect_metrics)
 
-    monkeypatch.setattr(parallel_mod, "execute_group", sabotaged)
-    par = ParallelAuditor(
-        motd_app(), served.trace, served.advice, jobs=2, mode="thread"
+    monkeypatch.setattr(audit_mod, "execute_group", sabotaged)
+    result = Auditor(
+        motd_app(), served.trace, served.advice,
+        parallelism=2, scheduler="thread",
     ).run()
-    assert not par.accepted
-    assert par.reason == "audit-crash"
-    assert "worker machinery failure" in par.detail
+    assert not result.accepted
+    assert result.reason == "audit-crash"
+    assert "worker machinery failure" in result.detail
 
 
 def test_handler_exception_mid_group_matches_sequential(served):
     """An exception raised by *re-executed application code* mid-group is
     evidence, not infrastructure (adversarial advice can feed values that
-    crash the app): both pipelines must reject with the identical
-    deterministic reexec-crash result."""
+    crash the app): inline and on workers the engine must reject with the
+    identical deterministic reexec-crash result."""
 
     def exploding_get(ctx, req):
         raise RuntimeError("handler blew up mid-group (injected)")
@@ -110,20 +101,20 @@ def test_handler_exception_mid_group_matches_sequential(served):
             app, functions={**app.functions, "handle_get": exploding_get}
         )
 
-    seq = audit(sabotage(), served.trace, served.advice)
-    par = ParallelAuditor(
-        sabotage(), served.trace, served.advice, jobs=2, mode="thread"
+    inline = audit(sabotage(), served.trace, served.advice)
+    pooled = Auditor(
+        sabotage(), served.trace, served.advice,
+        parallelism=2, scheduler="thread",
     ).run()
-    assert not seq.accepted and not par.accepted
-    assert seq.reason == "reexec-crash"
-    assert par.reason == seq.reason
-    assert par.detail == seq.detail
-    assert _strip(par.stats) == _strip(seq.stats)
+    assert not inline.accepted and not pooled.accepted
+    assert inline.reason == "reexec-crash"
+    assert vg.fingerprint(pooled) == vg.fingerprint(inline)
 
 
 def test_auto_mode_unpicklable_app_falls_back_to_threads(served):
-    """Closure-based apps cannot cross a process boundary; auto mode must
-    detect this and still audit correctly with threads."""
+    """Closure-based apps cannot cross a process boundary; left to pick a
+    backend, the engine must detect this and still audit correctly with
+    threads."""
 
     marker = {}
 
@@ -135,9 +126,8 @@ def test_auto_mode_unpicklable_app_falls_back_to_threads(served):
     patched = dataclasses.replace(
         app, functions={**app.functions, "handle_get": closure_get}
     )
-    pipeline = ParallelAuditor(patched, served.trace, served.advice, jobs=2)
-    result = pipeline.run()
-    assert pipeline.mode_used == "thread"
-    seq = audit(patched, served.trace, served.advice)
-    assert result.accepted == seq.accepted
-    assert result.reason == seq.reason
+    auditor = Auditor(patched, served.trace, served.advice, parallelism=2)
+    result = auditor.run()
+    assert auditor.scheduler == "thread"
+    assert marker, "the patched handler never ran"
+    assert vg.fingerprint(result) == vg.expected(RUN, "grouped", "honest")

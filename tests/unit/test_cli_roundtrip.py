@@ -137,3 +137,20 @@ class TestContinuousUsageErrors:
         empty.mkdir()
         code = main(["audit", "--app", "motd", "--epochs-dir", str(empty)])
         assert code == EXIT_USAGE
+
+
+class TestEngineFlags:
+    def test_resume_requires_node_journal(self, tmp_path):
+        code = main(["audit", "--app", "motd", "--trace", str(tmp_path / "t"),
+                     "--advice", str(tmp_path / "a"), "--resume"])
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "flags", [["--parallel-mode", "thread"], ["--scheduler", "pipeline"]]
+    )
+    def test_engine_selecting_flags_are_gone(self, tmp_path, flags):
+        """There is one audit engine; nothing selects another."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["audit", "--app", "motd", "--trace", str(tmp_path / "t"),
+                  "--advice", str(tmp_path / "a"), *flags])
+        assert exit_info.value.code == EXIT_USAGE

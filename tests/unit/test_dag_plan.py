@@ -1,9 +1,7 @@
 """Unit tests for the audit plan compiler (repro.verifier.dag.plan):
-deterministic compilation, content-hashed node IDs, DAG structure, and
-the pre-flight validation gate."""
+deterministic compilation, structural node IDs under a content-pinning
+plan digest, DAG structure, and the pre-flight validation gate."""
 
-import dataclasses
-import hashlib
 import json
 
 import pytest
@@ -22,9 +20,7 @@ from repro.verifier.dag.plan import (
     PLAN_SPEC,
     STAGE_ORDER,
     PlanError,
-    canonical_json,
     epoch_digest,
-    group_digest,
     node_id,
     single_epoch,
 )
@@ -66,22 +62,30 @@ class TestCompilation:
         assert _plan(served, dedup=True).digest != base.digest
 
     def test_node_ids_follow_the_spec(self, served):
-        """Every node ID is SHA-256 over (epoch digest, group digest,
-        stage, spec version) -- recomputed here from first principles."""
+        """Every node ID is ``<epoch>/<stage>[/<group>]``, and looks its
+        node up again."""
         plan = _plan(served)
         validate_plan(plan)
-        edig = plan.epochs[0].digest
         for node in plan.ordered_nodes():
-            gdig = (
-                group_digest(node.group, list(node.rids))
-                if node.stage == NODE_REEXEC
-                else ""
-            )
-            expected = hashlib.sha256(
-                canonical_json([edig, gdig, node.stage, PLAN_SPEC]).encode()
-            ).hexdigest()
+            expected = f"0/{node.stage}"
+            if node.stage == NODE_REEXEC:
+                expected += f"/{node.group}"
             assert node.node_id == expected
-            assert node.node_id == node_id(edig, gdig, node.stage)
+            assert node.node_id == node_id(0, node.stage, node.group)
+            assert plan.node(0, node.stage, node.group) is node
+
+    def test_inputs_change_the_digest_not_the_ids(self, served):
+        """Content is pinned by the plan digest (what the journal's
+        resume guard compares), not by the node IDs."""
+        base = _plan(served)
+        other = compile_plan(
+            "motd",
+            [single_epoch(0, served.trace.with_response(
+                served.trace.request_ids()[0], {"status": "other"}
+            ), served.advice)],
+        )
+        assert other.node_order == base.node_order
+        assert other.digest != base.digest
 
     def test_structure_one_node_per_stage_one_per_group(self, served):
         plan = _plan(served)
@@ -163,7 +167,7 @@ class TestValidation:
 
     def test_unknown_edge_endpoint_refused(self, served):
         plan = _plan(served)
-        plan.edges.append(("deadbeef" * 8, plan.node_order[0]))
+        plan.edges.append(("0/no-such-stage", plan.node_order[0]))
         with pytest.raises(PlanError, match="unknown node"):
             validate_plan(plan)
 
@@ -211,12 +215,16 @@ class TestValidation:
 
     def test_tampered_node_content_refused(self, served):
         plan = _plan(served)
-        victim = next(
+        victim, other = [
             n for n in plan.ordered_nodes() if n.stage == NODE_REEXEC
+        ][:2]
+        plan.nodes[victim.node_id] = victim._replace(group="forged")
+        with pytest.raises(PlanError, match="does not name its node"):
+            validate_plan(plan)
+        plan.nodes[victim.node_id] = victim._replace(
+            rids=victim.rids + other.rids[:1]
         )
-        forged = dataclasses.replace(victim, rids=victim.rids + ("r-forged",))
-        plan.nodes[victim.node_id] = forged
-        with pytest.raises(PlanError, match="hash"):
+        with pytest.raises(PlanError, match="member of two groups"):
             validate_plan(plan)
 
 
@@ -225,4 +233,4 @@ def test_format_plan_text_mentions_every_node(served):
     text = format_plan_text(plan)
     assert plan.digest[:16] in text
     for node in plan.ordered_nodes():
-        assert node.node_id[:12] in text
+        assert node.node_id in text

@@ -1,5 +1,5 @@
-"""Property tests for the DAG scheduler (repro.verifier.dag.scheduler)
-and the driver's crash/resume contract (DESIGN.md §13).
+"""Property tests for the ready-queue loop (repro.verifier.dag.scheduler)
+and the engine's crash/resume contract (DESIGN.md §5).
 
 Two determinism properties license every scheduler:
 
@@ -18,18 +18,15 @@ import random
 import pytest
 
 from repro.apps import motd_app
-from repro.attacks import ALL_ATTACKS
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.storage import MemoryBackend
-from repro.verifier import audit
-from repro.verifier.dag import (
-    DagAuditor,
-    NodeJournal,
-    SimulatedKill,
-    make_scheduler,
-)
-from repro.workload import motd_workload
+from repro.verifier import Auditor
+from repro.verifier.audit import SimulatedKill
+from repro.verifier.dag import NodeJournal, Scheduler
+from repro.verifier.oooaudit import ooo_audit
+from repro.workload import motd_workload, wiki_workload
+from tests import verdict_goldens as vg
 
 pytestmark = pytest.mark.tier1
 
@@ -52,12 +49,6 @@ def served():
         concurrency=4,
     )
     return run
-
-
-@pytest.fixture(scope="module")
-def tampered(served):
-    attack = next(a for a in ALL_ATTACKS if a.name == "tamper-response")
-    return attack.apply(served.trace, served.advice)
 
 
 # -- the scheduler in isolation ------------------------------------------------
@@ -101,7 +92,7 @@ class TestSchedulerKahn:
     def test_serial_drains_in_canonical_order(self):
         nodes, edges = _diamond()
         runner = _RecordingRunner()
-        make_scheduler("serial").execute(nodes, edges, runner)
+        Scheduler("serial").execute(nodes, edges, runner)
         assert runner.order == ["a", "b", "c", "d"]
 
     def test_shuffled_order_still_topological(self):
@@ -110,7 +101,7 @@ class TestSchedulerKahn:
             rng = random.Random(seed)
             perm = {}
             runner = _RecordingRunner()
-            make_scheduler(
+            Scheduler(
                 "serial",
                 order_key=lambda n: perm.setdefault(n.node_id, rng.random()),
             ).execute(nodes, edges, runner)
@@ -122,7 +113,7 @@ class TestSchedulerKahn:
     def test_thread_pool_respects_edges(self):
         nodes, edges = _diamond()
         runner = _RecordingRunner(pooled={"b", "c"})
-        make_scheduler("thread", jobs=2).execute(nodes, edges, runner)
+        Scheduler("thread", jobs=2).execute(nodes, edges, runner)
         pos = {nid: i for i, nid in enumerate(runner.order)}
         for src, dst in edges:
             assert pos[src] < pos[dst], runner.order
@@ -131,51 +122,91 @@ class TestSchedulerKahn:
         nodes = [_FakeNode("a"), _FakeNode("b")]
         edges = [("a", "b"), ("b", "a")]
         with pytest.raises(RuntimeError, match="deadlock"):
-            make_scheduler("serial").execute(nodes, edges, _RecordingRunner())
+            Scheduler("serial").execute(nodes, edges, _RecordingRunner())
+
+    def test_wide_plan_drains_in_canonical_order(self):
+        """2 000 nodes ready at once (root -> 1 998 leaves -> sink): the
+        ready heap hands them out in canonical index order."""
+        names = ["root"] + [f"leaf{i:04d}" for i in range(1998)] + ["sink"]
+        nodes = [_FakeNode(n) for n in names]
+        edges = [("root", n) for n in names[1:-1]]
+        edges += [(n, "sink") for n in names[1:-1]]
+        runner = _RecordingRunner()
+        Scheduler("serial").execute(nodes, edges, runner)
+        assert runner.order == names
+        # Reversed keys drain the leaves in reverse, edges still respected.
+        rank = {n: -i for i, n in enumerate(names)}
+        runner = _RecordingRunner()
+        Scheduler(
+            "serial", order_key=lambda n: rank[n.node_id]
+        ).execute(nodes, edges, runner)
+        assert runner.order == ["root"] + names[-2:0:-1] + ["sink"]
+
+    def test_singleton_plan_over_600_requests_drains_in_plan_order(self):
+        """One reexec node per request: the serial schedule is exactly
+        the plan's canonical node order."""
+        from repro.apps import wiki_app
+        from repro.store import IsolationLevel, KVStore
+
+        run = run_server(
+            wiki_app(),
+            wiki_workload(600, seed=5),
+            KarousosPolicy(),
+            store=KVStore(IsolationLevel.SERIALIZABLE),
+            scheduler=RandomScheduler(5),
+            concurrency=8,
+        )
+        drained = []
+        auditor = Auditor(
+            wiki_app(), run.trace, run.advice, singleton_groups=True,
+            progress=lambda stage, seconds: drained.append(stage),
+        )
+        result = auditor.run()
+        assert result.accepted, (result.reason, result.detail)
+        assert result.stats["groups"] == 600
+        assert [
+            (e, stage, group) for e, stage, group, _ in auditor.node_seconds
+        ] == [(n.epoch, n.stage, n.group) for n in auditor.plan.ordered_nodes()]
+        assert drained == [n.stage for n in auditor.plan.ordered_nodes()]
 
 
 # -- schedule independence -----------------------------------------------------
 
 
 class TestScheduleIndependence:
-    def _dag_result(self, served, order_key=None, **kwargs):
-        auditor = DagAuditor(
-            motd_app(), served.trace, served.advice,
-            app_name="motd", order_key=order_key, **kwargs,
-        )
-        return auditor.run()
+    def test_shuffled_ready_queues_are_byte_identical(self):
+        """52 shuffled ready-queue orders over two golden runs, singleton
+        groups (the widest ready sets): every one reproduces the golden
+        fingerprint."""
+        for run_name in ("motd-s21", "wiki-ser"):
+            for seed in range(26):
+                rng = random.Random(seed)
+                perm = {}
+                got = vg.assert_golden(
+                    run_name, "singleton",
+                    order_key=lambda n: perm.setdefault(n.node_id, rng.random()),
+                )
+                assert got["accepted"], (run_name, seed)
 
-    def test_shuffled_ready_queues_are_byte_identical(self, served):
-        baseline = _fingerprint(self._dag_result(served))
-        assert baseline[0], baseline
-        for seed in range(6):
-            rng = random.Random(seed)
-            perm = {}
-            got = self._dag_result(
-                served,
-                order_key=lambda n: perm.setdefault(n.node_id, rng.random()),
-            )
-            assert _fingerprint(got) == baseline, seed
-
-    def test_shuffled_rejecting_runs_are_byte_identical(self, tampered):
-        trace, advice = tampered
-        baseline = audit(motd_app(), trace, advice)
-        assert not baseline.accepted
-        for seed in range(4):
-            rng = random.Random(seed)
-            perm = {}
-            got = DagAuditor(
-                motd_app(), trace, advice, app_name="motd",
-                order_key=lambda n: perm.setdefault(n.node_id, rng.random()),
-            ).run()
-            assert got.accepted == baseline.accepted
-            assert got.reason == baseline.reason, seed
-            assert _strip(got.stats) == _strip(baseline.stats), seed
+    def test_shuffled_rejecting_runs_are_byte_identical(self):
+        for case in ("tamper-response", "forge-write-value", "drop-tag"):
+            for seed in range(6):
+                rng = random.Random(seed)
+                perm = {}
+                got = vg.assert_golden(
+                    "motd-s21", "singleton", case,
+                    order_key=lambda n: perm.setdefault(n.node_id, rng.random()),
+                )
+                assert not got["accepted"], (case, seed)
 
     def test_dag_matches_sequential_audit(self, served):
-        seq = audit(motd_app(), served.trace, served.advice)
-        dag = self._dag_result(served)
-        assert _fingerprint(dag) == _fingerprint(seq)
+        """The engine equals the straight-line reference on everything
+        but wall-clock, when both run singleton groups."""
+        ref = ooo_audit(motd_app(), served.trace, served.advice)
+        got = Auditor(
+            motd_app(), served.trace, served.advice, singleton_groups=True
+        ).run()
+        assert _fingerprint(got) == _fingerprint(ref)
 
 
 # -- crash independence (kill at every journal record) -------------------------
@@ -183,9 +214,9 @@ class TestScheduleIndependence:
 
 class TestCrashResume:
     def _run(self, served, journal, resume=False, kill_after=None):
-        auditor = DagAuditor(
-            motd_app(), served.trace, served.advice, app_name="motd",
-            journal=journal, resume=resume, kill_after=kill_after,
+        auditor = Auditor(
+            motd_app(), served.trace, served.advice,
+            node_journal=journal, resume=resume, kill_after=kill_after,
         )
         return auditor, auditor.run()
 
@@ -232,9 +263,9 @@ class TestCrashResume:
             concurrency=4,
         )
         with pytest.raises(NodeJournalError, match="refusing to resume"):
-            DagAuditor(
-                motd_app(), other.trace, other.advice, app_name="motd",
-                journal=NodeJournal(backend), resume=True,
+            Auditor(
+                motd_app(), other.trace, other.advice,
+                node_journal=NodeJournal(backend), resume=True,
             ).run()
 
     def test_resumed_counters_surface_in_metrics(self, served):
@@ -245,9 +276,9 @@ class TestCrashResume:
         with pytest.raises(SimulatedKill):
             self._run(served, NodeJournal(backend), kill_after=4)
         metrics = MetricsRegistry()
-        auditor = DagAuditor(
-            motd_app(), served.trace, served.advice, app_name="motd",
-            journal=NodeJournal(backend), resume=True, metrics=metrics,
+        auditor = Auditor(
+            motd_app(), served.trace, served.advice,
+            node_journal=NodeJournal(backend), resume=True, metrics=metrics,
         )
         result = auditor.run()
         assert result.accepted
@@ -256,3 +287,53 @@ class TestCrashResume:
         assert counters.get("reexec.nodes_resumed", 0) == auditor.resumed_nodes
         assert counters.get("reexec.nodes_executed", 0) == auditor.executed_nodes
         assert auditor.resumed_nodes > 0
+
+
+class TestJournalPayloads:
+    """Nothing is serialized for a journal that is not there."""
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        import importlib
+
+        from repro.continuous import checkpoint as checkpoint_mod
+
+        audit_mod = importlib.import_module("repro.verifier.audit")
+        calls = {"delta": 0, "checkpoint": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            audit_mod, "encode_delta",
+            counting("delta", audit_mod.encode_delta),
+        )
+        monkeypatch.setattr(
+            checkpoint_mod, "encode_checkpoint",
+            counting("checkpoint", checkpoint_mod.encode_checkpoint),
+        )
+        return calls
+
+    def test_no_journal_no_encoding(self, served, encodes):
+        result = Auditor(
+            motd_app(), served.trace, served.advice, checkpoint_index=0
+        ).run()
+        assert result.accepted
+        assert encodes == {"delta": 0, "checkpoint": 0}
+
+    def test_journal_records_every_delta_and_the_checkpoint(self, served, encodes):
+        backend = MemoryBackend()
+        auditor = Auditor(
+            motd_app(), served.trace, served.advice, checkpoint_index=0,
+            node_journal=NodeJournal(backend),
+        )
+        assert auditor.run().accepted
+        groups = len(served.advice.groups())
+        assert encodes == {"delta": groups, "checkpoint": 1}
+        state = NodeJournal(backend).load()
+        kinds = [kind for kind, _ in state.completed.values()]
+        assert kinds.count("delta") == groups
+        assert kinds.count("checkpoint") == 1

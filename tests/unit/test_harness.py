@@ -9,6 +9,7 @@ from repro.harness.experiment import (
     make_app,
     make_store,
     measure_advice_sizes,
+    measure_audit_phases,
     measure_server_overhead,
     measure_verification,
 )
@@ -62,6 +63,36 @@ class TestMeasurements:
         v3 = measure_verification(self.CFG, repeats=3)
         # Same deterministic run; repeated timing can only tighten.
         assert v3.karousos_groups == v1.karousos_groups
+
+    @pytest.mark.tier1
+    def test_audit_phase_spans_account_for_elapsed(self):
+        """Node spans cover the audit: if they did not, work would be
+        happening outside the timed units and the phase breakdown users
+        see via --metrics-out would be a lie."""
+        from repro.verifier import STAGES
+        from repro.verifier.dag.plan import PIPELINE_STAGE
+
+        cfg = ExperimentConfig(
+            "wiki", mix="mixed", n_requests=120, concurrency=8, seed=0
+        )
+        breakdown = measure_audit_phases(cfg)
+        assert breakdown.accepted
+        assert set(breakdown.stage_seconds) == set(STAGES)
+        assert breakdown.stage_total <= breakdown.elapsed_seconds * 1.02
+        assert breakdown.stage_total >= breakdown.elapsed_seconds * 0.80
+        # Stage totals are exactly the node spans folded per stage
+        # (dedup/merge nodes report under reexec) ...
+        fold = {}
+        for _epoch, stage, _group, seconds in breakdown.node_seconds:
+            stage = PIPELINE_STAGE.get(stage, stage)
+            fold[stage] = fold.get(stage, 0.0) + seconds
+        for stage in STAGES:
+            assert abs(fold[stage] - breakdown.stage_seconds[stage]) < 1e-9
+        # ... and so are the pipeline.stage.* histograms operators read.
+        for stage in STAGES:
+            hist = breakdown.metrics["histograms"][f"pipeline.stage.{stage}.seconds"]
+            assert hist["count"] == 1
+            assert abs(hist["sum"] - breakdown.stage_seconds[stage]) < 1e-9
 
 
 class TestReporting:

@@ -1,6 +1,7 @@
-"""Unit tests for the parallel pipeline's wave partition and plumbing
-(:mod:`repro.verifier.parallel`): footprint extraction, wave layering
-invariants, plan validation, work scaling."""
+"""Unit tests for the wave partition and the engine's construction-time
+checks (:mod:`repro.verifier.parallel`, :mod:`repro.verifier.audit`):
+footprint extraction, wave layering invariants, option validation, work
+scaling."""
 
 import pytest
 
@@ -9,10 +10,10 @@ from repro.core.work import cpu_work, scaled_work, work_scale
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.store import IsolationLevel, KVStore
+from repro.verifier import Auditor
 from repro.verifier.parallel import (
     PARTITION_FOOTPRINT,
     PARTITION_STRUCTURAL,
-    ParallelAuditor,
     compute_waves,
     group_footprints,
 )
@@ -125,21 +126,20 @@ class TestWaves:
 
 class TestConstruction:
     def test_unknown_mode_rejected(self, motd_state):
-        with pytest.raises(ValueError):
-            ParallelAuditor(
-                motd_app(),
-                motd_state.trace,
-                motd_state.advice,
-                mode="quantum",
-            )
+        inputs = (motd_app(), motd_state.trace, motd_state.advice)
+        with pytest.raises(ValueError, match="scheduler"):
+            Auditor(*inputs, scheduler="quantum")
+        with pytest.raises(ValueError, match="partition"):
+            Auditor(*inputs, partition="telepathic")
+        with pytest.raises(ValueError, match="StaticHints"):
+            Auditor(*inputs, partition="static")
 
     def test_jobs_defaults_to_cpu_count_and_clamps(self, motd_state):
-        pipeline = ParallelAuditor(motd_app(), motd_state.trace, motd_state.advice)
-        assert pipeline.jobs >= 1
-        clamped = ParallelAuditor(
-            motd_app(), motd_state.trace, motd_state.advice, jobs=0
-        )
-        assert clamped.jobs == 1
+        inputs = (motd_app(), motd_state.trace, motd_state.advice)
+        assert Auditor(*inputs).parallelism == 1
+        clamped = Auditor(*inputs, parallelism=0)
+        assert clamped.parallelism == 1
+        assert clamped.run().accepted and clamped.scheduler == "serial"
 
 
 class TestWorkScale:

@@ -215,7 +215,7 @@ class _FakeRunner:
         return node.node_id
 
     def absorb(self, node, outcome):
-        from repro.verifier.dag.driver import PlanAborted
+        from repro.verifier.dag import PlanAborted
 
         self.absorbed.append(node.node_id)
         if self.abort_on == node.node_id:
@@ -233,15 +233,15 @@ def _diamond(prefix):
 def test_plan_job_promotes_in_canonical_order():
     nodes, edges = _diamond("n")
     job = PlanJob("t", _FakeRunner(), nodes, edges)
-    assert [n.node_id for n in job.ready] == ["na"]
+    assert [n.node_id for n in job.ready_nodes()] == ["na"]
     job.pop()
     job.complete(nodes[0])
-    assert [n.node_id for n in job.ready] == ["nb", "nc"]
+    assert [n.node_id for n in job.ready_nodes()] == ["nb", "nc"]
     assert not job.done
     for node in (nodes[1], nodes[2]):
         job.pop()
         job.complete(node)
-    assert [n.node_id for n in job.ready] == ["nd"]
+    assert [n.node_id for n in job.ready_nodes()] == ["nd"]
     job.pop()
     job.complete(nodes[3])
     assert job.done and job.remaining == 0
@@ -357,7 +357,8 @@ def test_pool_fifo_fan_out_never_charges_quotas():
         scheduler="thread", jobs=2, fair=False, quotas={"t": bucket}
     )
     runner = _ParallelRunner()
-    pool.admit("t", runner, *_chain("n", 4, stage=NODE_REEXEC))
+    nodes, _ = _chain("n", 4, stage=NODE_REEXEC)
+    pool.admit("t", runner, nodes, [])  # all ready at once: they fan out
     try:
         assert pool.pump() == 4
         assert sorted(runner.absorbed) == ["n0", "n1", "n2", "n3"]
@@ -382,7 +383,8 @@ def test_pool_fair_fan_out_charges_quotas():
         scheduler="thread", jobs=2, fair=True, quotas={"t": bucket}
     )
     runner = _ParallelRunner()
-    pool.admit("t", runner, *_chain("n", 3, stage=NODE_REEXEC))
+    nodes, _ = _chain("n", 3, stage=NODE_REEXEC)
+    pool.admit("t", runner, nodes, [])  # all ready at once: they fan out
     try:
         assert pool.pump() == 3
         assert bucket.spent == 3

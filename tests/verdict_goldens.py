@@ -86,6 +86,13 @@ def app_of(run_name):
 
 
 @functools.lru_cache(maxsize=None)
+def hints_of(run_name):
+    from repro.analysis.effects import StaticHints
+
+    return StaticHints.from_app(app_of(run_name)())
+
+
+@functools.lru_cache(maxsize=None)
 def served(run_name):
     app, workload, level = RUNS[run_name]
     return run_server(
