@@ -1,6 +1,6 @@
 """The storage layer's cost model (DESIGN.md §8): encode/decode
-throughput and bytes-at-rest per backend vs the legacy JSON documents,
-and the continuous audit's O(epoch) memory claim.
+throughput and bytes-at-rest per backend, and the continuous audit's
+O(epoch) memory claim.
 
 Two panels:
 
@@ -56,14 +56,14 @@ def test_storage_roundtrip_throughput(benchmark, scale, tmp_path):
         lambda: measure_storage_io(_cfg(scale), str(tmp_path), repeats=3),
         rounds=1, iterations=1,
     )
-    json_bytes = comparison.stored_bytes["json"]
+    file_bytes = comparison.stored_bytes["file"]
     rows = [
         {
             "scheme": scheme,
             "encode_s": comparison.encode_seconds[scheme],
             "decode_s": comparison.decode_seconds[scheme],
             "bytes": comparison.stored_bytes[scheme],
-            "ratio": comparison.stored_bytes[scheme] / json_bytes,
+            "ratio": comparison.stored_bytes[scheme] / file_bytes,
             "verdict_ok": comparison.verdict_matches[scheme],
         }
         for scheme in comparison.encode_seconds
@@ -75,7 +75,7 @@ def test_storage_roundtrip_throughput(benchmark, scale, tmp_path):
     # Physical encoding must never change the audit outcome.
     assert comparison.all_verdicts_match, comparison.verdict_matches
     # Compression must earn its CPU: well under the uncompressed footprint.
-    assert comparison.stored_bytes["gzip"] < 0.5 * json_bytes
+    assert comparison.stored_bytes["gzip"] < 0.5 * file_bytes
 
 
 def test_streaming_audit_memory(benchmark, scale, tmp_path):

@@ -2,11 +2,9 @@
 
 ::
 
-    python -m repro serve  --app wiki --requests 100 --out-trace t.json \\
-                           --out-advice a.json
-    python -m repro audit  --app wiki --trace t.json --advice a.json
-    python -m repro attack --app wiki --trace t.json --advice a.json \\
-                           --name tamper-response
+    python -m repro serve  --app wiki --requests 100 --store-path run/
+    python -m repro audit  --app wiki --store-path run/
+    python -m repro attack --app wiki --store-path run/ --name tamper-response
     python -m repro analyze --app wiki --conflicts
     python -m repro lint wiki --crosscheck
 
@@ -25,7 +23,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.advice.codec import decode_advice, encode_advice
+from repro.advice.codec import read_advice, write_advice
 from repro.advice.sizing import advice_size_bytes
 from repro.analysis import analyze_app, suggest_annotations
 from repro.attacks import ALL_ATTACKS
@@ -34,7 +32,8 @@ from repro.kem.scheduler import RandomScheduler
 from repro.kem.threaded import ThreadedRuntime
 from repro.server import KarousosPolicy, OrochiPolicy, UnmodifiedPolicy, run_server
 from repro.store import IsolationLevel, KVStore
-from repro.trace.codec import decode_trace, encode_trace
+from repro.storage import backend_for
+from repro.trace.codec import read_trace, write_trace
 from repro.verifier import Auditor
 from repro.workload import workload_for
 
@@ -73,33 +72,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--threads", type=int, default=0,
                        help="run on the threaded KEM runtime with N workers")
-    serve.add_argument("--out-trace", help="write the trace JSON here")
-    serve.add_argument("--out-advice", help="write the advice JSON here")
     serve.add_argument("--seal-every", type=int, default=0, metavar="N",
-                       help="seal an epoch after every N responses (continuous "
-                       "auditing); 0 disables sealing")
-    serve.add_argument("--out-epochs", metavar="DIR",
-                       help="write sealed epochs as epoch-<k>.json files here "
-                       "(requires --seal-every)")
+                       help="seal an epoch stream into the store after every "
+                       "N responses (continuous auditing); 0 disables sealing")
     _add_store_args(serve)
     _add_obs_args(serve)
 
-    aud = sub.add_parser("audit", help="audit a trace against advice")
+    aud = sub.add_parser(
+        "audit",
+        help="audit a served store: its sealed epochs when serve --seal-every "
+        "wrote any (continuously, resuming from the store's own checkpoints "
+        "and journal), else its trace against its advice",
+    )
     aud.add_argument("--app", required=True, choices=["motd", "stacks", "wiki", "feed"])
-    aud.add_argument("--trace", help="trace JSON (required unless --epochs-dir)")
-    aud.add_argument("--advice", help="advice JSON (required unless --epochs-dir)")
     aud.add_argument("--epochs", type=int, default=0, metavar="N",
-                     help="continuous audit: re-cut the trace into epochs of "
-                     "N responses and audit them in sequence with checkpoint "
-                     "hand-off")
-    aud.add_argument("--epochs-dir", metavar="DIR",
-                     help="continuous audit of sealed epoch files written by "
-                     "serve --out-epochs (replaces --trace/--advice)")
-    aud.add_argument("--checkpoint-dir", metavar="DIR",
-                     help="persist per-epoch checkpoints here (enables "
-                     "crash-resume together with --journal)")
-    aud.add_argument("--journal", metavar="PATH",
-                     help="append audit progress to this JSONL journal")
+                     help="continuous audit: re-cut the stored trace into "
+                     "epochs of N responses and audit them in sequence with "
+                     "checkpoint hand-off")
     aud.add_argument("--singleton-groups", action="store_true",
                      help="use the sequential OOOAudit (one group per request)")
     aud.add_argument("--jobs", type=int, default=1,
@@ -209,14 +198,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compile an audit to its execution DAG without running it",
     )
     plan.add_argument("--app", required=True, choices=["motd", "stacks", "wiki", "feed"])
-    plan.add_argument("--trace", help="trace JSON (required unless --epochs-dir)")
-    plan.add_argument("--advice", help="advice JSON (required unless --epochs-dir)")
     plan.add_argument("--epochs", type=int, default=0, metavar="N",
-                      help="plan a continuous audit: re-cut the trace into "
-                      "epochs of N responses")
-    plan.add_argument("--epochs-dir", metavar="DIR",
-                      help="plan over sealed epoch files written by serve "
-                      "--out-epochs (replaces --trace/--advice)")
+                      help="plan a continuous audit: re-cut the stored trace "
+                      "into epochs of N responses")
+    _add_store_args(plan)
     plan.add_argument("--singleton-groups", action="store_true",
                       help="one re-execution group per request (OOOAudit)")
     plan.add_argument("--dedup", action="store_true",
@@ -239,10 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     attack = sub.add_parser("attack", help="tamper with advice, then audit")
     attack.add_argument("--app", required=True, choices=["motd", "stacks", "wiki", "feed"])
-    attack.add_argument("--trace", required=True)
-    attack.add_argument("--advice", required=True)
     attack.add_argument("--name", required=True,
                         choices=[a.name for a in ALL_ATTACKS])
+    _add_store_args(attack)
 
     analyze = sub.add_parser(
         "analyze",
@@ -306,13 +290,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_store_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--store", default="json",
-                     choices=["json", "memory", "file", "gzip"],
-                     help="persistence layer: legacy whole-document JSON "
-                     "(default), or a repro.storage record-stream backend")
+    sub.add_argument("--store", default="file", choices=["file", "gzip"],
+                     help="record-stream backend of the store directory "
+                     "(default file; gzip compresses every stream)")
     sub.add_argument("--store-path", metavar="DIR",
-                     help="record-store root directory (required for "
-                     "--store file/gzip)")
+                     help="the run's store directory (required): serve writes "
+                     "the trace, advice, binlog and sealed-epoch streams "
+                     "here; audit, plan and attack read them, and audit "
+                     "keeps its checkpoints and journal here")
 
 
 def _add_obs_args(sub: argparse.ArgumentParser) -> None:
@@ -355,11 +340,9 @@ def _progress_hook(args):
 
 
 def _store_usage_error(args) -> Optional[str]:
-    """Flag validation shared by serve and audit; None when consistent."""
-    if args.store in ("file", "gzip") and not args.store_path:
-        return f"--store {args.store} requires --store-path"
-    if args.store in ("json", "memory") and args.store_path:
-        return "--store-path only applies to --store file/gzip"
+    """Flag validation shared by every store command; None when consistent."""
+    if not args.store_path:
+        return "--store-path is required"
     return None
 
 
@@ -375,7 +358,6 @@ def _make_node_journal(args, metrics=None):
     """A NodeJournal over a file backend for --node-journal, else None."""
     if not getattr(args, "node_journal", None):
         return None
-    from repro.storage import backend_for
     from repro.verifier.dag import NodeJournal
 
     return NodeJournal(backend_for("file", args.node_journal, metrics=metrics))
@@ -393,8 +375,6 @@ def _make_dedup(args, metrics=None, hints=None):
     if args.no_cache:
         return Deduplicator(cache=None, hints=hints)
     if args.cache_dir:
-        from repro.storage import backend_for
-
         backend = backend_for("file", args.cache_dir, metrics=metrics)
         return Deduplicator(VerdictCache(backend, metrics=metrics), hints=hints)
     return Deduplicator(VerdictCache(metrics=metrics), hints=hints)
@@ -410,12 +390,18 @@ def _make_hints(args):
 
 
 def _store_backend(args, metrics=None):
-    """The backend named by --store, or None for the legacy JSON path."""
-    if args.store == "json":
-        return None
-    from repro.storage import backend_for
-
+    """The store directory named by --store/--store-path."""
     return backend_for(args.store, args.store_path, metrics=metrics)
+
+
+def _stored_pair(args, backend):
+    """The store's monolithic ``(trace, advice)`` pair, or None (after a
+    usage message) when serve left none there."""
+    if not backend.exists("trace") or not backend.exists("advice"):
+        print(f"error: no trace/advice streams in {args.store_path}",
+              file=sys.stderr)
+        return None
+    return read_trace(backend, "trace"), read_advice(backend, "advice")
 
 
 def _cmd_serve(args) -> int:
@@ -437,9 +423,6 @@ def _cmd_serve(args) -> int:
     if args.seal_every < 0:
         print("error: --seal-every must be >= 0", file=sys.stderr)
         return EXIT_USAGE
-    if args.out_epochs and not args.seal_every:
-        print("error: --out-epochs requires --seal-every", file=sys.stderr)
-        return EXIT_USAGE
     sealer = None
     if args.seal_every:
         if args.threads > 0:
@@ -449,18 +432,14 @@ def _cmd_serve(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         from repro.continuous import EpochSealer
-        from repro.continuous.codec import write_epoch, write_epoch_stored
+        from repro.continuous.codec import write_epoch_stored
 
-        sinks = []
-        if args.out_epochs:
-            sinks.append(lambda epoch: write_epoch(args.out_epochs, epoch))
-        if backend is not None:
-            sinks.append(lambda epoch: write_epoch_stored(backend, epoch))
-        if args.progress:
-            sinks.append(lambda epoch: print(
-                f"progress: sealed epoch {epoch.index} "
-                f"({epoch.request_count} requests)", file=sys.stderr))
-        sink = (lambda epoch: [s(epoch) for s in sinks]) if sinks else None
+        def sink(epoch):
+            write_epoch_stored(backend, epoch)
+            if args.progress:
+                print(f"progress: sealed epoch {epoch.index} "
+                      f"({epoch.request_count} requests)", file=sys.stderr)
+
         sealer = EpochSealer(args.seal_every, sink=sink)
     if args.threads > 0:
         runtime = ThreadedRuntime(
@@ -469,93 +448,48 @@ def _cmd_serve(args) -> int:
             metrics=metrics,
         )
         policy.runtime = runtime
-        trace = runtime.serve(requests)
+        # The threaded collector is shared across workers; spill the
+        # frozen trace post-hoc instead of spooling live.
+        write_trace(backend, "trace", runtime.serve(requests))
         advice = policy.advice()
-        if backend is not None:
-            # The threaded collector is shared across workers; spill the
-            # frozen trace post-hoc instead of spooling live.
-            from repro.trace.codec import write_trace
-
-            write_trace(backend, "trace", trace)
     else:
-        spool = backend.create("trace", "trace") if backend is not None else None
-        run = run_server(
+        advice = run_server(
             app, requests, policy, store=store,
             scheduler=RandomScheduler(args.seed), concurrency=args.concurrency,
-            sealer=sealer, trace_spool=spool, metrics=metrics,
-        )
-        trace, advice = run.trace, run.advice
+            sealer=sealer, trace_spool=backend.create("trace", "trace"),
+            metrics=metrics,
+        ).advice
     print(f"served {len(requests)} requests on the {args.server} server")
     if sealer is not None:
-        print(f"sealed {len(sealer.epochs)} epochs"
-              + (f" -> {args.out_epochs}" if args.out_epochs else ""))
-    if args.out_trace:
-        with open(args.out_trace, "w") as fh:
-            fh.write(encode_trace(trace))
-        print(f"trace  -> {args.out_trace}")
+        print(f"sealed {len(sealer.epochs)} epochs")
     if advice is not None:
         print(f"advice: {advice_size_bytes(advice)} bytes, "
               f"{len(set(advice.tags.values()))} re-execution groups")
-        if args.out_advice:
-            with open(args.out_advice, "w") as fh:
-                fh.write(encode_advice(advice))
-            print(f"advice -> {args.out_advice}")
-    elif args.out_advice:
-        print("error: the unmodified server produces no advice", file=sys.stderr)
-        return EXIT_USAGE
-    if backend is not None:
-        if advice is not None:
-            from repro.advice.codec import write_advice
-
-            write_advice(backend, "advice", advice)
-        if store is not None:
-            store.binlog.seal()
-        streams = backend.list_streams()
-        where = args.store_path if args.store_path else "(in-memory, discarded)"
-        print(f"store ({args.store}) -> {where}: {', '.join(streams)}")
+        write_advice(backend, "advice", advice)
+    if store is not None:
+        store.binlog.seal()
+    print(f"store ({args.store}) -> {args.store_path}: "
+          f"{', '.join(backend.list_streams())}")
     _write_metrics(args, metrics)
     return EXIT_OK
 
 
-def _load(args):
-    with open(args.trace) as fh:
-        trace = decode_trace(fh.read())
-    with open(args.advice) as fh:
-        advice = decode_advice(fh.read())
-    return trace, advice
-
-
 def _cmd_audit(args) -> int:
-    if args.epochs and args.epochs_dir:
-        print("error: --epochs and --epochs-dir are mutually exclusive",
-              file=sys.stderr)
-        return EXIT_USAGE
-    usage = _store_usage_error(args)
-    if usage is None and args.store in ("file", "gzip"):
-        if args.trace or args.advice or args.epochs_dir:
-            usage = (f"--store {args.store} reads from --store-path; drop "
-                     "--trace/--advice/--epochs-dir")
-    else:
-        if usage is None and args.store == "memory" and args.epochs_dir:
-            usage = "--store memory round-trips --trace/--advice, not --epochs-dir"
-        if usage is None and args.epochs_dir is None and (
-            args.trace is None or args.advice is None
-        ):
-            usage = "--trace and --advice are required unless --epochs-dir is given"
-    if usage is None:
-        usage = _dedup_usage_error(args)
+    usage = _store_usage_error(args) or _dedup_usage_error(args)
     if usage is None and args.resume and not args.node_journal:
         usage = "--resume requires --node-journal"
     if usage is not None:
         print(f"error: {usage}", file=sys.stderr)
         return EXIT_USAGE
+    from repro.continuous import CheckpointError
     from repro.errors import AdviceFormatError
 
     try:
         return _dispatch_audit(args)
-    except AdviceFormatError as exc:
-        # Corrupt, truncated, or otherwise malformed input (including a
-        # failed record CRC) is a rejection, never a crash.
+    except (AdviceFormatError, CheckpointError) as exc:
+        # Corrupt, truncated, or otherwise malformed stored state -- the
+        # served streams or the auditor's own checkpoints and journal,
+        # including a failed record CRC -- is a rejection, never a crash.
         if args.format == "json":
             print(json.dumps({
                 "accepted": False, "reason": "input-format",
@@ -580,90 +514,38 @@ def _dispatch_audit(args) -> int:
 
 
 def _dispatch_audit_inner(args, metrics, progress, dedup, hints=None) -> int:
+    from repro.continuous import iter_epochs_stored, slice_epochs
+    from repro.continuous.codec import list_epoch_streams
+
     backend = _store_backend(args, metrics=metrics)
-    if args.store in ("file", "gzip"):
-        from repro.continuous.codec import list_epoch_streams
-
-        if not args.epochs and list_epoch_streams(backend):
-            # Sealed epoch streams take precedence: audit them lazily,
-            # one epoch resident at a time (O(epoch) memory).
-            return _cmd_audit_continuous(
-                args, backend=backend, metrics=metrics, progress=progress,
-                dedup=dedup, hints=hints,
-            )
-        if not backend.exists("trace") or not backend.exists("advice"):
-            print(f"error: no trace/advice streams in {args.store_path}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        from repro.advice.codec import read_advice
-
-        advice = read_advice(backend, "advice")
-        if args.epochs:
-            from repro.trace.codec import read_trace
-
-            return _cmd_audit_continuous(
-                args, backend=backend,
-                preloaded=(read_trace(backend, "trace"), advice),
-                metrics=metrics, progress=progress, dedup=dedup, hints=hints,
-            )
-        from repro.trace.codec import iter_trace_records
-
-        # The auditor consumes the record stream as an iterator; the
-        # whole-document JSON form never exists in this process: the
-        # constructor drains the reader into a frozen trace.
-        with backend.reader("trace") as reader:
-            auditor = Auditor(
-                make_app(args.app), iter_trace_records(reader), advice,
-                singleton_groups=args.singleton_groups,
-                parallelism=args.jobs, scheduler=args.scheduler,
-                partition="static" if hints is not None else None,
-                hints=hints,
-                metrics=metrics, progress=progress, dedup=dedup,
-                node_journal=_make_node_journal(args, metrics),
-                resume=args.resume,
-            )
-            result = auditor.run()
-        from repro.trace.codec import read_trace as _read_trace
-
-        # The stream was consumed; a diagnosis replay re-reads it.
-        return _finish_audit(
-            args, result, metrics,
-            explain_ctx=lambda: (
-                make_app(args.app), _read_trace(backend, "trace"), advice
-            ),
-        )
-    if args.epochs or args.epochs_dir:
-        return _cmd_audit_continuous(
-            args, metrics=metrics, progress=progress, dedup=dedup, hints=hints
-        )
-    trace, advice = _load(args)
-    if args.store == "memory":
-        trace, advice = _memory_roundtrip(backend, trace, advice)
-    auditor = Auditor(
-        make_app(args.app), trace, advice,
-        singleton_groups=args.singleton_groups,
+    engine = dict(
         parallelism=args.jobs, scheduler=args.scheduler,
-        partition="static" if hints is not None else None,
-        hints=hints,
+        partition="static" if hints is not None else None, hints=hints,
         metrics=metrics, progress=progress, dedup=dedup,
         node_journal=_make_node_journal(args, metrics),
-        resume=args.resume,
+    )
+    if not args.epochs and list_epoch_streams(backend):
+        # Sealed epoch streams take precedence: audit them lazily, one
+        # epoch resident at a time (O(epoch) memory).
+        return _cmd_audit_continuous(
+            args, backend, iter_epochs_stored(backend), engine
+        )
+    pair = _stored_pair(args, backend)
+    if pair is None:
+        return EXIT_USAGE
+    trace, advice = pair
+    if args.epochs:
+        return _cmd_audit_continuous(
+            args, backend, slice_epochs(trace, advice, args.epochs), engine
+        )
+    auditor = Auditor(
+        make_app(args.app), trace, advice,
+        singleton_groups=args.singleton_groups, resume=args.resume, **engine,
     )
     return _finish_audit(
         args, auditor.run(), metrics,
         explain_ctx=lambda: (make_app(args.app), trace, advice),
     )
-
-
-def _memory_roundtrip(backend, trace, advice):
-    """Push the decoded inputs through the record layer and back -- the
-    --store memory mode proves the storage path end to end in-process."""
-    from repro.advice.codec import read_advice, write_advice
-    from repro.trace.codec import read_trace, write_trace
-
-    write_trace(backend, "trace", trace)
-    write_advice(backend, "advice", advice)
-    return read_trace(backend, "trace"), read_advice(backend, "advice")
 
 
 def _explain_report(args, result, explain_ctx=None, epoch=None):
@@ -712,55 +594,16 @@ def _finish_audit(args, result, metrics=None, explain_ctx=None) -> int:
     return EXIT_REJECTED
 
 
-def _cmd_audit_continuous(
-    args, backend=None, preloaded=None, metrics=None, progress=None,
-    dedup=None, hints=None,
-) -> int:
-    from repro.continuous import (
-        AuditJournal,
-        CheckpointStore,
-        ContinuousAuditor,
-        iter_epochs_stored,
-        read_epochs,
-        slice_epochs,
-    )
+def _cmd_audit_continuous(args, backend, epochs, engine) -> int:
+    from repro.continuous import AuditJournal, CheckpointStore, ContinuousAuditor
 
-    if preloaded is not None:
-        trace, advice = preloaded
-        epochs = slice_epochs(trace, advice, args.epochs)
-    elif backend is not None:
-        epochs = iter_epochs_stored(backend)
-    elif args.epochs_dir:
-        epochs = read_epochs(args.epochs_dir)
-        if not epochs:
-            print(f"error: no epoch files in {args.epochs_dir}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        trace, advice = _load(args)
-        epochs = slice_epochs(trace, advice, args.epochs)
-    if args.checkpoint_dir or backend is None:
-        checkpoints = CheckpointStore(args.checkpoint_dir)
-    else:
-        # Checkpoints and journal live as record streams in the same
-        # store, so a crashed `audit --store file` resumes on re-run.
-        checkpoints = CheckpointStore(backend=backend)
-    journal = (
-        AuditJournal(args.journal)
-        if args.journal or backend is None
-        else AuditJournal(backend=backend)
-    )
+    metrics = engine["metrics"]
+    # Checkpoints and journal live as record streams in the same store,
+    # so a crashed audit resumes on re-run.
+    checkpoints = CheckpointStore(backend=backend)
+    journal = AuditJournal(backend=backend)
     auditor = ContinuousAuditor(
-        make_app(args.app),
-        parallelism=args.jobs,
-        scheduler=args.scheduler,
-        partition="static" if hints is not None else None,
-        hints=hints,
-        checkpoints=checkpoints,
-        journal=journal,
-        metrics=metrics,
-        progress=progress,
-        dedup=dedup,
-        node_journal=_make_node_journal(args, metrics),
+        make_app(args.app), checkpoints=checkpoints, journal=journal, **engine
     )
     try:
         verdicts = auditor.run(epochs)
@@ -881,31 +724,26 @@ def _cmd_serve_audit(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    if args.epochs and args.epochs_dir:
-        print("error: --epochs and --epochs-dir are mutually exclusive",
-              file=sys.stderr)
+    usage = _store_usage_error(args)
+    if usage is not None:
+        print(f"error: {usage}", file=sys.stderr)
         return EXIT_USAGE
-    if args.epochs_dir is None and (args.trace is None or args.advice is None):
-        print("error: --trace and --advice are required unless --epochs-dir "
-              "is given", file=sys.stderr)
-        return EXIT_USAGE
+    from repro.continuous import iter_epochs_stored, slice_epochs
+    from repro.continuous.codec import list_epoch_streams
     from repro.verifier.dag import compile_plan, format_plan_text, single_epoch, validate_plan
 
-    if args.epochs_dir:
-        from repro.continuous import read_epochs
-
-        epochs = read_epochs(args.epochs_dir)
-        if not epochs:
-            print(f"error: no epoch files in {args.epochs_dir}", file=sys.stderr)
-            return EXIT_USAGE
+    backend = _store_backend(args)
+    if not args.epochs and list_epoch_streams(backend):
+        epochs = list(iter_epochs_stored(backend))
     else:
-        trace, advice = _load(args)
-        if args.epochs:
-            from repro.continuous import slice_epochs
-
-            epochs = slice_epochs(trace, advice, args.epochs)
-        else:
-            epochs = [single_epoch(0, trace, advice)]
+        pair = _stored_pair(args, backend)
+        if pair is None:
+            return EXIT_USAGE
+        epochs = (
+            slice_epochs(*pair, args.epochs)
+            if args.epochs
+            else [single_epoch(0, *pair)]
+        )
     hints = _make_hints(args)
     plan = compile_plan(
         args.app, epochs,
@@ -923,7 +761,6 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.storage import backend_for
     from repro.verifier.dedup import VerdictCache
 
     backend = backend_for("file", args.cache_dir)
@@ -961,7 +798,14 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    trace, advice = _load(args)
+    usage = _store_usage_error(args)
+    if usage is not None:
+        print(f"error: {usage}", file=sys.stderr)
+        return EXIT_USAGE
+    pair = _stored_pair(args, _store_backend(args))
+    if pair is None:
+        return EXIT_USAGE
+    trace, advice = pair
     attack = next(a for a in ALL_ATTACKS if a.name == args.name)
     try:
         tampered_trace, tampered_advice = attack.apply(trace, advice)

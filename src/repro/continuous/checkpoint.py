@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
-from repro.errors import KarousosError
+from repro.errors import AdviceFormatError, KarousosError
 from repro.storage.backend import StorageBackend
 from repro.storage.values import decode_value, encode_value
 from repro.server.variables import INIT_HID, INIT_RID, INIT_REF
@@ -197,18 +196,27 @@ def encode_checkpoint(cp: Checkpoint) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def decode_checkpoint(payload: str) -> Checkpoint:
+def decode_checkpoint(payload: Union[str, bytes]) -> Checkpoint:
     try:
         doc = json.loads(payload)
-        return Checkpoint(
+        cp = Checkpoint(
             epoch=doc["epoch"],
             parent_digest=doc["parent"],
             vars={k: decode_value(v) for k, v in doc["vars"]},
             kv={k: decode_value(v) for k, v in doc["kv"]},
             digest=doc["digest"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AdviceFormatError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
+    if (
+        not isinstance(cp.epoch, int)
+        or isinstance(cp.epoch, bool)
+        or cp.epoch < 0
+        or not isinstance(cp.parent_digest, str)
+        or not isinstance(cp.digest, str)
+    ):
+        raise CheckpointError("malformed checkpoint: bad epoch or digest field")
+    return cp
 
 
 STREAM_KIND = "checkpoint"
@@ -217,50 +225,32 @@ RT_CHECKPOINT = 1
 
 
 class CheckpointStore:
-    """Checkpoints by epoch index, optionally persisted.
+    """Checkpoints by epoch index; in-memory when no ``backend`` is given.
 
-    Two persistence shapes, both behind the same interface:
+    On a :class:`repro.storage.backend.StorageBackend` the store is one
+    append-only ``checkpoints`` record stream, one record per
+    :meth:`put`, fsynced per record so a crash can never tear a
+    checkpoint the journal already references.  Reopening replays the
+    stream (later records for an index win) and recovers a torn tail; a
+    whole record that is not a well-formed checkpoint raises
+    :class:`CheckpointError`.
 
-    * ``directory`` (legacy): one ``checkpoint-<index>.json`` per epoch,
-      rewritten atomically on :meth:`put`;
-    * ``backend`` (a :class:`repro.storage.backend.StorageBackend`): one
-      append-only ``checkpoints`` record stream, one record per
-      :meth:`put`, fsynced per record so a crash can never tear a
-      checkpoint the journal already references.  Reopening replays the
-      stream (later records for an index win) and recovers a torn tail.
-
-    Either way :meth:`verify_chain` recomputes every digest and checks
-    the parent links, so tampering with stored state is detected before
-    any carried value is trusted.
+    :meth:`verify_chain` recomputes every digest and checks the parent
+    links, so tampering with stored state is detected before any carried
+    value is trusted.
     """
 
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        backend: Optional[StorageBackend] = None,
-    ):
-        if directory is not None and backend is not None:
-            raise ValueError("pass a directory or a backend, not both")
-        self.directory = directory
+    def __init__(self, backend: Optional[StorageBackend] = None):
         self.backend = backend
         self._writer = None
         self._by_index: Dict[int, Checkpoint] = {}
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
-            for name in os.listdir(directory):
-                if not (name.startswith("checkpoint-") and name.endswith(".json")):
-                    continue
-                path = os.path.join(directory, name)
-                with open(path, "r", encoding="utf-8") as fh:
-                    cp = decode_checkpoint(fh.read())
-                self._by_index[cp.epoch] = cp
-        elif backend is not None:
+        if backend is not None:
             for rtype, payload in backend.load_tolerant(STREAM_NAME, STREAM_KIND):
                 if rtype != RT_CHECKPOINT:
                     raise CheckpointError(
                         f"unexpected checkpoint record type {rtype}"
                     )
-                cp = decode_checkpoint(payload.decode("utf-8"))
+                cp = decode_checkpoint(payload)
                 self._by_index[cp.epoch] = cp
 
     def __len__(self) -> int:
@@ -274,13 +264,7 @@ class CheckpointStore:
 
     def put(self, cp: Checkpoint) -> None:
         self._by_index[cp.epoch] = cp
-        if self.directory is not None:
-            path = os.path.join(self.directory, f"checkpoint-{cp.epoch}.json")
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(encode_checkpoint(cp))
-            os.replace(tmp, path)
-        elif self.backend is not None:
+        if self.backend is not None:
             if self._writer is None:
                 # fsync_every: a "verified" journal entry must never
                 # reference a checkpoint the store could still lose.
@@ -292,7 +276,7 @@ class CheckpointStore:
             )
 
     def close(self) -> None:
-        """Seal the backend stream (no-op for directory/in-memory stores)."""
+        """Seal the backend stream (no-op for an in-memory store)."""
         if self._writer is not None:
             self._writer.seal()
             self._writer = None

@@ -13,63 +13,61 @@ the checkpoint chain up to that epoch still verifies (a tampered
 checkpoint store invalidates the journal's claim and the resume is
 refused as ``checkpoint-chain-forged``).
 
-Two persistence shapes, both on the storage layer's tolerant-load path:
-
-* ``path`` (legacy): one JSONL file via :mod:`repro.storage.jsonl` --
-  fsync per record, torn final line dropped on load, torn bytes
-  overwritten by the next append;
-* ``backend`` (a :class:`repro.storage.backend.StorageBackend`): a
-  ``journal`` record stream with per-record fsync; the storage layer's
-  CRC + torn-tail recovery provide the same guarantee.
+Persisted on a :class:`repro.storage.backend.StorageBackend` as one
+``journal`` record stream with per-record fsync; the storage layer's CRC
+and torn-tail recovery mean an interrupted final append never prevents
+reopening.  The journal is evidence like everything else the auditor
+reads back: every whole record is validated on load, and anything else
+raises :class:`~repro.storage.records.RecordFormatError`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
 from repro.storage.backend import StorageBackend
-from repro.storage.jsonl import JsonlAppender, load_jsonl_tolerant
-from repro.storage.records import pack_json, unpack_json
+from repro.storage.records import RecordFormatError, pack_json, unpack_json
 
 STREAM_KIND = "journal"
 STREAM_NAME = "journal"
 RT_JOURNAL_EVENT = 1
 
+EVENTS = ("sealed", "verified", "rejected")
+
+
+def _check_event(rtype: int, payload: bytes) -> Dict:
+    if rtype != RT_JOURNAL_EVENT:
+        raise RecordFormatError(f"unexpected journal record type {rtype}")
+    entry = unpack_json(payload)
+    if not isinstance(entry, dict) or entry.get("event") not in EVENTS:
+        raise RecordFormatError(f"bad journal event {entry!r}")
+    epoch = entry.get("epoch")
+    if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
+        raise RecordFormatError(f"bad journal epoch {epoch!r}")
+    if not isinstance(entry.get("digest", ""), str):
+        raise RecordFormatError(f"bad journal digest {entry['digest']!r}")
+    return entry
+
 
 class AuditJournal:
-    """Append-only, fsync-per-record progress log; in-memory when neither
-    ``path`` nor ``backend`` is given."""
+    """Append-only, fsync-per-record progress log; in-memory when no
+    ``backend`` is given."""
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        backend: Optional[StorageBackend] = None,
-    ):
-        if path is not None and backend is not None:
-            raise ValueError("pass a path or a backend, not both")
-        self.path = path
+    def __init__(self, backend: Optional[StorageBackend] = None):
         self.backend = backend
         self._writer = None
-        self._appender: Optional[JsonlAppender] = None
         self.events: List[Dict] = []
-        if path is not None:
-            resume_offset = None
-            if os.path.exists(path):
-                self.events, resume_offset = load_jsonl_tolerant(path)
-            self._appender = JsonlAppender(path, resume_offset)
-        elif backend is not None:
-            for rtype, payload in backend.load_tolerant(STREAM_NAME, STREAM_KIND):
-                if rtype == RT_JOURNAL_EVENT:
-                    self.events.append(unpack_json(payload))
+        if backend is not None:
+            self.events = [
+                _check_event(rtype, payload)
+                for rtype, payload in backend.load_tolerant(STREAM_NAME, STREAM_KIND)
+            ]
 
     def record(self, event: str, epoch: int, **fields: object) -> None:
         entry: Dict = {"event": event, "epoch": epoch}
         entry.update(fields)
         self.events.append(entry)
-        if self._appender is not None:
-            self._appender.append(entry)
-        elif self.backend is not None:
+        if self.backend is not None:
             if self._writer is None:
                 self._writer = self.backend.append(
                     STREAM_NAME, STREAM_KIND, fsync_every=True
@@ -77,7 +75,7 @@ class AuditJournal:
             self._writer.append(RT_JOURNAL_EVENT, pack_json(entry))
 
     def close(self) -> None:
-        """Seal the backend stream (no-op for path/in-memory journals)."""
+        """Seal the backend stream (no-op for an in-memory journal)."""
         if self._writer is not None:
             self._writer.seal()
             self._writer = None

@@ -355,7 +355,7 @@ def measure_advice_sizes(cfg: ExperimentConfig) -> AdviceSizes:
 
 # -- Storage layer (DESIGN.md §8) ----------------------------------------------
 
-STORAGE_SCHEMES = ("json", "memory", "file", "gzip")
+STORAGE_SCHEMES = ("memory", "file", "gzip")
 
 
 def _deterministic_stats(result) -> Dict[str, float]:
@@ -372,8 +372,8 @@ def _scheme_backend(scheme: str, root: str):
 
 @dataclass
 class StorageIoComparison:
-    """Round-trip cost of each record-store scheme vs legacy JSON, on one
-    served trace+advice pair; times are minima over ``repeats``."""
+    """Round-trip cost of each record-store scheme on one served
+    trace+advice pair; times are minima over ``repeats``."""
 
     trace_events: int
     encode_seconds: Dict[str, float] = field(default_factory=dict)
@@ -392,13 +392,8 @@ def measure_storage_io(
     """Serve once, then push the trace+advice through every storage scheme:
     encode time, decode time, bytes at rest, and whether the audit of the
     decoded copy matches the audit of the original."""
-    from repro.advice.codec import (
-        decode_advice,
-        encode_advice,
-        read_advice,
-        write_advice,
-    )
-    from repro.trace.codec import decode_trace, encode_trace, read_trace, write_trace
+    from repro.advice.codec import read_advice, write_advice
+    from repro.trace.codec import read_trace, write_trace
 
     full = ExperimentConfig(**{**cfg.__dict__, "warmup_fraction": 0.0})
     _, trace, advice, _ = _serve_with_warmup(full, KarousosPolicy())
@@ -412,30 +407,18 @@ def measure_storage_io(
         enc, dec = [], []
         decoded = None
         for _ in range(max(1, repeats)):
-            if scheme == "json":
-                started = time.perf_counter()
-                trace_doc = encode_trace(trace)
-                advice_doc = encode_advice(advice)
-                enc.append(time.perf_counter() - started)
-                out.stored_bytes[scheme] = len(trace_doc.encode()) + len(
-                    advice_doc.encode()
-                )
-                started = time.perf_counter()
-                decoded = (decode_trace(trace_doc), decode_advice(advice_doc))
-                dec.append(time.perf_counter() - started)
-            else:
-                backend = _scheme_backend(scheme, root)
-                started = time.perf_counter()
-                write_trace(backend, "trace", trace)
-                write_advice(backend, "advice", advice)
-                enc.append(time.perf_counter() - started)
-                out.stored_bytes[scheme] = _stored_bytes(scheme, backend, root)
-                started = time.perf_counter()
-                decoded = (
-                    read_trace(backend, "trace"),
-                    read_advice(backend, "advice"),
-                )
-                dec.append(time.perf_counter() - started)
+            backend = _scheme_backend(scheme, root)
+            started = time.perf_counter()
+            write_trace(backend, "trace", trace)
+            write_advice(backend, "advice", advice)
+            enc.append(time.perf_counter() - started)
+            out.stored_bytes[scheme] = _stored_bytes(scheme, backend, root)
+            started = time.perf_counter()
+            decoded = (
+                read_trace(backend, "trace"),
+                read_advice(backend, "advice"),
+            )
+            dec.append(time.perf_counter() - started)
         result = audit(app_fn(), decoded[0], decoded[1])
         out.encode_seconds[scheme] = min(enc)
         out.decode_seconds[scheme] = min(dec)

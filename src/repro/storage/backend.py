@@ -4,8 +4,8 @@ A :class:`StorageBackend` is a namespace of named record streams (see
 :mod:`repro.storage.records` for the frame format).  Three
 implementations:
 
-* :class:`MemoryBackend` -- byte arrays in a dict; zero durability, used
-  by tests and the CLI's ``--store memory`` round-trip mode;
+* :class:`MemoryBackend` -- byte arrays in a dict; zero durability, the
+  reference backend for tests and in-process use;
 * :class:`FileBackend` -- one append-only file per stream under a root
   directory, flushed per record and fsynced on seal; opening a stream for
   append recovers a torn tail (a crash mid-append) by truncating to the
@@ -536,7 +536,8 @@ def backend_for(
     path: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> StorageBackend:
-    """The backend named by a CLI ``--store`` choice."""
+    """The backend named by a scheme (the CLI's ``--store`` choices are
+    the durable ones, ``file`` and ``gzip``)."""
     if scheme == "memory":
         return MemoryBackend(metrics=metrics)
     if path is None:

@@ -167,8 +167,9 @@ def recover_stream(buf: bytes) -> Tuple[str, List[Tuple[int, bytes]], int]:
 
 # -- payload helpers ----------------------------------------------------------
 
-# Record payloads are canonical JSON (sorted keys would change documents
-# the legacy codecs emit, so only the separators are pinned).
+# Record payloads are compact JSON.  Keys keep insertion order: the
+# encodings are pinned byte for byte (bytes at rest, epoch digests), and
+# sorting them would change every stored frame.
 
 
 def pack_json(doc: object) -> bytes:

@@ -8,9 +8,6 @@ binlog writer tokens.
 
 This lives in the storage layer because *every* codec needs it: trace
 payloads, advice entries, checkpoints, and the binlog all carry values.
-(It began life in :mod:`repro.advice.codec`, which forced the trace codec
-to import from the advice package; the compatibility re-exports there
-remain, but the layering now matches the dependency arrow.)
 """
 
 from __future__ import annotations
@@ -95,7 +92,11 @@ def decode_value(data: object) -> object:
         for pair in _expect_list(v):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise AdviceFormatError(f"bad dict entry: {pair!r}")
-            out[decode_value(pair[0])] = decode_value(pair[1])
+            key, value = decode_value(pair[0]), decode_value(pair[1])
+            try:
+                out[key] = value
+            except TypeError:
+                raise AdviceFormatError(f"unhashable dict key: {key!r}") from None
         return out
     if tag == "x":
         return decode_tid(v)

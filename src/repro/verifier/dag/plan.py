@@ -25,7 +25,7 @@ Node IDs are structural -- ``<epoch>/<stage>`` or
 ``<epoch>/reexec/<group tag>`` -- so naming a node costs nothing and a
 journal record reads as what it is.  What pins *content* is the plan
 digest: SHA-256 over the plan document, which embeds each epoch's digest
-(the exact trace + advice bytes) and the compile options (which, with
+(the exact trace + advice frames at rest) and the compile options (which, with
 the advice, determine every group's members).  Two runs over the same
 inputs compile to byte-identical plans with equal digests -- which is
 what makes a node journal written by a killed run addressable from the
@@ -106,17 +106,22 @@ def canonical_json(doc: object) -> str:
 
 
 def epoch_digest(trace: object, advice: object) -> str:
-    """SHA-256 over the canonical trace + advice encodings.
+    """SHA-256 over the epoch's stored content frames.
 
-    Pins exactly what the epoch's audit consumes; two epochs with the
-    same digest would audit identically, so node IDs derived from it are
-    stable across runs over the same inputs.
+    The exact bytes :func:`repro.continuous.codec.write_epoch_stored`
+    puts at rest for the trace events and the advice bundle, so the
+    digest of a decoded epoch equals the digest taken before it was
+    written.  It pins exactly what the epoch's audit consumes; two epochs
+    with the same digest would audit identically, so node IDs derived
+    from it are stable across runs over the same inputs.
     """
-    from repro.advice.codec import encode_advice
-    from repro.trace.codec import encode_trace
+    from repro.continuous.codec import iter_epoch_content_frames
+    from repro.storage.records import encode_record
 
-    encoded_advice = encode_advice(advice) if advice is not None else ""
-    return _sha256(encode_trace(trace) + "\x00" + encoded_advice)
+    sha = hashlib.sha256()
+    for rtype, payload in iter_epoch_content_frames(trace, advice):
+        sha.update(encode_record(rtype, payload))
+    return sha.hexdigest()
 
 
 def node_id(epoch: int, stage: str, group: Optional[str] = None) -> str:

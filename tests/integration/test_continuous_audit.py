@@ -28,7 +28,6 @@ checkpoints (with and without recomputed digests) must refuse to resume.
 """
 
 import json
-import os
 
 import pytest
 
@@ -45,6 +44,7 @@ from repro.continuous import (
 from repro.continuous.checkpoint import decode_checkpoint, encode_checkpoint
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
+from repro.storage import FileBackend
 from repro.store import IsolationLevel, KVStore
 from repro.verifier import audit
 from repro.workload import (
@@ -276,26 +276,41 @@ class TestCrashResume:
         run, epochs = _serve(app_fn, workload_fn, store_fn, 3, 4)
         return app_fn, epochs
 
-    def test_resume_skips_verified_prefix(self, tmp_path):
-        app_fn, epochs = self._epochs()
-        cp_dir = str(tmp_path / "cps")
-        os.makedirs(cp_dir)
-        journal = str(tmp_path / "journal.jsonl")
-        # First run "crashes" after verifying two epochs.
-        a1 = ContinuousAuditor(
+    @staticmethod
+    def _auditor(app_fn, backend):
+        return ContinuousAuditor(
             app_fn(),
-            checkpoints=CheckpointStore(cp_dir),
-            journal=AuditJournal(journal),
+            checkpoints=CheckpointStore(backend=backend),
+            journal=AuditJournal(backend=backend),
         )
+
+    def _crashed_store(self, tmp_path):
+        """A store whose first run "crashed" after verifying two epochs."""
+        app_fn, epochs = self._epochs()
+        backend = FileBackend(str(tmp_path / "state"))
+        a1 = self._auditor(app_fn, backend)
         for epoch in epochs[:2]:
             a1.submit(epoch)
         assert all(v.accepted for v in a1.drain())
-        # A fresh auditor over the same stores resumes after epoch 1.
-        a2 = ContinuousAuditor(
-            app_fn(),
-            checkpoints=CheckpointStore(cp_dir),
-            journal=AuditJournal(journal),
-        )
+        a1.checkpoints.close()
+        a1.journal.close()
+        return app_fn, epochs, backend
+
+    @staticmethod
+    def _rewrite(backend, name, edit):
+        """Replace stream ``name`` with ``edit(rtype, payload)`` of each of
+        its records -- what an attacker with write access to the auditor's
+        state can do (every frame re-CRCed, so only content checks fire)."""
+        with backend.reader(name) as reader:
+            kind, records = reader.kind, list(reader)
+        with backend.create(name, kind) as writer:
+            for rtype, payload in records:
+                writer.append(rtype, edit(rtype, payload))
+
+    def test_resume_skips_verified_prefix(self, tmp_path):
+        app_fn, epochs, backend = self._crashed_store(tmp_path)
+        # A fresh auditor over the same store resumes after epoch 1.
+        a2 = self._auditor(app_fn, backend)
         verdicts = a2.run(epochs)
         assert a2.skipped_resumed == 2
         assert sorted(a2.verdicts) == [e.index for e in epochs[2:]]
@@ -305,21 +320,6 @@ class TestCrashResume:
         assert (
             a2.checkpoints.latest().digest == scratch.checkpoints.latest().digest
         )
-
-    def _crashed_stores(self, tmp_path):
-        app_fn, epochs = self._epochs()
-        cp_dir = str(tmp_path / "cps")
-        os.makedirs(cp_dir)
-        journal = str(tmp_path / "journal.jsonl")
-        a1 = ContinuousAuditor(
-            app_fn(),
-            checkpoints=CheckpointStore(cp_dir),
-            journal=AuditJournal(journal),
-        )
-        for epoch in epochs[:2]:
-            a1.submit(epoch)
-        assert all(v.accepted for v in a1.drain())
-        return app_fn, epochs, cp_dir, journal
 
     def _forge(self, cp: Checkpoint, recompute: bool) -> Checkpoint:
         vars, kv = dict(cp.vars), dict(cp.kv)
@@ -336,17 +336,16 @@ class TestCrashResume:
         recomputes its digest -- must poison resumption: the journal
         anchors each verified epoch to the digest recorded at
         verification time."""
-        app_fn, epochs, cp_dir, journal = self._crashed_stores(tmp_path)
-        path = os.path.join(cp_dir, "checkpoint-1.json")
-        with open(path, "r", encoding="utf-8") as fh:
-            cp = decode_checkpoint(fh.read())
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(encode_checkpoint(self._forge(cp, recompute)))
-        a2 = ContinuousAuditor(
-            app_fn(),
-            checkpoints=CheckpointStore(cp_dir),
-            journal=AuditJournal(journal),
-        )
+        app_fn, epochs, backend = self._crashed_store(tmp_path)
+
+        def forge(rtype, payload):
+            cp = decode_checkpoint(payload)
+            if cp.epoch == 1:
+                cp = self._forge(cp, recompute)
+            return encode_checkpoint(cp).encode()
+
+        self._rewrite(backend, "checkpoints", forge)
+        a2 = self._auditor(app_fn, backend)
         verdicts = a2.run(epochs)
         assert not a2.accepted
         assert all(not v.accepted for v in verdicts)
@@ -355,21 +354,16 @@ class TestCrashResume:
     def test_forged_journal_digest_refuses_resume(self, tmp_path):
         """Rewriting the journal's recorded digest cannot help a forger:
         it then disagrees with the (honest or forged) stored chain."""
-        app_fn, epochs, cp_dir, journal = self._crashed_stores(tmp_path)
-        lines = []
-        with open(journal, "r", encoding="utf-8") as fh:
-            for line in fh:
-                entry = json.loads(line)
-                if entry["event"] == "verified" and entry["epoch"] == 1:
-                    entry["digest"] = "0" * 64
-                lines.append(json.dumps(entry, sort_keys=True))
-        with open(journal, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        a2 = ContinuousAuditor(
-            app_fn(),
-            checkpoints=CheckpointStore(cp_dir),
-            journal=AuditJournal(journal),
-        )
+        app_fn, epochs, backend = self._crashed_store(tmp_path)
+
+        def forge(rtype, payload):
+            entry = json.loads(payload)
+            if entry["event"] == "verified" and entry["epoch"] == 1:
+                entry["digest"] = "0" * 64
+            return json.dumps(entry).encode()
+
+        self._rewrite(backend, "journal", forge)
+        a2 = self._auditor(app_fn, backend)
         verdicts = a2.run(epochs)
         assert not a2.accepted
         assert verdicts[0].result.reason == "checkpoint-chain-forged"

@@ -23,44 +23,30 @@ import time
 
 import pytest
 
-from repro.apps import wiki_app
+from repro.advice.codec import read_advice
 from repro.core.work import WORK_SCALE_ENV, scaled_work
-from repro.kem.scheduler import RandomScheduler
-from repro.server import KarousosPolicy, run_server
-from repro.store import IsolationLevel, KVStore
-from repro.workload import wiki_workload
+from repro.storage import backend_for
 
 SCALE = 60.0
 
 
 @pytest.fixture(scope="module")
-def served_files(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("dagresume")
+def served_files(served_store, tmp_path_factory):
     # The compute scale changes the hash chains, so serve and audit must
     # run under the identical scale.
     with scaled_work(SCALE):
-        run = run_server(
-            wiki_app(),
-            wiki_workload(14, seed=23),
-            KarousosPolicy(),
-            store=KVStore(IsolationLevel.SERIALIZABLE),
-            scheduler=RandomScheduler(1),
-            concurrency=5,
+        store = served_store(
+            "wiki", "--requests", "14", "--seed", "23", "--concurrency", "5"
         )
-    from repro.advice.codec import encode_advice
-    from repro.trace.codec import encode_trace
-
-    trace = tmp / "t.json"
-    advice = tmp / "a.json"
-    trace.write_text(encode_trace(run.trace))
-    advice.write_text(encode_advice(run.advice))
-    return tmp, str(trace), str(advice), len(run.advice.groups())
+    advice = read_advice(backend_for("file", str(store)), "advice")
+    tmp = tmp_path_factory.mktemp("dagresume")
+    return tmp, str(store), len(advice.groups())
 
 
-def _audit_cmd(trace, advice, journal_dir, *extra):
+def _audit_cmd(store, journal_dir, *extra):
     return [
         sys.executable, "-m", "repro", "audit", "--app", "wiki",
-        "--trace", trace, "--advice", advice,
+        "--store-path", store,
         "--node-journal", journal_dir,
         "--format", "json", *extra,
     ]
@@ -82,12 +68,12 @@ def _journal_bytes(journal_dir):
 
 
 def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
-    tmp, trace, advice, groups = served_files
+    tmp, store, groups = served_files
     journal_dir = str(tmp / "nodejournal")
     metrics_out = str(tmp / "metrics.json")
 
     proc = subprocess.Popen(
-        _audit_cmd(trace, advice, journal_dir),
+        _audit_cmd(store, journal_dir),
         env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     # Kill as soon as the journal holds a useful prefix: past the header
@@ -111,7 +97,7 @@ def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
     assert proc.returncode == -signal.SIGKILL
 
     resumed = subprocess.run(
-        _audit_cmd(trace, advice, journal_dir, "--resume",
+        _audit_cmd(store, journal_dir, "--resume",
                    "--metrics-out", metrics_out),
         env=_env(), capture_output=True, text=True, timeout=300,
     )
@@ -131,7 +117,7 @@ def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
     # The resumed journal now carries the verdict: a third run replays
     # the whole epoch without re-executing anything.
     replay = subprocess.run(
-        _audit_cmd(trace, advice, journal_dir, "--resume",
+        _audit_cmd(store, journal_dir, "--resume",
                    "--metrics-out", metrics_out),
         env=_env(), capture_output=True, text=True, timeout=300,
     )
@@ -142,10 +128,10 @@ def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
 
 
 def test_unkilled_run_matches_resumed_stats(served_files):
-    tmp, trace, advice, groups = served_files
+    tmp, store, groups = served_files
     journal_dir = str(tmp / "nodejournal-clean")
     clean = subprocess.run(
-        _audit_cmd(trace, advice, journal_dir),
+        _audit_cmd(store, journal_dir),
         env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert clean.returncode == 0, clean.stderr

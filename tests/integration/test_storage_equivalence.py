@@ -1,75 +1,36 @@
-"""Differential equivalence of the storage layer (DESIGN.md §8).
+"""The storage layer is transparent to the audit (DESIGN.md §8).
 
-An audit must be a pure function of the *logical* trace+advice pair: the
-physical encoding -- legacy whole-document JSON or a record stream on any
-backend -- must never change the verdict, the rejection reason, or the
-deterministic statistics.  Proven here on all four bundled apps, honest
-and under every tamper in the attack library, plus the CLI surface
-(``--store memory|file|gzip``).
+An audit must be a pure function of the *logical* trace+advice pair:
+writing it to a record store and reading it back -- on any backend --
+must never change the verdict, the rejection reason, the rejection site
+or the deterministic statistics.  Proven here against the golden verdict
+fingerprints (:mod:`tests.verdict_goldens`) on all four bundled apps,
+honest and under every tamper in the attack library, plus the CLI
+surface (``--store file|gzip``).
 """
 
 import pytest
 
-from repro.advice.codec import (
-    decode_advice,
-    encode_advice,
-    read_advice,
-    write_advice,
-)
-from repro.apps import feed_app, motd_app, stackdump_app, wiki_app
-from repro.attacks import ALL_ATTACKS
+from repro.advice.codec import read_advice, write_advice
 from repro.cli import EXIT_OK, EXIT_REJECTED, main
-from repro.kem.scheduler import RandomScheduler
-from repro.server import KarousosPolicy, run_server
-from repro.store import IsolationLevel, KVStore
+from repro.continuous.codec import read_epoch_stream, write_epoch_stored
 from repro.storage import MemoryBackend, backend_for
-from repro.trace.codec import decode_trace, encode_trace, read_trace, write_trace
-from repro.verifier import audit
-from repro.workload import (
-    feed_workload,
-    motd_workload,
-    stacks_workload,
-    wiki_workload,
-)
+from repro.trace.codec import read_trace, write_trace
+from repro.verifier import Auditor
+from repro.verifier.dag.plan import epoch_digest
+from tests import verdict_goldens as vg
 
 pytestmark = pytest.mark.tier1
 
 BACKENDS = ["memory", "file", "gzip"]
 
-
-def _strip(stats):
-    return {k: v for k, v in stats.items() if k != "elapsed_seconds"}
-
-
-def _key(result):
-    return (result.accepted, result.reason, _strip(result.stats))
-
-
-def _runs():
-    yield "motd", motd_app, motd_workload(14, mix="mixed", seed=41), None
-    yield "stacks", stackdump_app, stacks_workload(14, mix="mixed", seed=42), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-    yield "wiki", wiki_app, wiki_workload(14, seed=43), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-    yield "feed", feed_app, feed_workload(14, mix="mixed", seed=44), (
-        lambda: KVStore(IsolationLevel.SERIALIZABLE)
-    )
-
-
-@pytest.fixture(scope="module", params=list(_runs()), ids=lambda r: r[0])
-def served(request):
-    name, app_fn, workload, store_fn = request.param
-    run = run_server(
-        app_fn(),
-        workload,
-        KarousosPolicy(),
-        store=store_fn() if store_fn else None,
-        scheduler=RandomScheduler(2),
-        concurrency=5,
-    )
-    return app_fn, run
+# The golden run each app's pairs come from.
+RUN_OF = {
+    "motd": "motd-s21",
+    "stacks": "stacks-ser",
+    "wiki": "wiki-ser",
+    "feed": "feed-ser",
+}
 
 
 def _backend(scheme, tmp_path):
@@ -78,44 +39,53 @@ def _backend(scheme, tmp_path):
     return backend_for(scheme, str(tmp_path / scheme))
 
 
-def _roundtrip(backend, trace, advice):
+def _assert_stored_audit_is_golden(backend, app, case):
+    """Write the case's pair, read it back, audit the copy: the golden
+    fingerprint of the pair that never touched storage must come out."""
+    run_name = RUN_OF[app]
+    trace, advice = vg.cases(run_name)[case]
     write_trace(backend, "trace", trace)
     write_advice(backend, "advice", advice)
-    return read_trace(backend, "trace"), read_advice(backend, "advice")
-
-
-def _legacy_key(app_fn, trace, advice):
-    """The baseline: the audit of the JSON-document round-trip."""
-    decoded_trace = decode_trace(encode_trace(trace))
-    decoded_advice = decode_advice(encode_advice(advice))
-    return _key(audit(app_fn(), decoded_trace, decoded_advice))
+    stored = read_trace(backend, "trace"), read_advice(backend, "advice")
+    got = vg.fingerprint(Auditor(vg.app_of(run_name)(), *stored).run())
+    assert got == vg.expected(run_name, "grouped", case), (app, case)
+    return got
 
 
 @pytest.mark.parametrize("scheme", BACKENDS)
-def test_honest_verdicts_identical(served, scheme, tmp_path):
-    app_fn, run = served
-    baseline = _legacy_key(app_fn, run.trace, run.advice)
-    assert baseline[0], baseline[1]  # the honest run must accept
-    trace, advice = _roundtrip(_backend(scheme, tmp_path), run.trace, run.advice)
-    assert _key(audit(app_fn(), trace, advice)) == baseline
+@pytest.mark.parametrize("app", list(RUN_OF))
+def test_honest_verdicts_identical(app, scheme, tmp_path):
+    got = _assert_stored_audit_is_golden(_backend(scheme, tmp_path), app, "honest")
+    assert got["accepted"], got["reason"]  # the honest run must accept
 
 
-@pytest.mark.parametrize("attack", ALL_ATTACKS, ids=lambda a: a.name)
-def test_tampered_verdicts_identical(served, attack, tmp_path):
-    """Every tamper must produce the same verdict/reason/stats whether the
-    pair travelled as JSON documents or as record streams.  One backend
-    (memory) keeps the apps x attacks sweep fast; byte-identical framing
-    across backends is covered by the honest sweep and the unit suite."""
-    app_fn, run = served
-    try:
-        tampered_trace, tampered_advice = attack.apply(run.trace, run.advice)
-    except LookupError:
-        pytest.skip("no target")
-    baseline = _legacy_key(app_fn, tampered_trace, tampered_advice)
-    trace, advice = _roundtrip(
-        MemoryBackend(), tampered_trace, tampered_advice
-    )
-    assert _key(audit(app_fn(), trace, advice)) == baseline, attack.name
+@pytest.mark.parametrize(
+    "app,case",
+    [
+        pytest.param(app, case, id=f"{app}-{case}")
+        for app, run_name in RUN_OF.items()
+        for case in vg.cases(run_name)
+        if case != "honest"
+    ],
+)
+def test_tampered_verdicts_identical(app, case):
+    """Every tamper that finds a target in the app's golden run.  One
+    backend (memory) keeps the apps x attacks sweep fast; byte-identical
+    framing across backends is covered by the honest sweep and the unit
+    suite."""
+    _assert_stored_audit_is_golden(MemoryBackend(), app, case)
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+def test_epoch_digest_survives_storage(scheme, tmp_path):
+    """The plan's epoch digest is over the frames at rest, so a sealed
+    epoch digests the same before it is written and after it is read."""
+    backend = _backend(scheme, tmp_path)
+    for epoch in vg.streams("wiki")["honest"]:
+        before = epoch_digest(epoch.trace, epoch.advice)
+        with backend.reader(write_epoch_stored(backend, epoch)) as reader:
+            stored = read_epoch_stream(reader)
+        assert epoch_digest(stored.trace, stored.advice) == before
 
 
 # -- the CLI surface -----------------------------------------------------------
@@ -124,32 +94,19 @@ def test_tampered_verdicts_identical(served, attack, tmp_path):
 APPS = ["motd", "stacks", "wiki", "feed"]
 
 
-def _serve_cli(app, tmp_path, *extra):
-    out = tmp_path / "store"
-    code = main([
-        "serve", "--app", app, "--requests", "12", "--seed", "7",
-        "--concurrency", "3", "--store", "file", "--store-path", str(out),
-        *extra,
-    ])
-    assert code == EXIT_OK
-    return out
+SERVE = ("--requests", "12", "--seed", "7", "--concurrency", "3")
 
 
 @pytest.mark.parametrize("app", APPS)
-def test_cli_file_store_roundtrip(app, tmp_path):
-    out = _serve_cli(app, tmp_path)
+def test_cli_file_store_roundtrip(app, served_store):
+    out = served_store(app, *SERVE)
     assert main(["audit", "--app", app, "--store", "file",
                  "--store-path", str(out)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("app", APPS)
-def test_cli_gzip_epoch_store_resumes(app, tmp_path):
-    out = tmp_path / "store"
-    assert main([
-        "serve", "--app", app, "--requests", "12", "--seed", "7",
-        "--concurrency", "3", "--seal-every", "4",
-        "--store", "gzip", "--store-path", str(out),
-    ]) == EXIT_OK
+def test_cli_gzip_epoch_store_resumes(app, served_store):
+    out = served_store(app, *SERVE, "--seal-every", "4", "--store", "gzip")
     argv = ["audit", "--app", app, "--store", "gzip", "--store-path", str(out)]
     assert main(argv) == EXIT_OK
     # Checkpoints + journal persisted into the same store: re-running
@@ -161,21 +118,8 @@ def test_cli_gzip_epoch_store_resumes(app, tmp_path):
     assert journal.last_verified() >= 0
 
 
-def test_cli_memory_store_roundtrip(tmp_path):
-    trace = tmp_path / "t.json"
-    advice = tmp_path / "a.json"
-    assert main([
-        "serve", "--app", "wiki", "--requests", "12", "--seed", "7",
-        "--out-trace", str(trace), "--out-advice", str(advice),
-    ]) == EXIT_OK
-    assert main([
-        "audit", "--app", "wiki", "--trace", str(trace),
-        "--advice", str(advice), "--store", "memory",
-    ]) == EXIT_OK
-
-
-def test_cli_corrupt_store_rejected(tmp_path):
-    out = _serve_cli("wiki", tmp_path)
+def test_cli_corrupt_store_rejected(served_store):
+    out = served_store("wiki", *SERVE)
     blob = (out / "advice.rec").read_bytes()
     flipped = bytearray(blob)
     flipped[len(flipped) // 2] ^= 0xFF

@@ -6,83 +6,62 @@ from repro.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 
 
 @pytest.fixture()
-def served(tmp_path):
-    trace = tmp_path / "trace.json"
-    advice = tmp_path / "advice.json"
-    code = main(
-        [
-            "serve", "--app", "motd", "--requests", "25", "--seed", "4",
-            "--concurrency", "5",
-            "--out-trace", str(trace), "--out-advice", str(advice),
-        ]
+def served(served_store):
+    return served_store(
+        "motd", "--requests", "25", "--seed", "4", "--concurrency", "5"
     )
-    assert code == EXIT_OK
-    return trace, advice
 
 
 class TestServe:
     def test_serve_writes_files(self, served):
-        trace, advice = served
-        assert trace.exists() and advice.exists()
-        assert trace.stat().st_size > 0
+        assert (served / "trace.rec").stat().st_size > 0
+        assert (served / "advice.rec").stat().st_size > 0
 
-    def test_unmodified_server_has_no_advice(self, tmp_path, capsys):
-        code = main(
-            [
-                "serve", "--app", "motd", "--requests", "5",
-                "--server", "unmodified",
-                "--out-advice", str(tmp_path / "a.json"),
-            ]
-        )
+    def test_unmodified_server_has_no_advice(self, served_store):
+        store = served_store("motd", "--requests", "5", "--server", "unmodified")
+        assert (store / "trace.rec").exists()
+        assert not (store / "advice.rec").exists()
+        # Nothing to audit against: a usage error, not a verdict.
+        code = main(["audit", "--app", "motd", "--store-path", str(store)])
         assert code == EXIT_USAGE
 
-    def test_threaded_serving(self, tmp_path):
-        code = main(
-            [
-                "serve", "--app", "stacks", "--requests", "15",
-                "--threads", "3", "--isolation", "snapshot",
-                "--out-trace", str(tmp_path / "t.json"),
-                "--out-advice", str(tmp_path / "a.json"),
-            ]
+    def test_threaded_serving(self, served_store):
+        store = served_store(
+            "stacks", "--requests", "15", "--threads", "3",
+            "--isolation", "snapshot",
         )
+        code = main(["audit", "--app", "stacks", "--store-path", str(store)])
         assert code == EXIT_OK
 
 
 class TestAudit:
     def test_honest_accepts(self, served, capsys):
-        trace, advice = served
-        code = main(["audit", "--app", "motd", "--trace", str(trace),
-                     "--advice", str(advice)])
+        code = main(["audit", "--app", "motd", "--store-path", str(served)])
         assert code == EXIT_OK
         assert "ACCEPT" in capsys.readouterr().out
 
     def test_singleton_groups_mode(self, served):
-        trace, advice = served
-        code = main(["audit", "--app", "motd", "--trace", str(trace),
-                     "--advice", str(advice), "--singleton-groups"])
+        code = main(["audit", "--app", "motd", "--store-path", str(served),
+                     "--singleton-groups"])
         assert code == EXIT_OK
 
     def test_wrong_app_rejects(self, served, capsys):
-        trace, advice = served
-        code = main(["audit", "--app", "wiki", "--trace", str(trace),
-                     "--advice", str(advice)])
+        code = main(["audit", "--app", "wiki", "--store-path", str(served)])
         assert code == EXIT_REJECTED
         assert "REJECT" in capsys.readouterr().out
 
 
 class TestAttack:
     def test_guaranteed_attack_caught(self, served, capsys):
-        trace, advice = served
-        code = main(["attack", "--app", "motd", "--trace", str(trace),
-                     "--advice", str(advice), "--name", "tamper-response"])
+        code = main(["attack", "--app", "motd", "--store-path", str(served),
+                     "--name", "tamper-response"])
         assert code == EXIT_OK, "caught attack = success exit"
         assert "REJECT" in capsys.readouterr().out
 
     def test_attack_without_target_is_usage_error(self, served):
-        trace, advice = served
         # MOTD has no transactions: tx attacks have no target.
-        code = main(["attack", "--app", "motd", "--trace", str(trace),
-                     "--advice", str(advice), "--name", "tamper-put-value"])
+        code = main(["attack", "--app", "motd", "--store-path", str(served),
+                     "--name", "tamper-put-value"])
         assert code == EXIT_USAGE
 
 

@@ -12,23 +12,14 @@ pytestmark = pytest.mark.tier1
 
 
 @pytest.fixture()
-def served(tmp_path):
-    trace = tmp_path / "trace.json"
-    advice = tmp_path / "advice.json"
-    code = main(
-        [
-            "serve", "--app", "stacks", "--requests", "20", "--seed", "7",
-            "--concurrency", "4",
-            "--out-trace", str(trace), "--out-advice", str(advice),
-        ]
+def served(served_store):
+    return served_store(
+        "stacks", "--requests", "20", "--seed", "7", "--concurrency", "4"
     )
-    assert code == EXIT_OK
-    return trace, advice
 
 
-def _audit(trace, advice, *extra, app="stacks"):
-    return main(["audit", "--app", app, "--trace", str(trace),
-                 "--advice", str(advice), *extra])
+def _audit(store, *extra, app="stacks"):
+    return main(["audit", "--app", app, "--store-path", str(store), *extra])
 
 
 def _metrics(path):
@@ -39,9 +30,8 @@ def _metrics(path):
 
 class TestAuditFlags:
     def test_dedup_accepts_and_reports_counters(self, served, tmp_path):
-        trace, advice = served
         out = tmp_path / "metrics.json"
-        code = _audit(trace, advice, "--dedup", "--metrics-out", str(out))
+        code = _audit(served, "--dedup", "--metrics-out", str(out))
         assert code == EXIT_OK
         counters = _metrics(out)["counters"]
         assert counters["reexec.cache_misses"] > 0
@@ -49,12 +39,11 @@ class TestAuditFlags:
         assert "reexec.cache_hits" in counters
 
     def test_cache_dir_warm_start(self, served, tmp_path):
-        trace, advice = served
         cache_dir = tmp_path / "cache"
         cold_out, warm_out = tmp_path / "cold.json", tmp_path / "warm.json"
-        assert _audit(trace, advice, "--cache-dir", str(cache_dir),
+        assert _audit(served, "--cache-dir", str(cache_dir),
                       "--metrics-out", str(cold_out)) == EXIT_OK
-        assert _audit(trace, advice, "--cache-dir", str(cache_dir),
+        assert _audit(served, "--cache-dir", str(cache_dir),
                       "--metrics-out", str(warm_out)) == EXIT_OK
         cold = _metrics(cold_out)["counters"]
         warm = _metrics(warm_out)["counters"]
@@ -67,10 +56,9 @@ class TestAuditFlags:
         assert warm["cache.entries_loaded"] == cold["cache.entries_written"]
 
     def test_dedup_verdict_matches_plain(self, served, tmp_path, capsys):
-        trace, advice = served
 
         def verdict(*extra):
-            code = _audit(trace, advice, "--format", "json", *extra)
+            code = _audit(served, "--format", "json", *extra)
             doc = json.loads(capsys.readouterr().out)
             stats = {
                 k: v for k, v in doc["stats"].items() if k != "elapsed_seconds"
@@ -85,26 +73,23 @@ class TestAuditFlags:
         assert verdict("--dedup", "--no-cache") == plain
 
     def test_dedup_with_epochs(self, served, tmp_path, capsys):
-        trace, advice = served
-        code = _audit(trace, advice, "--epochs", "3", "--dedup",
+        code = _audit(served, "--epochs", "3", "--dedup",
                       "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is True
 
     def test_usage_errors(self, served, tmp_path):
-        trace, advice = served
-        assert _audit(trace, advice, "--no-cache") == EXIT_USAGE
-        assert _audit(trace, advice, "--dedup", "--no-cache",
+        assert _audit(served, "--no-cache") == EXIT_USAGE
+        assert _audit(served, "--dedup", "--no-cache",
                       "--cache-dir", str(tmp_path / "c")) == EXIT_USAGE
 
 
 class TestCacheCommand:
     @pytest.fixture()
     def cache_dir(self, served, tmp_path):
-        trace, advice = served
         path = tmp_path / "cache"
-        assert _audit(trace, advice, "--cache-dir", str(path)) == EXIT_OK
+        assert _audit(served, "--cache-dir", str(path)) == EXIT_OK
         return path
 
     def test_stats(self, cache_dir, capsys):

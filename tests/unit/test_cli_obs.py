@@ -12,29 +12,19 @@ pytestmark = pytest.mark.tier1
 
 
 @pytest.fixture()
-def served(tmp_path):
-    trace = tmp_path / "trace.json"
-    advice = tmp_path / "advice.json"
-    code = main(
-        [
-            "serve", "--app", "motd", "--requests", "20", "--seed", "7",
-            "--concurrency", "4",
-            "--out-trace", str(trace), "--out-advice", str(advice),
-        ]
+def served(served_store):
+    return served_store(
+        "motd", "--requests", "20", "--seed", "7", "--concurrency", "4"
     )
-    assert code == EXIT_OK
-    return trace, advice
 
 
-def _audit(trace, advice, *extra, app="motd"):
-    return main(["audit", "--app", app, "--trace", str(trace),
-                 "--advice", str(advice), *extra])
+def _audit(store, *extra, app="motd"):
+    return main(["audit", "--app", app, "--store-path", str(store), *extra])
 
 
 class TestJsonFormat:
     def test_accepted_verdict_json(self, served, capsys):
-        trace, advice = served
-        code = _audit(trace, advice, "--format", "json")
+        code = _audit(served, "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is True
@@ -43,27 +33,23 @@ class TestJsonFormat:
         assert doc["stats"]["handlers_executed"] > 0
 
     def test_rejected_verdict_json(self, served, capsys):
-        trace, advice = served
-        code = _audit(trace, advice, "--format", "json", app="wiki")
+        code = _audit(served, "--format", "json", app="wiki")
         assert code == EXIT_REJECTED
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is False
         assert doc["reason"]
         assert isinstance(doc["detail"], str)
 
-    def test_input_format_error_json(self, served, tmp_path, capsys):
-        trace, _ = served
-        bad = tmp_path / "advice.json"
-        bad.write_text("{}")
-        code = _audit(trace, bad, "--format", "json")
+    def test_input_format_error_json(self, served, capsys):
+        (served / "advice.rec").write_bytes(b"{}")
+        code = _audit(served, "--format", "json")
         assert code == EXIT_REJECTED
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is False
         assert doc["reason"] == "input-format"
 
     def test_continuous_verdict_json(self, served, capsys):
-        trace, advice = served
-        code = _audit(trace, advice, "--format", "json", "--epochs", "3")
+        code = _audit(served, "--format", "json", "--epochs", "3")
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is True
@@ -76,9 +62,8 @@ class TestJsonFormat:
 
 class TestMetricsOut:
     def test_audit_metrics_out(self, served, tmp_path):
-        trace, advice = served
         out = tmp_path / "metrics.json"
-        code = _audit(trace, advice, "--metrics-out", str(out))
+        code = _audit(served, "--metrics-out", str(out))
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         validate_metrics_doc(doc)
@@ -86,18 +71,16 @@ class TestMetricsOut:
         assert "pipeline.stage.reexec.seconds" in doc["histograms"]
 
     def test_parallel_audit_metrics_out(self, served, tmp_path):
-        trace, advice = served
         out = tmp_path / "metrics.json"
-        code = _audit(trace, advice, "--jobs", "2", "--metrics-out", str(out))
+        code = _audit(served, "--jobs", "2", "--metrics-out", str(out))
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         validate_metrics_doc(doc)
         assert doc["counters"]["worker.groups"] == doc["counters"]["reexec.groups"]
 
     def test_rejected_audit_records_diagnostic(self, served, tmp_path):
-        trace, advice = served
         out = tmp_path / "metrics.json"
-        code = _audit(trace, advice, "--metrics-out", str(out), app="wiki")
+        code = _audit(served, "--metrics-out", str(out), app="wiki")
         assert code == EXIT_REJECTED
         doc = json.loads(out.read_text())
         validate_metrics_doc(doc)
@@ -105,25 +88,16 @@ class TestMetricsOut:
         assert doc["diagnostics"], "rejection must leave a structured diagnostic"
         assert doc["diagnostics"][0]["reason"]
 
-    def test_serve_metrics_out(self, tmp_path):
+    def test_serve_metrics_out(self, served_store, tmp_path):
         out = tmp_path / "metrics.json"
-        code = main(
-            [
-                "serve", "--app", "motd", "--requests", "10",
-                "--out-trace", str(tmp_path / "t.json"),
-                "--out-advice", str(tmp_path / "a.json"),
-                "--metrics-out", str(out),
-            ]
-        )
-        assert code == EXIT_OK
+        served_store("motd", "--requests", "10", "--metrics-out", str(out))
         doc = json.loads(out.read_text())
         validate_metrics_doc(doc)
         assert doc["counters"]["kem.requests"] == 10
         assert doc["counters"]["kem.responses"] == 10
 
     def test_progress_flag_prints_stages(self, served, capsys):
-        trace, advice = served
-        code = _audit(trace, advice, "--progress")
+        code = _audit(served, "--progress")
         assert code == EXIT_OK
         err = capsys.readouterr().err
         assert "progress: reexec" in err

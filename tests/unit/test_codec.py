@@ -7,18 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.advice.codec import (
     FORMAT_VERSION,
-    decode_advice,
-    decode_hid,
-    decode_value,
-    encode_advice,
-    encode_hid,
-    encode_value,
+    RT_META,
+    RT_OPCOUNTS,
+    RT_TAG,
+    AdviceAccumulator,
+    iter_advice_frames,
 )
 from repro.apps import motd_app, stackdump_app, wiki_app
 from repro.core.ids import HandlerId, TxId
 from repro.errors import AdviceFormatError
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
+from repro.storage.values import decode_hid, decode_value, encode_hid, encode_value
 from repro.store import IsolationLevel, KVStore
 from repro.verifier import audit
 from repro.workload import motd_workload, stacks_workload, wiki_workload
@@ -102,17 +102,24 @@ def _runs():
     ), wiki_app
 
 
+def _decode(frames):
+    """Feed ``(rtype, payload)`` frames through the one advice decoder."""
+    accum = AdviceAccumulator()
+    for rtype, payload in frames:
+        accum.feed(rtype, payload)
+    return accum.finish()
+
+
 class TestBundleRoundtrip:
     @pytest.mark.parametrize("run,app_fn", list(_runs()), ids=["motd", "stacks", "wiki"])
     def test_decoded_advice_still_verifies(self, run, app_fn):
-        payload = encode_advice(run.advice)
-        decoded = decode_advice(payload)
+        decoded = _decode(iter_advice_frames(run.advice))
         result = audit(app_fn(), run.trace, decoded)
         assert result.accepted, (result.reason, result.detail)
 
     @pytest.mark.parametrize("run,app_fn", list(_runs()), ids=["motd", "stacks", "wiki"])
     def test_roundtrip_preserves_structure(self, run, app_fn):
-        decoded = decode_advice(encode_advice(run.advice))
+        decoded = _decode(iter_advice_frames(run.advice))
         assert decoded.tags == run.advice.tags
         assert decoded.opcounts == run.advice.opcounts
         assert decoded.handler_logs == run.advice.handler_logs
@@ -125,42 +132,54 @@ class TestBundleRoundtrip:
 
     def test_encoding_is_deterministic(self):
         run, _ = next(_runs())
-        assert encode_advice(run.advice) == encode_advice(run.advice)
+        assert list(iter_advice_frames(run.advice)) == list(
+            iter_advice_frames(run.advice)
+        )
 
 
 class TestStrictDecoding:
-    def _doc(self):
+    def _frames(self):
         run, _ = next(_runs())
-        return json.loads(encode_advice(run.advice))
+        return list(iter_advice_frames(run.advice))
+
+    def _with(self, rtype, edit):
+        """The honest frames with the first ``rtype`` frame's JSON document
+        passed through ``edit`` (which mutates or replaces it)."""
+        frames = self._frames()
+        at = next(i for i, (t, _) in enumerate(frames) if t == rtype)
+        doc = json.loads(frames[at][1])
+        doc = edit(doc) or doc
+        frames[at] = (rtype, json.dumps(doc).encode())
+        return frames
 
     def test_wrong_version_rejected(self):
-        doc = self._doc()
-        doc["version"] = FORMAT_VERSION + 1
+        frames = self._with(
+            RT_META, lambda doc: doc.update(version=FORMAT_VERSION + 1)
+        )
         with pytest.raises(AdviceFormatError):
-            decode_advice(json.dumps(doc))
+            _decode(frames)
 
     def test_bad_isolation_rejected(self):
-        doc = self._doc()
-        doc["isolation"] = "quantum"
+        frames = self._with(RT_META, lambda doc: doc.update(isolation="quantum"))
         with pytest.raises(AdviceFormatError):
-            decode_advice(json.dumps(doc))
+            _decode(frames)
 
     def test_non_json_rejected(self):
         with pytest.raises(AdviceFormatError):
-            decode_advice("{not json")
+            _decode([(RT_META, b"{not json")])
 
     def test_non_object_rejected(self):
         with pytest.raises(AdviceFormatError):
-            decode_advice("[1,2,3]")
+            _decode([(RT_META, b"[1,2,3]")])
 
     def test_non_string_tag_rejected(self):
-        doc = self._doc()
-        doc["tags"]["r000001"] = 42
+        frames = self._with(RT_TAG, lambda doc: [doc[0], 42])
         with pytest.raises(AdviceFormatError):
-            decode_advice(json.dumps(doc))
+            _decode(frames)
 
     def test_bool_opcount_rejected(self):
-        doc = self._doc()
-        doc["opcounts"][0][2] = True
+        def edit(doc):
+            doc[0][2] = True
+
         with pytest.raises(AdviceFormatError):
-            decode_advice(json.dumps(doc))
+            _decode(self._with(RT_OPCOUNTS, edit))

@@ -2,9 +2,9 @@
 
 The verifier consumes advice from an adversary: the decoder must never
 crash with anything other than a clean AdviceFormatError, no matter how
-the document is corrupted.  (A crash inside the audit would still be
-caught and rejected, but the codec contract is stricter: corrupt bytes
-are a *format* error, not an internal failure.)
+a CRC-valid frame's payload is corrupted.  (A crash inside the audit
+would still be caught and rejected, but the codec contract is stricter:
+corrupt bytes are a *format* error, not an internal failure.)
 """
 
 import json
@@ -13,13 +13,25 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.advice.codec import decode_advice, encode_advice
+from repro.advice.codec import (
+    ADVICE_RECORD_TYPES,
+    AdviceAccumulator,
+    iter_advice_frames,
+)
+from repro.advice.records import Advice
 from repro.apps import stackdump_app
 from repro.errors import AdviceFormatError
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.store import IsolationLevel, KVStore
-from repro.trace.codec import decode_trace, encode_trace
+from repro.storage import MemoryBackend
+from repro.trace.codec import (
+    RT_EVENT,
+    RT_META,
+    encode_trace_event,
+    iter_trace_records,
+    trace_meta_record,
+)
 from repro.verifier import audit
 from repro.workload import stacks_workload
 
@@ -70,13 +82,56 @@ def _mutate_json(doc, rng):
     return doc
 
 
+def _mutate_frames(frames, rng):
+    """Corrupt one frame of a ``(rtype, payload)`` sequence: its JSON
+    document (most of the time), or the sequence itself -- a frame
+    dropped, repeated, or retyped."""
+    at = rng.randrange(len(frames))
+    rtype, payload = frames[at]
+    shape = rng.choice(["doc", "doc", "doc", "drop", "repeat", "retype"])
+    if shape == "doc":
+        doc = _mutate_json(json.loads(payload), rng)
+        frames[at] = (rtype, json.dumps(doc).encode())
+    elif shape == "drop":
+        del frames[at]
+    elif shape == "repeat":
+        frames.insert(at, frames[at])
+    else:
+        frames[at] = (rng.randrange(256), payload)
+    return frames
+
+
+def _decode_advice(frames):
+    accum = AdviceAccumulator()
+    for rtype, payload in frames:
+        accum.feed(rtype, payload)
+    return accum.finish()
+
+
+def _decode_trace(frames):
+    backend = MemoryBackend()
+    with backend.create("trace", "trace") as writer:
+        for rtype, payload in frames:
+            writer.append(rtype, payload)
+    with backend.reader("trace") as reader:
+        return list(iter_trace_records(reader))
+
+
+def _trace_frames(trace):
+    frames = [(RT_META, trace_meta_record())]
+    frames += [
+        (RT_EVENT, json.dumps(encode_trace_event(e)).encode()) for e in trace
+    ]
+    return frames
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_corrupted_advice_never_crashes_decoder(honest, seed):
     rng = random.Random(seed)
-    doc = _mutate_json(json.loads(encode_advice(honest.advice)), rng)
+    frames = _mutate_frames(list(iter_advice_frames(honest.advice)), rng)
     try:
-        decoded = decode_advice(json.dumps(doc))
+        decoded = _decode_advice(frames)
     except AdviceFormatError:
         return  # clean rejection at the format boundary
     # Decoding succeeded: the audit must still terminate with a verdict
@@ -89,21 +144,28 @@ def test_corrupted_advice_never_crashes_decoder(honest, seed):
 @given(seed=st.integers(0, 10_000))
 def test_corrupted_trace_never_crashes_decoder(honest, seed):
     rng = random.Random(seed)
-    doc = _mutate_json(json.loads(encode_trace(honest.trace)), rng)
+    frames = _mutate_frames(_trace_frames(honest.trace), rng)
     try:
-        decode_trace(json.dumps(doc))
+        _decode_trace(frames)
     except AdviceFormatError:
         pass
 
 
 @settings(max_examples=40, deadline=None)
-@given(junk=st.text(max_size=60))
-def test_arbitrary_text_rejected_cleanly(junk):
-    try:
-        decode_advice(junk)
-    except AdviceFormatError:
-        pass
-    try:
-        decode_trace(junk)
-    except AdviceFormatError:
-        pass
+@given(junk=st.text(max_size=60), rtype=st.sampled_from(ADVICE_RECORD_TYPES))
+def test_arbitrary_text_rejected_cleanly(junk, rtype):
+    payload = junk.encode()
+    meta = next(iter(iter_advice_frames(Advice())))
+    for frames in ([(rtype, payload)], [meta, (rtype, payload)]):
+        try:
+            _decode_advice(frames)
+        except AdviceFormatError:
+            pass
+    for frames in (
+        [(RT_META, payload)],
+        [(RT_META, trace_meta_record()), (RT_EVENT, payload)],
+    ):
+        try:
+            _decode_trace(frames)
+        except AdviceFormatError:
+            pass

@@ -13,6 +13,7 @@ from repro.continuous import (
     AuditJournal,
     Checkpoint,
     CheckpointChainError,
+    CheckpointError,
     CheckpointStore,
     ContinuousAuditor,
     EpochSealer,
@@ -20,17 +21,20 @@ from repro.continuous import (
     balanced_cuts,
     compute_digest,
     decode_checkpoint,
-    decode_epoch,
     encode_checkpoint,
-    encode_epoch,
-    read_epochs,
+    iter_epochs_stored,
+    read_epoch_stream,
     slice_epochs,
-    write_epoch,
+    write_epoch_stored,
 )
+from repro.continuous.checkpoint import RT_CHECKPOINT
+from repro.continuous.journal import RT_JOURNAL_EVENT
 from repro.core.ids import HandlerId
+from repro.errors import AdviceFormatError
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.server.variables import INIT_REF
+from repro.storage import FileBackend, MemoryBackend
 from repro.store import IsolationLevel, KVStore
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
 from repro.workload import motd_workload, wiki_workload
@@ -168,24 +172,50 @@ class TestCheckpointStore:
         return cps
 
     def test_persistence_roundtrip(self, tmp_path):
-        store = CheckpointStore(str(tmp_path / "cps"))
+        backend = FileBackend(str(tmp_path / "cps"))
+        store = CheckpointStore(backend=backend)
         for cp in self._chain():
             store.put(cp)
-        reloaded = CheckpointStore(str(tmp_path / "cps"))
+        store.close()
+        reloaded = CheckpointStore(backend=backend)
         assert len(reloaded) == 3
         assert reloaded.latest().epoch == 2
         reloaded.verify_chain()
 
-    def test_verify_chain_rejects_tampered_contents(self, tmp_path):
-        store = CheckpointStore(str(tmp_path / "cps"))
+    def test_verify_chain_rejects_tampered_contents(self):
+        backend = MemoryBackend()
+        store = CheckpointStore(backend=backend)
         for cp in self._chain():
             store.put(cp)
-        path = tmp_path / "cps" / "checkpoint-1.json"
-        doc = json.loads(path.read_text())
+        store.close()
+        # A later record for an index wins: append a forged checkpoint 1
+        # that keeps the honest digest over altered contents.
+        doc = json.loads(encode_checkpoint(store.get(1)))
         doc["vars"] = [["v", {"t": "p", "v": 999}]]
-        path.write_text(json.dumps(doc))
+        with backend.append("checkpoints", "checkpoint") as writer:
+            writer.append(RT_CHECKPOINT, json.dumps(doc).encode())
         with pytest.raises(CheckpointChainError):
-            CheckpointStore(str(tmp_path / "cps")).verify_chain()
+            CheckpointStore(backend=backend).verify_chain()
+
+    @pytest.mark.parametrize(
+        "rtype,payload",
+        [
+            (RT_CHECKPOINT, b"nope{"),
+            (RT_CHECKPOINT, b"[1,2]"),
+            (RT_CHECKPOINT, b'{"epoch":0}'),
+            (RT_CHECKPOINT, b'{"epoch":"0","parent":"genesis","vars":[],'
+                            b'"kv":[],"digest":"d"}'),
+            (RT_CHECKPOINT, b'{"epoch":0,"parent":"genesis","vars":[["v",3]],'
+                            b'"kv":[],"digest":"d"}'),
+            (RT_CHECKPOINT + 1, b"{}"),
+        ],
+    )
+    def test_malformed_record_rejected_on_load(self, rtype, payload):
+        backend = MemoryBackend()
+        with backend.create("checkpoints", "checkpoint") as writer:
+            writer.append(rtype, payload)
+        with pytest.raises(CheckpointError):
+            CheckpointStore(backend=backend)
 
     def test_verify_chain_rejects_missing_link(self):
         store = CheckpointStore()
@@ -206,12 +236,13 @@ class TestCheckpointStore:
 
 class TestAuditJournal:
     def test_reload_and_last_verified(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        j = AuditJournal(path)
+        backend = FileBackend(str(tmp_path))
+        j = AuditJournal(backend=backend)
         j.record("sealed", 0, requests=2)
         j.record("verified", 0, digest="d0")
         j.record("verified", 1, digest="d1")
-        again = AuditJournal(path)
+        j.close()
+        again = AuditJournal(backend=backend)
         assert again.last_verified() == 1
         assert len(again.events) == 3
 
@@ -226,6 +257,34 @@ class TestAuditJournal:
         j.record("rejected", 3, reason="write-mismatch", detail="x")
         assert j.rejections()[0]["epoch"] == 3
 
+    @staticmethod
+    def _stored(rtype, payload):
+        backend = MemoryBackend()
+        with backend.create("journal", "journal") as writer:
+            writer.append(rtype, payload)
+        return backend
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"nope{",
+            b"[1,2]",
+            b'{"event":"verified"}',
+            b'{"event":"audited","epoch":0}',
+            b'{"event":"verified","epoch":-1}',
+            b'{"event":"verified","epoch":true}',
+            b'{"event":"verified","epoch":0,"digest":7}',
+        ],
+    )
+    def test_malformed_event_rejected_on_load(self, payload):
+        with pytest.raises(AdviceFormatError):
+            AuditJournal(backend=self._stored(RT_JOURNAL_EVENT, payload))
+
+    def test_unknown_record_type_rejected_on_load(self):
+        backend = self._stored(RT_JOURNAL_EVENT + 1, b'{"event":"sealed","epoch":0}')
+        with pytest.raises(AdviceFormatError):
+            AuditJournal(backend=backend)
+
 
 class TestEpochCodec:
     def test_roundtrip_through_files(self, tmp_path):
@@ -235,9 +294,10 @@ class TestEpochCodec:
             sealer=EpochSealer(2),
         )
         sealer = run.runtime.sealer
+        backend = FileBackend(str(tmp_path))
         for epoch in sealer.epochs:
-            write_epoch(str(tmp_path), epoch)
-        loaded = read_epochs(str(tmp_path))
+            write_epoch_stored(backend, epoch)
+        loaded = list(iter_epochs_stored(backend))
         assert len(loaded) == len(sealer.epochs)
         for orig, back in zip(sealer.epochs, loaded):
             assert back.index == orig.index
@@ -252,7 +312,9 @@ class TestEpochCodec:
             scheduler=RandomScheduler(1), concurrency=1, sealer=sealer,
         )
         epoch = sealer.epochs[0]
-        assert decode_epoch(encode_epoch(epoch)).advice == epoch.advice
+        backend = MemoryBackend()
+        with backend.reader(write_epoch_stored(backend, epoch)) as reader:
+            assert read_epoch_stream(reader).advice == epoch.advice
 
 
 class TestEpochSealer:

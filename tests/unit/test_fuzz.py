@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.advice.codec import encode_advice
+from repro.advice.codec import iter_advice_frames
 from repro.advice.records import Advice
 from repro.fuzz import (
     EscapeFound,
@@ -63,14 +63,14 @@ class TestSurface:
     def test_apply_never_mutates_the_input(self):
         wl = WorkloadCase(app="stacks", n=5)
         trace, advice = serve_case(wl)
-        before = encode_advice(advice)
+        before = list(iter_advice_frames(advice))
         for op in mutation_surface():
             for seed in (0, 1):
                 try:
                     op.apply(random.Random(seed), trace, advice)
                 except MutationNotApplicable:
                     continue
-        assert encode_advice(advice) == before
+        assert list(iter_advice_frames(advice)) == before
         assert trace == serve_case(wl)[0]
 
     def test_apply_raises_when_nothing_changes(self):

@@ -1,7 +1,5 @@
 """Unit tests for the trace wire format."""
 
-import json
-
 import pytest
 
 from repro.errors import AdviceFormatError
@@ -9,7 +7,16 @@ from repro.kem.scheduler import RandomScheduler
 from repro.apps import stackdump_app
 from repro.server import KarousosPolicy, run_server
 from repro.store import IsolationLevel, KVStore
-from repro.trace.codec import decode_trace, encode_trace
+from repro.storage import MemoryBackend, pack_json
+from repro.trace.codec import (
+    RT_EVENT,
+    RT_META,
+    encode_trace_event,
+    iter_trace_records,
+    read_trace,
+    trace_meta_record,
+    write_trace,
+)
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
 from repro.verifier import audit
 from repro.workload import stacks_workload
@@ -22,9 +29,29 @@ def sample_trace():
     return t
 
 
+def _roundtrip(trace):
+    backend = MemoryBackend()
+    write_trace(backend, "trace", trace)
+    return read_trace(backend, "trace")
+
+
+def _decode(frames):
+    """Decode hand-built ``(rtype, payload)`` frames as a trace stream."""
+    backend = MemoryBackend()
+    with backend.create("trace", "trace") as writer:
+        for rtype, payload in frames:
+            writer.append(rtype, payload)
+    with backend.reader("trace") as reader:
+        return list(iter_trace_records(reader))
+
+
+def _event_docs():
+    return [encode_trace_event(e) for e in sample_trace()]
+
+
 class TestRoundtrip:
     def test_events_preserved(self):
-        decoded = decode_trace(encode_trace(sample_trace()))
+        decoded = _roundtrip(sample_trace())
         assert [(e.kind, e.rid) for e in decoded] == [(REQ, "r1"), (RESP, "r1")]
         assert decoded.request("r1").inputs == {"day": "mon", "n": 3}
         assert decoded.response("r1") == {"status": "ok", "items": (1, 2)}
@@ -38,32 +65,30 @@ class TestRoundtrip:
             scheduler=RandomScheduler(1),
             concurrency=4,
         )
-        decoded = decode_trace(encode_trace(run.trace))
+        decoded = _roundtrip(run.trace)
         assert audit(stackdump_app(), decoded, run.advice).accepted
 
     def test_empty_trace(self):
-        assert len(decode_trace(encode_trace(Trace()))) == 0
+        assert len(_roundtrip(Trace())) == 0
 
 
 class TestStrictness:
     def test_bad_json(self):
         with pytest.raises(AdviceFormatError):
-            decode_trace("nope{")
+            _decode([(RT_META, trace_meta_record()), (RT_EVENT, b"nope{")])
 
     def test_wrong_version(self):
-        doc = json.loads(encode_trace(sample_trace()))
-        doc["version"] = 99
         with pytest.raises(AdviceFormatError):
-            decode_trace(json.dumps(doc))
+            _decode([(RT_META, pack_json({"version": 99}))])
 
     def test_unknown_event_kind(self):
-        doc = json.loads(encode_trace(sample_trace()))
-        doc["events"][0]["kind"] = "PING"
+        doc = _event_docs()[0]
+        doc["kind"] = "PING"
         with pytest.raises(AdviceFormatError):
-            decode_trace(json.dumps(doc))
+            _decode([(RT_META, trace_meta_record()), (RT_EVENT, pack_json(doc))])
 
     def test_non_mapping_payload(self):
-        doc = json.loads(encode_trace(sample_trace()))
-        doc["events"][0]["payload"] = {"t": "p", "v": 3}
+        doc = _event_docs()[0]
+        doc["payload"] = {"t": "p", "v": 3}
         with pytest.raises(AdviceFormatError):
-            decode_trace(json.dumps(doc))
+            _decode([(RT_META, trace_meta_record()), (RT_EVENT, pack_json(doc))])
