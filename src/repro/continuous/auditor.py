@@ -281,10 +281,9 @@ class ContinuousAuditor:
         epoch's index and parent: an accepted run leaves the
         digest-chained checkpoint in ``auditor.checkpoint``; an
         unextractable one rejects as ``checkpoint-unextractable``."""
-        return Auditor(
+        return Auditor.for_epoch(
             self.app,
-            epoch.trace,
-            epoch.advice,
+            epoch,
             parallelism=self.parallelism,
             scheduler=self.scheduler,
             partition=self.partition,
@@ -292,7 +291,6 @@ class ContinuousAuditor:
             carry=parent.carry_in() if parent is not None else None,
             metrics=self.metrics,
             progress=self._epoch_progress(epoch),
-            checkpoint_index=epoch.index,
             checkpoint_parent=parent,
             dedup=self.dedup,
             node_journal=self.node_journal,

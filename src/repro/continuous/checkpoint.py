@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from dataclasses import dataclass, field
+from typing import Dict, NamedTuple, Optional, Union
 
 from repro.errors import AdviceFormatError, KarousosError
 from repro.storage.backend import StorageBackend
 from repro.storage.values import decode_value, encode_value
 from repro.server.variables import INIT_HID, INIT_RID, INIT_REF
 from repro.verifier.carry import CarryIn
+from repro.verifier.dag.plan import canonical_json
 from repro.verifier.preprocess import AuditState
 from repro.verifier.reexec import ReExecutor
 from repro.verifier.state import VarState
@@ -44,57 +45,121 @@ class CheckpointChainError(CheckpointError):
     """A stored checkpoint chain fails digest verification (forgery)."""
 
 
-def _canonical(value: object) -> object:
-    """Encoded value with dict pair lists sorted, so the digest does not
-    depend on insertion order."""
-    encoded = encode_value(value)
-    return _sort_encoded(encoded)
-
-
-def _sort_encoded(doc: object) -> object:
-    if isinstance(doc, dict):
-        if doc.get("t") == "d":
-            pairs = [
-                [_sort_encoded(k), _sort_encoded(v)] for k, v in doc["v"]
-            ]
+def _canonical(encoded: object) -> object:
+    """An encoded value with dict pair lists sorted, so the digest does
+    not depend on insertion order."""
+    if isinstance(encoded, dict):
+        if encoded.get("t") == "d":
+            pairs = [[_canonical(k), _canonical(v)] for k, v in encoded["v"]]
             pairs.sort(key=lambda kv: json.dumps(kv[0], sort_keys=True))
             return {"t": "d", "v": pairs}
-        if "v" in doc:
-            return {**doc, "v": _sort_encoded(doc["v"])}
-        return doc
-    if isinstance(doc, list):
-        return [_sort_encoded(x) for x in doc]
-    return doc
+        if "v" in encoded:
+            return {**encoded, "v": _canonical(encoded["v"])}
+        return encoded
+    if isinstance(encoded, list):
+        return [_canonical(x) for x in encoded]
+    return encoded
+
+
+class _Fragment(NamedTuple):
+    """One ``vars`` / ``kv`` entry as canonical JSON, ``[key,value]``.
+
+    ``digest`` is the entry inside the digest payload (dict pairs
+    sorted); ``stored`` is the entry inside the stored record (insertion
+    order kept: a carried dict must iterate as the server's did).  They
+    are one string unless the value holds a dict that sorting reorders.
+    ``value`` is the object both were encoded from.
+    """
+
+    value: object
+    digest: str
+    stored: str
+
+
+def _fragment(key: str, value: object) -> _Fragment:
+    encoded = encode_value(value)
+    canonical = _canonical(encoded)
+    digest = canonical_json([key, canonical])
+    stored = digest if canonical == encoded else canonical_json([key, encoded])
+    return _Fragment(value, digest, stored)
+
+
+class _Fragments(NamedTuple):
+    """A checkpoint's entries as fragments, each map in key order."""
+
+    vars: Dict[str, _Fragment]
+    kv: Dict[str, _Fragment]
+
+
+_NOTHING_KNOWN = _Fragments({}, {})
+
+
+def _fragments(
+    vars: Dict[str, object],
+    kv: Dict[str, object],
+    known: _Fragments = _NOTHING_KNOWN,
+) -> _Fragments:
+    """Fragments of ``vars`` and ``kv``, taking from ``known`` every entry
+    whose value is the *same object* and encoding the rest.
+
+    Identity, never equality: ``1``, ``True`` and ``1.0`` are equal and
+    encode differently.  It is sound because carried values are never
+    mutated in place -- the invariant that already keeps an in-memory
+    checkpoint equal to its stored record."""
+
+    def inherit(
+        entries: Dict[str, object], had: Dict[str, _Fragment]
+    ) -> Dict[str, _Fragment]:
+        out = {}
+        for key in sorted(entries):
+            value = entries[key]
+            fragment = had.get(key)
+            if fragment is None or fragment.value is not value:
+                fragment = _fragment(key, value)
+            out[key] = fragment
+        return out
+
+    return _Fragments(inherit(vars, known.vars), inherit(kv, known.kv))
+
+
+def _digest(index: int, parent_digest: str, fragments: _Fragments) -> str:
+    # Byte for byte ``canonical_json`` of {"index", "parent", "vars",
+    # "kv"} with the two entry lists in key order.
+    payload = '{"index":%s,"kv":[%s],"parent":%s,"vars":[%s]}' % (
+        canonical_json(index),
+        ",".join(f.digest for f in fragments.kv.values()),
+        canonical_json(parent_digest),
+        ",".join(f.digest for f in fragments.vars.values()),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def compute_digest(
     index: int, parent_digest: str, vars: Dict[str, object], kv: Dict[str, object]
 ) -> str:
-    doc = {
-        "index": index,
-        "parent": parent_digest,
-        "vars": sorted(
-            ([var_id, _canonical(value)] for var_id, value in vars.items()),
-            key=lambda pair: pair[0],
-        ),
-        "kv": sorted(
-            ([key, _canonical(value)] for key, value in kv.items()),
-            key=lambda pair: pair[0],
-        ),
-    }
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _digest(index, parent_digest, _fragments(vars, kv))
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Verified state at the end of one epoch."""
+    """Verified state at the end of one epoch.
+
+    ``_fragments`` caches the entries' encodings between the moment the
+    checkpoint is made and the moment its successor is: the digest, the
+    node journal's copy and the store's record are all assembled from
+    it, and the successor inherits every entry it did not rewrite.  It
+    is never compared, stored or trusted; without it (a decoded
+    checkpoint, :meth:`verify`) everything is encoded from the values.
+    """
 
     epoch: int
     parent_digest: str
     vars: Dict[str, object]
     kv: Dict[str, object]
     digest: str
+    _fragments: Optional[_Fragments] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def make(
@@ -103,14 +168,25 @@ class Checkpoint:
         parent_digest: str,
         vars: Dict[str, object],
         kv: Dict[str, object],
+        inherit: Optional["Checkpoint"] = None,
     ) -> "Checkpoint":
-        return cls(
+        """The checkpoint over ``vars`` and ``kv``.  ``inherit`` (the
+        chain predecessor) hands over its fragment cache, so only entries
+        holding a different object than they did there are encoded."""
+        known = inherit._fragments if inherit is not None else None
+        fragments = _fragments(vars, kv, known or _NOTHING_KNOWN)
+        cp = cls(
             epoch=epoch,
             parent_digest=parent_digest,
             vars=dict(vars),
             kv=dict(kv),
-            digest=compute_digest(epoch, parent_digest, vars, kv),
+            digest=_digest(epoch, parent_digest, fragments),
         )
+        object.__setattr__(cp, "_fragments", fragments)
+        if inherit is not None:
+            # One live cache per chain: memory stays one encoded state.
+            object.__setattr__(inherit, "_fragments", None)
+        return cp
 
     def verify(self) -> bool:
         return self.digest == compute_digest(
@@ -173,27 +249,29 @@ def checkpoint_from_audit(
             vars[var_id] = _final_var_value(var)
         # Plain (non-loggable) variables are per-request on the verifier
         # side -- nothing crosses a request boundary, so nothing to carry.
-    kv: Dict[str, object] = dict(parent.kv) if parent is not None else {}
-    kv.update(state.initial_kv)
+    # The map the audit started from -- the parent's, object for object.
+    kv: Dict[str, object] = dict(state.initial_kv)
     for rid, tid, i in state.advice.write_order:
         entry = state.advice.tx_logs[(rid, tid)][i]
         kv[entry.key] = entry.opcontents
     parent_digest = parent.digest if parent is not None else GENESIS_DIGEST
-    return Checkpoint.make(index, parent_digest, vars, kv)
+    return Checkpoint.make(index, parent_digest, vars, kv, inherit=parent)
 
 
 # -- storage -------------------------------------------------------------------
 
 
 def encode_checkpoint(cp: Checkpoint) -> str:
-    doc = {
-        "epoch": cp.epoch,
-        "parent": cp.parent_digest,
-        "vars": [[k, encode_value(v)] for k, v in sorted(cp.vars.items())],
-        "kv": [[k, encode_value(v)] for k, v in sorted(cp.kv.items())],
-        "digest": cp.digest,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # Byte for byte ``canonical_json`` of {"epoch", "parent", "vars",
+    # "kv", "digest"} with the two entry lists in key order.
+    fragments = cp._fragments or _fragments(cp.vars, cp.kv)
+    return '{"digest":%s,"epoch":%s,"kv":[%s],"parent":%s,"vars":[%s]}' % (
+        canonical_json(cp.digest),
+        canonical_json(cp.epoch),
+        ",".join(f.stored for f in fragments.kv.values()),
+        canonical_json(cp.parent_digest),
+        ",".join(f.stored for f in fragments.vars.values()),
+    )
 
 
 def decode_checkpoint(payload: Union[str, bytes]) -> Checkpoint:

@@ -10,6 +10,7 @@ O(epoch) instead of O(trace).
 
 from __future__ import annotations
 
+import hashlib
 import re
 from typing import Iterator, List, Optional, Tuple
 
@@ -22,7 +23,7 @@ from repro.advice.records import Advice
 from repro.continuous.epoch import Epoch
 from repro.errors import AdviceFormatError
 from repro.storage.backend import RecordReader, StorageBackend
-from repro.storage.records import pack_json, unpack_json
+from repro.storage.records import encode_record, pack_json, unpack_json
 from repro.trace.codec import RT_EVENT, decode_trace_event, encode_trace_event
 from repro.trace.trace import Trace
 
@@ -62,7 +63,8 @@ def iter_epoch_content_frames(
     """The ``(rtype, payload)`` frames that carry an epoch's content: one
     per trace event, then the advice bundle's.  :func:`write_epoch_stored`
     appends exactly these after the meta record, and the plan's epoch
-    digest (:func:`repro.verifier.dag.plan.epoch_digest`) hashes them."""
+    digest (:func:`repro.verifier.dag.plan.epoch_digest`) hashes them --
+    as does :func:`read_epoch_stream`, on their way in."""
     for event in trace:
         yield RT_EVENT, pack_json(encode_trace_event(event))
     if advice is not None:
@@ -99,6 +101,7 @@ def read_epoch_stream(reader: RecordReader) -> Epoch:
     trace = Trace()
     accum: AdviceAccumulator = AdviceAccumulator()
     saw_advice = False
+    content = hashlib.sha256()  # epoch_digest(), over the frames at rest
     for rtype, payload in reader:
         if rtype == RT_EPOCH_META:
             if meta is not None:
@@ -109,6 +112,7 @@ def read_epoch_stream(reader: RecordReader) -> Epoch:
             continue
         if meta is None:
             raise AdviceFormatError("epoch stream has no meta record")
+        content.update(encode_record(rtype, payload))
         if rtype == RT_EVENT:
             trace.append(decode_trace_event(unpack_json(payload)))
         elif rtype in ADVICE_RECORD_TYPES:
@@ -132,6 +136,7 @@ def read_epoch_stream(reader: RecordReader) -> Epoch:
         trace=trace.freeze(),
         advice=advice,
         binlog_range=(rng[0], rng[1]),
+        content_digest=content.hexdigest(),
     )
 
 

@@ -23,7 +23,7 @@ Epochs come from two places:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
 from repro.advice.records import Advice
@@ -33,12 +33,20 @@ from repro.trace.trace import REQ, RESP, Trace
 
 @dataclass(frozen=True)
 class Epoch:
-    """One sealed segment of the serving stream."""
+    """One sealed segment of the serving stream.
+
+    ``content_digest`` is set only by the reader of a stored epoch
+    (:func:`repro.continuous.codec.read_epoch_stream`): SHA-256 over the
+    trace and advice frames as they lay at rest, i.e.
+    :func:`repro.verifier.dag.plan.epoch_digest` without re-encoding what
+    was just decoded.  An epoch built in memory has none.
+    """
 
     index: int
     trace: Trace
     advice: Optional[Advice]
     binlog_range: Tuple[int, int] = (0, 0)
+    content_digest: Optional[str] = field(default=None, compare=False)
 
     def request_ids(self) -> List[str]:
         return self.trace.request_ids()

@@ -30,21 +30,83 @@ identically.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 
-@dataclass(frozen=True)
+# Structurally equal ids handed out by :meth:`HandlerId.intern`, so the
+# dicts keyed by them resolve probes by identity.  Holding values weakly
+# keeps the table the size of the ids still alive somewhere: hostile
+# advice can name any number of handlers, and a fleet daemon lives long.
+# Purely a cache over immutable values; no result depends on it.
+_INTERNED: "weakref.WeakValueDictionary[Tuple, HandlerId]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+@dataclass(frozen=True, eq=False)
 class HandlerId:
     """Structural handler identity ``(function_id, parent, opnum)``.
 
     ``parent is None`` marks a *request handler* (activated directly by a
     user request; its activator is the initialisation pseudo-handler I).
+
+    Ids key nearly every verifier dict, so the structural hash -- which
+    would recurse up the parent chain on every probe -- is taken once, at
+    construction.  It depends on ``PYTHONHASHSEED`` and therefore never
+    travels: pickling carries the three fields only (the same bytes as
+    before the hash was kept, which advice sizing counts) and the
+    receiving process hashes afresh.
     """
 
     function_id: str
     parent: Optional["HandlerId"] = None
     opnum: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.function_id, self.parent, self.opnum))
+        )
+
+    @classmethod
+    def intern(
+        cls, function_id: str, parent: Optional["HandlerId"] = None, opnum: int = 0
+    ) -> "HandlerId":
+        """The shared instance equal to ``HandlerId(function_id, parent,
+        opnum)``.  With ``parent`` interned too, the lookup itself is one
+        identity probe."""
+        key = (function_id, parent, opnum)
+        hid = _INTERNED.get(key)
+        if hid is None:
+            hid = _INTERNED[key] = cls(function_id, parent, opnum)
+        return hid
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not HandlerId:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.opnum == other.opnum
+            and self.function_id == other.function_id
+            and self.parent == other.parent
+        )
+
+    def __getstate__(self) -> dict:
+        return {
+            "function_id": self.function_id,
+            "parent": self.parent,
+            "opnum": self.opnum,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def ancestors(self) -> Iterator["HandlerId"]:
         """Yield this handler's proper ancestors, nearest first."""

@@ -44,12 +44,13 @@ class Multivalue:
     grouped execution carries the same ``rids`` tuple (enforced on zips).
     """
 
-    __slots__ = ("rids", "_shared", "_slots", "_collapsed")
+    __slots__ = ("rids", "_shared", "_slots", "_collapsed", "_slot_of")
 
     def __init__(self, rids: Sequence[str], values: Sequence[object]):
         if len(rids) != len(values):
             raise ValueError("rids and values must be parallel")
         self.rids = tuple(rids)
+        self._slot_of = None  # rid -> slot, built by the first get()
         first = values[0]
         if all(v == first for v in values[1:]):
             self._collapsed = True
@@ -66,6 +67,7 @@ class Multivalue:
     def uniform(cls, rids: Sequence[str], value: object) -> "Multivalue":
         mv = cls.__new__(cls)
         mv.rids = tuple(rids)
+        mv._slot_of = None
         mv._collapsed = True
         mv._shared = value
         mv._slots = None
@@ -84,7 +86,12 @@ class Multivalue:
     def get(self, rid: str) -> object:
         if self._collapsed:
             return self._shared
-        return self._slots[self.rids.index(rid)]
+        if self._slot_of is None:
+            self._slot_of = {r: i for i, r in enumerate(self.rids)}
+        try:
+            return self._slots[self._slot_of[rid]]
+        except KeyError:
+            raise ValueError(f"{rid!r} is not in this group") from None
 
     def values(self) -> List[object]:
         if self._collapsed:

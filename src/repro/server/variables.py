@@ -27,7 +27,7 @@ from repro.core.ids import HandlerId, Label
 from repro.core.rorder import labels_r_concurrent
 
 INIT_RID = "__init__"
-INIT_HID = HandlerId("__init__")
+INIT_HID = HandlerId.intern("__init__")
 INIT_REF: OpKey = (INIT_RID, INIT_HID, 0)
 
 

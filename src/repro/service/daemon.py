@@ -62,6 +62,16 @@ class _TenantRuntime:
         self.active: Optional[PlanJob] = None
         self.backpressured = False  # currently in the full-queue state?
 
+    @property
+    def corrupt(self) -> bool:
+        """Nothing more of this tenant can be audited: its pending epoch
+        never decodes, or its own stored state did not load."""
+        return self.source.corrupt or bool(self.stream.state_error)
+
+    @property
+    def error(self) -> str:
+        return self.stream.state_error or self.source.last_error
+
 
 class AuditService:
     """N tenant streams over one shared DAG scheduler."""
@@ -201,9 +211,9 @@ class AuditService:
         return sum(len(rt.stream.verdicts) for rt in self._tenants) - audited0
 
     def _drained(self) -> bool:
-        # A source with a pending-but-corrupt epoch is done *waiting*
-        # (nothing will ever decode it); it is reported as an input
-        # failure by summary(), not silently skipped.
+        # A corrupt tenant is done *waiting* (nothing will ever decode
+        # its pending epoch, or load its state); it is reported as an
+        # input failure by summary(), not silently skipped.
         return (
             self.pool.idle
             and all(
@@ -211,7 +221,7 @@ class AuditService:
                 for rt in self._tenants
             )
             and all(
-                not rt.source.has_pending() or rt.source.corrupt
+                not rt.source.has_pending() or rt.corrupt
                 for rt in self._tenants
             )
         )
@@ -242,6 +252,8 @@ class AuditService:
     def _ingest(self) -> int:
         count = 0
         for rt in self._tenants:
+            if rt.stream.state_error:
+                continue  # no trusted point to resume from
             room = rt.stream.queue_room
             if room <= 0:
                 if rt.source.has_pending() and not rt.backpressured:
@@ -338,7 +350,7 @@ class AuditService:
             gauge("service.backpressure_events", stream.backpressure_events)
             gauge("service.ingested", rt.source.ingested)
             gauge("service.torn_reads", rt.source.torn_reads)
-            gauge("service.input_corrupt", int(rt.source.corrupt))
+            gauge("service.input_corrupt", int(rt.corrupt))
             gauge("service.resumed_epochs", stream.skipped_resumed)
             gauge("service.quota_throttled",
                   self.pool.throttled.get(rt.name, 0))
@@ -358,11 +370,11 @@ class AuditService:
             stream = rt.stream
             verdicts = [stream.verdicts[i] for i in sorted(stream.verdicts)]
             rejection = stream.first_rejection
-            # A corrupt epoch stream is an audit failure, not a clean
-            # drain: the solo CLI rejects the same input with
-            # reason=input-format, and batch mode must not report
-            # ACCEPT for a tenant whose tail was never audited.
-            corrupt = rt.source.corrupt
+            # A corrupt epoch stream (or state stream) is an audit
+            # failure, not a clean drain: the solo CLI rejects the same
+            # input with reason=input-format, and batch mode must not
+            # report ACCEPT for a tenant whose tail was never audited.
+            corrupt = rt.corrupt
             if rejection is not None:
                 reason = rejection.result.reason
             elif corrupt:
@@ -380,7 +392,7 @@ class AuditService:
                     "ingested": rt.source.ingested,
                     "torn_reads": rt.source.torn_reads,
                     "corrupt": corrupt,
-                    "error": rt.source.last_error,
+                    "error": rt.error,
                 },
                 "resumed_epochs": stream.skipped_resumed,
                 "stats": stream.stats(),

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.continuous.auditor import ContinuousAuditor, EpochVerdict
-from repro.continuous.checkpoint import CheckpointStore
+from repro.continuous.checkpoint import CheckpointError, CheckpointStore
 from repro.continuous.codec import (
     epoch_stream_name,
     list_epoch_streams,
@@ -46,15 +46,13 @@ from repro.continuous.codec import (
 )
 from repro.continuous.epoch import Epoch
 from repro.continuous.journal import AuditJournal
-from repro.errors import AdviceFormatError, KarousosError
+from repro.errors import KarousosError
 from repro.storage.backend import StorageBackend, backend_for
-from repro.storage.records import RecordFormatError, RecordTruncatedError
+from repro.storage.records import RecordFormatError
 from repro.verifier.audit import Auditor
 from repro.verifier.dag.journal import NodeJournal
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
-
-_TORN = (AdviceFormatError, RecordFormatError, RecordTruncatedError)
 
 
 @dataclass
@@ -169,10 +167,7 @@ class EpochSource:
             try:
                 with self.backend.reader(name) as reader:
                     epoch = read_epoch_stream(reader)
-            except _TORN as exc:
-                self._record_torn(exc)
-                break
-            except KarousosError as exc:
+            except KarousosError as exc:  # torn, malformed or mid-write
                 self._record_torn(exc)
                 break
             if self._torn_index == self.next_index:
@@ -194,6 +189,12 @@ class TenantStream(ContinuousAuditor):
     ``repro audit --store`` run leaves behind), ``nodejournal/`` holds
     the per-epoch node journal for node-granular resume of the epoch
     that was in flight when the daemon stopped.
+
+    Stored state that does not load (a whole record that is not a
+    well-formed checkpoint or journal event) leaves the stream inert:
+    :attr:`state_error` says why, nothing of it is trusted or written
+    to, and the service reports the tenant ``input_corrupt`` while its
+    neighbours audit on.
     """
 
     def __init__(
@@ -216,11 +217,18 @@ class TenantStream(ContinuousAuditor):
         node_journal = NodeJournal(
             backend_for("file", os.path.join(state_dir, "nodejournal"))
         )
+        self.state_error = ""
+        try:
+            checkpoints = CheckpointStore(backend=self._state_backend)
+            journal = AuditJournal(backend=self._state_backend)
+        except (CheckpointError, RecordFormatError) as exc:
+            self.state_error = f"{type(exc).__name__}: {exc}"
+            checkpoints, journal = CheckpointStore(), AuditJournal()
         super().__init__(
             app,
             max_pending=config.max_pending,
-            checkpoints=CheckpointStore(backend=self._state_backend),
-            journal=AuditJournal(backend=self._state_backend),
+            checkpoints=checkpoints,
+            journal=journal,
             metrics=metrics,
             dedup=dedup,
             partition=partition,

@@ -38,7 +38,7 @@ def decode_hid(data: object) -> HandlerId:
             or not isinstance(part[1], int)
         ):
             raise AdviceFormatError(f"bad handler id segment: {part!r}")
-        hid = HandlerId(part[0], hid, part[1])
+        hid = HandlerId.intern(part[0], hid, part[1])
     return hid
 
 

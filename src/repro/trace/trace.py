@@ -9,7 +9,7 @@ treats the trace as trusted; everything else (the advice) is not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 REQ = "REQ"
 RESP = "RESP"
@@ -56,6 +56,11 @@ class Trace:
 
     events: List[TraceEvent] = field(default_factory=list)
     frozen: bool = field(default=False, compare=False)
+    # (kind, rid) -> first such event's data; built on the first lookup
+    # of a frozen trace (a live one still grows, so it scans).
+    _by_rid: Optional[Dict[Tuple[str, str], object]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def append(self, event: TraceEvent) -> None:
         if self.frozen:
@@ -86,16 +91,26 @@ class Trace:
         return [e.data for e in self.events if e.kind == REQ]
 
     def request(self, rid: str) -> Request:
-        for e in self.events:
-            if e.kind == REQ and e.rid == rid:
-                return e.data
-        raise KeyError(rid)
+        return self._lookup(REQ, rid)
 
     def response(self, rid: str) -> object:
-        for e in self.events:
-            if e.kind == RESP and e.rid == rid:
-                return e.data
-        raise KeyError(rid)
+        return self._lookup(RESP, rid)
+
+    def _lookup(self, kind: str, rid: str) -> object:
+        if not self.frozen:
+            for e in self.events:
+                if e.kind == kind and e.rid == rid:
+                    return e.data
+            raise KeyError(rid)
+        if self._by_rid is None:
+            index: Dict[Tuple[str, str], object] = {}
+            for e in self.events:
+                index.setdefault((e.kind, e.rid), e.data)
+            self._by_rid = index
+        try:
+            return self._by_rid[(kind, rid)]
+        except KeyError:
+            raise KeyError(rid) from None
 
     def responses(self) -> Dict[str, object]:
         return {e.rid: e.data for e in self.events if e.kind == RESP}

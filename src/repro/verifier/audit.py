@@ -241,7 +241,8 @@ class Auditor:
     ``checkpoint_index`` / ``checkpoint_parent`` arm the checkpoint node
     (continuous auditing): an accepted run leaves the extracted
     :class:`~repro.continuous.checkpoint.Checkpoint` in
-    ``self.checkpoint``.  ``metrics`` (a
+    ``self.checkpoint``; :meth:`for_epoch` builds the engine from a
+    sealed epoch directly.  ``metrics`` (a
     :class:`~repro.obs.MetricsRegistry`) turns on the observability
     spine; ``progress`` is a per-node hook ``(stage, seconds)``.
 
@@ -314,6 +315,9 @@ class Auditor:
         self.kill_after = kill_after
         self.order_key = order_key
         self.epoch = checkpoint_index if checkpoint_index is not None else 0
+        # What the plan is compiled over; for_epoch substitutes the
+        # sealed epoch itself.
+        self._epoch_like: object = single_epoch(self.epoch, self.trace, advice)
 
         self.state: Optional[AuditState] = None
         self.re_exec: Optional[ReExecutor] = None
@@ -336,6 +340,18 @@ class Auditor:
         self._fresh: Set[str] = set()
         self._jstate = None
         self._journal_writes = 0
+
+    @classmethod
+    def for_epoch(cls, app: AppSpec, epoch: object, **options) -> "Auditor":
+        """The engine for one sealed epoch (``.index``, ``.trace``,
+        ``.advice``), its checkpoint node armed with the epoch's index.
+        The plan is compiled over ``epoch`` itself, so a content digest
+        it brought from storage is not recomputed by re-encoding it."""
+        auditor = cls(
+            app, epoch.trace, epoch.advice, checkpoint_index=epoch.index, **options
+        )
+        auditor._epoch_like = epoch
+        return auditor
 
     # -- entry points ------------------------------------------------------
 
@@ -362,7 +378,7 @@ class Auditor:
         try:
             plan = compile_plan(
                 self.app.name,
-                [single_epoch(self.epoch, self.trace, self.advice)],
+                [self._epoch_like],
                 singleton_groups=self.singleton_groups,
                 dedup=self.dedup is not None,
                 partition=self.partition,

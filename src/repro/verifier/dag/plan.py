@@ -29,10 +29,12 @@ digest: SHA-256 over the plan document, which embeds each epoch's digest
 the advice, determine every group's members).  Two runs over the same
 inputs compile to byte-identical plans with equal digests -- which is
 what makes a node journal written by a killed run addressable from the
-resumed one -- and a journal is refused against any other digest.  The
-digests re-encode the whole trace and advice, so they are computed on
-first use, by their two consumers: the node journal's resume guard and
-the printed plan document (``repro plan``).
+resumed one -- and a journal is refused against any other digest.  An
+epoch read from storage brings its digest along (hashed frame by frame
+as it was decoded); for one built in memory the digest re-encodes the
+whole trace and advice, so it is computed on first use, by its two
+consumers: the node journal's resume guard and the printed plan
+document (``repro plan``).
 
 Edges encode stage order, the carry-in chain (``checkpoint(k-1) ->
 preprocess(k)``), dedup-cache dependencies (``isolation -> dedup ->
@@ -161,12 +163,15 @@ class PlanNode(NamedTuple):
 class EpochPlanMeta:
     """Per-epoch summary carried by the plan document.  ``requests`` and
     ``digest`` walk the whole trace, so they are computed when a document
-    or the journal's resume guard asks."""
+    or the journal's resume guard asks.  ``content_digest`` is the
+    epoch-like's own, taken where its stored frames were read; an epoch
+    that never was at rest has none and is encoded to be hashed."""
 
     index: int
     groups: int
     trace: object = field(repr=False)
     advice: object = field(repr=False)
+    content_digest: Optional[str] = None
 
     @property
     def requests(self) -> int:
@@ -174,7 +179,7 @@ class EpochPlanMeta:
 
     @functools.cached_property
     def digest(self) -> str:
-        return epoch_digest(self.trace, self.advice)
+        return self.content_digest or epoch_digest(self.trace, self.advice)
 
 
 @dataclass
@@ -280,8 +285,9 @@ def compile_plan(
     """Compile an audit request into an :class:`AuditPlan`.
 
     ``epochs`` is a sequence of epoch-like objects (``.index``,
-    ``.trace``, ``.advice``) -- a single-epoch list for a plain audit, a
-    sealed sequence for a continuous one.  ``partition`` folds the wave
+    ``.trace``, ``.advice``, optionally ``.content_digest``) -- a
+    single-epoch list for a plain audit, a sealed sequence for a
+    continuous one.  ``partition`` folds the wave
     pre-partitioning in as scheduling edges (``static`` requires
     ``hints``, exactly like :func:`~repro.verifier.parallel.compute_waves`).
     """
@@ -321,7 +327,11 @@ def compile_plan(
         groups = epoch_groups(advice, singleton_groups)
         plan.epochs.append(
             EpochPlanMeta(
-                index=index, groups=len(groups), trace=epoch.trace, advice=advice
+                index=index,
+                groups=len(groups),
+                trace=epoch.trace,
+                advice=advice,
+                content_digest=getattr(epoch, "content_digest", None),
             )
         )
 

@@ -337,7 +337,7 @@ def _add_handler_related_edges(state: AuditState) -> None:
                 for event, fid in global_handlers + registered:
                     if event != op.event:
                         continue
-                    hid_child = HandlerId(fid, op.hid, op.opnum)
+                    hid_child = HandlerId.intern(fid, op.hid, op.opnum)
                     if (rid, hid_child) not in advice.opcounts:
                         raise AuditRejected(
                             "unreported-handler",

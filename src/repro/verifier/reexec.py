@@ -209,7 +209,7 @@ class ReExecutor:
             )
         active = deque()
         for fid in fids:
-            hid = HandlerId(fid, None, 0)
+            hid = HandlerId.intern(fid, None, 0)
             self._require_opcounts(rids, hid)
             active.append((hid, inputs))
         while active:
@@ -571,7 +571,7 @@ class GroupContext:
             "error": self._lift(errors),
             "extra": extra,
         }
-        child = HandlerId(callback_fid, self._hid, opnum)
+        child = HandlerId.intern(callback_fid, self._hid, opnum)
         self._re._require_opcounts(self._rids, child)
         self._active.append((child, payload))
 

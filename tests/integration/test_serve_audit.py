@@ -336,6 +336,53 @@ class TestCorruptInput:
         assert snap["gauges"]["tenant.bad.service.input_corrupt"] == 1
         assert snap["gauges"]["tenant.good.service.input_corrupt"] == 0
 
+    @pytest.mark.parametrize("stream,kind,payload", [
+        ("checkpoints", "checkpoint", b'{"epoch":"x"}'),
+        ("journal", "journal", b"[1,2]"),
+    ])
+    def test_malformed_state_record_fails_only_its_tenant(
+        self, fleets, tmp_path, stream, kind, payload
+    ):
+        """A CRC-valid but malformed record in one tenant's *state*
+        streams used to raise out of ``AuditService.__init__`` and take
+        the whole fleet down."""
+        motd = _serve("motd", motd_workload(12, mix="mixed", seed=7))
+        stores = {
+            "motd": _store_epochs(
+                tmp_path, "motd-input", slice_epochs(motd.trace, motd.advice, 4)
+            ),
+            "feed": _store_epochs(tmp_path, "feed-input", fleets["feed"]),
+            "wiki": _store_epochs(tmp_path, "wiki-input", fleets["wiki"]),
+        }
+        tenants = [TenantConfig(app=name, store=stores[name]) for name in stores]
+        state_dir = os.path.join(str(tmp_path), "state")
+        # A first pass leaves every tenant real state; feed and wiki's
+        # is then set aside so the second pass has epochs to audit.
+        AuditService(tenants, state_dir=state_dir).run(once=True)
+        for name in ("feed", "wiki"):
+            os.rename(os.path.join(state_dir, name),
+                      os.path.join(state_dir, name + ".first"))
+        damaged = backend_for("file", os.path.join(state_dir, "motd", "audit"))
+        with damaged.append(stream, kind) as writer:
+            writer.append(1, payload)
+
+        service = AuditService(tenants, state_dir=state_dir)
+        service.run(once=True)
+        doc = service.summary()
+        motd = doc["tenants"]["motd"]
+        assert motd["accepted"] is False and motd["reason"] == "input-format"
+        assert motd["input"]["corrupt"] and motd["input"]["error"]
+        assert motd["epochs"] == []  # nothing audited from untrusted state
+        for name in ("feed", "wiki"):
+            assert doc["tenants"][name]["accepted"] is True
+            got, _ = _stream_fingerprints(service, name)
+            want, _ = _solo(name, fleets[name])
+            assert got == want
+        gauges = service.fleet_snapshot()["gauges"]
+        assert gauges["tenant.motd.service.input_corrupt"] == 1
+        assert gauges["tenant.feed.service.input_corrupt"] == 0
+        assert gauges["tenant.wiki.service.input_corrupt"] == 0
+
 
 @tier1
 class TestBackpressure:

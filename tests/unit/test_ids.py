@@ -1,6 +1,11 @@
 """Unit tests for handler ids, labels, and operation references."""
 
+import os
+import pickle
+import subprocess
+import sys
 
+import repro
 from repro.core.ids import HandlerId, Label, OpRef, TxId, make_rid
 
 
@@ -65,6 +70,57 @@ class TestHandlerId:
 
     def test_depth(self):
         assert chain("a", "b", "c").depth() == 2
+
+    def test_intern_returns_the_one_equal_instance(self):
+        built = HandlerId("f", HandlerId("root"), 3)
+        shared = HandlerId.intern("f", HandlerId.intern("root"), 3)
+        assert shared is HandlerId.intern("f", HandlerId("root"), 3)
+        assert shared == built and shared is not built
+        assert {built: "entry"}[shared] == "entry"
+        assert shared != HandlerId.intern("f", HandlerId.intern("root"), 4)
+        assert shared != ("f", shared.parent, 3)
+
+    def test_hash_is_the_structural_hash_taken_once(self):
+        hid = chain("a", "b", "c")
+        assert hash(hid) == hash((hid.function_id, hid.parent, hid.opnum))
+        assert hash(hid) == hid._hash
+
+    def test_pickle_carries_no_hash_and_did_not_grow(self):
+        hid = HandlerId("f", HandlerId("root"), 3)
+        blob = pickle.dumps(hid, protocol=4)
+        assert b"_hash" not in blob
+        # The size before the hash was kept.  Not one byte more or less:
+        # ``advice_size_bytes`` (Fig. 8, the benchmark's
+        # ``advice_bytes_per_req``) measures advice by its pickled length.
+        assert len(blob) == 114
+        restored = pickle.loads(blob)
+        assert restored == hid and hash(restored) == hash(hid)
+        assert restored.parent._hash == hash(hid.parent)
+
+    def test_pickled_under_another_hash_seed_still_finds_its_entry(self):
+        """A spawned worker, or whoever wrote a persisted verdict cache,
+        hashed under its own ``PYTHONHASHSEED``."""
+        script = (
+            "import pickle, sys\n"
+            "from repro.core.ids import HandlerId\n"
+            "hid = HandlerId.intern('f', HandlerId.intern('root'), 3)\n"
+            "sys.stdout.write(pickle.dumps({hid: hash(hid)}).hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        hashes = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, timeout=60, check=True,
+            )
+            table = pickle.loads(bytes.fromhex(done.stdout))
+            local = HandlerId("f", HandlerId("root"), 3)
+            assert local in table
+            (theirs,) = table
+            assert hash(theirs) == hash(local)
+            hashes.add(table[local])
+        assert len(hashes) == 2, "the two writers hashed alike: seeds ignored?"
 
 
 class TestLabel:

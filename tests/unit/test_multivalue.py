@@ -40,6 +40,13 @@ class TestCollapse:
         assert mv.get("r2") == 20
         assert Multivalue.uniform(RIDS, 5).get("r3") == 5
 
+    def test_get_reads_every_slot_and_rejects_strangers(self):
+        mv = Multivalue(RIDS, [10, 20, 30])
+        assert [mv.get(rid) for rid in RIDS] == [10, 20, 30]
+        assert [mv.map(lambda v: v + 1).get(rid) for rid in RIDS] == [11, 21, 31]
+        with pytest.raises(ValueError):
+            mv.get("r9")
+
 
 class TestDeduplication:
     def test_collapsed_map_runs_once(self):

@@ -135,3 +135,26 @@ class TestFrozenSnapshots:
         assert sub.frozen and len(sub) == 2
         with pytest.raises(TypeError):
             sub.append(TraceEvent(REQ, "r2", req("r2")))
+
+    def test_frozen_lookups_answer_like_the_scan(self):
+        """A frozen trace indexes its events on the first lookup; a live
+        one keeps scanning because it still grows."""
+        live = Trace()
+        live.append(TraceEvent(REQ, "r1", req("r1", "first")))
+        live.append(TraceEvent(RESP, "r1", {"v": 1}))
+        assert live.response("r1") == {"v": 1}
+        # Duplicates (a malformed trace the auditor will reject): the
+        # first event of a kind wins, indexed or scanned.
+        live.append(TraceEvent(REQ, "r1", req("r1", "second")))
+        live.append(TraceEvent(RESP, "r1", {"v": 2}))
+        live.append(TraceEvent(REQ, "r2", req("r2")))
+        frozen = live.freeze()
+        for trace in (live, frozen, frozen):
+            assert trace.request("r1").route == "first"
+            assert trace.response("r1") == {"v": 1}
+            assert trace.request("r2").rid == "r2"
+            with pytest.raises(KeyError, match="r2"):
+                trace.response("r2")
+            with pytest.raises(KeyError, match="nope"):
+                trace.request("nope")
+        assert frozen == live.freeze()  # the index is not part of equality
