@@ -20,8 +20,8 @@ the route's static key symbols, blind writes and atomic updates must be
 predicted with the right access kind, every activated handler must lie
 in its route's static closure, and every observed cross-route conflict
 must appear in the static conflict matrix.  Escapes land in
-``effect_unpredicted`` and fail the gate, because the parallel
-pre-partitioning and dedup digest restriction trust exactly these facts.
+``effect_unpredicted`` and fail the gate: the conflict matrix and lint
+rules R6-R9 are read off exactly these facts.
 
 The recording proxy wraps the live :class:`HandlerContext`, so the
 observation is exactly what the server executed -- same runtime, same
@@ -302,16 +302,13 @@ def _check_effects(
     Gate checks, each the dynamic complement of a static claim:
 
     * every activated handler lies in the closure of the route that
-      reached it (the closure is what conflict/dedup decisions range over);
+      reached it (the closure is what the conflict matrix ranges over);
     * every concrete store key read/written by a handler is covered by a
       key symbol of some route the handler runs under (exact match for
       constant symbols, prefix match for families, anything for ⊤);
     * every blind write / atomic update is predicted with the right kind
       (the conflict predicate distinguishes them);
-    * every observed variable read lies in the summary's variable set --
-      :meth:`~repro.analysis.effects.StaticHints.relevant_vars` restricts
-      the dedup digest to exactly that set, so a read escape is a wrong
-      digest, not just imprecision;
+    * every observed variable read lies in the summary's variable set;
     * every *observed* cross-route conflict is in the static conflict
       matrix -- implied by the per-effect checks for a monotone predicate,
       but checked explicitly so a predicate bug cannot hide behind them.
@@ -358,9 +355,6 @@ def _check_effects(
                     "static key symbol"
                 )
         if not summary.dynamic_vars:
-            # relevant_vars() narrows the dedup digest to the summary's
-            # variable set, so an observed read outside it is a digest
-            # soundness escape, not just imprecision.
             for var in sorted(obs.reads - summary.all_vars()):
                 problems.append(
                     f"{fid}: ctx.read of {var!r} not covered by the "

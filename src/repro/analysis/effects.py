@@ -17,26 +17,22 @@ same interprocedural walk to **symbolic** read/write effect summaries:
   event registrations), with the callback's payload-derived keys
   substituted by what the parent ``tx_get`` actually passes.
 
-On top of the summaries sit three consumers:
+On top of the summaries sit two consumers, both offline (nothing on the
+audit path imports this package):
 
 * a **conflict matrix / commutativity relation** between route pairs:
   two routes conflict exactly when one blind-writes a variable the other
   touches (or either footprint is unbounded); atomic updates commute
   (their precedence chains are advice-ordered) and store keys are
-  transaction-protected, so update-heavy apps partition cleanly;
+  transaction-protected (``repro analyze --conflicts``);
 * lint rules **R6-R9** (blind write-write pairs, SNAPSHOT write-skew
   candidates, unprotected read-modify-write, footprint widening),
-  reported through the existing :class:`~repro.analysis.report.LintReport`;
-* :class:`StaticHints`, the runtime-facing view: the parallel driver
-  pre-partitions statically-disjoint groups and the dedup layer skips
-  digesting statically-uncacheable routes and restricts digests to the
-  statically-relevant variable set.
+  reported through the existing :class:`~repro.analysis.report.LintReport`.
 
-Everything here is *advisory* for verdicts (the canonical merge makes any
-partition verdict-identical; dedup restriction is gated by the crosscheck
-soundness property) but the soundness of the *summaries* themselves is
-load-bearing for the crosscheck gate: an observed effect the summary
-missed fails CI (:mod:`repro.analysis.crosscheck`).
+No verdict depends on anything here: the auditor neither schedules nor
+deduplicates by these summaries.  Their soundness is gated on its own
+terms -- an observed effect a summary missed fails CI
+(:mod:`repro.analysis.crosscheck`).
 
 The machine-readable form is the ``repro.effects/1`` schema
 (:meth:`AppEffects.to_dict`), surfaced by ``repro analyze``.
@@ -1329,61 +1325,6 @@ def effect_violations(effects: AppEffects) -> List[Violation]:
     return out
 
 
-# -- runtime-facing hints -----------------------------------------------------
-
-
-@dataclass
-class StaticHints:
-    """The runtime's view of the static analysis.
-
-    Consumed by :mod:`repro.verifier.parallel` (conflict-driven wave
-    pre-partitioning) and :mod:`repro.verifier.dedup` (uncacheable-route
-    skip, digest read-set restriction).  Every answer degrades to the
-    conservative fallback for anything the analysis could not bound.
-    """
-
-    app_name: str
-    effects: AppEffects
-
-    @classmethod
-    def from_app(cls, app: AppSpec) -> "StaticHints":
-        return cls(app_name=app.name, effects=analyze_effects(app))
-
-    def conflicting(self, route_a: str, route_b: str) -> bool:
-        """May activations of these routes conflict?  Unknown -> True."""
-        conflict = self.effects.conflict(route_a, route_b)
-        if conflict is None:
-            return True
-        return conflict.conflicts
-
-    def uncacheable_routes(self) -> FrozenSet[str]:
-        """Routes whose activation tree reaches an uncacheable handler."""
-        out: Set[str] = set()
-        for route, eff in self.effects.routes.items():
-            if eff.widened or any(
-                not self.effects.handlers[fid].cacheable
-                for fid in eff.closure
-                if fid in self.effects.handlers
-            ):
-                out.add(route)
-        return frozenset(out)
-
-    def relevant_vars(self, routes: Iterable[str]) -> Optional[FrozenSet[str]]:
-        """The variables a group of these routes can statically touch.
-
-        ``None`` means "no restriction" -- some route is unknown, widened,
-        or has an unbounded variable footprint, so the digest must keep
-        the full initial-variable state.
-        """
-        out: Set[str] = set()
-        for route in routes:
-            eff = self.effects.routes.get(route)
-            if eff is None or eff.widened or eff.effect.dynamic_vars or eff.effect.opaque:
-                return None
-            out |= eff.effect.all_vars()
-        return frozenset(out)
-
-
 __all__ = [
     "EFFECTS_SPEC",
     "TOP",
@@ -1394,7 +1335,6 @@ __all__ = [
     "KeySym",
     "RouteConflict",
     "RouteEffect",
-    "StaticHints",
     "analyze_effects",
     "any_covers",
     "effect_violations",

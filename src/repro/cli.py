@@ -11,9 +11,8 @@
 ``audit`` exits 0 on ACCEPT and 3 on REJECT so it can gate deployments;
 ``lint`` exits 0 when clean and 4 on violations so it can gate merges,
 as does ``analyze --conflicts`` on ERROR-severity effect findings
-(R6-R9).  ``audit --static-hints`` layers the static effect analysis
-onto scheduling (--jobs) and deduplication (--dedup) without changing
-any verdict.
+(R6-R9).  The analysis subcommands (``lint``, ``annotate``, ``analyze``)
+are offline tools: no audit consults them.
 """
 
 from __future__ import annotations
@@ -92,16 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--singleton-groups", action="store_true",
                      help="use the sequential OOOAudit (one group per request)")
     aud.add_argument("--jobs", type=int, default=1,
-                     help="shard re-execution groups across N workers "
-                     "(processes when the inputs pickle, else threads, "
-                     "unless --scheduler says otherwise)")
-    aud.add_argument("--static-hints", action="store_true",
-                     help="consult the static effect analysis "
-                     "(repro analyze --conflicts): --jobs > 1 pre-partitions "
-                     "waves by the static conflict matrix and --dedup "
-                     "restricts group digests to the statically-relevant "
-                     "read set; verdicts are byte-identical with hints on "
-                     "or off (see DESIGN.md §12)")
+                     help="shard re-execution groups across N worker "
+                     "processes (in-process, with a diagnostic, when the "
+                     "inputs do not pickle)")
     aud.add_argument("--format", default="text", choices=["text", "json"],
                      help="verdict output: human text (default) or one "
                      "machine-readable JSON object on stdout")
@@ -124,11 +116,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="with --dedup: in-run batching only, no verdict "
                      "cache carried across epochs or runs")
     aud.add_argument("--scheduler", default=None,
-                     choices=["serial", "thread", "process"],
+                     choices=["serial", "process"],
                      help="worker-pool backend of the audit engine's "
                      "ready-queue loop (default: serial for --jobs 1, else "
-                     "process or thread; verdict-identical; see DESIGN.md "
-                     "§5 and repro plan)")
+                     "process; verdict-identical; see DESIGN.md §5 and "
+                     "repro plan)")
     aud.add_argument("--node-journal", metavar="DIR",
                      help="persist per-node completion records here "
                      "(digest-chained), enabling node-granular crash "
@@ -154,10 +146,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      "audit journals, and node journals live under "
                      "DIR/<tenant>/ (the resume substrate)")
     svc.add_argument("--scheduler", default="serial",
-                     choices=["serial", "thread", "process"],
+                     choices=["serial", "process"],
                      help="shared pool's execution backend (default serial)")
     svc.add_argument("--jobs", type=int, default=1,
-                     help="worker width for --scheduler thread/process")
+                     help="worker width for --scheduler process")
     svc.add_argument("--no-quotas", action="store_true",
                      help="disable per-tenant quotas and fair scheduling: "
                      "strict FIFO admission order (exhibits super-producer "
@@ -206,11 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="one re-execution group per request (OOOAudit)")
     plan.add_argument("--dedup", action="store_true",
                       help="plan with the dedup barrier armed")
-    plan.add_argument("--static-hints", action="store_true",
-                      help="fold the static conflict matrix into the wave "
-                      "pre-partitioning (DESIGN.md §12)")
     plan.add_argument("--format", default="text", choices=["text", "json"],
-                      help="human text (default) or the repro.plan/2 JSON "
+                      help="human text (default) or the repro.plan/3 JSON "
                       "document on stdout")
 
     cache = sub.add_parser(
@@ -363,30 +352,19 @@ def _make_node_journal(args, metrics=None):
     return NodeJournal(backend_for("file", args.node_journal, metrics=metrics))
 
 
-def _make_dedup(args, metrics=None, hints=None):
+def _make_dedup(args, metrics=None):
     """A Deduplicator per the --dedup/--cache-dir/--no-cache flags, or
-    None when deduplication is off.  ``hints`` (StaticHints from
-    --static-hints) arms the cacheability shortcut and the digest
-    read-set restriction."""
+    None when deduplication is off."""
     if not (args.dedup or args.cache_dir):
         return None
     from repro.verifier.dedup import Deduplicator, VerdictCache
 
     if args.no_cache:
-        return Deduplicator(cache=None, hints=hints)
+        return Deduplicator(cache=None)
     if args.cache_dir:
         backend = backend_for("file", args.cache_dir, metrics=metrics)
-        return Deduplicator(VerdictCache(backend, metrics=metrics), hints=hints)
-    return Deduplicator(VerdictCache(metrics=metrics), hints=hints)
-
-
-def _make_hints(args):
-    """StaticHints for --static-hints, else None."""
-    if not getattr(args, "static_hints", False):
-        return None
-    from repro.analysis.effects import StaticHints
-
-    return StaticHints.from_app(make_app(args.app))
+        return Deduplicator(VerdictCache(backend, metrics=metrics))
+    return Deduplicator(VerdictCache(metrics=metrics))
 
 
 def _store_backend(args, metrics=None):
@@ -504,23 +482,21 @@ def _cmd_audit(args) -> int:
 def _dispatch_audit(args) -> int:
     metrics = _make_metrics(args)
     progress = _progress_hook(args)
-    hints = _make_hints(args)
-    dedup = _make_dedup(args, metrics=metrics, hints=hints)
+    dedup = _make_dedup(args, metrics=metrics)
     try:
-        return _dispatch_audit_inner(args, metrics, progress, dedup, hints)
+        return _dispatch_audit_inner(args, metrics, progress, dedup)
     finally:
         if dedup is not None:
             dedup.close()  # seal the verdict-cache stream
 
 
-def _dispatch_audit_inner(args, metrics, progress, dedup, hints=None) -> int:
+def _dispatch_audit_inner(args, metrics, progress, dedup) -> int:
     from repro.continuous import iter_epochs_stored, slice_epochs
     from repro.continuous.codec import list_epoch_streams
 
     backend = _store_backend(args, metrics=metrics)
     engine = dict(
         parallelism=args.jobs, scheduler=args.scheduler,
-        partition="static" if hints is not None else None, hints=hints,
         metrics=metrics, progress=progress, dedup=dedup,
         node_journal=_make_node_journal(args, metrics),
     )
@@ -744,13 +720,10 @@ def _cmd_plan(args) -> int:
             if args.epochs
             else [single_epoch(0, *pair)]
         )
-    hints = _make_hints(args)
     plan = compile_plan(
         args.app, epochs,
         singleton_groups=args.singleton_groups,
         dedup=args.dedup,
-        partition="static" if hints is not None else None,
-        hints=hints,
     )
     validate_plan(plan)
     if args.format == "json":

@@ -72,8 +72,6 @@ class ContinuousAuditor:
         metrics: Optional[MetricsRegistry] = None,
         progress: Optional[StageHook] = None,
         dedup: Optional[object] = None,
-        partition: Optional[str] = None,
-        hints: Optional[object] = None,
         scheduler: Optional[str] = None,
         node_journal: Optional[object] = None,
         namespace: Optional[str] = None,
@@ -87,10 +85,6 @@ class ContinuousAuditor:
         # ``continuous.*`` counters: a namespace scopes every metric this
         # instance records to ``<namespace>.<name>``.
         self.namespace = namespace or ""
-        # Static scheduling/dedup hints are app-level, so one StaticHints
-        # serves every epoch (see DESIGN.md §12).
-        self.partition = partition
-        self.hints = hints
         # One Deduplicator shared across every epoch's Auditor: digests
         # cover the carry-in state (checkpoint-anchored), so a group that
         # recurs in a later epoch under the same carried values is a hit.
@@ -286,8 +280,6 @@ class ContinuousAuditor:
             epoch,
             parallelism=self.parallelism,
             scheduler=self.scheduler,
-            partition=self.partition,
-            hints=self.hints,
             carry=parent.carry_in() if parent is not None else None,
             metrics=self.metrics,
             progress=self._epoch_progress(epoch),

@@ -10,7 +10,7 @@ Two end-to-end properties over the bundled apps:
   tallied but never escalate.
 * **completeness** -- serve an honest workload and audit it unmutated
   through every engine configuration (``driver``: grouped,
-  singleton-group, two workers, continuous) and storage backend (direct
+  singleton-group, shuffled schedule, continuous) and storage backend (direct
   objects, memory, file, gzip record streams).  Any REJECT of an honest run is a **failure** of the
   audit's completeness guarantee.
 
@@ -251,8 +251,14 @@ def run_completeness_case(
     if case.driver == "singleton":
         kwargs["singleton_groups"] = True
     elif case.driver == "parallel":
-        kwargs["parallelism"] = 2
-        kwargs["scheduler"] = "thread"
+        # What a worker pool does to the engine, without the pool: nodes
+        # are absorbed out of canonical order (seeded, so a failure
+        # replays).
+        rng = random.Random(case.workload.schedule_seed)
+        rank: Dict[str, float] = {}
+        kwargs["order_key"] = lambda node: rank.setdefault(
+            node.node_id, rng.random()
+        )
     result = Auditor(app, trace, advice, dedup=dedup, **kwargs).run()
     if not result.accepted:
         stats.record_reject(result.reason)

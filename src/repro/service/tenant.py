@@ -204,8 +204,6 @@ class TenantStream(ContinuousAuditor):
         state_dir: str,
         metrics=None,
         dedup=None,
-        hints=None,
-        partition: Optional[str] = None,
     ):
         self.config = config
         self.name = config.name
@@ -231,8 +229,6 @@ class TenantStream(ContinuousAuditor):
             journal=journal,
             metrics=metrics,
             dedup=dedup,
-            partition=partition,
-            hints=hints,
             node_journal=node_journal,
         )
 

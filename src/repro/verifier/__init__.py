@@ -19,7 +19,6 @@ from repro.verifier.explain import (
     explain_rejection,
     report_from_result,
 )
-from repro.verifier.parallel import compute_waves
 
 __all__ = [
     "STAGES",
@@ -32,7 +31,6 @@ __all__ = [
     "format_plan_text",
     "validate_plan",
     "audit",
-    "compute_waves",
     "explain_rejection",
     "report_from_result",
 ]

@@ -91,18 +91,16 @@ from repro.verifier.dag.plan import (
 from repro.verifier.dag.scheduler import (
     SCHEDULER_PROCESS,
     SCHEDULER_SERIAL,
-    SCHEDULER_THREAD,
     SCHEDULERS,
     PlanAborted,
     Scheduler,
 )
 from repro.verifier.isolation import verify_isolation_level
 from repro.verifier.parallel import (
-    PARTITIONS,
-    PARTITION_STATIC,
     GroupDelta,
     execute_group,
     merge_delta,
+    run_group_in_worker,
 )
 from repro.verifier.postprocess import postprocess
 from repro.verifier.preprocess import AuditState, preprocess
@@ -230,13 +228,14 @@ class Auditor:
     intermediate state (``state``, ``re_exec``, ``checkpoint``, ``plan``,
     ``stage_seconds``, ``node_seconds``) for tests and tooling.
 
-    ``scheduler`` names the ready-queue backend (``serial``, ``thread``,
+    ``scheduler`` names the ready-queue backend (``serial`` or
     ``process``).  Left unset it follows ``parallelism``: one worker is
     serial; more fan re-execution groups out over processes when
-    ``(app, trace, advice, carry)`` pickles, else over threads
-    (closure-based apps cannot cross a process boundary).  Either way
-    groups reduce in canonical order, so verdict and deterministic
-    statistics do not depend on the choice.
+    ``(app, trace, advice, carry)`` pickles.  When it does not
+    (closure-based apps cannot cross a process boundary) every node runs
+    in this process and a ``parallel-disabled`` diagnostic says so.
+    Either way groups reduce in canonical order, so verdict and
+    deterministic statistics do not depend on the choice.
 
     ``checkpoint_index`` / ``checkpoint_parent`` arm the checkpoint node
     (continuous auditing): an accepted run leaves the extracted
@@ -251,11 +250,6 @@ class Auditor:
     Deduplicator lifetime and verdict-cache hits skip re-execution
     entirely, with verdicts provably unchanged (DESIGN.md §11).  The same
     object may be shared across many Auditors (epochs, runs).
-
-    ``partition`` selects the wave policy folded into the plan's edges
-    (structural, footprint, or static); the static policy needs
-    ``hints``, a :class:`~repro.analysis.effects.StaticHints` built from
-    the app (DESIGN.md §12).  Hints steer scheduling and dedup only.
 
     ``node_journal`` / ``resume`` give node-granular crash resume
     (``resume="auto"``: a journal left by another plan is discarded, not
@@ -273,8 +267,6 @@ class Auditor:
         singleton_groups: bool = False,
         parallelism: int = 1,
         scheduler: Optional[str] = None,
-        partition: Optional[str] = None,
-        hints: Optional[object] = None,
         dedup: Optional[object] = None,
         carry: Optional[CarryIn] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -288,10 +280,6 @@ class Auditor:
     ):
         if scheduler is not None and scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {scheduler!r}")
-        if partition is not None and partition not in PARTITIONS:
-            raise ValueError(f"unknown partition policy {partition!r}")
-        if partition == PARTITION_STATIC and hints is None:
-            raise ValueError("static partition requires StaticHints")
         self.app = app
         # ``trace`` may be a lazy event iterator (a storage-layer record
         # stream): drain it exactly once into a frozen snapshot here, while
@@ -302,8 +290,6 @@ class Auditor:
         self.singleton_groups = singleton_groups
         self.parallelism = max(1, int(parallelism))
         self.scheduler = scheduler
-        self.partition = partition
-        self.hints = hints
         self.dedup = dedup
         self.carry = carry
         self.metrics = ensure_metrics(metrics)
@@ -381,8 +367,6 @@ class Auditor:
                 [self._epoch_like],
                 singleton_groups=self.singleton_groups,
                 dedup=self.dedup is not None,
-                partition=self.partition,
-                hints=self.hints,
             )
         except PlanError:
             raise  # a caller error (an epoch without advice), not evidence
@@ -440,11 +424,9 @@ class Auditor:
     # -- plan + journal setup ----------------------------------------------
 
     def _default_scheduler(self) -> str:
-        if self.parallelism <= 1:
-            return SCHEDULER_SERIAL
-        if self._worker_payload is None:
-            return SCHEDULER_THREAD
-        return SCHEDULER_PROCESS
+        if self.parallelism > 1 and self._worker_payload is not None:
+            return SCHEDULER_PROCESS
+        return SCHEDULER_SERIAL
 
     def _setup_journal(self, plan: AuditPlan) -> None:
         if self.journal is None:
@@ -513,30 +495,15 @@ class Auditor:
         if self._worker_payload is None:
             return None
         key, blob = self._worker_payload
-        return (key, blob, node.group, list(node.rids), self.metrics.enabled)
-
-    def wrap_remote(self, node: PlanNode, value):
-        """Normalize a process-pool worker's bare GroupDelta into a
-        runner outcome; the worker's own span supplies the node's
-        seconds when metrics are on (parent wall-clock would count queue
-        wait, not work)."""
-        seconds = 0.0
-        if isinstance(value, GroupDelta) and value.metrics:
-            hist = value.metrics.get("histograms", {}).get("worker.group.seconds")
-            if hist:
-                seconds = float(hist.get("sum") or 0.0)
-        return ("executed", value, seconds)
+        args = (key, blob, node.group, list(node.rids), self.metrics.enabled)
+        return run_group_in_worker, args
 
     def on_worker_failure(self, node: PlanNode):
         # Infrastructure, not advice: re-execute deterministically
         # in-process so the verdict never depends on worker health.
         self.fallback_tags.append(node.group)
         self.metrics.counter("parallel.fallback_groups").inc()
-        t0 = time.perf_counter()
-        delta = execute_group(
-            self.state, node.group, list(node.rids), self.metrics.enabled
-        )
-        return ("executed", delta, time.perf_counter() - t0)
+        return self.execute(node)
 
     def absorb(self, node: PlanNode, outcome) -> None:
         kind, value, seconds = outcome
@@ -744,12 +711,19 @@ class Auditor:
     @functools.cached_property
     def _worker_payload(self) -> Optional[Tuple[str, bytes]]:
         """``(key, pickled (app, trace, advice, carry))`` for process
-        workers, or None when the inputs cannot cross a process boundary.
-        The key names the payload in the workers' rebuilt-state cache."""
+        workers, or None -- with one ``parallel-disabled`` diagnostic --
+        when the inputs cannot cross a process boundary (closure-based
+        apps).  The key names the payload in the workers' rebuilt-state
+        cache."""
         try:
             blob = pickle.dumps((self.app, self.trace, self.advice, self.carry))
-        except Exception:
-            return None  # closure-based apps cannot cross processes
+        except Exception as exc:
+            self.metrics.diagnostic(
+                stage="prepare",
+                reason="parallel-disabled",
+                detail=f"inputs do not pickle: {type(exc).__name__}",
+            )
+            return None
         return hashlib.sha256(blob).hexdigest()[:16], blob
 
 

@@ -20,7 +20,6 @@ from repro.verifier.dag.plan import (
 from repro.verifier.dag.scheduler import (
     SCHEDULER_PROCESS,
     SCHEDULER_SERIAL,
-    SCHEDULER_THREAD,
     SCHEDULERS,
     PlanAborted,
     PlanJob,
@@ -32,7 +31,6 @@ __all__ = [
     "SCHEDULERS",
     "SCHEDULER_PROCESS",
     "SCHEDULER_SERIAL",
-    "SCHEDULER_THREAD",
     "AuditPlan",
     "NodeJournal",
     "NodeJournalError",

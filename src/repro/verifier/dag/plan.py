@@ -36,13 +36,12 @@ whole trace and advice, so it is computed on first use, by its two
 consumers: the node journal's resume guard and the printed plan
 document (``repro plan``).
 
-Edges encode stage order, the carry-in chain (``checkpoint(k-1) ->
-preprocess(k)``), dedup-cache dependencies (``isolation -> dedup ->
-every reexec``), and -- under the ``footprint``/``static`` partitions --
-the wave pre-partitioning of :func:`~repro.verifier.parallel.compute_waves`
-folded in as bipartite edges between consecutive waves.  Any wave plan
-is verdict-identical (the merge replays journals in canonical order
-regardless); edges only constrain *scheduling*.
+Edges encode stage order -- per epoch, ``barrier -> every reexec ->
+merge``, the barrier being ``isolation`` or, when armed, the ``dedup``
+node every dedup-cache dependency flows through -- and the carry-in
+chain (``checkpoint(k-1) -> preprocess(k)``).  Nothing orders the groups
+of an epoch against each other: the merge replays their journals in
+canonical order whatever the schedule was.
 
 :func:`validate_plan` is the pre-flight gate: spec-version match,
 edge-endpoint existence, acyclicity, reachability of every node to the
@@ -61,7 +60,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import KarousosError
 
-PLAN_SPEC = "repro.plan/2"
+PLAN_SPEC = "repro.plan/3"
 
 NODE_DECODE = "decode"
 NODE_PREPROCESS = "preprocess"
@@ -141,16 +140,15 @@ class PlanNode(NamedTuple):
     epoch: int
     group: Optional[str] = None  # the group tag, reexec nodes only
     rids: Tuple[str, ...] = ()
-    wave: int = 0
 
     @property
     def pipeline_stage(self) -> str:
         return PIPELINE_STAGE.get(self.stage, self.stage)
 
     @property
-    def rank(self) -> Tuple[int, int, int]:
-        """``(epoch, stage, wave)``: every edge must advance it."""
-        return (self.epoch, _STAGE_RANK.get(self.stage, -1), self.wave)
+    def rank(self) -> Tuple[int, int]:
+        """``(epoch, stage)``: every edge must advance it."""
+        return (self.epoch, _STAGE_RANK.get(self.stage, -1))
 
     def __repr__(self) -> str:
         group = f" group={self.group}" if self.group is not None else ""
@@ -238,7 +236,6 @@ class AuditPlan:
                     "epoch": n.epoch,
                     "group": n.group,
                     "members": len(n.rids),
-                    "wave": n.wave,
                 }
                 for n in self.ordered_nodes()
             ],
@@ -250,19 +247,6 @@ class AuditPlan:
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True)
-
-
-class _WaveShim:
-    """The minimal state surface :func:`compute_waves` consults.
-
-    Wave partitioning only reads ``state.advice`` (footprint policy) and
-    ``state.trace`` routes (static policy), so plan compilation does not
-    run -- and cannot be failed by -- the preprocess stage.
-    """
-
-    def __init__(self, trace: object, advice: object):
-        self.trace = trace
-        self.advice = advice
 
 
 def epoch_groups(advice: object, singleton_groups: bool) -> Dict[str, List[str]]:
@@ -279,30 +263,22 @@ def compile_plan(
     *,
     singleton_groups: bool = False,
     dedup: bool = False,
-    partition: Optional[str] = None,
-    hints: Optional[object] = None,
 ) -> AuditPlan:
     """Compile an audit request into an :class:`AuditPlan`.
 
     ``epochs`` is a sequence of epoch-like objects (``.index``,
     ``.trace``, ``.advice``, optionally ``.content_digest``) -- a
     single-epoch list for a plain audit, a sealed sequence for a
-    continuous one.  ``partition`` folds the wave
-    pre-partitioning in as scheduling edges (``static`` requires
-    ``hints``, exactly like :func:`~repro.verifier.parallel.compute_waves`).
+    continuous one.
     """
-    from repro.verifier.parallel import PARTITION_STRUCTURAL, compute_waves
-
     if not epochs:
         raise PlanError("cannot compile a plan over zero epochs")
-    partition = partition or PARTITION_STRUCTURAL
     plan = AuditPlan(
         spec=PLAN_SPEC,
         app=app,
         options={
             "singleton_groups": bool(singleton_groups),
             "dedup": bool(dedup),
-            "partition": partition,
         },
         epochs=[],
         nodes={},
@@ -354,41 +330,24 @@ def compile_plan(
             # state checkpoint k-1 proved.
             plan.edges.append((prev_checkpoint.node_id, preprocess.node_id))
 
-        waves = compute_waves(
-            _WaveShim(epoch.trace, advice), groups, partition, hints
-        )
-        reexec_nodes: Dict[str, PlanNode] = {}
-        for wave_index, wave in enumerate(waves):
-            for tag in sorted(wave):
-                rids = groups[tag]
-                reexec_nodes[tag] = PlanNode(
+        reexec_nodes = [
+            add_node(
+                PlanNode(
                     node_id=node_id(index, NODE_REEXEC, tag),
                     stage=NODE_REEXEC,
                     epoch=index,
                     group=tag,
-                    rids=tuple(rids),
-                    wave=wave_index,
+                    rids=tuple(groups[tag]),
                 )
-        for tag in sorted(reexec_nodes):
-            add_node(reexec_nodes[tag])
+            )
+            for tag in sorted(groups)
+        ]
         merge = stage_node(NODE_MERGE)
         postprocess = stage_node(NODE_POSTPROCESS)
         checkpoint = stage_node(NODE_CHECKPOINT)
-        by_wave: Dict[int, List[PlanNode]] = {}
-        for node in reexec_nodes.values():
-            by_wave.setdefault(node.wave, []).append(node)
-        for wave_index in sorted(by_wave):
-            for node in by_wave[wave_index]:
-                if wave_index == 0:
-                    plan.edges.append((barrier.node_id, node.node_id))
-                else:
-                    # Wave pre-partitioning: bipartite edges between
-                    # consecutive waves (scheduling only; any wave plan
-                    # is verdict-identical).
-                    for prev in by_wave[wave_index - 1]:
-                        plan.edges.append((prev.node_id, node.node_id))
-                if wave_index == len(by_wave) - 1:
-                    plan.edges.append((node.node_id, merge.node_id))
+        for node in reexec_nodes:
+            plan.edges.append((barrier.node_id, node.node_id))
+            plan.edges.append((node.node_id, merge.node_id))
         if not reexec_nodes:
             plan.edges.append((barrier.node_id, merge.node_id))
         plan.edges.append((merge.node_id, postprocess.node_id))
@@ -419,7 +378,7 @@ def validate_plan(plan: AuditPlan) -> None:
             )
 
     # Acyclicity, by the stronger invariant compilation maintains: every
-    # edge advances (epoch, stage order, wave), so no path can return.
+    # edge advances (epoch, stage order), so no path can return.
     edge_set = set(plan.edges)
     feeders: Dict[str, List[str]] = {nid: [] for nid in plan.node_order}
     for src, dst in edge_set:
@@ -510,7 +469,7 @@ def format_plan_text(plan: AuditPlan) -> str:
         for node in by_epoch.get(meta.index, []):
             detail = ""
             if node.group is not None:
-                detail = f"  ({len(node.rids)} rids, wave {node.wave})"
+                detail = f"  ({len(node.rids)} rids)"
             lines.append(f"  {node.node_id}{detail}")
     return "\n".join(lines)
 

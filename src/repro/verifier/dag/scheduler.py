@@ -20,26 +20,22 @@ so the determinism tests can shuffle the ready queue.
 
 The scheduler knows nothing about audits; each job supplies a *runner*:
 
-* ``execute(node) -> outcome`` -- run one node.  Must be thread-pure for
-  nodes the runner declares ``parallel_safe`` (group re-execution is
-  value-isolated by construction, see :mod:`repro.verifier.parallel`);
+* ``execute(node) -> outcome`` -- run one node in this process;
 * ``absorb(node, outcome)`` -- integrate an outcome; always called in
   the scheduling thread, so runners need no locking.  Raising
   :class:`PlanAborted` stops that job (and only that job);
-* ``parallel_safe(node)`` -- may this node leave the scheduling thread;
-* ``remote_spec(node)`` / ``wrap_remote(node, value)`` -- the process
-  backend's hand-off: a picklable task (or None to run the node in the
-  scheduling thread) and the normaliser of the worker's bare value;
+* ``parallel_safe(node)`` -- may this node leave the scheduling process;
+* ``remote_spec(node)`` -- the worker hand-off: a picklable
+  ``(fn, args)`` whose call in a worker returns the node's finished
+  outcome, or None to run the node inline (inputs that cannot cross a
+  process boundary -- no failure implied);
 * ``on_worker_failure(node)`` -- a worker died mid-node (killed process,
   broken pool, unpicklable result).  That is infrastructure, not
-  evidence about the advice: runners re-execute in-process so the
-  verdict never depends on worker health.
+  evidence about the node's inputs: runners re-execute in-process so the
+  result never depends on worker health.
 
-Backends: ``serial`` (everything inline, the reference order),
-``thread`` (shared-memory pool; the only parallel option for
-closure-based apps that cannot pickle), and ``process`` (workers rebuild
-audit state from a pickled payload once per (worker, payload) and cache
-it, so one pool serves every plan).
+Backends: ``serial`` (everything inline, the reference order) and
+``process`` (a worker pool shared by every admitted plan).
 
 Any schedule a runner observes is verdict-identical: outcomes are only
 *absorbed* here and merged by the runner in canonical group order later
@@ -51,20 +47,12 @@ service's latency bounds hold under any wall-clock conditions.
 from __future__ import annotations
 
 import heapq
-import os
-import pickle
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 SCHEDULER_SERIAL = "serial"
-SCHEDULER_THREAD = "thread"
 SCHEDULER_PROCESS = "process"
-SCHEDULERS = (SCHEDULER_SERIAL, SCHEDULER_THREAD, SCHEDULER_PROCESS)
+SCHEDULERS = (SCHEDULER_SERIAL, SCHEDULER_PROCESS)
 
 
 class PlanAborted(Exception):
@@ -327,20 +315,14 @@ class Scheduler:
 
     def _submit(self, runner: object, node: object):
         """A future for ``node`` on the worker pool, or None when the
-        node cannot leave this process (unpicklable inputs) and must run
-        inline -- no failure implied."""
-        if self._pool is None:
-            self._pool = (
-                ThreadPoolExecutor(max_workers=self.jobs)
-                if self.name == SCHEDULER_THREAD
-                else ProcessPoolExecutor(max_workers=self.jobs)
-            )
-        if self.name == SCHEDULER_THREAD:
-            return self._pool.submit(runner.execute, node)
+        runner keeps it in this process."""
         spec = runner.remote_spec(node)
         if spec is None:
             return None
-        return self._pool.submit(_pool_worker_run, *spec)
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+        fn, args = spec
+        return self._pool.submit(fn, *args)
 
     def _absorb_completed(self, block: bool) -> int:
         done, _ = wait(
@@ -361,8 +343,6 @@ class Scheduler:
                 continue  # plan already rejected; result is irrelevant
             try:
                 outcome = fut.result()
-                if self.name == SCHEDULER_PROCESS:
-                    outcome = job.runner.wrap_remote(node, outcome)
             except Exception:
                 outcome = job.runner.on_worker_failure(node)
             self._absorb(job, node, outcome)
@@ -381,38 +361,10 @@ class Scheduler:
             job.completed_tick = self.ticks
 
 
-# -- process-pool plumbing -----------------------------------------------------
-
-# Worker-side cache of rebuilt audit states, keyed by the payload key the
-# runner chose (one per epoch).  Workers are pool-private processes, so
-# this global never leaks across runs.
-_WORKER_STATES: Dict[str, object] = {}
-
-
-def _pool_worker_run(
-    key: str, payload: bytes, tag: str, rids: List[str], collect: bool
-):
-    from repro.verifier.parallel import CRASH_ENV, execute_group
-    from repro.verifier.preprocess import preprocess
-
-    if os.environ.get(CRASH_ENV) == tag:
-        os._exit(17)  # simulated hard crash (test hook, see CRASH_ENV)
-    state = _WORKER_STATES.get(key)
-    if state is None:
-        app, trace, advice, carry = pickle.loads(payload)
-        # Deterministic, and the parent only ships work after its own
-        # preprocess succeeded -- this cannot newly reject.
-        state = preprocess(app, trace, advice, carry)
-        _WORKER_STATES.clear()  # at most one live epoch state per worker
-        _WORKER_STATES[key] = state
-    return execute_group(state, tag, rids, collect)
-
-
 __all__ = [
     "SCHEDULERS",
     "SCHEDULER_PROCESS",
     "SCHEDULER_SERIAL",
-    "SCHEDULER_THREAD",
     "PlanAborted",
     "PlanJob",
     "Scheduler",

@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.advice.records import TX_GET
 from repro.kem.program import AppSpec, request_event
@@ -325,59 +325,32 @@ def _get_contents_spec(
     return ["ext", normalize_value(log[i_w].opcontents, tokens)]
 
 
-def _init_doc(
-    state: AuditState, tokens: Dict[str, str],
-    keep_vars: Optional[FrozenSet[str]] = None,
-) -> Dict[str, object]:
-    """The init slice of the digest document.
-
-    ``keep_vars`` (a set of variable ids, or None for no restriction)
-    narrows the pinned initial-variable state to the statically-relevant
-    read set: an isolated group execution can only observe initial values
-    of variables its routes can reach (a fact the effect crosscheck
-    gates), so two groups differing only in irrelevant initial state
-    digest-collide on purpose -- that is the extra dedup the static
-    analysis buys.  ``None`` reproduces the historical document byte for
-    byte.
-    """
+def _init_doc(state: AuditState, tokens: Dict[str, str]) -> Dict[str, object]:
+    """The init slice of the digest document."""
     init_ctx = state.init_ctx
-    doc = {
+    return {
         "global_handlers": list(map(list, init_ctx.global_handlers)),
         "initial_vars": sorted(
             (
                 [var_id, normalize_value(value, tokens)]
                 for var_id, value in init_ctx.initial_vars.items()
-                if keep_vars is None or var_id in keep_vars
             ),
             key=lambda pair: pair[0],
         ),
         "loggable": sorted(
-            [var_id, bool(flag)]
-            for var_id, flag in init_ctx.loggable.items()
-            if keep_vars is None or var_id in keep_vars
+            [var_id, bool(flag)] for var_id, flag in init_ctx.loggable.items()
         ),
     }
-    if keep_vars is not None:
-        # Restricted documents live in their own digest universe: an
-        # unrestricted entry must never collide with a restricted one.
-        doc["keep_vars"] = sorted(keep_vars)
-    return doc
 
 
 # -- the digest ----------------------------------------------------------------
 
 
-def group_digest(
-    state: AuditState, rids: List[str],
-    keep_vars: Optional[FrozenSet[str]] = None,
-) -> Optional[GroupDigest]:
+def group_digest(state: AuditState, rids: List[str]) -> Optional[GroupDigest]:
     """The ``repro.digest/1`` digest of one group, or None (uncacheable).
 
     ``rids`` is the group's member list in the advice's canonical
     (sorted) order; member position defines the rid tokens.
-    ``keep_vars`` restricts the pinned initial-variable state to the
-    statically-relevant read set (see :func:`_init_doc`); ``None`` keeps
-    the full state and the historical digest bytes.
     """
     tokens = {rid: member_token(i) for i, rid in enumerate(rids)}
     member_set = set(rids)
@@ -391,7 +364,7 @@ def group_digest(
             "requests": requests,
             "event": request_event(route),
             "advice": _advice_doc(state, rids, member_set, tokens),
-            "init": _init_doc(state, tokens, keep_vars),
+            "init": _init_doc(state, tokens),
         }
         key = hashlib.sha256(
             canonical_json(doc).encode("utf-8")

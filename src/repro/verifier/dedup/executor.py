@@ -315,7 +315,6 @@ class StageStats:
     misses: int = 0
     fallbacks: int = 0
     uncacheable: int = 0
-    hint_skips: int = 0  # digesting skipped: statically-uncacheable route
     saved_handlers: List[int] = field(default_factory=list)
 
     @property
@@ -332,32 +331,12 @@ class Deduplicator:
     audits (the continuous auditor shares one across epochs; the CLI
     shares one across a ``--epochs`` stream), and the memo spans its
     whole lifetime.
-
-    ``hints`` (a :class:`~repro.analysis.effects.StaticHints`) arms two
-    static shortcuts, both verdict-neutral:
-
-    * groups whose routes are *statically uncacheable* (unwrapped
-      nondeterminism or side-channel state reachable) skip digest
-      construction entirely -- the digest could never be stored anyway,
-      so the hashing work on the hot path is pure waste;
-    * cacheable groups digest with the initial-variable state restricted
-      to the routes' statically-relevant read set, so groups differing
-      only in irrelevant initial state dedup together.  Restricted
-      digests carry the keep-set in the document (their own key
-      universe), and fall back to the full pin whenever the static
-      footprint is unbounded.
     """
 
-    def __init__(
-        self,
-        cache: Optional[VerdictCache] = None,
-        hints: Optional[object] = None,
-    ):
+    def __init__(self, cache: Optional[VerdictCache] = None):
         self.cache = cache
-        self.hints = hints
         self.memo: Dict[str, Dict[str, object]] = {}
         self.stage_stats: Optional[StageStats] = None
-        self._uncacheable_routes: Optional[frozenset] = None
 
     # -- stage accounting -------------------------------------------------------
 
@@ -374,7 +353,6 @@ class Deduplicator:
         metrics.counter("reexec.dedup_groups").inc(stats.hits)
         metrics.counter("reexec.cache_fallbacks").inc(stats.fallbacks)
         metrics.counter("reexec.uncacheable_groups").inc(stats.uncacheable)
-        metrics.counter("reexec.hint_skipped_groups").inc(stats.hint_skips)
         total = stats.hits + stats.misses
         if total:
             metrics.gauge("reexec.dedup_ratio").set(stats.hits / total)
@@ -396,18 +374,7 @@ class Deduplicator:
         """Digest the group and return a rehydrated delta on a validated
         hit.  ``(None, None)``: uncacheable; ``(digest, None)``: miss --
         execute in full (and offer the clean result to :meth:`store`)."""
-        keep_vars = None
-        if self.hints is not None:
-            routes = self._member_routes(state, rids)
-            if routes is not None and routes & self._skip_routes():
-                # Statically uncacheable route: the digest could never be
-                # stored, so do not build it.
-                self._count("hint_skips")
-                self._count("misses")
-                return None, None
-            if routes is not None:
-                keep_vars = self.hints.relevant_vars(routes)
-        digest = group_digest(state, rids, keep_vars)
+        digest = group_digest(state, rids)
         if digest is None:
             self._count("uncacheable")
             self._count("misses")
@@ -434,22 +401,6 @@ class Deduplicator:
             return digest, delta
         self._count("misses")
         return digest, None
-
-    @staticmethod
-    def _member_routes(state: AuditState, rids: List[str]) -> Optional[frozenset]:
-        """Routes of the group's members, or None when any is unknown."""
-        routes = set()
-        for rid in rids:
-            try:
-                routes.add(state.trace.request(rid).route)
-            except Exception:
-                return None
-        return frozenset(routes)
-
-    def _skip_routes(self) -> frozenset:
-        if self._uncacheable_routes is None:
-            self._uncacheable_routes = self.hints.uncacheable_routes()
-        return self._uncacheable_routes
 
     @staticmethod
     def _validate(digest: GroupDigest, entry: Dict[str, object], members: int) -> bool:

@@ -30,182 +30,41 @@ replays every journal in canonical group order (sorted tags) through
   identical no matter how groups were scheduled, on which worker, or in
   which order they finished -- and equal to the straight-line
   :func:`~repro.verifier.oooaudit.ooo_audit` reference on verdict;
-* a cross-group conflict that the wave partition did not anticipate
-  (advice is untrusted and may lie about footprints) surfaces as one
-  deterministic REJECT at its canonical position -- never a race.
+* a cross-group conflict (advice is untrusted and may lie about what a
+  group touches) surfaces as one deterministic REJECT at its canonical
+  position -- never a race.
 
 When metrics are enabled, each group's execution produces a per-worker
 metrics snapshot that the merge folds in, in the same canonical order.
 
-Waves: :func:`compute_waves` stages groups into topological waves from
-the advice's read/write sets; the plan compiler folds them in as
-scheduling edges.  Under the ``structural`` policy (default) every
-cross-group coupling found in the advice is value-carrying (per the
-three bullets above), so all groups land in one wave and fan out
-maximally; the ``footprint`` policy conservatively stages groups whose
-written variable/key footprints intersect another group's footprint --
-useful for debugging and for exercising plan invariance in tests.
+There is no scheduling constraint between the groups of an epoch: every
+cross-group coupling found in well-formed advice is value-carrying (the
+three bullets above), so the plan fans all of them out after one barrier
+and advice that lies about it is caught by the merge, not by scheduling.
+:func:`run_group_in_worker` is the process backend's task: the same
+:func:`execute_group`, over audit state the worker rebuilds once per
+epoch payload.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.advice.records import TX_GET, TX_PUT
 from repro.errors import AuditRejected
 from repro.obs import MetricsRegistry
 from repro.server.variables import INIT_RID
-from repro.verifier.preprocess import AuditState
+from repro.verifier.preprocess import AuditState, preprocess
 from repro.verifier.reexec import ReExecutor
 from repro.verifier.state import VarState
-
-PARTITION_STRUCTURAL = "structural"
-PARTITION_FOOTPRINT = "footprint"
-PARTITION_STATIC = "static"
-PARTITIONS = (PARTITION_STRUCTURAL, PARTITION_FOOTPRINT, PARTITION_STATIC)
 
 # Test hook: a worker whose task tag equals this environment variable's
 # value dies without cleanup, simulating a hard worker crash (segfault,
 # OOM-kill).  Inherited by pool workers; never set in production.
 CRASH_ENV = "KAROUSOS_TEST_WORKER_CRASH"
-
-
-# -- group footprints and wave partition -------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupFootprint:
-    """Alleged read/write sets of one group, from the untrusted advice.
-
-    Elements are ``("var", var_id)`` for loggable program variables and
-    ``("kv", key)`` for transactional store keys.
-    """
-
-    reads: frozenset
-    writes: frozenset
-
-    def conflicts_with(self, other: "GroupFootprint") -> bool:
-        return bool(
-            self.writes & other.writes
-            or self.writes & other.reads
-            or self.reads & other.writes
-        )
-
-
-def group_footprints(
-    state: AuditState, groups: Dict[str, List[str]]
-) -> Dict[str, GroupFootprint]:
-    """Per-group read/write footprints from the advice's logs."""
-    tag_of = {rid: tag for tag, rids in groups.items() for rid in rids}
-    reads: Dict[str, Set] = {tag: set() for tag in groups}
-    writes: Dict[str, Set] = {tag: set() for tag in groups}
-    for var_id, log in state.advice.variable_logs.items():
-        for (rid, _hid, _opnum), entry in log.items():
-            tag = tag_of.get(rid)  # INIT_RID backfills carry no group
-            if tag is None:
-                continue
-            target = writes if entry.access == "write" else reads
-            target[tag].add(("var", var_id))
-    for (rid, _tid), log in state.advice.tx_logs.items():
-        tag = tag_of.get(rid)
-        if tag is None:
-            continue
-        for entry in log:
-            if entry.optype == TX_GET:
-                reads[tag].add(("kv", entry.key))
-            elif entry.optype == TX_PUT:
-                writes[tag].add(("kv", entry.key))
-    return {
-        tag: GroupFootprint(frozenset(reads[tag]), frozenset(writes[tag]))
-        for tag in groups
-    }
-
-
-def compute_waves(
-    state: AuditState,
-    groups: Dict[str, List[str]],
-    partition: str = PARTITION_STRUCTURAL,
-    hints: Optional[object] = None,
-) -> List[List[str]]:
-    """Stage groups into topological waves; groups within a wave may run
-    concurrently, waves run in order.
-
-    ``structural``: dependencies are cross-group couplings that are *not*
-    value-carrying in the advice.  Logged reads carry their dictating
-    write's value, store GETs carry a reference into value-carrying
-    transaction logs, and unlogged accesses cannot leave the request's
-    handler tree -- so for well-formed advice no such coupling exists and
-    every group lands in wave 0.  (Advice that lies about this is caught
-    by the canonical-order merge, not by scheduling.)
-
-    ``footprint``: conservative write/write and read/write staging over
-    the advice's alleged footprints; conflicts are oriented by canonical
-    tag order (always a DAG) and layered by longest path.
-
-    ``static``: like ``footprint`` but the conflict relation comes from
-    the static conflict matrix of
-    :class:`~repro.analysis.effects.StaticHints` (``hints``, required):
-    two groups conflict when any pair of their requests' routes does.
-    Unlike the footprint policy this knows atomic updates commute and
-    store keys are transaction-protected, so update-heavy workloads
-    stay in one wave instead of serialising on shared counters.  Any
-    wave plan is verdict-identical (the canonical-order merge replays
-    journals in sorted-tag order regardless), so a hint that turned out
-    wrong costs parallelism, never correctness.
-    """
-    order = sorted(groups)
-    if not order:
-        return []
-    if partition == PARTITION_STRUCTURAL:
-        return [order]
-    if partition == PARTITION_FOOTPRINT:
-        fps = group_footprints(state, groups)
-
-        def conflicts(a: str, b: str) -> bool:
-            return fps[a].conflicts_with(fps[b])
-
-        return _layer(order, conflicts)
-    if partition == PARTITION_STATIC:
-        if hints is None:
-            raise ValueError("static partition requires StaticHints")
-        routes: Dict[str, Set[str]] = {}
-        for tag in order:
-            tag_routes: Set[str] = set()
-            for rid in groups[tag]:
-                try:
-                    tag_routes.add(state.trace.request(rid).route)
-                except Exception:
-                    # Unknown request: force the conservative answer.
-                    tag_routes.add("?unknown-route")
-            routes[tag] = tag_routes
-
-        def conflicts(a: str, b: str) -> bool:
-            return any(
-                hints.conflicting(ra, rb)
-                for ra in routes[a]
-                for rb in routes[b]
-            )
-
-        return _layer(order, conflicts)
-    raise ValueError(f"unknown partition policy {partition!r}")
-
-
-def _layer(order: List[str], conflicts) -> List[List[str]]:
-    """Longest-path layering of ``order`` under a conflict relation,
-    oriented by canonical tag order (always a DAG)."""
-    level: Dict[str, int] = {}
-    waves: List[List[str]] = []
-    for i, tag in enumerate(order):
-        depth = 0
-        for prev in order[:i]:
-            if conflicts(tag, prev):
-                depth = max(depth, level[prev] + 1)
-        level[tag] = depth
-        while len(waves) <= depth:
-            waves.append([])
-        waves[depth].append(tag)
-    return waves
 
 
 # -- per-group execution (runs inside a worker) --------------------------------
@@ -292,6 +151,34 @@ def execute_group(
         elif var.values:
             delta.plain_values[var_id] = var.values
     return delta
+
+
+# Worker-side cache of rebuilt audit states, keyed by the payload key the
+# engine chose (one per epoch).  Workers are pool-private processes, so
+# this global never leaks across runs.
+_WORKER_STATES: Dict[str, AuditState] = {}
+
+
+def run_group_in_worker(
+    key: str, payload: bytes, tag: str, rids: List[str], collect_metrics: bool
+) -> Tuple[str, GroupDelta, float]:
+    """The process backend's task: :func:`execute_group` over the state
+    rebuilt from ``payload`` (pickled ``(app, trace, advice, carry)``),
+    returned as the finished runner outcome.  The seconds are the
+    worker's own: parent wall-clock would count queue wait, not work."""
+    if os.environ.get(CRASH_ENV) == tag:
+        os._exit(17)  # simulated hard crash (test hook, see CRASH_ENV)
+    state = _WORKER_STATES.get(key)
+    if state is None:
+        app, trace, advice, carry = pickle.loads(payload)
+        # Deterministic, and the parent only ships work after its own
+        # preprocess succeeded -- this cannot newly reject.
+        state = preprocess(app, trace, advice, carry)
+        _WORKER_STATES.clear()  # at most one live epoch state per worker
+        _WORKER_STATES[key] = state
+    t0 = time.perf_counter()
+    delta = execute_group(state, tag, rids, collect_metrics)
+    return ("executed", delta, time.perf_counter() - t0)
 
 
 def merge_delta(

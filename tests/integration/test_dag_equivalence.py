@@ -38,7 +38,7 @@ class TestHonestEquivalence:
     def test_dag_matches_parallel(self, served):
         vg.assert_golden(served, "singleton", parallelism=JOBS)
 
-    @pytest.mark.parametrize("scheduler", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("scheduler", ["serial", "process"])
     def test_every_scheduler_matches(self, served, scheduler):
         vg.assert_golden(
             served, "singleton", scheduler=scheduler, parallelism=JOBS
@@ -58,12 +58,12 @@ class TestHonestEquivalence:
         assert len(auditor.node_seconds) == len(auditor.plan.nodes)
 
     def test_dedup_armed_dag_matches_dedup_pipeline(self, served):
-        """Dedup hits are rehydrated in the scheduling thread while the
-        misses fan out."""
+        """Dedup hits rehydrate and misses re-execute in whatever order
+        the ready queue pops them."""
         dedup = Deduplicator(VerdictCache())
         for _phase in ("cold", "warm"):
             vg.assert_golden(
-                served, "singleton", scheduler="thread", parallelism=JOBS,
+                served, "singleton", order_key=vg.shuffled(served),
                 dedup=dedup,
             )
         dedup.close()
@@ -97,7 +97,7 @@ class TestStreamEquivalence:
             assert reasons[0] == "accepted", (app, got)
             assert reasons[-1] == "predecessor-rejected", (app, got)
 
-    @pytest.mark.parametrize("scheduler", ["thread", "process"])
+    @pytest.mark.parametrize("scheduler", ["process"])
     def test_stream_schedulers_match_serial(self, scheduler):
         for which in ("honest", "tampered"):
             vg.assert_stream_golden(

@@ -24,6 +24,7 @@ from repro.store import IsolationLevel, KVStore
 from repro.verifier import Auditor
 from repro.verifier.dedup import Deduplicator, VerdictCache
 from repro.workload import stacks_workload, wiki_workload
+from tests.verdict_goldens import shuffled
 
 pytestmark = pytest.mark.tier1
 
@@ -93,7 +94,7 @@ def test_poisoned_cache_parallel_driver(served, op, tmp_path):
     poisoned = Deduplicator(VerdictCache(backend))
     got = Auditor(
         app_fn(), run.trace, run.advice,
-        parallelism=2, scheduler="thread", dedup=poisoned,
+        order_key=shuffled(op.name), dedup=poisoned,
     ).run()
     _assert_matches(got, plain, context=(op.name, "parallel"))
 

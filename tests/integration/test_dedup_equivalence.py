@@ -51,7 +51,7 @@ class TestHonestEquivalence:
         dedup = Deduplicator(VerdictCache())
         for _phase in ("cold", "warm"):
             vg.assert_golden(
-                served, scheduler="thread", parallelism=2, dedup=dedup
+                served, order_key=vg.shuffled(served), dedup=dedup
             )
 
     def test_singleton_groups_dedup_matches_plain(self, served):

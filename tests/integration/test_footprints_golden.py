@@ -2,7 +2,7 @@
 
 ``predict_footprints`` is upstream of three consumers: the crosscheck
 soundness gate, the R1-R9 linter, and (through the effect analyzer) the
-static scheduling/dedup hints.  A silent change to what it predicts can
+conflict matrix of ``repro analyze``.  A silent change to what it predicts can
 therefore loosen the audit's instrumentation contract without any test
 noticing -- these goldens freeze the exact per-handler summaries for
 each bundled app, so every drift is a reviewed diff against a committed

@@ -1,4 +1,4 @@
-"""Golden-pinned ``repro.plan/2`` documents (DESIGN.md §5).
+"""Golden-pinned ``repro.plan/3`` documents (DESIGN.md §5).
 
 Node-granular resume is only sound if plan compilation is
 *reproducible*: the killed run's node journal is keyed by node IDs and
@@ -65,7 +65,7 @@ def golden_path(app_name: str) -> str:
     return os.path.join(GOLDEN_DIR, f"plan_{app_name}.json")
 
 
-def compute_plan_doc(app_name: str):
+def compile_golden_plan(app_name: str, **options):
     app_fn, workload_fn, store_fn = RUNS[app_name]
     run = run_server(
         app_fn(),
@@ -76,10 +76,14 @@ def compute_plan_doc(app_name: str):
         concurrency=4,
     )
     plan = compile_plan(
-        app_name, [single_epoch(0, run.trace, run.advice)]
+        app_name, [single_epoch(0, run.trace, run.advice)], **options
     )
     validate_plan(plan)
-    return plan.to_doc()
+    return run, plan
+
+
+def compute_plan_doc(app_name: str):
+    return compile_golden_plan(app_name)[1].to_doc()
 
 
 @pytest.mark.parametrize("app_name", sorted(RUNS))
@@ -108,3 +112,23 @@ def test_plan_matches_golden(app_name):
 @pytest.mark.parametrize("app_name", sorted(RUNS))
 def test_plan_compilation_is_deterministic(app_name):
     assert compute_plan_doc(app_name) == compute_plan_doc(app_name)
+
+
+@pytest.mark.parametrize("dedup", [False, True], ids=["plain", "dedup"])
+@pytest.mark.parametrize("app_name", sorted(RUNS))
+def test_edges_are_exactly_the_stage_order(app_name, dedup):
+    """Scheduling is nothing but stage order: the stage chain up to the
+    barrier, ``barrier -> every reexec -> merge``, the chain out of the
+    merge -- and no edge between two groups."""
+    run, plan = compile_golden_plan(app_name, dedup=dedup)
+    chain_in = ["0/decode", "0/preprocess", "0/isolation"]
+    if dedup:
+        chain_in.append("0/dedup")
+    chain_out = ["0/merge", "0/postprocess", "0/checkpoint"]
+    groups = [f"0/reexec/{tag}" for tag in run.advice.groups()]
+    assert len(groups) > 1
+    want = set(zip(chain_in, chain_in[1:])) | set(zip(chain_out, chain_out[1:]))
+    for group in groups:
+        want |= {(chain_in[-1], group), (group, "0/merge")}
+    assert len(plan.edges) == len(want)  # no duplicates either
+    assert set(plan.edges) == want

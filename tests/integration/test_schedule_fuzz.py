@@ -5,7 +5,7 @@ Lemma 1 (the paper, via :mod:`repro.verifier.oooaudit`) states all
 well-formed op schedules are audit-equivalent.  The engine's observable
 content of that lemma: whatever order the ready queue drains re-execution
 nodes in -- shuffled through ``order_key``, over singleton or advice
-groups, with or without footprint-staged waves -- the verdict, reason,
+groups -- the verdict, reason,
 detail, site and deterministic stats must equal the canonical-order
 run's, and the verdict must equal OOOAudit's.  The failing fuzz seed is
 printed on assertion failure so the exact order reproduces.
@@ -40,7 +40,6 @@ def _fuzz(app_fn, trace, advice, fuzz_seed, context, check_ooo=True):
             rank = {}
             got = Auditor(
                 app_fn(), trace, advice, singleton_groups=singleton,
-                partition=rng.choice(["structural", "footprint"]),
                 order_key=lambda n: rank.setdefault(n.node_id, rng.random()),
             ).run()
             assert fingerprint(got) == want, (

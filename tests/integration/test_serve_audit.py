@@ -128,7 +128,7 @@ def _static_stats(stats):
 
 @tier1
 class TestDifferential:
-    @pytest.mark.parametrize("scheduler,jobs", [("serial", 1), ("thread", 2)])
+    @pytest.mark.parametrize("scheduler,jobs", [("serial", 1), ("process", 2)])
     @pytest.mark.parametrize("quotas", [True, False], ids=["fair", "fifo"])
     def test_two_tenants_match_solo(self, fleets, tmp_path, scheduler, jobs,
                                     quotas):

@@ -64,23 +64,22 @@ _CASES = ("honest", "tamper-response", "forge-write-value", "drop-tag",
 _PROCESS_CASES = _CASES[:2]
 
 
-@pytest.mark.parametrize("hinted", [False, True], ids=["nohints", "hints"])
 @pytest.mark.parametrize("dedup_state", ["off", "cold", "warm"])
-@pytest.mark.parametrize("scheduler", ["serial", "thread", "process"])
-def test_engine_options_reproduce_golden(scheduler, dedup_state, hinted):
-    """Scheduler backend x dedup state x static hints: none of them is
-    visible in a fingerprint."""
+@pytest.mark.parametrize("scheduler", ["serial", "shuffled", "process"])
+def test_engine_options_reproduce_golden(scheduler, dedup_state):
+    """Scheduler backend (or a shuffled ready queue) x dedup state:
+    neither is visible in a fingerprint."""
     from repro.verifier.dedup import Deduplicator, VerdictCache
 
     for run_name in _MATRIX_RUNS:
-        hints = vg.hints_of(run_name) if hinted else None
-        engine = dict(scheduler=scheduler, parallelism=2)
-        if hinted:
-            engine.update(partition="static", hints=hints)
+        if scheduler == "shuffled":
+            engine = dict(scheduler="serial", order_key=vg.shuffled(run_name))
+        else:
+            engine = dict(scheduler=scheduler, parallelism=2)
         if dedup_state == "warm":
             # One cache per run, primed on the honest pair: every tamper
             # then meets the hits an unsound revalidation would trust.
-            engine["dedup"] = Deduplicator(VerdictCache(), hints=hints)
+            engine["dedup"] = Deduplicator(VerdictCache())
             vg.audit_case(run_name, "grouped", "honest", **engine)
         # Process pools and digests are the slow parts: those rows take
         # fewer tampers.
@@ -91,5 +90,5 @@ def test_engine_options_reproduce_golden(scheduler, dedup_state, hinted):
             if case not in vg.cases(run_name):
                 continue  # no target in this run
             if dedup_state == "cold":
-                engine["dedup"] = Deduplicator(VerdictCache(), hints=hints)
+                engine["dedup"] = Deduplicator(VerdictCache())
             vg.assert_golden(run_name, case=case, **engine)

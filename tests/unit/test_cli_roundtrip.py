@@ -113,7 +113,8 @@ class TestEngineFlags:
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "flags", [["--parallel-mode", "thread"], ["--scheduler", "pipeline"]]
+        "flags", [["--parallel-mode", "thread"], ["--scheduler", "pipeline"],
+                  ["--scheduler", "thread"], ["--static-hints"]]
     )
     def test_engine_selecting_flags_are_gone(self, tmp_path, flags):
         """There is one audit engine; nothing selects another."""
@@ -121,6 +122,17 @@ class TestEngineFlags:
             main(["audit", "--app", "motd", "--store-path", str(tmp_path),
                   *flags])
         assert exit_info.value.code == EXIT_USAGE
+
+    def test_plan_and_fleet_lost_them_too(self, tmp_path):
+        here = str(tmp_path)
+        for argv in (
+            ["plan", "--app", "motd", "--store-path", here, "--static-hints"],
+            ["serve-audit", "--tenant", f"app=motd,store={here}",
+             "--state-dir", here, "--scheduler", "thread"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == EXIT_USAGE, argv
 
 
 REMOVED_FLAGS = {

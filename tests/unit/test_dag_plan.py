@@ -107,14 +107,11 @@ class TestCompilation:
         validate_plan(plan)
         barrier = plan.node(0, NODE_DEDUP)
         assert barrier is not None
-        # Every reexec node in wave 0 depends on the barrier.
+        # Every reexec node depends on the barrier.
         edges = set(plan.edges)
-        wave0 = [
-            n for n in plan.ordered_nodes()
-            if n.stage == NODE_REEXEC and n.wave == 0
-        ]
-        assert wave0
-        for node in wave0:
+        reexec = [n for n in plan.ordered_nodes() if n.stage == NODE_REEXEC]
+        assert reexec
+        for node in reexec:
             assert (barrier.node_id, node.node_id) in edges
 
     def test_singleton_groups_one_node_per_request(self, served):
@@ -148,6 +145,12 @@ class TestMultiEpoch:
             src = plan.node(prev.index, NODE_CHECKPOINT)
             dst = plan.node(meta.index, NODE_PREPROCESS)
             assert (src.node_id, dst.node_id) in edges
+        # ... and nothing else crosses an epoch boundary.
+        crossing = [
+            (s, d) for s, d in edges
+            if plan.nodes[s].epoch != plan.nodes[d].epoch
+        ]
+        assert len(crossing) == len(plan.epochs) - 1
 
     def test_epoch_digests_pin_distinct_inputs(self, served):
         epochs = slice_epochs(served.trace, served.advice, 4)
@@ -175,6 +178,17 @@ class TestValidation:
         plan = _plan(served)
         last, first = plan.node_order[-1], plan.node_order[0]
         plan.edges.append((last, first))
+        with pytest.raises(PlanError, match="cyclic"):
+            validate_plan(plan)
+
+    def test_edge_between_groups_refused(self, served):
+        """Nothing orders an epoch's groups against each other; an edge
+        that claims to does not advance (epoch, stage)."""
+        plan = _plan(served)
+        first, second = [
+            n.node_id for n in plan.ordered_nodes() if n.stage == NODE_REEXEC
+        ][:2]
+        plan.edges.append((first, second))
         with pytest.raises(PlanError, match="cyclic"):
             validate_plan(plan)
 

@@ -59,12 +59,18 @@ class _FakeNode:
         self.node_id = node_id
 
 
+def _in_worker(node_id):  # module-level: the pool pickles it by name
+    return ("worker", node_id)
+
+
 class _RecordingRunner:
-    """Runs nothing; records the order the scheduler drains nodes in."""
+    """Runs nothing; records the order the scheduler drains nodes in and
+    which of them came back from a pool worker."""
 
     def __init__(self, pooled=()):
         self.pooled = set(pooled)
         self.order = []
+        self.remote = set()
 
     def parallel_safe(self, node):
         return node.node_id in self.pooled
@@ -74,9 +80,11 @@ class _RecordingRunner:
 
     def absorb(self, node, result):
         self.order.append(node.node_id)
+        if result == ("worker", node.node_id):
+            self.remote.add(node.node_id)
 
     def remote_spec(self, node):
-        return None
+        return _in_worker, (node.node_id,)
 
     def on_worker_failure(self, node):
         return node.node_id
@@ -110,13 +118,21 @@ class TestSchedulerKahn:
             for src, dst in edges:
                 assert pos[src] < pos[dst], (seed, runner.order)
 
-    def test_thread_pool_respects_edges(self):
+    def test_process_pool_respects_edges(self):
+        """The hand-off is generic: whatever ``(fn, args)`` the runner
+        names runs in a worker and its return value is the outcome."""
         nodes, edges = _diamond()
         runner = _RecordingRunner(pooled={"b", "c"})
-        Scheduler("thread", jobs=2).execute(nodes, edges, runner)
+        Scheduler("process", jobs=2).execute(nodes, edges, runner)
+        assert runner.remote == {"b", "c"}
         pos = {nid: i for i, nid in enumerate(runner.order)}
         for src, dst in edges:
             assert pos[src] < pos[dst], runner.order
+
+    def test_unknown_backend_rejected(self):
+        for name in ("thread", "quantum"):
+            with pytest.raises(ValueError, match="scheduler"):
+                Scheduler(name)
 
     def test_cycle_deadlocks_loudly(self):
         nodes = [_FakeNode("a"), _FakeNode("b")]
@@ -171,6 +187,21 @@ class TestSchedulerKahn:
 
 
 # -- schedule independence -----------------------------------------------------
+
+
+class TestConstruction:
+    def test_unknown_mode_rejected(self, served):
+        inputs = (motd_app(), served.trace, served.advice)
+        for name in ("quantum", "thread"):
+            with pytest.raises(ValueError, match="scheduler"):
+                Auditor(*inputs, scheduler=name)
+
+    def test_jobs_defaults_to_cpu_count_and_clamps(self, served):
+        inputs = (motd_app(), served.trace, served.advice)
+        assert Auditor(*inputs).parallelism == 1
+        clamped = Auditor(*inputs, parallelism=0)
+        assert clamped.parallelism == 1
+        assert clamped.run().accepted and clamped.scheduler == "serial"
 
 
 class TestScheduleIndependence:

@@ -2,8 +2,8 @@
 
 Covers the symbolic key domain (KeySym, helper-prefix folding), the
 per-handler summaries, route-closure composition with payload
-substitution, the conflict/commutativity matrix, cacheability
-classification, and the runtime-facing ``StaticHints`` adapter.
+substitution, the conflict/commutativity matrix, and cacheability
+classification.
 Fixtures live at module level so ``inspect.getsource`` sees them exactly
 as a real app module's handlers.
 """
@@ -18,7 +18,6 @@ from repro.analysis.effects import (
     KIND_PARAM,
     TOP,
     KeySym,
-    StaticHints,
     analyze_effects,
     any_covers,
     key_helper_prefix,
@@ -284,7 +283,7 @@ class TestBundledApps:
     )
     def test_all_routes_commute(self, make):
         # The bundled apps use ctx.update and tx-protected keys only, so
-        # the whole matrix commutes -- the best case for static waves.
+        # the whole matrix commutes.
         effects = analyze_effects(make())
         for conflict in effects.conflicts.values():
             assert conflict.commutes, (conflict.a, conflict.b, conflict.reasons)
@@ -316,6 +315,11 @@ class TestBundledApps:
         effects = analyze_effects(stackdump_app())
         listing = effects.routes["list"].effect
         assert any(s.unbounded for s in listing.kv_reads)
+
+    def test_effects_doc_spec_tag(self):
+        doc = analyze_effects(motd_app()).to_dict()
+        assert doc["spec"] == "repro.effects/1"
+        assert set(doc) >= {"app", "handlers", "routes", "conflicts"}
 
 
 class TestConflicts:
@@ -377,50 +381,3 @@ class TestCacheability:
     def test_clean_handler_is_cacheable(self):
         effects = analyze_effects(app_of({"h": sum_updater}, {"go": "h"}))
         assert effects.handlers["h"].cacheable
-
-
-# =========================================================================
-# StaticHints: the runtime-facing adapter
-# =========================================================================
-
-
-class TestStaticHints:
-    def test_unknown_route_is_conservatively_conflicting(self):
-        hints = StaticHints.from_app(motd_app())
-        assert hints.conflicting("get", "no-such-route")
-
-    def test_bundled_routes_commute(self):
-        hints = StaticHints.from_app(wiki_app())
-        assert not hints.conflicting("render", "create_page")
-
-    def test_uncacheable_routes_empty_for_bundled_apps(self):
-        for make in (motd_app, stackdump_app, wiki_app, feed_app):
-            assert StaticHints.from_app(make()).uncacheable_routes() == frozenset()
-
-    def test_uncacheable_route_reported(self):
-        hints = StaticHints.from_app(
-            app_of({"h": uncacheable_naked_random}, {"go": "h"})
-        )
-        assert hints.uncacheable_routes() == {"go"}
-
-    def test_relevant_vars_bound_for_known_routes(self):
-        hints = StaticHints.from_app(motd_app())
-        keep = hints.relevant_vars(frozenset({"get"}))
-        assert keep == frozenset({"motd"})
-
-    def test_relevant_vars_none_for_unknown_route(self):
-        hints = StaticHints.from_app(motd_app())
-        assert hints.relevant_vars(frozenset({"mystery"})) is None
-
-    def test_relevant_vars_none_under_dynamic_footprint(self):
-        def dynamic(ctx, req):
-            ctx.update(req["which"], lambda v: v)
-            ctx.respond({})
-
-        hints = StaticHints.from_app(app_of({"h": dynamic}, {"go": "h"}))
-        assert hints.relevant_vars(frozenset({"go"})) is None
-
-    def test_effects_doc_spec_tag(self):
-        doc = analyze_effects(motd_app()).to_dict()
-        assert doc["spec"] == "repro.effects/1"
-        assert set(doc) >= {"app", "handlers", "routes", "conflicts"}

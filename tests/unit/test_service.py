@@ -343,18 +343,28 @@ def test_pool_quota_throttles_reexec_nodes():
     assert len(pool.take_done()) == 2
 
 
+def _ran_in_worker(node_id):  # module-level: the pool pickles it by name
+    return node_id
+
+
+class _ParallelRunner(_FakeRunner):
+    """Every node may leave the process, through the generic hand-off."""
+
+    def parallel_safe(self, node):
+        return True
+
+    def remote_spec(self, node):
+        return _ran_in_worker, (node.node_id,)
+
+
 def test_pool_fifo_fan_out_never_charges_quotas():
     """FIFO mode (fair off) never throttles -- including the parallel
     fan-out path, even when the pool was handed non-empty quotas."""
     from repro.verifier.dag.plan import NODE_REEXEC
 
-    class _ParallelRunner(_FakeRunner):
-        def parallel_safe(self, node):
-            return True
-
     bucket = TokenBucket(1)
     pool = SharedDagPool(
-        scheduler="thread", jobs=2, fair=False, quotas={"t": bucket}
+        scheduler="process", jobs=2, fair=False, quotas={"t": bucket}
     )
     runner = _ParallelRunner()
     nodes, _ = _chain("n", 4, stage=NODE_REEXEC)
@@ -362,6 +372,7 @@ def test_pool_fifo_fan_out_never_charges_quotas():
     try:
         assert pool.pump() == 4
         assert sorted(runner.absorbed) == ["n0", "n1", "n2", "n3"]
+        assert runner.executed == []  # every node ran in a worker
         assert pool.throttled == {}  # no fan-out throttling ...
         assert bucket.spent == 0  # ... and no tokens charged
         assert len(pool.take_done()) == 1
@@ -374,13 +385,9 @@ def test_pool_fair_fan_out_charges_quotas():
     the inline pick, so parallel backends cannot dodge a quota."""
     from repro.verifier.dag.plan import NODE_REEXEC
 
-    class _ParallelRunner(_FakeRunner):
-        def parallel_safe(self, node):
-            return True
-
     bucket = TokenBucket(1)
     pool = SharedDagPool(
-        scheduler="thread", jobs=2, fair=True, quotas={"t": bucket}
+        scheduler="process", jobs=2, fair=True, quotas={"t": bucket}
     )
     runner = _ParallelRunner()
     nodes, _ = _chain("n", 3, stage=NODE_REEXEC)

@@ -8,8 +8,7 @@ groups, handlers_executed)`` -- plus the per-epoch ``(epoch, accepted,
 reason, checkpoint_digest)`` of one honest and one tampered sealed
 stream per app.  They were recorded by the staged pipeline engine at the
 commit before it was deleted, so a run of the audit engine under any
-scheduler backend, dedup state, hints setting, ready-queue order or
-metrics setting either reproduces them bit for bit or has changed a
+scheduler backend, dedup state, ready-queue order or metrics setting either reproduces them bit for bit or has changed a
 verdict.
 
 A rejection witnessed by a graph cycle pins that a cycle was found, not
@@ -26,6 +25,7 @@ An *intentional* verdict change regenerates with::
 import functools
 import json
 import os
+import random
 import re
 
 from repro.apps import feed_app, motd_app, stackdump_app, wiki_app
@@ -85,11 +85,12 @@ def app_of(run_name):
     return APPS[RUNS[run_name][0]]
 
 
-@functools.lru_cache(maxsize=None)
-def hints_of(run_name):
-    from repro.analysis.effects import StaticHints
-
-    return StaticHints.from_app(app_of(run_name)())
+def shuffled(seed):
+    """A seeded ``order_key``: the ready queue pops in a random order, so
+    nodes are absorbed out of canonical order -- what a worker pool does
+    to the engine, without paying for the pool."""
+    rng, rank = random.Random(seed), {}
+    return lambda node: rank.setdefault(node.node_id, rng.random())
 
 
 @functools.lru_cache(maxsize=None)
