@@ -296,7 +296,11 @@ class ContinuousAuditor:
         checkpoint: Optional[Checkpoint],
     ) -> EpochVerdict:
         """Journal the verdict and, on accept, extend the checkpoint
-        chain."""
+        chain.  A verified epoch's two durability barriers are taken
+        here, in this order: ``put`` returns with checkpoint k durable,
+        then ``record`` makes ``verified k`` durable.  Resume relies on
+        it: *a durable ``verified k`` implies a durable checkpoint k
+        whose digest it names*."""
         if not result.accepted:
             verdict = EpochVerdict(epoch.index, result)
             self._failed = verdict

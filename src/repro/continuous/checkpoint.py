@@ -307,11 +307,11 @@ class CheckpointStore:
 
     On a :class:`repro.storage.backend.StorageBackend` the store is one
     append-only ``checkpoints`` record stream, one record per
-    :meth:`put`, fsynced per record so a crash can never tear a
-    checkpoint the journal already references.  Reopening replays the
-    stream (later records for an index win) and recovers a torn tail; a
-    whole record that is not a well-formed checkpoint raises
-    :class:`CheckpointError`.
+    :meth:`put`, barriered before :meth:`put` returns so the journal
+    never names a checkpoint the store could still lose.  Reopening
+    replays the stream (later records for an index win) and recovers a
+    torn tail; a whole record that is not a well-formed checkpoint
+    raises :class:`CheckpointError`.
 
     :meth:`verify_chain` recomputes every digest and checks the parent
     links, so tampering with stored state is detected before any carried
@@ -344,14 +344,11 @@ class CheckpointStore:
         self._by_index[cp.epoch] = cp
         if self.backend is not None:
             if self._writer is None:
-                # fsync_every: a "verified" journal entry must never
-                # reference a checkpoint the store could still lose.
-                self._writer = self.backend.append(
-                    STREAM_NAME, STREAM_KIND, fsync_every=True
-                )
+                self._writer = self.backend.append(STREAM_NAME, STREAM_KIND)
             self._writer.append(
                 RT_CHECKPOINT, encode_checkpoint(cp).encode("utf-8")
             )
+            self._writer.sync()
 
     def close(self) -> None:
         """Seal the backend stream (no-op for an in-memory store)."""

@@ -1,11 +1,15 @@
 """Crash-resumable audit progress journal (DESIGN.md §6).
 
-One event per record, appended and made *durable* (flush + fsync) as the
-continuous audit progresses:
+One event per record, appended as the continuous audit progresses:
 
 * ``{"event": "sealed",   "epoch": k, "requests": n}``
 * ``{"event": "verified", "epoch": k, "digest": "..."}``
 * ``{"event": "rejected", "epoch": k, "reason": "...", "detail": "..."}``
+
+A verdict (``verified`` / ``rejected``) is a commit point: its append is
+followed by a durability barrier, which also covers every earlier
+record of the stream.  ``sealed`` takes none of its own -- nothing reads
+it back to make a decision, so losing one costs nothing.
 
 A restarted auditor loads the journal, finds the last verified epoch, and
 resumes after it -- re-auditing nothing that already verified, provided
@@ -14,11 +18,11 @@ checkpoint store invalidates the journal's claim and the resume is
 refused as ``checkpoint-chain-forged``).
 
 Persisted on a :class:`repro.storage.backend.StorageBackend` as one
-``journal`` record stream with per-record fsync; the storage layer's CRC
-and torn-tail recovery mean an interrupted final append never prevents
-reopening.  The journal is evidence like everything else the auditor
-reads back: every whole record is validated on load, and anything else
-raises :class:`~repro.storage.records.RecordFormatError`.
+``journal`` record stream; the storage layer's CRC and torn-tail
+recovery mean an interrupted final append never prevents reopening.
+The journal is evidence like everything else the auditor reads back:
+every whole record is validated on load, and anything else raises
+:class:`~repro.storage.records.RecordFormatError`.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ def _check_event(rtype: int, payload: bytes) -> Dict:
 
 
 class AuditJournal:
-    """Append-only, fsync-per-record progress log; in-memory when no
-    ``backend`` is given."""
+    """Append-only progress log, barriered at every verdict; in-memory
+    when no ``backend`` is given."""
 
     def __init__(self, backend: Optional[StorageBackend] = None):
         self.backend = backend
@@ -69,10 +73,10 @@ class AuditJournal:
         self.events.append(entry)
         if self.backend is not None:
             if self._writer is None:
-                self._writer = self.backend.append(
-                    STREAM_NAME, STREAM_KIND, fsync_every=True
-                )
+                self._writer = self.backend.append(STREAM_NAME, STREAM_KIND)
             self._writer.append(RT_JOURNAL_EVENT, pack_json(entry))
+            if event != "sealed":
+                self._writer.sync()
 
     def close(self) -> None:
         """Seal the backend stream (no-op for an in-memory journal)."""

@@ -229,7 +229,7 @@ class AuditService:
     def _shutdown(self) -> None:
         # Drain: absorb (and journal) every in-flight worker result
         # without launching anything new, commit plans that finished,
-        # seal the node journal of the plan that didn't.
+        # release the node journal of the plan that didn't.
         self.pool.pump(launch=False)
         self._harvest()
         for rt in self._tenants:

@@ -210,11 +210,11 @@ class TenantStream(ContinuousAuditor):
         self.state_dir = state_dir
         os.makedirs(state_dir, exist_ok=True)
         self._state_backend = backend_for(
-            "file", os.path.join(state_dir, "audit")
+            "file", os.path.join(state_dir, "audit"), metrics=metrics
         )
-        node_journal = NodeJournal(
-            backend_for("file", os.path.join(state_dir, "nodejournal"))
-        )
+        node_journal = NodeJournal(backend_for(
+            "file", os.path.join(state_dir, "nodejournal"), metrics=metrics
+        ))
         self.state_error = ""
         try:
             checkpoints = CheckpointStore(backend=self._state_backend)

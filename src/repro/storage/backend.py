@@ -7,9 +7,9 @@ implementations:
 * :class:`MemoryBackend` -- byte arrays in a dict; zero durability, the
   reference backend for tests and in-process use;
 * :class:`FileBackend` -- one append-only file per stream under a root
-  directory, flushed per record and fsynced on seal; opening a stream for
-  append recovers a torn tail (a crash mid-append) by truncating to the
-  last whole record;
+  directory, flushed per record, durable where its writer says so
+  (``sync`` / ``seal``); opening a stream for append recovers a torn
+  tail (a crash mid-append) by truncating to the last whole record;
 * :class:`GzipBackend` -- the file backend with gzip compression
   (``Z_SYNC_FLUSH`` per record so readers see whole records); reopening
   for append recompacts the stream, since gzip members cannot be resumed
@@ -40,6 +40,7 @@ from repro.storage.records import (
     encode_record,
     encode_stream_header,
     recover_stream,
+    scan_records,
 )
 
 
@@ -49,20 +50,29 @@ class RecordWriter:
     kind: str
 
     def append(self, rtype: int, payload: bytes) -> None:
+        """Frame one record and flush it to the OS: a killed *process*
+        loses at most this record; a power loss, all since a barrier."""
         raise NotImplementedError
 
-    def seal(self) -> None:
-        """Flush everything durably (fsync where meaningful) and close."""
+    def sync(self) -> None:
+        """The durability barrier: every record appended so far survives
+        a power loss (fsync where meaningful; no-op once closed)."""
         raise NotImplementedError
 
     def close(self) -> None:
-        self.seal()
+        """Release the handle without a barrier."""
+        raise NotImplementedError
+
+    def seal(self) -> None:
+        """Barrier, then close: how a whole-stream writer finishes."""
+        self.sync()
+        self.close()
 
     def __enter__(self) -> "RecordWriter":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        self.seal()
 
 
 class RecordReader:
@@ -99,10 +109,9 @@ class StorageBackend:
         """A fresh stream (truncates any existing one)."""
         raise NotImplementedError
 
-    def append(self, name: str, kind: str, fsync_every: bool = False) -> RecordWriter:
+    def append(self, name: str, kind: str) -> RecordWriter:
         """Open (or create) a stream for appending, recovering a torn
-        tail first.  ``fsync_every`` forces a durability barrier per
-        record -- the audit journal's requirement."""
+        tail first."""
         raise NotImplementedError
 
     def reader(self, name: str) -> RecordReader:
@@ -123,21 +132,21 @@ class StorageBackend:
         The crash-resume read path for journals, checkpoints, and the
         binlog: an interrupted final append must never prevent reopening
         the stream.  Mid-stream corruption still raises.  A missing
-        stream reads as empty.
+        stream, or one torn inside its header, reads as empty.
         """
         if not self.exists(name):
             return []
         records: List[Tuple[int, bytes]] = []
-        with self.reader(name) as reader:
-            if reader.kind != kind:
-                raise RecordFormatError(
-                    f"stream {name!r} holds {reader.kind!r} records, wanted {kind!r}"
-                )
-            try:
+        try:
+            with self.reader(name) as reader:
+                if reader.kind != kind:
+                    raise RecordFormatError(
+                        f"stream {name!r} holds {reader.kind!r} records, wanted {kind!r}"
+                    )
                 for rtype, payload in reader:
                     records.append((rtype, payload))
-            except RecordTruncatedError:
-                pass
+        except RecordTruncatedError:
+            pass
         return records
 
 
@@ -179,6 +188,8 @@ def _iter_file_records(fh) -> Iterator[Tuple[int, bytes]]:
 def _read_file_header(fh, where: str) -> str:
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
+        if MAGIC.startswith(magic):
+            raise RecordTruncatedError(f"{where}: stream header torn")
         raise RecordFormatError(f"{where} is not a record stream (magic {magic!r})")
     kind_len = fh.read(1)
     if not kind_len:
@@ -190,6 +201,18 @@ def _read_file_header(fh, where: str) -> str:
         raise RecordFormatError(f"{where}: stream kind is not utf-8: {exc}") from None
 
 
+def _clean_prefix(buf: bytes, kind: str, where: str) -> Optional[int]:
+    """Length of a ``kind`` stream's whole-record prefix; None when it is
+    torn inside its header (never barriered: an empty stream)."""
+    try:
+        got_kind, _, good = recover_stream(buf)
+    except RecordTruncatedError:
+        return None
+    if got_kind != kind:
+        raise RecordFormatError(f"{where} holds {got_kind!r} records, wanted {kind!r}")
+    return good
+
+
 # -- in-memory -----------------------------------------------------------------
 
 
@@ -197,7 +220,6 @@ class _MemoryWriter(RecordWriter):
     def __init__(self, buf: bytearray, kind: str, metrics: MetricsRegistry = NULL_METRICS):
         self._buf = buf
         self.kind = kind
-        self.records_written = 0
         self._metrics = metrics
 
     def append(self, rtype: int, payload: bytes) -> None:
@@ -205,11 +227,13 @@ class _MemoryWriter(RecordWriter):
             raise ValueError("writer is sealed")
         encoded = encode_record(rtype, payload)
         self._buf += encoded
-        self.records_written += 1
         self._metrics.counter("storage.memory.records_written").inc()
         self._metrics.counter("storage.memory.bytes_written").inc(len(encoded))
 
-    def seal(self) -> None:
+    def sync(self) -> None:
+        pass
+
+    def close(self) -> None:
         self._buf = None
 
 
@@ -220,8 +244,6 @@ class _MemoryReader(RecordReader):
         self._metrics = metrics
 
     def __iter__(self) -> Iterator[Tuple[int, bytes]]:
-        from repro.storage.records import scan_records
-
         for rtype, payload, _ in scan_records(self._buf, self._start):
             self._metrics.counter("storage.memory.records_read").inc()
             self._metrics.counter("storage.memory.bytes_read").inc(len(payload))
@@ -242,15 +264,13 @@ class MemoryBackend(StorageBackend):
         self._streams[name] = buf
         return _MemoryWriter(buf, kind, metrics=self.metrics)
 
-    def append(self, name: str, kind: str, fsync_every: bool = False) -> RecordWriter:
+    def append(self, name: str, kind: str) -> RecordWriter:
         buf = self._streams.get(name)
-        if buf is None:
+        good = None
+        if buf is not None:
+            good = _clean_prefix(bytes(buf), kind, f"stream {name!r}")
+        if good is None:
             return self.create(name, kind)
-        got_kind, _, good = recover_stream(bytes(buf))
-        if got_kind != kind:
-            raise RecordFormatError(
-                f"stream {name!r} holds {got_kind!r} records, wanted {kind!r}"
-            )
         del buf[good:]
         return _MemoryWriter(buf, kind, metrics=self.metrics)
 
@@ -279,37 +299,35 @@ class MemoryBackend(StorageBackend):
 class _FileWriter(RecordWriter):
     scheme = "file"
 
-    def __init__(self, fh, kind: str, fsync_every: bool = False,
-                 metrics: MetricsRegistry = NULL_METRICS):
-        self._fh = fh
+    def __init__(self, raw, kind: str, metrics: MetricsRegistry = NULL_METRICS):
+        self._raw = raw
         self.kind = kind
-        self._fsync_every = fsync_every
-        self.records_written = 0
         self._metrics = metrics
 
+    def _write(self, encoded: bytes) -> None:
+        self._raw.write(encoded)
+
     def append(self, rtype: int, payload: bytes) -> None:
-        if self._fh is None:
+        if self._raw is None:
             raise ValueError("writer is sealed")
         encoded = encode_record(rtype, payload)
-        self._fh.write(encoded)
+        self._write(encoded)
         # Per-record flush: a crash loses at most the record being
         # written, and torn-tail recovery drops that one cleanly.
-        self._fh.flush()
-        if self._fsync_every:
-            os.fsync(self._fh.fileno())
-            self._metrics.counter(f"storage.{self.scheme}.fsyncs").inc()
-        self.records_written += 1
+        self._raw.flush()
         self._metrics.counter(f"storage.{self.scheme}.records_written").inc()
         self._metrics.counter(f"storage.{self.scheme}.bytes_written").inc(len(encoded))
 
-    def seal(self) -> None:
-        if self._fh is None:
-            return
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._metrics.counter(f"storage.{self.scheme}.fsyncs").inc()
-        self._fh.close()
-        self._fh = None
+    def sync(self) -> None:
+        if self._raw is not None:
+            self._raw.flush()
+            os.fsync(self._raw.fileno())
+            self._metrics.counter(f"storage.{self.scheme}.fsyncs").inc()
+
+    def close(self) -> None:
+        if self._raw is not None:
+            self._raw.close()
+            self._raw = None
 
 
 class _FileReader(RecordReader):
@@ -354,23 +372,18 @@ class FileBackend(StorageBackend):
         fh.flush()
         return _FileWriter(fh, kind, metrics=self.metrics)
 
-    def append(self, name: str, kind: str, fsync_every: bool = False) -> RecordWriter:
+    def append(self, name: str, kind: str) -> RecordWriter:
         path = self._path(name)
-        if not os.path.exists(path):
-            writer = self.create(name, kind)
-            writer._fsync_every = fsync_every
-            return writer
-        with open(path, "rb") as fh:
-            buf = fh.read()
-        got_kind, _, good = recover_stream(buf)
-        if got_kind != kind:
-            raise RecordFormatError(
-                f"{path} holds {got_kind!r} records, wanted {kind!r}"
-            )
+        good = None
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                good = _clean_prefix(fh.read(), kind, path)
+        if good is None:
+            return self.create(name, kind)
         fh = open(path, "r+b")
         fh.truncate(good)
         fh.seek(good)
-        return _FileWriter(fh, kind, fsync_every=fsync_every, metrics=self.metrics)
+        return _FileWriter(fh, kind, metrics=self.metrics)
 
     def reader(self, name: str) -> RecordReader:
         return _FileReader(self._path(name), metrics=self.metrics)
@@ -397,42 +410,26 @@ class FileBackend(StorageBackend):
 # -- gzip-compressed files -----------------------------------------------------
 
 
-class _GzipWriter(RecordWriter):
-    def __init__(self, raw, gz, kind: str, fsync_every: bool = False,
-                 metrics: MetricsRegistry = NULL_METRICS):
-        self._raw = raw
-        self._gz = gz
-        self.kind = kind
-        self._fsync_every = fsync_every
-        self.records_written = 0
-        self._metrics = metrics
+class _GzipWriter(_FileWriter):
+    scheme = "gzip"
 
-    def append(self, rtype: int, payload: bytes) -> None:
-        if self._gz is None:
-            raise ValueError("writer is sealed")
-        encoded = encode_record(rtype, payload)
+    def __init__(self, raw, gz, kind: str, metrics: MetricsRegistry = NULL_METRICS):
+        super().__init__(raw, kind, metrics)
+        self._gz = gz
+
+    def _write(self, encoded: bytes) -> None:
         self._gz.write(encoded)
         # SYNC_FLUSH emits a deflate block boundary: everything written so
         # far decompresses without the stream trailer.
         self._gz.flush(zlib.Z_SYNC_FLUSH)
-        self._raw.flush()
-        if self._fsync_every:
-            os.fsync(self._raw.fileno())
-            self._metrics.counter("storage.gzip.fsyncs").inc()
-        self.records_written += 1
-        self._metrics.counter("storage.gzip.records_written").inc()
-        self._metrics.counter("storage.gzip.bytes_written").inc(len(encoded))
+
+    def close(self) -> None:
+        self._gz.close()  # writes the member trailer
+        super().close()
 
     def seal(self) -> None:
-        if self._gz is None:
-            return
-        self._gz.close()
-        self._raw.flush()
-        os.fsync(self._raw.fileno())
-        self._metrics.counter("storage.gzip.fsyncs").inc()
-        self._raw.close()
-        self._gz = None
-        self._raw = None
+        self._gz.close()  # trailer first, so the barrier covers it
+        super().seal()
 
 
 class _GzipReader(RecordReader):
@@ -481,44 +478,31 @@ class GzipBackend(FileBackend):
     scheme = "gzip"
     suffix = ".recz"
 
-    def create(self, name: str, kind: str) -> RecordWriter:
-        raw = open(self._path(name), "wb")
-        gz = gzip.GzipFile(fileobj=raw, mode="wb", mtime=0)
-        gz.write(encode_stream_header(kind))
-        gz.flush(zlib.Z_SYNC_FLUSH)
-        raw.flush()
-        return _GzipWriter(raw, gz, kind, metrics=self.metrics)
-
-    def append(self, name: str, kind: str, fsync_every: bool = False) -> RecordWriter:
-        path = self._path(name)
-        if not os.path.exists(path):
-            writer = self.create(name, kind)
-            writer._fsync_every = fsync_every
-            return writer
-        # Gzip members cannot be resumed in place: recompact the whole
-        # clean prefix into a fresh stream, then keep appending.
-        reader = self.reader(name)
-        if reader.kind != kind:
-            raise RecordFormatError(
-                f"{path} holds {reader.kind!r} records, wanted {kind!r}"
-            )
-        records: List[Tuple[int, bytes]] = []
-        try:
-            for rtype, payload in reader:
-                records.append((rtype, payload))
-        except RecordTruncatedError:
-            pass
-        tmp = path + ".tmp"
-        raw = open(tmp, "wb")
+    def _start(self, path: str, kind: str, records=()) -> _GzipWriter:
+        raw = open(path, "wb")
         gz = gzip.GzipFile(fileobj=raw, mode="wb", mtime=0)
         gz.write(encode_stream_header(kind))
         for rtype, payload in records:
             gz.write(encode_record(rtype, payload))
         gz.flush(zlib.Z_SYNC_FLUSH)
         raw.flush()
-        writer = _GzipWriter(raw, gz, kind, fsync_every=fsync_every,
-                             metrics=self.metrics)
-        writer.records_written = len(records)
+        return _GzipWriter(raw, gz, kind, metrics=self.metrics)
+
+    def create(self, name: str, kind: str) -> RecordWriter:
+        return self._start(self._path(name), kind)
+
+    def append(self, name: str, kind: str) -> RecordWriter:
+        path = self._path(name)
+        if not os.path.exists(path):
+            return self.create(name, kind)
+        # Gzip members cannot be resumed in place: recompact the whole
+        # clean prefix into a fresh stream, then keep appending.
+        tmp = path + ".tmp"
+        writer = self._start(tmp, kind, self.load_tolerant(name, kind))
+        # Barrier before the rename: after a power loss the new name must
+        # never be durable ahead of the bytes it names, or the whole
+        # stream (a tenant's checkpoints, its journal) reads back empty.
+        writer.sync()
         os.replace(tmp, path)
         return writer
 

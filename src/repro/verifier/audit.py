@@ -39,12 +39,12 @@ The exception-to-verdict mapping lives in exactly one place --
 ``AuditResult.stage`` names one of :data:`STAGES`.
 
 With a :class:`~repro.verifier.dag.journal.NodeJournal` attached, every
-completed node is persisted (fsync per record, digest-chained) before
-its completion is acted on, and ``resume`` replays the journal: a
-recorded verdict returns wholesale, journaled ``reexec`` deltas are
-replayed instead of re-executed, and the cheap deterministic stages
-simply re-run -- only the frontier re-executes.  Nothing is serialized
-for a journal that is not there.
+completed node is journaled (flushed per record, digest-chained, never
+barriered: re-derivable) before its completion is acted on, and
+``resume`` replays the journal: a recorded verdict returns wholesale,
+journaled ``reexec`` deltas are replayed instead of re-executed, and the
+cheap deterministic stages simply re-run -- only the frontier
+re-executes.  Nothing is serialized for a journal that is not there.
 """
 
 from __future__ import annotations
@@ -404,7 +404,7 @@ class Auditor:
 
     def collect(self) -> AuditResult:
         """The verdict, once the schedule ended (normally or via
-        :class:`PlanAborted`); seals the node journal."""
+        :class:`PlanAborted`); releases the node journal."""
         self.abandon()
         if self._result is None:
             raise RuntimeError(
@@ -414,10 +414,10 @@ class Auditor:
         return self._result
 
     def abandon(self) -> None:
-        """Close the node journal so the completed prefix is durable.
-        Alone, this is the drain path of an external driver (SIGTERM
-        mid-epoch): a later run over the same inputs resumes from the
-        journaled nodes instead of re-executing them."""
+        """Release the node journal.  Alone, this is the drain path of
+        an external driver (SIGTERM mid-epoch): a later run over the
+        same inputs resumes from the journaled nodes instead of
+        re-executing them."""
         if self.journal is not None:
             self.journal.close()
 
@@ -432,23 +432,22 @@ class Auditor:
         if self.journal is None:
             return
         jstate = None
-        if self.resume:
-            if self.journal.exists():
+        if self.resume == "auto":
+            # Every epoch finds its predecessor's journal: the header alone
+            # dismisses it.  A damaged one of this plan is discarded too.
+            if self.journal.header_plan() == plan.digest:
                 try:
                     jstate = self.journal.load()
                 except NodeJournalError:
-                    if self.resume != "auto":
-                        raise
-            elif self.resume != "auto":
-                raise NodeJournalError("no node journal to resume from")
-            if jstate is not None and jstate.plan_digest != plan.digest:
-                if self.resume != "auto":
-                    raise NodeJournalError(
-                        f"node journal belongs to plan "
-                        f"{jstate.plan_digest[:16]}, not {plan.digest[:16]}: "
-                        "refusing to resume against different inputs"
-                    )
-                jstate = None
+                    pass
+        elif self.resume:
+            jstate = self.journal.load()
+            if jstate.plan_digest != plan.digest:
+                raise NodeJournalError(
+                    f"node journal belongs to plan "
+                    f"{jstate.plan_digest[:16]}, not {plan.digest[:16]}: "
+                    "refusing to resume against different inputs"
+                )
         self._jstate = jstate
         if jstate is None:
             self.journal.start(plan.digest)
@@ -692,7 +691,7 @@ class Auditor:
         if self.journal is None:
             return
         if self._jstate is not None and node.node_id in self._jstate.completed:
-            return  # already durable from the interrupted run
+            return  # already journaled by the interrupted run
         self.journal.record_node(
             node.node_id, node.stage, node.epoch, node.group,
             payload_kind, payload,

@@ -3,13 +3,15 @@
 
 A DAG-driven audit appends one record per completed node to a
 ``nodes`` record stream (any :class:`repro.storage.backend.StorageBackend`),
-fsynced per record so a completion that was handed back survives a
-kill.  Records are digest-chained exactly like checkpoints: every
-record carries its predecessor's digest and its own
-``sha256(canonical_json(record sans digest))``, so truncation beyond
-the storage layer's torn-tail window, reordering, or in-place edits are
-detected on load and the resume is refused (``NodeJournalError``)
-rather than silently trusted.
+flushed per record so a completion that was handed back survives a
+kill of the process, and never barriered: it caches re-derivable work,
+so when a power loss shortens or damages it the answer is to
+re-execute (DESIGN.md §8).  Records are digest-chained
+exactly like checkpoints: every record carries its predecessor's digest
+and its own ``sha256(canonical_json(record sans digest))``, so
+truncation beyond the storage layer's torn-tail window, reordering, or
+in-place edits are detected on load and the resume is refused
+(``NodeJournalError``) rather than silently trusted.
 
 Record types:
 
@@ -41,11 +43,11 @@ import hashlib
 import json
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import KarousosError
 from repro.storage.backend import StorageBackend
-from repro.storage.records import pack_json, unpack_json
+from repro.storage.records import RecordFormatError, pack_json, unpack_json
 
 STREAM_NAME = "nodes"
 STREAM_KIND = "nodejournal"
@@ -113,11 +115,7 @@ class NodeJournal:
         doc["prev"] = self._prev
         doc["digest"] = _record_digest(doc)
         if self._writer is None:
-            # fsync per record: a completion the scheduler already acted
-            # on must survive a kill, or resume would re-trust nothing.
-            self._writer = self.backend.append(
-                STREAM_NAME, STREAM_KIND, fsync_every=True
-            )
+            self._writer = self.backend.append(STREAM_NAME, STREAM_KIND)
         self._writer.append(rtype, pack_json(doc))
         self._prev = doc["digest"]  # type: ignore[assignment]
 
@@ -150,14 +148,25 @@ class NodeJournal:
                                   "verdict": verdict})
 
     def close(self) -> None:
+        """Release the stream; no barrier (see the module docstring)."""
         if self._writer is not None:
-            self._writer.seal()
+            self._writer.close()
             self._writer = None
 
     # -- loading -----------------------------------------------------------
 
-    def exists(self) -> bool:
-        return self.backend.exists(STREAM_NAME)
+    def header_plan(self) -> Optional[object]:
+        """The plan digest the stored journal's header claims (None
+        without a readable header), from that one record: enough to
+        dismiss another plan's journal without verifying the chain it is
+        about to lose.  :meth:`load` verifies all of it before a resume."""
+        try:
+            with self.backend.reader(STREAM_NAME) as reader:
+                rtype, payload = next(iter(reader))
+                doc = unpack_json(payload)
+        except (FileNotFoundError, StopIteration, RecordFormatError):
+            return None
+        return doc.get("plan") if rtype == RT_HEADER and isinstance(doc, dict) else None
 
     def load(self) -> NodeJournalState:
         """Load and chain-verify the journal (torn tail dropped by the
@@ -165,7 +174,10 @@ class NodeJournal:
         :class:`NodeJournalError`)."""
         if not self.backend.exists(STREAM_NAME):
             raise NodeJournalError("no node journal to resume from")
-        records = list(self.backend.load_tolerant(STREAM_NAME, STREAM_KIND))
+        try:
+            records = self.backend.load_tolerant(STREAM_NAME, STREAM_KIND)
+        except RecordFormatError as exc:  # damaged past the torn-tail window
+            raise NodeJournalError(f"node journal is damaged: {exc}") from exc
         if not records:
             raise NodeJournalError("node journal is empty")
         state: Optional[NodeJournalState] = None

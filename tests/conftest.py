@@ -1,8 +1,28 @@
-"""Fixtures shared by the CLI suites."""
+"""Fixtures shared across suites."""
 
 import pytest
 
 from repro.cli import EXIT_OK, main
+
+
+@pytest.fixture(scope="session")
+def five_wiki_epochs():
+    """An honest wiki run cut into exactly five sealed epochs."""
+    from repro.apps import wiki_app
+    from repro.continuous import slice_epochs
+    from repro.kem.scheduler import RandomScheduler
+    from repro.server import KarousosPolicy, run_server
+    from repro.store import IsolationLevel, KVStore
+    from repro.workload import wiki_workload
+
+    run = run_server(
+        wiki_app(), wiki_workload(15, seed=5), KarousosPolicy(),
+        store=KVStore(IsolationLevel.SERIALIZABLE),
+        scheduler=RandomScheduler(1), concurrency=1,  # quiescent cut points
+    )
+    epochs = slice_epochs(run.trace, run.advice, 3)
+    assert len(epochs) == 5
+    return epochs
 
 
 @pytest.fixture(scope="session")

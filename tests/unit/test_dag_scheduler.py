@@ -320,6 +320,69 @@ class TestCrashResume:
         assert auditor.resumed_nodes > 0
 
 
+    def test_auto_dismisses_a_foreign_journal_from_its_header_alone(
+        self, served, tmp_path
+    ):
+        """Every epoch after the first finds its predecessor's journal:
+        one record read says so, and none of its chain is verified."""
+        from repro.obs import MetricsRegistry
+        from repro.storage import FileBackend
+
+        other = run_server(
+            motd_app(),
+            motd_workload(8, mix="mixed", seed=99),
+            KarousosPolicy(),
+            scheduler=RandomScheduler(2),
+            concurrency=4,
+        )
+        Auditor(
+            motd_app(), other.trace, other.advice,
+            node_journal=NodeJournal(FileBackend(str(tmp_path))),
+        ).run()
+        reads = MetricsRegistry()
+        auditor, result = self._run(
+            served, NodeJournal(FileBackend(str(tmp_path), metrics=reads)),
+            resume="auto",
+        )
+        assert result.accepted and auditor.resumed_nodes == 0
+        assert reads.snapshot()["counters"]["storage.file.records_read"] == 1
+
+    def test_auto_on_the_same_plan_still_replays_every_journaled_delta(
+        self, served, tmp_path
+    ):
+        from repro.obs import MetricsRegistry
+        from repro.storage import FileBackend
+
+        groups = len(served.advice.groups())
+        # header + decode/preprocess/isolation + every reexec delta
+        with pytest.raises(SimulatedKill):
+            self._run(
+                served, NodeJournal(FileBackend(str(tmp_path))),
+                kill_after=3 + groups,
+            )
+        reads = MetricsRegistry()
+        auditor, result = self._run(
+            served, NodeJournal(FileBackend(str(tmp_path), metrics=reads)),
+            resume="auto",
+        )
+        assert result.accepted
+        assert (auditor.resumed_nodes, auditor.executed_nodes) == (groups, 0)
+        # the header peek, then the whole chain: header + 3 + groups records
+        assert reads.snapshot()["counters"]["storage.file.records_read"] == (
+            1 + 1 + 3 + groups
+        )
+
+    def test_auto_discards_a_damaged_journal_of_the_same_plan(self, served):
+        backend = MemoryBackend()
+        with pytest.raises(SimulatedKill):
+            self._run(served, NodeJournal(backend), kill_after=5)
+        raw = backend.raw("nodes")
+        # Corrupt a mid-stream record body, keep the header record whole.
+        raw[len(raw) // 2] ^= 0xFF
+        auditor, result = self._run(served, NodeJournal(backend), resume="auto")
+        assert result.accepted and auditor.resumed_nodes == 0
+
+
 class TestJournalPayloads:
     """Nothing is serialized for a journal that is not there."""
 

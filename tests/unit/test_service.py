@@ -424,3 +424,44 @@ def test_pool_max_nodes_bounds_a_pump():
     assert runner.executed == ["n0", "n1"]
     assert pool.pump() == 3
     assert len(pool.take_done()) == 1
+
+
+# -- the daemon's own durable writes are visible ---------------------------------
+
+
+def test_tenant_storage_counters_show_two_barriers_per_verified_epoch(
+    tmp_path, five_wiki_epochs
+):
+    """``TenantStream`` builds its ``audit/`` and ``nodejournal/``
+    backends on the tenant's registry, so the commit protocol is
+    observable per tenant: checkpoint, then ``verified`` -- two barriers
+    per verified epoch, none from the node journal -- plus the two seals
+    of ``close()``."""
+    import json
+
+    from repro.service import AuditService, TenantConfig
+
+    store = backend_for("file", str(tmp_path / "epochs"))
+    for epoch in five_wiki_epochs:
+        write_epoch_stored(store, epoch)
+    metrics_out = str(tmp_path / "fleet.json")
+    service = AuditService(
+        [TenantConfig(app="wiki", store=str(tmp_path / "epochs"), name="w")],
+        state_dir=str(tmp_path / "state"),
+        metrics_out=metrics_out,
+    )
+    assert service.run(once=True) == 5
+    stream = service._by_name["w"].stream
+    assert all(v.accepted for v in stream.verdicts.values())
+    with open(metrics_out) as fh:
+        written = json.load(fh)["counters"]
+    # --metrics-out is written at shutdown before the streams close;
+    # the post-run snapshot also holds close()'s two seals.
+    assert written["tenant.w.storage.file.fsyncs"] == 2 * 5
+    final = service.fleet_snapshot()["counters"]
+    assert final["tenant.w.storage.file.fsyncs"] == 2 * 5 + 2
+    for counters in (final, written):
+        # 5 x (sealed + checkpoint + verified) on audit/, plus every
+        # node-journal record
+        assert counters["tenant.w.storage.file.records_written"] > 3 * 5
+        assert counters["tenant.w.storage.file.bytes_written"] > 0

@@ -15,11 +15,14 @@ from repro.continuous.codec import (
     read_epoch_stream,
     write_epoch_stored,
 )
+from repro.continuous import ContinuousAuditor
+from repro.continuous.checkpoint import Checkpoint, CheckpointStore
 from repro.continuous.epoch import Epoch
 from repro.continuous.journal import AuditJournal
 from repro.core.ids import HandlerId, TxId
 from repro.errors import AdviceFormatError
 from repro.storage import (
+    SCHEMES,
     FileBackend,
     GzipBackend,
     MemoryBackend,
@@ -36,6 +39,7 @@ from repro.storage import (
 )
 from repro.trace.codec import iter_trace_records, read_trace, write_trace
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
+from repro.verifier.dag import NodeJournal
 
 pytestmark = pytest.mark.tier1
 
@@ -187,17 +191,182 @@ def test_file_reader_midstream_corruption(tmp_path):
             list(r)
 
 
-# -- journal durability (satellite: fsync per record, kill mid-write) ---------
+# -- durability protocol (DESIGN.md §8): explicit barriers, kill mid-write -----
 
 
-def test_journal_fsyncs_every_record(tmp_path, monkeypatch):
-    synced = []
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """The file names ``os.fsync`` was called on, in order."""
+    names = []
     real_fsync = os.fsync
-    monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
-    journal = AuditJournal(backend=FileBackend(str(tmp_path)))
+
+    def recording(fd):
+        names.append(os.path.basename(os.readlink(f"/proc/self/fd/{fd}")))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    return names
+
+
+def test_durability_protocol_barriers(tmp_path, fsyncs):
+    """The commit points, and nothing else, take a barrier."""
+    backend = FileBackend(str(tmp_path))
+    journal = AuditJournal(backend=backend)
     journal.record("sealed", 0)
+    assert fsyncs == []  # nothing reads a sealed event back
     journal.record("verified", 0, digest="d")
-    assert len(synced) == 2
+    assert fsyncs == ["journal.rec"]  # one barrier covers both records
+    journal.record("rejected", 1, reason="r", detail="")
+    assert fsyncs == ["journal.rec"] * 2
+
+    del fsyncs[:]
+    checkpoints = CheckpointStore(backend=backend)
+    checkpoints.put(Checkpoint.make(0, "genesis", {"v": 1}, {}))
+    assert fsyncs == ["checkpoints.rec"]
+
+    del fsyncs[:]
+    nodes = NodeJournal(backend)
+    nodes.start("plan-digest")
+    for n in range(5):
+        nodes.record_node(f"0/reexec/{n}", "reexec", 0, str(n), "delta", b"x")
+    nodes.record_verdict(0, {"accepted": True})
+    nodes.close()
+    assert fsyncs == []  # re-derivable: flushed per record, never barriered
+    assert len(NodeJournal(backend).load().completed) == 5
+
+
+@pytest.mark.parametrize("scheme", ["file", "gzip"])
+def test_seal_is_one_barrier_and_close_is_none(tmp_path, fsyncs, scheme):
+    backend = backend_for(scheme, str(tmp_path))
+    writer = backend.create("s", "kind")
+    writer.append(1, b"one")
+    writer.seal()
+    writer.seal()  # idempotent
+    assert len(fsyncs) == 1
+    writer = backend.create("t", "kind")
+    writer.append(1, b"one")
+    writer.close()
+    assert len(fsyncs) == 1
+    assert backend.load_tolerant("t", "kind") == [(1, b"one")]
+    with backend.create("u", "kind") as writer:  # a with block seals
+        writer.append(1, b"one")
+    assert len(fsyncs) == 2
+
+
+def test_sync_counts_per_scheme_and_is_a_noop_in_memory(tmp_path, fsyncs):
+    from repro.obs import MetricsRegistry
+
+    for scheme in SCHEMES:
+        metrics = MetricsRegistry()
+        backend = backend_for(scheme, str(tmp_path / scheme), metrics=metrics)
+        writer = backend.append("s", "kind")
+        writer.append(1, b"one")
+        writer.sync()
+        writer.append(2, b"two")
+        writer.sync()
+        writer.close()
+        writer.sync()  # nothing left to cover: no error, no barrier
+        counters = metrics.snapshot()["counters"]
+        expected = 0 if scheme == "memory" else 2
+        assert counters.get(f"storage.{scheme}.fsyncs", 0) == expected
+        assert backend.load_tolerant("s", "kind") == [(1, b"one"), (2, b"two")]
+    assert len(fsyncs) == 4
+
+
+def test_checkpoint_barrier_precedes_every_verified_append(
+    tmp_path, fsyncs, monkeypatch, five_wiki_epochs
+):
+    """The invariant behind resume: a durable ``verified k`` implies a
+    durable checkpoint k.  Per epoch: the checkpoints barrier, then the
+    ``verified`` record reaches the journal, then the journal barrier --
+    and no other barrier at all."""
+    from repro.apps import wiki_app
+
+    events = fsyncs  # one list: barriers by file name, appends by event
+    real_record = AuditJournal.record
+
+    def record(self, event, epoch, **fields):
+        events.append((event, epoch))
+        real_record(self, event, epoch, **fields)
+
+    state = FileBackend(str(tmp_path / "audit"))
+    auditor = ContinuousAuditor(
+        wiki_app(),
+        checkpoints=CheckpointStore(backend=state),
+        journal=AuditJournal(backend=state),
+        node_journal=NodeJournal(FileBackend(str(tmp_path / "nodejournal"))),
+    )
+    monkeypatch.setattr(AuditJournal, "record", record)
+    verdicts = auditor.run(five_wiki_epochs)
+    assert all(v.accepted for v in verdicts)
+    commits = [e for e in events if e[0] != "sealed"]
+    assert commits == [
+        step
+        for k in range(5)
+        for step in ("checkpoints.rec", ("verified", k), "journal.rec")
+    ]
+
+
+def test_gzip_recompaction_barriers_the_tmp_file_before_the_rename(
+    tmp_path, fsyncs, monkeypatch
+):
+    """Rename-after-crash (ROADMAP 5d): the new name must not be durable
+    ahead of the bytes it names, and a crash between the barrier and the
+    rename leaves the old stream intact."""
+    backend = GzipBackend(str(tmp_path))
+    with backend.create("checkpoints", "kind") as writer:
+        writer.append(1, b"one")
+        writer.append(2, b"two")
+    del fsyncs[:]
+    real_replace = os.replace
+
+    def replace(src, dst):
+        fsyncs.append(("replace", os.path.basename(src), os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    backend.append("checkpoints", "kind").close()
+    assert fsyncs == [
+        "checkpoints.recz.tmp",
+        ("replace", "checkpoints.recz.tmp", "checkpoints.recz"),
+    ]
+
+    def crash(src, dst):
+        raise KeyboardInterrupt("power lost between barrier and rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(KeyboardInterrupt):
+        backend.append("checkpoints", "kind")
+    assert backend.load_tolerant("checkpoints", "kind") == [(1, b"one"), (2, b"two")]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stream_torn_inside_its_header_is_an_empty_stream(tmp_path, scheme):
+    """A stream created and never barriered can come back from a power
+    loss shorter than its header; that is a torn tail, not corruption."""
+    def physical(backend):
+        if scheme == "memory":
+            return len(backend.raw("journal"))
+        return os.path.getsize(backend._path("journal"))
+
+    probe = backend_for(scheme, str(tmp_path / "probe"))
+    probe.create("journal", "journal").close()
+    for keep in range(physical(probe)):
+        backend = backend_for(scheme, str(tmp_path / f"{scheme}-{keep}"))
+        backend.create("journal", "journal").close()
+        if scheme == "memory":
+            del backend.raw("journal")[keep:]
+        else:
+            os.truncate(backend._path("journal"), keep)
+        assert backend.load_tolerant("journal", "journal") == []
+        journal = AuditJournal(backend=backend)
+        journal.record("verified", 0, digest="d0")
+        journal.close()
+        assert AuditJournal(backend=backend).last_verified() == 0
+    with pytest.raises(RecordFormatError):  # garbage is still not a stream
+        backend = FileBackend(str(tmp_path / "garbage"))
+        open(backend._path("journal"), "wb").write(b"xx")
+        backend.load_tolerant("journal", "journal")
 
 
 def test_journal_kill_mid_write_backend(tmp_path):
