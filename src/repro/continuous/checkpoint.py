@@ -26,10 +26,10 @@ from typing import Dict, NamedTuple, Optional, Union
 
 from repro.errors import AdviceFormatError, KarousosError
 from repro.storage.backend import StorageBackend
+from repro.storage.records import canonical_json
 from repro.storage.values import decode_value, encode_value
 from repro.server.variables import INIT_HID, INIT_RID, INIT_REF
 from repro.verifier.carry import CarryIn
-from repro.verifier.dag.plan import canonical_json
 from repro.verifier.preprocess import AuditState
 from repro.verifier.reexec import ReExecutor
 from repro.verifier.state import VarState
@@ -51,6 +51,8 @@ def _canonical(encoded: object) -> object:
     if isinstance(encoded, dict):
         if encoded.get("t") == "d":
             pairs = [[_canonical(k), _canonical(v)] for k, v in encoded["v"]]
+            # Kept as recorded: ``canonical_json`` would order pairs the same
+            # (the texts differ only by a space after a structural "," or ":").
             pairs.sort(key=lambda kv: json.dumps(kv[0], sort_keys=True))
             return {"t": "d", "v": pairs}
         if "v" in encoded:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from repro.storage.backend import StorageBackend
+from repro.storage.records import canonical_json
 from repro.verifier.dedup.cache import (
     RT_CACHE_ENTRY,
     RT_CACHE_META,
@@ -43,7 +44,6 @@ from repro.verifier.dedup.cache import (
     STREAM_NAME,
     entry_sum,
 )
-from repro.verifier.dedup.digest import canonical_json
 
 
 @dataclass(frozen=True)

@@ -169,11 +169,19 @@ def recover_stream(buf: bytes) -> Tuple[str, List[Tuple[int, bytes]], int]:
 
 # Record payloads are compact JSON.  Keys keep insertion order: the
 # encodings are pinned byte for byte (bytes at rest, epoch digests), and
-# sorting them would change every stored frame.
+# sorting them would change every stored frame.  Digests hash the
+# canonical form (keys sorted).  Encoders are built once, not per call.
+_PACK = json.JSONEncoder(separators=(",", ":"))
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def pack_json(doc: object) -> bytes:
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return _PACK.encode(doc).encode("utf-8")
+
+
+def canonical_json(doc: object) -> str:
+    """The one canonical JSON text: sorted keys, no whitespace, ASCII."""
+    return _CANONICAL.encode(doc)
 
 
 def unpack_json(payload: bytes) -> object:

@@ -40,14 +40,13 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import pickle
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.errors import KarousosError
 from repro.storage.backend import StorageBackend
-from repro.storage.records import RecordFormatError, pack_json, unpack_json
+from repro.storage.records import RecordFormatError, canonical_json, pack_json, unpack_json
 
 STREAM_NAME = "nodes"
 STREAM_KIND = "nodejournal"
@@ -68,8 +67,7 @@ class NodeJournalError(KarousosError):
 
 def _record_digest(doc: Dict[str, object]) -> str:
     body = {k: v for k, v in doc.items() if k != "digest"}
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
 
 
 @dataclass

@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import KarousosError
+from repro.storage.records import canonical_json
 
 PLAN_SPEC = "repro.plan/3"
 
@@ -100,10 +101,6 @@ class PlanError(KarousosError):
 
 def _sha256(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def canonical_json(doc: object) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def epoch_digest(trace: object, advice: object) -> str:

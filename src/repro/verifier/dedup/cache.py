@@ -27,14 +27,13 @@ trace, effect digest vs the stored effects) lives with the
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import MetricsRegistry, ensure_metrics
 from repro.storage.backend import StorageBackend
-from repro.storage.records import RecordFormatError, RecordTruncatedError
-from repro.verifier.dedup.digest import DIGEST_SPEC, canonical_json
+from repro.storage.records import RecordFormatError, RecordTruncatedError, canonical_json
+from repro.verifier.dedup.digest import DIGEST_SPEC, sha256_text
 
 STREAM_KIND = "vcache"
 STREAM_NAME = "verdicts"
@@ -45,11 +44,11 @@ VERDICT_ACCEPT = "accept"
 
 
 def entry_sum(entry: Dict[str, object]) -> str:
-    return hashlib.sha256(canonical_json(entry).encode("utf-8")).hexdigest()
+    return sha256_text(canonical_json(entry))
 
 
 def effect_sum(effect: Dict[str, object]) -> str:
-    return hashlib.sha256(canonical_json(effect).encode("utf-8")).hexdigest()
+    return sha256_text(canonical_json(effect))
 
 
 def make_entry(
@@ -58,7 +57,9 @@ def make_entry(
     handlers: int,
     output_digest: str,
     effect: Dict[str, object],
+    effect_text: str,
 ) -> Dict[str, object]:
+    """A cache entry; ``effect_text`` is ``canonical_json(effect)``."""
     return {
         "spec": DIGEST_SPEC,
         "key": key,
@@ -66,9 +67,16 @@ def make_entry(
         "members": members,
         "handlers": handlers,
         "output_digest": output_digest,
-        "effect_digest": effect_sum(effect),
+        "effect_digest": sha256_text(effect_text),
         "effect": effect,
     }
+
+
+def _record_text(entry: Dict[str, object], effect_text: str) -> str:
+    """``canonical_json({"entry": entry, "sum": entry_sum(entry)})``, spliced."""
+    rest = canonical_json({k: v for k, v in entry.items() if k != "effect"})
+    entry_text = '{"effect":%s,%s' % (effect_text, rest[1:])  # "effect" sorts first
+    return '{"entry":%s,"sum":"%s"}' % (entry_text, sha256_text(entry_text))
 
 
 _ENTRY_FIELDS = (
@@ -189,7 +197,7 @@ class VerdictCache:
     def get(self, key: str) -> Optional[Dict[str, object]]:
         return self._entries.get(key)
 
-    def put(self, entry: Dict[str, object]) -> None:
+    def put(self, entry: Dict[str, object], effect_text: str) -> None:
         key = entry["key"]
         if key in self._entries:
             return
@@ -211,9 +219,8 @@ class VerdictCache:
                         RT_CACHE_META,
                         canonical_json({"spec": DIGEST_SPEC}).encode("utf-8"),
                     )
-            record = {"entry": entry, "sum": entry_sum(entry)}
             self._writer.append(
-                RT_CACHE_ENTRY, canonical_json(record).encode("utf-8")
+                RT_CACHE_ENTRY, _record_text(entry, effect_text).encode("utf-8")
             )
         except Exception:
             self._writer = None

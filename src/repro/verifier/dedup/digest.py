@@ -18,34 +18,38 @@ request ids: member rids are replaced by positional tokens before
 hashing, so the digest is stable across runs, epochs, and machines.
 
 Conservatism is always allowed and never unsound: any value the spec
-cannot canonicalise (unencodable types, malformed cross-references)
-makes the group *uncacheable* (``group_digest`` returns None) -- it
-simply re-executes, as without the subsystem.  The one direction that
-matters is that digest-equal groups really are isomorphic; everything a
-group execution consults is covered by the document below, and the
-golden tests pin the canonicalisation so an accidental change fails
-loudly instead of silently cold-starting (or worse, aliasing) caches.
+cannot canonicalise (unencodable types, NUL in a string, malformed
+cross-references) makes the group *uncacheable* (``group_digest``
+returns None) -- it simply re-executes, as without the subsystem.  The
+one direction that matters is that digest-equal groups really are
+isomorphic; everything a group execution consults is covered by the
+document below, and the golden tests pin the canonicalisation so an
+accidental change fails loudly instead of silently cold-starting (or
+worse, aliasing) caches.
 """
 
 from __future__ import annotations
 
 import hashlib
 import inspect
-import json
-from typing import Any, Dict, List, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.advice.records import TX_GET
+from repro.core.ids import TxId
 from repro.kem.program import AppSpec, request_event
 from repro.server.variables import INIT_REF
-from repro.storage.values import encode_hid, encode_tid, encode_value
+from repro.storage.records import canonical_json
+from repro.storage.values import decode_value, encode_hid, encode_tid
 from repro.verifier.preprocess import AuditState
 
 DIGEST_SPEC = "repro.digest/1"
 
-# Positional member tokens: NUL bytes cannot appear in collector rids or
-# app-level strings, so substitution is collision-free and the residue
-# check below (executor.py) can treat any surviving member rid as proof
-# that a value embeds a rid inside a longer string.
+# Positional member tokens.  Values are untrusted, so a string holding NUL
+# is uncacheable (:func:`normalize_value`): a token in a normalised value
+# is then always a member rid, and the residue check (executor.py) can
+# treat any surviving member rid as a rid inside a longer string.
 def member_token(index: int) -> str:
     return f"\x00grp{index}\x00"
 
@@ -61,36 +65,54 @@ class GroupDigest:
         self.tokens = tokens  # rid -> token
 
 
-# -- canonical JSON ------------------------------------------------------------
+class Uncacheable(Exception):
+    """This group cannot be canonically digested or its effect stored."""
 
 
-def canonical_json(doc: object) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+# -- canonical text ------------------------------------------------------------
 
 
-def _sort_encoded(doc: object) -> object:
-    """Sort encoded dict pair lists so hashing ignores insertion order
-    (the checkpoint digest's idiom)."""
-    if isinstance(doc, dict):
-        if doc.get("t") == "d":
-            pairs = [[_sort_encoded(k), _sort_encoded(v)] for k, v in doc["v"]]
-            pairs.sort(key=lambda kv: canonical_json(kv[0]))
-            return {"t": "d", "v": pairs}
-        if "v" in doc:
-            return {**doc, "v": _sort_encoded(doc["v"])}
-        return doc
-    if isinstance(doc, list):
-        return [_sort_encoded(x) for x in doc]
-    return doc
-
-
-def normalize_value(value: object, tokens: Dict[str, str]) -> object:
-    """Tagged canonical encoding of ``value`` with member rids tokenised.
-
-    Raises (via :func:`repro.storage.values.encode_value`) on types the
-    storage codec cannot represent -- callers treat that as uncacheable.
-    """
-    return _sort_encoded(encode_value(_substitute(value, tokens)))
+def normalize_value(value: object, tokens: Dict[str, str]) -> Tuple[object, str]:
+    """``value``'s tagged storage encoding, member rids tokenised and dict
+    pairs ordered by key text, and its canonical text, in one pass.  Raises
+    on unencodable types and NUL (:func:`member_token`): uncacheable."""
+    if isinstance(value, str):
+        token = tokens.get(value)
+        if token is None:
+            if "\x00" in value:
+                raise Uncacheable("NUL in a value string")
+            token = value
+        return {"t": "p", "v": token}, '{"t":"p","v":%s}' % encode_basestring_ascii(token)
+    if isinstance(value, dict):
+        rows = []
+        for k, v in value.items():
+            key, key_text = normalize_value(k, tokens)
+            encoded, text = normalize_value(v, tokens)
+            rows.append((key_text, [key, encoded], text))
+        rows.sort(key=itemgetter(0))  # stable: equal key texts keep their order
+        return (
+            {"t": "d", "v": [pair for _, pair, _ in rows]},
+            '{"t":"d","v":[%s]}' % ",".join([f"[{k},{v}]" for k, _, v in rows]),
+        )
+    if isinstance(value, (tuple, list)):
+        tag = "t" if isinstance(value, tuple) else "l"
+        items = [normalize_value(v, tokens) for v in value]
+        return (
+            {"t": tag, "v": [encoded for encoded, _ in items]},
+            '{"t":"%s","v":%s}' % (tag, array_text([text for _, text in items])),
+        )
+    if value is None or value is True or value is False:
+        text = "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        text = int.__repr__(value)  # json's text for any int
+    elif isinstance(value, float):
+        text = canonical_json(value)  # and for NaN and the infinities
+    elif isinstance(value, TxId):
+        tid = encode_tid(value)
+        return {"t": "x", "v": tid}, '{"t":"x","v":%s}' % canonical_json(tid)
+    else:
+        raise Uncacheable(f"unencodable value of type {type(value).__name__}")
+    return {"t": "p", "v": value}, '{"t":"p","v":%s}' % text
 
 
 def _substitute(value: object, mapping: Dict[str, str]) -> object:
@@ -110,14 +132,33 @@ def _substitute(value: object, mapping: Dict[str, str]) -> object:
 
 def denormalize_value(encoded: object, detokens: Dict[str, str]) -> object:
     """Inverse of :func:`normalize_value` given token -> rid."""
-    from repro.storage.values import decode_value
-
     return _substitute(decode_value(encoded), detokens)
 
 
 def value_hash(value: object, tokens: Dict[str, str]) -> str:
-    payload = canonical_json(normalize_value(value, tokens))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256_text(normalize_value(value, tokens)[1])
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def row_text(plain: List[object], *texts: str) -> str:
+    """Canonical text of the list ``plain + texts`` (``plain`` non-empty,
+    ``texts`` canonical already).  Row texts sort in the order that
+    ``sort(key=canonical_json)`` gives the rows."""
+    return "[%s]" % ",".join((canonical_json(plain)[1:-1],) + texts)
+
+
+def array_text(texts: Iterable[str]) -> str:
+    return "[%s]" % ",".join(texts)
+
+
+def object_text(**fields: str) -> str:
+    """Canonical text of an object whose field values are canonical text."""
+    return "{%s}" % ",".join(
+        f"{encode_basestring_ascii(name)}:{fields[name]}" for name in sorted(fields)
+    )
 
 
 # -- application code identity -------------------------------------------------
@@ -160,9 +201,7 @@ def app_fingerprint(app: AppSpec) -> str:
         ],
         "init": _callable_identity(app.init),
     }
-    fingerprint = hashlib.sha256(
-        canonical_json(doc).encode("utf-8")
-    ).hexdigest()
+    fingerprint = sha256_text(canonical_json(doc))
     _FP_CACHE[id(app)] = (app, fingerprint)
     return fingerprint
 
@@ -177,7 +216,7 @@ def _norm_key(key: Any, tokens: Dict[str, str]) -> List[object]:
 
 def _prec_spec(
     var_log: Any, prec: Any, member_set: Any, tokens: Dict[str, str]
-) -> List[object]:
+) -> str:
     """How a variable-log entry's ``prec`` reference enters the digest.
 
     In-group and init references are positional; an *external* reference
@@ -188,44 +227,25 @@ def _prec_spec(
     rejection-vs-feed outcome depends on state outside the slice.
     """
     if prec is None:
-        return ["none"]
+        return row_text(["none"])
     if prec == INIT_REF:
-        return ["init"]
+        return row_text(["init"])
     if prec[0] in member_set:
-        return ["in"] + _norm_key(prec, tokens)
+        return row_text(["in"] + _norm_key(prec, tokens))
     dictating = var_log.get(prec)
     if dictating is None:
-        raise _Uncacheable(f"dangling external prec {prec!r}")
-    return ["ext", dictating.access, normalize_value(dictating.value, tokens)]
+        raise Uncacheable(f"dangling external prec {prec!r}")
+    return row_text(["ext", dictating.access], normalize_value(dictating.value, tokens)[1])
 
 
-class _Uncacheable(Exception):
-    """Internal: this group cannot be canonically digested."""
-
-
-def _requests_doc(state: AuditState, rids: List[str], tokens: Dict[str, str]) -> List[object]:
-    doc = []
-    for rid in rids:
-        request = state.trace.request(rid)
-        doc.append(
-            [
-                request.route,
-                normalize_value(dict(request.inputs), tokens),
-                normalize_value(state.trace.response(rid), tokens),
-            ]
-        )
-    return doc
-
-
-def _advice_doc(
+def _advice_text(
     state: AuditState, rids: List[str], member_set: Any, tokens: Dict[str, str]
-) -> Dict[str, object]:
+) -> str:
     advice = state.advice
     opcounts = []
     for (rid, hid), count in advice.opcounts.items():
         if rid in member_set:
-            opcounts.append([tokens[rid], encode_hid(hid), count])
-    opcounts.sort(key=canonical_json)
+            opcounts.append(canonical_json([tokens[rid], encode_hid(hid), count]))
 
     handler_logs = []
     for rid in rids:
@@ -238,20 +258,15 @@ def _advice_doc(
     variable_logs = []
     for var_id in sorted(advice.variable_logs):
         log = advice.variable_logs[var_id]
-        for key in log:
-            if key[0] not in member_set:
-                continue
-            entry = log[key]
-            variable_logs.append(
-                [
-                    var_id,
-                    _norm_key(key, tokens),
-                    entry.access,
-                    normalize_value(entry.value, tokens),
-                    _prec_spec(log, entry.prec, member_set, tokens),
-                ]
-            )
-    variable_logs.sort(key=canonical_json)
+        for key, entry in log.items():
+            if key[0] in member_set:
+                variable_logs.append(
+                    row_text(
+                        [var_id, _norm_key(key, tokens), entry.access],
+                        normalize_value(entry.value, tokens)[1],
+                        _prec_spec(log, entry.prec, member_set, tokens),
+                    )
+                )
 
     tx_logs = []
     for (rid, tid), log in advice.tx_logs.items():
@@ -262,18 +277,15 @@ def _advice_doc(
             if entry.optype == TX_GET:
                 contents = _get_contents_spec(state, entry, member_set, tokens)
             else:
-                contents = ["v", normalize_value(entry.opcontents, tokens)]
+                contents = row_text(["v"], normalize_value(entry.opcontents, tokens)[1])
             entries.append(
-                [
-                    encode_hid(entry.hid),
-                    entry.opnum,
-                    entry.optype,
-                    normalize_value(entry.key, tokens),
+                row_text(
+                    [encode_hid(entry.hid), entry.opnum, entry.optype],
+                    normalize_value(entry.key, tokens)[1],
                     contents,
-                ]
+                )
             )
-        tx_logs.append([tokens[rid], encode_tid(tid), entries])
-    tx_logs.sort(key=canonical_json)
+        tx_logs.append(row_text([tokens[rid], encode_tid(tid)], array_text(entries)))
 
     responses = []
     for rid in rids:
@@ -286,61 +298,59 @@ def _advice_doc(
     nondet = []
     for key, value in advice.nondet.items():
         if key[0] in member_set:
-            nondet.append([_norm_key(key, tokens), normalize_value(value, tokens)])
-    nondet.sort(key=canonical_json)
+            nondet.append(row_text([_norm_key(key, tokens)], normalize_value(value, tokens)[1]))
 
     activated = []
     for key, children in state.activated_handlers.items():
         if key[0] in member_set:
             activated.append(
-                [_norm_key(key, tokens), [encode_hid(c) for c in children]]
+                canonical_json([_norm_key(key, tokens), [encode_hid(c) for c in children]])
             )
-    activated.sort(key=canonical_json)
 
-    return {
-        "opcounts": opcounts,
-        "handler_logs": handler_logs,
-        "variable_logs": variable_logs,
-        "tx_logs": tx_logs,
-        "responses": responses,
-        "nondet": nondet,
-        "activated": activated,
-    }
+    return object_text(
+        opcounts=array_text(sorted(opcounts)),
+        handler_logs=canonical_json(handler_logs),
+        variable_logs=array_text(sorted(variable_logs)),
+        tx_logs=array_text(sorted(tx_logs)),
+        responses=canonical_json(responses),
+        nondet=array_text(sorted(nondet)),
+        activated=array_text(sorted(activated)),
+    )
 
 
 def _get_contents_spec(
     state: AuditState, entry: Any, member_set: Any, tokens: Dict[str, str]
-) -> List[object]:
+) -> str:
     """A TX_GET's fed value: the carried-in store value for an initial
     read, a positional reference for an in-group dictating PUT, and the
     *resolved value* for an external one."""
     if entry.opcontents is None:
-        return ["initkv", normalize_value(state.initial_kv.get(entry.key), tokens)]
+        return row_text(
+            ["initkv"], normalize_value(state.initial_kv.get(entry.key), tokens)[1]
+        )
     rid_w, tid_w, i_w = entry.opcontents
     if rid_w in member_set:
-        return ["in", tokens[rid_w], encode_tid(tid_w), i_w]
+        return row_text(["in", tokens[rid_w], encode_tid(tid_w), i_w])
     log = state.advice.tx_logs.get((rid_w, tid_w))
     if log is None or not 0 <= i_w < len(log):
-        raise _Uncacheable(f"dangling external tx reference {entry.opcontents!r}")
-    return ["ext", normalize_value(log[i_w].opcontents, tokens)]
+        raise Uncacheable(f"dangling external tx reference {entry.opcontents!r}")
+    return row_text(["ext"], normalize_value(log[i_w].opcontents, tokens)[1])
 
 
-def _init_doc(state: AuditState, tokens: Dict[str, str]) -> Dict[str, object]:
-    """The init slice of the digest document."""
+def _init_text(state: AuditState, tokens: Dict[str, str]) -> str:
+    """The init slice of the digest document: every variable's initial
+    (or carried-in) value, whether or not the group reads it."""
     init_ctx = state.init_ctx
-    return {
-        "global_handlers": list(map(list, init_ctx.global_handlers)),
-        "initial_vars": sorted(
-            (
-                [var_id, normalize_value(value, tokens)]
-                for var_id, value in init_ctx.initial_vars.items()
-            ),
-            key=lambda pair: pair[0],
+    return object_text(
+        global_handlers=canonical_json(list(map(list, init_ctx.global_handlers))),
+        initial_vars=array_text(
+            row_text([var_id], normalize_value(value, tokens)[1])
+            for var_id, value in sorted(init_ctx.initial_vars.items(), key=itemgetter(0))
         ),
-        "loggable": sorted(
-            [var_id, bool(flag)] for var_id, flag in init_ctx.loggable.items()
+        loggable=canonical_json(
+            sorted([var_id, bool(flag)] for var_id, flag in init_ctx.loggable.items())
         ),
-    }
+    )
 
 
 # -- the digest ----------------------------------------------------------------
@@ -355,25 +365,30 @@ def group_digest(state: AuditState, rids: List[str]) -> Optional[GroupDigest]:
     tokens = {rid: member_token(i) for i, rid in enumerate(rids)}
     member_set = set(rids)
     try:
-        requests = _requests_doc(state, rids, tokens)
-        route = state.trace.request(rids[0]).route
-        doc = {
-            "spec": DIGEST_SPEC,
-            "app": app_fingerprint(state.app),
-            "members": len(rids),
-            "requests": requests,
-            "event": request_event(route),
-            "advice": _advice_doc(state, rids, member_set, tokens),
-            "init": _init_doc(state, tokens),
-        }
-        key = hashlib.sha256(
-            canonical_json(doc).encode("utf-8")
-        ).hexdigest()
+        requests = [state.trace.request(rid) for rid in rids]
+        key = sha256_text(
+            object_text(
+                spec=canonical_json(DIGEST_SPEC),
+                app=canonical_json(app_fingerprint(state.app)),
+                members=canonical_json(len(rids)),
+                requests=array_text(
+                    row_text(
+                        [request.route],
+                        normalize_value(dict(request.inputs), tokens)[1],
+                        normalize_value(state.trace.response(rid), tokens)[1],
+                    )
+                    for rid, request in zip(rids, requests)
+                ),
+                event=canonical_json(request_event(requests[0].route)),
+                advice=_advice_text(state, rids, member_set, tokens),
+                init=_init_text(state, tokens),
+            )
+        )
         output_digest = value_hash(
             [state.trace.response(rid) for rid in rids], tokens
         )
     except Exception:
-        # Anything the spec cannot canonicalise (unencodable values,
+        # Anything the spec cannot canonicalise (unencodable values, NUL,
         # malformed cross-references, missing trace rows) simply keeps
         # the group out of the cache: it re-executes in full.
         return None
@@ -383,11 +398,15 @@ def group_digest(state: AuditState, rids: List[str]) -> Optional[GroupDigest]:
 __all__ = [
     "DIGEST_SPEC",
     "GroupDigest",
+    "Uncacheable",
     "app_fingerprint",
-    "canonical_json",
+    "array_text",
     "denormalize_value",
     "group_digest",
     "member_token",
     "normalize_value",
+    "object_text",
+    "row_text",
+    "sha256_text",
     "value_hash",
 ]

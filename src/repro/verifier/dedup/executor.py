@@ -38,27 +38,28 @@ could equally replace the auditor binary).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import MetricsRegistry
 from repro.server.variables import INIT_REF
+from repro.storage.records import canonical_json
 from repro.storage.values import decode_hid, encode_hid
 from repro.verifier.dedup.cache import VERDICT_ACCEPT, VerdictCache, effect_sum, make_entry
 from repro.verifier.dedup.digest import (
     DIGEST_SPEC,
     GroupDigest,
-    canonical_json,
+    Uncacheable,
+    array_text,
     denormalize_value,
     group_digest,
     member_token,
     normalize_value,
+    object_text,
+    row_text,
 )
 from repro.verifier.parallel import GroupDelta
 from repro.verifier.preprocess import AuditState
-
-
-class _Uncacheable(Exception):
-    """This group's effects cannot be canonically normalised."""
 
 
 class RehydrateMismatch(Exception):
@@ -93,10 +94,11 @@ def _write_key_spec(key: Any, member_set: Any, tokens: Dict[str, str]) -> List[o
 
 def normalize_effect(
     state: AuditState, rids: List[str], delta: GroupDelta, tokens: Dict[str, str]
-) -> Dict[str, object]:
-    """The storable, rid-free effect document of one clean group delta.
+) -> Tuple[Dict[str, object], str]:
+    """The storable, rid-free effect document of one clean group delta,
+    and its canonical text (what the effect digest hashes).
 
-    Raises :class:`_Uncacheable` when any cross-reference cannot be made
+    Raises :class:`Uncacheable` when any cross-reference cannot be made
     positional or any member rid survives normalisation (a value embeds
     a rid inside a longer string) -- the group then simply is not cached.
     """
@@ -117,34 +119,37 @@ def normalize_effect(
             _, var_id, prec, key = event
             spec = _write_key_spec(prec, member_set, tokens)
             if spec == ["log"]:
-                raise _Uncacheable(f"fallback prec {prec!r} escapes the group")
+                raise Uncacheable(f"fallback prec {prec!r} escapes the group")
             journal.append(["fallback", var_id, spec, _encode_key(key, tokens)])
         elif kind == "initializer":
             _, var_id, key = event
             journal.append(["initializer", var_id, _encode_key(key, tokens)])
         else:
-            raise _Uncacheable(f"unknown journal event {kind!r}")
+            raise Uncacheable(f"unknown journal event {kind!r}")
 
     executed = sorted(
         ([tokens.get(rid, rid), encode_hid(hid)] for rid, hid in delta.executed),
         key=canonical_json,
     )
 
-    var_dicts = []
+    # The written values (the bulk of an effect) are encoded once, with
+    # their section's text; every other section is encoded once below.
+    var_dicts, var_texts = [], []
     for var_id in sorted(delta.var_dicts):
         rows = []
         for (rid, hid), writes in delta.var_dicts[var_id].items():
-            rows.append(
-                [
-                    [tokens.get(rid, rid), encode_hid(hid)],
-                    # Write order within a handler is load-bearing
-                    # (FindNearestRPrecedingWrite): keep it verbatim.
-                    [[opnum, normalize_value(value, tokens)]
-                     for opnum, value in writes],
-                ]
-            )
-        rows.sort(key=lambda row: canonical_json(row[0]))
-        var_dicts.append([var_id, rows])
+            handler = [tokens.get(rid, rid), encode_hid(hid)]
+            # Write order within a handler is load-bearing
+            # (FindNearestRPrecedingWrite): keep it verbatim.
+            values = [(opnum, *normalize_value(value, tokens)) for opnum, value in writes]
+            rows.append((canonical_json(handler), handler, values))
+        rows.sort(key=itemgetter(0))  # by handler only, stable
+        var_dicts.append([var_id, [[handler, [[n, enc] for n, enc, _ in values]]
+                                   for _, handler, values in rows]])
+        var_texts.append(row_text([var_id], array_text(
+            "[%s,%s]" % (head, array_text(row_text([n], text) for n, _, text in values))
+            for head, _, values in rows
+        )))
 
     read_observers = []
     for var_id in sorted(delta.read_observers):
@@ -170,18 +175,14 @@ def normalize_effect(
             ]
         )
 
-    plain_values = []
-    for var_id in sorted(delta.plain_values):
-        plain_values.append(
-            [
-                var_id,
-                sorted(
-                    ([tokens.get(rid, rid), normalize_value(value, tokens)]
-                     for rid, value in delta.plain_values[var_id].items()),
-                    key=canonical_json,
-                ),
-            ]
-        )
+    plain_values = [
+        [var_id, sorted(
+            ([tokens.get(rid, rid), normalize_value(value, tokens)[0]]
+             for rid, value in delta.plain_values[var_id].items()),
+            key=canonical_json,
+        )]
+        for var_id in sorted(delta.plain_values)
+    ]
 
     effect = {
         "journal": journal,
@@ -191,11 +192,18 @@ def normalize_effect(
         "consumed": consumed,
         "plain_values": plain_values,
     }
-    serialized = canonical_json(effect)
+    serialized = object_text(
+        journal=canonical_json(journal),
+        executed=canonical_json(executed),
+        var_dicts=array_text(var_texts),
+        read_observers=canonical_json(read_observers),
+        consumed=canonical_json(consumed),
+        plain_values=canonical_json(plain_values),
+    )
     for rid in rids:
         if rid in serialized:
-            raise _Uncacheable(f"member rid {rid!r} survives normalisation")
-    return effect
+            raise Uncacheable(f"member rid {rid!r} survives normalisation")
+    return effect, serialized
 
 
 # -- rehydration ---------------------------------------------------------------
@@ -437,13 +445,14 @@ class Deduplicator:
                 if delta.outputs[rid] != state.trace.response(rid):
                     return False
             handlers = sum(e[1] for e in delta.journal if e[0] == "handlers")
-            effect = normalize_effect(state, rids, delta, digest.tokens)
+            effect, effect_text = normalize_effect(state, rids, delta, digest.tokens)
             entry = make_entry(
                 key=digest.key,
                 members=len(rids),
                 handlers=handlers,
                 output_digest=digest.output_digest,
                 effect=effect,
+                effect_text=effect_text,
             )
         except Exception:
             # Unencodable effects keep the group out of the cache; it
@@ -451,7 +460,7 @@ class Deduplicator:
             return False
         self.memo[digest.key] = entry
         if self.cache is not None:
-            self.cache.put(entry)
+            self.cache.put(entry, effect_text)
         return True
 
     def close(self) -> None:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.storage import backend_for
+from repro.storage.records import canonical_json
 from repro.verifier.dedup import VerdictCache
 from repro.verifier.dedup.cache import (
     RT_CACHE_ENTRY,
@@ -18,7 +19,11 @@ pytestmark = pytest.mark.tier1
 
 def _entry(key="k" * 64, members=2, handlers=3):
     effect = {"journal": [["handlers", handlers]], "executed": []}
-    return make_entry(key, members, handlers, "o" * 64, effect)
+    return make_entry(key, members, handlers, "o" * 64, effect, canonical_json(effect))
+
+
+def _put(cache, entry):
+    cache.put(entry, canonical_json(entry["effect"]))
 
 
 @pytest.fixture(params=["memory", "file", "gzip"])
@@ -32,7 +37,7 @@ class TestRoundtrip:
     def test_put_get_reload(self, backend):
         cache = VerdictCache(backend)
         entry = _entry()
-        cache.put(entry)
+        _put(cache, entry)
         assert cache.get(entry["key"]) == entry
         cache.close()
         fresh = VerdictCache(backend)
@@ -42,18 +47,18 @@ class TestRoundtrip:
     def test_put_is_idempotent_per_key(self, backend):
         cache = VerdictCache(backend)
         entry = _entry()
-        cache.put(entry)
-        cache.put(dict(entry))
+        _put(cache, entry)
+        _put(cache, dict(entry))
         cache.close()
         fresh = VerdictCache(backend)
         assert fresh.loaded == 1 and len(fresh) == 1
 
     def test_appends_across_sessions(self, backend):
         first = VerdictCache(backend)
-        first.put(_entry(key="a" * 64))
+        _put(first, _entry(key="a" * 64))
         first.close()
         second = VerdictCache(backend)
-        second.put(_entry(key="b" * 64))
+        _put(second, _entry(key="b" * 64))
         second.close()
         third = VerdictCache(backend)
         assert third.loaded == 2
@@ -61,7 +66,7 @@ class TestRoundtrip:
 
     def test_no_backend_is_process_local(self):
         cache = VerdictCache()
-        cache.put(_entry())
+        _put(cache, _entry())
         assert len(cache) == 1
         assert cache.stats()["backend"] is None
 
@@ -69,13 +74,13 @@ class TestRoundtrip:
 class TestValidation:
     def test_bad_entry_skipped_good_prefix_kept(self, backend):
         cache = VerdictCache(backend)
-        cache.put(_entry(key="a" * 64))
+        _put(cache, _entry(key="a" * 64))
         cache.close()
         writer = backend.append("verdicts", STREAM_KIND)
         writer.append(RT_CACHE_ENTRY, b'{"entry": {"key": "x"}, "sum": "nope"}')
         writer.seal()
         later = VerdictCache(backend)
-        later.put(_entry(key="b" * 64))
+        _put(later, _entry(key="b" * 64))
         later.close()
         fresh = VerdictCache(backend)
         assert fresh.loaded == 2
@@ -84,7 +89,7 @@ class TestValidation:
     def test_tampered_sum_rejected(self, backend):
         cache = VerdictCache(backend)
         entry = _entry()
-        cache.put(entry)
+        _put(cache, entry)
         cache.close()
         bad = dict(entry, members=entry["members"] + 1)
         assert entry_sum(bad) != entry_sum(entry)
@@ -92,8 +97,6 @@ class TestValidation:
     def test_effect_digest_must_match_effect(self, backend):
         """A re-signed record whose effect digest no longer covers its
         effect document fails load-time validation."""
-        from repro.verifier.dedup.digest import canonical_json
-
         entry = _entry()
         entry["effect"] = {"journal": [], "executed": [["t", "h"]]}
         assert entry["effect_digest"] != effect_sum(entry["effect"])
@@ -107,7 +110,7 @@ class TestValidation:
 
     def test_verify_rows(self, backend):
         cache = VerdictCache(backend)
-        cache.put(_entry())
+        _put(cache, _entry())
         cache.close()
         rows = VerdictCache(backend).verify()
         assert [row["status"] for row in rows] == ["ok"]
@@ -116,7 +119,7 @@ class TestValidation:
 class TestMaintenance:
     def test_stats_shape(self, backend):
         cache = VerdictCache(backend)
-        cache.put(_entry(members=3, handlers=5))
+        _put(cache, _entry(members=3, handlers=5))
         stats = cache.stats()
         assert stats["entries"] == 1
         assert stats["members"] == 3
@@ -126,7 +129,7 @@ class TestMaintenance:
 
     def test_clear_drops_stream(self, backend):
         cache = VerdictCache(backend)
-        cache.put(_entry())
+        _put(cache, _entry())
         assert cache.clear() == 1
         assert len(cache) == 0
         assert not backend.exists("verdicts")
@@ -152,7 +155,7 @@ class TestMaintenance:
         cache.loaded = 0
         cache.skipped = 0
         entry = _entry()
-        cache.put(entry)  # must not raise
+        _put(cache, entry)  # must not raise
         assert cache.get(entry["key"]) == entry
         assert cache.backend is None
         assert metrics.counter("cache.write_failures").value == 1

@@ -5,13 +5,18 @@ processes, runs, and request-id renames); any change to handler code,
 read values, advice slice, or carry-in state -> different digest.
 """
 
+import json
+
 import pytest
 
 from repro.apps import motd_app, stackdump_app, wiki_app
 from repro.kem.scheduler import RandomScheduler
+from repro.obs import MetricsRegistry
 from repro.server import KarousosPolicy, run_server
 from repro.store import IsolationLevel, KVStore
-from repro.verifier.dedup import app_fingerprint, group_digest
+from repro.trace.trace import Request
+from repro.verifier import Auditor
+from repro.verifier.dedup import Deduplicator, VerdictCache, app_fingerprint, group_digest
 from repro.verifier.dedup.digest import (
     DIGEST_SPEC,
     denormalize_value,
@@ -95,7 +100,8 @@ class TestValueNormalization:
         ids=repr,
     )
     def test_roundtrip(self, value):
-        encoded = normalize_value(value, self.TOKENS)
+        encoded, text = normalize_value(value, self.TOKENS)
+        assert json.loads(text) == encoded
         assert denormalize_value(encoded, self.DETOKENS) == value
 
     def test_rid_rename_invariance(self):
@@ -119,6 +125,52 @@ class TestValueNormalization:
         assert normalize_value("r999999", self.TOKENS) == normalize_value(
             "r999999", {}
         )
+
+
+class TestLiteralTokens:
+    """Advice values and request inputs are untrusted: a string spelling a
+    member token must not digest like the member rid it spells."""
+
+    def test_literal_token_does_not_alias_a_member_rid(self):
+        member = value_hash({"owner": "r000007"}, {"r000007": member_token(0)})
+        try:
+            literal = value_hash({"owner": "\x00grp0\x00"}, {"r000009": member_token(0)})
+        except Exception:
+            literal = None  # uncacheable
+        assert literal != member
+        assert literal is None
+
+    @pytest.mark.parametrize("value", ["a\x00b", {"k\x00": 1}, [("\x00",)]], ids=repr)
+    def test_any_nul_string_is_uncacheable(self, value):
+        with pytest.raises(Exception):
+            normalize_value(value, {})
+
+    def test_served_literal_token_reexecutes(self):
+        """A client sets the message of the day to a literal token: every
+        group whose inputs or advice hold it is uncacheable, so it
+        re-executes and nothing about it is cached -- and the audit still
+        accepts."""
+
+        def audit(msg):
+            requests = motd_workload(10, mix="write-heavy", seed=5)
+            requests[0] = Request.make(requests[0].rid, "set", day="mon", msg=msg)
+            run = run_server(
+                motd_app(), requests, KarousosPolicy(),
+                scheduler=RandomScheduler(1), concurrency=4,
+            )
+            metrics = MetricsRegistry()
+            dedup = Deduplicator(VerdictCache())
+            result = Auditor(
+                motd_app(), run.trace, run.advice, metrics=metrics, dedup=dedup
+            ).run()
+            assert result.accepted, result.reason
+            counters = metrics.snapshot()["counters"]
+            return counters.get("reexec.uncacheable_groups", 0), dedup.memo
+
+        plain_uncacheable, _ = audit("hello")
+        uncacheable, memo = audit(member_token(0))
+        assert uncacheable > plain_uncacheable
+        assert not any("grp0" in json.dumps(entry) for entry in memo.values())
 
 
 class TestAppFingerprint:
