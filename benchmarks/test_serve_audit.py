@@ -1,4 +1,4 @@
-"""Fleet audit service benchmarks (DESIGN.md §15).
+"""Fleet audit service benchmarks (DESIGN.md §13).
 
 Two claims, one wall-clock and one deterministic:
 

@@ -14,15 +14,6 @@ against :func:`~repro.analysis.lint.predict_footprints`:
   over-approximated instrumentation (informational: the workload may
   simply not have driven that path).
 
-The same loop gates the symbolic effect analysis
-(:mod:`repro.analysis.effects`): observed store keys must be covered by
-the route's static key symbols, blind writes and atomic updates must be
-predicted with the right access kind, every activated handler must lie
-in its route's static closure, and every observed cross-route conflict
-must appear in the static conflict matrix.  Escapes land in
-``effect_unpredicted`` and fail the gate: the conflict matrix and lint
-rules R6-R9 are read off exactly these facts.
-
 The recording proxy wraps the live :class:`HandlerContext`, so the
 observation is exactly what the server executed -- same runtime, same
 scheduler, same store -- not a re-implementation of it.
@@ -33,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.analysis.effects import AppEffects, analyze_effects, any_covers
 from repro.analysis.lint import HandlerSummary, predict_footprints
 from repro.kem.program import AppSpec
 from repro.kem.scheduler import RandomScheduler
@@ -51,11 +41,6 @@ class ObservedFootprint:
     activations: int = 0
     reads: Set[str] = field(default_factory=set)
     writes: Set[str] = field(default_factory=set)
-    updates: Set[str] = field(default_factory=set)  # atomic RMW (ctx.update)
-    blind_writes: Set[str] = field(default_factory=set)  # bare ctx.write
-    kv_reads: Set[str] = field(default_factory=set)  # concrete tx_get keys
-    kv_writes: Set[str] = field(default_factory=set)  # concrete tx_put keys
-    rids: Set[str] = field(default_factory=set)  # requests that reached us
     emits: Set[str] = field(default_factory=set)
     registers: Set[Tuple[str, str]] = field(default_factory=set)
     unregisters: Set[Tuple[str, str]] = field(default_factory=set)
@@ -101,13 +86,11 @@ class RecordingContext:
 
     def write(self, var_id: str, value: Any) -> Any:
         self._fp.writes.add(var_id)
-        self._fp.blind_writes.add(var_id)
         return self._inner.write(var_id, value)
 
     def update(self, var_id: str, fn: Any, *args: Any) -> Any:
         self._fp.reads.add(var_id)
         self._fp.writes.add(var_id)
-        self._fp.updates.add(var_id)
         return self._inner.update(var_id, fn, *args)
 
     def branch(self, cond: Any) -> Any:
@@ -140,12 +123,10 @@ class RecordingContext:
     def tx_get(self, tid: Any, key: str, callback_fid: str, extra: Any = None) -> Any:
         self._fp.tx_ops.add("tx_get")
         self._fp.tx_callbacks.add(callback_fid)
-        self._fp.kv_reads.add(key)
         return self._inner.tx_get(tid, key, callback_fid, extra)
 
     def tx_put(self, tid: Any, key: str, value: Any) -> Any:
         self._fp.tx_ops.add("tx_put")
-        self._fp.kv_writes.add(key)
         return self._inner.tx_put(tid, key, value)
 
     def tx_commit(self, tid: Any) -> Any:
@@ -176,7 +157,6 @@ def observed_app(app: AppSpec) -> Tuple[AppSpec, FootprintRecorder]:
         def wrapped(ctx: Any, payload: Any) -> Any:
             footprint = recorder.for_fid(fid)
             footprint.activations += 1
-            footprint.rids.add(ctx.rid)
             return fn(RecordingContext(ctx, footprint), payload)
 
         wrapped.__name__ = f"observed_{fid}"
@@ -197,29 +177,24 @@ class CrosscheckResult:
     requests_served: int
     unpredicted: List[str] = field(default_factory=list)  # analyzer bugs
     unobserved: List[str] = field(default_factory=list)  # dead / over-approx
-    effect_unpredicted: List[str] = field(default_factory=list)  # effects bugs
     observed: Dict[str, ObservedFootprint] = field(default_factory=dict)
     predicted: Dict[str, HandlerSummary] = field(default_factory=dict)
-    effects: Optional[AppEffects] = None
     trace: Optional[Trace] = None
 
     @property
     def sound(self) -> bool:
         """No observed operation escaped the static prediction."""
-        return not self.unpredicted and not self.effect_unpredicted
+        return not self.unpredicted
 
     def format_text(self) -> List[str]:
         lines = [
             f"crosscheck: {self.requests_served} requests, "
             f"{len(self.observed)} handlers activated, "
             f"{len(self.unpredicted)} unpredicted event(s), "
-            f"{len(self.effect_unpredicted)} unpredicted effect(s), "
             f"{len(self.unobserved)} predicted-but-unobserved site(s)"
         ]
         for item in self.unpredicted:
             lines.append(f"  UNSOUND {item}")
-        for item in self.effect_unpredicted:
-            lines.append(f"  UNSOUND-EFFECT {item}")
         for item in self.unobserved:
             lines.append(f"  unobserved {item}")
         return lines
@@ -230,7 +205,6 @@ class CrosscheckResult:
             "requests": self.requests_served,
             "sound": self.sound,
             "unpredicted": list(self.unpredicted),
-            "effect_unpredicted": list(self.effect_unpredicted),
             "unobserved": list(self.unobserved),
         }
 
@@ -292,117 +266,6 @@ def _diff_fid(
     return unpredicted, unobserved
 
 
-def _check_effects(
-    effects: AppEffects,
-    footprints: Dict[str, ObservedFootprint],
-    route_of: Dict[str, str],
-) -> List[str]:
-    """Observed effects the symbolic summaries failed to predict.
-
-    Gate checks, each the dynamic complement of a static claim:
-
-    * every activated handler lies in the closure of the route that
-      reached it (the closure is what the conflict matrix ranges over);
-    * every concrete store key read/written by a handler is covered by a
-      key symbol of some route the handler runs under (exact match for
-      constant symbols, prefix match for families, anything for ⊤);
-    * every blind write / atomic update is predicted with the right kind
-      (the conflict predicate distinguishes them);
-    * every observed variable read lies in the summary's variable set;
-    * every *observed* cross-route conflict is in the static conflict
-      matrix -- implied by the per-effect checks for a monotone predicate,
-      but checked explicitly so a predicate bug cannot hide behind them.
-    """
-    problems: List[str] = []
-    handler_routes: Dict[str, Set[str]] = {}
-    for fid, obs in sorted(footprints.items()):
-        routes = {route_of[rid] for rid in obs.rids if rid in route_of}
-        handler_routes[fid] = routes
-        for route in sorted(routes):
-            eff = effects.routes.get(route)
-            if eff is None:
-                problems.append(
-                    f"{fid}: activated by unknown route {route!r}"
-                )
-            elif fid not in eff.closure:
-                problems.append(
-                    f"{fid}: activated by route {route!r} but not in its "
-                    "static closure"
-                )
-
-    for fid, obs in sorted(footprints.items()):
-        summary = effects.handlers.get(fid)
-        if summary is None or summary.opaque:
-            continue  # already reported by the footprint diff
-        route_effects = [
-            effects.routes[r] for r in sorted(handler_routes.get(fid, set()))
-            if r in effects.routes
-        ]
-        for key in sorted(obs.kv_reads):
-            if not any(
-                any_covers(r.effect.kv_reads, key) for r in route_effects
-            ):
-                problems.append(
-                    f"{fid}: tx_get of key {key!r} not covered by any "
-                    "static key symbol"
-                )
-        for key in sorted(obs.kv_writes):
-            if not any(
-                any_covers(r.effect.kv_writes, key) for r in route_effects
-            ):
-                problems.append(
-                    f"{fid}: tx_put of key {key!r} not covered by any "
-                    "static key symbol"
-                )
-        if not summary.dynamic_vars:
-            for var in sorted(obs.reads - summary.all_vars()):
-                problems.append(
-                    f"{fid}: ctx.read of {var!r} not covered by the "
-                    "effect summary's variable set"
-                )
-            for var in sorted(obs.blind_writes - summary.var_writes):
-                problems.append(
-                    f"{fid}: blind write of {var!r} not predicted as a "
-                    "blind write"
-                )
-            for var in sorted(obs.updates - summary.var_updates):
-                problems.append(
-                    f"{fid}: atomic update of {var!r} not predicted as an "
-                    "update"
-                )
-
-    # Observed conflicts vs the static matrix.  Attribute each handler's
-    # accesses to every route that activated it -- the same
-    # over-approximation the static side uses, so the comparison cannot
-    # false-fail.
-    route_obs: Dict[str, ObservedFootprint] = {}
-    for fid, obs in footprints.items():
-        for route in handler_routes.get(fid, set()):
-            agg = route_obs.setdefault(route, ObservedFootprint(route))
-            agg.reads |= obs.reads
-            agg.updates |= obs.updates
-            agg.blind_writes |= obs.blind_writes
-    names = sorted(route_obs)
-    for i, ra in enumerate(names):
-        A = route_obs[ra]
-        for rb in names[i:]:
-            B = route_obs[rb]
-            observed_conflict_vars = sorted(
-                (A.blind_writes & (B.blind_writes | B.reads | B.updates))
-                | (B.blind_writes & (A.reads | A.updates))
-            )
-            if not observed_conflict_vars:
-                continue
-            conflict = effects.conflict(ra, rb)
-            if conflict is None or conflict.commutes:
-                problems.append(
-                    f"routes {ra!r} and {rb!r}: observed conflict on "
-                    f"{observed_conflict_vars} but the static matrix says "
-                    "they commute"
-                )
-    return problems
-
-
 def crosscheck_app(
     app: AppSpec,
     requests: Optional[List[Request]] = None,
@@ -418,7 +281,6 @@ def crosscheck_app(
     the static prediction says any handler issues transactional ops.
     """
     predicted = predict_footprints(app)
-    effects = analyze_effects(app)
     if requests is None:
         requests = workload_for(app.name, n_requests, mix=mix, seed=seed)
     wrapped, recorder = observed_app(app)
@@ -436,12 +298,7 @@ def crosscheck_app(
         requests_served=len(requests),
         observed=recorder.footprints,
         predicted=predicted,
-        effects=effects,
         trace=run.trace,
-    )
-    route_of = {req.rid: req.route for req in requests}
-    result.effect_unpredicted.extend(
-        _check_effects(effects, recorder.footprints, route_of)
     )
     for fid, obs in sorted(recorder.footprints.items()):
         pred = predicted.get(fid)

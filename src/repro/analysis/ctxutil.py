@@ -34,24 +34,11 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 #: keyword-forwarded contexts (``helper(x, ctx=c)``), the parameter name.
 CtxSlot = Union[int, str]
 
-#: Context-API method names, grouped by role.  The linter and the
-#: annotation analyzer share this vocabulary.
+#: Context-API variable-access method names (the annotation analyzer's
+#: vocabulary).
 VAR_READ_METHODS = ("read",)
 VAR_WRITE_METHODS = ("write",)
 VAR_UPDATE_METHODS = ("update",)
-CONTROL_METHODS = ("branch", "control")
-HANDLER_OP_METHODS = ("emit", "register", "unregister")
-TX_METHODS = ("tx_start", "tx_get", "tx_put", "tx_commit", "tx_abort")
-OTHER_METHODS = ("apply", "nondet", "respond")
-ALL_CTX_METHODS = frozenset(
-    VAR_READ_METHODS
-    + VAR_WRITE_METHODS
-    + VAR_UPDATE_METHODS
-    + CONTROL_METHODS
-    + HANDLER_OP_METHODS
-    + TX_METHODS
-    + OTHER_METHODS
-)
 
 
 @dataclass(frozen=True)
@@ -299,26 +286,6 @@ def call_argument(node: ast.Call, position: int, keyword: str) -> Optional[ast.e
         if kw.arg == keyword:
             return kw.value
     return None
-
-
-class ScopedWalker(ast.NodeVisitor):
-    """A visitor that does **not** descend into nested function scopes.
-
-    Rule checkers subclass this so that code inside ``lambda``s and nested
-    ``def``s -- which the re-executor runs *per request slot* (pure
-    functions handed to ``ctx.apply``/``ctx.update``) -- is exempt from
-    group-level control-flow discipline.  Subclasses that do want lambdas
-    (e.g. the nondeterminism rule) override :meth:`visit_Lambda`.
-    """
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:  # noqa: D102
-        pass
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:  # noqa: D102
-        pass
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:  # noqa: D102
-        pass
 
 
 def walk_scoped(func_def: ast.FunctionDef) -> Iterator[ast.AST]:

@@ -5,10 +5,8 @@ audit depends on; this repo hand-writes the annotated program, so
 :func:`lint_app` re-establishes the guarantee statically.  It walks every
 handler in an :class:`~repro.kem.program.AppSpec` -- following helper
 functions that receive the context at any argument position -- and runs
-the rule set of :mod:`repro.analysis.rules` (R1-R5) over each, then the
-pairwise concurrency rules R6-R9 of :mod:`repro.analysis.effects` over
-the app's symbolic effect summaries, producing a
-:class:`~repro.analysis.report.LintReport` with exact source
+the rule set of :mod:`repro.analysis.rules` (R1-R5) over each, producing
+a :class:`~repro.analysis.report.LintReport` with exact source
 coordinates.
 
 Suppressions: a trailing comment ``# lint: disable=R5 -- justification``
@@ -44,7 +42,6 @@ from repro.analysis.ctxutil import (
     parse_function,
 )
 from repro.analysis.dataflow import TaintEnv
-from repro.analysis.effects import analyze_effects, effect_violations
 from repro.analysis.report import LintReport, Violation
 from repro.analysis.rules import (
     AppContext,
@@ -190,7 +187,6 @@ def lint_app(app: AppSpec) -> LintReport:
     appctx.resolving_helpers = _resolving_helpers(infos, appctx)
 
     report = LintReport(app_name=app.name, unparsed=unparsed)
-    info_by_fid = {info.fid: info for info in infos}
     for info in infos:
         found: List[Violation] = []
         found.extend(check_r1(info))
@@ -198,22 +194,6 @@ def lint_app(app: AppSpec) -> LintReport:
         found.extend(check_r3(info))
         found.extend(check_r4(info, appctx))
         found.extend(check_r5(info, appctx))
-        _file_report(report, info, found)
-
-    # R6-R9 ride on the symbolic effect summaries (repro.analysis.effects)
-    # rather than the per-function walk: they are properties of handler
-    # *pairs* and route closures.  Suppression works the same way, keyed
-    # on the top-level handler each finding is anchored to.
-    effect_found: Dict[str, List[Violation]] = {}
-    for violation in effect_violations(analyze_effects(app)):
-        effect_found.setdefault(violation.fid, []).append(violation)
-    for fid, found in sorted(effect_found.items()):
-        info = info_by_fid.get(fid)
-        if info is None:
-            report.violations.extend(
-                sorted(found, key=lambda v: (v.line, v.col, v.rule))
-            )
-            continue
         _file_report(report, info, found)
     return report
 

@@ -26,7 +26,7 @@ WARN = "warn"
 class Violation:
     """One rule breach at one source location."""
 
-    rule: str  # "R1".."R9"
+    rule: str  # "R1".."R5"
     severity: str  # ERROR | WARN
     fid: str  # handler (or "handler>helper") the finding belongs to
     file: str

@@ -5,14 +5,13 @@
     python -m repro serve  --app wiki --requests 100 --store-path run/
     python -m repro audit  --app wiki --store-path run/
     python -m repro attack --app wiki --store-path run/ --name tamper-response
-    python -m repro analyze --app wiki --conflicts
+    python -m repro analyze --app wiki
     python -m repro lint wiki --crosscheck
 
 ``audit`` exits 0 on ACCEPT and 3 on REJECT so it can gate deployments;
-``lint`` exits 0 when clean and 4 on violations so it can gate merges,
-as does ``analyze --conflicts`` on ERROR-severity effect findings
-(R6-R9).  The analysis subcommands (``lint``, ``annotate``, ``analyze``)
-are offline tools: no audit consults them.
+``lint`` exits 0 when clean and 4 on violations so it can gate merges.
+The analysis subcommands (``lint``, ``analyze``) are offline tools: no
+audit consults them.
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     svc = sub.add_parser(
         "serve-audit",
         help="fleet audit daemon: multiplex N tenant epoch streams over "
-        "one shared DAG scheduler (DESIGN.md §15)",
+        "one shared DAG scheduler (DESIGN.md §13)",
     )
     svc.add_argument("--tenant", action="append", required=True,
                      metavar="SPEC", dest="tenants",
@@ -219,18 +218,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="static analysis: loggable variables, symbolic handler "
-        "effects, and the route conflict matrix",
+        help="static analysis: the loggable-variable table",
     )
     analyze.add_argument("--app", required=True, choices=["motd", "stacks", "wiki", "feed"])
-    analyze.add_argument("--conflicts", action="store_true",
-                         help="also print per-route effect summaries, the "
-                         "static conflict matrix, and R6-R9 findings; exits "
-                         "4 when an ERROR-severity effect finding survives "
-                         "suppression")
-    analyze.add_argument("--format", default="text", choices=["text", "json"],
-                         help="text tables (default) or the repro.effects/1 "
-                         "JSON document on stdout")
 
     lint = sub.add_parser(
         "lint",
@@ -791,102 +781,24 @@ def _cmd_attack(args) -> int:
     return EXIT_OK if not result.accepted else EXIT_REJECTED
 
 
-_EFFECT_RULES = frozenset({"R6", "R7", "R8", "R9"})
-
-
-def _effect_findings(app):
-    """The R6-R9 violations that survive source suppressions, sorted."""
-    from repro.analysis import lint_app
-
-    report = lint_app(app)
-    found = [v for v in report.violations if v.rule in _EFFECT_RULES]
-    return sorted(found, key=lambda v: v.sort_key())
-
-
-def _sym_label(sym) -> str:
-    """A compact one-token rendering of a key symbol."""
-    if sym.exact:
-        return sym.prefix
-    if sym.unbounded:
-        return "*"
-    return f"{sym.prefix}*"
-
-
-def _print_conflicts(effects, findings) -> None:
-    print()
-    print("route effects")
-    print("-" * 70)
-    for route, route_effect in sorted(effects.routes.items()):
-        eff = route_effect.effect
-        closure = "*" if route_effect.widened else str(len(route_effect.closure))
-        reads = ",".join(sorted(eff.var_reads | eff.var_updates)) or "-"
-        writes = ",".join(sorted(eff.var_writes)) or "-"
-        kv = ",".join(sorted(
-            {_sym_label(s) for s in eff.kv_reads | eff.kv_writes}
-        )) or "-"
-        cacheable = "yes" if eff.cacheable else "no"
-        print(f"{route:<16s} closure={closure:<3s} "
-              f"reads={reads} blind-writes={writes} kv={kv} "
-              f"cacheable={cacheable}")
-    pairs = [c for c in effects.conflicts.values() if c.conflicts]
-    print()
-    if pairs:
-        print(f"conflicting route pairs ({len(pairs)}):")
-        for c in sorted(pairs, key=lambda c: (c.a, c.b)):
-            print(f"  {c.a} x {c.b}: {'; '.join(c.reasons)}")
-    else:
-        print("conflicting route pairs: none (all routes commute)")
-    if effects.uncacheable_handlers():
-        print(f"uncacheable handlers: "
-              f"{', '.join(effects.uncacheable_handlers())}")
-    if findings:
-        print()
-        for v in findings:
-            print(f"{v.location()}: {v.rule} [{v.severity}] {v.fid}: "
-                  f"{v.message}")
-    n_err = sum(1 for v in findings if v.severity == "error")
-    n_warn = len(findings) - n_err
-    print()
-    print(f"effect findings: {n_err} error(s), {n_warn} warning(s)")
-
-
 def _cmd_analyze(args) -> int:
-    from repro.analysis.effects import analyze_effects
-
     app = make_app(args.app)
-    effects = analyze_effects(app)
-    findings = _effect_findings(app) if args.conflicts else []
-    if args.format == "json":
-        doc = effects.to_dict()
-        if args.conflicts:
-            doc["findings"] = [
-                {"rule": v.rule, "severity": v.severity, "fid": v.fid,
-                 "file": v.file, "line": v.line, "col": v.col,
-                 "message": v.message}
-                for v in findings
-            ]
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        report = analyze_app(app)
-        suggestions = suggest_annotations(app)
-        print(f"{'variable':<14s} {'class':<22s} {'readers':<9s} "
-              f"{'writers':<9s} suggestion")
-        print("-" * 70)
-        for var_id in sorted(report.declared):
-            usage = report.usage[var_id]
-            print(
-                f"{var_id:<14s} {report.classification(var_id):<22s} "
-                f"{len(usage.readers):<9d} {len(usage.writers):<9d} "
-                f"{suggestions[var_id]}"
-            )
-        if report.undeclared:
-            print(f"undeclared accesses: {sorted(report.undeclared)}")
-        if report.dynamic_sites:
-            print(f"dynamic access sites: {report.dynamic_sites}")
-        if args.conflicts:
-            _print_conflicts(effects, findings)
-    if any(v.severity == "error" for v in findings):
-        return EXIT_LINT
+    report = analyze_app(app)
+    suggestions = suggest_annotations(app)
+    print(f"{'variable':<14s} {'class':<22s} {'readers':<9s} "
+          f"{'writers':<9s} suggestion")
+    print("-" * 70)
+    for var_id in sorted(report.declared):
+        usage = report.usage[var_id]
+        print(
+            f"{var_id:<14s} {report.classification(var_id):<22s} "
+            f"{len(usage.readers):<9d} {len(usage.writers):<9d} "
+            f"{suggestions[var_id]}"
+        )
+    if report.undeclared:
+        print(f"undeclared accesses: {sorted(report.undeclared)}")
+    if report.dynamic_sites:
+        print(f"dynamic access sites: {report.dynamic_sites}")
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
 """Fleet-scale audit service: N tenant streams over one shared DAG
-scheduler, with backpressure and per-tenant quotas (DESIGN.md §15)."""
+scheduler, with backpressure and per-tenant quotas (DESIGN.md §13)."""
 
 from repro.service.daemon import AuditService
 from repro.service.http import StatusServer

@@ -1,4 +1,4 @@
-"""The fleet audit service (DESIGN.md §15).
+"""The fleet audit service (DESIGN.md §13).
 
 :class:`AuditService` is the long-running ``repro serve-audit`` core:
 N tenant streams multiplexed over one shared DAG pool, one scheduling

@@ -1,4 +1,4 @@
-"""The daemon's status endpoint (DESIGN.md §15).
+"""The daemon's status endpoint (DESIGN.md §13).
 
 A tiny stdlib HTTP server on its own thread:
 

@@ -1,5 +1,5 @@
 """The fleet service's pick policy over the shared ready-queue loop
-(DESIGN.md §15).
+(DESIGN.md §13).
 
 One :class:`SharedDagPool` executes the node DAGs of *many* tenants'
 epoch audits at once.  It is the audit engine's own loop

@@ -1,4 +1,4 @@
-"""Per-tenant execution quotas (DESIGN.md §15).
+"""Per-tenant execution quotas (DESIGN.md §13).
 
 The super-producer threat (Jiang et al., PAPERS.md): one hot tenant
 stream with huge epochs can monopolise a shared auditing pipeline and

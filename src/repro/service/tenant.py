@@ -1,5 +1,5 @@
 """Tenants: configuration, epoch ingestion, and the per-tenant audit
-stream (DESIGN.md §15).
+stream (DESIGN.md §13).
 
 A *tenant* is one app plus one epoch source -- a storage directory some
 sealer writes ``epoch-<k>`` record streams into.  The service gives

@@ -1,4 +1,4 @@
-"""End-to-end suite for the fleet audit service (DESIGN.md §15).
+"""End-to-end suite for the fleet audit service (DESIGN.md §13).
 
 The load-bearing property is **differential**: for every tenant, the
 service's per-epoch verdicts (verdict, reason, detail, stats,

@@ -72,6 +72,12 @@ class TestAnalyze:
         assert "config" in out and "read-only" in out
         assert "can-skip-logging" in out
 
+    @pytest.mark.parametrize("flags", [["--conflicts"], ["--format", "json"]])
+    def test_effect_options_are_gone(self, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--app", "wiki", *flags])
+        assert exit_info.value.code == EXIT_USAGE
+
     def test_list_attacks(self, capsys):
         assert main(["list-attacks"]) == EXIT_OK
         out = capsys.readouterr().out

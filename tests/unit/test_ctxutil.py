@@ -1,8 +1,8 @@
 """Unit tests for the shared context-resolution layer (``ctxutil``).
 
-Every static analysis -- the annotation analyzer, the R1-R9 linter, and
-the effect analyzer -- resolves the handler context through this module,
-so a blind spot here is a blind spot everywhere.  These tests pin the
+Every static analysis -- the annotation analyzer and the R1-R5 linter --
+resolves the handler context through this module, so a blind spot here
+is a blind spot everywhere.  These tests pin the
 edge cases: walrus renames, tuple-unpacking aliases, keyword-forwarded
 context helpers, and annotation-over-position resolution.  Assertions
 are exact (full alias sets, exact slots), not merely membership checks,

@@ -2,9 +2,11 @@
 something checks them.
 
 * The static analyzer (:mod:`repro.analysis`) is an offline tool.  No
-  module on the audit path imports it, so an unsound effect summary can
-  never become an unsound ACCEPT (DESIGN.md §4, §12).
+  module on the audit path imports it, so an unsound footprint
+  prediction can never become an unsound ACCEPT (DESIGN.md §4, §7).
 * Every ``--flag`` the documentation names is an option the CLI has.
+* Every ``DESIGN.md §N`` citation names a ``## N.`` heading, and the
+  headings are numbered 1..N without a gap.
 """
 
 import argparse
@@ -86,3 +88,38 @@ def test_documented_flags_exist(doc):
     stale = named - _cli_options(_build_parser()) - FOREIGN
     assert not stale, f"{doc} names flags the CLI does not have: {sorted(stale)}"
 
+
+
+# -- section citations ---------------------------------------------------------
+
+# Where ``DESIGN.md §N`` citations live; bench/ holds none.
+CITING = ("src", "tests", "benchmarks", "examples", "README.md",
+          os.path.join(".claude", "skills", "verify", "SKILL.md"))
+_CITATION = re.compile(r"DESIGN(?:\.md)?\s+(§\d+(?:\s*,\s*§\d+)*)")
+
+
+def _citing_files():
+    for entry in CITING:
+        top = os.path.join(ROOT, entry)
+        if os.path.isfile(top):
+            yield top
+            continue
+        for dirpath, _dirs, files in os.walk(top):
+            yield from (os.path.join(dirpath, name) for name in files
+                        if name.endswith((".py", ".md")))
+
+
+def test_design_citations_resolve():
+    with open(os.path.join(ROOT, "DESIGN.md")) as fh:
+        sections = [int(n) for n in re.findall(r"^## (\d+)\.", fh.read(), re.M)]
+    assert sections == list(range(1, len(sections) + 1)), sections
+    stale = []
+    for path in _citing_files():
+        with open(path, encoding="utf-8") as fh:
+            for match in _CITATION.finditer(fh.read()):
+                stale += [
+                    (os.path.relpath(path, ROOT), f"§{n}")
+                    for n in map(int, re.findall(r"\d+", match.group(1)))
+                    if n not in sections
+                ]
+    assert not stale, f"citations of sections DESIGN.md does not have: {stale}"

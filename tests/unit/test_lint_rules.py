@@ -178,8 +178,7 @@ def r2_bad_payload_mutation(ctx, req):
 
 
 def r2_clean_ctx_write(ctx, req):
-    # The atomic read-modify-write form: no container mutation (R2), no
-    # blind write (R6/R8).
+    # The atomic read-modify-write form: no container mutation (R2).
     ctx.update("box", lambda b, k: {**b, "last": k}, req["k"])
     ctx.respond({})
 
@@ -416,10 +415,9 @@ class TestBundledApps:
         assert report.clean, report.format_text()
 
     def test_stackdump_suppression_is_justified(self):
-        # R5 (the fan-out loop) and R9 (the deliberately opaque per-digest
-        # key) are both acknowledged on handle_list's def line.
+        # R5 (the fan-out loop) is acknowledged on handle_list's def line.
         report = lint_app(stackdump_app())
-        assert sorted(v.rule for v in report.suppressed) == ["R5", "R9"]
+        assert [v.rule for v in report.suppressed] == ["R5"]
 
 
 def smuggled_ctx_helper(box):
@@ -501,152 +499,6 @@ class TestLintCli:
 
 
 # =========================================================================
-# R6-R9: effect & conflict findings (repro.analysis.effects)
-# =========================================================================
-
-
-def two_route_app(functions, routes, extra_vars=(), name="fixture2"):
-    def init(ic):
-        ic.create_var("flag", 0)
-        for var in extra_vars:
-            ic.create_var(var, 0)
-        for route, fid in routes.items():
-            ic.register_route(route, fid)
-
-    return AppSpec(name, dict(functions), init)
-
-
-def r6_blind_writer(ctx, req):
-    ctx.write("flag", 1)  # R6-bad-site
-    ctx.respond({})
-
-
-def r6_clean_updater(ctx, req):
-    ctx.update("flag", lambda v: v + 1)
-    ctx.respond({})
-
-
-class TestR6:
-    def test_blind_write_races_with_itself(self):
-        (v,) = violations_of(one_handler_app(r6_blind_writer), "R6")
-        assert v.severity == "error"
-        assert v.line == marker_line("R6-bad-site")
-        assert "'flag'" in v.message
-
-    def test_update_is_clean(self):
-        assert not violations_of(one_handler_app(r6_clean_updater), "R6")
-
-    def test_two_handler_pair_flagged_once_per_pair(self):
-        def other_writer(ctx, payload):
-            ctx.write("flag", 2)
-
-        found = violations_of(
-            one_handler_app(r6_blind_writer, functions={"other": other_writer}),
-            "R6",
-        )
-        # self-pair (handle,handle), cross pair (handle,other), (other,other)
-        assert len(found) == 3
-
-
-def r7_skew_a(ctx, req):
-    tid = ctx.tx_start()
-    ctx.tx_get(tid, "odd:" + req["k"], "r7_cb")  # R7-bad-site
-    ctx.tx_put(tid, "even:" + req["k"], 1)
-    ctx.tx_commit(tid)
-    ctx.respond({})
-
-
-def r7_skew_b(ctx, req):
-    tid = ctx.tx_start()
-    ctx.tx_get(tid, "even:" + req["k"], "r7_cb")
-    ctx.tx_put(tid, "odd:" + req["k"], 1)
-    ctx.tx_commit(tid)
-    ctx.respond({})
-
-
-def r7_clean_guarded(ctx, req):
-    # Reads and re-writes its own read family: materialize-the-conflict,
-    # the standard write-skew fix -- not skew.
-    tid = ctx.tx_start()
-    ctx.tx_get(tid, "odd:" + req["k"], "r7_cb")
-    ctx.tx_put(tid, "odd:" + req["k"], 1)
-    ctx.tx_put(tid, "even:" + req["k"], 1)
-    ctx.tx_commit(tid)
-    ctx.respond({})
-
-
-def r7_cb(ctx, payload):
-    pass
-
-
-class TestR7:
-    def test_crossed_read_write_families_flagged(self):
-        app = two_route_app(
-            {"ha": r7_skew_a, "hb": r7_skew_b, "r7_cb": r7_cb},
-            {"a": "ha", "b": "hb"},
-        )
-        (v,) = violations_of(app, "R7")
-        assert v.severity == "warn"
-        assert "write-skew" in v.message
-        assert "'odd:'" in v.message and "'even:'" in v.message
-
-    def test_materialized_conflict_is_clean(self):
-        app = two_route_app(
-            {"ha": r7_clean_guarded, "hb": r7_skew_b, "r7_cb": r7_cb},
-            {"a": "ha", "b": "hb"},
-        )
-        assert not violations_of(app, "R7")
-
-
-def r8_read_modify_write(ctx, req):
-    v = ctx.read("flag")
-    ctx.write("flag", v + 1)  # R8-bad-site
-    ctx.respond({})
-
-
-class TestR8:
-    def test_read_then_blind_write_flagged(self):
-        found = violations_of(one_handler_app(r8_read_modify_write), "R8")
-        (v,) = found
-        assert v.severity == "error"
-        assert v.line == marker_line("R8-bad-site")
-        assert "ctx.update" in v.message
-
-    def test_update_is_clean(self):
-        assert not violations_of(one_handler_app(r6_clean_updater), "R8")
-
-
-def r9_computed_key(ctx, req):
-    tid = ctx.tx_start()
-    ctx.tx_put(tid, "-".join(["k", "x"]), 1)  # R9-bad-site
-    ctx.tx_commit(tid)
-    ctx.respond({})
-
-
-def r9_dynamic_var(ctx, req):
-    ctx.update(req["which"], lambda v: v)
-    ctx.respond({})
-
-
-class TestR9:
-    def test_unbounded_store_key_flagged(self):
-        (v,) = violations_of(one_handler_app(r9_computed_key), "R9")
-        assert v.severity == "warn"
-        assert v.line == marker_line("R9-bad-site")
-
-    def test_dynamic_variable_id_flagged(self):
-        found = violations_of(one_handler_app(r9_dynamic_var), "R9")
-        assert any("every program variable" in v.message for v in found)
-
-    def test_bounded_keys_are_clean(self):
-        app = two_route_app(
-            {"ha": r7_skew_a, "hb": r7_skew_b, "r7_cb": r7_cb},
-            {"a": "ha", "b": "hb"},
-        )
-        assert not violations_of(app, "R9")
-
-
-# =========================================================================
 # Report determinism
 # =========================================================================
 
@@ -656,8 +508,8 @@ class TestReportDeterminism:
         return lint_app(app)
 
     def test_json_is_stable_across_runs(self):
-        app_a = one_handler_app(r8_read_modify_write)
-        app_b = one_handler_app(r8_read_modify_write)
+        app_a = one_handler_app(r1_bad_if)
+        app_b = one_handler_app(r1_bad_if)
         assert self._report_for(app_a).format_json() == (
             self._report_for(app_b).format_json()
         )
@@ -665,21 +517,19 @@ class TestReportDeterminism:
     def test_violations_sorted_by_file_line_rule(self):
         from repro.analysis.report import LintReport, Violation
 
-        v1 = Violation("R8", "error", "h", "b.py", 10, 0, "m")
+        v1 = Violation("R5", "error", "h", "b.py", 10, 0, "m")
         v2 = Violation("R1", "error", "h", "a.py", 99, 0, "m")
-        v3 = Violation("R6", "error", "h", "b.py", 10, 0, "m")
+        v3 = Violation("R2", "error", "h", "b.py", 10, 0, "m")
         report = LintReport("fixture", violations=[v1, v2, v3])
         doc = report.to_dict()
         order = [(v["file"], v["line"], v["rule"]) for v in doc["violations"]]
         assert order == sorted(order)
 
     def test_summary_counts_per_rule(self):
-        app = one_handler_app(r8_read_modify_write)
+        app = one_handler_app(r1_bad_if)
         doc = self._report_for(app).to_dict()
         by_rule = doc["summary"]["by_rule"]
-        # The RMW fixture trips both the race (R6 self-pair) and the
-        # missing-tx-protection (R8) findings on the same write.
-        assert by_rule.get("R6") == 1 and by_rule.get("R8") == 1
+        assert by_rule == {"R1": 1}
         assert doc["summary"]["errors"] == len(
             [v for v in doc["violations"] if v["severity"] == "error"]
         )

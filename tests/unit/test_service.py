@@ -1,5 +1,5 @@
 """Unit suite for the fleet audit service's building blocks
-(repro.service, DESIGN.md §15): tenant-spec parsing, token-bucket
+(repro.service, DESIGN.md §13): tenant-spec parsing, token-bucket
 quotas, epoch-source tailing (torn reads retried, never trusted), the
 shared pool's Kahn bookkeeping, and the fair / FIFO pick policies."""
 
