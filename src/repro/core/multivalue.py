@@ -1,11 +1,11 @@
 """SIMD-on-demand multivalues (paper sections 2.3 and 5).
 
 A :class:`Multivalue` holds one value per request in a re-execution group.
-It *collapses* to a single shared representation when every slot holds an
-equal value and *expands* into a per-request vector when slots diverge.  The
-verifier re-executes a whole control-flow group with multivalue-typed
-request inputs; instructions whose operands are collapsed execute once for
-the entire group.
+It *collapses* to a single shared representation when every slot holds the
+same value (:func:`same_value`, type-strict) and *expands* into a
+per-request vector when slots diverge.  The verifier re-executes a whole
+control-flow group with multivalue-typed request inputs; instructions whose
+operands are collapsed execute once for the entire group.
 
 Where the original system transpiles JavaScript so that primitive operators
 work on multivalues, this reproduction gives multivalues Python operator
@@ -15,12 +15,15 @@ arbitrary functions.  Applications written against the handler-context API
 modes.
 
 Control flow must not diverge within a group (Figure 18 line 32 REJECTs on
-divergence); :func:`require_scalar` converts a multivalue condition to a
-plain bool, raising :class:`DivergenceError` if slots disagree.
+divergence); :func:`require_scalar` converts a multivalue control value to
+a plain scalar and :meth:`Multivalue.truth` a branch condition to a bool,
+each raising :class:`DivergenceError` if slots disagree.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from math import copysign
 from typing import Callable, Dict, Iterable, List, Sequence
 
 from repro.errors import KarousosError
@@ -30,9 +33,40 @@ class DivergenceError(KarousosError):
     """A grouped execution took different control-flow paths per request."""
 
 
-def _values_equal(a: object, b: object) -> bool:
-    """Equality with a guard: multivalues never nest, so plain == is safe."""
-    return type(a) is type(b) and a == b or a == b
+def same_value(a: object, b: object) -> bool:
+    """Type-strict equality: the verifier's notion of "the same value".
+
+    Python's ``==`` makes ``1``, ``True`` and ``1.0`` equal, but an
+    application can tell them apart (``repr``, ``type``, json), so a check
+    built on ``==`` would accept a server that swapped one for another.
+    Here types must match at every level (bool, int and float differ, so
+    do tuple and list), dicts compare in iteration order, ``0.0`` is not
+    ``-0.0``, and anything else falls back to ``==``.
+    """
+    if a is b:
+        return True
+    t = type(a)
+    if t is not type(b):
+        return False
+    if t is dict:
+        if len(a) != len(b):
+            return False
+        for (ka, va), (kb, vb) in zip(a.items(), b.items()):
+            if (ka is not kb and not same_value(ka, kb)) or (
+                va is not vb and not same_value(va, vb)
+            ):
+                return False
+        return True
+    if t is list or t is tuple:
+        if len(a) != len(b):
+            return False
+        for x, y in zip(a, b):
+            if x is not y and not same_value(x, y):
+                return False
+        return True
+    if t is float and a == 0.0:
+        return b == 0.0 and copysign(1.0, a) == copysign(1.0, b)
+    return a == b
 
 
 class Multivalue:
@@ -52,7 +86,7 @@ class Multivalue:
         self.rids = tuple(rids)
         self._slot_of = None  # rid -> slot, built by the first get()
         first = values[0]
-        if all(v == first for v in values[1:]):
+        if all(map(same_value, repeat(first), values[1:])):
             self._collapsed = True
             self._shared = first
             self._slots = None
@@ -104,8 +138,21 @@ class Multivalue:
     def scalar(self) -> object:
         """The shared value; raises :class:`DivergenceError` if expanded."""
         if not self._collapsed:
-            raise DivergenceError(f"multivalue diverges across group: {self._slots!r}")
+            raise self._divergence()
         return self._shared
+
+    def truth(self) -> bool:
+        """``bool`` of the slots, which must agree: a branch condition is
+        one decision even where the values behind it differ."""
+        if self._collapsed:
+            return bool(self._shared)
+        taken = bool(self._slots[0])
+        if any(bool(v) is not taken for v in self._slots[1:]):
+            raise self._divergence()
+        return taken
+
+    def _divergence(self) -> DivergenceError:
+        return DivergenceError(f"multivalue diverges across group: {self._slots!r}")
 
     # -- lifting ----------------------------------------------------------
 

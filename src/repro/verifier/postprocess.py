@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from repro.errors import AuditRejected
 from repro.server.variables import INIT_RID
-from repro.verifier.nodes import node_op
 from repro.verifier.preprocess import AuditState
 from repro.verifier.reexec import ReExecutor
 from repro.verifier.state import VarState
@@ -44,21 +43,26 @@ def add_internal_state_edges(state: AuditState, re_exec: ReExecutor) -> None:
     into a graph cycle and the audit rejects.
     """
     g = state.graph
+    op, add_edge = g.op, g.add_edge
     for var in re_exec.vars.values():
         if not isinstance(var, VarState):
             continue
         keys = set(var.read_observers) | set(var.write_observer)
         for key in keys:
-            readers = var.read_observers.get(key, ())
             successor = var.write_observer.get(key)
-            if not _is_init(key):
+            write = None if _is_init(key) else op(*key)
+            if write is None and successor is None:
+                continue
+            readers = [op(*r) for r in var.read_observers.get(key, ())]
+            if write is not None:
                 for reader in readers:
-                    g.add_edge(node_op(*key), node_op(*reader))
+                    add_edge(write, reader)
             if successor is not None:
+                successor = op(*successor)
                 for reader in readers:
-                    g.add_edge(node_op(*reader), node_op(*successor))
-                if not _is_init(key):
-                    g.add_edge(node_op(*key), node_op(*successor))
+                    add_edge(reader, successor)
+                if write is not None:
+                    add_edge(write, successor)
 
 
 def postprocess(state: AuditState, re_exec: ReExecutor) -> None:

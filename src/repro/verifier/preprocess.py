@@ -5,7 +5,8 @@ re-execution consumes:
 
 * time-precedence edges from the trusted trace (response of r1 observed
   before arrival of r2 => r1's work precedes r2's);
-* program edges (consecutive operations within a handler) and boundary
+* program edges (consecutive operations within a handler; implicit in
+  G's per-handler id blocks, :mod:`repro.verifier.execgraph`) and boundary
   edges (request arrival -> request handlers; response-emitting operation
   -> response delivery);
 * handler-log edges (log order, plus activation edges from emits to the
@@ -35,12 +36,11 @@ from repro.advice.records import (
     TX_START,
     UNREGISTER,
 )
-from repro.core.graph import Digraph
 from repro.core.ids import HandlerId, TxId
 from repro.errors import AdviceFormatError, AuditRejected
 from repro.kem.program import AppSpec, InitContext
 from repro.trace.trace import REQ, RESP, Trace, TraceLike
-from repro.verifier.nodes import node_end, node_op, node_req, node_resp
+from repro.verifier.execgraph import ExecutionGraph
 
 # OpMap values: ("handler_log", rid, index) or ("tx_log", rid, tid, index).
 OpMapEntry = Tuple
@@ -54,7 +54,7 @@ class AuditState:
     trace: Trace
     advice: Advice
     init_ctx: InitContext
-    graph: Digraph = field(default_factory=Digraph)
+    graph: ExecutionGraph = field(default_factory=ExecutionGraph)
     op_map: Dict[Tuple[str, HandlerId, int], OpMapEntry] = field(default_factory=dict)
     activated_handlers: Dict[Tuple[str, HandlerId, int], List[HandlerId]] = field(
         default_factory=dict
@@ -162,29 +162,30 @@ def _create_time_precedence_graph(state: AuditState) -> None:
     Implementation note: instead of the quadratic "edge from every earlier
     response to every later request", responses are chained (their trace
     order is ground truth) and each request links from the latest earlier
-    response; reachability is identical.
+    response; reachability is identical.  Arrival -> response of one
+    request is an implicit edge of G.
     """
     g = state.graph
-    last_resp: Optional[str] = None
+    last_resp: Optional[int] = None
     for event in state.trace:
         if event.kind == REQ:
-            g.add_node(node_req(event.rid))
-            g.add_node(node_resp(event.rid))
+            req = g.add_request(event.rid)
             if last_resp is not None:
-                g.add_edge(node_resp(last_resp), node_req(event.rid))
+                g.add_edge(last_resp, req)
         elif event.kind == RESP:
+            resp = g.resp(event.rid)
             if last_resp is not None:
-                g.add_edge(node_resp(last_resp), node_resp(event.rid))
-            last_resp = event.rid
-    for rid in state.trace_rids:
-        g.add_edge(node_req(rid), node_resp(rid))
+                g.add_edge(last_resp, resp)
+            last_resp = resp
 
 
 # -- program edges (Figure 14, AddProgramEdges) ------------------------------
 
 
 def _add_program_edges(state: AuditState) -> None:
+    """One block of G per handler; its program edges are implicit."""
     g = state.graph
+    children = []
     for (rid, hid), count in state.advice.opcounts.items():
         if rid not in state.trace_rids:
             raise AuditRejected(
@@ -192,35 +193,31 @@ def _add_program_edges(state: AuditState) -> None:
                 f"opcounts mentions unknown request {rid}",
                 site={"rid": rid, "handler": hid},
             )
-        g.add_node(node_op(rid, hid, 0))
-        g.add_node(node_end(rid, hid))
-        for i in range(1, count + 1):
-            g.add_edge(node_op(rid, hid, i - 1), node_op(rid, hid, i))
-        g.add_edge(node_op(rid, hid, count), node_end(rid, hid))
+        base = g.add_block(rid, hid, count)
+        if hid.parent is not None:
+            children.append((rid, hid, base))
     # Activation edges implied by structural handler ids: a non-request
     # handler (fid, parent, opnum) starts only after its parent's op number
     # ``opnum`` (the emit or the I/O request whose completion activated
     # it).  Emit activations also get this edge from the handler log
     # (Figure 16); store-callback activations have no log entry, so this
     # is where their A-order reaches the graph.
-    for (rid, hid) in state.advice.opcounts:
-        if hid.parent is None:
-            continue
-        parent_count = state.advice.opcounts.get((rid, hid.parent))
-        if parent_count is None:
+    for rid, hid, base in children:
+        parent = g.block(rid, hid.parent)
+        if parent is None:
             raise AuditRejected(
                 "unknown-handler",
                 f"handler {(rid, hid)} has unreported parent {hid.parent!r}",
                 site={"rid": rid, "handler": hid},
             )
-        if not 1 <= hid.opnum <= parent_count:
+        if not 1 <= hid.opnum <= parent[1]:
             raise AuditRejected(
                 "bad-opnum",
                 f"handler {(rid, hid)} activated by out-of-range op {hid.opnum}",
                 site={"rid": rid, "handler": hid, "opnum": hid.opnum,
-                      "claimed": parent_count},
+                      "claimed": parent[1]},
             )
-        g.add_edge(node_op(rid, hid.parent, hid.opnum), node_op(rid, hid, 0))
+        g.add_edge(g.op(rid, hid.parent, hid.opnum), base)
 
 
 # -- boundary edges (Figure 15) -------------------------------------------------
@@ -231,7 +228,7 @@ def _add_boundary_edges(state: AuditState) -> None:
     advice = state.advice
     for (rid, hid) in advice.opcounts:
         if hid.parent is None:
-            g.add_edge(node_req(rid), node_op(rid, hid, 0))
+            g.add_edge(g.req(rid), g.block(rid, hid)[0])
     for rid in state.trace_rids:
         emitted = advice.response_emitted_by.get(rid)
         if (
@@ -247,31 +244,33 @@ def _add_boundary_edges(state: AuditState) -> None:
                 site={"rid": rid, "claimed": emitted},
             )
         hid_r, opnum_r = emitted
-        if node_op(rid, hid_r, opnum_r) not in g:
+        block = g.block(rid, hid_r)
+        if block is None or not 0 <= opnum_r <= block[1]:
             raise AuditRejected(
                 "bad-response-emitter",
                 f"response emitter op {(rid, hid_r, opnum_r)} not in graph",
                 site={"rid": rid, "handler": hid_r, "opnum": opnum_r},
             )
-        g.add_edge(node_op(rid, hid_r, opnum_r), node_resp(rid))
-        if opnum_r == advice.opcounts[(rid, hid_r)]:
-            g.add_edge(node_resp(rid), node_end(rid, hid_r))
-        else:
-            g.add_edge(node_resp(rid), node_op(rid, hid_r, opnum_r + 1))
+        # The response splits the emitting op from its successor (or the
+        # handler's end): op -> resp -> op + 1.
+        op_r, resp = block[0] + opnum_r, g.resp(rid)
+        g.add_edge(op_r, resp)
+        g.add_edge(resp, op_r + 1)
 
 
 # -- handler-log edges (Figure 16, AddHandlerRelatedEdges) -------------------------
 
 
-def _check_op_is_valid(state: AuditState, rid: str, hid: HandlerId, opnum: int) -> None:
-    """CheckOpIsValid (Figure 16 lines 58-61)."""
-    count = state.advice.opcounts.get((rid, hid))
-    if count is None:
+def _check_op_is_valid(state: AuditState, rid: str, hid: HandlerId, opnum: int) -> int:
+    """CheckOpIsValid (Figure 16 lines 58-61); returns the op's node id."""
+    block = state.graph.block(rid, hid)
+    if block is None:
         raise AuditRejected(
             "unknown-handler",
             f"log entry for handler {(rid, hid)} not in opcounts",
             site={"rid": rid, "handler": hid, "opnum": opnum},
         )
+    base, count = block
     if opnum < 1 or opnum > count:
         raise AuditRejected(
             "bad-opnum",
@@ -284,6 +283,7 @@ def _check_op_is_valid(state: AuditState, rid: str, hid: HandlerId, opnum: int) 
             f"operation {(rid, hid, opnum)} appears twice in logs",
             site={"rid": rid, "handler": hid, "opnum": opnum},
         )
+    return base + opnum if type(opnum) is int else state.graph.op(rid, hid, opnum)
 
 
 def _add_handler_related_edges(state: AuditState) -> None:
@@ -300,9 +300,8 @@ def _add_handler_related_edges(state: AuditState) -> None:
         registered: List[Tuple[str, str]] = []
         prev_node = None
         for i, op in enumerate(log):
-            _check_op_is_valid(state, rid, op.hid, op.opnum)
+            this_node = _check_op_is_valid(state, rid, op.hid, op.opnum)
             state.op_map[(rid, op.hid, op.opnum)] = ("handler_log", rid, i)
-            this_node = node_op(rid, op.hid, op.opnum)
             if prev_node is not None:
                 g.add_edge(prev_node, this_node)
             prev_node = this_node
@@ -338,14 +337,15 @@ def _add_handler_related_edges(state: AuditState) -> None:
                     if event != op.event:
                         continue
                     hid_child = HandlerId.intern(fid, op.hid, op.opnum)
-                    if (rid, hid_child) not in advice.opcounts:
+                    child = g.block(rid, hid_child)
+                    if child is None:
                         raise AuditRejected(
                             "unreported-handler",
                             f"emit activates {hid_child!r} absent from opcounts",
                             site={"rid": rid, "handler": hid_child},
                         )
                     activated.append(hid_child)
-                    g.add_edge(this_node, node_op(rid, hid_child, 0))
+                    g.add_edge(this_node, child[0])
                 state.activated_handlers[(rid, op.hid, op.opnum)] = activated
             else:
                 raise AdviceFormatError(f"unknown handler op type {op.optype!r}")
@@ -381,7 +381,7 @@ def _add_external_state_edges(state: AuditState) -> None:
             state.committed.add((rid, tid))
         my_writes: Dict[str, Tuple[str, TxId, int]] = {}
         for i, op in enumerate(log):
-            _check_op_is_valid(state, rid, op.hid, op.opnum)
+            op_node = _check_op_is_valid(state, rid, op.hid, op.opnum)
             state.op_map[(rid, op.hid, op.opnum)] = ("tx_log", rid, tid, i)
             if op.optype == TX_GET:
                 if op.opcontents is None:
@@ -414,10 +414,7 @@ def _add_external_state_edges(state: AuditState) -> None:
                                   "key": op.key, "prec": op.opcontents},
                         )
                     # Read-from edge: the PUT's op precedes the GET's op.
-                    g.add_edge(
-                        node_op(rid_w, op_w.hid, op_w.opnum),
-                        node_op(rid, op.hid, op.opnum),
-                    )
+                    g.add_edge(g.op(rid_w, op_w.hid, op_w.opnum), op_node)
                     state.read_map.setdefault((rid_w, tid_w, i_w), []).append(
                         (rid, tid, i)
                     )

@@ -44,6 +44,7 @@ from repro.core.multivalue import (
     Multivalue,
     mv_apply,
     require_scalar,
+    same_value,
 )
 from repro.errors import AuditRejected
 from repro.kem.program import request_event
@@ -62,6 +63,26 @@ def materialize(obj: object, rid: str) -> object:
     if isinstance(obj, list):
         return [materialize(v, rid) for v in obj]
     return obj
+
+
+_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
+def _plain(obj: object) -> bool:
+    """Whether ``materialize`` would only copy ``obj``: it holds no
+    multivalue, and its containers are exact dicts, lists and tuples
+    (``materialize`` turns a subclass into its base type)."""
+    t = type(obj)
+    if t is dict:
+        items = obj.values()
+    elif t is list or t is tuple:
+        items = obj
+    else:
+        return not isinstance(obj, (Multivalue, dict, list, tuple))
+    for v in items:
+        if type(v) not in _LEAVES and not _plain(v):
+            return False
+    return True
 
 
 class ReExecutor:
@@ -157,7 +178,7 @@ class ReExecutor:
                     site={"rid": rid},
                 )
             expected = self.state.trace.response(rid)
-            if self.outputs[rid] != expected:
+            if not same_value(self.outputs[rid], expected):
                 raise AuditRejected(
                     "output-mismatch",
                     f"re-executed response for {rid} differs from trace",
@@ -344,12 +365,34 @@ class GroupContext:
         var = self._re.vars.get(var_id)
         if var is None:
             raise AuditRejected("unknown-variable", f"write of {var_id!r}")
-        for rid in self._rids:
-            per_rid = materialize(value, rid)
-            if isinstance(var, PlainVarState):
+        values = zip(self._rids, self._member_values(value))
+        if isinstance(var, PlainVarState):
+            for rid, per_rid in values:
                 var.write(rid, per_rid)
-            else:
+        else:
+            for rid, per_rid in values:
                 var.on_write(rid, self._hid, opnum, per_rid)
+
+    def _member_values(self, value: object) -> List[object]:
+        """What each member writes, in group order.
+
+        The value is resolved once per operation: a plain value (or slot)
+        is handed to every member as the same object.  Lint rule R2 keeps
+        an application from mutating it in place afterwards, so sharing
+        is indistinguishable from the per-member copy ``materialize``
+        makes -- which the rest still get.
+        """
+        rids = self._rids
+        if isinstance(value, Multivalue):
+            if not value.is_collapsed:
+                return [
+                    v if _plain(v) else materialize(v, rid)
+                    for rid, v in zip(rids, value.values())
+                ]
+            value = value.scalar()
+        if _plain(value):
+            return [value] * len(rids)
+        return [materialize(value, rid) for rid in rids]
 
     def update(self, var_id: str, fn: Callable, *args: object) -> object:
         """Replay of the atomic read-modify-write: the same read and write
@@ -363,7 +406,11 @@ class GroupContext:
     # -- control flow -----------------------------------------------------------------
 
     def branch(self, cond: object) -> bool:
-        return bool(require_scalar(cond))
+        # The server tags by branch outcome, so slots that differ but
+        # agree on truth took the same branch.
+        if isinstance(cond, Multivalue):
+            return cond.truth()
+        return bool(cond)
 
     def control(self, value: object) -> object:
         return require_scalar(value)
@@ -481,7 +528,7 @@ class GroupContext:
         if entry.optype == optype:
             if optype in (TX_GET, TX_PUT):
                 actual_key = materialize(key, rid)
-                if entry.key != actual_key:
+                if not same_value(entry.key, actual_key):
                     raise AuditRejected(
                         "state-op-mismatch",
                         f"key mismatch at {(rid, tid, i)}: log has "
@@ -498,7 +545,7 @@ class GroupContext:
                     )
             if optype == TX_PUT:
                 actual_value = materialize(value, rid)
-                if entry.opcontents != actual_value:
+                if not same_value(entry.opcontents, actual_value):
                     raise AuditRejected(
                         "state-op-mismatch",
                         f"PUT value mismatch at {(rid, tid, i)}",

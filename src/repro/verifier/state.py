@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.advice.records import OpKey, VariableLogEntry
 from repro.core.ids import HandlerId
+from repro.core.multivalue import same_value
 from repro.errors import AuditRejected
 from repro.server.variables import INIT_HID, INIT_REF, INIT_RID
 
@@ -73,7 +74,7 @@ class VarState:
         # it must carry the true initial value.
         entry = log.get(INIT_REF)
         if entry is not None:
-            if entry.access != "write" or entry.value != initial_value:
+            if entry.access != "write" or not same_value(entry.value, initial_value):
                 raise AuditRejected(
                     "forged-initial-value",
                     f"variable {var_id!r} init entry does not match program",
@@ -185,7 +186,7 @@ class VarState:
                     site={"var": self.var_id, "rid": rid, "handler": hid,
                           "opnum": opnum},
                 )
-            if entry.value != value:
+            if not same_value(entry.value, value):
                 raise AuditRejected(
                     "write-mismatch",
                     f"{self.var_id!r}: logged value differs from re-execution at {key}",

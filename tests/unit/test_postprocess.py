@@ -1,9 +1,9 @@
 """Unit tests for postprocessing (Figure 21 internal-state edges)."""
 
 
-from repro.core.graph import Digraph
 from repro.core.ids import HandlerId
 from repro.server.variables import INIT_REF
+from repro.verifier.execgraph import ExecutionGraph
 from repro.verifier.nodes import node_op
 from repro.verifier.postprocess import add_internal_state_edges
 from repro.verifier.state import VarState
@@ -13,7 +13,7 @@ ROOT = HandlerId("h", None, 0)
 
 class _FakeState:
     def __init__(self):
-        self.graph = Digraph()
+        self.graph = ExecutionGraph()
 
 
 class _FakeReExec:
