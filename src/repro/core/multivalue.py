@@ -29,6 +29,9 @@ from typing import Callable, Dict, Iterable, List, Sequence
 from repro.errors import KarousosError
 
 
+_MISSING = object()
+
+
 class DivergenceError(KarousosError):
     """A grouped execution took different control-flow paths per request."""
 
@@ -40,8 +43,10 @@ def same_value(a: object, b: object) -> bool:
     application can tell them apart (``repr``, ``type``, json), so a check
     built on ``==`` would accept a server that swapped one for another.
     Here types must match at every level (bool, int and float differ, so
-    do tuple and list), dicts compare in iteration order, ``0.0`` is not
-    ``-0.0``, and anything else falls back to ``==``.
+    do tuple and list), ``0.0`` is not ``-0.0``, and anything else falls
+    back to ``==``.  A dict's iteration order is not part of its value:
+    the dedup digest orders dict pairs by key, so an order-sensitive
+    check would make a verdict depend on whether the group was cached.
     """
     if a is b:
         return True
@@ -52,9 +57,19 @@ def same_value(a: object, b: object) -> bool:
         if len(a) != len(b):
             return False
         for (ka, va), (kb, vb) in zip(a.items(), b.items()):
-            if (ka is not kb and not same_value(ka, kb)) or (
-                va is not vb and not same_value(va, vb)
-            ):
+            if ka is not kb and not same_value(ka, kb):
+                break
+            if va is not vb and not same_value(va, vb):
+                return False
+        else:
+            return True
+        # The keys come in another order: look each one up.  A lookup
+        # matches keys by ``==``, so the key it finds must be the same
+        # value too (``1`` is not ``True``).
+        keys = {k: k for k in b}
+        for ka, va in a.items():
+            kb = keys.get(ka, _MISSING)
+            if kb is _MISSING or not same_value(ka, kb) or not same_value(va, b[kb]):
                 return False
         return True
     if t is list or t is tuple:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.multivalue import same_value
 from repro.obs import MetricsRegistry
 from repro.server.variables import INIT_REF
 from repro.storage.records import canonical_json
@@ -435,14 +436,15 @@ class Deduplicator:
         """Cache one *cleanly merged* group.  Only groups whose executed
         outputs equal the trace's claimed responses are eligible --
         rehydration feeds the claims back, so caching a group whose
-        output diverged would flip a later ``output-mismatch`` REJECT."""
+        output diverged would flip a later ``output-mismatch`` REJECT.
+        "Equal" is :func:`same_value`, the final response check's notion."""
         if delta.rejection is not None or digest.key in self.memo:
             return False
         try:
             for rid in rids:
                 if rid not in delta.outputs:
                     return False
-                if delta.outputs[rid] != state.trace.response(rid):
+                if not same_value(delta.outputs[rid], state.trace.response(rid)):
                     return False
             handlers = sum(e[1] for e in delta.journal if e[0] == "handlers")
             effect, effect_text = normalize_effect(state, rids, delta, digest.tokens)

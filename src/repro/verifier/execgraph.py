@@ -127,6 +127,9 @@ class ExecutionGraph:
 
     # -- id lookup -------------------------------------------------------------
 
+    def has_request(self, rid: str) -> bool:
+        return rid in self._req
+
     def req(self, rid: str) -> int:
         return self._req[rid]
 

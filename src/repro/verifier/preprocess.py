@@ -169,10 +169,22 @@ def _create_time_precedence_graph(state: AuditState) -> None:
     last_resp: Optional[int] = None
     for event in state.trace:
         if event.kind == REQ:
+            if g.has_request(event.rid):
+                raise AuditRejected(
+                    "unbalanced-trace",
+                    f"request {event.rid} arrives twice",
+                    site={"rid": event.rid},
+                )
             req = g.add_request(event.rid)
             if last_resp is not None:
                 g.add_edge(last_resp, req)
         elif event.kind == RESP:
+            if not g.has_request(event.rid):
+                raise AuditRejected(
+                    "unbalanced-trace",
+                    f"response to {event.rid} before its request",
+                    site={"rid": event.rid},
+                )
             resp = g.resp(event.rid)
             if last_resp is not None:
                 g.add_edge(last_resp, resp)

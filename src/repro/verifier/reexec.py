@@ -52,8 +52,30 @@ from repro.verifier.preprocess import AuditState
 from repro.verifier.state import PlainVarState, VarState
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def materialize(obj: object, rid: str) -> object:
-    """Resolve all multivalues in a payload to their per-request value."""
+    """Resolve all multivalues in a payload to their per-request value.
+
+    Returns ``obj`` itself when nothing in it changes: it holds no
+    multivalue and its containers are exact dicts, lists and tuples.  A
+    container subclass comes back as its base type."""
+    t = type(obj)
+    if t is dict or t is list or t is tuple:
+        items = obj.values() if t is dict else obj
+        for v in items:
+            if type(v) not in _SCALARS:  # a scalar resolves to itself
+                m = materialize(v, rid)
+                if m is not v:
+                    break
+        else:
+            return obj
+        # ``v`` is the first item that changed and ``m`` what it became.
+        resolved = [m if x is v else materialize(x, rid) for x in items]
+        if t is dict:
+            return dict(zip(obj, resolved))
+        return resolved if t is list else tuple(resolved)
     if isinstance(obj, Multivalue):
         return materialize(obj.get(rid), rid)
     if isinstance(obj, dict):
@@ -63,26 +85,6 @@ def materialize(obj: object, rid: str) -> object:
     if isinstance(obj, list):
         return [materialize(v, rid) for v in obj]
     return obj
-
-
-_LEAVES = frozenset((str, int, float, bool, type(None)))
-
-
-def _plain(obj: object) -> bool:
-    """Whether ``materialize`` would only copy ``obj``: it holds no
-    multivalue, and its containers are exact dicts, lists and tuples
-    (``materialize`` turns a subclass into its base type)."""
-    t = type(obj)
-    if t is dict:
-        items = obj.values()
-    elif t is list or t is tuple:
-        items = obj
-    else:
-        return not isinstance(obj, (Multivalue, dict, list, tuple))
-    for v in items:
-        if type(v) not in _LEAVES and not _plain(v):
-            return False
-    return True
 
 
 class ReExecutor:
@@ -376,23 +378,21 @@ class GroupContext:
     def _member_values(self, value: object) -> List[object]:
         """What each member writes, in group order.
 
-        The value is resolved once per operation: a plain value (or slot)
-        is handed to every member as the same object.  Lint rule R2 keeps
-        an application from mutating it in place afterwards, so sharing
-        is indistinguishable from the per-member copy ``materialize``
-        makes -- which the rest still get.
+        The value is resolved once per operation: when ``materialize``
+        hands back the value (or slot) itself, every member gets that
+        object.  Lint rule R2 keeps an application from mutating it in
+        place afterwards, so sharing is indistinguishable from a copy per
+        member.
         """
         rids = self._rids
         if isinstance(value, Multivalue):
             if not value.is_collapsed:
-                return [
-                    v if _plain(v) else materialize(v, rid)
-                    for rid, v in zip(rids, value.values())
-                ]
+                return list(map(materialize, value.values(), rids))
             value = value.scalar()
-        if _plain(value):
+        first = materialize(value, rids[0])
+        if first is value:
             return [value] * len(rids)
-        return [materialize(value, rid) for rid in rids]
+        return [first] + [materialize(value, rid) for rid in rids[1:]]
 
     def update(self, var_id: str, fn: Callable, *args: object) -> object:
         """Replay of the atomic read-modify-write: the same read and write

@@ -7,6 +7,12 @@ below is a server lie that ``==`` lets through: a group whose slots are
 transaction PUT, an initial value and a response that swap ``1`` for
 ``True``.  Branches are the other direction: a grouped ``ctx.branch``
 decides on the truth of each slot, as the server's tags do.
+
+The response cases also run with the verdict cache on: a group is cached
+only if its outputs are the same values as the claims, so a lie cannot
+be stored by one audit and accepted from the cache by the next, and a
+dict's key order, which the cache's digest ignores, is not part of its
+value either.
 """
 
 import copy
@@ -15,11 +21,15 @@ from repro.advice.records import TX_PUT, TxLogEntry, VariableLogEntry
 from repro.core.ids import HandlerId
 from repro.core.multivalue import Multivalue, same_value
 from repro.kem import AppSpec, FifoScheduler
+from repro.obs import MetricsRegistry
 from repro.server import KarousosPolicy, run_server
 from repro.server.variables import INIT_REF
 from repro.store import IsolationLevel, KVStore
 from repro.trace.trace import Request
 from repro.verifier import audit
+from repro.verifier.audit import Auditor
+from repro.verifier.dedup.cache import VerdictCache
+from repro.verifier.dedup.executor import Deduplicator
 
 
 def serve(app, requests, store=None, concurrency=1):
@@ -113,7 +123,10 @@ def test_same_value_is_type_strict():
     assert not same_value((1, 2), [1, 2])
     assert not same_value({"n": 1}, {"n": True})
     assert not same_value(0.0, -0.0)
-    assert not same_value({"a": 1, "b": 2}, {"b": 2, "a": 1})
+    assert same_value({"a": 1, "b": 2}, {"b": 2, "a": 1})
+    assert not same_value({"a": 1, "b": 2}, {"b": 2, "a": True})
+    assert not same_value({1: "x", "b": 2}, {"b": 2, True: "x"})
+    assert not same_value({"a": 1}, {"b": 1})
     assert not Multivalue(("r0", "r1"), [1, True]).is_collapsed
 
 
@@ -203,23 +216,53 @@ class TestTransactionPut:
         assert result.reason == "state-op-mismatch", (result.reason, result.detail)
 
 
+def respond_app(payload):
+    def handle(ctx, req):
+        ctx.respond(payload)
+
+    def init(ic):
+        ic.register_route("go", "handle")
+
+    return AppSpec("strictresp", {"handle": handle}, init)
+
+
 class TestResponse:
     """(d) A response claimed as ``{"n": True}`` for a re-executed
     ``{"n": 1}``."""
 
     def test_forged_response_rejected(self):
-        def handle(ctx, req):
-            ctx.respond({"n": 1})
-
-        def init(ic):
-            ic.register_route("go", "handle")
-
-        app = AppSpec("strictresp", {"handle": handle}, init)
+        app = respond_app({"n": 1})
         run = serve(app, [Request.make("r0", "go")])
         trace = run.trace.with_response("r0", {"n": True})
         result = audit(app, trace, run.advice)
         assert not result.accepted
         assert result.reason == "output-mismatch", (result.reason, result.detail)
+
+    def test_forged_response_never_cached(self):
+        app = respond_app({"n": 1})
+        run = serve(app, [Request.make("r0", "go")])
+        trace = run.trace.with_response("r0", {"n": True})
+        dedup = Deduplicator(VerdictCache())
+        for _ in range(2):
+            result = Auditor(app, trace, run.advice, dedup=dedup).run()
+            assert not result.accepted
+            assert result.reason == "output-mismatch", (result.reason, result.detail)
+            assert not dedup.memo and len(dedup.cache) == 0
+
+    def test_reordered_dict_response_same_verdict_cached_or_not(self):
+        app = respond_app({"a": 1, "b": 2})
+        run = serve(app, [Request.make("r0", "go")])
+        reordered = run.trace.with_response("r0", {"b": 2, "a": 1})
+        assert audit(app, reordered, run.advice).accepted
+        dedup = Deduplicator(VerdictCache())
+        for trace, hits in ((run.trace, 0), (reordered, 1), (reordered, 1)):
+            metrics = MetricsRegistry()
+            result = Auditor(
+                app, trace, run.advice, dedup=dedup, metrics=metrics
+            ).run()
+            assert result.accepted, (result.reason, result.detail)
+            counters = metrics.snapshot()["counters"]
+            assert counters.get("reexec.dedup_groups", 0) == hits
 
 
 class TestBranch:

@@ -1,6 +1,7 @@
 """Unit tests for audit preprocessing (Figures 14-16)."""
 
 import copy
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,9 +12,10 @@ from repro.errors import AuditRejected
 from repro.kem.scheduler import FifoScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.store import IsolationLevel, KVStore
-from repro.trace.trace import Request, Trace, TraceEvent, REQ
+from repro.trace.trace import Request, Trace, TraceEvent, REQ, RESP
+from repro.verifier.execgraph import ExecutionGraph
 from repro.verifier.nodes import node_end, node_op, node_req, node_resp
-from repro.verifier.preprocess import preprocess
+from repro.verifier.preprocess import _create_time_precedence_graph, preprocess
 from repro.workload import stacks_workload
 
 
@@ -88,6 +90,22 @@ class TestRejections:
         with pytest.raises(AuditRejected) as exc:
             preprocess(motd_app(), trace, motd_run.advice)
         assert exc.value.reason == "unbalanced-trace"
+
+    @pytest.mark.parametrize(
+        "kinds", [(RESP, REQ), (REQ, REQ)], ids=["response-first", "repeated-request"]
+    )
+    def test_graph_rejects_an_unordered_trace(self, motd_run, kinds):
+        """G's own guard, behind the balance check: a response must follow
+        its request, and a request arrives once."""
+        data = {REQ: motd_run.trace.request("r0"), RESP: motd_run.trace.response("r0")}
+        trace = Trace()
+        for kind in kinds:
+            trace.append(TraceEvent(kind, "r0", data[kind]))
+        state = SimpleNamespace(trace=trace, graph=ExecutionGraph())
+        with pytest.raises(AuditRejected) as exc:
+            _create_time_precedence_graph(state)
+        assert exc.value.reason == "unbalanced-trace"
+        assert exc.value.site == {"rid": "r0"}
 
     def test_opcounts_for_unknown_request(self, motd_run):
         advice = copy.deepcopy(motd_run.advice)

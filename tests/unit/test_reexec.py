@@ -33,6 +33,26 @@ class TestMaterialize:
     def test_dict_keys_untouched(self):
         assert materialize({"k": 1}, "r1") == {"k": 1}
 
+    def test_plain_payload_returned_itself(self):
+        payload = {"a": [1, ("x", None)], "b": {"c": 2.5}}
+        assert materialize(payload, "r1") is payload
+
+    def test_changed_payload_rebuilt_around_unchanged_parts(self):
+        mv = Multivalue(self.RIDS, ["a", "b"])
+        same = {"c": 1}
+        payload = {"p": same, "q": [mv, (mv, [mv])], "r": [mv]}
+        got = materialize(payload, "r2")
+        assert got == {"p": {"c": 1}, "q": ["b", ("b", ["b"])], "r": ["b"]}
+        assert got is not payload and got["p"] is same
+        assert type(got["q"][1]) is tuple
+
+    def test_subclass_becomes_base_type(self):
+        class Tagged(list):
+            pass
+
+        got = materialize({"t": Tagged([1])}, "r1")
+        assert type(got["t"]) is list and got == {"t": [1]}
+
 
 class TestGroupChecks:
     def run_motd(self, n=10, seed=0):
