@@ -4,6 +4,10 @@ By default the benchmarks run a scaled-down sweep so the whole suite
 completes in a couple of minutes.  Set ``KAROUSOS_BENCH_FULL=1`` for the
 paper's scale: 600 requests, concurrency swept over {1, 15, 30, 45, 60}
 (the paper sweeps 1-60), warmup 120/600 for server-overhead runs.
+
+Every timed quantity is calibrated seconds on one session-wide
+:class:`bench.clock.Clock` (the ``clock`` fixture); a timed row reports
+the median over ``scale.repeats`` repetitions.
 """
 
 from __future__ import annotations
@@ -14,12 +18,14 @@ from typing import List
 
 import pytest
 
+from bench.clock import Clock
+
 
 @dataclass(frozen=True)
 class BenchScale:
     n_requests: int
     concurrency_sweep: List[int]
-    server_repeats: int
+    repeats: int
     full: bool
 
 
@@ -32,6 +38,12 @@ def _scale() -> BenchScale:
 @pytest.fixture(scope="session")
 def scale() -> BenchScale:
     return _scale()
+
+
+@pytest.fixture(scope="session")
+def clock():
+    with Clock() as paced:
+        yield paced
 
 
 @pytest.fixture

@@ -8,40 +8,35 @@ decision section 6.2 credits for Karousos's stacks speedup.
 
 The stack-dump ``list`` request fans out one GET per known digest, so its
 siblings permute freely under concurrency: the group-count gap widens as
-concurrency rises.
+concurrency rises.  Group counts are deterministic: nothing here is timed.
 """
 
 from __future__ import annotations
 
+from benchmarks.panels import configs, groups
 from repro.harness import print_series
-from repro.harness.experiment import ExperimentConfig, measure_verification
+from repro.harness.experiment import ExperimentConfig, verification_arms
 
 COLUMNS = ["concurrency", "karousos_groups", "orochi_groups", "split_factor"]
 
 
-def test_grouping_granularity(benchmark, scale):
-    def sweep():
-        rows = []
-        for conc in scale.concurrency_sweep:
-            cfg = ExperimentConfig(
-                "stacks",
-                mix="read-heavy",
-                n_requests=scale.n_requests,
-                concurrency=conc,
-                seed=0,
-            )
-            v = measure_verification(cfg, repeats=2)
-            rows.append(
-                {
-                    "concurrency": conc,
-                    "karousos_groups": v.karousos_groups,
-                    "orochi_groups": v.orochi_groups,
-                    "split_factor": v.orochi_groups / v.karousos_groups,
-                }
-            )
-        return rows
+def _groups(cfg):
+    arms = verification_arms(cfg)
+    return groups(arms.karousos()), groups(arms.orochi())
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+
+def test_grouping_granularity(scale):
+    rows = []
+    for cfg in configs(scale, "stacks", "read-heavy"):
+        karousos, orochi = _groups(cfg)
+        rows.append(
+            {
+                "concurrency": cfg.concurrency,
+                "karousos_groups": karousos,
+                "orochi_groups": orochi,
+                "split_factor": orochi / karousos,
+            }
+        )
     print_series("Ablation: grouping granularity (stacks, 90% reads)", rows, COLUMNS)
     assert all(r["karousos_groups"] <= r["orochi_groups"] for r in rows)
     assert any(r["split_factor"] > 1.0 for r in rows), (
@@ -49,19 +44,14 @@ def test_grouping_granularity(benchmark, scale):
     )
 
 
-def test_grouping_equal_without_reordering(benchmark, scale):
+def test_grouping_equal_without_reordering(scale):
     """Control: with a single handler per request (MOTD) there is nothing
     to reorder and the two grouping schemes coincide exactly."""
-
-    def measure():
-        cfg = ExperimentConfig(
-            "motd",
-            mix="mixed",
-            n_requests=scale.n_requests,
-            concurrency=scale.concurrency_sweep[-1],
-        )
-        return measure_verification(cfg, repeats=2)
-
-    v = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print(f"\nMOTD groups: karousos={v.karousos_groups} orochi={v.orochi_groups}")
-    assert v.karousos_groups == v.orochi_groups
+    karousos, orochi = _groups(ExperimentConfig(
+        "motd",
+        mix="mixed",
+        n_requests=scale.n_requests,
+        concurrency=scale.concurrency_sweep[-1],
+    ))
+    print(f"\nMOTD groups: karousos={karousos} orochi={orochi}")
+    assert karousos == orochi

@@ -7,17 +7,12 @@ because digest-hit groups replay a stored effect instead of re-running
 handler code.  App compute is scaled up (``KAROUSOS_WORK_SCALE``) so the
 measurement reflects the paper's regime, where handler CPU dominates the
 reexec stage; the digest/rehydrate overhead the cache adds is charged
-against it honestly (same stage, same timer).
-
-Results land in ``BENCH_dedup_reexec.json`` at the repo root as a
-tracked baseline, alongside the byte-equality check that the speedup
-never costs a verdict.
+against it honestly (same stage, same timer), and the speedup must never
+cost a verdict: the warm audit's outcome is byte-equal to the cold one's.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from typing import List
 
@@ -31,8 +26,6 @@ from repro.store import IsolationLevel, KVStore
 from repro.trace.trace import Request
 from repro.verifier import Auditor
 from repro.verifier.dedup import Deduplicator, VerdictCache
-
-BASELINE = os.path.join(os.path.dirname(__file__), "..", "BENCH_dedup_reexec.json")
 
 COLUMNS = ["arm", "reexec_seconds", "speedup", "hits", "misses"]
 
@@ -111,13 +104,10 @@ def _measure(scale, tmp_path, work_scale):
     return n, off, t_off, warm, t_warm, counters
 
 
-def test_warm_cache_reexec_speedup(benchmark, scale, tmp_path, work_scale):
-    n, off, t_off, warm, t_warm, counters = benchmark.pedantic(
-        lambda: _measure(scale, tmp_path, work_scale), rounds=1, iterations=1
-    )
+def test_warm_cache_reexec_speedup(scale, tmp_path, work_scale):
+    n, off, t_off, warm, t_warm, counters = _measure(scale, tmp_path, work_scale)
     hits = counters["reexec.cache_hits"]
     misses = counters["reexec.cache_misses"]
-    uncacheable = counters.get("reexec.uncacheable_groups", 0)
 
     # The speedup never costs a verdict: byte-identical outcome.
     assert (warm.accepted, warm.reason, warm.detail) == (
@@ -144,20 +134,3 @@ def test_warm_cache_reexec_speedup(benchmark, scale, tmp_path, work_scale):
 
     # The acceptance bar: >= 2x on the reexec stage with a warm cache.
     assert speedup >= 2.0, (t_off, t_warm)
-
-    doc = {
-        "app": "wiki",
-        "workload": "zipf-render",
-        "n_requests": n,
-        "work_scale": WORK_SCALE,
-        "seed": SEED,
-        "reexec_seconds_off": t_off,
-        "reexec_seconds_warm": t_warm,
-        "speedup": speedup,
-        "cache_hits": hits,
-        "misses": misses,
-        "uncacheable": uncacheable,
-    }
-    with open(BASELINE, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

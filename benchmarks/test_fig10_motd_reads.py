@@ -8,10 +8,8 @@ Paper: server overhead 2.5-2.7x (the mildest MOTD case); the verifier is
 from benchmarks.panels import assert_common_shape, print_panels, run_panels
 
 
-def test_fig10_motd_read_heavy(benchmark, scale):
-    panels = benchmark.pedantic(
-        lambda: run_panels(scale, "motd", "read-heavy"), rounds=1, iterations=1
-    )
+def test_fig10_motd_read_heavy(clock, scale):
+    panels = run_panels(clock, scale, "motd", "read-heavy")
     print_panels("Figure 10", "MOTD, 90% reads", panels)
     assert_common_shape(panels)
     _a, b_rows, _c = panels

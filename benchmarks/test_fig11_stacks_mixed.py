@@ -9,10 +9,8 @@ that sequence-based grouping splits).
 from benchmarks.panels import assert_common_shape, print_panels, run_panels
 
 
-def test_fig11_stacks_mixed(benchmark, scale):
-    panels = benchmark.pedantic(
-        lambda: run_panels(scale, "stacks", "mixed"), rounds=1, iterations=1
-    )
+def test_fig11_stacks_mixed(clock, scale):
+    panels = run_panels(clock, scale, "stacks", "mixed")
     print_panels("Figure 11", "stacks, mixed", panels)
     assert_common_shape(panels)
     _a, b_rows, _c = panels

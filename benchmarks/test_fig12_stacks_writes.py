@@ -9,10 +9,8 @@ smaller share of processing time than in read-heavy mixes.
 from benchmarks.panels import assert_common_shape, print_panels, run_panels
 
 
-def test_fig12_stacks_write_heavy(benchmark, scale):
-    panels = benchmark.pedantic(
-        lambda: run_panels(scale, "stacks", "write-heavy"), rounds=1, iterations=1
-    )
+def test_fig12_stacks_write_heavy(clock, scale):
+    panels = run_panels(clock, scale, "stacks", "write-heavy")
     print_panels("Figure 12", "stacks, 90% writes", panels)
     assert_common_shape(panels)
     _a, b_rows, _c = panels

@@ -16,59 +16,34 @@ one; section 6.1).
 
 from __future__ import annotations
 
+from benchmarks.panels import PANEL_A, configs, median_overhead, server_row
 from repro.harness import print_series
-from repro.harness.experiment import ExperimentConfig, measure_server_overhead
-
-COLUMNS = ["concurrency", "unmodified_s", "karousos_s", "overhead_x"]
+from repro.harness.experiment import ExperimentConfig
 
 
-def _median_overhead(rows):
-    """Noise-robust shape check: the sweep's median overhead factor."""
-    xs = sorted(r["overhead_x"] for r in rows)
-    return xs[len(xs) // 2]
+def _sweep(clock, scale, app, mix):
+    return [server_row(clock, cfg, scale.repeats) for cfg in configs(scale, app, mix)]
 
 
-def _sweep(scale, app, mix):
-    rows = []
-    for conc in scale.concurrency_sweep:
-        cfg = ExperimentConfig(
-            app, mix=mix, n_requests=scale.n_requests, concurrency=conc, seed=0
-        )
-        cmp = measure_server_overhead(cfg, repeats=scale.server_repeats)
-        rows.append(
-            {
-                "concurrency": conc,
-                "unmodified_s": cmp.unmodified_seconds,
-                "karousos_s": cmp.karousos_seconds,
-                "overhead_x": cmp.overhead,
-            }
-        )
-    return rows
+def test_fig6_motd_write_heavy(clock, scale):
+    rows = _sweep(clock, scale, "motd", "write-heavy")
+    print_series("Figure 6 (MOTD, 90% writes): server processing time", rows, PANEL_A)
+    assert median_overhead(rows) > 1.0, "advice collection costs"
 
 
-def test_fig6_motd_write_heavy(benchmark, scale):
-    rows = benchmark.pedantic(
-        lambda: _sweep(scale, "motd", "write-heavy"), rounds=1, iterations=1
-    )
-    print_series("Figure 6 (MOTD, 90% writes): server processing time", rows, COLUMNS)
-    assert _median_overhead(rows) > 1.0, "advice collection costs"
+def test_fig6_stacks_read_heavy(clock, scale):
+    rows = _sweep(clock, scale, "stacks", "read-heavy")
+    print_series("Figure 6 (stacks, 90% reads): server processing time", rows, PANEL_A)
+    assert median_overhead(rows) > 1.0
 
 
-def test_fig6_stacks_read_heavy(benchmark, scale):
-    rows = benchmark.pedantic(
-        lambda: _sweep(scale, "stacks", "read-heavy"), rounds=1, iterations=1
-    )
-    print_series("Figure 6 (stacks, 90% reads): server processing time", rows, COLUMNS)
-    assert _median_overhead(rows) > 1.0
+def test_fig6_wiki(clock, scale):
+    rows = _sweep(clock, scale, "wiki", "mixed")
+    print_series("Figure 6 (Wiki.js, mixed): server processing time", rows, PANEL_A)
+    assert median_overhead(rows) > 1.0
 
 
-def test_fig6_wiki(benchmark, scale):
-    rows = benchmark.pedantic(lambda: _sweep(scale, "wiki", "mixed"), rounds=1, iterations=1)
-    print_series("Figure 6 (Wiki.js, mixed): server processing time", rows, COLUMNS)
-    assert _median_overhead(rows) > 1.0
-
-
-def test_fig6_claim_writes_cost_more_than_reads(benchmark, scale):
+def test_fig6_claim_writes_cost_more_than_reads(clock, scale):
     """Section 6.1: 'The more writes, the worse Karousos's overhead' --
     an R-concurrent write logs one or two values, a read zero or one.
 
@@ -76,22 +51,15 @@ def test_fig6_claim_writes_cost_more_than_reads(benchmark, scale):
     workload and more repeats than the sweeps to stay out of the noise.
     """
     n = max(400, scale.n_requests)
-
-    def measure():
-        repeats = max(7, scale.server_repeats)
-        write_heavy = measure_server_overhead(
-            ExperimentConfig("motd", mix="write-heavy", n_requests=n, concurrency=30),
-            repeats=repeats,
-        )
-        read_heavy = measure_server_overhead(
-            ExperimentConfig("motd", mix="read-heavy", n_requests=n, concurrency=30),
-            repeats=repeats,
-        )
-        return write_heavy, read_heavy
-
-    write_heavy, read_heavy = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print(
-        f"\nMOTD overhead: write-heavy {write_heavy.overhead:.2f}x vs "
-        f"read-heavy {read_heavy.overhead:.2f}x"
+    repeats = max(7, scale.repeats)
+    write_heavy, read_heavy = (
+        server_row(
+            clock,
+            ExperimentConfig("motd", mix=mix, n_requests=n, concurrency=30),
+            repeats,
+        )["overhead_x"]
+        for mix in ("write-heavy", "read-heavy")
     )
-    assert write_heavy.overhead > read_heavy.overhead
+    print(f"\nMOTD overhead: write-heavy {write_heavy:.2f}x vs "
+          f"read-heavy {read_heavy:.2f}x")
+    assert write_heavy > read_heavy

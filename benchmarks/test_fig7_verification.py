@@ -16,93 +16,60 @@ Paper claims re-measured here:
 
 from __future__ import annotations
 
+from benchmarks.panels import PANEL_B, configs, groups, verification_row
 from repro.harness import print_series
-from repro.harness.experiment import ExperimentConfig, measure_verification
-
-COLUMNS = [
-    "concurrency",
-    "karousos_s",
-    "orochi_s",
-    "sequential_s",
-    "karousos_groups",
-    "orochi_groups",
-]
+from repro.harness.experiment import ExperimentConfig, verification_arms
 
 
-def _sweep(scale, app, mix):
-    rows = []
-    for conc in scale.concurrency_sweep:
-        cfg = ExperimentConfig(
-            app, mix=mix, n_requests=scale.n_requests, concurrency=conc, seed=0
-        )
-        v = measure_verification(cfg, repeats=2)
-        assert v.karousos_accepted and v.orochi_accepted, "honest runs must verify"
-        rows.append(
-            {
-                "concurrency": conc,
-                "karousos_s": v.karousos_seconds,
-                "orochi_s": v.orochi_seconds,
-                "sequential_s": v.sequential_seconds,
-                "karousos_groups": v.karousos_groups,
-                "orochi_groups": v.orochi_groups,
-            }
-        )
-    return rows
+def _sweep(clock, scale, app, mix):
+    return [
+        verification_row(clock, cfg, scale.repeats) for cfg in configs(scale, app, mix)
+    ]
 
 
-def test_fig7_motd_write_heavy(benchmark, scale):
-    rows = benchmark.pedantic(
-        lambda: _sweep(scale, "motd", "write-heavy"), rounds=1, iterations=1
-    )
-    print_series("Figure 7 (MOTD, 90% writes): verification time", rows, COLUMNS)
+def test_fig7_motd_write_heavy(clock, scale):
+    rows = _sweep(clock, scale, "motd", "write-heavy")
+    print_series("Figure 7 (MOTD, 90% writes): verification time", rows, PANEL_B)
     # Karousos pays for undeduplicated per-request hashmap work: clearly
     # slower than sequential replay on this pathological workload.
     assert all(r["karousos_s"] > 1.5 * r["sequential_s"] for r in rows)
 
 
-def test_fig7_stacks_read_heavy(benchmark, scale):
-    rows = benchmark.pedantic(
-        lambda: _sweep(scale, "stacks", "read-heavy"), rounds=1, iterations=1
-    )
-    print_series("Figure 7 (stacks, 90% reads): verification time", rows, COLUMNS)
+def test_fig7_stacks_read_heavy(clock, scale):
+    rows = _sweep(clock, scale, "stacks", "read-heavy")
+    print_series("Figure 7 (stacks, 90% reads): verification time", rows, PANEL_B)
     # Tree-based grouping batches more than sequence-based grouping.
     assert all(r["karousos_groups"] <= r["orochi_groups"] for r in rows)
     assert rows[0]["karousos_groups"] < rows[0]["orochi_groups"]
 
 
-def test_fig7_wiki(benchmark, scale):
-    rows = benchmark.pedantic(lambda: _sweep(scale, "wiki", "mixed"), rounds=1, iterations=1)
-    print_series("Figure 7 (Wiki.js): verification time", rows, COLUMNS)
+def test_fig7_wiki(clock, scale):
+    rows = _sweep(clock, scale, "wiki", "mixed")
+    print_series("Figure 7 (Wiki.js): verification time", rows, PANEL_B)
     # Karousos outperforms sequential re-execution on the wiki (paper:
     # 1.8-16.6x).  Allow headroom for timing noise at small scale.
     assert rows[0]["karousos_s"] < 1.2 * rows[0]["sequential_s"]
     assert all(r["karousos_groups"] <= r["orochi_groups"] for r in rows)
 
 
-def test_fig7_claim_motd_read_heavy_beats_sequential(benchmark, scale):
-    rows = benchmark.pedantic(
-        lambda: _sweep(scale, "motd", "read-heavy"), rounds=1, iterations=1
-    )
-    print_series("Figure 10b (MOTD, 90% reads): verification time", rows, COLUMNS)
+def test_fig7_claim_motd_read_heavy_beats_sequential(clock, scale):
+    rows = _sweep(clock, scale, "motd", "read-heavy")
+    print_series("Figure 10b (MOTD, 90% reads): verification time", rows, PANEL_B)
     # Paper: Karousos is ~30% faster than sequential on read-heavy MOTD.
     assert min(r["karousos_s"] for r in rows) < min(
         1.1 * r["sequential_s"] for r in rows
     )
 
 
-def test_fig7_claim_motd_karousos_equals_orochi(benchmark, scale):
+def test_fig7_claim_motd_karousos_equals_orochi(scale):
     """Single handler => all accesses R-concurrent => Karousos logs and
     groups exactly like Orochi-JS (section 6.2)."""
-
-    def measure():
-        cfg = ExperimentConfig(
-            "motd",
-            mix="write-heavy",
-            n_requests=scale.n_requests,
-            concurrency=scale.concurrency_sweep[-1],
-        )
-        return measure_verification(cfg, repeats=2)
-
-    v = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print(f"\nMOTD groups: karousos={v.karousos_groups} orochi={v.orochi_groups}")
-    assert v.karousos_groups == v.orochi_groups
+    arms = verification_arms(ExperimentConfig(
+        "motd",
+        mix="write-heavy",
+        n_requests=scale.n_requests,
+        concurrency=scale.concurrency_sweep[-1],
+    ))
+    karousos, orochi = groups(arms.karousos()), groups(arms.orochi())
+    print(f"\nMOTD groups: karousos={karousos} orochi={orochi}")
+    assert karousos == orochi

@@ -14,35 +14,18 @@ Paper claims re-measured here:
 
 from __future__ import annotations
 
+from benchmarks.panels import PANEL_C, advice_row, configs
 from repro.harness import print_series
-from repro.harness.experiment import ExperimentConfig, measure_advice_sizes
 
-COLUMNS = ["concurrency", "karousos_KiB", "orochi_KiB", "k_over_o", "var_log_share"]
+COLUMNS = PANEL_C + ["var_log_share"]
 
 
 def _sweep(scale, app, mix):
-    rows = []
-    for conc in scale.concurrency_sweep:
-        cfg = ExperimentConfig(
-            app, mix=mix, n_requests=scale.n_requests, concurrency=conc, seed=0
-        )
-        s = measure_advice_sizes(cfg)
-        rows.append(
-            {
-                "concurrency": conc,
-                "karousos_KiB": s.karousos_bytes / 1024,
-                "orochi_KiB": s.orochi_bytes / 1024,
-                "k_over_o": s.karousos_bytes / s.orochi_bytes,
-                "var_log_share": s.variable_log_share,
-            }
-        )
-    return rows
+    return [advice_row(cfg) for cfg in configs(scale, app, mix)]
 
 
-def test_fig8_motd(benchmark, scale):
-    rows = benchmark.pedantic(
-        lambda: _sweep(scale, "motd", "write-heavy"), rounds=1, iterations=1
-    )
+def test_fig8_motd(scale):
+    rows = _sweep(scale, "motd", "write-heavy")
     print_series("Figure 8 (MOTD): advice size", rows, COLUMNS)
     # Identical logging under both systems (all accesses R-concurrent).
     assert all(0.98 <= r["k_over_o"] <= 1.02 for r in rows)
@@ -53,8 +36,8 @@ def test_fig8_motd(benchmark, scale):
     assert all(r["var_log_share"] > 0.5 for r in rows)
 
 
-def test_fig8_wiki(benchmark, scale):
-    rows = benchmark.pedantic(lambda: _sweep(scale, "wiki", "mixed"), rounds=1, iterations=1)
+def test_fig8_wiki(scale):
+    rows = _sweep(scale, "wiki", "mixed")
     print_series("Figure 8 (Wiki.js): advice size", rows, COLUMNS)
     # Karousos logs strictly less than Orochi-JS.
     assert all(r["k_over_o"] < 1.0 for r in rows)

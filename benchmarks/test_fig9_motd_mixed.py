@@ -10,10 +10,8 @@ Orochi-JS and flat in concurrency.
 from benchmarks.panels import assert_common_shape, print_panels, run_panels
 
 
-def test_fig9_motd_mixed(benchmark, scale):
-    panels = benchmark.pedantic(
-        lambda: run_panels(scale, "motd", "mixed"), rounds=1, iterations=1
-    )
+def test_fig9_motd_mixed(clock, scale):
+    panels = run_panels(clock, scale, "motd", "mixed")
     print_panels("Figure 9", "MOTD, mixed", panels)
     assert_common_shape(panels)
     _a, b_rows, c_rows = panels

@@ -1,48 +1,29 @@
-"""Fleet audit service benchmarks (DESIGN.md §13).
+"""Fleet audit service benchmark (DESIGN.md §13): multiplexing overhead.
 
-Two claims, one wall-clock and one deterministic:
-
-* **Multiplexing overhead** -- auditing N tenants through one shared
-  ``AuditService`` costs at most a bounded factor over N solo
-  ``ContinuousAuditor`` runs of the same streams (the shared pool's
-  bookkeeping is cheap), with byte-identical per-tenant verdicts.
-
-* **Super-producer isolation** -- with quotas on, a small tenant's
-  latency (measured in deterministic scheduler ticks: one absorbed
-  node = one tick) is bounded by its *own* plan size, independent of
-  how much work a super-producer has queued; with quotas off (FIFO
-  admission) it grows with the producer's plan.  Tick math holds under
-  any wall-clock conditions.
-
-Results land in ``BENCH_serve_audit.json`` at the repo root as a
-tracked baseline.
+Auditing N tenants through one shared ``AuditService`` costs at most a
+bounded factor over N solo ``ContinuousAuditor`` runs of the same streams
+(the shared pool's bookkeeping is cheap), with byte-identical per-tenant
+verdicts.  Both arms are timed on the session clock.  Super-producer
+isolation (tick-bounded latency under quotas) is deterministic and lives
+in the tier-1 suite (``tests/integration/test_serve_audit.py``).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
 
+from repro.apps import make_app
 from repro.continuous import ContinuousAuditor, slice_epochs
 from repro.continuous.codec import write_epoch_stored
 from repro.harness import print_series
-from repro.harness.experiment import make_app
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.service import AuditService, TenantConfig
 from repro.storage import backend_for
 from repro.store import IsolationLevel, KVStore
-from repro.verifier import Auditor
 from repro.workload import feed_workload, motd_workload, wiki_workload
 
-BASELINE = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_serve_audit.json"
-)
-
-THROUGHPUT_COLUMNS = ["arm", "tenants", "epochs", "seconds", "ratio"]
-ISOLATION_COLUMNS = ["policy", "small_tick", "bound", "total_ticks",
-                     "throttled"]
+COLUMNS = ["arm", "tenants", "epochs", "seconds", "ratio"]
 
 # The shared pool may cost at most this factor over N solo runs.
 OVERHEAD_BOUND = 1.5
@@ -74,9 +55,6 @@ def _fingerprints(verdicts):
         (v.epoch, v.accepted, v.result.reason, v.checkpoint_digest)
         for v in verdicts
     ]
-
-
-# -- multiplexing overhead ----------------------------------------------------
 
 
 def _tenant_streams(scale):
@@ -119,17 +97,8 @@ def _solo_durable(name, epochs, state_dir):
         auditor.journal.close()
 
 
-def _measure_throughput(scale, tmp_path):
+def test_multiplexing_overhead_is_bounded(clock, scale, tmp_path):
     streams = _tenant_streams(scale)
-
-    t0 = time.perf_counter()
-    solo = {}
-    for name, epochs in streams.items():
-        solo[name] = _solo_durable(
-            name, epochs, os.path.join(str(tmp_path), f"solo-{name}")
-        )
-    solo_seconds = time.perf_counter() - t0
-
     stores = {
         name: _store_epochs(tmp_path, name, epochs)
         for name, epochs in streams.items()
@@ -141,121 +110,27 @@ def _measure_throughput(scale, tmp_path):
         ],
         state_dir=os.path.join(str(tmp_path), "state"),
     )
-    t0 = time.perf_counter()
-    service.run(once=True)
-    service_seconds = time.perf_counter() - t0
 
-    for name, epochs in streams.items():
+    def solo():
+        return {
+            name: _solo_durable(name, epochs, os.path.join(str(tmp_path), f"solo-{name}"))
+            for name, epochs in streams.items()
+        }
+
+    solo_run, service_run = clock.run([solo, lambda: service.run(once=True)])
+    for name in streams:
         stream = service._by_name[name].stream
         got = _fingerprints(stream.verdicts[i] for i in sorted(stream.verdicts))
-        assert got == solo[name], f"{name}: service verdicts diverged"
-    n_epochs = sum(len(e) for e in streams.values())
-    return solo_seconds, service_seconds, len(streams), n_epochs
+        assert got == solo_run.result[name], f"{name}: service verdicts diverged"
 
-
-def test_multiplexing_overhead_is_bounded(benchmark, scale, tmp_path):
-    solo_s, svc_s, tenants, epochs = benchmark.pedantic(
-        lambda: _measure_throughput(scale, tmp_path), rounds=1, iterations=1
-    )
+    solo_s, svc_s = solo_run.seconds, service_run.seconds
     ratio = svc_s / solo_s if solo_s > 0 else float("inf")
+    tenants, epochs = len(streams), sum(len(e) for e in streams.values())
     rows = [
         {"arm": f"{tenants}x solo", "tenants": tenants, "epochs": epochs,
          "seconds": solo_s, "ratio": 1.0},
         {"arm": "serve-audit", "tenants": tenants, "epochs": epochs,
          "seconds": svc_s, "ratio": ratio},
     ]
-    print_series("Fleet service vs N solo runs", rows, THROUGHPUT_COLUMNS)
+    print_series("Fleet service vs N solo runs", rows, COLUMNS)
     assert ratio <= OVERHEAD_BOUND, (solo_s, svc_s)
-    _merge_baseline("throughput", {
-        "tenants": tenants,
-        "epochs": epochs,
-        "solo_seconds": solo_s,
-        "service_seconds": svc_s,
-        "ratio": ratio,
-        "bound": OVERHEAD_BOUND,
-    })
-
-
-# -- super-producer isolation -------------------------------------------------
-
-
-def _measure_isolation(scale, tmp_path):
-    n_big = max(80, scale.n_requests // 3)
-    big = _serve("wiki", wiki_workload(n_big, seed=SEED))
-    small = _serve("motd", motd_workload(3, mix="mixed", seed=SEED + 9))
-    big_epochs = slice_epochs(big.trace, big.advice, n_big)  # one huge epoch
-    small_epochs = slice_epochs(small.trace, small.advice, 3)[:1]
-
-    small_nodes = len(Auditor(
-        make_app("motd"), small_epochs[0].trace, small_epochs[0].advice
-    ).prepare()[0])
-
-    results = {}
-    for policy, quotas_enabled in (("fair", True), ("fifo", False)):
-        stores = {
-            "big": _store_epochs(tmp_path, f"{policy}-big", big_epochs),
-            "small": _store_epochs(tmp_path, f"{policy}-small", small_epochs),
-        }
-        service = AuditService(
-            [
-                # The super-producer is listed (and admitted) first.
-                TenantConfig(app="wiki", store=stores["big"], name="big",
-                             quota=1),
-                TenantConfig(app="motd", store=stores["small"], name="small",
-                             quota=1),
-            ],
-            state_dir=os.path.join(str(tmp_path), f"{policy}-state"),
-            quotas_enabled=quotas_enabled,
-        )
-        service.run(once=True)
-        small_tick = next(
-            t["completed_tick"] for t in service.epoch_ticks
-            if t["tenant"] == "small"
-        )
-        results[policy] = {
-            "small_tick": small_tick,
-            "total_ticks": service.pool.ticks,
-            "throttled": service.pool.throttled.get("big", 0),
-        }
-    return small_nodes, results
-
-
-def test_quota_isolation_bounds_small_tenant_ticks(benchmark, scale, tmp_path):
-    small_nodes, results = benchmark.pedantic(
-        lambda: _measure_isolation(scale, tmp_path), rounds=1, iterations=1
-    )
-    bound = 2 * small_nodes + 2  # round-robin: one big node per own node
-    rows = [
-        {"policy": policy, "small_tick": r["small_tick"], "bound": bound,
-         "total_ticks": r["total_ticks"], "throttled": r["throttled"]}
-        for policy, r in results.items()
-    ]
-    print_series(
-        f"Super-producer isolation (small plan = {small_nodes} nodes)",
-        rows, ISOLATION_COLUMNS,
-    )
-    # Quotas on: latency bounded by the small tenant's own plan size.
-    assert results["fair"]["small_tick"] <= bound, (results, bound)
-    assert results["fair"]["throttled"] > 0
-    # Quotas off: head-of-line blocking behind the super-producer.
-    assert results["fifo"]["small_tick"] > bound, (results, bound)
-    _merge_baseline("isolation", {
-        "small_plan_nodes": small_nodes,
-        "fair_bound_ticks": bound,
-        **{
-            f"{policy}_{key}": value
-            for policy, r in results.items()
-            for key, value in r.items()
-        },
-    })
-
-
-def _merge_baseline(section, doc):
-    data = {}
-    if os.path.exists(BASELINE):
-        with open(BASELINE) as fh:
-            data = json.load(fh)
-    data[section] = doc
-    with open(BASELINE, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -5,16 +5,31 @@ Serves the wiki workload at increasing concurrency and compares, for each
 level: server overhead (Karousos vs unmodified), verification time
 (Karousos vs Orochi-JS vs sequential re-execution), and advice size.
 
+The experiment drivers in :mod:`repro.harness.experiment` serve and audit;
+they hand back zero-argument callables and never read a clock.  This
+example times each callable once on the wall clock; the figure benchmarks
+(``benchmarks/``) time the same callables on a calibrated clock.
+
 Run:  python examples/wiki_end_to_end.py
 """
+
+import time
 
 from repro.harness import print_series
 from repro.harness.experiment import (
     ExperimentConfig,
-    measure_advice_sizes,
-    measure_server_overhead,
-    measure_verification,
+    advice_sizes,
+    serve_after_warmup,
+    verification_arms,
 )
+from repro.server import KarousosPolicy, UnmodifiedPolicy
+
+
+def timed(step):
+    """Wall seconds of one call of ``step``, and its result."""
+    started = time.perf_counter()
+    result = step()
+    return time.perf_counter() - started, result
 
 
 def main():
@@ -23,17 +38,21 @@ def main():
         cfg = ExperimentConfig(
             "wiki", n_requests=200, concurrency=concurrency, seed=0
         )
-        server = measure_server_overhead(cfg, repeats=3)
-        verify = measure_verification(cfg, repeats=2)
-        sizes = measure_advice_sizes(cfg)
+        unmodified, _ = timed(serve_after_warmup(cfg, UnmodifiedPolicy()))
+        karousos, _ = timed(serve_after_warmup(cfg, KarousosPolicy()))
+        arms = verification_arms(cfg)
+        k_seconds, k_result = timed(arms.karousos)
+        o_seconds, o_result = timed(arms.orochi)
+        seq_seconds, _ = timed(arms.sequential)
+        sizes = advice_sizes(cfg)
         rows.append(
             {
                 "concurrency": concurrency,
-                "server_overhead_x": server.overhead,
-                "verify_karousos_s": verify.karousos_seconds,
-                "verify_orochi_s": verify.orochi_seconds,
-                "verify_sequential_s": verify.sequential_seconds,
-                "groups_K/O": f"{verify.karousos_groups}/{verify.orochi_groups}",
+                "server_overhead_x": karousos / unmodified,
+                "verify_karousos_s": k_seconds,
+                "verify_orochi_s": o_seconds,
+                "verify_sequential_s": seq_seconds,
+                "groups_K/O": f"{k_result.stats['groups']}/{o_result.stats['groups']}",
                 "advice_K_KiB": sizes.karousos_bytes / 1024,
                 "advice_O_KiB": sizes.orochi_bytes / 1024,
             }

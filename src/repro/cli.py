@@ -24,8 +24,8 @@ from typing import List, Optional
 from repro.advice.codec import read_advice, write_advice
 from repro.advice.sizing import advice_size_bytes
 from repro.analysis import analyze_app, suggest_annotations
+from repro.apps import app_needs_store, make_app
 from repro.attacks import ALL_ATTACKS
-from repro.harness.experiment import app_needs_store, make_app
 from repro.kem.scheduler import RandomScheduler
 from repro.kem.threaded import ThreadedRuntime
 from repro.server import KarousosPolicy, OrochiPolicy, UnmodifiedPolicy, run_server
@@ -322,6 +322,8 @@ def _store_usage_error(args) -> Optional[str]:
     """Flag validation shared by every store command; None when consistent."""
     if not args.store_path:
         return "--store-path is required"
+    if getattr(args, "epochs", 0) < 0:
+        return "--epochs must be >= 0"
     return None
 
 

@@ -41,6 +41,7 @@ from hypothesis import settings as hypothesis_settings
 
 from repro.advice.codec import read_advice, write_advice
 from repro.advice.records import Advice
+from repro.apps import make_app
 from repro.core.digest import value_digest
 from repro.fuzz.strategies import (
     APPS,
@@ -53,7 +54,6 @@ from repro.fuzz.strategies import (
     mutation_cases,
 )
 from repro.fuzz.surface import MutationNotApplicable, mutation_surface
-from repro.harness.experiment import make_app
 from repro.kem.scheduler import RandomScheduler
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.server import KarousosPolicy, run_server

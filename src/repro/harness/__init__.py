@@ -1,43 +1,38 @@
-"""Experiment harness: drives the servers, verifiers, and measurements
-behind every figure of the paper's evaluation (section 6)."""
+"""Experiment harness: drives the servers, verifiers, and sizings behind
+every figure of the paper's evaluation (section 6); the figure benchmarks
+time what it drives."""
 
 from repro.harness.experiment import (
     AdviceSizes,
-    ContinuousAuditComparison,
+    ContinuousAuditArms,
     ExperimentConfig,
-    ServerComparison,
-    StorageIoComparison,
     StreamingMemoryComparison,
-    VerifierComparison,
-    make_app,
+    VerificationArms,
+    advice_sizes,
+    continuous_audit_arms,
     make_store,
-    measure_advice_sizes,
-    measure_continuous_audit,
-    measure_server_overhead,
-    measure_storage_io,
-    measure_streaming_memory,
-    measure_verification,
+    serve,
+    serve_after_warmup,
     serve_to_store,
+    streaming_memory,
+    verification_arms,
 )
 from repro.harness.reporting import format_series, print_series
 
 __all__ = [
     "AdviceSizes",
-    "ContinuousAuditComparison",
+    "ContinuousAuditArms",
     "ExperimentConfig",
-    "ServerComparison",
-    "StorageIoComparison",
     "StreamingMemoryComparison",
-    "VerifierComparison",
-    "make_app",
+    "VerificationArms",
+    "advice_sizes",
+    "continuous_audit_arms",
     "make_store",
-    "measure_advice_sizes",
-    "measure_continuous_audit",
-    "measure_server_overhead",
-    "measure_storage_io",
-    "measure_streaming_memory",
-    "measure_verification",
+    "serve",
+    "serve_after_warmup",
     "serve_to_store",
+    "streaming_memory",
+    "verification_arms",
     "format_series",
     "print_series",
 ]

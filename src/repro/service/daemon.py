@@ -42,6 +42,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
+from repro.apps import make_app
 from repro.obs import MetricsRegistry
 from repro.service.http import StatusServer
 from repro.service.pool import PlanJob, SharedDagPool
@@ -91,15 +92,13 @@ class AuditService:
         poll_interval: float = 0.05,
         pump_batch: int = 128,
         torn_limit: int = 16,
-        app_factory=None,
+        app_factory=make_app,
     ):
         if not tenants:
             raise ValueError("a service needs at least one tenant")
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {sorted(names)}")
-        if app_factory is None:
-            from repro.harness.experiment import make_app as app_factory
         self.state_dir = state_dir
         self.status_port = status_port
         self.metrics_out = metrics_out

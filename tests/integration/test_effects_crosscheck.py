@@ -18,8 +18,8 @@ import os
 import pytest
 
 from repro.analysis import crosscheck_app
+from repro.apps import make_app
 from repro.fuzz import read_corpus
-from repro.harness.experiment import make_app
 from repro.kem.program import AppSpec
 from repro.trace.trace import Request
 

@@ -20,6 +20,7 @@ from hypothesis import seed as hypothesis_seed
 from hypothesis import settings as hypothesis_settings
 
 import repro.verifier.isolation as isolation_mod
+from repro.apps import make_app
 from repro.fuzz import (
     APPS,
     MutationNotApplicable,
@@ -29,7 +30,6 @@ from repro.fuzz import (
     run_fuzz,
 )
 from repro.fuzz.driver import serve_case
-from repro.harness.experiment import make_app
 from repro.verifier import Auditor, explain_rejection
 from repro.verifier.preprocess import _tx_entry
 

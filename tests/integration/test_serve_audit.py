@@ -31,10 +31,10 @@ import urllib.request
 
 import pytest
 
+from repro.apps import make_app
 from repro.continuous import ContinuousAuditor, slice_epochs
 from repro.continuous.codec import write_epoch_stored
 from repro.core.work import WORK_SCALE_ENV, scaled_work
-from repro.harness.experiment import make_app
 from repro.kem.scheduler import RandomScheduler
 from repro.obs import validate_metrics_doc
 from repro.server import KarousosPolicy, run_server

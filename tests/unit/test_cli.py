@@ -50,6 +50,20 @@ class TestAudit:
         assert code == EXIT_REJECTED
         assert "REJECT" in capsys.readouterr().out
 
+    def test_negative_epochs_is_usage_error(self, served, capsys):
+        code = main(["audit", "--app", "motd", "--store-path", str(served),
+                     "--epochs", "-1"])
+        assert code == EXIT_USAGE
+        assert "--epochs must be >= 0" in capsys.readouterr().err
+
+
+class TestPlan:
+    def test_negative_epochs_is_usage_error(self, served, capsys):
+        code = main(["plan", "--app", "motd", "--store-path", str(served),
+                     "--epochs", "-2"])
+        assert code == EXIT_USAGE
+        assert "--epochs must be >= 0" in capsys.readouterr().err
+
 
 class TestAttack:
     def test_guaranteed_attack_caught(self, served, capsys):

@@ -7,10 +7,14 @@ something checks them.
 * Every ``--flag`` the documentation names is an option the CLI has.
 * Every ``DESIGN.md §N`` citation names a ``## N.`` heading, and the
   headings are numbered 1..N without a gap.
+* The figure benchmarks write nothing into the checkout: no
+  ``BENCH_*.json`` snapshot sits at the repo root, and no benchmark
+  builds a path from its own location or the working directory.
 """
 
 import argparse
 import ast
+import glob
 import os
 import re
 
@@ -66,9 +70,8 @@ def test_audit_path_never_imports_the_analyzer():
 
 DOCS = ("README.md", "DESIGN.md", os.path.join(".claude", "skills", "verify",
                                                "SKILL.md"))
-# Flags the docs quote from other tools: pytest-benchmark and `python -m
-# bench`.
-FOREIGN = {"--benchmark-only", "--quick", "--workload", "--out"}
+# Flags the docs quote from another tool: `python -m bench`.
+FOREIGN = {"--quick", "--workload", "--out"}
 
 
 def _cli_options(parser):
@@ -123,3 +126,32 @@ def test_design_citations_resolve():
                     if n not in sections
                 ]
     assert not stale, f"citations of sections DESIGN.md does not have: {stale}"
+
+
+# -- benchmark snapshots -------------------------------------------------------
+
+
+def _checkout_paths(tree):
+    """``(line, what)`` for each node of ``tree`` that names a path inside
+    the checkout: the module's own location, the working directory, or a
+    relative literal passed to ``open``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "__file__":
+            yield node.lineno, "__file__"
+        elif isinstance(node, ast.Attribute) and node.attr in ("getcwd", "cwd"):
+            yield node.lineno, node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "open" and node.args
+              and isinstance(node.args[0], ast.Constant)):
+            yield node.lineno, f"open({node.args[0].value!r})"
+
+
+def test_benchmarks_write_nothing_into_the_checkout():
+    assert not glob.glob(os.path.join(ROOT, "BENCH_*.json"))
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "benchmarks", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        offenders += [(os.path.relpath(path, ROOT), line, what)
+                      for line, what in _checkout_paths(tree)]
+    assert not offenders, offenders

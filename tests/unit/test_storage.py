@@ -177,6 +177,30 @@ def test_gzip_unsealed_stream_readable(tmp_path):
         assert list(r) == [(1, b"one"), (2, b"two"), (3, b"three")]
 
 
+def test_gzip_stores_a_served_run_in_under_half_the_file_bytes(tmp_path):
+    """Compression earns its CPU: a served wiki run's trace and advice
+    take well under half the uncompressed file store's bytes."""
+    from repro.apps import wiki_app
+    from repro.kem.scheduler import RandomScheduler
+    from repro.server import KarousosPolicy, run_server
+    from repro.store import IsolationLevel, KVStore
+    from repro.workload import wiki_workload
+
+    run = run_server(
+        wiki_app(), wiki_workload(40, seed=0), KarousosPolicy(),
+        store=KVStore(IsolationLevel.SERIALIZABLE),
+        scheduler=RandomScheduler(0), concurrency=15,
+    )
+    stored = {}
+    for scheme in ("file", "gzip"):
+        root = tmp_path / scheme
+        backend = backend_for(scheme, str(root))
+        write_trace(backend, "trace", run.trace)
+        write_advice(backend, "advice", run.advice)
+        stored[scheme] = sum(f.stat().st_size for f in root.iterdir())
+    assert stored["gzip"] < 0.5 * stored["file"], stored
+
+
 def test_file_reader_midstream_corruption(tmp_path):
     backend = FileBackend(str(tmp_path))
     with backend.create("s", "kind") as w:
