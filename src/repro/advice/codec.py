@@ -15,7 +15,7 @@ rejection (malformed advice is server misbehaviour, never a crash).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.advice.records import (
     Advice,
@@ -25,16 +25,9 @@ from repro.advice.records import (
 )
 from repro.core.ids import HandlerId, TxId
 from repro.errors import AdviceFormatError
-from repro.storage.backend import RecordReader, RecordWriter, StorageBackend
-from repro.storage.records import pack_json, unpack_json
-from repro.storage.values import (
-    decode_hid,
-    decode_tid,
-    decode_value,
-    encode_hid,
-    encode_tid,
-    encode_value,
-)
+from repro.storage.backend import RecordReader, StorageBackend
+from repro.storage.records import json_text, unpack_json
+from repro.storage.values import TextEncoder, decode_hid, decode_tid, decode_value
 from repro.store.kv import IsolationLevel
 
 FORMAT_VERSION = 1
@@ -72,9 +65,14 @@ ADVICE_RECORD_TYPES = (
 # -- coordinates -----------------------------------------------------------------
 
 
-def _encode_opkey(key: Tuple[str, HandlerId, int]) -> List:
+def _opkey_text(enc: TextEncoder, key: Tuple[str, HandlerId, int]) -> str:
     rid, hid, opnum = key
-    return [rid, encode_hid(hid), opnum]
+    return "[%s,%s,%s]" % (json_text(rid), enc.hid(hid), json_text(opnum))
+
+
+def _txpos_text(enc: TextEncoder, pos: Tuple[str, TxId, int]) -> str:
+    rid, tid, i = pos
+    return "[%s,%s,%s]" % (json_text(rid), enc.tid(tid), json_text(i))
 
 
 def _decode_opkey(data: object) -> Tuple[str, HandlerId, int]:
@@ -83,11 +81,6 @@ def _decode_opkey(data: object) -> Tuple[str, HandlerId, int]:
     if not isinstance(data[2], int):
         raise AdviceFormatError(f"bad op key opnum: {data!r}")
     return (data[0], decode_hid(data[1]), data[2])
-
-
-def _encode_txpos(pos: Tuple[str, TxId, int]) -> List:
-    rid, tid, i = pos
-    return [rid, encode_tid(tid), i]
 
 
 def _decode_txpos(data: object) -> Tuple[str, TxId, int]:
@@ -101,16 +94,6 @@ def _decode_txpos(data: object) -> Tuple[str, TxId, int]:
 # -- per-section entry codecs ---------------------------------------------------
 
 
-def _encode_handler_entry(e: HandlerOpEntry) -> Dict:
-    return {
-        "hid": encode_hid(e.hid),
-        "opnum": e.opnum,
-        "optype": e.optype,
-        "event": e.event,
-        "fid": e.function_id,
-    }
-
-
 def _decode_handler_entry(e: Dict) -> HandlerOpEntry:
     return HandlerOpEntry(
         decode_hid(e["hid"]),
@@ -121,15 +104,6 @@ def _decode_handler_entry(e: Dict) -> HandlerOpEntry:
     )
 
 
-def _encode_varlog_entry(key, e: VariableLogEntry) -> Dict:
-    return {
-        "at": _encode_opkey(key),
-        "access": e.access,
-        "value": encode_value(e.value),
-        "prec": None if e.prec is None else _encode_opkey(e.prec),
-    }
-
-
 def _decode_varlog_entry(e: Dict):
     key = _decode_opkey(e["at"])
     entry = VariableLogEntry(
@@ -138,20 +112,6 @@ def _decode_varlog_entry(e: Dict):
         prec=None if e["prec"] is None else _decode_opkey(e["prec"]),
     )
     return key, entry
-
-
-def _encode_tx_entry(e: TxLogEntry) -> Dict:
-    return {
-        "hid": encode_hid(e.hid),
-        "opnum": e.opnum,
-        "optype": e.optype,
-        "key": e.key,
-        "contents": (
-            _encode_txpos(e.opcontents)
-            if e.optype == "GET" and e.opcontents is not None
-            else encode_value(e.opcontents)
-        ),
-    }
 
 
 def _decode_tx_entry(e: Dict) -> TxLogEntry:
@@ -169,46 +129,6 @@ def _decode_tx_entry(e: Dict) -> TxLogEntry:
         e.get("key"),
         contents,
     )
-
-
-def _encode_tx_log(rid: str, tid: TxId, log: List[TxLogEntry]) -> Dict:
-    return {
-        "rid": rid,
-        "tid": encode_tid(tid),
-        "ops": [_encode_tx_entry(e) for e in log],
-    }
-
-
-def _encode_write_order(advice: Advice) -> List:
-    return [_encode_txpos(p) for p in advice.write_order]
-
-
-def _encode_response_by(advice: Advice) -> Dict:
-    return {
-        rid: [encode_hid(hid), opnum]
-        for rid, (hid, opnum) in advice.response_emitted_by.items()
-    }
-
-
-def _encode_opcounts(advice: Advice) -> List:
-    return [
-        [rid, encode_hid(hid), count]
-        for (rid, hid), count in advice.opcounts.items()
-    ]
-
-
-def _encode_nondet(advice: Advice) -> List:
-    return [
-        [_encode_opkey(key), encode_value(value)]
-        for key, value in advice.nondet.items()
-    ]
-
-
-def _encode_tx_windows(advice: Advice) -> List:
-    return [
-        [rid, encode_tid(tid), start, commit]
-        for (rid, tid), (start, commit) in advice.tx_windows.items()
-    ]
 
 
 # -- section accumulators -------------------------------------------------------
@@ -304,33 +224,61 @@ def _decode_isolation(value: object) -> IsolationLevel:
 # -- record streams ------------------------------------------------------------
 
 
-def iter_advice_frames(advice: Advice) -> Iterable[Tuple[int, bytes]]:
+def iter_advice_frames(
+    advice: Advice, enc: Optional[TextEncoder] = None
+) -> Iterable[Tuple[int, bytes]]:
     """The bundle as ``(rtype, payload)`` frames, emitted section by
     section and entry by entry (big sections never serialise as one
-    blob).  Epoch streams embed these frames directly."""
-    yield RT_META, pack_json(
-        {"version": FORMAT_VERSION, "isolation": advice.isolation_level.value}
-    )
+    blob).  Epoch streams embed these frames directly.
+
+    Each payload is written in one pass (DESIGN.md §8): the templates
+    spell the wire format, object fields in order.  ``enc`` shares one
+    id memo across the frames of an encode pass."""
+    enc = enc or TextEncoder()
+    hid, tid, value = enc.hid, enc.tid, enc.value
+    yield RT_META, _record('{"version":%d,"isolation":%s}', FORMAT_VERSION,
+                           json_text(advice.isolation_level.value))
     for rid, tag in advice.tags.items():
-        yield RT_TAG, pack_json([rid, tag])
+        yield RT_TAG, _record("[%s,%s]", json_text(rid), json_text(tag))
     for rid, log in advice.handler_logs.items():
-        yield RT_HANDLER_LOG, pack_json(
-            {"rid": rid, "entries": [_encode_handler_entry(e) for e in log]}
-        )
+        entries = ['{"hid":%s,"opnum":%s,"optype":%s,"event":%s,"fid":%s}' % (
+            hid(e.hid), json_text(e.opnum), json_text(e.optype), json_text(e.event),
+            json_text(e.function_id),
+        ) for e in log]
+        yield RT_HANDLER_LOG, _record('{"rid":%s,"entries":[%s]}', json_text(rid),
+                                      ",".join(entries))
     for var_id, log in advice.variable_logs.items():
-        yield RT_VARIABLE_LOG, pack_json(
-            {
-                "var": var_id,
-                "entries": [_encode_varlog_entry(key, e) for key, e in log.items()],
-            }
-        )
-    for (rid, tid), log in advice.tx_logs.items():
-        yield RT_TX_LOG, pack_json(_encode_tx_log(rid, tid, log))
-    yield RT_WRITE_ORDER, pack_json(_encode_write_order(advice))
-    yield RT_RESPONSE_BY, pack_json(_encode_response_by(advice))
-    yield RT_OPCOUNTS, pack_json(_encode_opcounts(advice))
-    yield RT_NONDET, pack_json(_encode_nondet(advice))
-    yield RT_TX_WINDOWS, pack_json(_encode_tx_windows(advice))
+        entries = ['{"at":%s,"access":%s,"value":%s,"prec":%s}' % (
+            _opkey_text(enc, key), json_text(e.access), value(e.value),
+            "null" if e.prec is None else _opkey_text(enc, e.prec),
+        ) for key, e in log.items()]
+        yield RT_VARIABLE_LOG, _record('{"var":%s,"entries":[%s]}', json_text(var_id),
+                                       ",".join(entries))
+    for (rid, t), log in advice.tx_logs.items():
+        ops = ['{"hid":%s,"opnum":%s,"optype":%s,"key":%s,"contents":%s}' % (
+            hid(e.hid), json_text(e.opnum), json_text(e.optype), json_text(e.key),
+            _txpos_text(enc, e.opcontents)
+            if e.optype == "GET" and e.opcontents is not None else value(e.opcontents),
+        ) for e in log]
+        yield RT_TX_LOG, _record('{"rid":%s,"tid":%s,"ops":[%s]}', json_text(rid), tid(t),
+                                 ",".join(ops))
+    yield RT_WRITE_ORDER, _record("[%s]", ",".join(
+        [_txpos_text(enc, pos) for pos in advice.write_order]))
+    yield RT_RESPONSE_BY, _record("{%s}", ",".join([
+        "%s:[%s,%s]" % (json_text(rid), hid(h), json_text(opnum))
+        for rid, (h, opnum) in advice.response_emitted_by.items()]))
+    yield RT_OPCOUNTS, _record("[%s]", ",".join([
+        "[%s,%s,%s]" % (json_text(rid), hid(h), json_text(count))
+        for (rid, h), count in advice.opcounts.items()]))
+    yield RT_NONDET, _record("[%s]", ",".join([
+        "[%s,%s]" % (_opkey_text(enc, key), value(v)) for key, v in advice.nondet.items()]))
+    yield RT_TX_WINDOWS, _record("[%s]", ",".join([
+        "[%s,%s,%s,%s]" % (json_text(rid), tid(t), json_text(start), json_text(commit))
+        for (rid, t), (start, commit) in advice.tx_windows.items()]))
+
+
+def _record(template: str, *fields: object) -> bytes:
+    return (template % fields).encode()
 
 
 class AdviceAccumulator:
@@ -403,15 +351,6 @@ _SINGLETON_SECTIONS = {
 }
 
 
-def write_advice_records(
-    advice: Advice, writer: RecordWriter, seal: bool = True
-) -> None:
-    for rtype, payload in iter_advice_frames(advice):
-        writer.append(rtype, payload)
-    if seal:
-        writer.seal()
-
-
 def read_advice_records(reader: RecordReader) -> Advice:
     if reader.kind != STREAM_KIND:
         raise AdviceFormatError(
@@ -424,7 +363,9 @@ def read_advice_records(reader: RecordReader) -> Advice:
 
 
 def write_advice(backend: StorageBackend, name: str, advice: Advice) -> None:
-    write_advice_records(advice, backend.create(name, STREAM_KIND))
+    with backend.create(name, STREAM_KIND) as writer:
+        for rtype, payload in iter_advice_frames(advice):
+            writer.append(rtype, payload)
 
 
 def read_advice(backend: StorageBackend, name: str) -> Advice:

@@ -26,8 +26,8 @@ from typing import Dict, NamedTuple, Optional, Union
 
 from repro.errors import AdviceFormatError, KarousosError
 from repro.storage.backend import StorageBackend
-from repro.storage.records import canonical_json
-from repro.storage.values import decode_value, encode_value
+from repro.storage.records import canonical_json, json_text
+from repro.storage.values import decode_value, value_texts
 from repro.server.variables import INIT_HID, INIT_RID, INIT_REF
 from repro.verifier.carry import CarryIn
 from repro.verifier.preprocess import AuditState
@@ -43,24 +43,6 @@ class CheckpointError(KarousosError):
 
 class CheckpointChainError(CheckpointError):
     """A stored checkpoint chain fails digest verification (forgery)."""
-
-
-def _canonical(encoded: object) -> object:
-    """An encoded value with dict pair lists sorted, so the digest does
-    not depend on insertion order."""
-    if isinstance(encoded, dict):
-        if encoded.get("t") == "d":
-            pairs = [[_canonical(k), _canonical(v)] for k, v in encoded["v"]]
-            # Kept as recorded: ``canonical_json`` would order pairs the same
-            # (the texts differ only by a space after a structural "," or ":").
-            pairs.sort(key=lambda kv: json.dumps(kv[0], sort_keys=True))
-            return {"t": "d", "v": pairs}
-        if "v" in encoded:
-            return {**encoded, "v": _canonical(encoded["v"])}
-        return encoded
-    if isinstance(encoded, list):
-        return [_canonical(x) for x in encoded]
-    return encoded
 
 
 class _Fragment(NamedTuple):
@@ -79,10 +61,10 @@ class _Fragment(NamedTuple):
 
 
 def _fragment(key: str, value: object) -> _Fragment:
-    encoded = encode_value(value)
-    canonical = _canonical(encoded)
-    digest = canonical_json([key, canonical])
-    stored = digest if canonical == encoded else canonical_json([key, encoded])
+    text, sorted_text = value_texts(value)
+    key = json_text(key)
+    stored = "[%s,%s]" % (key, text)
+    digest = stored if sorted_text is text else "[%s,%s]" % (key, sorted_text)
     return _Fragment(value, digest, stored)
 
 
@@ -286,7 +268,7 @@ def decode_checkpoint(payload: Union[str, bytes]) -> Checkpoint:
             kv={k: decode_value(v) for k, v in doc["kv"]},
             digest=doc["digest"],
         )
-    except (KeyError, TypeError, ValueError, AdviceFormatError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError, AdviceFormatError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     if (
         not isinstance(cp.epoch, int)

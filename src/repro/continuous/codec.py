@@ -23,8 +23,9 @@ from repro.advice.records import Advice
 from repro.continuous.epoch import Epoch
 from repro.errors import AdviceFormatError
 from repro.storage.backend import RecordReader, StorageBackend
-from repro.storage.records import encode_record, pack_json, unpack_json
-from repro.trace.codec import RT_EVENT, decode_trace_event, encode_trace_event
+from repro.storage.records import encode_record, json_text, unpack_json
+from repro.storage.values import TextEncoder
+from repro.trace.codec import RT_EVENT, decode_trace_event, trace_event_record
 from repro.trace.trace import Trace
 
 EPOCH_FORMAT_VERSION = 1
@@ -65,27 +66,22 @@ def iter_epoch_content_frames(
     appends exactly these after the meta record, and the plan's epoch
     digest (:func:`repro.verifier.dag.plan.epoch_digest`) hashes them --
     as does :func:`read_epoch_stream`, on their way in."""
+    enc = TextEncoder()  # one id memo for the epoch
     for event in trace:
-        yield RT_EVENT, pack_json(encode_trace_event(event))
+        yield RT_EVENT, trace_event_record(event, enc)
     if advice is not None:
-        yield from iter_advice_frames(advice)
+        yield from iter_advice_frames(advice, enc)
 
 
 def write_epoch_stored(backend: StorageBackend, epoch: Epoch) -> str:
     """Persist one epoch as a record stream; returns the stream name."""
     name = epoch_stream_name(epoch.index)
     with backend.create(name, STREAM_KIND) as writer:
-        writer.append(
-            RT_EPOCH_META,
-            pack_json(
-                {
-                    "version": EPOCH_FORMAT_VERSION,
-                    "index": epoch.index,
-                    "binlog_range": list(epoch.binlog_range),
-                    "has_advice": epoch.advice is not None,
-                }
-            ),
+        meta = '{"version":%d,"index":%s,"binlog_range":[%s],"has_advice":%s}' % (
+            EPOCH_FORMAT_VERSION, json_text(epoch.index),
+            ",".join(map(json_text, epoch.binlog_range)), json_text(epoch.advice is not None),
         )
+        writer.append(RT_EPOCH_META, meta.encode())
         for rtype, payload in iter_epoch_content_frames(epoch.trace, epoch.advice):
             writer.append(rtype, payload)
     return name
@@ -146,19 +142,12 @@ def iter_epochs_stored(backend: StorageBackend) -> Iterator[Epoch]:
     Only one epoch's records are ever resident -- the generator the
     continuous auditor consumes to stay O(epoch) in memory.
     """
-    found = []
-    for name in backend.list_streams("epoch-"):
-        match = _EPOCH_STREAM.match(name)
-        if match is not None:
-            found.append((int(match.group(1)), name))
-    for _, name in sorted(found):
+    for name in list_epoch_streams(backend):
         with backend.reader(name) as reader:
             yield read_epoch_stream(reader)
 
 
 def list_epoch_streams(backend: StorageBackend) -> List[str]:
-    return [
-        name
-        for name in backend.list_streams("epoch-")
-        if _EPOCH_STREAM.match(name) is not None
-    ]
+    """The names of the stored epoch streams, ordered by index."""
+    found = [(_EPOCH_STREAM.match(n), n) for n in backend.list_streams("epoch-")]
+    return [n for _, n in sorted((int(m.group(1)), n) for m, n in found if m)]

@@ -29,14 +29,7 @@ from repro.storage.records import (
     scan_records,
     unpack_json,
 )
-from repro.storage.values import (
-    decode_hid,
-    decode_tid,
-    decode_value,
-    encode_hid,
-    encode_tid,
-    encode_value,
-)
+from repro.storage.values import decode_value, value_text
 
 __all__ = [
     "SCHEMES",
@@ -57,10 +50,6 @@ __all__ = [
     "recover_stream",
     "scan_records",
     "unpack_json",
-    "decode_hid",
-    "decode_tid",
     "decode_value",
-    "encode_hid",
-    "encode_tid",
-    "encode_value",
+    "value_text",
 ]

@@ -173,10 +173,28 @@ def recover_stream(buf: bytes) -> Tuple[str, List[Tuple[int, bytes]], int]:
 # canonical form (keys sorted).  Encoders are built once, not per call.
 _PACK = json.JSONEncoder(separators=(",", ":"))
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_str_text = json.encoder.encode_basestring_ascii
 
 
 def pack_json(doc: object) -> bytes:
     return _PACK.encode(doc).encode("utf-8")
+
+
+def json_text(doc: object) -> str:
+    """``pack_json(doc)`` as text; the scalars record fields hold skip
+    the encoder.  Compact JSON composes, so templates splice these."""
+    cls = type(doc)
+    if cls is str:
+        return _str_text(doc)
+    if cls is int:
+        return "%d" % doc
+    if doc is None:
+        return "null"
+    if cls is bool:
+        return "true" if doc else "false"
+    if cls is float and doc - doc == 0:  # finite: NaN and the infinities fall through
+        return repr(doc)
+    return _PACK.encode(doc)
 
 
 def canonical_json(doc: object) -> str:
@@ -189,4 +207,6 @@ def unpack_json(payload: bytes) -> object:
         return json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise RecordFormatError(f"record payload is not JSON: {exc}") from None
+    except RecursionError:
+        raise RecordFormatError("record payload nests too deeply") from None
 

@@ -8,14 +8,19 @@ binlog writer tokens.
 
 This lives in the storage layer because *every* codec needs it: trace
 payloads, advice entries, checkpoints, and the binlog all carry values.
+Writers emit a value's tagged document as text in one pass, never
+building it (:func:`value_text`, DESIGN.md §8); readers parse it and
+:func:`decode_value` inverts it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from json.encoder import encode_basestring_ascii as _str_text
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.ids import HandlerId, TxId
 from repro.errors import AdviceFormatError
+from repro.storage.records import RecordFormatError, json_text
 
 
 # -- handler / transaction ids ------------------------------------------------
@@ -57,25 +62,109 @@ def decode_tid(data: object) -> TxId:
 # -- values --------------------------------------------------------------------
 
 
-def encode_value(value: object) -> object:
-    """Tagged encoding preserving tuple-ness and non-string dict keys."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return {"t": "p", "v": value}
-    if isinstance(value, tuple):
-        return {"t": "t", "v": [encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return {"t": "l", "v": [encode_value(v) for v in value]}
-    if isinstance(value, dict):
-        return {
-            "t": "d",
-            "v": [[encode_value(k), encode_value(v)] for k, v in value.items()],
-        }
-    if isinstance(value, TxId):
-        return {"t": "x", "v": encode_tid(value)}
-    raise AdviceFormatError(f"unencodable value of type {type(value).__name__}")
+class TextEncoder:
+    """One encode pass.  Id texts are memoised for the pass by identity
+    (the memo holds every id it has seen, so no key is reused while it
+    lives), never on the id itself: DESIGN.md §8 says why."""
+
+    __slots__ = ("_ids",)
+
+    def __init__(self) -> None:
+        self._ids: Dict[int, Tuple[object, str]] = {}
+
+    def hid(self, hid: HandlerId) -> str:  # the text of encode_hid(hid)
+        entry = self._ids.get(id(hid))
+        if entry is None:
+            head = "[" if hid.parent is None else self.hid(hid.parent)[:-1] + ","
+            text = "%s[%s,%s]]" % (head, json_text(hid.function_id), json_text(hid.opnum))
+            entry = self._ids[id(hid)] = (hid, text)
+        return entry[1]
+
+    def tid(self, tid: TxId) -> str:  # the text of encode_tid(tid)
+        entry = self._ids.get(id(tid))
+        if entry is None:
+            text = '{"hid":%s,"opnum":%s}' % (self.hid(tid.hid), json_text(tid.opnum))
+            entry = self._ids[id(tid)] = (tid, text)
+        return entry[1]
+
+    def value(self, value: object) -> str:
+        return _text(value, self)
+
+
+# The tags of an ``isinstance`` chain, in chain order, so a subclass
+# encodes as its base does; exact types skip the chain.
+_CHAIN = (((type(None), bool, int, float, str), "p"), ((tuple,), "t"),
+          ((list,), "l"), ((dict,), "d"), ((TxId,), "x"))
+_TAGS = {cls: tag for classes, tag in _CHAIN for cls in classes}
+
+
+def _tag(value: object) -> str:
+    tag = _TAGS.get(type(value))
+    if tag is None:
+        tag = next((t for classes, t in _CHAIN if isinstance(value, classes)), None)
+        if tag is None:
+            raise AdviceFormatError(f"unencodable value of type {type(value).__name__}")
+    return tag
+
+
+def _text(value: object, enc: TextEncoder) -> str:
+    cls = type(value)
+    if cls is str:
+        return '{"t":"p","v":%s}' % _str_text(value)
+    if cls is int:
+        return '{"t":"p","v":%d}' % value
+    tag = _tag(value)
+    if tag == "d":
+        return '{"t":"d","v":[%s]}' % ",".join(
+            ["[%s,%s]" % (_text(k, enc), _text(v, enc)) for k, v in value.items()]
+        )
+    if tag == "p":
+        return '{"t":"p","v":%s}' % json_text(value)
+    if tag == "x":
+        return '{"t":"x","v":%s}' % enc.tid(value)
+    return '{"t":"%s","v":[%s]}' % (tag, ",".join([_text(v, enc) for v in value]))
+
+
+def _texts(value: object, enc: TextEncoder) -> Tuple[str, str]:
+    """``_text(value)`` and its key-sorted form, from one walk."""
+    tag = _tag(value)
+    if tag == "d":
+        pairs = [(_texts(k, enc), _texts(v, enc)) for k, v in value.items()]
+        ordered = sorted(pairs, key=lambda kv: kv[0][1])  # stable
+        items = [["[%s,%s]" % (k[i], v[i]) for k, v in side]
+                 for i, side in enumerate((pairs, ordered))]
+    elif tag == "t" or tag == "l":
+        parts = [_texts(v, enc) for v in value]
+        items = [[p[0] for p in parts], [p[1] for p in parts]]
+    else:
+        text = _text(value, enc)
+        return text, text
+    stored, digest = ['{"t":"%s","v":[%s]}' % (tag, ",".join(side)) for side in items]
+    return stored, stored if digest == stored else digest
+
+
+def value_text(value: object) -> str:
+    """The compact JSON text of ``value``'s tagged document.  Raises
+    :class:`~repro.errors.AdviceFormatError` for a value no tag covers."""
+    return _text(value, TextEncoder())
+
+
+def value_texts(value: object) -> Tuple[str, str]:
+    """``value_text(value)`` and the key-sorted form (every dict's pairs
+    stably ordered by their key's sorted text: the checkpoint digest
+    form), from one walk; one string object when no dict is reordered."""
+    return _texts(value, TextEncoder())
 
 
 def decode_value(data: object) -> object:
+    """The value a tagged document encodes (too deep: a format error)."""
+    try:
+        return _decode(data)
+    except RecursionError:
+        raise RecordFormatError("value nests too deeply") from None
+
+
+def _decode(data: object) -> object:
     if not isinstance(data, dict) or "t" not in data or "v" not in data:
         raise AdviceFormatError(f"bad value encoding: {data!r}")
     tag, v = data["t"], data["v"]
@@ -84,15 +173,15 @@ def decode_value(data: object) -> object:
             raise AdviceFormatError(f"bad primitive: {v!r}")
         return v
     if tag == "t":
-        return tuple(decode_value(x) for x in _expect_list(v))
+        return tuple(_decode(x) for x in _expect_list(v))
     if tag == "l":
-        return [decode_value(x) for x in _expect_list(v)]
+        return [_decode(x) for x in _expect_list(v)]
     if tag == "d":
         out = {}
         for pair in _expect_list(v):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise AdviceFormatError(f"bad dict entry: {pair!r}")
-            key, value = decode_value(pair[0]), decode_value(pair[1])
+            key, value = _decode(pair[0]), _decode(pair[1])
             try:
                 out[key] = value
             except TypeError:

@@ -20,8 +20,8 @@ from typing import Iterator, List, Optional
 
 from repro.obs import MetricsRegistry, ensure_metrics
 from repro.storage.backend import StorageBackend
-from repro.storage.records import RecordFormatError, pack_json, unpack_json
-from repro.storage.values import decode_value, encode_value
+from repro.storage.records import RecordFormatError, json_text, unpack_json
+from repro.storage.values import decode_value, value_text
 
 STREAM_KIND = "binlog"
 STREAM_NAME = "binlog"
@@ -39,7 +39,9 @@ class BinlogEntry:
 
 
 def _encode_entry(entry: BinlogEntry) -> bytes:
-    return pack_json({"key": entry.key, "token": encode_value(entry.writer_token)})
+    return ('{"key":%s,"token":%s}' % (
+        json_text(entry.key), value_text(entry.writer_token)
+    )).encode()
 
 
 def _decode_entry(payload: bytes) -> BinlogEntry:

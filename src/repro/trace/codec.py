@@ -14,12 +14,12 @@ serialised whole in memory).  Epoch streams embed the same event frames.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator, Optional
 
 from repro.errors import AdviceFormatError
-from repro.storage.backend import RecordReader, RecordWriter, StorageBackend
-from repro.storage.records import pack_json, unpack_json
-from repro.storage.values import decode_value, encode_value
+from repro.storage.backend import RecordReader, StorageBackend
+from repro.storage.records import json_text, pack_json, unpack_json
+from repro.storage.values import TextEncoder, decode_value
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
 
 TRACE_FORMAT_VERSION = 1
@@ -34,16 +34,16 @@ RT_EVENT = 2
 # -- one event ----------------------------------------------------------------
 
 
-def encode_trace_event(event: TraceEvent) -> dict:
+def trace_event_record(event: TraceEvent, enc: Optional[TextEncoder] = None) -> bytes:
+    """One event's record payload: ``{"kind","rid","route","payload"}``
+    for a request, ``{"kind","rid","data"}`` for a response."""
+    enc, rid = enc or TextEncoder(), json_text(event.rid)
     if event.kind == REQ:
         request: Request = event.data
-        return {
-            "kind": REQ,
-            "rid": event.rid,
-            "route": request.route,
-            "payload": encode_value(dict(request.payload)),
-        }
-    return {"kind": RESP, "rid": event.rid, "data": encode_value(event.data)}
+        return ('{"kind":"REQ","rid":%s,"route":%s,"payload":%s}' % (
+            rid, json_text(request.route), enc.value(dict(request.payload))
+        )).encode()
+    return ('{"kind":"RESP","rid":%s,"data":%s}' % (rid, enc.value(event.data))).encode()
 
 
 def decode_trace_event(event: object) -> TraceEvent:
@@ -80,17 +80,6 @@ def check_trace_meta(payload: bytes) -> None:
         raise AdviceFormatError(f"unsupported trace stream meta {doc!r}")
 
 
-def write_trace_records(
-    events: Iterable[TraceEvent], writer: RecordWriter, seal: bool = True
-) -> None:
-    """Spill ``events`` into ``writer`` one record at a time."""
-    writer.append(RT_META, trace_meta_record())
-    for event in events:
-        writer.append(RT_EVENT, pack_json(encode_trace_event(event)))
-    if seal:
-        writer.seal()
-
-
 def iter_trace_records(reader: RecordReader) -> Iterator[TraceEvent]:
     """Decode a trace record stream incrementally.
 
@@ -120,7 +109,10 @@ def iter_trace_records(reader: RecordReader) -> Iterator[TraceEvent]:
 
 
 def write_trace(backend: StorageBackend, name: str, trace: Trace) -> None:
-    write_trace_records(trace, backend.create(name, STREAM_KIND))
+    with backend.create(name, STREAM_KIND) as writer:
+        writer.append(RT_META, trace_meta_record())
+        for event in trace:
+            writer.append(RT_EVENT, trace_event_record(event))
 
 
 def read_trace(backend: StorageBackend, name: str) -> Trace:

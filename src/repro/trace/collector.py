@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.trace.codec import RT_EVENT, RT_META, trace_event_record, trace_meta_record
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
 
 
@@ -32,17 +33,11 @@ class Collector:
         self._open = set()
         self._spool = spool
         if spool is not None:
-            from repro.storage.records import pack_json
-            from repro.trace.codec import RT_META, trace_meta_record
-
             spool.append(RT_META, trace_meta_record())
-            self._pack_json = pack_json
 
     def _spill(self, event: TraceEvent) -> None:
         if self._spool is not None:
-            from repro.trace.codec import RT_EVENT, encode_trace_event
-
-            self._spool.append(RT_EVENT, self._pack_json(encode_trace_event(event)))
+            self._spool.append(RT_EVENT, trace_event_record(event))
 
     def on_request(self, request: Request) -> None:
         if request.rid in self._open:

@@ -26,7 +26,7 @@ from repro.core.ids import HandlerId, TxId
 from repro.kem.program import request_event
 from repro.server.variables import INIT_REF
 from repro.storage import backend_for
-from repro.storage.values import encode_hid, encode_tid, encode_value
+from repro.storage.values import encode_hid, encode_tid
 from repro.verifier.dedup import VerdictCache, app_fingerprint, group_digest
 from repro.verifier.dedup.cache import RT_CACHE_ENTRY, effect_sum, make_entry
 from repro.verifier.dedup.digest import DIGEST_SPEC, member_token, normalize_value
@@ -34,6 +34,7 @@ from repro.verifier.dedup.executor import normalize_effect
 from repro.verifier.parallel import GroupDelta, execute_group
 from repro.verifier.preprocess import preprocess
 from tests import verdict_goldens as vg
+from tests.encode_oracle import encode_value
 
 pytestmark = pytest.mark.tier1
 

@@ -35,10 +35,10 @@ from repro.continuous.codec import (
 from repro.continuous.journal import AuditJournal
 from repro.core.ids import HandlerId, TxId
 from repro.storage import backend_for
-from repro.storage.values import encode_value
 from repro.verifier import Auditor
 from repro.verifier.dag import NodeJournal, NodeJournalError
 from repro.verifier.dag.plan import epoch_digest
+from tests.encode_oracle import encode_value
 from tests.verdict_goldens import APPS, golden, streams
 
 pytestmark = pytest.mark.tier1

@@ -336,6 +336,52 @@ class TestCorruptInput:
         assert snap["gauges"]["tenant.bad.service.input_corrupt"] == 1
         assert snap["gauges"]["tenant.good.service.input_corrupt"] == 0
 
+    def test_deeply_nested_record_fails_only_its_tenant(
+        self, fleets, tmp_path, capsys
+    ):
+        """A record nested past the parser's recursion limit is a format
+        error like any other, for the daemon and for the solo CLI."""
+        from repro.cli import EXIT_REJECTED, main
+        from repro.continuous.codec import (
+            RT_EPOCH_META, STREAM_KIND, epoch_stream_name,
+        )
+        from repro.trace.codec import RT_EVENT
+
+        bad_store = os.path.join(str(tmp_path), "deep")
+        with backend_for("file", bad_store).create(
+            epoch_stream_name(0), STREAM_KIND
+        ) as writer:
+            writer.append(RT_EPOCH_META, json.dumps({
+                "version": 1, "index": 0, "binlog_range": [0, 0],
+                "has_advice": False,
+            }).encode())
+            writer.append(RT_EVENT, b"[" * 100_000 + b"]" * 100_000)
+        good_store = _store_epochs(tmp_path, "good-deep", fleets["feed"])
+
+        service = _service_run(
+            tmp_path,
+            [
+                TenantConfig(app="wiki", store=bad_store, name="bad"),
+                TenantConfig(app="feed", store=good_store, name="good"),
+            ],
+            label="deep",
+            torn_limit=2,
+            poll_interval=0.001,
+        )
+        doc = service.summary()
+        bad = doc["tenants"]["bad"]
+        assert bad["accepted"] is False and bad["reason"] == "input-format"
+        assert bad["input"]["corrupt"] and bad["epochs"] == []
+        got, _ = _stream_fingerprints(service, "good")
+        assert got == _solo("feed", fleets["feed"])[0]
+        assert len(got) == len(fleets["feed"])
+
+        capsys.readouterr()
+        code = main(["audit", "--app", "wiki", "--store", "file",
+                     "--store-path", bad_store])
+        assert code == EXIT_REJECTED
+        assert "REJECT  reason=input-format" in capsys.readouterr().out
+
     @pytest.mark.parametrize("stream,kind,payload", [
         ("checkpoints", "checkpoint", b'{"epoch":"x"}'),
         ("journal", "journal", b"[1,2]"),

@@ -1,6 +1,7 @@
 """Unit and property tests for the advice wire format."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,8 @@ from repro.core.ids import HandlerId, TxId
 from repro.errors import AdviceFormatError
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
-from repro.storage.values import decode_hid, decode_value, encode_hid, encode_value
+from repro.storage.records import RecordFormatError, unpack_json
+from repro.storage.values import decode_hid, decode_value, encode_hid, value_text
 from repro.store import IsolationLevel, KVStore
 from repro.verifier import audit
 from repro.workload import motd_workload, stacks_workload, wiki_workload
@@ -56,28 +58,42 @@ values = st.recursive(
 )
 
 
+def _roundtrip(value):
+    """A value through its stored text and back."""
+    return decode_value(json.loads(value_text(value)))
+
+
 class TestValueEncoding:
     @settings(max_examples=200)
     @given(values)
     def test_roundtrip(self, value):
-        assert decode_value(encode_value(value)) == value
+        assert _roundtrip((value)) == value
 
     def test_tuple_vs_list_preserved(self):
-        assert decode_value(encode_value((1, 2))) == (1, 2)
-        assert decode_value(encode_value([1, 2])) == [1, 2]
-        assert type(decode_value(encode_value((1,)))) is tuple
+        assert _roundtrip(((1, 2))) == (1, 2)
+        assert _roundtrip(([1, 2])) == [1, 2]
+        assert type(_roundtrip(((1,)))) is tuple
 
     def test_non_string_dict_keys(self):
         value = {("r1", 2): "x", 5: "y"}
-        assert decode_value(encode_value(value)) == value
+        assert _roundtrip((value)) == value
 
     def test_txid_values(self):
         tid = TxId(HandlerId("f", None, 0), 3)
-        assert decode_value(encode_value(tid)) == tid
+        assert _roundtrip((tid)) == tid
 
     def test_unencodable_rejected(self):
         with pytest.raises(AdviceFormatError):
-            encode_value(object())
+            value_text(object())
+
+    def test_too_deep_rejected(self):
+        doc = {"t": "p", "v": 0}
+        for _ in range(sys.getrecursionlimit()):
+            doc = {"t": "l", "v": [doc]}
+        with pytest.raises(RecordFormatError):
+            decode_value(doc)
+        with pytest.raises(RecordFormatError):
+            unpack_json(b"[" * 100_000 + b"]" * 100_000)
 
     @pytest.mark.parametrize("bad", [{"t": "z", "v": 1}, {"v": 1}, 42])
     def test_malformed_rejected(self, bad):

@@ -28,8 +28,8 @@ from repro.storage import MemoryBackend
 from repro.trace.codec import (
     RT_EVENT,
     RT_META,
-    encode_trace_event,
     iter_trace_records,
+    trace_event_record,
     trace_meta_record,
 )
 from repro.verifier import audit
@@ -120,7 +120,7 @@ def _decode_trace(frames):
 def _trace_frames(trace):
     frames = [(RT_META, trace_meta_record())]
     frames += [
-        (RT_EVENT, json.dumps(encode_trace_event(e)).encode()) for e in trace
+        (RT_EVENT, trace_event_record(e)) for e in trace
     ]
     return frames
 

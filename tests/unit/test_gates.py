@@ -10,6 +10,9 @@ something checks them.
 * The figure benchmarks write nothing into the checkout: no
   ``BENCH_*.json`` snapshot sits at the repo root, and no benchmark
   builds a path from its own location or the working directory.
+* Stored records have one encoder: nothing outside
+  ``storage/values.py`` and the dedup package builds a value's tagged
+  document to serialise it (DESIGN.md §8).
 """
 
 import argparse
@@ -155,3 +158,29 @@ def test_benchmarks_write_nothing_into_the_checkout():
         offenders += [(os.path.relpath(path, ROOT), line, what)
                       for line, what in _checkout_paths(tree)]
     assert not offenders, offenders
+
+
+# -- one encoder ----------------------------------------------------------------
+
+# The value-document builder's callers: its own module, and the dedup
+# package, which digests documents rather than storing them.
+DOCUMENT_FORM = ("storage/values.py", "verifier/dedup/")
+
+
+def test_stored_records_have_one_encoder():
+    offenders = []
+    for dirpath, _dirs, files in os.walk(SRC):
+        for name in files:
+            rel = os.path.relpath(os.path.join(dirpath, name), SRC)
+            if not name.endswith(".py") or rel.startswith(DOCUMENT_FORM):
+                continue
+            with open(os.path.join(dirpath, name)) as fh:
+                tree = ast.parse(fh.read(), rel)
+            offenders += [
+                (rel, node.lineno)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and "encode_value" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))
+            ]
+    assert not offenders, f"records built as documents: {offenders}"

@@ -33,9 +33,10 @@ from repro.storage import (
     decode_value,
     encode_record,
     encode_stream_header,
-    encode_value,
     read_stream,
     recover_stream,
+    unpack_json,
+    value_text,
 )
 from repro.trace.codec import iter_trace_records, read_trace, write_trace
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
@@ -432,7 +433,7 @@ _values = st.recursive(
 @settings(max_examples=60, deadline=None)
 @given(_values)
 def test_value_codec_roundtrip(value):
-    assert decode_value(encode_value(value)) == value
+    assert decode_value(unpack_json(value_text(value).encode())) == value
 
 
 def _fuzz_bundle(values):

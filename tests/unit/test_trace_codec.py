@@ -1,5 +1,7 @@
 """Unit tests for the trace wire format."""
 
+import json
+
 import pytest
 
 from repro.errors import AdviceFormatError
@@ -11,9 +13,9 @@ from repro.storage import MemoryBackend, pack_json
 from repro.trace.codec import (
     RT_EVENT,
     RT_META,
-    encode_trace_event,
     iter_trace_records,
     read_trace,
+    trace_event_record,
     trace_meta_record,
     write_trace,
 )
@@ -46,7 +48,7 @@ def _decode(frames):
 
 
 def _event_docs():
-    return [encode_trace_event(e) for e in sample_trace()]
+    return [json.loads(trace_event_record(e)) for e in sample_trace()]
 
 
 class TestRoundtrip:
