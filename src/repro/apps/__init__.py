@@ -28,6 +28,7 @@ _APPS: Dict[str, Tuple[Callable[[], AppSpec], bool]] = {
     "wiki": (wiki_app, True),
     "feed": (feed_app, True),
 }
+APP_NAMES = tuple(_APPS)
 
 
 def make_app(name: str) -> AppSpec:
@@ -39,6 +40,7 @@ def app_needs_store(name: str) -> bool:
 
 
 __all__ = [
+    "APP_NAMES",
     "app_needs_store",
     "feed_app",
     "make_app",

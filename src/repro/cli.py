@@ -24,7 +24,7 @@ from typing import List, Optional
 from repro.advice.codec import read_advice, write_advice
 from repro.advice.sizing import advice_size_bytes
 from repro.analysis import analyze_app, suggest_annotations
-from repro.apps import app_needs_store, make_app
+from repro.apps import APP_NAMES, app_needs_store, make_app
 from repro.attacks import ALL_ATTACKS
 from repro.kem.scheduler import RandomScheduler
 from repro.kem.threaded import ThreadedRuntime
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     serve = sub.add_parser("serve", help="serve a synthetic workload")
-    serve.add_argument("--app", required=True, choices=["motd", "stacks", "wiki", "feed"])
+    serve.add_argument("--app", required=True, choices=APP_NAMES)
     serve.add_argument("--requests", type=int, default=100)
     serve.add_argument("--mix", default="mixed",
                        choices=["mixed", "read-heavy", "write-heavy"])
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "wrote any (continuously, resuming from the store's own checkpoints "
         "and journal), else its trace against its advice",
     )
-    aud.add_argument("--app", required=True, choices=["motd", "stacks", "wiki", "feed"])
+    aud.add_argument("--app", required=True, choices=APP_NAMES)
     aud.add_argument("--epochs", type=int, default=0, metavar="N",
                      help="continuous audit: re-cut the stored trace into "
                      "epochs of N responses and audit them in sequence with "
@@ -121,13 +121,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      "process; verdict-identical; see DESIGN.md §5 and "
                      "repro plan)")
     aud.add_argument("--node-journal", metavar="DIR",
-                     help="persist per-node completion records here "
-                     "(digest-chained), enabling node-granular crash "
-                     "resume via --resume")
-    aud.add_argument("--resume", action="store_true",
-                     help="resume a killed audit from --node-journal: "
-                     "journaled re-execution results replay, only the "
-                     "unfinished frontier re-executes")
+                     help="journal each re-executed group's result here "
+                     "(digest-chained); a later audit of the same inputs "
+                     "replays them, so after a kill only the unfinished "
+                     "frontier re-executes")
 
     svc = sub.add_parser(
         "serve-audit",
@@ -188,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "plan",
         help="compile an audit to its execution DAG without running it",
     )
-    plan.add_argument("--app", required=True, choices=["motd", "stacks", "wiki", "feed"])
+    plan.add_argument("--app", required=True, choices=APP_NAMES)
     plan.add_argument("--epochs", type=int, default=0, metavar="N",
                       help="plan a continuous audit: re-cut the stored trace "
                       "into epochs of N responses")
@@ -211,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--format", default="text", choices=["text", "json"])
 
     attack = sub.add_parser("attack", help="tamper with advice, then audit")
-    attack.add_argument("--app", required=True, choices=["motd", "stacks", "wiki", "feed"])
+    attack.add_argument("--app", required=True, choices=APP_NAMES)
     attack.add_argument("--name", required=True,
                         choices=[a.name for a in ALL_ATTACKS])
     _add_store_args(attack)
@@ -220,14 +217,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="static analysis: the loggable-variable table",
     )
-    analyze.add_argument("--app", required=True, choices=["motd", "stacks", "wiki", "feed"])
+    analyze.add_argument("--app", required=True, choices=APP_NAMES)
 
     lint = sub.add_parser(
         "lint",
         help="instrumentation-completeness linter (is the app valid "
         "transpiler output?)",
     )
-    lint.add_argument("app", choices=["motd", "stacks", "wiki", "feed"])
+    lint.add_argument("app", choices=APP_NAMES)
     lint.add_argument("--crosscheck", action="store_true",
                       help="also serve a workload with recording handlers and "
                       "diff observed footprints against the static prediction")
@@ -244,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "completeness campaign over the schema-derived mutation surface",
     )
     fuzz.add_argument("--app", action="append",
-                      choices=["motd", "stacks", "wiki", "feed"],
+                      choices=APP_NAMES,
                       help="restrict to this app (repeatable; default: all)")
     fuzz.add_argument("--property", default="both",
                       choices=["soundness", "completeness", "both"],
@@ -446,8 +443,6 @@ def _cmd_serve(args) -> int:
 
 def _cmd_audit(args) -> int:
     usage = _store_usage_error(args) or _dedup_usage_error(args)
-    if usage is None and args.resume and not args.node_journal:
-        usage = "--resume requires --node-journal"
     if usage is not None:
         print(f"error: {usage}", file=sys.stderr)
         return EXIT_USAGE
@@ -508,7 +503,7 @@ def _dispatch_audit_inner(args, metrics, progress, dedup) -> int:
         )
     auditor = Auditor(
         make_app(args.app), trace, advice,
-        singleton_groups=args.singleton_groups, resume=args.resume, **engine,
+        singleton_groups=args.singleton_groups, **engine,
     )
     return _finish_audit(
         args, auditor.run(), metrics,
@@ -594,16 +589,7 @@ def _cmd_audit_continuous(args, backend, epochs, engine) -> int:
             "detail": "" if rejection is None else rejection.result.detail,
             "stats": stats,
             "resumed_epochs": auditor.skipped_resumed,
-            "epochs": [
-                {
-                    "epoch": v.epoch,
-                    "accepted": v.accepted,
-                    "reason": v.result.reason,
-                    "detail": v.result.detail,
-                    "checkpoint_digest": v.checkpoint_digest,
-                }
-                for v in verdicts
-            ],
+            "epochs": [v.as_doc() for v in verdicts],
         }
         if report is not None:
             doc["explain"] = report.as_json()

@@ -52,6 +52,17 @@ class EpochVerdict:
     def accepted(self) -> bool:
         return self.result.accepted
 
+    def as_doc(self) -> Dict[str, object]:
+        """The per-epoch entry of ``audit --format json`` and of the
+        fleet summary."""
+        return {
+            "epoch": self.epoch,
+            "accepted": self.accepted,
+            "reason": self.result.reason,
+            "detail": self.result.detail,
+            "checkpoint_digest": self.checkpoint_digest,
+        }
+
     def __repr__(self) -> str:
         verdict = (
             "ACCEPT" if self.accepted else f"REJECT({self.result.reason})"
@@ -91,8 +102,8 @@ class ContinuousAuditor:
         self.dedup = dedup
         # With a node journal, a mid-epoch kill resumes at node
         # granularity inside the epoch the journal-level resume re-audits
-        # ("auto": a journal left by a different epoch's plan is
-        # discarded, not trusted).
+        # (a journal left by a different epoch's plan is discarded, not
+        # trusted).
         self.scheduler = scheduler
         self.node_journal = node_journal
         self.max_pending = max_pending
@@ -174,10 +185,10 @@ class ContinuousAuditor:
             return None
         epoch = self._queue.popleft()
         verdict = self._audit_epoch(epoch)
-        self._record_verdict(epoch, verdict)
+        self._account_verdict(epoch, verdict)
         return verdict
 
-    def _record_verdict(self, epoch: Epoch, verdict: EpochVerdict) -> None:
+    def _account_verdict(self, epoch: Epoch, verdict: EpochVerdict) -> None:
         """Account a finished epoch: verdict table plus stream metrics.
         Split from :meth:`step` so drivers that audit epochs outside the
         pending queue (the fleet service's shared pool) account the same
@@ -286,7 +297,6 @@ class ContinuousAuditor:
             checkpoint_parent=parent,
             dedup=self.dedup,
             node_journal=self.node_journal,
-            resume="auto" if self.node_journal is not None else False,
         )
 
     def _commit(

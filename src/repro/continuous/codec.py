@@ -87,8 +87,10 @@ def write_epoch_stored(backend: StorageBackend, epoch: Epoch) -> str:
     return name
 
 
-def read_epoch_stream(reader: RecordReader) -> Epoch:
-    """Decode one epoch from its record stream (strict)."""
+def read_epoch_stream(reader: RecordReader, name: Optional[str] = None) -> Epoch:
+    """Decode one epoch from its record stream (strict).  Given ``name``,
+    the stream it is read from, the meta record must hold the index that
+    name spells: a copied or renamed stream is not another epoch."""
     if reader.kind != STREAM_KIND:
         raise AdviceFormatError(
             f"expected an {STREAM_KIND!r} stream, found {reader.kind!r}"
@@ -121,6 +123,8 @@ def read_epoch_stream(reader: RecordReader) -> Epoch:
     if meta is None:
         raise AdviceFormatError("epoch stream has no meta record")
     index, rng = _check_epoch_meta(meta)
+    if name is not None and name != epoch_stream_name(index):
+        raise AdviceFormatError(f"epoch stream {name!r} holds epoch {index}")
     if meta.get("has_advice"):
         if not saw_advice:
             raise AdviceFormatError("epoch stream promises advice but has none")
@@ -144,10 +148,23 @@ def iter_epochs_stored(backend: StorageBackend) -> Iterator[Epoch]:
     """
     for name in list_epoch_streams(backend):
         with backend.reader(name) as reader:
-            yield read_epoch_stream(reader)
+            yield read_epoch_stream(reader, name)
 
 
 def list_epoch_streams(backend: StorageBackend) -> List[str]:
-    """The names of the stored epoch streams, ordered by index."""
-    found = [(_EPOCH_STREAM.match(n), n) for n in backend.list_streams("epoch-")]
-    return [n for _, n in sorted((int(m.group(1)), n) for m, n in found if m)]
+    """The names of the stored epoch streams, ordered by index.  A name
+    that spells an index any other way (``epoch-01``) makes the store
+    malformed (:class:`AdviceFormatError`): it is never a second copy of
+    that epoch."""
+    indices = []
+    for name in backend.list_streams("epoch-"):
+        match = _EPOCH_STREAM.match(name)
+        if match is None:
+            continue
+        index = int(match.group(1))
+        if name != epoch_stream_name(index):
+            raise AdviceFormatError(
+                f"epoch stream {name!r} is not named {epoch_stream_name(index)!r}"
+            )
+        indices.append(index)
+    return [epoch_stream_name(index) for index in sorted(indices)]

@@ -395,16 +395,7 @@ class AuditService:
                 },
                 "resumed_epochs": stream.skipped_resumed,
                 "stats": stream.stats(),
-                "epochs": [
-                    {
-                        "epoch": v.epoch,
-                        "accepted": v.accepted,
-                        "reason": v.result.reason,
-                        "detail": v.result.detail,
-                        "checkpoint_digest": v.checkpoint_digest,
-                    }
-                    for v in verdicts
-                ],
+                "epochs": [v.as_doc() for v in verdicts],
             }
         return {
             "tenants": tenants,

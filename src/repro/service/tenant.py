@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.apps import APP_NAMES
 from repro.continuous.auditor import ContinuousAuditor, EpochVerdict
 from repro.continuous.checkpoint import CheckpointError, CheckpointStore
 from repro.continuous.codec import (
@@ -46,7 +47,7 @@ from repro.continuous.codec import (
 )
 from repro.continuous.epoch import Epoch
 from repro.continuous.journal import AuditJournal
-from repro.errors import KarousosError
+from repro.errors import AdviceFormatError, KarousosError
 from repro.storage.backend import StorageBackend, backend_for
 from repro.storage.records import RecordFormatError
 from repro.verifier.audit import Auditor
@@ -68,6 +69,11 @@ class TenantConfig:
     state: str = ""  # state dir override (default: <state-root>/<name>)
 
     def __post_init__(self) -> None:
+        if self.app not in APP_NAMES:
+            raise ValueError(
+                f"unknown tenant app {self.app!r} "
+                f"(known: {', '.join(APP_NAMES)})"
+            )
         if not self.name:
             self.name = self.app
         if not _NAME_RE.match(self.name):
@@ -139,7 +145,10 @@ class EpochSource:
         return set(list_epoch_streams(self.backend))
 
     def has_pending(self) -> bool:
-        return epoch_stream_name(self.next_index) in self._available()
+        try:
+            return epoch_stream_name(self.next_index) in self._available()
+        except AdviceFormatError:
+            return True  # a misnamed stream: poll() classifies it
 
     @property
     def corrupt(self) -> bool:
@@ -159,14 +168,18 @@ class EpochSource:
         out: List[Epoch] = []
         if limit <= 0:
             return out
-        available = self._available()
+        try:
+            available = self._available()
+        except AdviceFormatError as exc:
+            self._record_torn(exc)
+            return out
         while len(out) < limit:
             name = epoch_stream_name(self.next_index)
             if name not in available:
                 break
             try:
                 with self.backend.reader(name) as reader:
-                    epoch = read_epoch_stream(reader)
+                    epoch = read_epoch_stream(reader, name)
             except KarousosError as exc:  # torn, malformed or mid-write
                 self._record_torn(exc)
                 break
@@ -268,7 +281,7 @@ class TenantStream(ContinuousAuditor):
             epoch = self._queue.popleft()
             verdict, parent = self._preflight(epoch)
             if verdict is not None:
-                self._record_verdict(epoch, verdict)
+                self._account_verdict(epoch, verdict)
                 continue
             auditor = self._build_auditor(epoch, parent)
             nodes, edges = auditor.prepare()
@@ -280,7 +293,7 @@ class TenantStream(ContinuousAuditor):
         journal the verdict, extend the checkpoint chain, account the
         stream metrics."""
         verdict = self._commit(epoch, auditor.collect(), auditor.checkpoint)
-        self._record_verdict(epoch, verdict)
+        self._account_verdict(epoch, verdict)
         return verdict
 
     def close(self) -> None:

@@ -14,8 +14,8 @@ or as one of many plans in the fleet service's shared pool
 (:meth:`Auditor.prepare` / the runner protocol / :meth:`Auditor.collect`).
 Per-node work:
 
-* ``decode`` freezes the trace; ``preprocess`` / ``isolation`` /
-  ``postprocess`` call the Figure 14 procedures;
+* ``preprocess`` / ``isolation`` / ``postprocess`` call the Figure 14
+  procedures;
 * ``reexec`` nodes run :func:`~repro.verifier.parallel.execute_group`
   -- one value-isolated group each, in any order, on any worker;
 * the optional ``dedup`` barrier digests every group in canonical order
@@ -39,12 +39,13 @@ The exception-to-verdict mapping lives in exactly one place --
 ``AuditResult.stage`` names one of :data:`STAGES`.
 
 With a :class:`~repro.verifier.dag.journal.NodeJournal` attached, every
-completed node is journaled (flushed per record, digest-chained, never
-barriered: re-derivable) before its completion is acted on, and
-``resume`` replays the journal: a recorded verdict returns wholesale,
-journaled ``reexec`` deltas are replayed instead of re-executed, and the
-cheap deterministic stages simply re-run -- only the frontier
-re-executes.  Nothing is serialized for a journal that is not there.
+completed ``reexec`` node's delta is journaled (flushed per record,
+digest-chained, never barriered: re-derivable) before its completion is
+acted on.  A journal whose header names this plan and whose chain
+verifies is replayed: its deltas stand in for their groups'
+re-execution, and the cheap deterministic stages simply re-run -- only
+the frontier re-executes.  Any other journal is discarded and
+restarted.  Nothing is serialized for a journal that is not there.
 """
 
 from __future__ import annotations
@@ -63,17 +64,14 @@ from repro.obs import MetricsRegistry, ensure_metrics
 from repro.trace.trace import Trace, TraceLike
 from repro.verifier.carry import CarryIn
 from repro.verifier.dag.journal import (
-    PAYLOAD_CHECKPOINT,
-    PAYLOAD_DELTA,
-    PAYLOAD_NONE,
     NodeJournal,
     NodeJournalError,
+    NodeJournalState,
     decode_delta,
     encode_delta,
 )
 from repro.verifier.dag.plan import (
     NODE_CHECKPOINT,
-    NODE_DECODE,
     NODE_DEDUP,
     NODE_ISOLATION,
     NODE_MERGE,
@@ -108,7 +106,6 @@ from repro.verifier.reexec import ReExecutor
 
 # The values AuditResult.stage takes, in execution order.
 STAGES = (
-    NODE_DECODE,
     NODE_PREPROCESS,
     NODE_ISOLATION,
     NODE_REEXEC,
@@ -201,28 +198,6 @@ def jsonable(value: object) -> object:
     return repr(value)
 
 
-def _result_to_doc(result: AuditResult) -> Dict[str, object]:
-    return {
-        "accepted": result.accepted,
-        "reason": result.reason,
-        "detail": result.detail,
-        "stats": dict(result.stats),
-        "stage": result.stage,
-        "site": jsonable(result.site),
-    }
-
-
-def _result_from_doc(doc: Dict[str, object]) -> AuditResult:
-    return AuditResult(
-        accepted=bool(doc.get("accepted")),
-        reason=str(doc.get("reason", "accepted")),
-        detail=str(doc.get("detail", "")),
-        stats=dict(doc.get("stats", {})),
-        stage=str(doc.get("stage", "")),
-        site=doc.get("site"),
-    )
-
-
 class Auditor:
     """Audits one epoch through its compiled execution DAG; exposes
     intermediate state (``state``, ``re_exec``, ``checkpoint``, ``plan``,
@@ -251,11 +226,11 @@ class Auditor:
     entirely, with verdicts provably unchanged (DESIGN.md §11).  The same
     object may be shared across many Auditors (epochs, runs).
 
-    ``node_journal`` / ``resume`` give node-granular crash resume
-    (``resume="auto"``: a journal left by another plan is discarded, not
-    trusted).  ``kill_after`` and ``order_key`` are test hooks: a
-    simulated kill after the N-th journal write, and a ready-queue
-    shuffle.
+    ``node_journal`` gives node-granular crash resume: a journal this
+    plan wrote is replayed, one left by another plan (or damaged) is
+    discarded, not trusted.  ``kill_after`` and ``order_key`` are test
+    hooks: a simulated kill after the N-th journal write, and a
+    ready-queue shuffle.
     """
 
     def __init__(
@@ -274,7 +249,6 @@ class Auditor:
         checkpoint_index: Optional[int] = None,
         checkpoint_parent: Optional[object] = None,
         node_journal: Optional[NodeJournal] = None,
-        resume: object = False,
         kill_after: Optional[int] = None,
         order_key: Optional[Callable[[object], object]] = None,
     ):
@@ -283,8 +257,7 @@ class Auditor:
         self.app = app
         # ``trace`` may be a lazy event iterator (a storage-layer record
         # stream): drain it exactly once into a frozen snapshot here, while
-        # the caller's reader is still open.  The decode node is
-        # idempotent on the frozen form.
+        # the caller's reader is still open.
         self.trace = Trace.from_events(trace)
         self.advice = advice
         self.singleton_groups = singleton_groups
@@ -297,7 +270,6 @@ class Auditor:
         self.checkpoint_index = checkpoint_index
         self.checkpoint_parent = checkpoint_parent
         self.journal = node_journal
-        self.resume = resume
         self.kill_after = kill_after
         self.order_key = order_key
         self.epoch = checkpoint_index if checkpoint_index is not None else 0
@@ -314,7 +286,6 @@ class Auditor:
         self.node_seconds: List[Tuple[int, str, Optional[str], float]] = []
         self.executed_nodes = 0
         self.resumed_nodes = 0
-        self.skipped_resumed = 0  # 1 when the verdict replayed from the journal
         self.fallback_tags: List[str] = []
 
         self._result: Optional[AuditResult] = None
@@ -324,7 +295,7 @@ class Auditor:
         self._digests: Dict[str, object] = {}
         self._hits: Dict[str, GroupDelta] = {}
         self._fresh: Set[str] = set()
-        self._jstate = None
+        self._jstate: Optional[NodeJournalState] = None
         self._journal_writes = 0
 
     @classmethod
@@ -355,9 +326,8 @@ class Auditor:
     def prepare(self) -> Tuple[List[PlanNode], List[Tuple[str, str]]]:
         """Compile and validate the plan, resolve the scheduler, set up
         the node journal.  Returns ``(ordered_nodes, edges)`` for the
-        ready-queue loop; an audit whose verdict is already known (replayed
-        from the journal, or advice too malformed to plan) has no nodes
-        left to run."""
+        ready-queue loop; advice too malformed to plan is a verdict
+        already, with no nodes left to run."""
         self._started = time.perf_counter()
         if self.scheduler is None:
             self.scheduler = self._default_scheduler()
@@ -382,8 +352,6 @@ class Auditor:
             n.group: list(n.rids) for n in nodes if n.stage == NODE_REEXEC
         }
         self._setup_journal(plan)
-        if self._result is not None:
-            return [], []
         return nodes, plan.edges
 
     def _unplannable(self, exc: Exception) -> AuditResult:
@@ -429,58 +397,25 @@ class Auditor:
         return SCHEDULER_SERIAL
 
     def _setup_journal(self, plan: AuditPlan) -> None:
+        """Replay the attached journal when its header names this plan
+        and its chain verifies; otherwise restart it.  Every epoch finds
+        its predecessor's journal, which the header alone dismisses."""
         if self.journal is None:
             return
-        jstate = None
-        if self.resume == "auto":
-            # Every epoch finds its predecessor's journal: the header alone
-            # dismisses it.  A damaged one of this plan is discarded too.
-            if self.journal.header_plan() == plan.digest:
-                try:
-                    jstate = self.journal.load()
-                except NodeJournalError:
-                    pass
-        elif self.resume:
-            jstate = self.journal.load()
-            if jstate.plan_digest != plan.digest:
-                raise NodeJournalError(
-                    f"node journal belongs to plan "
-                    f"{jstate.plan_digest[:16]}, not {plan.digest[:16]}: "
-                    "refusing to resume against different inputs"
-                )
-        self._jstate = jstate
-        if jstate is None:
+        if self.journal.header_plan() == plan.digest:
+            try:
+                self._jstate = self.journal.load()
+            except NodeJournalError:
+                pass  # damaged: re-derive it
+        if self._jstate is None:
             self.journal.start(plan.digest)
-        elif self.epoch in jstate.verdicts:
-            self.skipped_resumed = 1
-            self._result = _result_from_doc(jstate.verdicts[self.epoch])
-            if self._result.accepted and self.checkpoint_index is not None:
-                self._replay_checkpoint(plan)
-
-    def _replay_checkpoint(self, plan: AuditPlan) -> None:
-        """Rehydrate the completed epoch's checkpoint from its journaled
-        payload."""
-        node = plan.node(self.epoch, NODE_CHECKPOINT)
-        payload = self._jstate.checkpoint_payload(node.node_id)
-        if payload is None:
-            raise NodeJournalError(
-                f"journal records epoch {self.epoch}'s verdict but not its "
-                "checkpoint; cannot chain the next epoch"
-            )
-        from repro.continuous.checkpoint import decode_checkpoint
-
-        self.checkpoint = decode_checkpoint(payload.decode("utf-8"))
 
     # -- runner protocol (consumed by the Scheduler) -----------------------
 
     def parallel_safe(self, node: PlanNode) -> bool:
         if node.stage != NODE_REEXEC or node.group in self._hits:
             return False
-        if self._jstate is not None and (
-            self._jstate.delta_payload(node.node_id) is not None
-        ):
-            return False
-        return True
+        return self._jstate is None or node.node_id not in self._jstate.deltas
 
     def execute(self, node: PlanNode):
         t0 = time.perf_counter()
@@ -523,9 +458,13 @@ class Auditor:
         if node.stage == NODE_REEXEC:
             self._absorb_reexec(node, kind, value)
         elif node.stage == NODE_CHECKPOINT:
-            self._absorb_checkpoint(node, value)
-        else:
-            self._journal_node(node)
+            self.checkpoint = value
+            self._finish(
+                AuditResult(
+                    accepted=True,
+                    stats=collect_stats(self._started, self.state, self.re_exec),
+                )
+            )
 
     # -- node dispatch ------------------------------------------------------
 
@@ -533,9 +472,7 @@ class Auditor:
         stage = node.stage
         if stage == NODE_REEXEC:
             return self._dispatch_reexec(node)
-        if stage == NODE_DECODE:
-            self.trace = Trace.from_events(self.trace)
-        elif stage == NODE_PREPROCESS:
+        if stage == NODE_PREPROCESS:
             self.state = preprocess(self.app, self.trace, self.advice, self.carry)
             self.metrics.gauge("pipeline.graph_nodes").set(
                 self.state.graph.node_count
@@ -569,7 +506,7 @@ class Auditor:
 
     def _dispatch_reexec(self, node: PlanNode):
         if self._jstate is not None:
-            payload = self._jstate.delta_payload(node.node_id)
+            payload = self._jstate.deltas.get(node.node_id)
             if payload is not None:
                 try:
                     return ("replayed", decode_delta(payload))
@@ -641,31 +578,22 @@ class Auditor:
             self.metrics.counter("reexec.nodes_cached").inc()
         if kind != "replayed" and self.journal is not None:
             payload = encode_delta(delta)
-            if payload is not None:
-                self._journal_node(node, PAYLOAD_DELTA, payload)
             # An unpicklable delta is simply not journaled: resume
             # re-executes that node, which is sound, just not saved.
-
-    def _absorb_checkpoint(self, node: PlanNode, cp) -> None:
-        self.checkpoint = cp
-        if cp is None or self.journal is None:
-            self._journal_node(node)
-        else:
-            from repro.continuous.checkpoint import encode_checkpoint
-
-            self._journal_node(
-                node, PAYLOAD_CHECKPOINT, encode_checkpoint(cp).encode("utf-8")
-            )
-        self._finish(
-            AuditResult(
-                accepted=True,
-                stats=collect_stats(self._started, self.state, self.re_exec),
-            )
-        )
+            if payload is not None:
+                self.journal.record_delta(node.node_id, payload)
+                self._journal_writes += 1
+                if self.kill_after is not None and (
+                    self._journal_writes >= self.kill_after
+                ):
+                    raise SimulatedKill(
+                        f"simulated kill after {self._journal_writes} "
+                        "journal records"
+                    )
 
     def _finish(self, result: AuditResult) -> None:
-        """Record the verdict: its counter (and diagnostic), the
-        per-stage fold of the node spans, the journal's verdict record."""
+        """Record the verdict: its counter (and diagnostic) and the
+        per-stage fold of the node spans."""
         self._result = result
         if result.accepted:
             self.metrics.counter("pipeline.accepts").inc()
@@ -676,34 +604,6 @@ class Auditor:
             )
         for stage, seconds in self.stage_seconds.items():
             self.metrics.histogram(_STAGE_SECONDS[stage]).observe(seconds)
-        if self.journal is not None and self.plan is not None:
-            self.journal.record_verdict(self.epoch, _result_to_doc(result))
-            self._kill_tick()
-
-    # -- journal plumbing ---------------------------------------------------
-
-    def _journal_node(
-        self,
-        node: PlanNode,
-        payload_kind: str = PAYLOAD_NONE,
-        payload: Optional[bytes] = None,
-    ) -> None:
-        if self.journal is None:
-            return
-        if self._jstate is not None and node.node_id in self._jstate.completed:
-            return  # already journaled by the interrupted run
-        self.journal.record_node(
-            node.node_id, node.stage, node.epoch, node.group,
-            payload_kind, payload,
-        )
-        self._kill_tick()
-
-    def _kill_tick(self) -> None:
-        self._journal_writes += 1
-        if self.kill_after is not None and self._journal_writes >= self.kill_after:
-            raise SimulatedKill(
-                f"simulated kill after {self._journal_writes} journal records"
-            )
 
     # -- worker hand-off ----------------------------------------------------
 

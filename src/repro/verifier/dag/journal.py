@@ -1,38 +1,33 @@
-"""The node journal: digest-chained per-node completion records
+"""The node journal: one digest-chained record per re-executed group
 (DESIGN.md §5).
 
-A DAG-driven audit appends one record per completed node to a
-``nodes`` record stream (any :class:`repro.storage.backend.StorageBackend`),
-flushed per record so a completion that was handed back survives a
-kill of the process, and never barriered: it caches re-derivable work,
-so when a power loss shortens or damages it the answer is to
-re-execute (DESIGN.md §8).  Records are digest-chained
-exactly like checkpoints: every record carries its predecessor's digest
-and its own ``sha256(canonical_json(record sans digest))``, so
-truncation beyond the storage layer's torn-tail window, reordering, or
-in-place edits are detected on load and the resume is refused
-(``NodeJournalError``) rather than silently trusted.
+A DAG-driven audit appends a header naming its plan, then one record
+per completed ``reexec`` node carrying the pickled
+:class:`~repro.verifier.parallel.GroupDelta`, to a ``nodes`` record
+stream (any :class:`repro.storage.backend.StorageBackend`).  That is
+everything resume reads: a resumed audit replays these deltas instead of
+re-executing their groups, and re-runs the cheap deterministic stages
+(preprocess, isolation, merge, postprocess, checkpoint), which rebuild
+the verdict and the checkpoint from them.  Records are flushed per
+record, so a completion that was handed back survives a kill of the
+process, and never barriered: the journal caches re-derivable work, so
+when a power loss shortens or damages it the answer is to re-execute
+(DESIGN.md §8).
 
-Record types:
-
-* header -- the plan digest.  A journal is only replayable against the
-  exact plan that wrote it: same inputs, same spec, same node IDs.
-  Resuming with a different plan digest is refused.
-* node -- one completed node: its ID, stage, epoch, group, and (for
-  ``reexec`` nodes) the pickled :class:`~repro.verifier.parallel.GroupDelta`,
-  or (for ``checkpoint`` nodes) the encoded checkpoint.  Other stages
-  record completion without a payload: their outputs are in-memory
-  audit state that deterministic re-execution rebuilds for free, so
-  resume re-runs them and replays only the expensive reexec frontier.
-* verdict -- one epoch's finished :class:`~repro.verifier.pipeline.AuditResult`.
-  A resumed run replays recorded verdicts wholesale and skips every
-  node of a completed epoch.
+Records are digest-chained exactly like checkpoints: every record
+carries its predecessor's digest and its own
+``sha256(canonical_json(record sans digest))``, so truncation beyond the
+storage layer's torn-tail window, reordering, or in-place edits are
+detected on load (``NodeJournalError``) and the journal is discarded
+rather than trusted.  A journal is only replayable against the exact
+plan that wrote it -- same inputs, same spec, same node IDs -- which the
+header's plan digest pins.
 
 Trust model: the journal is auditor-private state, in the same class as
 the checkpoint store and the verdict cache -- the chain defends against
 corruption and tampering-in-storage, not against an adversary who can
-rewrite the auditor binary.  Payloads are pickled (auditor-written,
-auditor-read); the digest chain is verified *before* any payload is
+rewrite the auditor binary.  Deltas are pickled (auditor-written,
+auditor-read); the digest chain is verified *before* any of them is
 unpickled.
 """
 
@@ -42,7 +37,7 @@ import base64
 import hashlib
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import KarousosError
 from repro.storage.backend import StorageBackend
@@ -51,18 +46,13 @@ from repro.storage.records import RecordFormatError, canonical_json, pack_json, 
 STREAM_NAME = "nodes"
 STREAM_KIND = "nodejournal"
 RT_HEADER = 1
-RT_NODE = 2
-RT_VERDICT = 3
+RT_DELTA = 2
 
 GENESIS_DIGEST = "genesis"
 
-PAYLOAD_NONE = "none"
-PAYLOAD_DELTA = "delta"
-PAYLOAD_CHECKPOINT = "checkpoint"
-
 
 class NodeJournalError(KarousosError):
-    """A node journal is forged, damaged, or belongs to another plan."""
+    """A node journal is forged or damaged."""
 
 
 def _record_digest(doc: Dict[str, object]) -> str:
@@ -75,23 +65,13 @@ class NodeJournalState:
     """Everything a resumed run recovers from the journal."""
 
     plan_digest: str
-    # node_id -> (payload_kind, payload_bytes or None)
-    completed: Dict[str, Tuple[str, Optional[bytes]]] = field(default_factory=dict)
-    # epoch index -> the verdict document recorded at epoch completion
-    verdicts: Dict[int, Dict[str, object]] = field(default_factory=dict)
-
-    def delta_payload(self, node_id: str) -> Optional[bytes]:
-        kind, payload = self.completed.get(node_id, (PAYLOAD_NONE, None))
-        return payload if kind == PAYLOAD_DELTA else None
-
-    def checkpoint_payload(self, node_id: str) -> Optional[bytes]:
-        kind, payload = self.completed.get(node_id, (PAYLOAD_NONE, None))
-        return payload if kind == PAYLOAD_CHECKPOINT else None
+    # reexec node ID -> its pickled GroupDelta
+    deltas: Dict[str, bytes] = field(default_factory=dict)
 
 
 class NodeJournal:
-    """Append-only, digest-chained node completion log on a storage
-    backend."""
+    """Append-only, digest-chained log of re-executed groups on a
+    storage backend."""
 
     def __init__(self, backend: StorageBackend):
         self.backend = backend
@@ -102,12 +82,12 @@ class NodeJournal:
 
     def start(self, plan_digest: str) -> None:
         """Begin a fresh journal for ``plan_digest``, discarding any
-        previous stream (a non-resume run must not interleave with a
-        stale journal)."""
+        previous stream (a restarted journal must not interleave with a
+        stale one)."""
         if self.backend.exists(STREAM_NAME):
             self.backend.delete(STREAM_NAME)
         self._prev = GENESIS_DIGEST
-        self._append(RT_HEADER, {"kind": "header", "plan": plan_digest})
+        self._append(RT_HEADER, {"plan": plan_digest})
 
     def _append(self, rtype: int, doc: Dict[str, object]) -> None:
         doc["prev"] = self._prev
@@ -117,33 +97,12 @@ class NodeJournal:
         self._writer.append(rtype, pack_json(doc))
         self._prev = doc["digest"]  # type: ignore[assignment]
 
-    def record_node(
-        self,
-        node_id: str,
-        stage: str,
-        epoch: int,
-        group: Optional[str],
-        payload_kind: str = PAYLOAD_NONE,
-        payload: Optional[bytes] = None,
-    ) -> None:
-        doc: Dict[str, object] = {
-            "kind": "node",
-            "node": node_id,
-            "stage": stage,
-            "epoch": epoch,
-            "group": group,
-            "payload_kind": payload_kind,
-            "payload": (
-                base64.b64encode(payload).decode("ascii")
-                if payload is not None
-                else None
-            ),
-        }
-        self._append(RT_NODE, doc)
-
-    def record_verdict(self, epoch: int, verdict: Dict[str, object]) -> None:
-        self._append(RT_VERDICT, {"kind": "verdict", "epoch": epoch,
-                                  "verdict": verdict})
+    def record_delta(self, node_id: str, payload: bytes) -> None:
+        """Journal one completed ``reexec`` node's pickled delta."""
+        self._append(
+            RT_DELTA,
+            {"node": node_id, "delta": base64.b64encode(payload).decode("ascii")},
+        )
 
     def close(self) -> None:
         """Release the stream; no barrier (see the module docstring)."""
@@ -170,14 +129,10 @@ class NodeJournal:
         """Load and chain-verify the journal (torn tail dropped by the
         storage layer; any other inconsistency raises
         :class:`NodeJournalError`)."""
-        if not self.backend.exists(STREAM_NAME):
-            raise NodeJournalError("no node journal to resume from")
         try:
             records = self.backend.load_tolerant(STREAM_NAME, STREAM_KIND)
         except RecordFormatError as exc:  # damaged past the torn-tail window
             raise NodeJournalError(f"node journal is damaged: {exc}") from exc
-        if not records:
-            raise NodeJournalError("node journal is empty")
         state: Optional[NodeJournalState] = None
         prev = GENESIS_DIGEST
         for rtype, payload in records:
@@ -194,29 +149,23 @@ class NodeJournal:
                 if state is not None:
                     raise NodeJournalError("node journal has two headers")
                 state = NodeJournalState(plan_digest=str(doc.get("plan", "")))
-                continue
-            if state is None:
+            elif state is None:
                 raise NodeJournalError("node journal does not start with a header")
-            if rtype == RT_NODE:
-                raw = doc.get("payload")
-                blob = (
-                    base64.b64decode(str(raw).encode("ascii"))
-                    if raw is not None
-                    else None
-                )
-                state.completed[str(doc["node"])] = (
-                    str(doc.get("payload_kind", PAYLOAD_NONE)), blob
-                )
-            elif rtype == RT_VERDICT:
-                state.verdicts[int(doc["epoch"])] = dict(doc["verdict"])
+            elif rtype == RT_DELTA:
+                try:
+                    blob = base64.b64decode(str(doc["delta"]), validate=True)
+                except (KeyError, ValueError) as exc:
+                    raise NodeJournalError(f"malformed delta record: {exc}") from exc
+                state.deltas[str(doc.get("node"))] = blob
             else:
                 raise NodeJournalError(f"unknown node journal record type {rtype}")
-        assert state is not None
+        if state is None:
+            raise NodeJournalError("node journal has no header")
         self._prev = prev
         return state
 
 
-# -- payload codecs ------------------------------------------------------------
+# -- the delta codec -----------------------------------------------------------
 
 
 def encode_delta(delta: object) -> Optional[bytes]:
@@ -240,12 +189,8 @@ __all__ = [
     "NodeJournal",
     "NodeJournalError",
     "NodeJournalState",
-    "PAYLOAD_CHECKPOINT",
-    "PAYLOAD_DELTA",
-    "PAYLOAD_NONE",
+    "RT_DELTA",
     "RT_HEADER",
-    "RT_NODE",
-    "RT_VERDICT",
     "STREAM_KIND",
     "STREAM_NAME",
     "decode_delta",

@@ -5,14 +5,14 @@ audit run is compiled -- *before* any node executes -- into an explicit
 DAG of typed nodes.  The DAG is the single source of truth for what a
 run will do: the scheduler (:mod:`repro.verifier.dag.scheduler`)
 topologically executes it, the node journal
-(:mod:`repro.verifier.dag.journal`) keys completion records by node ID,
-and resume (:mod:`repro.verifier.audit`) replays completed nodes by
-looking their IDs up again.  If it is not in the plan, it cannot happen.
+(:mod:`repro.verifier.dag.journal`) keys re-execution records by node
+ID, and resume (:mod:`repro.verifier.audit`) replays them by looking
+their IDs up again.  If it is not in the plan, it cannot happen.
 
 Node types, per epoch:
 
-* ``decode``, ``preprocess``, ``isolation``, ``postprocess``,
-  ``checkpoint`` -- one each (the paper's Figure 14 stages);
+* ``preprocess``, ``isolation``, ``postprocess``, ``checkpoint`` -- one
+  each (the paper's Figure 14 stages);
 * ``dedup`` -- the canonical-order digest/fetch barrier, present only
   when deduplicated re-execution is armed (it is the node every
   dedup-cache dependency edge flows through);
@@ -29,7 +29,7 @@ digest: SHA-256 over the plan document, which embeds each epoch's digest
 the advice, determine every group's members).  Two runs over the same
 inputs compile to byte-identical plans with equal digests -- which is
 what makes a node journal written by a killed run addressable from the
-resumed one -- and a journal is refused against any other digest.  An
+resumed one -- and a journal is discarded against any other digest.  An
 epoch read from storage brings its digest along (hashed frame by frame
 as it was decoded); for one built in memory the digest re-encodes the
 whole trace and advice, so it is computed on first use, by its two
@@ -61,9 +61,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from repro.errors import KarousosError
 from repro.storage.records import canonical_json
 
-PLAN_SPEC = "repro.plan/3"
+PLAN_SPEC = "repro.plan/4"
 
-NODE_DECODE = "decode"
 NODE_PREPROCESS = "preprocess"
 NODE_ISOLATION = "isolation"
 NODE_DEDUP = "dedup"
@@ -75,7 +74,6 @@ NODE_CHECKPOINT = "checkpoint"
 # Deterministic intra-epoch ordering of node stages (the canonical
 # ready-queue order; also the verdict's stage progression).
 STAGE_ORDER = (
-    NODE_DECODE,
     NODE_PREPROCESS,
     NODE_ISOLATION,
     NODE_DEDUP,
@@ -314,11 +312,9 @@ def compile_plan(
                          epoch=index)
             )
 
-        decode = stage_node(NODE_DECODE)
         preprocess = stage_node(NODE_PREPROCESS)
         isolation = stage_node(NODE_ISOLATION)
         barrier = stage_node(NODE_DEDUP) if dedup else isolation
-        plan.edges.append((decode.node_id, preprocess.node_id))
         plan.edges.append((preprocess.node_id, isolation.node_id))
         if dedup:
             plan.edges.append((isolation.node_id, barrier.node_id))

@@ -77,7 +77,7 @@ def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
         env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     # Kill as soon as the journal holds a useful prefix: past the header
-    # and the three cheap stage records, i.e. mid-reexec.
+    # and a few group deltas, i.e. mid-reexec.
     deadline = time.monotonic() + 120
     try:
         while time.monotonic() < deadline:
@@ -97,8 +97,7 @@ def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
     assert proc.returncode == -signal.SIGKILL
 
     resumed = subprocess.run(
-        _audit_cmd(store, journal_dir, "--resume",
-                   "--metrics-out", metrics_out),
+        _audit_cmd(store, journal_dir, "--metrics-out", metrics_out),
         env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert resumed.returncode == 0, resumed.stderr
@@ -114,15 +113,15 @@ def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
     assert resumed_nodes + executed == groups, counters
     assert executed < groups, counters
 
-    # The resumed journal now carries the verdict: a third run replays
-    # the whole epoch without re-executing anything.
+    # The resumed run journaled the frontier too: a third run replays
+    # every group without re-executing any.
     replay = subprocess.run(
-        _audit_cmd(store, journal_dir, "--resume",
-                   "--metrics-out", metrics_out),
+        _audit_cmd(store, journal_dir, "--metrics-out", metrics_out),
         env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert replay.returncode == 0, replay.stderr
     counters = json.load(open(metrics_out))["counters"]
+    assert counters.get("reexec.nodes_resumed", 0) == groups
     assert counters.get("reexec.nodes_executed", 0) == 0
     assert json.loads(replay.stdout)["accepted"]
 

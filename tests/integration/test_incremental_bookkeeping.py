@@ -36,7 +36,7 @@ from repro.continuous.journal import AuditJournal
 from repro.core.ids import HandlerId, TxId
 from repro.storage import backend_for
 from repro.verifier import Auditor
-from repro.verifier.dag import NodeJournal, NodeJournalError
+from repro.verifier.dag import NodeJournal
 from repro.verifier.dag.plan import epoch_digest
 from tests.encode_oracle import encode_value
 from tests.verdict_goldens import APPS, golden, streams
@@ -272,7 +272,8 @@ def test_read_time_digest_is_the_epoch_digest(app, scheme, tmp_path):
 
 def test_resume_guard_refuses_a_journal_written_for_other_stored_inputs(tmp_path):
     """The plan digest now rests on the read-time epoch digest; it must
-    still tell two stored epochs apart."""
+    still tell two stored epochs apart: the journal replays for the same
+    epoch and is discarded for a changed one."""
     backend = backend_for("file", str(tmp_path / "epochs"))
     name = write_epoch_stored(backend, streams("wiki")["honest"][0])
     with backend.reader(name) as reader:
@@ -282,15 +283,15 @@ def test_resume_guard_refuses_a_journal_written_for_other_stored_inputs(tmp_path
     assert first.run().accepted
     assert first.plan.epochs[0].digest == epoch.content_digest
 
-    same = Auditor.for_epoch(
-        APPS["wiki"](), epoch, node_journal=NodeJournal(nodes), resume=True
-    )
-    assert same.run().accepted and same.skipped_resumed == 1
+    groups = len(epoch.advice.groups())
+    same = Auditor.for_epoch(APPS["wiki"](), epoch, node_journal=NodeJournal(nodes))
+    assert same.run().accepted
+    assert (same.resumed_nodes, same.executed_nodes) == (groups, 0)
 
     _restamp(backend, name, lambda p: p.replace(b'"rid":"r', b'"rid":"s', 1))
     with backend.reader(name) as reader:
         other = read_epoch_stream(reader)
-    with pytest.raises(NodeJournalError, match="refusing to resume"):
-        Auditor.for_epoch(
-            APPS["wiki"](), other, node_journal=NodeJournal(nodes), resume=True
-        ).run()
+    changed = Auditor.for_epoch(APPS["wiki"](), other, node_journal=NodeJournal(nodes))
+    changed.run()
+    assert changed.resumed_nodes == 0
+    assert NodeJournal(nodes).header_plan() == changed.plan.digest != first.plan.digest

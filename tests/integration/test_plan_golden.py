@@ -1,4 +1,4 @@
-"""Golden-pinned ``repro.plan/3`` documents (DESIGN.md §5).
+"""Golden-pinned ``PLAN_SPEC`` documents (DESIGN.md §5).
 
 Node-granular resume is only sound if plan compilation is
 *reproducible*: the killed run's node journal is keyed by node IDs and
@@ -8,11 +8,11 @@ machine, in every process, forever.  These goldens freeze the full plan
 document (node IDs, edges, epoch digests, plan digest) for a fixed
 workload per app, so any accidental change to epoch digesting, node-ID
 derivation, canonical ordering, or edge construction shows up as a diff
-against the committed file instead of as a mystery "refusing to resume"
-regression.
+against the committed file instead of as a resume that mysteriously
+discards its journal and re-executes everything.
 
 An *intentional* format change must bump ``PLAN_SPEC`` (old journals
-then refuse to resume -- a fresh start, never a misread) and regenerate
+are then discarded -- a fresh start, never a misread) and regenerate
 with::
 
     KAROUSOS_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
@@ -105,7 +105,7 @@ def test_plan_matches_golden(app_name):
     assert doc == golden, (
         f"plan document for {app_name} diverged from the golden; if this "
         "change is intentional, bump PLAN_SPEC (old node journals must "
-        "refuse to resume) and regenerate with KAROUSOS_REGEN_GOLDEN=1"
+        "not be replayed) and regenerate with KAROUSOS_REGEN_GOLDEN=1"
     )
 
 
@@ -121,7 +121,7 @@ def test_edges_are_exactly_the_stage_order(app_name, dedup):
     barrier, ``barrier -> every reexec -> merge``, the chain out of the
     merge -- and no edge between two groups."""
     run, plan = compile_golden_plan(app_name, dedup=dedup)
-    chain_in = ["0/decode", "0/preprocess", "0/isolation"]
+    chain_in = ["0/preprocess", "0/isolation"]
     if dedup:
         chain_in.append("0/dedup")
     chain_out = ["0/merge", "0/postprocess", "0/checkpoint"]

@@ -74,17 +74,17 @@ def test_solo_restart_equals_fault_free(app, which):
         assert [row[1] for row in want[:2]] == [True, False]  # rejects at 1
     offset = sorted(goldens.APPS).index(app)
     assert powerloss.check_solo(
-        app, which, powerloss.memory_backends, stride=5, seed=offset
+        app, which, powerloss.memory_backends, stride=3, seed=offset
     ) >= 4
 
 
 def test_solo_restart_equals_fault_free_on_files(tmp_path):
     places = powerloss.file_backends(str(tmp_path))
-    assert powerloss.check_solo("wiki", "honest", places, stride=8) >= 6
+    assert powerloss.check_solo("wiki", "honest", places, stride=4) >= 6
 
 
 def test_two_tenant_service_restart_equals_fault_free(tmp_path):
-    assert powerloss.check_service(str(tmp_path), stride=16) >= 6
+    assert powerloss.check_service(str(tmp_path), stride=8) >= 6
 
 
 # -- the net is not vacuous ------------------------------------------------------

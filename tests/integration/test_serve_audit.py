@@ -22,6 +22,7 @@ subprocess resuming every tenant at node granularity.
 import glob
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -39,7 +40,7 @@ from repro.kem.scheduler import RandomScheduler
 from repro.obs import validate_metrics_doc
 from repro.server import KarousosPolicy, run_server
 from repro.service import AuditService, TenantConfig
-from repro.storage import backend_for
+from repro.storage import FileBackend, backend_for
 from repro.store import IsolationLevel, KVStore
 from repro.workload import feed_workload, motd_workload, wiki_workload
 
@@ -381,6 +382,40 @@ class TestCorruptInput:
                      "--store-path", bad_store])
         assert code == EXIT_REJECTED
         assert "REJECT  reason=input-format" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("copy", ["epoch-1", "epoch-00"])
+    def test_copied_epoch_stream_fails_only_its_tenant(
+        self, fleets, tmp_path, copy
+    ):
+        """Epoch 0 copied under the next index, or under its own index
+        with a leading zero, is malformed input: the tenant fails as
+        ``input-format`` instead of auditing epoch 0 twice, and an honest
+        neighbour is untouched."""
+        motd = _serve("motd", motd_workload(12, mix="mixed", seed=7))
+        epochs = slice_epochs(motd.trace, motd.advice, 4)
+        bad_store = _store_epochs(tmp_path, f"copied-{copy}", epochs[:1])
+        shutil.copy(
+            os.path.join(bad_store, "epoch-0" + FileBackend.suffix),
+            os.path.join(bad_store, copy + FileBackend.suffix),
+        )
+        good_store = _store_epochs(tmp_path, f"good-{copy}", fleets["feed"])
+        service = _service_run(
+            tmp_path,
+            [
+                TenantConfig(app="motd", store=bad_store, name="bad"),
+                TenantConfig(app="feed", store=good_store, name="good"),
+            ],
+            label=f"copied-{copy}",
+            torn_limit=2,
+            poll_interval=0.001,
+        )
+        doc = service.summary()
+        bad = doc["tenants"]["bad"]
+        assert bad["accepted"] is False and bad["reason"] == "input-format"
+        assert bad["input"]["corrupt"] and bad["input"]["ingested"] <= 1
+        assert doc["tenants"]["good"]["accepted"] is True
+        got, _ = _stream_fingerprints(service, "good")
+        assert got == _solo("feed", fleets["feed"])[0]
 
     @pytest.mark.parametrize("stream,kind,payload", [
         ("checkpoints", "checkpoint", b'{"epoch":"x"}'),

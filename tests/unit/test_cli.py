@@ -1,5 +1,8 @@
 """Unit tests for the command-line interface."""
 
+import json
+import shutil
+
 import pytest
 
 from repro.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
@@ -55,6 +58,33 @@ class TestAudit:
                      "--epochs", "-1"])
         assert code == EXIT_USAGE
         assert "--epochs must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("copy", ["epoch-1", "epoch-00"])
+    def test_copied_epoch_stream_is_input_format(
+        self, served_store, capsys, copy
+    ):
+        """A stream is the epoch its name spells: epoch 0 copied under
+        the next index, or under its own index with a leading zero, is
+        malformed input, never a second audit of epoch 0."""
+        store = served_store("motd", "--requests", "12", "--seal-every", "4")
+        for extra in store.glob("epoch-*.rec"):
+            if extra.name != "epoch-0.rec":
+                extra.unlink()
+        shutil.copy(store / "epoch-0.rec", store / f"{copy}.rec")
+        capsys.readouterr()
+        code = main(["audit", "--app", "motd", "--store-path", str(store),
+                     "--format", "json"])
+        assert code == EXIT_REJECTED
+        assert json.loads(capsys.readouterr().out)["reason"] == "input-format"
+
+
+class TestServeAudit:
+    def test_unknown_tenant_app_is_usage_error(self, tmp_path, capsys):
+        code = main(["serve-audit", "--tenant", f"app=nope,store={tmp_path}",
+                     "--state-dir", str(tmp_path / "state"), "--once"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unknown tenant app 'nope'" in err and "wiki" in err
 
 
 class TestPlan:

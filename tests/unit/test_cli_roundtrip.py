@@ -107,10 +107,12 @@ class TestContinuousUsageErrors:
 
 
 class TestEngineFlags:
-    def test_resume_requires_node_journal(self, tmp_path):
-        code = main(["audit", "--app", "motd", "--store-path", str(tmp_path),
-                     "--resume"])
-        assert code == EXIT_USAGE
+    def test_resume_flag_is_gone(self, tmp_path):
+        """``--node-journal`` alone resumes; no flag asks for it."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["audit", "--app", "motd", "--store-path", str(tmp_path),
+                  "--node-journal", str(tmp_path / "nodes"), "--resume"])
+        assert exit_info.value.code == EXIT_USAGE
 
     @pytest.mark.parametrize(
         "flags", [["--parallel-mode", "thread"], ["--scheduler", "pipeline"],

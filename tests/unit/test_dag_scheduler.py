@@ -244,46 +244,56 @@ class TestScheduleIndependence:
 
 
 class TestCrashResume:
-    def _run(self, served, journal, resume=False, kill_after=None):
+    def _run(self, served, journal, kill_after=None, **options):
         auditor = Auditor(
             motd_app(), served.trace, served.advice,
-            node_journal=journal, resume=resume, kill_after=kill_after,
+            node_journal=journal, kill_after=kill_after, **options,
         )
         return auditor, auditor.run()
 
-    def test_kill_at_every_record_then_resume_is_identical(self, served):
+    def test_journal_holds_the_header_and_one_delta_per_group(self, served):
+        """Without a journal to resume from, every group executes and
+        the fresh journal holds exactly what resume reads."""
         backend = MemoryBackend()
-        full, baseline_result = self._run(served, NodeJournal(backend))
+        auditor, result = self._run(served, NodeJournal(backend))
+        assert result.accepted
+        groups = len(served.advice.groups())
+        assert (auditor.resumed_nodes, auditor.executed_nodes) == (0, groups)
+        assert len(backend.load_tolerant("nodes", "nodejournal")) == 1 + groups
+        state = NodeJournal(backend).load()
+        assert state.plan_digest == auditor.plan.digest
+        assert sorted(state.deltas) == sorted(
+            node.node_id for node in auditor.plan.nodes.values()
+            if node.stage == "reexec"
+        )
+
+    def test_kill_at_every_record_then_resume_is_identical(self, served):
+        # Singleton groups: one kill point per request, not per group.
+        backend = MemoryBackend()
+        full, baseline_result = self._run(
+            served, NodeJournal(backend), singleton_groups=True
+        )
         baseline = _fingerprint(baseline_result)
-        total_writes = full._journal_writes
-        assert total_writes > 2
-        for kill_at in range(1, total_writes + 1):
+        groups = full._journal_writes
+        assert groups == len(served.advice.tags) > 2
+        for kill_at in range(1, groups + 1):
             backend = MemoryBackend()
             with pytest.raises(SimulatedKill):
                 self._run(
-                    served, NodeJournal(backend), kill_after=kill_at
+                    served, NodeJournal(backend), kill_after=kill_at,
+                    singleton_groups=True,
                 )
             resumed, result = self._run(
-                served, NodeJournal(backend), resume=True
+                served, NodeJournal(backend), singleton_groups=True
             )
             assert _fingerprint(result) == baseline, kill_at
-            # Only the frontier re-executes: every reexec completion that
-            # made it into the journal replays instead.
-            groups = len(served.advice.groups())
-            assert resumed.resumed_nodes + resumed.executed_nodes <= groups
-            if resumed.skipped_resumed:
-                # The whole epoch verdict was journaled: nothing re-runs.
-                assert resumed.executed_nodes == 0
-
-    def test_resume_without_journal_is_refused(self, served):
-        from repro.verifier.dag import NodeJournalError
-
-        with pytest.raises(NodeJournalError, match="no node journal"):
-            self._run(served, NodeJournal(MemoryBackend()), resume=True)
+            # Every journaled delta replays; only the frontier re-executes.
+            assert resumed.resumed_nodes == kill_at
+            assert resumed.resumed_nodes + resumed.executed_nodes == groups
 
     def test_resume_against_different_inputs_is_refused(self, served):
-        from repro.verifier.dag import NodeJournalError
-
+        """A journal written over other inputs is discarded, never
+        replayed: every group re-executes and the header is rewritten."""
         backend = MemoryBackend()
         self._run(served, NodeJournal(backend))
         other = run_server(
@@ -293,32 +303,34 @@ class TestCrashResume:
             scheduler=RandomScheduler(2),
             concurrency=4,
         )
-        with pytest.raises(NodeJournalError, match="refusing to resume"):
-            Auditor(
-                motd_app(), other.trace, other.advice,
-                node_journal=NodeJournal(backend), resume=True,
-            ).run()
+        auditor = Auditor(
+            motd_app(), other.trace, other.advice,
+            node_journal=NodeJournal(backend),
+        )
+        assert auditor.run().accepted
+        groups = len(other.advice.groups())
+        assert (auditor.resumed_nodes, auditor.executed_nodes) == (0, groups)
+        state = NodeJournal(backend).load()
+        assert state.plan_digest == auditor.plan.digest
+        assert len(state.deltas) == groups
 
     def test_resumed_counters_surface_in_metrics(self, served):
         from repro.obs import MetricsRegistry
 
         backend = MemoryBackend()
-        # Kill mid-reexec: after enough records to journal some deltas.
+        # Kill mid-reexec: one delta journaled, the other group not.
         with pytest.raises(SimulatedKill):
-            self._run(served, NodeJournal(backend), kill_after=4)
+            self._run(served, NodeJournal(backend), kill_after=1)
         metrics = MetricsRegistry()
-        auditor = Auditor(
-            motd_app(), served.trace, served.advice,
-            node_journal=NodeJournal(backend), resume=True, metrics=metrics,
+        auditor, result = self._run(
+            served, NodeJournal(backend), metrics=metrics
         )
-        result = auditor.run()
         assert result.accepted
         snap = metrics.snapshot()
         counters = snap["counters"]
         assert counters.get("reexec.nodes_resumed", 0) == auditor.resumed_nodes
         assert counters.get("reexec.nodes_executed", 0) == auditor.executed_nodes
-        assert auditor.resumed_nodes > 0
-
+        assert auditor.resumed_nodes == 1 and auditor.executed_nodes > 0
 
     def test_auto_dismisses_a_foreign_journal_from_its_header_alone(
         self, served, tmp_path
@@ -341,8 +353,7 @@ class TestCrashResume:
         ).run()
         reads = MetricsRegistry()
         auditor, result = self._run(
-            served, NodeJournal(FileBackend(str(tmp_path), metrics=reads)),
-            resume="auto",
+            served, NodeJournal(FileBackend(str(tmp_path), metrics=reads))
         )
         assert result.accepted and auditor.resumed_nodes == 0
         assert reads.snapshot()["counters"]["storage.file.records_read"] == 1
@@ -354,33 +365,89 @@ class TestCrashResume:
         from repro.storage import FileBackend
 
         groups = len(served.advice.groups())
-        # header + decode/preprocess/isolation + every reexec delta
+        # killed right after the last delta
         with pytest.raises(SimulatedKill):
             self._run(
                 served, NodeJournal(FileBackend(str(tmp_path))),
-                kill_after=3 + groups,
+                kill_after=groups,
             )
         reads = MetricsRegistry()
         auditor, result = self._run(
-            served, NodeJournal(FileBackend(str(tmp_path), metrics=reads)),
-            resume="auto",
+            served, NodeJournal(FileBackend(str(tmp_path), metrics=reads))
         )
         assert result.accepted
         assert (auditor.resumed_nodes, auditor.executed_nodes) == (groups, 0)
-        # the header peek, then the whole chain: header + 3 + groups records
+        # the header peek, then the whole chain: header + one delta a group
         assert reads.snapshot()["counters"]["storage.file.records_read"] == (
-            1 + 1 + 3 + groups
+            1 + 1 + groups
         )
 
     def test_auto_discards_a_damaged_journal_of_the_same_plan(self, served):
         backend = MemoryBackend()
         with pytest.raises(SimulatedKill):
-            self._run(served, NodeJournal(backend), kill_after=5)
+            self._run(
+                served, NodeJournal(backend),
+                kill_after=len(served.advice.groups()),
+            )
         raw = backend.raw("nodes")
         # Corrupt a mid-stream record body, keep the header record whole.
         raw[len(raw) // 2] ^= 0xFF
-        auditor, result = self._run(served, NodeJournal(backend), resume="auto")
+        auditor, result = self._run(served, NodeJournal(backend))
         assert result.accepted and auditor.resumed_nodes == 0
+
+    def test_kill_before_verified_rederives_the_checkpoint(self, monkeypatch):
+        """A durable continuous audit killed after epoch 1's last delta,
+        before ``verified 1`` commits: the restart replays every delta
+        and re-derives checkpoint 1 with the uninterrupted run's digest."""
+        from repro.continuous import (
+            AuditJournal,
+            CheckpointStore,
+            ContinuousAuditor,
+        )
+        from repro.obs import MetricsRegistry
+
+        epochs = vg.streams("wiki")["honest"][:2]
+        want = [
+            v.checkpoint_digest
+            for v in ContinuousAuditor(vg.APPS["wiki"]()).run(epochs)
+        ]
+        state, nodes = MemoryBackend(), MemoryBackend()
+
+        def durable(metrics=None):
+            return ContinuousAuditor(
+                vg.APPS["wiki"](),
+                checkpoints=CheckpointStore(backend=state),
+                journal=AuditJournal(backend=state),
+                node_journal=NodeJournal(nodes),
+                metrics=metrics,
+            )
+
+        commit = ContinuousAuditor._commit
+
+        def killed(self, epoch, result, checkpoint):
+            if epoch.index == 1:
+                raise SimulatedKill("killed before verified 1")
+            return commit(self, epoch, result, checkpoint)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ContinuousAuditor, "_commit", killed)
+            first = durable()
+            with pytest.raises(SimulatedKill):
+                first.run(epochs)
+            first.checkpoints.close()
+            first.journal.close()
+        groups = len(epochs[1].advice.groups())
+        assert len(NodeJournal(nodes).load().deltas) == groups
+
+        metrics = MetricsRegistry()
+        resumed = durable(metrics)
+        verdicts = resumed.run(epochs)
+        assert resumed.skipped_resumed == 1
+        assert [v.checkpoint_digest for v in verdicts] == want[1:]
+        assert resumed.checkpoints.get(1).digest == want[1]
+        counters = metrics.snapshot()["counters"]
+        assert counters["reexec.nodes_resumed"] == groups
+        assert counters.get("reexec.nodes_executed", 0) == 0
 
 
 class TestJournalPayloads:
@@ -418,16 +485,15 @@ class TestJournalPayloads:
         assert result.accepted
         assert encodes == {"delta": 0, "checkpoint": 0}
 
-    def test_journal_records_every_delta_and_the_checkpoint(self, served, encodes):
+    def test_journal_records_every_delta_and_nothing_else(self, served, encodes):
+        """The checkpoint store holds the checkpoint; the journal does
+        not copy it."""
         backend = MemoryBackend()
         auditor = Auditor(
             motd_app(), served.trace, served.advice, checkpoint_index=0,
             node_journal=NodeJournal(backend),
         )
-        assert auditor.run().accepted
+        assert auditor.run().accepted and auditor.checkpoint is not None
         groups = len(served.advice.groups())
-        assert encodes == {"delta": groups, "checkpoint": 1}
-        state = NodeJournal(backend).load()
-        kinds = [kind for kind, _ in state.completed.values()]
-        assert kinds.count("delta") == groups
-        assert kinds.count("checkpoint") == 1
+        assert encodes == {"delta": groups, "checkpoint": 0}
+        assert len(NodeJournal(backend).load().deltas) == groups

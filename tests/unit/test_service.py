@@ -47,6 +47,7 @@ def test_parse_tenant_spec_full():
     "store=/tmp/w",                  # missing app
     "app=wiki,store=/tmp/w,bogus=1",  # unknown field
     "app=wiki,store=/tmp/w,quota",   # not key=value
+    "app=nope,store=/tmp/w",         # not an app of repro.apps
 ])
 def test_parse_tenant_spec_rejects(spec):
     with pytest.raises(ValueError):
@@ -191,7 +192,7 @@ def test_epoch_source_corrupt_after_torn_limit(tmp_path):
 
 
 class _FakeNode:
-    def __init__(self, node_id, stage="decode"):
+    def __init__(self, node_id, stage="preprocess"):
         self.node_id = node_id
         self.stage = stage
 
@@ -257,7 +258,7 @@ def test_plan_job_abort_clears_ready():
 # -- the shared pool ----------------------------------------------------------
 
 
-def _chain(prefix, count, stage="decode"):
+def _chain(prefix, count, stage="preprocess"):
     nodes = [_FakeNode(f"{prefix}{i}", stage=stage) for i in range(count)]
     edges = [(nodes[i].node_id, nodes[i + 1].node_id)
              for i in range(count - 1)]

@@ -253,11 +253,10 @@ def test_durability_protocol_barriers(tmp_path, fsyncs):
     nodes = NodeJournal(backend)
     nodes.start("plan-digest")
     for n in range(5):
-        nodes.record_node(f"0/reexec/{n}", "reexec", 0, str(n), "delta", b"x")
-    nodes.record_verdict(0, {"accepted": True})
+        nodes.record_delta(f"0/reexec/{n}", b"x")
     nodes.close()
     assert fsyncs == []  # re-derivable: flushed per record, never barriered
-    assert len(NodeJournal(backend).load().completed) == 5
+    assert len(NodeJournal(backend).load().deltas) == 5
 
 
 @pytest.mark.parametrize("scheme", ["file", "gzip"])
