@@ -33,6 +33,7 @@ from repro.store import IsolationLevel, KVStore
 from repro.storage import backend_for
 from repro.trace.codec import read_trace, write_trace
 from repro.verifier import Auditor
+from repro.verifier.dag.plan import PLAN_SPEC
 from repro.workload import workload_for
 
 EXIT_OK = 0
@@ -195,8 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--dedup", action="store_true",
                       help="plan with the dedup barrier armed")
     plan.add_argument("--format", default="text", choices=["text", "json"],
-                      help="human text (default) or the repro.plan/3 JSON "
-                      "document on stdout")
+                      help=f"human text (default) or one {PLAN_SPEC} JSON "
+                      "document per epoch, one per line, on stdout")
 
     cache = sub.add_parser(
         "cache", help="inspect or manage a persisted verdict cache"
@@ -521,11 +522,7 @@ def _explain_report(args, result, explain_ctx=None, epoch=None):
     from repro.verifier.explain import explain_rejection, report_from_result
 
     if explain_ctx is not None:
-        app, trace, advice = explain_ctx()
-        report = explain_rejection(app, trace, advice, epoch=epoch)
-        if report is not None:
-            return report
-        return report_from_result(result, advice, epoch=epoch)
+        return explain_rejection(*explain_ctx(), result, epoch=epoch)
     return report_from_result(result, epoch=epoch)
 
 
@@ -686,9 +683,10 @@ def _cmd_plan(args) -> int:
     from repro.continuous.codec import list_epoch_streams
     from repro.verifier.dag import compile_plan, format_plan_text, single_epoch, validate_plan
 
+    # One plan per epoch, exactly the plans `audit` compiles and journals.
     backend = _store_backend(args)
     if not args.epochs and list_epoch_streams(backend):
-        epochs = list(iter_epochs_stored(backend))
+        epochs = iter_epochs_stored(backend)
     else:
         pair = _stored_pair(args, backend)
         if pair is None:
@@ -698,16 +696,14 @@ def _cmd_plan(args) -> int:
             if args.epochs
             else [single_epoch(0, *pair)]
         )
-    plan = compile_plan(
-        args.app, epochs,
-        singleton_groups=args.singleton_groups,
-        dedup=args.dedup,
-    )
-    validate_plan(plan)
-    if args.format == "json":
-        print(plan.to_json())
-    else:
-        print(format_plan_text(plan))
+    for epoch in epochs:
+        plan = compile_plan(
+            args.app, epoch,
+            singleton_groups=args.singleton_groups,
+            dedup=args.dedup,
+        )
+        validate_plan(plan)
+        print(plan.to_json() if args.format == "json" else format_plan_text(plan))
     return EXIT_OK
 
 

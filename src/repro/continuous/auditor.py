@@ -12,13 +12,22 @@ sink, so verification overlaps serving -- and audits each on its own
 * a rejected epoch stops the stream: later epochs are not audited (their
   initial state is unverifiable) and report ``predecessor-rejected``.
 
-The pending queue is bounded (``max_pending``): submitting past the bound
-audits the oldest epoch synchronously first, which is the backpressure
-that keeps a continuous audit's memory footprint O(epoch) instead of
-O(trace).  Progress survives crashes via the journal + checkpoint store:
-a new auditor over the same stores resumes after the last verified epoch,
-after re-verifying the stored checkpoint chain (a tampered store is
-refused as ``checkpoint-chain-forged``).
+Every sealed epoch takes one path from queue to verdict: :meth:`offer`
+enqueues it, :meth:`start_job` runs the checks that precede re-execution
+and prepares its plan, something executes the plan, and
+:meth:`finish_job` commits the verdict.  The solo driver
+(:meth:`submit` / :meth:`step`) executes the plan on the epoch's own
+ready-queue loop; the fleet service (:mod:`repro.service`) executes it
+in its shared pool.
+
+The pending queue is bounded (``max_pending``): :meth:`offer` refuses an
+epoch past the bound, and :meth:`submit` then audits the oldest pending
+epochs first, which is the backpressure that keeps a continuous audit's
+memory footprint O(epoch) instead of O(trace).  Progress survives
+crashes via the journal + checkpoint store: a new auditor over the same
+stores resumes after the last verified epoch, after re-verifying the
+stored checkpoint chain (a tampered store is refused as
+``checkpoint-chain-forged``).
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Union
+from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.continuous.checkpoint import (
     Checkpoint,
@@ -163,36 +172,74 @@ class ContinuousAuditor:
     def first_rejection(self) -> Optional[EpochVerdict]:
         return self._failed
 
-    def submit(self, epoch: Epoch) -> None:
-        """Enqueue a sealed epoch; audits the oldest pending epoch first
-        when the queue is full (backpressure)."""
+    def offer(self, epoch: Epoch) -> bool:
+        """Enqueue a sealed epoch; False (a backpressure event) when the
+        pending queue is full.  An epoch a previous run verified (journal
+        and chain agree) is accepted and skipped."""
         if self._t0 is None:
             self._t0 = time.perf_counter()
         if epoch.index < self._next_index and epoch.index not in self.verdicts:
-            # Already verified in a previous run (journal + chain agree).
             self.skipped_resumed += 1
-            return
+            return True
+        if len(self._queue) >= self.max_pending:
+            self.backpressure_events += 1
+            return False
         self.journal.record("sealed", epoch.index, requests=epoch.request_count)
         self._queue.append(epoch)
-        while len(self._queue) > self.max_pending:
-            self.backpressure_events += 1
-            self.step()
         self.peak_pending = max(self.peak_pending, len(self._queue))
+        return True
+
+    @property
+    def queue_room(self) -> int:
+        return max(0, self.max_pending - len(self._queue))
+
+    def submit(self, epoch: Epoch) -> None:
+        """Enqueue a sealed epoch, auditing the oldest pending epochs
+        first while the queue is full (backpressure)."""
+        while not self.offer(epoch):
+            self.step()
 
     def step(self) -> Optional[EpochVerdict]:
-        """Audit the oldest pending epoch; None if the queue is empty."""
+        """Audit pending epochs up to and including the next one that
+        re-executes, on this auditor's own loop; returns the last verdict
+        recorded, None if the queue was empty."""
         if not self._queue:
             return None
-        epoch = self._queue.popleft()
-        verdict = self._audit_epoch(epoch)
+        last = self._queue[-1].index
+        job = self.start_job()
+        if job is None:  # every pending epoch was decided without a plan
+            return self.verdicts[last]
+        epoch, auditor, nodes, edges = job
+        auditor.run_prepared(nodes, edges)
+        return self.finish_job(epoch, auditor)
+
+    def start_job(self) -> Optional[Tuple[Epoch, Auditor, list, list]]:
+        """Pop queued epochs until one needs re-execution; short-circuit
+        verdicts (chain forged, predecessor rejected, missing
+        checkpoint) are recorded inline.  Returns ``(epoch, auditor,
+        nodes, edges)`` -- the epoch's engine with its plan prepared, for
+        :meth:`step` or the fleet's shared pool to execute -- or None
+        when the queue is drained."""
+        while self._queue:
+            epoch = self._queue.popleft()
+            verdict, parent = self._preflight(epoch)
+            if verdict is not None:
+                self._account_verdict(epoch, verdict)
+                continue
+            auditor = self._build_auditor(epoch, parent)
+            nodes, edges = auditor.prepare()
+            return epoch, auditor, nodes, edges
+        return None
+
+    def finish_job(self, epoch: Epoch, auditor: Auditor) -> EpochVerdict:
+        """Commit an executed epoch: journal the verdict, extend the
+        checkpoint chain, account the stream metrics."""
+        verdict = self._commit(epoch, auditor.collect(), auditor.checkpoint)
         self._account_verdict(epoch, verdict)
         return verdict
 
     def _account_verdict(self, epoch: Epoch, verdict: EpochVerdict) -> None:
-        """Account a finished epoch: verdict table plus stream metrics.
-        Split from :meth:`step` so drivers that audit epochs outside the
-        pending queue (the fleet service's shared pool) account the same
-        way."""
+        """Account a finished epoch: verdict table plus stream metrics."""
         self.verdicts[epoch.index] = verdict
         if self.first_verdict_seconds is None and self._t0 is not None:
             self.first_verdict_seconds = time.perf_counter() - self._t0
@@ -228,13 +275,6 @@ class ContinuousAuditor:
         return self.drain()
 
     # -- one epoch ----------------------------------------------------------
-
-    def _audit_epoch(self, epoch: Epoch) -> EpochVerdict:
-        verdict, parent = self._preflight(epoch)
-        if verdict is not None:
-            return verdict
-        auditor = self._build_auditor(epoch, parent)
-        return self._commit(epoch, auditor.run(), auditor.checkpoint)
 
     def _preflight(
         self, epoch: Epoch

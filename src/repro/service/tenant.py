@@ -12,33 +12,30 @@ each tenant:
   stream is classified corrupt, so batch mode can reject the tenant
   instead of waiting forever);
 * a :class:`TenantStream` -- a :class:`~repro.continuous.ContinuousAuditor`
-  whose per-epoch plans are executed by the *shared* pool instead of
-  each by a loop of its own.  Everything that defines the
-  continuous-audit semantics is inherited unchanged: the bounded
-  pending queue, the sealed/verified/rejected journal, checkpoint
-  chaining, crash resume (journal + chain verification), and the
-  rejection cascade.  Per-tenant verdicts are therefore byte-identical
-  to a solo run of the same epoch stream, whatever the other tenants do.
+  wired to the tenant's state directory.  The service drives it through
+  the auditor's own stream hooks (``queue_room``, ``offer``,
+  ``start_job``, ``finish_job``) and executes each prepared plan in the
+  *shared* pool instead of on a loop of its own.  Queue, journal,
+  checkpoint chaining, crash resume and the rejection cascade are the
+  solo driver's code, so per-tenant verdicts are byte-identical to a
+  solo run of the same epoch stream, whatever the other tenants do.
 
-Backpressure: :meth:`TenantStream.offer` *refuses* an epoch when the
-pending queue is full (recorded as a backpressure event) instead of
-auditing synchronously like the solo driver -- the service must never
-block its scheduling loop on one tenant.  The source's watermark only
-moves past an epoch once it is enqueued, and the resume watermark
-(``_next_index``) only advances on ACCEPT, exactly like the solo
-driver.
+Backpressure: the service never calls the solo ``submit``, which would
+audit synchronously and block its scheduling loop on one tenant; it
+pulls from a tenant's source only as far as ``queue_room`` allows.  The
+source's watermark only moves past an epoch once it is enqueued, and
+the resume watermark (``_next_index``) only advances on ACCEPT.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.apps import APP_NAMES
-from repro.continuous.auditor import ContinuousAuditor, EpochVerdict
+from repro.continuous.auditor import ContinuousAuditor
 from repro.continuous.checkpoint import CheckpointError, CheckpointStore
 from repro.continuous.codec import (
     epoch_stream_name,
@@ -50,7 +47,6 @@ from repro.continuous.journal import AuditJournal
 from repro.errors import AdviceFormatError, KarousosError
 from repro.storage.backend import StorageBackend, backend_for
 from repro.storage.records import RecordFormatError
-from repro.verifier.audit import Auditor
 from repro.verifier.dag.journal import NodeJournal
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -195,7 +191,8 @@ class EpochSource:
 
 
 class TenantStream(ContinuousAuditor):
-    """A tenant's continuous audit, driven by the shared pool.
+    """A tenant's continuous audit: a :class:`ContinuousAuditor` over the
+    tenant's state directory, whose stream hooks the shared pool drives.
 
     State layout under ``state_dir``: ``audit/`` holds the checkpoint
     and audit-journal record streams (the same shape a solo
@@ -244,57 +241,6 @@ class TenantStream(ContinuousAuditor):
             dedup=dedup,
             node_journal=node_journal,
         )
-
-    # -- ingestion ---------------------------------------------------------
-
-    def offer(self, epoch: Epoch) -> bool:
-        """Enqueue a sealed epoch; False (backpressure) when the pending
-        queue is full.  Unlike the solo driver's :meth:`submit`, a full
-        queue never audits synchronously -- the caller must stop pulling
-        from the source until the pool drains the queue."""
-        if self._t0 is None:
-            self._t0 = time.perf_counter()
-        if epoch.index < self._next_index and epoch.index not in self.verdicts:
-            self.skipped_resumed += 1
-            return True
-        if len(self._queue) >= self.max_pending:
-            self.backpressure_events += 1
-            return False
-        self.journal.record("sealed", epoch.index, requests=epoch.request_count)
-        self._queue.append(epoch)
-        self.peak_pending = max(self.peak_pending, len(self._queue))
-        return True
-
-    @property
-    def queue_room(self) -> int:
-        return max(0, self.max_pending - len(self._queue))
-
-    # -- pool integration --------------------------------------------------
-
-    def start_job(self) -> Optional[Tuple[Epoch, Auditor, list, list]]:
-        """Pop queued epochs until one needs re-execution; short-circuit
-        verdicts (chain forged, predecessor rejected, missing
-        checkpoint) are recorded inline.  Returns ``(epoch, auditor,
-        nodes, edges)`` for the pool, or None when the queue is
-        drained."""
-        while self._queue:
-            epoch = self._queue.popleft()
-            verdict, parent = self._preflight(epoch)
-            if verdict is not None:
-                self._account_verdict(epoch, verdict)
-                continue
-            auditor = self._build_auditor(epoch, parent)
-            nodes, edges = auditor.prepare()
-            return epoch, auditor, nodes, edges
-        return None
-
-    def finish_job(self, epoch: Epoch, auditor: Auditor) -> EpochVerdict:
-        """Commit a pool-completed epoch exactly like the solo driver:
-        journal the verdict, extend the checkpoint chain, account the
-        stream metrics."""
-        verdict = self._commit(epoch, auditor.collect(), auditor.checkpoint)
-        self._account_verdict(epoch, verdict)
-        return verdict
 
     def close(self) -> None:
         self.checkpoints.close()

@@ -9,8 +9,9 @@ rejection, never a crash.
 :class:`Auditor` is the one engine every audit runs on.  It compiles the
 epoch to an explicit :class:`~repro.verifier.dag.plan.AuditPlan`,
 pre-flight-validates it, and executes it through the ready-queue loop of
-:mod:`repro.verifier.dag.scheduler` -- by itself (:meth:`Auditor.run`),
-or as one of many plans in the fleet service's shared pool
+:mod:`repro.verifier.dag.scheduler` -- by itself (:meth:`Auditor.run`,
+or :meth:`Auditor.run_prepared` after :meth:`Auditor.prepare`), or as
+one of many plans in the fleet service's shared pool
 (:meth:`Auditor.prepare` / the runner protocol / :meth:`Auditor.collect`).
 Per-node work:
 
@@ -313,7 +314,13 @@ class Auditor:
     # -- entry points ------------------------------------------------------
 
     def run(self) -> AuditResult:
-        nodes, edges = self.prepare()
+        return self.run_prepared(*self.prepare())
+
+    def run_prepared(
+        self, nodes: List[PlanNode], edges: List[Tuple[str, str]]
+    ) -> AuditResult:
+        """Execute :meth:`prepare`'s nodes on this engine's own
+        ready-queue loop, then :meth:`collect`."""
         loop = Scheduler(
             self.scheduler, jobs=self.parallelism, order_key=self.order_key
         )
@@ -334,7 +341,7 @@ class Auditor:
         try:
             plan = compile_plan(
                 self.app.name,
-                [self._epoch_like],
+                self._epoch_like,
                 singleton_groups=self.singleton_groups,
                 dedup=self.dedup is not None,
             )
@@ -429,7 +436,7 @@ class Auditor:
         if self._worker_payload is None:
             return None
         key, blob = self._worker_payload
-        args = (key, blob, node.group, list(node.rids), self.metrics.enabled)
+        args = (key, blob, node.group, list(node.rids))
         return run_group_in_worker, args
 
     def on_worker_failure(self, node: PlanNode):
@@ -516,9 +523,7 @@ class Auditor:
             return ("cached", self._hits[node.group])
         return (
             "executed",
-            execute_group(
-                self.state, node.group, list(node.rids), self.metrics.enabled
-            ),
+            execute_group(self.state, node.group, list(node.rids)),
         )
 
     def _dispatch_merge(self) -> None:
@@ -530,7 +535,7 @@ class Auditor:
         try:
             for tag in sorted(self._groups):
                 delta = self._deltas[tag]
-                merge_delta(self.re_exec, delta, self.metrics)
+                merge_delta(self.re_exec, delta)
                 if (
                     self.dedup is not None
                     and tag in self._fresh

@@ -1,15 +1,15 @@
-"""The audit plan compiler: one run, one explicit DAG (DESIGN.md §5).
+"""The audit plan compiler: one epoch, one explicit DAG (DESIGN.md §5).
 
 Following the ELSPETH execution-graph contract (SNIPPETS.md §3), every
-audit run is compiled -- *before* any node executes -- into an explicit
-DAG of typed nodes.  The DAG is the single source of truth for what a
-run will do: the scheduler (:mod:`repro.verifier.dag.scheduler`)
-topologically executes it, the node journal
-(:mod:`repro.verifier.dag.journal`) keys re-execution records by node
-ID, and resume (:mod:`repro.verifier.audit`) replays them by looking
-their IDs up again.  If it is not in the plan, it cannot happen.
+epoch an audit verifies is compiled -- *before* any node executes --
+into an explicit DAG of typed nodes.  The DAG is the single source of
+truth for what a run will do: the scheduler
+(:mod:`repro.verifier.dag.scheduler`) topologically executes it, the
+node journal (:mod:`repro.verifier.dag.journal`) keys re-execution
+records by node ID, and resume (:mod:`repro.verifier.audit`) replays
+them by looking their IDs up again.  If it is not in the plan, it cannot happen.
 
-Node types, per epoch:
+Node types:
 
 * ``preprocess``, ``isolation``, ``postprocess``, ``checkpoint`` -- one
   each (the paper's Figure 14 stages);
@@ -24,7 +24,7 @@ Node types, per epoch:
 Node IDs are structural -- ``<epoch>/<stage>`` or
 ``<epoch>/reexec/<group tag>`` -- so naming a node costs nothing and a
 journal record reads as what it is.  What pins *content* is the plan
-digest: SHA-256 over the plan document, which embeds each epoch's digest
+digest: SHA-256 over the plan document, which embeds the epoch's digest
 (the exact trace + advice frames at rest) and the compile options (which, with
 the advice, determine every group's members).  Two runs over the same
 inputs compile to byte-identical plans with equal digests -- which is
@@ -36,27 +36,26 @@ whole trace and advice, so it is computed on first use, by its two
 consumers: the node journal's resume guard and the printed plan
 document (``repro plan``).
 
-Edges encode stage order -- per epoch, ``barrier -> every reexec ->
-merge``, the barrier being ``isolation`` or, when armed, the ``dedup``
-node every dedup-cache dependency flows through -- and the carry-in
-chain (``checkpoint(k-1) -> preprocess(k)``).  Nothing orders the groups
-of an epoch against each other: the merge replays their journals in
-canonical order whatever the schedule was.
+Edges encode stage order only: ``barrier -> every reexec -> merge``,
+the barrier being ``isolation`` or, when armed, the ``dedup`` node every
+dedup-cache dependency flows through.  Nothing orders the groups against
+each other: the merge replays their journals in canonical order whatever
+the schedule was.  Nothing crosses an epoch either: the carry-in state
+an epoch starts from is its caller's checkpoint, handed over before the
+plan runs.
 
 :func:`validate_plan` is the pre-flight gate: spec-version match,
-edge-endpoint existence, acyclicity, reachability of every node to the
-terminal checkpoint, carry-in completeness (contiguous epochs, each
-chained to its predecessor), exactly-once group and member coverage, and
-node IDs naming what their nodes hold.
+edge-endpoint existence, acyclicity, every node feeding the checkpoint,
+exactly-once group and member coverage, and node IDs naming what their
+nodes hold.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import KarousosError
 from repro.storage.records import canonical_json
@@ -71,8 +70,8 @@ NODE_MERGE = "merge"
 NODE_POSTPROCESS = "postprocess"
 NODE_CHECKPOINT = "checkpoint"
 
-# Deterministic intra-epoch ordering of node stages (the canonical
-# ready-queue order; also the verdict's stage progression).
+# Deterministic ordering of node stages (the canonical ready-queue
+# order; also the verdict's stage progression).
 STAGE_ORDER = (
     NODE_PREPROCESS,
     NODE_ISOLATION,
@@ -141,9 +140,10 @@ class PlanNode(NamedTuple):
         return PIPELINE_STAGE.get(self.stage, self.stage)
 
     @property
-    def rank(self) -> Tuple[int, int]:
-        """``(epoch, stage)``: every edge must advance it."""
-        return (self.epoch, _STAGE_RANK.get(self.stage, -1))
+    def rank(self) -> int:
+        """The stage's place in :data:`STAGE_ORDER`: every edge must
+        advance it."""
+        return _STAGE_RANK.get(self.stage, -1)
 
     def __repr__(self) -> str:
         group = f" group={self.group}" if self.group is not None else ""
@@ -154,7 +154,7 @@ class PlanNode(NamedTuple):
 
 @dataclass
 class EpochPlanMeta:
-    """Per-epoch summary carried by the plan document.  ``requests`` and
+    """The epoch summary carried by the plan document.  ``requests`` and
     ``digest`` walk the whole trace, so they are computed when a document
     or the journal's resume guard asks.  ``content_digest`` is the
     epoch-like's own, taken where its stored frames were read; an epoch
@@ -177,32 +177,25 @@ class EpochPlanMeta:
 
 @dataclass
 class AuditPlan:
-    """The compiled DAG for one audit run."""
+    """The compiled DAG for one epoch."""
 
     spec: str
     app: str
     options: Dict[str, object]
-    epochs: List[EpochPlanMeta]
+    epoch: EpochPlanMeta
     nodes: Dict[str, PlanNode]
-    # Canonical order: (epoch, stage rank, group tag).  This is the
+    # Canonical order: (stage rank, group tag).  This is the
     # deterministic ready-queue tiebreak and the serial execution order.
     node_order: List[str] = field(default_factory=list)
     edges: List[Tuple[str, str]] = field(default_factory=list)
 
     @functools.cached_property
     def digest(self) -> str:
-        """SHA-256 over the plan document (epoch digests included)."""
+        """SHA-256 over the plan document (epoch digest included)."""
         return _sha256(canonical_json(self.to_doc(with_digest=False)))
 
     def ordered_nodes(self) -> List[PlanNode]:
         return [self.nodes[nid] for nid in self.node_order]
-
-    def nodes_by_epoch(self) -> Dict[int, List[PlanNode]]:
-        """Canonical-order node lists per epoch, in one pass."""
-        out: Dict[int, List[PlanNode]] = {}
-        for node in self.ordered_nodes():
-            out.setdefault(node.epoch, []).append(node)
-        return out
 
     def node(self, epoch: int, stage: str, group: Optional[str] = None
              ) -> Optional[PlanNode]:
@@ -211,18 +204,20 @@ class AuditPlan:
     # -- serialization (the PLAN_SPEC document) -------------------------
 
     def to_doc(self, with_digest: bool = True) -> Dict[str, object]:
+        # ``epochs`` stays a (one-element) list: the document is
+        # ``repro.plan/4``'s, whose digests node journals on disk name.
+        meta = self.epoch
         doc: Dict[str, object] = {
             "spec": self.spec,
             "app": self.app,
             "options": self.options,
             "epochs": [
                 {
-                    "index": e.index,
-                    "digest": e.digest,
-                    "requests": e.requests,
-                    "groups": e.groups,
+                    "index": meta.index,
+                    "digest": meta.digest,
+                    "requests": meta.requests,
+                    "groups": meta.groups,
                 }
-                for e in self.epochs
             ],
             "nodes": [
                 {
@@ -241,7 +236,8 @@ class AuditPlan:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2, sort_keys=True)
+        """The document as one line of canonical JSON."""
+        return canonical_json(self.to_doc())
 
 
 def epoch_groups(advice: object, singleton_groups: bool) -> Dict[str, List[str]]:
@@ -254,20 +250,23 @@ def epoch_groups(advice: object, singleton_groups: bool) -> Dict[str, List[str]]
 
 def compile_plan(
     app: str,
-    epochs: Sequence[object],
+    epoch: object,
     *,
     singleton_groups: bool = False,
     dedup: bool = False,
 ) -> AuditPlan:
-    """Compile an audit request into an :class:`AuditPlan`.
+    """Compile one epoch's audit into an :class:`AuditPlan`.
 
-    ``epochs`` is a sequence of epoch-like objects (``.index``,
-    ``.trace``, ``.advice``, optionally ``.content_digest``) -- a
-    single-epoch list for a plain audit, a sealed sequence for a
-    continuous one.
+    ``epoch`` is epoch-like: ``.index``, ``.trace``, ``.advice`` and
+    optionally ``.content_digest`` -- a :class:`SingleEpoch` for a plain
+    audit, a sealed :class:`~repro.continuous.epoch.Epoch` for one of a
+    continuous audit's epochs.
     """
-    if not epochs:
-        raise PlanError("cannot compile a plan over zero epochs")
+    index = int(epoch.index)
+    advice = epoch.advice
+    if advice is None:
+        raise PlanError(f"epoch {index} carries no advice")
+    groups = epoch_groups(advice, singleton_groups)
     plan = AuditPlan(
         spec=PLAN_SPEC,
         app=app,
@@ -275,77 +274,43 @@ def compile_plan(
             "singleton_groups": bool(singleton_groups),
             "dedup": bool(dedup),
         },
-        epochs=[],
+        epoch=EpochPlanMeta(
+            index=index,
+            groups=len(groups),
+            trace=epoch.trace,
+            advice=advice,
+            content_digest=getattr(epoch, "content_digest", None),
+        ),
         nodes={},
     )
 
-    def add_node(node: PlanNode) -> PlanNode:
-        if node.node_id in plan.nodes:
-            raise PlanError(
-                f"duplicate node id {node.node_id!r} "
-                f"({node.stage}, epoch {node.epoch})"
-            )
-        plan.nodes[node.node_id] = node
-        plan.node_order.append(node.node_id)
-        return node
-
-    prev_checkpoint: Optional[PlanNode] = None
-    for epoch in epochs:
-        index = int(epoch.index)
-        advice = epoch.advice
-        if advice is None:
-            raise PlanError(f"epoch {index} carries no advice")
-        groups = epoch_groups(advice, singleton_groups)
-        plan.epochs.append(
-            EpochPlanMeta(
-                index=index,
-                groups=len(groups),
-                trace=epoch.trace,
-                advice=advice,
-                content_digest=getattr(epoch, "content_digest", None),
-            )
+    def add_node(stage: str, tag: Optional[str] = None) -> str:
+        nid = node_id(index, stage, tag)
+        plan.nodes[nid] = PlanNode(
+            node_id=nid, stage=stage, epoch=index, group=tag,
+            rids=tuple(groups[tag]) if tag is not None else (),
         )
+        plan.node_order.append(nid)
+        return nid
 
-        def stage_node(stage: str) -> PlanNode:
-            return add_node(
-                PlanNode(node_id=node_id(index, stage), stage=stage,
-                         epoch=index)
-            )
-
-        preprocess = stage_node(NODE_PREPROCESS)
-        isolation = stage_node(NODE_ISOLATION)
-        barrier = stage_node(NODE_DEDUP) if dedup else isolation
-        plan.edges.append((preprocess.node_id, isolation.node_id))
-        if dedup:
-            plan.edges.append((isolation.node_id, barrier.node_id))
-        if prev_checkpoint is not None:
-            # The carry-in chain: epoch k's preprocess consumes the
-            # state checkpoint k-1 proved.
-            plan.edges.append((prev_checkpoint.node_id, preprocess.node_id))
-
-        reexec_nodes = [
-            add_node(
-                PlanNode(
-                    node_id=node_id(index, NODE_REEXEC, tag),
-                    stage=NODE_REEXEC,
-                    epoch=index,
-                    group=tag,
-                    rids=tuple(groups[tag]),
-                )
-            )
-            for tag in sorted(groups)
-        ]
-        merge = stage_node(NODE_MERGE)
-        postprocess = stage_node(NODE_POSTPROCESS)
-        checkpoint = stage_node(NODE_CHECKPOINT)
-        for node in reexec_nodes:
-            plan.edges.append((barrier.node_id, node.node_id))
-            plan.edges.append((node.node_id, merge.node_id))
-        if not reexec_nodes:
-            plan.edges.append((barrier.node_id, merge.node_id))
-        plan.edges.append((merge.node_id, postprocess.node_id))
-        plan.edges.append((postprocess.node_id, checkpoint.node_id))
-        prev_checkpoint = checkpoint
+    preprocess = add_node(NODE_PREPROCESS)
+    isolation = add_node(NODE_ISOLATION)
+    plan.edges.append((preprocess, isolation))
+    barrier = isolation
+    if dedup:
+        barrier = add_node(NODE_DEDUP)
+        plan.edges.append((isolation, barrier))
+    reexec = [add_node(NODE_REEXEC, tag) for tag in sorted(groups)]
+    merge = add_node(NODE_MERGE)
+    postprocess = add_node(NODE_POSTPROCESS)
+    checkpoint = add_node(NODE_CHECKPOINT)
+    for nid in reexec:
+        plan.edges.append((barrier, nid))
+        plan.edges.append((nid, merge))
+    if not reexec:
+        plan.edges.append((barrier, merge))
+    plan.edges.append((merge, postprocess))
+    plan.edges.append((postprocess, checkpoint))
     return plan
 
 
@@ -360,8 +325,6 @@ def validate_plan(plan: AuditPlan) -> None:
             f"plan spec {plan.spec!r} does not match verifier spec "
             f"{PLAN_SPEC!r}"
         )
-    if not plan.epochs:
-        raise PlanError("plan contains no epochs")
     if len(plan.node_order) != len(plan.nodes):
         raise PlanError("node order and node set disagree")
     for src, dst in plan.edges:
@@ -371,99 +334,67 @@ def validate_plan(plan: AuditPlan) -> None:
             )
 
     # Acyclicity, by the stronger invariant compilation maintains: every
-    # edge advances (epoch, stage order), so no path can return.
-    edge_set = set(plan.edges)
-    feeders: Dict[str, List[str]] = {nid: [] for nid in plan.node_order}
-    for src, dst in edge_set:
+    # edge advances the stage order, so no path can return.
+    feeds = set()
+    for src, dst in plan.edges:
         if not plan.nodes[src].rank < plan.nodes[dst].rank:
             raise PlanError(
                 f"plan is cyclic: edge {src!r} -> {dst!r} does not advance "
-                "(epoch, stage, wave)"
+                "the stage order"
             )
-        feeders[dst].append(src)
+        feeds.add(src)
 
-    # Epoch contiguity + carry-in completeness.
-    indices = [e.index for e in plan.epochs]
-    if sorted(indices) != indices or len(set(indices)) != len(indices):
-        raise PlanError(f"epoch indices out of order: {indices}")
-    for a, b in zip(indices, indices[1:]):
-        if b != a + 1:
-            raise PlanError(f"epoch indices not contiguous: {a} -> {b}")
-    for prev_meta, meta in zip(plan.epochs, plan.epochs[1:]):
-        src = plan.node(prev_meta.index, NODE_CHECKPOINT)
-        dst = plan.node(meta.index, NODE_PREPROCESS)
-        if src is None or dst is None or (src.node_id, dst.node_id) not in edge_set:
-            raise PlanError(
-                f"carry-in incomplete: no checkpoint({prev_meta.index}) -> "
-                f"preprocess({meta.index}) edge"
-            )
-
-    # Reachability: every node must feed the terminal checkpoint (a node
-    # that feeds nothing is work the plan claims but no verdict consumes).
-    terminal = plan.node(plan.epochs[-1].index, NODE_CHECKPOINT)
-    if terminal is None:
+    # Every node must feed the checkpoint (a node that feeds nothing is
+    # work the plan claims but no verdict consumes).  With every edge
+    # advancing, each path ends at a node that feeds nothing, so it is
+    # enough that the checkpoint is the only such node.
+    index = plan.epoch.index
+    terminal = node_id(index, NODE_CHECKPOINT)
+    if terminal not in plan.nodes:
         raise PlanError("plan has no terminal checkpoint node")
-    reached = {terminal.node_id}
-    frontier = [terminal.node_id]
-    while frontier:
-        for feeder in feeders[frontier.pop()]:
-            if feeder not in reached:
-                reached.add(feeder)
-                frontier.append(feeder)
-    unreachable = [nid for nid in plan.node_order if nid not in reached]
-    if unreachable:
-        node = plan.nodes[unreachable[0]]
+    dead = [nid for nid in plan.node_order if nid not in feeds and nid != terminal]
+    if dead:
+        node = plan.nodes[dead[0]]
         raise PlanError(
-            f"{len(unreachable)} nodes cannot reach the terminal "
-            f"checkpoint (first: {node.stage} epoch {node.epoch})"
+            f"{len(dead)} nodes cannot reach the terminal checkpoint "
+            f"(first: {node.stage} epoch {node.epoch})"
         )
 
     # Exactly-once coverage of groups and of their members, and every
     # node ID must name what its node holds.
-    by_epoch = plan.nodes_by_epoch()
-    for meta in plan.epochs:
-        nodes = by_epoch.get(meta.index, [])
-        reexec = [n for n in nodes if n.stage == NODE_REEXEC]
-        tags = [n.group for n in reexec]
-        if len(tags) != len(set(tags)) or len(tags) != meta.groups:
+    reexec = [n for n in plan.nodes.values() if n.stage == NODE_REEXEC]
+    tags = [n.group for n in reexec]
+    if len(tags) != len(set(tags)) or len(tags) != plan.epoch.groups:
+        raise PlanError(
+            f"epoch {index}: reexec nodes cover {len(tags)} groups, "
+            f"expected {plan.epoch.groups} exactly once"
+        )
+    members = [rid for n in reexec for rid in n.rids]
+    if len(members) != len(set(members)):
+        raise PlanError(f"epoch {index}: a request is a member of two groups")
+    for node in plan.nodes.values():
+        if node.node_id != node_id(index, node.stage, node.group):
             raise PlanError(
-                f"epoch {meta.index}: reexec nodes cover {len(tags)} groups, "
-                f"expected {meta.groups} exactly once"
+                f"node id mismatch for {node.stage} in epoch {index}: "
+                f"{node.node_id!r} does not name its node"
             )
-        members = [rid for n in reexec for rid in n.rids]
-        if len(members) != len(set(members)):
-            raise PlanError(
-                f"epoch {meta.index}: a request is a member of two groups"
-            )
-        for node in nodes:
-            if node.node_id != node_id(node.epoch, node.stage, node.group):
-                raise PlanError(
-                    f"node id mismatch for {node.stage} in epoch "
-                    f"{meta.index}: {node.node_id!r} does not name its node"
-                )
 
 
 # -- text rendering (repro plan --format text) ---------------------------------
 
 
 def format_plan_text(plan: AuditPlan) -> str:
+    meta = plan.epoch
     lines = [
         f"plan {plan.digest[:16]}  (spec {plan.spec}, app {plan.app})",
         f"options: {canonical_json(plan.options)}",
-        f"{len(plan.epochs)} epoch(s), {len(plan.nodes)} nodes, "
-        f"{len(plan.edges)} edges",
+        f"epoch {meta.index}  digest {meta.digest[:16]}  "
+        f"{meta.requests} requests, {meta.groups} groups, "
+        f"{len(plan.nodes)} nodes, {len(plan.edges)} edges",
     ]
-    by_epoch = plan.nodes_by_epoch()
-    for meta in plan.epochs:
-        lines.append(
-            f"epoch {meta.index}  digest {meta.digest[:16]}  "
-            f"{meta.requests} requests, {meta.groups} groups"
-        )
-        for node in by_epoch.get(meta.index, []):
-            detail = ""
-            if node.group is not None:
-                detail = f"  ({len(node.rids)} rids)"
-            lines.append(f"  {node.node_id}{detail}")
+    for node in plan.ordered_nodes():
+        detail = f"  ({len(node.rids)} rids)" if node.group is not None else ""
+        lines.append(f"  {node.node_id}{detail}")
     return "\n".join(lines)
 
 

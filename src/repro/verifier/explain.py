@@ -243,26 +243,23 @@ def explain_rejection(
     app: AppSpec,
     trace: TraceLike,
     advice: Advice,
+    result: AuditResult,
     carry: Optional[CarryIn] = None,
     epoch: Optional[int] = None,
-) -> Optional[DivergenceReport]:
-    """Replay a rejected pair and localise the divergence.
+) -> DivergenceReport:
+    """Localise the divergence behind ``result``, the rejecting grouped
+    audit of this pair the caller already ran.
 
-    First replays with ``singleton_groups=True`` (each request its own
-    group, epoch arrival order) so the re-execution stops at the first
+    Replays with ``singleton_groups=True`` (each request its own group,
+    epoch arrival order) so the re-execution stops at the first
     diverging operation.  Some rejections are artifacts of *grouping*
     (e.g. a deduplicated group whose members disagree) and vanish under
-    singleton replay; those fall back to the grouped verdict, marked
-    ``localized=False``.  Returns ``None`` if both replays accept --
-    callers should treat that as "not reproducible here" (e.g. an
-    explain invoked with the wrong epoch slice).
+    singleton replay; those report ``result`` itself, marked
+    ``localized=False``.
     """
     singleton = Auditor(
         app, trace, advice, carry=carry, singleton_groups=True
     ).run()
     if not singleton.accepted:
         return report_from_result(singleton, advice, localized=True, epoch=epoch)
-    grouped = Auditor(app, trace, advice, carry=carry).run()
-    if not grouped.accepted:
-        return report_from_result(grouped, advice, localized=False, epoch=epoch)
-    return None
+    return report_from_result(result, advice, localized=False, epoch=epoch)

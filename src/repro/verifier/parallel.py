@@ -34,9 +34,6 @@ replays every journal in canonical group order (sorted tags) through
   group touches) surfaces as one deterministic REJECT at its canonical
   position -- never a race.
 
-When metrics are enabled, each group's execution produces a per-worker
-metrics snapshot that the merge folds in, in the same canonical order.
-
 There is no scheduling constraint between the groups of an epoch: every
 cross-group coupling found in well-formed advice is value-carrying (the
 three bullets above), so the plan fans all of them out after one barrier
@@ -55,7 +52,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import AuditRejected
-from repro.obs import MetricsRegistry
 from repro.server.variables import INIT_RID
 from repro.verifier.preprocess import AuditState, preprocess
 from repro.verifier.reexec import ReExecutor
@@ -79,8 +75,7 @@ class GroupDelta:
     completions) in execution order; the parent replays it in canonical
     group order.  Bulk state (outputs, var dictionaries, observers) is
     disjoint across groups and merged wholesale after a group's journal
-    replays cleanly.  ``metrics`` is the worker's metrics snapshot for
-    this group (None when metrics are disabled).
+    replays cleanly.
     """
 
     tag: str
@@ -91,30 +86,19 @@ class GroupDelta:
     read_observers: Dict[str, Dict] = field(default_factory=dict)
     consumed: Dict[str, Set] = field(default_factory=dict)
     plain_values: Dict[str, Dict] = field(default_factory=dict)
-    metrics: Optional[Dict[str, object]] = None
     # (kind, reason, detail, site); kind is "rejected" (AuditRejected) or
     # "crash" (any other exception: the audit-crash verdict).
     rejection: Optional[Tuple[str, str, str, Optional[dict]]] = None
 
 
-def execute_group(
-    state: AuditState, tag: str, rids: List[str], collect_metrics: bool = False
-) -> GroupDelta:
+def execute_group(state: AuditState, tag: str, rids: List[str]) -> GroupDelta:
     """Re-execute one group in isolation and package its delta."""
     journal: List[Tuple] = []
     delta = GroupDelta(tag=tag, journal=journal)
-    worker_metrics: Optional[MetricsRegistry] = None
-    if collect_metrics:
-        worker_metrics = MetricsRegistry()
-        span = worker_metrics.span("worker.group.seconds")
     re_exec = None
     try:
         re_exec = ReExecutor(state, journal=journal)
-        if worker_metrics is not None:
-            with span:
-                re_exec.execute_group(rids)
-        else:
-            re_exec.execute_group(rids)
+        re_exec.execute_group(rids)
     except AuditRejected as rejection:
         delta.rejection = (
             "rejected", rejection.reason, rejection.detail, rejection.site
@@ -123,11 +107,6 @@ def execute_group(
         delta.rejection = (
             "crash", "audit-crash", f"{type(exc).__name__}: {exc}", None
         )
-    if worker_metrics is not None:
-        worker_metrics.counter("worker.groups").inc()
-        if re_exec is not None:
-            worker_metrics.counter("worker.handlers").inc(re_exec.handlers_executed)
-        delta.metrics = worker_metrics.snapshot()
     if re_exec is None or delta.rejection is not None:
         # A rejected group contributes only its journal (for stats and the
         # rejection's canonical position); the audit stops before its bulk
@@ -160,7 +139,7 @@ _WORKER_STATES: Dict[str, AuditState] = {}
 
 
 def run_group_in_worker(
-    key: str, payload: bytes, tag: str, rids: List[str], collect_metrics: bool
+    key: str, payload: bytes, tag: str, rids: List[str]
 ) -> Tuple[str, GroupDelta, float]:
     """The process backend's task: :func:`execute_group` over the state
     rebuilt from ``payload`` (pickled ``(app, trace, advice, carry)``),
@@ -177,15 +156,11 @@ def run_group_in_worker(
         _WORKER_STATES.clear()  # at most one live epoch state per worker
         _WORKER_STATES[key] = state
     t0 = time.perf_counter()
-    delta = execute_group(state, tag, rids, collect_metrics)
+    delta = execute_group(state, tag, rids)
     return ("executed", delta, time.perf_counter() - t0)
 
 
-def merge_delta(
-    re_exec: ReExecutor,
-    delta: GroupDelta,
-    metrics: Optional[MetricsRegistry] = None,
-) -> None:
+def merge_delta(re_exec: ReExecutor, delta: GroupDelta) -> None:
     """Replay one group's delta into the merge-target executor.
 
     Called in canonical (sorted-tag) order, this reproduces exactly the
@@ -197,8 +172,6 @@ def merge_delta(
     own rejection fires at its recorded position.  Bulk state merges
     wholesale only after the journal replayed cleanly.
     """
-    if metrics is not None:
-        metrics.merge(delta.metrics)
     re_exec.groups_executed += 1
     for event in delta.journal:
         kind = event[0]

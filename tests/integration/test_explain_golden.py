@@ -86,7 +86,7 @@ def compute_reports(app_name: str):
             # the crafted soundness suite pins them on bespoke workloads.
             continue
         assert not result.accepted, f"{attack.name} must reject"
-        report = explain_rejection(app_fn(), trace, advice)
+        report = explain_rejection(app_fn(), trace, advice, result)
         assert report is not None, (
             f"{attack.name}: rejected audit must yield a divergence report"
         )

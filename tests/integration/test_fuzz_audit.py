@@ -146,7 +146,7 @@ def test_every_fuzzer_reject_yields_a_divergence_report(case):
     result = Auditor(app, tampered_trace, tampered_advice).run()
     if result.accepted:
         return
-    report = explain_rejection(app, tampered_trace, tampered_advice)
+    report = explain_rejection(app, tampered_trace, tampered_advice, result)
     assert report is not None, result.reason
     assert report.reason
     assert report.stage

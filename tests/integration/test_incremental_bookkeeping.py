@@ -281,7 +281,7 @@ def test_resume_guard_refuses_a_journal_written_for_other_stored_inputs(tmp_path
     nodes = backend_for("file", str(tmp_path / "nodes"))
     first = Auditor.for_epoch(APPS["wiki"](), epoch, node_journal=NodeJournal(nodes))
     assert first.run().accepted
-    assert first.plan.epochs[0].digest == epoch.content_digest
+    assert first.plan.epoch.digest == epoch.content_digest
 
     groups = len(epoch.advice.groups())
     same = Auditor.for_epoch(APPS["wiki"](), epoch, node_journal=NodeJournal(nodes))

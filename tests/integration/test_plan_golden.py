@@ -25,10 +25,13 @@ import os
 import pytest
 
 from repro.apps import feed_app, motd_app, stackdump_app, wiki_app
+from repro.cli import EXIT_OK, main
+from repro.continuous.codec import list_epoch_streams
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
+from repro.storage import backend_for
 from repro.store import IsolationLevel, KVStore
-from repro.verifier.dag import compile_plan, validate_plan
+from repro.verifier.dag import NodeJournal, compile_plan, validate_plan
 from repro.verifier.dag.plan import PLAN_SPEC, single_epoch
 from repro.workload import (
     feed_workload,
@@ -76,7 +79,7 @@ def compile_golden_plan(app_name: str, **options):
         concurrency=4,
     )
     plan = compile_plan(
-        app_name, [single_epoch(0, run.trace, run.advice)], **options
+        app_name, single_epoch(0, run.trace, run.advice), **options
     )
     validate_plan(plan)
     return run, plan
@@ -132,3 +135,27 @@ def test_edges_are_exactly_the_stage_order(app_name, dedup):
         want |= {(chain_in[-1], group), (group, "0/merge")}
     assert len(plan.edges) == len(want)  # no duplicates either
     assert set(plan.edges) == want
+
+
+@pytest.mark.parametrize("seal", [["--seal-every", "10"], []],
+                         ids=["sealed", "monolithic"])
+def test_printed_plan_is_the_plan_the_audit_journals(
+    served_store, tmp_path, capsys, seal
+):
+    """``repro plan`` prints one document per epoch, one per line, and
+    each is the plan ``audit`` compiles: the last epoch's digest is the
+    one the node journal's header names after the audit."""
+    store = served_store("wiki", "--requests", "40", *seal)
+    capsys.readouterr()
+    args = ["--app", "wiki", "--store-path", str(store)]
+    assert main(["plan", *args, "--format", "json"]) == EXIT_OK
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    streams = list_epoch_streams(backend_for("file", str(store)))
+    assert len(docs) == max(1, len(streams))
+    assert (len(streams) > 1) if seal else not streams
+    assert [d["epochs"][0]["index"] for d in docs] == list(range(len(docs)))
+
+    nodes = tmp_path / "nodes"
+    assert main(["audit", *args, "--node-journal", str(nodes)]) == EXIT_OK
+    journal = NodeJournal(backend_for("file", str(nodes)))
+    assert journal.header_plan() == docs[-1]["digest"]

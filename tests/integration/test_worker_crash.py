@@ -74,10 +74,10 @@ def test_exception_in_pipeline_machinery_is_clean_reject(served, monkeypatch):
     victim = sorted(served.advice.groups())[0]
     monkeypatch.setenv(CRASH_ENV, victim)
 
-    def sabotaged(state, tag, rids, collect_metrics=False):
+    def sabotaged(state, tag, rids):
         if tag == victim:
             raise RuntimeError("worker machinery failure (injected)")
-        return real(state, tag, rids, collect_metrics)
+        return real(state, tag, rids)
 
     monkeypatch.setattr(audit_mod, "execute_group", sabotaged)
     result = Auditor(

@@ -76,7 +76,6 @@ class TestMetricsOut:
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         validate_metrics_doc(doc)
-        assert doc["counters"]["worker.groups"] == doc["counters"]["reexec.groups"]
 
     def test_rejected_audit_records_diagnostic(self, served, tmp_path):
         out = tmp_path / "metrics.json"

@@ -43,7 +43,7 @@ def served():
 
 def _plan(run, **kwargs):
     return compile_plan(
-        "motd", [single_epoch(0, run.trace, run.advice)], **kwargs
+        "motd", single_epoch(0, run.trace, run.advice), **kwargs
     )
 
 
@@ -80,9 +80,9 @@ class TestCompilation:
         base = _plan(served)
         other = compile_plan(
             "motd",
-            [single_epoch(0, served.trace.with_response(
+            single_epoch(0, served.trace.with_response(
                 served.trace.request_ids()[0], {"status": "other"}
-            ), served.advice)],
+            ), served.advice),
         )
         assert other.node_order == base.node_order
         assert other.digest != base.digest
@@ -94,7 +94,7 @@ class TestCompilation:
             if stage in (NODE_DEDUP,):
                 assert stages.count(stage) == 0  # dedup off
             elif stage == NODE_REEXEC:
-                assert stages.count(stage) == plan.epochs[0].groups
+                assert stages.count(stage) == plan.epoch.groups
             else:
                 assert stages.count(stage) == 1
         tags = sorted(
@@ -128,29 +128,22 @@ class TestCompilation:
         assert doc["digest"] == plan.digest
         assert len(doc["nodes"]) == len(plan.nodes)
         assert len(doc["edges"]) == len(plan.edges)
-
-    def test_zero_epochs_refused(self):
-        with pytest.raises(PlanError, match="zero epochs"):
-            compile_plan("motd", [])
+        assert "\n" not in plan.to_json()  # one document, one line
 
 
 class TestMultiEpoch:
-    def test_carry_in_chain_is_compiled(self, served):
+    def test_each_epoch_compiles_to_its_own_plan(self, served):
+        """A plan is one epoch: every node of epoch k's plan is named
+        ``k/...``, and the epoch's plan ends at its own checkpoint."""
         epochs = slice_epochs(served.trace, served.advice, 4)
         assert len(epochs) > 1
-        plan = compile_plan("motd", epochs)
-        validate_plan(plan)
-        edges = set(plan.edges)
-        for prev, meta in zip(plan.epochs, plan.epochs[1:]):
-            src = plan.node(prev.index, NODE_CHECKPOINT)
-            dst = plan.node(meta.index, NODE_PREPROCESS)
-            assert (src.node_id, dst.node_id) in edges
-        # ... and nothing else crosses an epoch boundary.
-        crossing = [
-            (s, d) for s, d in edges
-            if plan.nodes[s].epoch != plan.nodes[d].epoch
-        ]
-        assert len(crossing) == len(plan.epochs) - 1
+        for epoch in epochs:
+            plan = compile_plan("motd", epoch)
+            validate_plan(plan)
+            assert plan.epoch.index == epoch.index
+            assert {n.epoch for n in plan.ordered_nodes()} == {epoch.index}
+            assert plan.node_order[0] == node_id(epoch.index, NODE_PREPROCESS)
+            assert plan.node_order[-1] == node_id(epoch.index, NODE_CHECKPOINT)
 
     def test_epoch_digests_pin_distinct_inputs(self, served):
         epochs = slice_epochs(served.trace, served.advice, 4)
@@ -190,15 +183,6 @@ class TestValidation:
         ][:2]
         plan.edges.append((first, second))
         with pytest.raises(PlanError, match="cyclic"):
-            validate_plan(plan)
-
-    def test_missing_carry_edge_refused(self, served):
-        epochs = slice_epochs(served.trace, served.advice, 4)
-        plan = compile_plan("motd", epochs)
-        src = plan.node(0, NODE_CHECKPOINT)
-        dst = plan.node(1, NODE_PREPROCESS)
-        plan.edges.remove((src.node_id, dst.node_id))
-        with pytest.raises(PlanError, match="carry-in incomplete"):
             validate_plan(plan)
 
     def test_unreachable_node_refused(self, served):
