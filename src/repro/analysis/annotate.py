@@ -3,19 +3,18 @@
 Marking a variable loggable when it has no R-concurrent accesses only
 costs performance; *failing* to mark a genuinely shared variable costs
 Completeness (section 5).  The safe automation is therefore a
-conservative escape-style analysis: walk each handler function's AST,
-collect which variables it reads and writes, and classify:
+conservative escape-style analysis over each handler's statically
+predicted footprint (:func:`repro.analysis.lint.predict_footprints`, the
+one walk of handler source, helpers included), classifying:
 
 * ``read-only``   -- never written by any handler: every read observes the
   initialisation write and is R-ordered with it; safe to leave unlogged.
-* ``single-writer-tree`` -- written and read, but only ever accessed from
-  one handler function that is a request handler with no descendants
-  registered... (not computable in general; we do not attempt it).
 * ``shared``      -- written by at least one handler: conservatively
   loggable.
-* ``dynamic``     -- accessed through a non-literal variable id: the
-  analysis cannot bound the footprint, so every declared variable becomes
-  conservatively loggable and the site is reported.
+* ``dynamic-conservative`` -- some handler accesses a variable through a
+  non-literal id, or has no source to analyse (an *opaque* footprint):
+  the analysis cannot bound the footprint, so every declared variable
+  becomes conservatively loggable and the site or handler is reported.
 
 The analyzer also surfaces plain bugs: variables accessed but never
 declared, and declarations never accessed.
@@ -23,19 +22,10 @@ declared, and declarations never accessed.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
-from repro.analysis.ctxutil import (
-    VAR_READ_METHODS as READ_METHODS,
-    VAR_UPDATE_METHODS as UPDATE_METHODS,
-    VAR_WRITE_METHODS as WRITE_METHODS,
-    collect_helper_calls,
-    context_names,
-    context_params,
-    parse_function,
-)
+from repro.analysis.lint import predict_footprints
 from repro.kem.program import AppSpec
 
 
@@ -60,13 +50,13 @@ class AnnotationReport:
 
     usage: Dict[str, VariableUsage]
     declared: Dict[str, bool]  # var id -> declared-loggable flag
-    dynamic_sites: List[str]  # "function:lineno" of non-literal accesses
+    dynamic_sites: List[str]  # "fid:lineno" of non-literal accesses
     undeclared: Set[str]  # accessed but never declared
     unused: Set[str]  # declared but never accessed
-    unparsed: List[str]  # handler functions whose source was unavailable
+    unparsed: List[str]  # handlers with an opaque footprint (no source)
 
     def classification(self, var_id: str) -> str:
-        if self.dynamic_sites:
+        if self.dynamic_sites or self.unparsed:
             return "dynamic-conservative"
         usage = self.usage.get(var_id)
         if usage is None or not usage.accessors:
@@ -80,93 +70,8 @@ class AnnotationReport:
         return self.classification(var_id) in ("shared", "dynamic-conservative")
 
 
-class _AccessCollector(ast.NodeVisitor):
-    """Find ``<ctx>.read("v")`` / ``<ctx>.write("v", ...)`` call sites.
-
-    The context parameter is resolved through the shared helper
-    (``repro.analysis.ctxutil``): by annotation when one parameter names a
-    ``*Context`` type, by position otherwise, plus every local alias
-    (``c = ctx``) -- so renamed or aliased context parameters cannot make
-    accesses invisible to the escape analysis (a Completeness hazard).
-    """
-
-    def __init__(self, ctx_names: Set[str], fn_name: str):
-        self.ctx_names = ctx_names
-        self.fn_name = fn_name
-        self.reads: Set[str] = set()
-        self.writes: Set[str] = set()
-        self.dynamic: List[str] = []
-
-    def visit_Call(self, node: ast.Call) -> None:
-        self.generic_visit(node)
-        fn = node.func
-        if not (
-            isinstance(fn, ast.Attribute)
-            and isinstance(fn.value, ast.Name)
-            and fn.value.id in self.ctx_names
-        ):
-            return
-        if fn.attr not in READ_METHODS + WRITE_METHODS + UPDATE_METHODS:
-            return
-        if not node.args:
-            self.dynamic.append(f"{self.fn_name}:{node.lineno}")
-            return
-        target = node.args[0]
-        if isinstance(target, ast.Constant) and isinstance(target.value, str):
-            if fn.attr in READ_METHODS + UPDATE_METHODS:
-                self.reads.add(target.value)
-            if fn.attr in WRITE_METHODS + UPDATE_METHODS:
-                self.writes.add(target.value)
-        else:
-            self.dynamic.append(f"{self.fn_name}:{node.lineno}")
-
-
-def _function_accesses(
-    fid: str,
-    fn: Any,
-    _seen: Optional[Set[object]] = None,
-    _ctx_position: int = 0,
-) -> Optional[Tuple[Set[str], Set[str], List[str]]]:
-    """Accesses of ``fn`` plus, recursively, of every helper it calls with
-    the context at any argument position (resolved through
-    ``fn.__globals__``)."""
-    if _seen is None:
-        _seen = set()
-    if fn in _seen:
-        return (set(), set(), [])
-    _seen.add(fn)
-    parsed = parse_function(fn)
-    if parsed is None:
-        return None
-    func_def = parsed.func_def
-    ctx_params = context_params(func_def, position=_ctx_position)
-    if not ctx_params:
-        return (set(), set(), [])
-    ctx_names = context_names(func_def, ctx_params)
-    collector = _AccessCollector(ctx_names, fid)
-    collector.visit(func_def)
-    reads, writes = set(collector.reads), set(collector.writes)
-    dynamic = list(collector.dynamic)
-    for helper_name, helper_pos in sorted(
-        collect_helper_calls(func_def, ctx_names).items()
-    ):
-        helper = getattr(fn, "__globals__", {}).get(helper_name)
-        if helper is None or not callable(helper):
-            continue
-        nested = _function_accesses(
-            f"{fid}>{helper_name}", helper, _seen, _ctx_position=helper_pos
-        )
-        if nested is None:
-            dynamic.append(f"{fid}:{helper_name}:<unparsed helper>")
-            continue
-        reads |= nested[0]
-        writes |= nested[1]
-        dynamic.extend(nested[2])
-    return (reads, writes, dynamic)
-
-
 def analyze_app(app: AppSpec) -> AnnotationReport:
-    """Statically analyse variable usage across all handler functions."""
+    """Variable usage across all handler functions, from their footprints."""
     init_ctx = app.run_init()
     usage: Dict[str, VariableUsage] = {
         var_id: VariableUsage(var_id) for var_id in init_ctx.initial_vars
@@ -174,20 +79,17 @@ def analyze_app(app: AppSpec) -> AnnotationReport:
     dynamic_sites: List[str] = []
     unparsed: List[str] = []
     undeclared: Set[str] = set()
-    for fid, fn in sorted(app.functions.items()):
-        result = _function_accesses(fid, fn)
-        if result is None:
+    for fid, summary in predict_footprints(app).items():
+        if summary.opaque:
             unparsed.append(fid)
-            continue
-        reads, writes, dynamic = result
-        dynamic_sites.extend(dynamic)
-        for var_id in reads | writes:
+        dynamic_sites.extend(summary.dynamic_sites)
+        for var_id in summary.reads | summary.writes:
             if var_id not in usage:
                 undeclared.add(var_id)
                 usage[var_id] = VariableUsage(var_id)
-            if var_id in reads:
+            if var_id in summary.reads:
                 usage[var_id].readers.add(fid)
-            if var_id in writes:
+            if var_id in summary.writes:
                 usage[var_id].writers.add(fid)
     unused = {
         var_id

@@ -4,10 +4,11 @@ Every handler function receives the instrumented operation API as a
 parameter (``repro.kem.context.HandlerContext``), conventionally named
 ``ctx`` and passed first.  Neither convention is load-bearing: handlers
 may rename the parameter, annotate it, alias it locally (``c = ctx``),
-or hand it to helper functions at any argument position.  The annotation
-analyzer and the instrumentation linter both need to see *through* all of
-that -- a context access the analysis cannot attribute is a Completeness
-hazard (section 5) -- so the resolution logic lives here, once.
+or hand it to helper functions at any argument position.  The
+instrumentation linter and its footprint prediction (which the annotation
+analyzer consumes) need to see *through* all of that -- a context access
+the analysis cannot attribute is a Completeness hazard (section 5) -- so
+the resolution logic lives here, once.
 
 The exported helpers are purely syntactic (AST-level):
 
@@ -33,12 +34,6 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 #: A helper's context-parameter slot: a positional index or, for
 #: keyword-forwarded contexts (``helper(x, ctx=c)``), the parameter name.
 CtxSlot = Union[int, str]
-
-#: Context-API variable-access method names (the annotation analyzer's
-#: vocabulary).
-VAR_READ_METHODS = ("read",)
-VAR_WRITE_METHODS = ("write",)
-VAR_UPDATE_METHODS = ("update",)
 
 
 @dataclass(frozen=True)

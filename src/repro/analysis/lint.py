@@ -224,6 +224,8 @@ class HandlerSummary:
     reads: Set[str] = field(default_factory=set)
     writes: Set[str] = field(default_factory=set)
     dynamic_vars: bool = False  # non-literal variable id seen
+    # "fid:lineno" of each non-literal variable access (not in to_dict)
+    dynamic_sites: List[str] = field(default_factory=list)
     emits: Set[str] = field(default_factory=set)
     dynamic_emits: bool = False
     registers: Set[Tuple[str, str]] = field(default_factory=set)
@@ -264,6 +266,7 @@ class HandlerSummary:
         self.reads |= other.reads
         self.writes |= other.writes
         self.dynamic_vars |= other.dynamic_vars
+        self.dynamic_sites += other.dynamic_sites
         self.emits |= other.emits
         self.dynamic_emits |= other.dynamic_emits
         self.registers |= other.registers
@@ -290,6 +293,7 @@ def _summarize_one(fid: str, parsed: ParsedFunction, ctx_names: Set[str]) -> Han
             var_id = literal_str(arg) if arg is not None else None
             if var_id is None:
                 summary.dynamic_vars = True
+                summary.dynamic_sites.append(f"{fid}:{call.lineno}")
                 continue
             if method in ("read", "update"):
                 summary.reads.add(var_id)

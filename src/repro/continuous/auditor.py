@@ -45,7 +45,7 @@ from repro.continuous.checkpoint import (
 from repro.continuous.epoch import Epoch
 from repro.continuous.journal import AuditJournal
 from repro.kem.program import AppSpec
-from repro.obs import MetricsRegistry, NamespacedMetrics, ensure_metrics
+from repro.obs import MetricsRegistry, ensure_metrics
 from repro.verifier.audit import Auditor, AuditResult, StageHook
 
 
@@ -94,17 +94,11 @@ class ContinuousAuditor:
         dedup: Optional[object] = None,
         scheduler: Optional[str] = None,
         node_journal: Optional[object] = None,
-        namespace: Optional[str] = None,
     ):
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.app = app
         self.parallelism = parallelism
-        # Several auditors sharing one registry (the fleet service, or
-        # any two instances in one process) must not sum each other's
-        # ``continuous.*`` counters: a namespace scopes every metric this
-        # instance records to ``<namespace>.<name>``.
-        self.namespace = namespace or ""
         # One Deduplicator shared across every epoch's Auditor: digests
         # cover the carry-in state (checkpoint-anchored), so a group that
         # recurs in a later epoch under the same carried values is a hit.
@@ -117,8 +111,6 @@ class ContinuousAuditor:
         self.node_journal = node_journal
         self.max_pending = max_pending
         self.metrics = ensure_metrics(metrics)
-        if self.namespace:
-            self.metrics = NamespacedMetrics(self.namespace, self.metrics)
         self.progress = progress
         self.checkpoints = checkpoints if checkpoints is not None else CheckpointStore()
         self.journal = journal if journal is not None else AuditJournal()

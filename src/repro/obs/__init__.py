@@ -7,7 +7,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NamespacedMetrics,
     NULL_METRICS,
     NullMetrics,
     Series,
@@ -21,7 +20,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NamespacedMetrics",
     "NULL_METRICS",
     "NullMetrics",
     "Series",

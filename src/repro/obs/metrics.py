@@ -30,12 +30,10 @@ locked so two threads racing on the first use of a name cannot orphan
 an increment.  Per-increment writes stay single-writer by design.
 
 Multi-instance use (several auditors in one process, the fleet
-service's tenants) namespaces instead of sharing:
-:class:`NamespacedMetrics` prefixes every metric name with
-``<namespace>.`` over a shared inner registry, and
-``merge(snapshot, prefix="tenant.wiki.")`` folds a tenant's snapshot
-into a fleet registry under its own key space -- two tenants can no
-longer silently sum each other's counters.
+service's tenants) namespaces instead of sharing: each instance records
+into a private registry, and ``merge(snapshot, prefix="tenant.wiki.")``
+folds its snapshot into a fleet registry under its own key space -- two
+tenants can no longer silently sum each other's counters.
 
 The JSON document produced by :meth:`MetricsRegistry.to_json` is a
 stable interface (schema id :data:`SCHEMA`); :func:`validate_metrics_doc`
@@ -372,71 +370,6 @@ class NullMetrics(MetricsRegistry):
 
 
 NULL_METRICS = NullMetrics()
-
-
-class NamespacedMetrics(MetricsRegistry):
-    """A registry view that prefixes every metric name with
-    ``<namespace>.`` and records into a shared inner registry.
-
-    This is how several auditors coexist in one process without key
-    collisions: each gets ``NamespacedMetrics("tenant.wiki", fleet)``
-    and its ``pipeline.verdicts`` lands as
-    ``tenant.wiki.pipeline.verdicts`` in the fleet registry.
-    Diagnostics gain a ``namespace`` field.  Snapshots operate on the
-    *inner* registry's full contents (no scoped sub-snapshot) --
-    callers that need a per-tenant document should keep a private
-    ``MetricsRegistry`` and fold it with
-    ``fleet.merge(snap, prefix=...)`` instead.
-
-    Wrapping :data:`NULL_METRICS` (or any disabled registry) returns the
-    inner object unchanged, preserving the zero-cost disabled path.
-    """
-
-    def __new__(cls, namespace: str, inner: Optional[MetricsRegistry] = None):
-        inner = ensure_metrics(inner)
-        if not inner.enabled:
-            return inner  # type: ignore[return-value]
-        return super().__new__(cls)
-
-    def __init__(self, namespace: str,
-                 inner: Optional[MetricsRegistry] = None) -> None:
-        inner = ensure_metrics(inner)
-        if self is inner:  # __new__ short-circuited to the disabled inner
-            return
-        super().__init__()
-        self._namespace = namespace.rstrip(".")
-        self._prefix = self._namespace + "." if self._namespace else ""
-        self._inner = inner
-        self.diagnostics = inner.diagnostics
-
-    @property
-    def namespace(self) -> str:
-        return self._namespace
-
-    def counter(self, name: str) -> Counter:
-        return self._inner.counter(self._prefix + name)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._inner.gauge(self._prefix + name)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._inner.histogram(self._prefix + name)
-
-    def series(self, name: str) -> Series:
-        return self._inner.series(self._prefix + name)
-
-    def diagnostic(self, stage: str, reason: str, detail: str = "",
-                   **ids: object) -> None:
-        if "namespace" not in ids and self._namespace:
-            ids["namespace"] = self._namespace
-        self._inner.diagnostic(stage, reason, detail, **ids)
-
-    def snapshot(self) -> Dict[str, object]:
-        return self._inner.snapshot()
-
-    def merge(self, snapshot: Optional[Dict[str, object]],
-              prefix: str = "") -> None:
-        self._inner.merge(snapshot, prefix=prefix or self._prefix)
 
 
 def ensure_metrics(metrics: Optional[MetricsRegistry]) -> MetricsRegistry:

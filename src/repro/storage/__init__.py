@@ -20,13 +20,9 @@ from repro.storage.backend import (
 from repro.storage.records import (
     RecordFormatError,
     RecordTruncatedError,
-    decode_stream_header,
     encode_record,
     encode_stream_header,
     pack_json,
-    read_stream,
-    recover_stream,
-    scan_records,
     unpack_json,
 )
 from repro.storage.values import decode_value, value_text
@@ -42,13 +38,9 @@ __all__ = [
     "backend_for",
     "RecordFormatError",
     "RecordTruncatedError",
-    "decode_stream_header",
     "encode_record",
     "encode_stream_header",
     "pack_json",
-    "read_stream",
-    "recover_stream",
-    "scan_records",
     "unpack_json",
     "decode_value",
     "value_text",

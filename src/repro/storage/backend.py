@@ -1,8 +1,8 @@
 """Pluggable record-stream backends (DESIGN.md §8).
 
 A :class:`StorageBackend` is a namespace of named record streams (see
-:mod:`repro.storage.records` for the frame format).  Three
-implementations:
+:mod:`repro.storage.records` for the frame format and its one parser).
+Three implementations:
 
 * :class:`MemoryBackend` -- byte arrays in a dict; zero durability, the
   reference backend for tests and in-process use;
@@ -15,6 +15,14 @@ implementations:
   for append recompacts the stream, since gzip members cannot be resumed
   in place.
 
+The backends differ only in their medium.  Every read is one
+:class:`RecordReader` over a binary file object -- the file itself, or an
+``io.BytesIO`` of the memory buffer or of the inflated gzip bytes -- and
+every append-time recovery runs the same parser
+(:func:`~repro.storage.records.clean_prefix`), so a stream's bytes mean
+the same thing on every backend.  :meth:`RecordWriter.append` frames and
+counts each record; a backend's writer supplies only ``_write``.
+
 Writers are append-only: the storage layer has no update or delete of
 individual records, which is exactly the audit trust model -- history is
 only ever extended.
@@ -26,21 +34,17 @@ import gzip
 import io
 import os
 import zlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import MetricsRegistry, NULL_METRICS, ensure_metrics
 from repro.storage.records import (
     RecordFormatError,
     RecordTruncatedError,
-    _FRAME_CRC,
-    _FRAME_HEAD,
-    MAGIC,
-    MAX_RECORD_LEN,
-    decode_stream_header,
+    clean_prefix,
     encode_record,
     encode_stream_header,
-    recover_stream,
-    scan_records,
+    iter_records,
+    read_header,
 )
 
 
@@ -48,10 +52,20 @@ class RecordWriter:
     """Append-only writer for one stream; context-manager friendly."""
 
     kind: str
+    scheme: str
+    _metrics: MetricsRegistry
 
     def append(self, rtype: int, payload: bytes) -> None:
         """Frame one record and flush it to the OS: a killed *process*
         loses at most this record; a power loss, all since a barrier."""
+        encoded = encode_record(rtype, payload)
+        self._write(encoded)
+        self._metrics.counter(f"storage.{self.scheme}.records_written").inc()
+        self._metrics.counter(f"storage.{self.scheme}.bytes_written").inc(len(encoded))
+
+    def _write(self, encoded: bytes) -> None:
+        """Put one framed record on the medium and flush it to the OS;
+        ``ValueError`` once closed."""
         raise NotImplementedError
 
     def sync(self) -> None:
@@ -76,15 +90,28 @@ class RecordWriter:
 
 
 class RecordReader:
-    """Iterates ``(rtype, payload)`` pairs of one stream."""
+    """Iterates ``(rtype, payload)`` pairs of the stream in ``fh``,
+    counting each into ``storage.<scheme>.records_read`` / ``bytes_read``.
+    Opening validates the header (and closes ``fh`` if it is bad)."""
 
-    kind: str
+    def __init__(self, fh: BinaryIO, where: str, scheme: str, metrics: MetricsRegistry):
+        self._fh = fh
+        self._scheme = scheme
+        self._metrics = metrics
+        try:
+            self.kind = read_header(fh, where)
+        except BaseException:
+            fh.close()
+            raise
 
     def __iter__(self) -> Iterator[Tuple[int, bytes]]:
-        raise NotImplementedError
+        for rtype, payload in iter_records(self._fh):
+            self._metrics.counter(f"storage.{self._scheme}.records_read").inc()
+            self._metrics.counter(f"storage.{self._scheme}.bytes_read").inc(len(payload))
+            yield rtype, payload
 
     def close(self) -> None:
-        pass
+        self._fh.close()
 
     def __enter__(self) -> "RecordReader":
         return self
@@ -150,104 +177,27 @@ class StorageBackend:
         return records
 
 
-# -- shared incremental frame reader ------------------------------------------
-
-
-def _read_exact(fh, n: int, context: str) -> bytes:
-    data = fh.read(n)
-    if len(data) < n:
-        raise RecordTruncatedError(f"torn {context}: wanted {n} bytes, got {len(data)}")
-    return data
-
-
-def _iter_file_records(fh) -> Iterator[Tuple[int, bytes]]:
-    """Stream records from a binary file object without materialising the
-    stream -- the memory bound behind ``--store file`` audits."""
-    while True:
-        head = fh.read(_FRAME_HEAD.size)
-        if not head:
-            return
-        if len(head) < _FRAME_HEAD.size:
-            raise RecordTruncatedError(
-                f"torn frame header ({len(head)} bytes at stream tail)"
-            )
-        rtype, length = _FRAME_HEAD.unpack(head)
-        if length > MAX_RECORD_LEN:
-            raise RecordFormatError(f"record claims {length} bytes (corrupt length)")
-        payload = _read_exact(fh, length, "record payload")
-        (stored_crc,) = _FRAME_CRC.unpack(_read_exact(fh, _FRAME_CRC.size, "record CRC"))
-        crc = zlib.crc32(payload, zlib.crc32(head)) & 0xFFFFFFFF
-        if crc != stored_crc:
-            # Whether this is a torn tail depends on what follows; peek.
-            if fh.read(1):
-                raise RecordFormatError("CRC mismatch on mid-stream record")
-            raise RecordTruncatedError("CRC mismatch on final record")
-        yield rtype, payload
-
-
-def _read_file_header(fh, where: str) -> str:
-    magic = fh.read(len(MAGIC))
-    if magic != MAGIC:
-        if MAGIC.startswith(magic):
-            raise RecordTruncatedError(f"{where}: stream header torn")
-        raise RecordFormatError(f"{where} is not a record stream (magic {magic!r})")
-    kind_len = fh.read(1)
-    if not kind_len:
-        raise RecordTruncatedError(f"{where}: stream header torn")
-    raw = _read_exact(fh, kind_len[0], "stream kind")
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise RecordFormatError(f"{where}: stream kind is not utf-8: {exc}") from None
-
-
-def _clean_prefix(buf: bytes, kind: str, where: str) -> Optional[int]:
-    """Length of a ``kind`` stream's whole-record prefix; None when it is
-    torn inside its header (never barriered: an empty stream)."""
-    try:
-        got_kind, _, good = recover_stream(buf)
-    except RecordTruncatedError:
-        return None
-    if got_kind != kind:
-        raise RecordFormatError(f"{where} holds {got_kind!r} records, wanted {kind!r}")
-    return good
-
-
 # -- in-memory -----------------------------------------------------------------
 
 
 class _MemoryWriter(RecordWriter):
-    def __init__(self, buf: bytearray, kind: str, metrics: MetricsRegistry = NULL_METRICS):
+    scheme = "memory"
+
+    def __init__(self, buf: bytearray, kind: str, metrics: MetricsRegistry):
         self._buf = buf
         self.kind = kind
         self._metrics = metrics
 
-    def append(self, rtype: int, payload: bytes) -> None:
+    def _write(self, encoded: bytes) -> None:
         if self._buf is None:
             raise ValueError("writer is sealed")
-        encoded = encode_record(rtype, payload)
         self._buf += encoded
-        self._metrics.counter("storage.memory.records_written").inc()
-        self._metrics.counter("storage.memory.bytes_written").inc(len(encoded))
 
     def sync(self) -> None:
         pass
 
     def close(self) -> None:
         self._buf = None
-
-
-class _MemoryReader(RecordReader):
-    def __init__(self, buf: bytes, metrics: MetricsRegistry = NULL_METRICS):
-        self._buf = buf
-        self.kind, self._start = decode_stream_header(buf)
-        self._metrics = metrics
-
-    def __iter__(self) -> Iterator[Tuple[int, bytes]]:
-        for rtype, payload, _ in scan_records(self._buf, self._start):
-            self._metrics.counter("storage.memory.records_read").inc()
-            self._metrics.counter("storage.memory.bytes_read").inc(len(payload))
-            yield rtype, payload
 
 
 class MemoryBackend(StorageBackend):
@@ -262,22 +212,25 @@ class MemoryBackend(StorageBackend):
     def create(self, name: str, kind: str) -> RecordWriter:
         buf = bytearray(encode_stream_header(kind))
         self._streams[name] = buf
-        return _MemoryWriter(buf, kind, metrics=self.metrics)
+        return _MemoryWriter(buf, kind, self.metrics)
 
     def append(self, name: str, kind: str) -> RecordWriter:
         buf = self._streams.get(name)
         good = None
         if buf is not None:
-            good = _clean_prefix(bytes(buf), kind, f"stream {name!r}")
+            good = clean_prefix(io.BytesIO(buf), kind, f"stream {name!r}")
         if good is None:
             return self.create(name, kind)
         del buf[good:]
-        return _MemoryWriter(buf, kind, metrics=self.metrics)
+        return _MemoryWriter(buf, kind, self.metrics)
 
     def reader(self, name: str) -> RecordReader:
         if name not in self._streams:
             raise FileNotFoundError(name)
-        return _MemoryReader(bytes(self._streams[name]), metrics=self.metrics)
+        # BytesIO copies the buffer: a reader sees the stream as it was
+        # opened, whatever is appended meanwhile.
+        fh = io.BytesIO(self._streams[name])
+        return RecordReader(fh, f"stream {name!r}", self.scheme, self.metrics)
 
     def exists(self, name: str) -> bool:
         return name in self._streams
@@ -299,24 +252,18 @@ class MemoryBackend(StorageBackend):
 class _FileWriter(RecordWriter):
     scheme = "file"
 
-    def __init__(self, raw, kind: str, metrics: MetricsRegistry = NULL_METRICS):
+    def __init__(self, raw, kind: str, metrics: MetricsRegistry):
         self._raw = raw
         self.kind = kind
         self._metrics = metrics
 
     def _write(self, encoded: bytes) -> None:
-        self._raw.write(encoded)
-
-    def append(self, rtype: int, payload: bytes) -> None:
         if self._raw is None:
             raise ValueError("writer is sealed")
-        encoded = encode_record(rtype, payload)
-        self._write(encoded)
+        self._raw.write(encoded)
         # Per-record flush: a crash loses at most the record being
         # written, and torn-tail recovery drops that one cleanly.
         self._raw.flush()
-        self._metrics.counter(f"storage.{self.scheme}.records_written").inc()
-        self._metrics.counter(f"storage.{self.scheme}.bytes_written").inc(len(encoded))
 
     def sync(self) -> None:
         if self._raw is not None:
@@ -328,28 +275,6 @@ class _FileWriter(RecordWriter):
         if self._raw is not None:
             self._raw.close()
             self._raw = None
-
-
-class _FileReader(RecordReader):
-    def __init__(self, path: str, metrics: MetricsRegistry = NULL_METRICS):
-        self._fh = open(path, "rb")
-        self._metrics = metrics
-        try:
-            self.kind = _read_file_header(self._fh, os.path.basename(path))
-        except Exception:
-            self._fh.close()
-            raise
-
-    def __iter__(self) -> Iterator[Tuple[int, bytes]]:
-        for rtype, payload in _iter_file_records(self._fh):
-            self._metrics.counter("storage.file.records_read").inc()
-            self._metrics.counter("storage.file.bytes_read").inc(len(payload))
-            yield rtype, payload
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 class FileBackend(StorageBackend):
@@ -370,23 +295,24 @@ class FileBackend(StorageBackend):
         fh = open(self._path(name), "wb")
         fh.write(encode_stream_header(kind))
         fh.flush()
-        return _FileWriter(fh, kind, metrics=self.metrics)
+        return _FileWriter(fh, kind, self.metrics)
 
     def append(self, name: str, kind: str) -> RecordWriter:
         path = self._path(name)
         good = None
         if os.path.exists(path):
             with open(path, "rb") as fh:
-                good = _clean_prefix(fh.read(), kind, path)
+                good = clean_prefix(fh, kind, path)
         if good is None:
             return self.create(name, kind)
         fh = open(path, "r+b")
         fh.truncate(good)
         fh.seek(good)
-        return _FileWriter(fh, kind, metrics=self.metrics)
+        return _FileWriter(fh, kind, self.metrics)
 
     def reader(self, name: str) -> RecordReader:
-        return _FileReader(self._path(name), metrics=self.metrics)
+        path = self._path(name)
+        return RecordReader(open(path, "rb"), os.path.basename(path), self.scheme, self.metrics)
 
     def exists(self, name: str) -> bool:
         return os.path.exists(self._path(name))
@@ -413,14 +339,17 @@ class FileBackend(StorageBackend):
 class _GzipWriter(_FileWriter):
     scheme = "gzip"
 
-    def __init__(self, raw, gz, kind: str, metrics: MetricsRegistry = NULL_METRICS):
+    def __init__(self, raw, gz, kind: str, metrics: MetricsRegistry):
         super().__init__(raw, kind, metrics)
         self._gz = gz
 
     def _write(self, encoded: bytes) -> None:
+        if self._raw is None:
+            raise ValueError("writer is sealed")
         self._gz.write(encoded)
-        # SYNC_FLUSH emits a deflate block boundary: everything written so
-        # far decompresses without the stream trailer.
+        # SYNC_FLUSH emits a deflate block boundary (and flushes the
+        # file): everything written so far decompresses without the
+        # stream trailer.
         self._gz.flush(zlib.Z_SYNC_FLUSH)
 
     def close(self) -> None:
@@ -430,28 +359,6 @@ class _GzipWriter(_FileWriter):
     def seal(self) -> None:
         self._gz.close()  # trailer first, so the barrier covers it
         super().seal()
-
-
-class _GzipReader(RecordReader):
-    def __init__(self, path: str, metrics: MetricsRegistry = NULL_METRICS):
-        self._metrics = metrics
-        # Decompression tolerates a missing gzip trailer (unsealed or
-        # torn stream); frame CRCs are the integrity check that matters.
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        try:
-            buf = _decompress_tolerant(raw)
-        except (OSError, EOFError, zlib.error) as exc:
-            raise RecordFormatError(f"{path}: corrupt gzip stream: {exc}") from None
-        fh = io.BytesIO(buf)
-        self.kind = _read_file_header(fh, os.path.basename(path))
-        self._fh = fh
-
-    def __iter__(self) -> Iterator[Tuple[int, bytes]]:
-        for rtype, payload in _iter_file_records(self._fh):
-            self._metrics.counter("storage.gzip.records_read").inc()
-            self._metrics.counter("storage.gzip.bytes_read").inc(len(payload))
-            yield rtype, payload
 
 
 def _decompress_tolerant(raw: bytes) -> bytes:
@@ -486,7 +393,7 @@ class GzipBackend(FileBackend):
             gz.write(encode_record(rtype, payload))
         gz.flush(zlib.Z_SYNC_FLUSH)
         raw.flush()
-        return _GzipWriter(raw, gz, kind, metrics=self.metrics)
+        return _GzipWriter(raw, gz, kind, self.metrics)
 
     def create(self, name: str, kind: str) -> RecordWriter:
         return self._start(self._path(name), kind)
@@ -507,7 +414,16 @@ class GzipBackend(FileBackend):
         return writer
 
     def reader(self, name: str) -> RecordReader:
-        return _GzipReader(self._path(name), metrics=self.metrics)
+        # Decompression tolerates a missing gzip trailer (unsealed or
+        # torn stream); frame CRCs are the integrity check that matters.
+        path = self._path(name)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            buf = _decompress_tolerant(raw)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise RecordFormatError(f"{path}: corrupt gzip stream: {exc}") from None
+        return RecordReader(io.BytesIO(buf), os.path.basename(path), self.scheme, self.metrics)
 
 
 # -- selection ------------------------------------------------------------------

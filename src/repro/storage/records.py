@@ -13,14 +13,22 @@ epochs, checkpoints, the audit journal, and the binlog (DESIGN.md §8):
   heterogeneous records (a trace event vs. an advice section) share one
   stream.
 
+This module holds the one frame parser.  It reads a binary file object
+incrementally (:func:`read_header`, :func:`iter_records`,
+:func:`clean_prefix`); every backend hands it one -- a file, or an
+``io.BytesIO`` over a memory buffer or inflated gzip bytes -- for reads
+and for append-time recovery alike.
+
 Failure taxonomy: any structural damage surfaces as
 :class:`RecordFormatError`, a flavour of
 :class:`~repro.errors.AdviceFormatError` -- a corrupt store is
 indistinguishable from a misbehaving server, so the audit *rejects*
 rather than crashes.  :class:`RecordTruncatedError` marks damage that is
-consistent with a torn tail (a crash mid-append); append-mode opens use
-it to recover by truncating to the last whole record, while read-mode
-opens report it.
+consistent with a torn tail (a crash mid-append): bytes that end inside
+the header or inside the final frame, or a CRC failure on the final
+frame.  Append-mode opens and tolerant loads recover by truncating to
+the last whole record; strict readers report it.  Bytes that are not a
+prefix of a header are corrupt, never torn.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Iterator, List, Tuple
+from typing import BinaryIO, Iterator, Optional, Tuple
 
 from repro.errors import AdviceFormatError
 
@@ -47,8 +55,8 @@ class RecordFormatError(AdviceFormatError):
 
 
 class RecordTruncatedError(RecordFormatError):
-    """The stream ends mid-frame or with a CRC-failed final region --
-    the shape a crash mid-append (torn tail) leaves behind."""
+    """The stream ends mid-header, mid-frame or with a CRC-failed final
+    record -- the shape a crash mid-append (torn tail) leaves behind."""
 
 
 def encode_stream_header(kind: str) -> bytes:
@@ -56,26 +64,6 @@ def encode_stream_header(kind: str) -> bytes:
     if not raw or len(raw) > MAX_KIND_LEN:
         raise ValueError(f"bad stream kind {kind!r}")
     return MAGIC + bytes([len(raw)]) + raw
-
-
-def decode_stream_header(buf: bytes) -> Tuple[str, int]:
-    """Validate the header at the start of ``buf``; returns
-    ``(kind, header_length)``."""
-    if len(buf) < len(MAGIC) + 1:
-        raise RecordTruncatedError("record stream shorter than its header")
-    if buf[: len(MAGIC)] != MAGIC:
-        raise RecordFormatError(
-            f"not a record stream (magic {bytes(buf[:len(MAGIC)])!r})"
-        )
-    kind_len = buf[len(MAGIC)]
-    end = len(MAGIC) + 1 + kind_len
-    if len(buf) < end:
-        raise RecordTruncatedError("record stream header torn")
-    try:
-        kind = bytes(buf[len(MAGIC) + 1 : end]).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise RecordFormatError(f"stream kind is not utf-8: {exc}") from None
-    return kind, end
 
 
 def encode_record(rtype: int, payload: bytes) -> bytes:
@@ -89,80 +77,88 @@ def encode_record(rtype: int, payload: bytes) -> bytes:
     return head + payload + _FRAME_CRC.pack(crc)
 
 
-def scan_records(
-    buf: bytes, offset: int
-) -> Iterator[Tuple[int, bytes, int]]:
-    """Yield ``(rtype, payload, end_offset)`` for each whole record from
-    ``offset``.
+def _read_exact(fh: BinaryIO, n: int, context: str) -> bytes:
+    data = fh.read(n)
+    if len(data) < n:
+        raise RecordTruncatedError(f"torn {context}: wanted {n} bytes, got {len(data)}")
+    return data
 
-    Raises :class:`RecordTruncatedError` when the buffer ends mid-frame
-    and :class:`RecordFormatError` on CRC mismatch or an impossible
-    length.  Because frames are length-prefixed, nothing after the first
-    damaged frame can be resynchronised -- callers either reject the
-    stream (read path) or truncate at the last good ``end_offset``
-    (append-path torn-tail recovery).
+
+def read_header(fh: BinaryIO, where: str) -> str:
+    """Read the stream header at ``fh``'s position; returns its kind.
+
+    Bytes that stop inside a header are a torn stream
+    (:class:`RecordTruncatedError`); bytes that are no header's prefix
+    are corrupt (:class:`RecordFormatError`).
     """
-    pos = offset
-    total = len(buf)
-    while pos < total:
-        if total - pos < _FRAME_HEAD.size:
-            raise RecordTruncatedError(
-                f"torn frame header at offset {pos} ({total - pos} bytes)"
-            )
-        rtype, length = _FRAME_HEAD.unpack_from(buf, pos)
-        if length > MAX_RECORD_LEN:
-            raise RecordFormatError(
-                f"record at offset {pos} claims {length} bytes (corrupt length)"
-            )
-        end = pos + _FRAME_HEAD.size + length + _FRAME_CRC.size
-        if end > total:
-            raise RecordTruncatedError(
-                f"torn record at offset {pos}: frame wants {end - total} more bytes"
-            )
-        payload = bytes(buf[pos + _FRAME_HEAD.size : end - _FRAME_CRC.size])
-        (stored_crc,) = _FRAME_CRC.unpack_from(buf, end - _FRAME_CRC.size)
-        crc = zlib.crc32(payload, zlib.crc32(buf[pos : pos + _FRAME_HEAD.size]))
-        if (crc & 0xFFFFFFFF) != stored_crc:
-            raise _crc_error(pos, end, total)
-        yield rtype, payload, end
-        pos = end
-
-
-def _crc_error(pos: int, end: int, total: int) -> RecordFormatError:
-    # A CRC failure on the *final* record is what an interrupted
-    # write-then-crash looks like (payload partially on disk, stale bytes
-    # behind it); classify it as truncation so append-opens can recover.
-    if end == total:
-        return RecordTruncatedError(f"CRC mismatch on final record at offset {pos}")
-    return RecordFormatError(f"CRC mismatch on record at offset {pos}")
-
-
-def read_stream(buf: bytes) -> Tuple[str, List[Tuple[int, bytes]]]:
-    """Decode a whole in-memory stream strictly (no tail tolerance)."""
-    kind, pos = decode_stream_header(buf)
-    records = [(rtype, payload) for rtype, payload, _ in scan_records(buf, pos)]
-    return kind, records
-
-
-def recover_stream(buf: bytes) -> Tuple[str, List[Tuple[int, bytes]], int]:
-    """Decode as much of a possibly-torn stream as is whole.
-
-    Returns ``(kind, records, good_length)`` where ``good_length`` is the
-    byte offset of the first damage (== ``len(buf)`` when the stream is
-    clean).  Mid-stream corruption (a CRC failure *before* the final
-    record) is not recoverable damage and still raises -- a crash only
-    ever tears the tail.
-    """
-    kind, pos = decode_stream_header(buf)
-    records: List[Tuple[int, bytes]] = []
-    good = pos
+    magic = fh.read(len(MAGIC))
+    if magic != MAGIC:
+        if MAGIC.startswith(magic):
+            raise RecordTruncatedError(f"{where}: stream header torn")
+        raise RecordFormatError(f"{where} is not a record stream (magic {magic!r})")
+    kind_len = fh.read(1)
+    if not kind_len:
+        raise RecordTruncatedError(f"{where}: stream header torn")
+    raw = _read_exact(fh, kind_len[0], f"{where}: stream kind")
     try:
-        for rtype, payload, end in scan_records(buf, pos):
-            records.append((rtype, payload))
-            good = end
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RecordFormatError(f"{where}: stream kind is not utf-8: {exc}") from None
+
+
+def iter_records(fh: BinaryIO) -> Iterator[Tuple[int, bytes]]:
+    """Yield ``(rtype, payload)`` for each record from ``fh``'s position
+    to its end, never materialising the stream -- the memory bound
+    behind ``--store file`` audits.
+
+    Raises :class:`RecordTruncatedError` at a torn tail and
+    :class:`RecordFormatError` on a mid-stream CRC mismatch or an
+    impossible length.  Because frames are length-prefixed, nothing after
+    the first damaged frame can be resynchronised.
+    """
+    while True:
+        head = fh.read(_FRAME_HEAD.size)
+        if not head:
+            return
+        if len(head) < _FRAME_HEAD.size:
+            raise RecordTruncatedError(
+                f"torn frame header ({len(head)} bytes at stream tail)"
+            )
+        rtype, length = _FRAME_HEAD.unpack(head)
+        if length > MAX_RECORD_LEN:
+            raise RecordFormatError(f"record claims {length} bytes (corrupt length)")
+        payload = _read_exact(fh, length, "record payload")
+        (stored_crc,) = _FRAME_CRC.unpack(_read_exact(fh, _FRAME_CRC.size, "record CRC"))
+        crc = zlib.crc32(payload, zlib.crc32(head)) & 0xFFFFFFFF
+        if crc != stored_crc:
+            # A CRC failure on the *final* record is what an interrupted
+            # write-then-crash looks like; whether this one is final
+            # depends on what follows, so peek.
+            if fh.read(1):
+                raise RecordFormatError("CRC mismatch on mid-stream record")
+            raise RecordTruncatedError("CRC mismatch on final record")
+        yield rtype, payload
+
+
+def clean_prefix(fh: BinaryIO, kind: str, where: str) -> Optional[int]:
+    """Length of the whole-record prefix of the ``kind`` stream ``fh``
+    holds (read from its start); None when it is torn inside its header
+    (never barriered: an empty stream).  Mid-stream corruption, a wrong
+    kind and a non-header still raise -- a crash only ever tears the tail.
+    """
+    try:
+        got_kind = read_header(fh, where)
+    except RecordTruncatedError:
+        return None
+    if got_kind != kind:
+        raise RecordFormatError(f"{where} holds {got_kind!r} records, wanted {kind!r}")
+    good = fh.tell()
+    try:
+        for _ in iter_records(fh):
+            good = fh.tell()
     except RecordTruncatedError:
         pass
-    return kind, records, good
+    return good
 
 
 # -- payload helpers ----------------------------------------------------------

@@ -23,14 +23,13 @@ explains less.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.advice.records import TX_GET, TX_PUT, Advice
 from repro.kem.program import AppSpec
 from repro.server.variables import INIT_REF
 from repro.trace.trace import TraceLike
 from repro.verifier.audit import Auditor, AuditResult, jsonable
-from repro.verifier.carry import CarryIn
 
 # Precedence chains are advice-controlled; never follow them unboundedly.
 MAX_CHAIN = 8
@@ -244,7 +243,6 @@ def explain_rejection(
     trace: TraceLike,
     advice: Advice,
     result: AuditResult,
-    carry: Optional[CarryIn] = None,
     epoch: Optional[int] = None,
 ) -> DivergenceReport:
     """Localise the divergence behind ``result``, the rejecting grouped
@@ -257,9 +255,7 @@ def explain_rejection(
     singleton replay; those report ``result`` itself, marked
     ``localized=False``.
     """
-    singleton = Auditor(
-        app, trace, advice, carry=carry, singleton_groups=True
-    ).run()
+    singleton = Auditor(app, trace, advice, singleton_groups=True).run()
     if not singleton.accepted:
         return report_from_result(singleton, advice, localized=True, epoch=epoch)
     return report_from_result(result, advice, localized=False, epoch=epoch)

@@ -1,7 +1,7 @@
 """Unit tests for the loggable-variable static analyzer."""
 
 
-from repro.analysis import analyze_app, suggest_annotations
+from repro.analysis import analyze_app, predict_footprints, suggest_annotations
 from repro.apps import motd_app, stackdump_app, wiki_app
 from repro.kem import AppSpec
 
@@ -253,3 +253,43 @@ class TestDiagnostics:
 
         report = analyze_app(make_app({"handle": len}, init))
         assert report.unparsed == ["handle"]
+
+
+class TestFootprintAgreement:
+    """The analyzer reads the linter's footprints, so the two cannot
+    disagree about what a handler touches."""
+
+    def test_handler_without_source_is_not_under_annotated(self):
+        handle = eval(
+            "lambda ctx, req: (ctx.write('x', ctx.read('x') + 1), ctx.respond({}))"
+        )
+
+        def init(ic):
+            ic.create_var("x", 0)
+            ic.register_route("r", "handle")
+
+        app = make_app({"handle": handle}, init)
+        assert predict_footprints(app)["handle"].opaque
+        report = analyze_app(app)
+        assert report.unparsed == ["handle"]
+        assert report.classification("x") == "dynamic-conservative"
+        assert suggest_annotations(app)["x"] == "keep"
+
+    def test_keyword_var_id_is_a_literal_access(self):
+        def handle(ctx, req):
+            v = ctx.read(var_id="counter")
+            ctx.write("counter", v + 1)
+            ctx.respond({})
+
+        def init(ic):
+            ic.create_var("counter", 0)
+            ic.create_var("quiet", 0)
+            ic.register_route("r", "handle")
+
+        app = make_app({"handle": handle}, init)
+        assert predict_footprints(app)["handle"].reads == {"counter"}
+        report = analyze_app(app)
+        assert report.dynamic_sites == []
+        assert report.usage["counter"].readers == {"handle"}
+        assert report.classification("counter") == "shared"
+        assert report.classification("quiet") == "unused"

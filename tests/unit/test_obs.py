@@ -300,29 +300,3 @@ def test_concurrent_writers_and_merges_lose_nothing():
         assert snap["gauges"][f"t{k}.peak"] == INCS - 1
         assert snap["histograms"][f"t{k}.lat"]["count"] == INCS
     validate_metrics_doc(snap)
-
-
-def test_namespaced_metrics_prefixes_and_delegates():
-    from repro.obs import NamespacedMetrics
-
-    inner = MetricsRegistry()
-    ns = NamespacedMetrics("tenant.wiki", inner)
-    ns.counter("c").inc(2)
-    ns.gauge("g").set(1)
-    ns.histogram("h").observe(5)
-    ns.series("s").point(1, 2)
-    ns.diagnostic(stage="x", reason="r")
-    snap = inner.snapshot()
-    assert snap["counters"]["tenant.wiki.c"] == 2
-    assert snap["gauges"]["tenant.wiki.g"] == 1
-    assert snap["histograms"]["tenant.wiki.h"]["count"] == 1
-    assert snap["series"]["tenant.wiki.s"] == [[1, 2]]
-    assert snap["diagnostics"][0]["namespace"] == "tenant.wiki"
-    assert ns.snapshot() == inner.snapshot()
-
-
-def test_namespaced_metrics_short_circuits_disabled_inner():
-    from repro.obs import NamespacedMetrics
-
-    assert NamespacedMetrics("t", None) is NULL_METRICS
-    assert NamespacedMetrics("t", NULL_METRICS) is NULL_METRICS

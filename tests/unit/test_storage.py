@@ -2,6 +2,8 @@
 corruption/truncation detection, torn-tail recovery, journal durability,
 and property-style fuzz of the value/trace/advice/epoch codecs."""
 
+import gzip
+import io
 import os
 
 import pytest
@@ -29,15 +31,13 @@ from repro.storage import (
     RecordFormatError,
     RecordTruncatedError,
     backend_for,
-    decode_stream_header,
     decode_value,
     encode_record,
     encode_stream_header,
-    read_stream,
-    recover_stream,
     unpack_json,
     value_text,
 )
+from repro.storage.records import clean_prefix, iter_records, read_header
 from repro.trace.codec import iter_trace_records, read_trace, write_trace
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
 from repro.verifier.dag import NodeJournal
@@ -55,20 +55,28 @@ def _stream(kind, records):
     return bytes(buf)
 
 
+def _read(buf):
+    """A whole stream read strictly: its kind and every record."""
+    fh = io.BytesIO(buf)
+    kind = read_header(fh, "stream")
+    return kind, list(iter_records(fh))
+
+
 def test_header_roundtrip():
     buf = encode_stream_header("trace")
-    kind, start = decode_stream_header(buf)
+    fh = io.BytesIO(buf)
+    kind, start = read_header(fh, "stream"), fh.tell()
     assert kind == "trace" and start == len(buf)
 
 
 def test_bad_magic_rejected():
     with pytest.raises(RecordFormatError):
-        decode_stream_header(b"NOPE" + b"\x05trace")
+        read_header(io.BytesIO(b"NOPE" + b"\x05trace"), "stream")
 
 
 def test_records_roundtrip():
     records = [(1, b""), (7, b"x" * 1000), (250, "café".encode())]
-    kind, got = read_stream(_stream("k", records))
+    kind, got = _read(_stream("k", records))
     assert kind == "k" and got == records
 
 
@@ -76,18 +84,19 @@ def test_midstream_corruption_is_fatal():
     buf = bytearray(_stream("k", [(1, b"aaaa"), (2, b"bbbb")]))
     buf[len(encode_stream_header("k")) + 7] ^= 0xFF  # inside record 0
     with pytest.raises(RecordFormatError):
-        read_stream(bytes(buf))
+        _read(bytes(buf))
     # Tolerant recovery cannot rescue a corrupt *interior* either.
     with pytest.raises(RecordFormatError):
-        recover_stream(bytes(buf))
+        clean_prefix(io.BytesIO(bytes(buf)), "k", "stream")
 
 
 def test_torn_tail_is_truncation_not_corruption():
     whole = _stream("k", [(1, b"aaaa"), (2, b"bbbb")])
     torn = whole[:-3]  # rip the final record's CRC
     with pytest.raises(RecordTruncatedError):
-        read_stream(torn)
-    kind, records, good = recover_stream(torn)
+        _read(torn)
+    good = clean_prefix(io.BytesIO(torn), "k", "stream")
+    kind, records = _read(torn[:good])
     assert kind == "k"
     assert records == [(1, b"aaaa")]
     assert whole[:good] == _stream("k", [(1, b"aaaa")])
@@ -387,10 +396,20 @@ def test_stream_torn_inside_its_header_is_an_empty_stream(tmp_path, scheme):
         journal.record("verified", 0, digest="d0")
         journal.close()
         assert AuditJournal(backend=backend).last_verified() == 0
-    with pytest.raises(RecordFormatError):  # garbage is still not a stream
-        backend = FileBackend(str(tmp_path / "garbage"))
-        open(backend._path("journal"), "wb").write(b"xx")
-        backend.load_tolerant("journal", "journal")
+    # Bytes that are no header's prefix are corrupt, not torn: every
+    # backend refuses to read them, or to append over them.
+    for garbage in (b"xx", b"XYZW"):
+        for op in ("load_tolerant", "append"):
+            backend = backend_for(scheme, str(tmp_path / f"{scheme}-{garbage!r}-{op}"))
+            backend.create("journal", "journal").close()
+            if scheme == "memory":
+                backend.raw("journal")[:] = garbage
+            else:
+                stored = gzip.compress(garbage) if scheme == "gzip" else garbage
+                with open(backend._path("journal"), "wb") as fh:
+                    fh.write(stored)
+            with pytest.raises(RecordFormatError):
+                getattr(backend, op)("journal", "journal")
 
 
 def test_journal_kill_mid_write_backend(tmp_path):
