@@ -165,7 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="--metrics-out refresh period (default 2.0)")
     svc.add_argument("--poll-interval", type=float, default=0.05,
                      metavar="SECONDS",
-                     help="idle sleep between source polls (default 0.05)")
+                     help="longest idle wait between source polls when no "
+                     "store event arrives; a sealed epoch landing in a "
+                     "watched store ends the wait at once (default 0.05)")
     svc.add_argument("--torn-limit", type=int, default=16, metavar="N",
                      help="consecutive failed decodes of one epoch before "
                      "its stream is classified corrupt instead of mid-seal; "

@@ -47,8 +47,9 @@ from repro.obs import MetricsRegistry
 from repro.service.http import StatusServer
 from repro.service.pool import PlanJob, SharedDagPool
 from repro.service.quota import TokenBucket
+from repro.service.storewatch import StoreWatch
 from repro.service.tenant import EpochSource, TenantConfig, TenantStream
-from repro.storage.backend import backend_for
+from repro.storage.backend import FileBackend, backend_for
 
 
 class _TenantRuntime:
@@ -99,6 +100,8 @@ class AuditService:
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {sorted(names)}")
+        if not poll_interval >= 0:
+            raise ValueError(f"poll interval must be >= 0, got {poll_interval}")
         self.state_dir = state_dir
         self.status_port = status_port
         self.metrics_out = metrics_out
@@ -112,6 +115,7 @@ class AuditService:
         self._snap_lock = threading.Lock()
         self._published: Optional[Dict[str, object]] = None
         self._running = False
+        self._watch: Optional[StoreWatch] = None  # the last run's wait
         self.status: Optional[StatusServer] = None
         self.epoch_ticks: List[Dict[str, object]] = []
 
@@ -162,6 +166,9 @@ class AuditService:
     def request_stop(self) -> None:
         """Signal-safe: ask the main loop to drain and exit."""
         self._stop.set()
+        watch = self._watch
+        if watch is not None:
+            watch.wake()
 
     @property
     def stopping(self) -> bool:
@@ -171,16 +178,23 @@ class AuditService:
         """The scheduling loop.  ``once=True`` exits when every source
         is exhausted and every queue and plan has drained (the batch /
         CI mode); otherwise runs until :meth:`request_stop`.  Returns
-        the number of epochs audited this run."""
+        the number of epochs audited this run.  An idle loop waits up to
+        ``poll_interval``, never past the next ``metrics_out`` write or
+        (with a status server) snapshot publish; a store event or a stop
+        request ends the wait early."""
         audited0 = sum(len(rt.stream.verdicts) for rt in self._tenants)
+        watch = self._watch = StoreWatch(
+            rt.source.backend.root for rt in self._tenants
+            if isinstance(rt.source.backend, FileBackend)  # file and gzip
+        )
         self._running = True
-        self._publish_snapshot()  # never serve a None/racy first scrape
-        if self.status_port is not None and self.status is None:
-            self.status = StatusServer(self.fleet_snapshot,
-                                       port=self.status_port)
-            self.status.start()
-        last_metrics = last_publish = time.monotonic()
         try:
+            self._publish_snapshot()  # never serve a None/racy first scrape
+            if self.status_port is not None and self.status is None:
+                self.status = StatusServer(self.fleet_snapshot,
+                                           port=self.status_port)
+                self.status.start()
+            last_metrics = last_publish = time.monotonic()
             while not self._stop.is_set():
                 progressed = self._ingest() > 0
                 progressed |= self._admit() > 0
@@ -201,12 +215,18 @@ class AuditService:
                 if once and not progressed and self._drained():
                     break
                 if not progressed and not self._stop.is_set():
-                    time.sleep(self.poll_interval)
+                    wait = self.poll_interval
+                    if self.status is not None:
+                        wait = min(wait, last_publish + self._publish_every - now)
+                    if self.metrics_out and self.metrics_every > 0:
+                        wait = min(wait, last_metrics + self.metrics_every - now)
+                    watch.wait(wait)
         finally:
             try:
                 self._shutdown()
             finally:
                 self._running = False
+                watch.close()
         return sum(len(rt.stream.verdicts) for rt in self._tenants) - audited0
 
     def _drained(self) -> bool:
@@ -334,6 +354,8 @@ class AuditService:
         fleet.gauge("service.tenants").set(len(self._tenants))
         fleet.gauge("service.ticks").set(self.pool.ticks)
         fleet.gauge("service.quota_rounds").set(self.pool.quota_rounds)
+        fleet.gauge("service.store_watch").set(
+            int(self._watch is not None and self._watch.watching))
         for rt in self._tenants:
             prefix = f"tenant.{rt.name}."
             fleet.merge(rt.stream.metrics.snapshot(), prefix=prefix)

@@ -39,7 +39,7 @@ from repro.core.work import WORK_SCALE_ENV, scaled_work
 from repro.kem.scheduler import RandomScheduler
 from repro.obs import validate_metrics_doc
 from repro.server import KarousosPolicy, run_server
-from repro.service import AuditService, TenantConfig
+from repro.service import AuditService, TenantConfig, storewatch
 from repro.storage import FileBackend, backend_for
 from repro.store import IsolationLevel, KVStore
 from repro.workload import feed_workload, motd_workload, wiki_workload
@@ -581,6 +581,146 @@ class TestStarvation:
         assert fair_tick < fifo_tick, (fair_tick, fifo_tick)
         # And the super-producer actually hit its quota.
         assert fair_svc.pool.throttled.get("big", 0) > 0
+
+
+# -- the idle wait: store events, stop requests, metrics cadence ----------------
+
+
+def _watch_available(directory):
+    probe = storewatch.StoreWatch([directory])
+    try:
+        return probe.watching
+    finally:
+        probe.close()
+
+
+def _within(predicate, seconds):
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def _land_live(tmp_path, label, epochs, poll_interval):
+    """Tail an empty wiki store with a daemon thread, land ``epochs``
+    one by one -- even indexes renamed in from a staging directory, odd
+    ones written in place -- and wait for each verdict.  Returns the
+    verdict fingerprints, the ``service.store_watch`` gauge, the slowest
+    land-to-verdict time and how long ``request_stop()`` took."""
+    staged = _store_epochs(tmp_path, label + "-staged", epochs)
+    store = os.path.join(str(tmp_path), label + "-live")
+    live = backend_for("file", store)
+    service = AuditService(
+        [TenantConfig(app="wiki", store=store, name="w")],
+        state_dir=os.path.join(str(tmp_path), label),
+        poll_interval=poll_interval,
+    )
+    runner = threading.Thread(target=service.run, daemon=True)
+    runner.start()
+    slowest = 0.0
+    try:
+        for epoch in epochs:
+            landed = time.monotonic()
+            if epoch.index % 2 == 0:
+                name = f"epoch-{epoch.index}{FileBackend.suffix}"
+                os.replace(os.path.join(staged, name),
+                           os.path.join(store, name))
+            else:
+                write_epoch_stored(live, epoch)
+            assert _within(lambda: len(service.epoch_ticks) > epoch.index,
+                           2.0), f"no verdict for epoch {epoch.index}"
+            slowest = max(slowest, time.monotonic() - landed)
+    finally:
+        stopped = time.monotonic()
+        service.request_stop()
+        runner.join(timeout=60)
+    assert not runner.is_alive()
+    gauge = service.fleet_snapshot()["gauges"]["service.store_watch"]
+    return (_stream_fingerprints(service, "w")[0], gauge, slowest,
+            time.monotonic() - stopped)
+
+
+@tier1
+class TestIdleWait:
+    def test_landed_epochs_and_stop_wake_an_idle_daemon(self, fleets,
+                                                       tmp_path):
+        """With a 30 s poll interval, only a store event can get an
+        epoch audited within 2 s, and only the stop pipe can end the
+        wait within 1 s."""
+        if not _watch_available(str(tmp_path)):
+            pytest.skip("no inotify store watch on this platform")
+        _, gauge, slowest, stop = _land_live(
+            tmp_path, "watched", fleets["wiki"][:2], poll_interval=30
+        )
+        assert gauge == 1
+        assert slowest < 2.0 and stop < 1.0, (slowest, stop)
+
+    def test_timer_fallback_gives_the_same_verdicts(self, fleets, tmp_path,
+                                                    monkeypatch):
+        watched, _, _, _ = _land_live(
+            tmp_path, "watched", fleets["wiki"], poll_interval=0.05
+        )
+        monkeypatch.setattr(storewatch, "_inotify", lambda directories: None)
+        timed, gauge, _, _ = _land_live(
+            tmp_path, "timed", fleets["wiki"], poll_interval=0.05
+        )
+        assert gauge == 0
+        assert timed == watched == _solo("wiki", fleets["wiki"])[0]
+
+    def test_back_to_back_runs_leak_no_descriptor(self, tmp_path):
+        """One inotify instance and one pipe per run, all closed when the
+        run returns: 200 runs is past the default limit of 128 inotify
+        instances per user, where a leak would silently turn the watch
+        off."""
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd")
+        store = os.path.join(str(tmp_path), "epochs")
+        watching = _watch_available(str(tmp_path))
+
+        def run_once():
+            service = AuditService(
+                [TenantConfig(app="motd", store=store)],
+                state_dir=os.path.join(str(tmp_path), "state"),
+            )
+            service.run(once=True)
+            return service.fleet_snapshot()["gauges"]["service.store_watch"]
+
+        run_once()
+        before = len(os.listdir("/proc/self/fd"))
+        gauges = {run_once() for _ in range(200)}
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert gauges == {int(watching)}
+
+    def test_idle_wait_keeps_the_metrics_cadence(self, tmp_path):
+        store = os.path.join(str(tmp_path), "epochs")
+        out = os.path.join(str(tmp_path), "metrics.json")
+        service = AuditService(
+            [TenantConfig(app="motd", store=store)],
+            state_dir=os.path.join(str(tmp_path), "state"),
+            metrics_out=out, metrics_every=0.2, poll_interval=5,
+        )
+        runner = threading.Thread(target=service.run, daemon=True)
+        runner.start()
+        rewrites, last = 0, None
+        try:
+            deadline = time.monotonic() + 1.5
+            while time.monotonic() < deadline:
+                try:
+                    st = os.stat(out)
+                    stamp = (st.st_ino, st.st_mtime_ns)
+                except FileNotFoundError:
+                    stamp = None
+                if stamp is not None and stamp != last:
+                    rewrites += 1
+                last = stamp
+                time.sleep(0.01)
+        finally:
+            service.request_stop()
+            runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert rewrites >= 3, rewrites
 
 
 # -- SIGTERM drain + restart (real process tree; not tier1) -------------------

@@ -86,6 +86,14 @@ class TestServeAudit:
         err = capsys.readouterr().err
         assert "unknown tenant app 'nope'" in err and "wiki" in err
 
+    def test_negative_poll_interval_is_usage_error(self, tmp_path, capsys):
+        code = main(["serve-audit", "--tenant",
+                     f"app=motd,store={tmp_path / 'epochs'}",
+                     "--state-dir", str(tmp_path / "state"), "--once",
+                     "--poll-interval", "-1"])
+        assert code == EXIT_USAGE
+        assert "poll interval must be >= 0" in capsys.readouterr().err
+
 
 class TestPlan:
     def test_negative_epochs_is_usage_error(self, served, capsys):
