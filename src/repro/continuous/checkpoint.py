@@ -15,6 +15,9 @@ initialises from checkpoint *k* (see :class:`repro.verifier.carry.CarryIn`),
 so trust in a continuous audit reduces to trust in the chain: resuming
 from storage re-verifies every digest, and a tampered stored checkpoint is
 rejected as ``checkpoint-chain-forged`` before any epoch is re-audited.
+The store writes each session's first checkpoint whole and every later
+one as a delta against its parent; the digest is always over the whole
+state, so a delta is trusted exactly as a full record is.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import AdviceFormatError, KarousosError
 from repro.storage.backend import StorageBackend
@@ -245,27 +248,74 @@ def checkpoint_from_audit(
 # -- storage -------------------------------------------------------------------
 
 
-def encode_checkpoint(cp: Checkpoint) -> str:
+def _stored(now: Dict[str, _Fragment], had: Optional[Dict[str, _Fragment]]) -> str:
+    """The stored entries of ``now``; given ``had`` (the entries of the
+    record written before), only those whose stored text differs there."""
+    if had is None:
+        return ",".join(f.stored for f in now.values())
+    changed = []
+    for key, f in now.items():
+        old = had.get(key)
+        if old is not f and (old is None or old.stored != f.stored):
+            changed.append(f.stored)
+    return ",".join(changed)
+
+
+def _record(cp: Checkpoint, fragments: _Fragments, had: Optional[_Fragments]) -> str:
     # Byte for byte ``canonical_json`` of {"epoch", "parent", "vars",
-    # "kv", "digest"} with the two entry lists in key order.
-    fragments = cp._fragments or _fragments(cp.vars, cp.kv)
-    return '{"digest":%s,"epoch":%s,"kv":[%s],"parent":%s,"vars":[%s]}' % (
-        canonical_json(cp.digest),
+    # "kv", "digest"} with the two entry lists in key order; a delta
+    # (``had`` given) lists only the entries that changed, and adds the
+    # keys it no longer has as "drop_kv" / "drop_vars".
+    head = '{"digest":%s,' % canonical_json(cp.digest)
+    if had is not None:
+        head += '"drop_kv":[%s],"drop_vars":[%s],' % (
+            ",".join(json_text(k) for k in had.kv if k not in fragments.kv),
+            ",".join(json_text(k) for k in had.vars if k not in fragments.vars),
+        )
+    return '%s"epoch":%s,"kv":[%s],"parent":%s,"vars":[%s]}' % (
+        head,
         canonical_json(cp.epoch),
-        ",".join(f.stored for f in fragments.kv.values()),
+        _stored(fragments.kv, had and had.kv),
         canonical_json(cp.parent_digest),
-        ",".join(f.stored for f in fragments.vars.values()),
+        _stored(fragments.vars, had and had.vars),
     )
 
 
-def decode_checkpoint(payload: Union[str, bytes]) -> Checkpoint:
+def encode_checkpoint(cp: Checkpoint) -> str:
+    """``cp``'s full stored record."""
+    return _record(cp, cp._fragments or _fragments(cp.vars, cp.kv), None)
+
+
+def _entries(doc: dict, name: str, base: Optional[Checkpoint]) -> Dict[str, object]:
+    """The ``vars`` or ``kv`` map of a decoded record, in key order; a
+    delta's entries and dropped keys patch ``base``'s map, every other
+    value object carried over."""
+    out: Dict[str, object] = {}
+    if base is not None:
+        out = dict(getattr(base, name))
+        dropped = doc["drop_" + name]
+        if not isinstance(dropped, list):
+            raise CheckpointError(f"malformed checkpoint: bad drop_{name} list")
+        for key in dropped:
+            del out[key]
+    for key, value in doc[name]:
+        if type(key) is not str:
+            raise CheckpointError(f"malformed checkpoint: {name} key {key!r} is not a string")
+        out[key] = decode_value(value)
+    return {key: out[key] for key in sorted(out)}
+
+
+def _decode(payload: Union[str, bytes], base: Optional[Checkpoint]) -> Checkpoint:
+    """The one record reader: a full record, or (``base`` given, the
+    checkpoint decoded from the record before) a delta that must extend
+    ``base``."""
     try:
         doc = json.loads(payload)
         cp = Checkpoint(
             epoch=doc["epoch"],
             parent_digest=doc["parent"],
-            vars={k: decode_value(v) for k, v in doc["vars"]},
-            kv={k: decode_value(v) for k, v in doc["kv"]},
+            vars=_entries(doc, "vars", base),
+            kv=_entries(doc, "kv", base),
             digest=doc["digest"],
         )
     except (KeyError, TypeError, ValueError, RecursionError, AdviceFormatError) as exc:
@@ -278,12 +328,23 @@ def decode_checkpoint(payload: Union[str, bytes]) -> Checkpoint:
         or not isinstance(cp.digest, str)
     ):
         raise CheckpointError("malformed checkpoint: bad epoch or digest field")
+    if base is not None and (cp.parent_digest, cp.epoch) != (base.digest, base.epoch + 1):
+        raise CheckpointError(
+            f"delta checkpoint {cp.epoch} does not extend the record before it "
+            f"(checkpoint {base.epoch})"
+        )
     return cp
+
+
+def decode_checkpoint(payload: Union[str, bytes]) -> Checkpoint:
+    """The checkpoint a full record holds."""
+    return _decode(payload, None)
 
 
 STREAM_KIND = "checkpoint"
 STREAM_NAME = "checkpoints"
-RT_CHECKPOINT = 1
+RT_CHECKPOINT = 1  # the whole state
+RT_DELTA = 2  # what changed since the record before it, its parent
 
 
 class CheckpointStore:
@@ -292,28 +353,39 @@ class CheckpointStore:
     On a :class:`repro.storage.backend.StorageBackend` the store is one
     append-only ``checkpoints`` record stream, one record per
     :meth:`put`, barriered before :meth:`put` returns so the journal
-    never names a checkpoint the store could still lose.  Reopening
-    replays the stream (later records for an index win) and recovers a
+    never names a checkpoint the store could still lose.  The first
+    :meth:`put` of a writer session writes the whole state
+    (``RT_CHECKPOINT``); every later one that extends the checkpoint
+    written before it writes a delta (``RT_DELTA``: the entries whose
+    stored text changed, the keys that are gone).  Reopening replays the
+    stream (later records for an index win; a delta applies to the
+    record right before it, which must be its parent) and recovers a
     torn tail; a whole record that is not a well-formed checkpoint
     raises :class:`CheckpointError`.
 
-    :meth:`verify_chain` recomputes every digest and checks the parent
-    links, so tampering with stored state is detected before any carried
-    value is trusted.
+    :meth:`verify_chain` recomputes every digest over the whole state
+    and checks the parent links, so tampering with stored state -- full
+    record or delta -- is detected before any carried value is trusted.
     """
 
     def __init__(self, backend: Optional[StorageBackend] = None):
         self.backend = backend
         self._writer = None
+        # (digest, epoch, entries) of the record this writer session
+        # wrote last: the base of the next delta.
+        self._written: Optional[Tuple[str, int, _Fragments]] = None
         self._by_index: Dict[int, Checkpoint] = {}
         if backend is not None:
+            before: Optional[Checkpoint] = None
             for rtype, payload in backend.load_tolerant(STREAM_NAME, STREAM_KIND):
-                if rtype != RT_CHECKPOINT:
+                if rtype not in (RT_CHECKPOINT, RT_DELTA):
                     raise CheckpointError(
                         f"unexpected checkpoint record type {rtype}"
                     )
-                cp = decode_checkpoint(payload)
-                self._by_index[cp.epoch] = cp
+                if rtype == RT_DELTA and before is None:
+                    raise CheckpointError("a delta checkpoint record opens the stream")
+                before = _decode(payload, before if rtype == RT_DELTA else None)
+                self._by_index[before.epoch] = before
 
     def __len__(self) -> int:
         return len(self._by_index)
@@ -326,19 +398,27 @@ class CheckpointStore:
 
     def put(self, cp: Checkpoint) -> None:
         self._by_index[cp.epoch] = cp
-        if self.backend is not None:
-            if self._writer is None:
-                self._writer = self.backend.append(STREAM_NAME, STREAM_KIND)
-            self._writer.append(
-                RT_CHECKPOINT, encode_checkpoint(cp).encode("utf-8")
-            )
-            self._writer.sync()
+        if self.backend is None:
+            return
+        if self._writer is None:
+            self._writer = self.backend.append(STREAM_NAME, STREAM_KIND)
+        digest, epoch, had = self._written or (None, None, _NOTHING_KNOWN)
+        fragments = cp._fragments or _fragments(cp.vars, cp.kv, had)
+        delta = (digest, epoch) == (cp.parent_digest, cp.epoch - 1)
+        self._writer.append(
+            RT_DELTA if delta else RT_CHECKPOINT,
+            _record(cp, fragments, had if delta else None).encode("utf-8"),
+        )
+        self._writer.sync()
+        self._written = (cp.digest, cp.epoch, fragments)
 
     def close(self) -> None:
-        """Seal the backend stream (no-op for an in-memory store)."""
+        """Seal the backend stream (no-op for an in-memory store); the
+        next :meth:`put` starts a new writer session."""
         if self._writer is not None:
             self._writer.seal()
             self._writer = None
+        self._written = None
 
     def latest(self) -> Optional[Checkpoint]:
         if not self._by_index:
@@ -348,10 +428,12 @@ class CheckpointStore:
     def verify_chain(self, up_to: Optional[int] = None) -> None:
         """Check digests and parent links for epochs ``0..up_to`` (all
         stored epochs if None); raise :class:`CheckpointChainError` on the
-        first inconsistency."""
+        first inconsistency.  Each link reuses its predecessor's fragment
+        for every entry holding the same object, so a chain reopened from
+        deltas encodes what each delta wrote."""
         if up_to is None:
             up_to = max(self._by_index, default=-1)
-        parent = GENESIS_DIGEST
+        parent, known = GENESIS_DIGEST, _NOTHING_KNOWN
         for index in range(up_to + 1):
             cp = self._by_index.get(index)
             if cp is None:
@@ -361,7 +443,8 @@ class CheckpointStore:
                     f"checkpoint {index} parent digest does not match "
                     f"checkpoint {index - 1}"
                 )
-            if not cp.verify():
+            known = _fragments(cp.vars, cp.kv, known)
+            if cp.digest != _digest(index, parent, known):
                 raise CheckpointChainError(
                     f"checkpoint {index} digest does not match its contents"
                 )

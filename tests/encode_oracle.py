@@ -173,3 +173,24 @@ def epoch_records(epoch):
 
 def binlog_record(entry):
     return pack_json({"key": entry.key, "token": encode_value(entry.writer_token)})
+
+
+# -- checkpoint deltas ---------------------------------------------------------------
+
+
+def checkpoint_delta(cp, before):
+    """The delta record of checkpoint ``cp`` written after ``before``
+    (its parent): the entries whose stored text differs from
+    ``before``'s, and the keys ``before`` had and ``cp`` lacks."""
+    def changed(now, had):
+        return [
+            [k, encode_value(v)] for k, v in sorted(now.items())
+            if k not in had or fragment(k, had[k])[1] != fragment(k, v)[1]
+        ]
+
+    return canonical_json({
+        "epoch": cp.epoch, "parent": cp.parent_digest, "digest": cp.digest,
+        "vars": changed(cp.vars, before.vars), "kv": changed(cp.kv, before.kv),
+        "drop_vars": sorted(set(before.vars) - set(cp.vars)),
+        "drop_kv": sorted(set(before.kv) - set(cp.kv)),
+    })

@@ -41,7 +41,7 @@ from repro.continuous import (
     EpochSealer,
     slice_epochs,
 )
-from repro.continuous.checkpoint import decode_checkpoint, encode_checkpoint
+from repro.continuous.checkpoint import RT_CHECKPOINT, RT_DELTA
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.storage import FileBackend
@@ -333,23 +333,31 @@ class TestCrashResume:
     @pytest.mark.parametrize("recompute", [False, True], ids=["stale", "rehashed"])
     def test_forged_checkpoint_refuses_resume(self, tmp_path, recompute):
         """Tampering with a stored checkpoint -- whether or not the forger
-        recomputes its digest -- must poison resumption: the journal
-        anchors each verified epoch to the digest recorded at
-        verification time."""
-        app_fn, epochs, backend = self._crashed_store(tmp_path)
-
-        def forge(rtype, payload):
-            cp = decode_checkpoint(payload)
-            if cp.epoch == 1:
-                cp = self._forge(cp, recompute)
-            return encode_checkpoint(cp).encode()
-
-        self._rewrite(backend, "checkpoints", forge)
-        a2 = self._auditor(app_fn, backend)
-        verdicts = a2.run(epochs)
-        assert not a2.accepted
-        assert all(not v.accepted for v in verdicts)
-        assert verdicts[0].result.reason == "checkpoint-chain-forged"
+        recomputes its digest, whether it is stored whole or as a delta
+        -- must poison resumption: the journal anchors each verified
+        epoch to the digest recorded at verification time."""
+        for record in (RT_DELTA, RT_CHECKPOINT):
+            app_fn, epochs, backend = self._crashed_store(tmp_path / str(record))
+            honest = CheckpointStore(backend=backend)
+            # Rewrite the stream the way the auditor writes it, every
+            # frame re-CRCed: one writer session stores checkpoint 1 as a
+            # delta against checkpoint 0, a session per checkpoint stores
+            # both whole.
+            with backend.create("checkpoints", "checkpoint"):
+                pass
+            forged = CheckpointStore(backend=backend)
+            for cp in (honest.get(0), self._forge(honest.get(1), recompute)):
+                forged.put(cp)
+                if record == RT_CHECKPOINT:
+                    forged.close()
+            forged.close()
+            with backend.reader("checkpoints") as reader:
+                assert [rtype for rtype, _ in reader] == [RT_CHECKPOINT, record]
+            a2 = self._auditor(app_fn, backend)
+            verdicts = a2.run(epochs)
+            assert not a2.accepted
+            assert all(not v.accepted for v in verdicts)
+            assert verdicts[0].result.reason == "checkpoint-chain-forged"
 
     def test_forged_journal_digest_refuses_resume(self, tmp_path):
         """Rewriting the journal's recorded digest cannot help a forger:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.advice.codec import iter_advice_frames
 from repro.continuous import ContinuousAuditor
 from repro.continuous.checkpoint import STREAM_NAME as CHECKPOINTS
-from repro.continuous.checkpoint import CheckpointStore
+from repro.continuous.checkpoint import RT_CHECKPOINT, RT_DELTA, CheckpointStore
 from repro.continuous.codec import epoch_stream_name, write_epoch_stored
 from repro.core.ids import HandlerId, TxId
 from repro.errors import AdviceFormatError
@@ -192,11 +192,19 @@ def test_epoch_and_checkpoint_records_match_the_documents(app, which):
     state = MemoryBackend()
     checkpoints = CheckpointStore(state)
     ContinuousAuditor(vg.APPS[app](), checkpoints=checkpoints).run(epochs)
-    stored = [payload for _, payload in _records(state, CHECKPOINTS)]
+    stored = _records(state, CHECKPOINTS)
     assert len(stored) == len(checkpoints) >= 1
-    for index, payload in enumerate(stored):
-        record, digest = _reference_checkpoint(checkpoints.get(index))
-        assert checkpoints.get(index).digest == digest
+    # One writer session: the whole state first, then one delta per
+    # checkpoint against the one before it.
+    assert [rtype for rtype, _ in stored] == [RT_CHECKPOINT] + [RT_DELTA] * (
+        len(stored) - 1
+    )
+    for index, (_, payload) in enumerate(stored):
+        cp = checkpoints.get(index)
+        record, digest = _reference_checkpoint(cp)
+        assert cp.digest == digest
+        if index:
+            record = oracle.checkpoint_delta(cp, checkpoints.get(index - 1))
         assert payload == record.encode()
 
 

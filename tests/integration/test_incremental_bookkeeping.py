@@ -232,6 +232,49 @@ def test_an_epoch_encodes_only_the_entries_it_wrote(app, tmp_path, monkeypatch):
     assert carried > 0 or app == "motd", "nothing was carried: nothing was tested"
 
 
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_reopening_a_delta_chain_encodes_what_each_record_wrote(
+    app, tmp_path, monkeypatch
+):
+    """The O(delta) guard on reopen: loading one writer session's stream
+    (the whole state, then a delta per epoch) and verifying its chain
+    builds one fragment per entry of the full record, plus one per entry
+    each delta wrote -- the entries every delta carried reuse the
+    previous link's fragment, and no stored checkpoint keeps a cache."""
+    auditor = _durable_auditor(app, tmp_path)
+    epochs = streams(app)["honest"]
+    assert all(v.accepted for v in auditor.run(epochs))
+    _close(auditor)
+    state = backend_for("file", str(tmp_path / "audit"))
+    with state.reader(checkpoint_mod.STREAM_NAME) as reader:
+        records = list(reader)
+    assert [rtype for rtype, _ in records] == [checkpoint_mod.RT_CHECKPOINT] + [
+        checkpoint_mod.RT_DELTA
+    ] * (len(epochs) - 1)
+    written = sum(
+        len(doc["vars"]) + len(doc["kv"])
+        for doc in (json.loads(payload) for _, payload in records)
+    )
+
+    built = []
+    real = checkpoint_mod._fragment
+
+    def counting(key, value):
+        built.append(key)
+        return real(key, value)
+
+    monkeypatch.setattr(checkpoint_mod, "_fragment", counting)
+    reopened = CheckpointStore(backend=state)
+    reopened.verify_chain()
+    assert len(built) == written
+    full = auditor.checkpoints.get(0)
+    assert written < len(epochs) * (len(full.vars) + len(full.kv)) or app == "motd"
+    for index in range(len(epochs)):
+        stored = reopened.get(index)
+        assert stored._fragments is None
+        assert stored == auditor.checkpoints.get(index)
+
+
 # -- the epoch digest, taken where the frames are read --------------------------------
 
 

@@ -285,6 +285,13 @@ class TestObservability:
         assert not runner.is_alive()
 
 
+# A checkpoint record for epoch 0 whose ``vars`` keys are 1 and "a".
+_NON_STRING_KEYS = (
+    b'{"digest":"d","epoch":0,"kv":[],"parent":"genesis",'
+    b'"vars":[[1,{"t":"p","v":1}],["a",{"t":"p","v":2}]]}'
+)
+
+
 @tier1
 class TestCorruptInput:
     """A permanently undecodable epoch must fail its tenant's audit in
@@ -420,6 +427,8 @@ class TestCorruptInput:
     @pytest.mark.parametrize("stream,kind,payload", [
         ("checkpoints", "checkpoint", b'{"epoch":"x"}'),
         ("journal", "journal", b"[1,2]"),
+        pytest.param("checkpoints", "checkpoint", _NON_STRING_KEYS,
+                     id="checkpoints-non-string-key"),
     ])
     def test_malformed_state_record_fails_only_its_tenant(
         self, fleets, tmp_path, stream, kind, payload
@@ -463,6 +472,26 @@ class TestCorruptInput:
         assert gauges["tenant.motd.service.input_corrupt"] == 1
         assert gauges["tenant.feed.service.input_corrupt"] == 0
         assert gauges["tenant.wiki.service.input_corrupt"] == 0
+
+
+    def test_non_string_checkpoint_key_is_input_format_for_the_cli(
+        self, tmp_path, capsys
+    ):
+        """The damaged key that made the fleet raise ``TypeError`` out of
+        ``verify_chain``: the solo audit rejects it as malformed input."""
+        from repro.cli import EXIT_OK, EXIT_REJECTED, main
+
+        motd = _serve("motd", motd_workload(12, mix="mixed", seed=7))
+        store = _store_epochs(
+            tmp_path, "motd-keys", slice_epochs(motd.trace, motd.advice, 4)
+        )
+        argv = ["audit", "--app", "motd", "--store", "file", "--store-path", store]
+        assert main(argv) == EXIT_OK
+        with backend_for("file", store).append("checkpoints", "checkpoint") as w:
+            w.append(1, _NON_STRING_KEYS)
+        capsys.readouterr()
+        assert main(argv) == EXIT_REJECTED
+        assert "REJECT  reason=input-format" in capsys.readouterr().out
 
 
 @tier1

@@ -27,7 +27,7 @@ from repro.continuous import (
     slice_epochs,
     write_epoch_stored,
 )
-from repro.continuous.checkpoint import RT_CHECKPOINT
+from repro.continuous.checkpoint import RT_CHECKPOINT, RT_DELTA
 from repro.continuous.journal import RT_JOURNAL_EVENT
 from repro.core.ids import HandlerId
 from repro.errors import AdviceFormatError
@@ -216,6 +216,46 @@ class TestCheckpointStore:
             writer.append(rtype, payload)
         with pytest.raises(CheckpointError):
             CheckpointStore(backend=backend)
+
+    @pytest.mark.parametrize("rtype", [RT_CHECKPOINT, RT_DELTA])
+    @pytest.mark.parametrize("field", ["vars", "kv"])
+    def test_non_string_key_is_a_checkpoint_error(self, rtype, field):
+        """A damaged key used to load, then make ``verify_chain`` -- and
+        with it ``ContinuousAuditor`` and the whole fleet -- raise
+        ``TypeError`` sorting ``1`` against ``"a"``."""
+        backend = MemoryBackend()
+        store = CheckpointStore(backend=backend)
+        cp = self._chain(1)[0]
+        store.put(cp)
+        store.close()
+        doc = {"epoch": 0, "parent": GENESIS_DIGEST, "vars": [], "kv": [],
+               "digest": cp.digest}
+        if rtype == RT_DELTA:
+            doc.update(epoch=1, parent=cp.digest, drop_vars=[], drop_kv=[])
+        doc[field] = [[1, {"t": "p", "v": 1}], ["a", {"t": "p", "v": 2}]]
+        with backend.append("checkpoints", "checkpoint") as writer:
+            writer.append(rtype, json.dumps(doc).encode())
+        journal = AuditJournal()
+        journal.record("verified", 0, digest=cp.digest)
+        with pytest.raises(CheckpointError, match="not a string"):
+            ContinuousAuditor(
+                motd_app(), checkpoints=CheckpointStore(backend=backend),
+                journal=journal,
+            )
+
+    def test_session_writes_whole_then_deltas(self):
+        backend = MemoryBackend()
+        store = CheckpointStore(backend=backend)
+        for cp in self._chain(3):
+            store.put(cp)
+        store.close()
+        store.put(Checkpoint.make(3, store.get(2).digest, {"v": 3}, {}))
+        with backend.reader("checkpoints") as reader:
+            kinds = [rtype for rtype, _ in reader]
+        assert kinds == [RT_CHECKPOINT, RT_DELTA, RT_DELTA, RT_CHECKPOINT]
+        reopened = CheckpointStore(backend=backend)
+        reopened.verify_chain()
+        assert [reopened.get(i) for i in range(4)] == [store.get(i) for i in range(4)]
 
     def test_verify_chain_rejects_missing_link(self):
         store = CheckpointStore()
