@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 
 from repro.apps import make_app
-from repro.continuous import ContinuousAuditor, slice_epochs
+from repro.continuous import ContinuousAuditor, EpochSealer
 from repro.continuous.codec import write_epoch_stored
 from repro.harness import print_series
 from repro.kem.scheduler import RandomScheduler
@@ -31,15 +31,19 @@ OVERHEAD_BOUND = 1.5
 SEED = 7
 
 
-def _serve(app, workload):
-    return run_server(
+def _serve(app, workload, seal_every):
+    """The epochs a sealer cuts serving ``workload``."""
+    sealer = EpochSealer(seal_every)
+    run_server(
         make_app(app),
         workload,
         KarousosPolicy(),
         store=KVStore(IsolationLevel.SERIALIZABLE),
         scheduler=RandomScheduler(1),
         concurrency=1,  # quiescent cut points -> several epochs
+        sealer=sealer,
     )
+    return sealer.epochs
 
 
 def _store_epochs(root, name, epochs):
@@ -60,14 +64,10 @@ def _fingerprints(verdicts):
 def _tenant_streams(scale):
     n = max(18, scale.n_requests // 10)
     seal = max(4, n // 4)
-    runs = {
-        "wiki": _serve("wiki", wiki_workload(n, seed=SEED)),
-        "feed": _serve("feed", feed_workload(n, mix="mixed", seed=SEED + 1)),
-        "motd": _serve("motd", motd_workload(n, mix="mixed", seed=SEED + 2)),
-    }
     return {
-        name: slice_epochs(run.trace, run.advice, seal)
-        for name, run in runs.items()
+        "wiki": _serve("wiki", wiki_workload(n, seed=SEED), seal),
+        "feed": _serve("feed", feed_workload(n, mix="mixed", seed=SEED + 1), seal),
+        "motd": _serve("motd", motd_workload(n, mix="mixed", seed=SEED + 2), seal),
     }
 
 

@@ -51,7 +51,6 @@ from repro.continuous import (
     ContinuousAuditor,
     Epoch,
     EpochSealer,
-    slice_epochs,
 )
 from repro.trace import Collector, Request, Trace
 from repro.verifier import AuditResult, Auditor, audit
@@ -99,6 +98,5 @@ __all__ = [
     "ContinuousAuditor",
     "Epoch",
     "EpochSealer",
-    "slice_epochs",
     "__version__",
 ]

@@ -84,10 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "and journal), else its trace against its advice",
     )
     aud.add_argument("--app", required=True, choices=APP_NAMES)
-    aud.add_argument("--epochs", type=int, default=0, metavar="N",
-                     help="continuous audit: re-cut the stored trace into "
-                     "epochs of N responses and audit them in sequence with "
-                     "checkpoint hand-off")
     aud.add_argument("--singleton-groups", action="store_true",
                      help="use the sequential OOOAudit (one group per request)")
     aud.add_argument("--jobs", type=int, default=1,
@@ -189,9 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compile an audit to its execution DAG without running it",
     )
     plan.add_argument("--app", required=True, choices=APP_NAMES)
-    plan.add_argument("--epochs", type=int, default=0, metavar="N",
-                      help="plan a continuous audit: re-cut the stored trace "
-                      "into epochs of N responses")
     _add_store_args(plan)
     plan.add_argument("--singleton-groups", action="store_true",
                       help="one re-execution group per request (OOOAudit)")
@@ -322,8 +315,6 @@ def _store_usage_error(args) -> Optional[str]:
     """Flag validation shared by every store command; None when consistent."""
     if not args.store_path:
         return "--store-path is required"
-    if getattr(args, "epochs", 0) < 0:
-        return "--epochs must be >= 0"
     return None
 
 
@@ -481,7 +472,7 @@ def _dispatch_audit(args) -> int:
 
 
 def _dispatch_audit_inner(args, metrics, progress, dedup) -> int:
-    from repro.continuous import iter_epochs_stored, slice_epochs
+    from repro.continuous import iter_epochs_stored
     from repro.continuous.codec import list_epoch_streams
 
     backend = _store_backend(args, metrics=metrics)
@@ -490,7 +481,7 @@ def _dispatch_audit_inner(args, metrics, progress, dedup) -> int:
         metrics=metrics, progress=progress, dedup=dedup,
         node_journal=_make_node_journal(args, metrics),
     )
-    if not args.epochs and list_epoch_streams(backend):
+    if list_epoch_streams(backend):
         # Sealed epoch streams take precedence: audit them lazily, one
         # epoch resident at a time (O(epoch) memory).
         return _cmd_audit_continuous(
@@ -500,10 +491,6 @@ def _dispatch_audit_inner(args, metrics, progress, dedup) -> int:
     if pair is None:
         return EXIT_USAGE
     trace, advice = pair
-    if args.epochs:
-        return _cmd_audit_continuous(
-            args, backend, slice_epochs(trace, advice, args.epochs), engine
-        )
     auditor = Auditor(
         make_app(args.app), trace, advice,
         singleton_groups=args.singleton_groups, **engine,
@@ -681,23 +668,19 @@ def _cmd_plan(args) -> int:
     if usage is not None:
         print(f"error: {usage}", file=sys.stderr)
         return EXIT_USAGE
-    from repro.continuous import iter_epochs_stored, slice_epochs
+    from repro.continuous import iter_epochs_stored
     from repro.continuous.codec import list_epoch_streams
     from repro.verifier.dag import compile_plan, format_plan_text, single_epoch, validate_plan
 
     # One plan per epoch, exactly the plans `audit` compiles and journals.
     backend = _store_backend(args)
-    if not args.epochs and list_epoch_streams(backend):
+    if list_epoch_streams(backend):
         epochs = iter_epochs_stored(backend)
     else:
         pair = _stored_pair(args, backend)
         if pair is None:
             return EXIT_USAGE
-        epochs = (
-            slice_epochs(*pair, args.epochs)
-            if args.epochs
-            else [single_epoch(0, *pair)]
-        )
+        epochs = [single_epoch(0, *pair)]
     for epoch in epochs:
         plan = compile_plan(
             args.app, epoch,

@@ -26,7 +26,7 @@ from repro.continuous.codec import (
     read_epoch_stream,
     write_epoch_stored,
 )
-from repro.continuous.epoch import Epoch, balanced_cuts, slice_epochs
+from repro.continuous.epoch import Epoch
 from repro.continuous.journal import AuditJournal
 from repro.continuous.sealer import EpochSealer
 
@@ -41,13 +41,11 @@ __all__ = [
     "EpochSealer",
     "EpochVerdict",
     "GENESIS_DIGEST",
-    "balanced_cuts",
     "checkpoint_from_audit",
     "compute_digest",
     "decode_checkpoint",
     "encode_checkpoint",
     "iter_epochs_stored",
     "read_epoch_stream",
-    "slice_epochs",
     "write_epoch_stored",
 ]

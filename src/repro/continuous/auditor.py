@@ -176,7 +176,6 @@ class ContinuousAuditor:
         if len(self._queue) >= self.max_pending:
             self.backpressure_events += 1
             return False
-        self.journal.record("sealed", epoch.index, requests=epoch.request_count)
         self._queue.append(epoch)
         self.peak_pending = max(self.peak_pending, len(self._queue))
         return True
@@ -254,8 +253,8 @@ class ContinuousAuditor:
         return [self.verdicts[i] for i in sorted(self.verdicts)]
 
     def run(self, epochs: Iterable[Epoch]) -> List[EpochVerdict]:
-        """Submit a pre-sealed epoch sequence and drain (the offline mode
-        used by ``audit --epochs``).
+        """Submit a sealed epoch sequence and drain (what ``audit`` does
+        with a store that ``serve --seal-every`` wrote).
 
         ``epochs`` may be a lazy iterator (e.g.
         :func:`repro.continuous.codec.iter_epochs_stored`): combined with
@@ -314,19 +313,18 @@ class ContinuousAuditor:
     def _build_auditor(
         self, epoch: Epoch, parent: Optional[Checkpoint]
     ) -> Auditor:
-        """The epoch's engine.  Its checkpoint node is armed with this
-        epoch's index and parent: an accepted run leaves the
+        """The epoch's engine, its checkpoint node armed by
+        :meth:`Auditor.for_epoch`: an accepted run leaves the
         digest-chained checkpoint in ``auditor.checkpoint``; an
         unextractable one rejects as ``checkpoint-unextractable``."""
         return Auditor.for_epoch(
             self.app,
             epoch,
+            parent,
             parallelism=self.parallelism,
             scheduler=self.scheduler,
-            carry=parent.carry_in() if parent is not None else None,
             metrics=self.metrics,
             progress=self._epoch_progress(epoch),
-            checkpoint_parent=parent,
             dedup=self.dedup,
             node_journal=self.node_journal,
         )

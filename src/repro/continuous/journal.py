@@ -1,15 +1,14 @@
 """Crash-resumable audit progress journal (DESIGN.md §6).
 
-One event per record, appended as the continuous audit progresses:
+One verdict per record, appended as the continuous audit progresses:
 
-* ``{"event": "sealed",   "epoch": k, "requests": n}``
 * ``{"event": "verified", "epoch": k, "digest": "..."}``
 * ``{"event": "rejected", "epoch": k, "reason": "...", "detail": "..."}``
 
-A verdict (``verified`` / ``rejected``) is a commit point: its append is
-followed by a durability barrier, which also covers every earlier
-record of the stream.  ``sealed`` takes none of its own -- nothing reads
-it back to make a decision, so losing one costs nothing.
+Each is a commit point: its append is followed by a durability barrier,
+which also covers every earlier record of the stream.  Journals written
+before this layout also hold ``{"event": "sealed", "epoch": k,
+"requests": n}`` records; they still load, and nothing reads them.
 
 A restarted auditor loads the journal, finds the last verified epoch, and
 resumes after it -- re-auditing nothing that already verified, provided
@@ -36,6 +35,7 @@ STREAM_KIND = "journal"
 STREAM_NAME = "journal"
 RT_JOURNAL_EVENT = 1
 
+# Only journals of older stores hold "sealed": it loads, nothing reads it.
 EVENTS = ("sealed", "verified", "rejected")
 
 
@@ -75,8 +75,7 @@ class AuditJournal:
             if self._writer is None:
                 self._writer = self.backend.append(STREAM_NAME, STREAM_KIND)
             self._writer.append(RT_JOURNAL_EVENT, pack_json(entry))
-            if event != "sealed":
-                self._writer.sync()
+            self._writer.sync()
 
     def close(self) -> None:
         """Seal the backend stream (no-op for an in-memory journal)."""

@@ -61,6 +61,7 @@ from repro.store import IsolationLevel, KVStore
 from repro.trace.codec import read_trace, write_trace
 from repro.trace.trace import Trace
 from repro.verifier import Auditor
+from repro.verifier.dag import Scheduler
 from repro.workload import workload_for
 
 _OPS = {op.name: op for op in mutation_surface()}
@@ -99,12 +100,9 @@ def serve_case(case: WorkloadCase) -> Tuple[Trace, Advice]:
 def serve_sealed_case(case: WorkloadCase, seal_every: int):
     """Serve one workload with an :class:`EpochSealer` attached.
 
-    Offline slicing of an *unsealed* trace can cut where a responded
-    request still had live activations, legitimately rejecting an honest
-    server (see :mod:`repro.continuous.epoch`).  The continuous
-    completeness driver therefore audits epochs sealed at quiescent
-    points during serving -- the same contract the CLI enforces by
-    pairing ``audit --epochs`` with ``serve --seal-every``.
+    The continuous completeness driver audits epochs exactly as the
+    sealer cut them, at quiescent points during serving -- the only
+    epochs any audit sees (see :mod:`repro.continuous.epoch`).
     """
     from repro.continuous import EpochSealer
 
@@ -247,19 +245,24 @@ def run_completeness_case(
     if case.backend != "direct":
         with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
             trace, advice = _roundtrip(case.backend, trace, advice, tmp)
-    kwargs = {}
-    if case.driver == "singleton":
-        kwargs["singleton_groups"] = True
-    elif case.driver == "parallel":
+    auditor = Auditor(
+        app, trace, advice, dedup=dedup,
+        singleton_groups=case.driver == "singleton",
+    )
+    if case.driver == "parallel":
         # What a worker pool does to the engine, without the pool: nodes
         # are absorbed out of canonical order (seeded, so a failure
         # replays).
         rng = random.Random(case.workload.schedule_seed)
         rank: Dict[str, float] = {}
-        kwargs["order_key"] = lambda node: rank.setdefault(
-            node.node_id, rng.random()
+        loop = Scheduler(
+            "serial",
+            order_key=lambda node: rank.setdefault(node.node_id, rng.random()),
         )
-    result = Auditor(app, trace, advice, dedup=dedup, **kwargs).run()
+        loop.execute(*auditor.prepare(), auditor)
+        result = auditor.collect()
+    else:
+        result = auditor.run()
     if not result.accepted:
         stats.record_reject(result.reason)
         return (

@@ -181,12 +181,6 @@ def rejection_result(
     )
 
 
-class SimulatedKill(Exception):
-    """Test hook: raised after the N-th journal write to model a hard
-    kill at that exact persistence boundary (the record survives, the
-    process does not)."""
-
-
 def jsonable(value: object) -> object:
     """Best-effort JSON sanitisation: containers recurse, scalars pass,
     everything else (HandlerId, TxId, ...) collapses to its repr."""
@@ -213,11 +207,11 @@ class Auditor:
     Either way groups reduce in canonical order, so verdict and
     deterministic statistics do not depend on the choice.
 
-    ``checkpoint_index`` / ``checkpoint_parent`` arm the checkpoint node
-    (continuous auditing): an accepted run leaves the extracted
+    :meth:`for_epoch` is the one way to arm the checkpoint node
+    (continuous auditing): it takes a sealed epoch and its parent
+    checkpoint, and an accepted run leaves the extracted
     :class:`~repro.continuous.checkpoint.Checkpoint` in
-    ``self.checkpoint``; :meth:`for_epoch` builds the engine from a
-    sealed epoch directly.  ``metrics`` (a
+    ``self.checkpoint``.  ``metrics`` (a
     :class:`~repro.obs.MetricsRegistry`) turns on the observability
     spine; ``progress`` is a per-node hook ``(stage, seconds)``.
 
@@ -229,9 +223,10 @@ class Auditor:
 
     ``node_journal`` gives node-granular crash resume: a journal this
     plan wrote is replayed, one left by another plan (or damaged) is
-    discarded, not trusted.  ``kill_after`` and ``order_key`` are test
-    hooks: a simulated kill after the N-th journal write, and a
-    ready-queue shuffle.
+    discarded, not trusted.  To drain the ready queue in another order,
+    run :meth:`prepare`'s nodes on a
+    :class:`~repro.verifier.dag.scheduler.Scheduler` of your own, then
+    :meth:`collect`.
     """
 
     def __init__(
@@ -244,14 +239,9 @@ class Auditor:
         parallelism: int = 1,
         scheduler: Optional[str] = None,
         dedup: Optional[object] = None,
-        carry: Optional[CarryIn] = None,
         metrics: Optional[MetricsRegistry] = None,
         progress: Optional[StageHook] = None,
-        checkpoint_index: Optional[int] = None,
-        checkpoint_parent: Optional[object] = None,
         node_journal: Optional[NodeJournal] = None,
-        kill_after: Optional[int] = None,
-        order_key: Optional[Callable[[object], object]] = None,
     ):
         if scheduler is not None and scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {scheduler!r}")
@@ -265,18 +255,18 @@ class Auditor:
         self.parallelism = max(1, int(parallelism))
         self.scheduler = scheduler
         self.dedup = dedup
-        self.carry = carry
         self.metrics = ensure_metrics(metrics)
         self.progress = progress
-        self.checkpoint_index = checkpoint_index
-        self.checkpoint_parent = checkpoint_parent
         self.journal = node_journal
-        self.kill_after = kill_after
-        self.order_key = order_key
-        self.epoch = checkpoint_index if checkpoint_index is not None else 0
+        # A whole run: epoch 0 from genesis, checkpoint node disarmed.
+        # for_epoch sets all four from a sealed epoch and its parent.
+        self.epoch = 0
+        self.parent: Optional[object] = None
+        self.carry: Optional[CarryIn] = None
+        self._armed = False
         # What the plan is compiled over; for_epoch substitutes the
         # sealed epoch itself.
-        self._epoch_like: object = single_epoch(self.epoch, self.trace, advice)
+        self._epoch_like: object = single_epoch(0, self.trace, advice)
 
         self.state: Optional[AuditState] = None
         self.re_exec: Optional[ReExecutor] = None
@@ -297,17 +287,24 @@ class Auditor:
         self._hits: Dict[str, GroupDelta] = {}
         self._fresh: Set[str] = set()
         self._jstate: Optional[NodeJournalState] = None
-        self._journal_writes = 0
 
     @classmethod
-    def for_epoch(cls, app: AppSpec, epoch: object, **options) -> "Auditor":
+    def for_epoch(
+        cls, app: AppSpec, epoch: object, parent: Optional[object] = None,
+        **options,
+    ) -> "Auditor":
         """The engine for one sealed epoch (``.index``, ``.trace``,
-        ``.advice``), its checkpoint node armed with the epoch's index.
-        The plan is compiled over ``epoch`` itself, so a content digest
-        it brought from storage is not recomputed by re-encoding it."""
-        auditor = cls(
-            app, epoch.trace, epoch.advice, checkpoint_index=epoch.index, **options
-        )
+        ``.advice``), its checkpoint node armed.  ``parent`` is the
+        verified checkpoint of the epoch before (None at genesis): the
+        audit starts from its carry-in state and the extracted
+        checkpoint chains to its digest.  The plan is compiled over
+        ``epoch`` itself, so a content digest it brought from storage is
+        not recomputed by re-encoding it."""
+        auditor = cls(app, epoch.trace, epoch.advice, **options)
+        auditor.epoch = epoch.index
+        auditor.parent = parent
+        auditor.carry = parent.carry_in() if parent is not None else None
+        auditor._armed = True
         auditor._epoch_like = epoch
         return auditor
 
@@ -321,9 +318,7 @@ class Auditor:
     ) -> AuditResult:
         """Execute :meth:`prepare`'s nodes on this engine's own
         ready-queue loop, then :meth:`collect`."""
-        loop = Scheduler(
-            self.scheduler, jobs=self.parallelism, order_key=self.order_key
-        )
+        loop = Scheduler(self.scheduler, jobs=self.parallelism)
         try:
             loop.execute(nodes, edges, self)
         finally:
@@ -552,7 +547,7 @@ class Auditor:
         self.metrics.counter("reexec.handlers").inc(self.re_exec.handlers_executed)
 
     def _extract_checkpoint(self):
-        if self.checkpoint_index is None:
+        if not self._armed:
             return None
         from repro.continuous.checkpoint import (
             CheckpointError,
@@ -561,8 +556,7 @@ class Auditor:
 
         try:
             return checkpoint_from_audit(
-                self.checkpoint_index, self.checkpoint_parent,
-                self.state, self.re_exec,
+                self.epoch, self.parent, self.state, self.re_exec
             )
         except CheckpointError as exc:
             raise AuditRejected("checkpoint-unextractable", str(exc)) from exc
@@ -587,14 +581,6 @@ class Auditor:
             # re-executes that node, which is sound, just not saved.
             if payload is not None:
                 self.journal.record_delta(node.node_id, payload)
-                self._journal_writes += 1
-                if self.kill_after is not None and (
-                    self._journal_writes >= self.kill_after
-                ):
-                    raise SimulatedKill(
-                        f"simulated kill after {self._journal_writes} "
-                        "journal records"
-                    )
 
     def _finish(self, result: AuditResult) -> None:
         """Record the verdict: its counter (and diagnostic) and the
@@ -636,12 +622,11 @@ def audit(
     trace: TraceLike,
     advice: Advice,
     parallelism: int = 1,
-    carry: Optional[CarryIn] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> AuditResult:
     """Audit a served trace against the server's advice."""
     return Auditor(
-        app, trace, advice, parallelism=parallelism, carry=carry, metrics=metrics
+        app, trace, advice, parallelism=parallelism, metrics=metrics
     ).run()
 
 
@@ -650,7 +635,6 @@ __all__ = [
     "AuditResult",
     "Auditor",
     "PlanAborted",
-    "SimulatedKill",
     "StageHook",
     "audit",
     "collect_stats",

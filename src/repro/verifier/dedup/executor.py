@@ -338,7 +338,7 @@ class Deduplicator:
     but keeps the in-run memo: digest-identical groups within one stage
     run still execute once and fan out.  One Deduplicator may serve many
     audits (the continuous auditor shares one across epochs; the CLI
-    shares one across a ``--epochs`` stream), and the memo spans its
+    shares one across a sealed epoch stream), and the memo spans its
     whole lifetime.
     """
 

@@ -7,22 +7,23 @@ from repro.cli import EXIT_OK, main
 
 @pytest.fixture(scope="session")
 def five_wiki_epochs():
-    """An honest wiki run cut into exactly five sealed epochs."""
+    """An honest wiki run sealed into exactly five epochs."""
     from repro.apps import wiki_app
-    from repro.continuous import slice_epochs
+    from repro.continuous import EpochSealer
     from repro.kem.scheduler import RandomScheduler
     from repro.server import KarousosPolicy, run_server
     from repro.store import IsolationLevel, KVStore
     from repro.workload import wiki_workload
 
-    run = run_server(
+    sealer = EpochSealer(3)
+    run_server(
         wiki_app(), wiki_workload(15, seed=5), KarousosPolicy(),
         store=KVStore(IsolationLevel.SERIALIZABLE),
-        scheduler=RandomScheduler(1), concurrency=1,  # quiescent cut points
+        scheduler=RandomScheduler(1), concurrency=1,  # every response drains
+        sealer=sealer,
     )
-    epochs = slice_epochs(run.trace, run.advice, 3)
-    assert len(epochs) == 5
-    return epochs
+    assert len(sealer.epochs) == 5
+    return sealer.epochs
 
 
 @pytest.fixture(scope="session")

@@ -3,25 +3,16 @@
 The epoch-sealed streaming audit (repro.continuous) must be
 observationally equivalent to the monolithic Auditor on honest runs --
 every epoch accepted, summed deterministic work identical -- across apps
-x isolation levels x epoch sizes (one request, small batches, the whole
-trace), whether epochs are sealed online during serving or sliced
-offline from a recorded trace.
+x isolation levels x epoch sizes (one request, small batches), with
+epochs sealed online during serving: the sealer is the only producer of
+epochs, and an audit takes each one exactly as it was sealed.
 
-On tampered runs the continuous audit must *localize*: writing D for the
-set of epoch indices whose sliced trace/advice differ from the honest
-slicing, no epoch before min(D) may reject (earlier epochs saw only
-honest data), and for attacks whose lie survives slicing the rejection
-must land exactly on min(D).  Two attacks are exempt from the exact
-claim:
-
-* ``merge-tags`` corrupts only grouping advice; slicing can separate the
-  merged victims into different epochs, leaving every epoch's grouping
-  consistent -- acceptance is then sound (OOOAudit accepts this tamper
-  on the whole trace for the same reason).
-* ``redirect-dictating-put`` can point a read at a put in an *earlier*
-  epoch; slicing rewrites the cross-epoch precedence to the carry-in
-  read, which the verified checkpoint satisfies with the same value --
-  the lie is neutralized, not missed.
+On tampered runs the continuous audit must *localize*.  Each attack is
+applied to one sealed epoch that offers it a target (the first after
+genesis, else epoch 0), as the verdict goldens forge their tampered
+stream; writing k for that epoch, no epoch before k may reject (earlier
+epochs saw only honest data), and a guaranteed attack must be rejected
+exactly at k.
 
 Checkpoint hand-off is attacked directly as well: forged stored
 checkpoints (with and without recomputed digests) must refuse to resume.
@@ -38,8 +29,8 @@ from repro.continuous import (
     Checkpoint,
     CheckpointStore,
     ContinuousAuditor,
+    Epoch,
     EpochSealer,
-    slice_epochs,
 )
 from repro.continuous.checkpoint import RT_CHECKPOINT, RT_DELTA
 from repro.kem.scheduler import RandomScheduler
@@ -154,20 +145,6 @@ class TestHonestEquivalence:
             assert len(epochs) >= 2
         assert sum(e.request_count for e in epochs) == N_REQUESTS
 
-    @pytest.mark.parametrize("size", [1, 4, 10_000], ids=["one", "small", "whole"])
-    def test_offline_slicing_matches_monolithic(self, served, size):
-        app_fn, run, _, _ = served
-        mono = audit(app_fn(), run.trace, run.advice)
-        epochs = slice_epochs(run.trace, run.advice, size)
-        auditor, verdicts = _continuous(app_fn, epochs)
-        assert all(v.accepted for v in verdicts), [
-            (v.epoch, v.result.reason) for v in verdicts
-        ]
-        assert auditor.stats()["handlers_executed"] == _handlers(mono.stats)
-        if size >= 10_000:
-            assert len(epochs) == 1
-        assert sum(e.request_count for e in epochs) == N_REQUESTS
-
     def test_checkpoint_digests_deterministic(self, served):
         """Two independent continuous audits of the same epochs must
         produce identical checkpoint chains (digests are canonical)."""
@@ -204,25 +181,26 @@ class TestStreamingSink:
         assert auditor.stats()["handlers_executed"] == _handlers(mono.stats)
 
 
-# Attacks whose lie does not survive slicing intact (see module
-# docstring): only the weak claim -- no rejection before min(D) -- holds.
-WEAK = {"merge-tags", "redirect-dictating-put"}
-
 ATTACK_EPOCH_SIZE = 3
 
 
-def _differing_epochs(honest, tampered):
-    """Epoch indices whose sliced (trace, advice) differ from honest."""
-    diff = set()
-    for i in range(max(len(honest), len(tampered))):
-        if i >= len(honest) or i >= len(tampered):
-            diff.add(i)
-        elif (
-            honest[i].trace != tampered[i].trace
-            or honest[i].advice != tampered[i].advice
-        ):
-            diff.add(i)
-    return sorted(diff)
+def _tampered_stream(epochs, attack):
+    """The sealed stream with ``attack`` applied to one epoch, the way
+    :func:`tests.verdict_goldens.streams` forges epoch 1: ``(that epoch's
+    index, the stream)``, or None when no epoch offers a target.  The
+    victim is the first epoch after genesis that offers one -- so the
+    tampered epoch audits from an honest predecessor's checkpoint --
+    and epoch 0 only when no later epoch does."""
+    for victim in list(epochs[1:]) + list(epochs[:1]):
+        try:
+            trace, advice = attack.apply(victim.trace, victim.advice)
+        except LookupError:
+            continue
+        forged = Epoch(victim.index, trace, advice, victim.binlog_range)
+        stream = list(epochs)
+        stream[victim.index] = forged
+        return victim.index, stream
+    return None
 
 
 @pytest.mark.parametrize(
@@ -231,41 +209,27 @@ def _differing_epochs(honest, tampered):
 @pytest.mark.parametrize("attack", ALL_ATTACKS, ids=lambda a: a.name)
 def test_attack_rejected_in_the_epoch_containing_the_tamper(run_spec, attack):
     name, app_fn, workload_fn, store_fn = run_spec
-    run, _ = _serve(app_fn, workload_fn, store_fn, ATTACK_EPOCH_SIZE, 4)
-    try:
-        trace, advice = attack.apply(run.trace, run.advice)
-    except LookupError:
+    _, epochs = _serve(app_fn, workload_fn, store_fn, ATTACK_EPOCH_SIZE, 4)
+    assert len(epochs) >= 2
+    tampered = _tampered_stream(epochs, attack)
+    if tampered is None:
         pytest.skip("no target")
-    honest = slice_epochs(run.trace, run.advice, ATTACK_EPOCH_SIZE)
-    tampered = slice_epochs(trace, advice, ATTACK_EPOCH_SIZE)
-    d = _differing_epochs(honest, tampered)
-    auditor, verdicts = _continuous(app_fn, tampered)
+    k, stream = tampered
+    auditor, verdicts = _continuous(app_fn, stream)
     rejection = auditor.first_rejection
-    if not d:
-        # Slicing erased the lie entirely -- the epochs are bit-identical
-        # to the honest ones, so acceptance is the only sound verdict.
-        assert rejection is None, (rejection.epoch, rejection.result.reason)
-        return
-    # Soundness floor for every attack: epochs before the first tampered
-    # one saw only honest data and must all accept.
-    if rejection is not None:
-        assert rejection.epoch >= min(d), (
-            attack.name,
-            rejection.epoch,
-            d,
-            rejection.result.reason,
-        )
+    # Soundness floor for every attack: epochs before the tampered one
+    # saw only honest data and must all accept.
     for v in verdicts:
-        if v.epoch < min(d):
-            assert v.accepted, (attack.name, v.epoch, v.result.reason)
-    # Localization: a guaranteed attack whose lie survives slicing is
-    # caught in exactly the first epoch that contains it.
-    if attack.guaranteed and attack.name not in WEAK:
-        assert rejection is not None, (attack.name, d)
-        assert rejection.epoch == min(d), (
+        if v.epoch < k:
+            assert v.accepted, (attack.name, v.epoch, k, v.result.reason)
+    # Localization: a guaranteed attack is caught in exactly the epoch
+    # that carries it.
+    if attack.guaranteed:
+        assert rejection is not None, (attack.name, k)
+        assert rejection.epoch == k, (
             attack.name,
             rejection.epoch,
-            d,
+            k,
             rejection.result.reason,
         )
 

@@ -24,7 +24,7 @@ from repro.store import IsolationLevel, KVStore
 from repro.verifier import Auditor
 from repro.verifier.dedup import Deduplicator, VerdictCache
 from repro.workload import stacks_workload, wiki_workload
-from tests.verdict_goldens import shuffled
+from tests.verdict_goldens import run_ordered, shuffled
 
 pytestmark = pytest.mark.tier1
 
@@ -92,10 +92,10 @@ def test_poisoned_cache_parallel_driver(served, op, tmp_path):
     backend = _primed_backend("file", tmp_path, app_fn, run)
     op.apply(backend, "verdicts")
     poisoned = Deduplicator(VerdictCache(backend))
-    got = Auditor(
-        app_fn(), run.trace, run.advice,
-        order_key=shuffled(op.name), dedup=poisoned,
-    ).run()
+    got = run_ordered(
+        Auditor(app_fn(), run.trace, run.advice, dedup=poisoned),
+        shuffled(op.name),
+    )
     _assert_matches(got, plain, context=(op.name, "parallel"))
 
 

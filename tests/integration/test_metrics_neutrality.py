@@ -8,7 +8,7 @@ import pytest
 
 from repro.apps import motd_app, stackdump_app, wiki_app
 from repro.attacks import ALL_ATTACKS
-from repro.continuous import ContinuousAuditor, slice_epochs
+from repro.continuous import ContinuousAuditor, EpochSealer
 from repro.kem.scheduler import RandomScheduler
 from repro.obs import MetricsRegistry, validate_metrics_doc
 from repro.server import KarousosPolicy, run_server
@@ -22,7 +22,7 @@ pytestmark = pytest.mark.tier1
 TIMING_KEYS = {"elapsed_seconds", "first_verdict_seconds"}
 
 
-def _serve(app_fn, workload, store=None):
+def _serve(app_fn, workload, store=None, sealer=None):
     return run_server(
         app_fn(),
         workload,
@@ -30,6 +30,7 @@ def _serve(app_fn, workload, store=None):
         store=store,
         scheduler=RandomScheduler(0),
         concurrency=5,
+        sealer=sealer,
     )
 
 
@@ -198,8 +199,14 @@ class TestDedupNeutrality:
         assert counters["reexec.handlers"] == 2 * plain_counters["reexec.handlers"]
 
 
-def test_continuous_audit_is_metrics_neutral(wiki_run):
-    epochs = slice_epochs(wiki_run.trace, wiki_run.advice, 5)
+def test_continuous_audit_is_metrics_neutral():
+    sealer = EpochSealer(5)
+    _serve(
+        wiki_app, wiki_workload(25, seed=13),
+        store=KVStore(IsolationLevel.SERIALIZABLE), sealer=sealer,
+    )
+    epochs = sealer.epochs
+    assert len(epochs) > 1
 
     def _run(metrics):
         auditor = ContinuousAuditor(wiki_app(), metrics=metrics)

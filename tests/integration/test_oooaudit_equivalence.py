@@ -18,6 +18,7 @@ from repro.store import IsolationLevel, KVStore
 from repro.verifier import Auditor, audit
 from repro.verifier.oooaudit import ooo_audit
 from repro.workload import motd_workload, stacks_workload, wiki_workload
+from tests.verdict_goldens import run_ordered
 
 
 def _runs():
@@ -71,10 +72,10 @@ class TestHonestEquivalence:
     def test_group_order_independence_audit(self, served):
         app_fn, run = served
         forward = Auditor(app_fn(), run.trace, run.advice).run()
-        backward = Auditor(
-            app_fn(), run.trace, run.advice,
-            order_key=lambda node: _Descending(node.node_id),
-        ).run()
+        backward = run_ordered(
+            Auditor(app_fn(), run.trace, run.advice),
+            lambda node: _Descending(node.node_id),
+        )
         assert forward.accepted == backward.accepted
         assert forward.stats["groups"] == backward.stats["groups"]
 

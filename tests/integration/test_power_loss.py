@@ -74,7 +74,7 @@ def test_solo_restart_equals_fault_free(app, which):
         assert [row[1] for row in want[:2]] == [True, False]  # rejects at 1
     offset = sorted(goldens.APPS).index(app)
     assert powerloss.check_solo(
-        app, which, powerloss.memory_backends, stride=3, seed=offset
+        app, which, powerloss.memory_backends, stride=2, seed=offset
     ) >= 4
 
 

@@ -4,11 +4,11 @@ orders.
 Lemma 1 (the paper, via :mod:`repro.verifier.oooaudit`) states all
 well-formed op schedules are audit-equivalent.  The engine's observable
 content of that lemma: whatever order the ready queue drains re-execution
-nodes in -- shuffled through ``order_key``, over singleton or advice
-groups -- the verdict, reason,
-detail, site and deterministic stats must equal the canonical-order
-run's, and the verdict must equal OOOAudit's.  The failing fuzz seed is
-printed on assertion failure so the exact order reproduces.
+nodes in -- shuffled through a ``Scheduler``'s ``order_key``, over
+singleton or advice groups -- the verdict, reason, detail, site and
+deterministic stats must equal the canonical-order run's, and the
+verdict must equal OOOAudit's.  The failing fuzz seed is printed on
+assertion failure so the exact order reproduces.
 """
 
 import random
@@ -23,7 +23,7 @@ from repro.store import IsolationLevel, KVStore
 from repro.verifier import Auditor
 from repro.verifier.oooaudit import ooo_audit
 from repro.workload import motd_workload, stacks_workload
-from tests.verdict_goldens import fingerprint
+from tests.verdict_goldens import fingerprint, run_ordered
 
 pytestmark = pytest.mark.tier1
 
@@ -38,10 +38,10 @@ def _fuzz(app_fn, trace, advice, fuzz_seed, context, check_ooo=True):
         )
         for trial in range(N_ORDERS):
             rank = {}
-            got = Auditor(
-                app_fn(), trace, advice, singleton_groups=singleton,
-                order_key=lambda n: rank.setdefault(n.node_id, rng.random()),
-            ).run()
+            got = run_ordered(
+                Auditor(app_fn(), trace, advice, singleton_groups=singleton),
+                lambda n: rank.setdefault(n.node_id, rng.random()),
+            )
             assert fingerprint(got) == want, (
                 f"{context}: fuzz_seed={fuzz_seed} singleton={singleton} "
                 f"trial={trial}"

@@ -33,7 +33,7 @@ import urllib.request
 import pytest
 
 from repro.apps import make_app
-from repro.continuous import ContinuousAuditor, slice_epochs
+from repro.continuous import ContinuousAuditor, Epoch, EpochSealer
 from repro.continuous.codec import write_epoch_stored
 from repro.core.work import WORK_SCALE_ENV, scaled_work
 from repro.kem.scheduler import RandomScheduler
@@ -64,19 +64,26 @@ def _serve(app, workload, **kw):
     )
 
 
+def _sealed(app, workload, seal_every):
+    """The epochs a sealer cuts serving ``workload``."""
+    sealer = EpochSealer(seal_every)
+    _serve(app, workload, sealer=sealer)
+    return sealer.epochs
+
+
 @pytest.fixture(scope="module")
 def fleets():
-    """Honest wiki + feed epoch streams, plus a tampered wiki stream."""
-    from repro.attacks import ALL_ATTACKS
+    """Honest wiki + feed epoch streams, plus the wiki stream with epoch
+    1's first response altered."""
+    from repro.attacks.tamper import tamper_response
 
-    wiki = _serve("wiki", wiki_workload(18, seed=53))
-    feed = _serve("feed", feed_workload(18, mix="mixed", seed=24))
-    wiki_epochs = slice_epochs(wiki.trace, wiki.advice, 4)
-    feed_epochs = slice_epochs(feed.trace, feed.advice, 4)
+    wiki_epochs = _sealed("wiki", wiki_workload(18, seed=53), 4)
+    feed_epochs = _sealed("feed", feed_workload(18, mix="mixed", seed=24), 4)
     assert len(wiki_epochs) > 1 and len(feed_epochs) > 1
-    attack = next(a for a in ALL_ATTACKS if a.name == "tamper-response")
-    t_trace, t_advice = attack.apply(wiki.trace, wiki.advice)
-    tampered = slice_epochs(t_trace, t_advice, 4)
+    victim = wiki_epochs[1]
+    forged = Epoch(1, *tamper_response(victim.trace, victim.advice),
+                   victim.binlog_range)
+    tampered = wiki_epochs[:1] + [forged] + wiki_epochs[2:]
     return {"wiki": wiki_epochs, "feed": feed_epochs, "tampered": tampered}
 
 
@@ -398,8 +405,7 @@ class TestCorruptInput:
         with a leading zero, is malformed input: the tenant fails as
         ``input-format`` instead of auditing epoch 0 twice, and an honest
         neighbour is untouched."""
-        motd = _serve("motd", motd_workload(12, mix="mixed", seed=7))
-        epochs = slice_epochs(motd.trace, motd.advice, 4)
+        epochs = _sealed("motd", motd_workload(12, mix="mixed", seed=7), 4)
         bad_store = _store_epochs(tmp_path, f"copied-{copy}", epochs[:1])
         shutil.copy(
             os.path.join(bad_store, "epoch-0" + FileBackend.suffix),
@@ -436,11 +442,9 @@ class TestCorruptInput:
         """A CRC-valid but malformed record in one tenant's *state*
         streams used to raise out of ``AuditService.__init__`` and take
         the whole fleet down."""
-        motd = _serve("motd", motd_workload(12, mix="mixed", seed=7))
+        motd = _sealed("motd", motd_workload(12, mix="mixed", seed=7), 4)
         stores = {
-            "motd": _store_epochs(
-                tmp_path, "motd-input", slice_epochs(motd.trace, motd.advice, 4)
-            ),
+            "motd": _store_epochs(tmp_path, "motd-input", motd),
             "feed": _store_epochs(tmp_path, "feed-input", fleets["feed"]),
             "wiki": _store_epochs(tmp_path, "wiki-input", fleets["wiki"]),
         }
@@ -481,9 +485,9 @@ class TestCorruptInput:
         ``verify_chain``: the solo audit rejects it as malformed input."""
         from repro.cli import EXIT_OK, EXIT_REJECTED, main
 
-        motd = _serve("motd", motd_workload(12, mix="mixed", seed=7))
         store = _store_epochs(
-            tmp_path, "motd-keys", slice_epochs(motd.trace, motd.advice, 4)
+            tmp_path, "motd-keys",
+            _sealed("motd", motd_workload(12, mix="mixed", seed=7), 4),
         )
         argv = ["audit", "--app", "motd", "--store", "file", "--store-path", store]
         assert main(argv) == EXIT_OK
@@ -544,11 +548,9 @@ class TestStarvation:
 
     @pytest.fixture(scope="class")
     def traffic(self):
-        big = _serve("wiki", wiki_workload(40, seed=7))
-        small = _serve("motd", motd_workload(3, mix="mixed", seed=9))
-        big_epochs = slice_epochs(big.trace, big.advice, 40)  # one huge epoch
-        small_epochs = slice_epochs(small.trace, small.advice, 3)[:1]
-        assert len(small_epochs) == 1
+        big_epochs = _sealed("wiki", wiki_workload(40, seed=7), 40)
+        small_epochs = _sealed("motd", motd_workload(3, mix="mixed", seed=9), 3)
+        assert len(big_epochs) == len(small_epochs) == 1  # one huge epoch
         return big_epochs, small_epochs
 
     @pytest.fixture(scope="class")
@@ -791,10 +793,8 @@ def test_sigterm_drains_and_restart_resumes_every_tenant(tmp_path):
     epochs with solo-identical verdicts, replaying journaled nodes
     instead of re-executing them."""
     with scaled_work(SCALE):
-        wiki = _serve("wiki", wiki_workload(14, seed=23))
-        feed = _serve("feed", feed_workload(14, mix="mixed", seed=24))
-        wiki_epochs = slice_epochs(wiki.trace, wiki.advice, 4)
-        feed_epochs = slice_epochs(feed.trace, feed.advice, 4)
+        wiki_epochs = _sealed("wiki", wiki_workload(14, seed=23), 4)
+        feed_epochs = _sealed("feed", feed_workload(14, mix="mixed", seed=24), 4)
         solo = {}
         for name, epochs in (("wiki", wiki_epochs), ("feed", feed_epochs)):
             solo[name] = [

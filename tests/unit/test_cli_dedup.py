@@ -72,12 +72,17 @@ class TestAuditFlags:
         assert verdict("--cache-dir", cache_dir) == plain  # warm
         assert verdict("--dedup", "--no-cache") == plain
 
-    def test_dedup_with_epochs(self, served, tmp_path, capsys):
-        code = _audit(served, "--epochs", "3", "--dedup",
-                      "--format", "json")
+    def test_dedup_with_epochs(self, served_store, capsys):
+        sealed = served_store(
+            "stacks", "--requests", "20", "--seed", "7", "--concurrency", "4",
+            "--seal-every", "3",
+        )
+        capsys.readouterr()  # serve's own output
+        code = _audit(sealed, "--dedup", "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is True
+        assert len(doc["epochs"]) > 1
 
     def test_usage_errors(self, served, tmp_path):
         assert _audit(served, "--no-cache") == EXIT_USAGE

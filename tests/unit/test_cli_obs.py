@@ -48,8 +48,13 @@ class TestJsonFormat:
         assert doc["accepted"] is False
         assert doc["reason"] == "input-format"
 
-    def test_continuous_verdict_json(self, served, capsys):
-        code = _audit(served, "--format", "json", "--epochs", "3")
+    def test_continuous_verdict_json(self, served_store, capsys):
+        sealed = served_store(
+            "motd", "--requests", "20", "--seed", "7", "--concurrency", "4",
+            "--seal-every", "3",
+        )
+        capsys.readouterr()  # serve's own output
+        code = _audit(sealed, "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is True

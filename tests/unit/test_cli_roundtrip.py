@@ -8,6 +8,7 @@ import pytest
 from repro.advice.codec import read_advice, write_advice
 from repro.attacks import ALL_ATTACKS
 from repro.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
+from repro.continuous import Epoch, iter_epochs_stored, write_epoch_stored
 from repro.storage import backend_for
 from repro.trace.codec import read_trace
 
@@ -23,11 +24,8 @@ def served_app(request, served_store):
     return request.param, served_store(request.param, *SERVE)
 
 
-def _tamper(store):
-    """Apply the first applicable guaranteed attack to the stored pair."""
-    backend = backend_for("file", str(store))
-    trace = read_trace(backend, "trace")
-    advice = read_advice(backend, "advice")
+def _advice_tamper(trace, advice):
+    """The first applicable guaranteed attack that alters only advice."""
     for attack in ALL_ATTACKS:
         if not attack.guaranteed:
             continue
@@ -36,9 +34,26 @@ def _tamper(store):
         except LookupError:
             continue
         if t2 == trace and tampered != advice:
-            write_advice(backend, "advice", tampered)
-            return attack.name
+            return tampered
     raise AssertionError("no applicable advice tamper")
+
+
+def _tamper(store):
+    """Tamper with the stored pair's advice."""
+    backend = backend_for("file", str(store))
+    trace = read_trace(backend, "trace")
+    advice = read_advice(backend, "advice")
+    write_advice(backend, "advice", _advice_tamper(trace, advice))
+
+
+def _tamper_epoch(store, index):
+    """Tamper with the advice of the stored epoch ``index``."""
+    backend = backend_for("file", str(store))
+    epoch = list(iter_epochs_stored(backend))[index]
+    tampered = _advice_tamper(epoch.trace, epoch.advice)
+    write_epoch_stored(
+        backend, Epoch(index, epoch.trace, tampered, epoch.binlog_range)
+    )
 
 
 def _audit(app, store, *extra):
@@ -73,14 +88,22 @@ class TestContinuousRoundtrip:
         assert _audit(*sealed) == EXIT_OK
         assert "resumed" in capsys.readouterr().out
 
-    def test_offline_epochs_honest_accepts(self, sealed):
-        assert _audit(*sealed, "--epochs", "2") == EXIT_OK
+    @pytest.fixture()
+    def sealed3(self, served_store):
+        return "wiki", served_store("wiki", *SERVE, "--seal-every", "3")
 
-    def test_offline_epochs_tampered_rejects(self, sealed, capsys):
-        app, store = sealed
-        _tamper(store)
-        assert _audit(app, store, "--epochs", "2") == EXIT_REJECTED
-        assert "REJECT" in capsys.readouterr().out
+    def test_offline_epochs_honest_accepts(self, sealed3, capsys):
+        """After serving, ``audit`` takes the epochs as they were sealed."""
+        assert _audit(*sealed3) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "epoch 1: ACCEPT" in out and "REJECT" not in out
+
+    def test_offline_epochs_tampered_rejects(self, sealed3, capsys):
+        app, store = sealed3
+        _tamper_epoch(store, 1)
+        assert _audit(app, store) == EXIT_REJECTED
+        out = capsys.readouterr().out
+        assert "epoch 0: ACCEPT" in out and "epoch 1: REJECT" in out
 
 
 class TestContinuousUsageErrors:
@@ -139,9 +162,9 @@ class TestEngineFlags:
 
 REMOVED_FLAGS = {
     "serve": ["--out-trace", "--out-advice", "--out-epochs"],
-    "audit": ["--trace", "--advice", "--epochs-dir", "--checkpoint-dir",
-              "--journal"],
-    "plan": ["--trace", "--advice", "--epochs-dir"],
+    "audit": ["--trace", "--advice", "--epochs", "--epochs-dir",
+              "--checkpoint-dir", "--journal"],
+    "plan": ["--trace", "--advice", "--epochs", "--epochs-dir"],
     "attack": ["--trace", "--advice"],
 }
 
@@ -154,11 +177,15 @@ class TestOneStore:
         "command,flag",
         [(c, f) for c, flags in sorted(REMOVED_FLAGS.items()) for f in flags],
     )
-    def test_format_and_location_flags_are_gone(self, tmp_path, command, flag):
+    def test_format_and_location_flags_are_gone(
+        self, tmp_path, capsys, command, flag
+    ):
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--app", "motd", "--store-path", str(tmp_path),
                   flag, str(tmp_path / "x")])
         assert exit_info.value.code == EXIT_USAGE
+        # argparse names an option it knows ("argument --x: invalid ...").
+        assert f"argument {flag}" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("scheme", ["json", "memory"])
     def test_store_schemes_are_backends_only(self, tmp_path, scheme):

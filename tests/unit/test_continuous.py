@@ -1,6 +1,7 @@
 """Unit tests for the continuous-auditing subsystem (repro.continuous):
-epoch segmentation, advice slicing, checkpoint digests and chaining,
-journals, the online sealer, and the streaming auditor's queue."""
+advice slicing, checkpoint digests and chaining, journals, the online
+sealer (the one producer of epochs), and the streaming auditor's
+queue."""
 
 import json
 
@@ -18,13 +19,11 @@ from repro.continuous import (
     ContinuousAuditor,
     EpochSealer,
     GENESIS_DIGEST,
-    balanced_cuts,
     compute_digest,
     decode_checkpoint,
     encode_checkpoint,
     iter_epochs_stored,
     read_epoch_stream,
-    slice_epochs,
     write_epoch_stored,
 )
 from repro.continuous.checkpoint import RT_CHECKPOINT, RT_DELTA
@@ -36,59 +35,9 @@ from repro.server import KarousosPolicy, run_server
 from repro.server.variables import INIT_REF
 from repro.storage import FileBackend, MemoryBackend
 from repro.store import IsolationLevel, KVStore
-from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
 from repro.workload import motd_workload, wiki_workload
 
 pytestmark = pytest.mark.tier1
-
-
-def _trace(*events):
-    t = Trace()
-    for kind, rid in events:
-        data = Request.make(rid, "get") if kind == REQ else {"ok": rid}
-        t.append(TraceEvent(kind, rid, data))
-    return t
-
-
-class TestBalancedCuts:
-    def test_sequential_trace_cuts_per_request(self):
-        t = _trace((REQ, "a"), (RESP, "a"), (REQ, "b"), (RESP, "b"))
-        assert balanced_cuts(t, 1) == [2, 4]
-
-    def test_overlapping_requests_cut_only_when_drained(self):
-        t = _trace(
-            (REQ, "a"), (REQ, "b"), (RESP, "a"), (RESP, "b"),
-            (REQ, "c"), (RESP, "c"),
-        )
-        assert balanced_cuts(t, 1) == [4, 6]
-
-    def test_epoch_size_batches_responses(self):
-        t = _trace(*[(k, f"r{i}") for i in range(4) for k in (REQ, RESP)])
-        assert balanced_cuts(t, 3) == [6, 8]
-
-    def test_final_cut_always_closes_the_trace(self):
-        t = _trace((REQ, "a"), (RESP, "a"))
-        assert balanced_cuts(t, 99)[-1] == len(t)
-
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            balanced_cuts(_trace(), 0)
-
-
-class TestSliceEpochs:
-    def test_segments_are_frozen_and_cover_the_trace(self):
-        t = _trace(*[(k, f"r{i}") for i in range(5) for k in (REQ, RESP)])
-        epochs = slice_epochs(t, None, 2)
-        assert [e.index for e in epochs] == list(range(len(epochs)))
-        assert sum(len(e.trace) for e in epochs) == len(t)
-        for e in epochs:
-            assert e.trace.frozen
-            assert e.trace.is_balanced()
-
-    def test_tail_shorter_than_epoch_size(self):
-        t = _trace(*[(k, f"r{i}") for i in range(5) for k in (REQ, RESP)])
-        epochs = slice_epochs(t, None, 2)
-        assert [e.request_count for e in epochs] == [2, 2, 1]
 
 
 class TestSliceAdvice:

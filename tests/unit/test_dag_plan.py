@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.apps import motd_app
-from repro.continuous import slice_epochs
+from repro.continuous import EpochSealer
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.verifier.dag import compile_plan, format_plan_text, validate_plan
@@ -36,9 +36,24 @@ def served():
         motd_workload(12, mix="mixed", seed=7),
         KarousosPolicy(),
         scheduler=RandomScheduler(3),
-        concurrency=1,  # quiescent cut points for the multi-epoch tests
+        concurrency=1,
     )
     return run
+
+
+@pytest.fixture(scope="module")
+def sealed():
+    """The same workload, sealed every four responses."""
+    sealer = EpochSealer(4)
+    run_server(
+        motd_app(),
+        motd_workload(12, mix="mixed", seed=7),
+        KarousosPolicy(),
+        scheduler=RandomScheduler(3),
+        concurrency=1,
+        sealer=sealer,
+    )
+    return sealer.epochs
 
 
 def _plan(run, **kwargs):
@@ -132,12 +147,11 @@ class TestCompilation:
 
 
 class TestMultiEpoch:
-    def test_each_epoch_compiles_to_its_own_plan(self, served):
+    def test_each_epoch_compiles_to_its_own_plan(self, sealed):
         """A plan is one epoch: every node of epoch k's plan is named
         ``k/...``, and the epoch's plan ends at its own checkpoint."""
-        epochs = slice_epochs(served.trace, served.advice, 4)
-        assert len(epochs) > 1
-        for epoch in epochs:
+        assert len(sealed) > 1
+        for epoch in sealed:
             plan = compile_plan("motd", epoch)
             validate_plan(plan)
             assert plan.epoch.index == epoch.index
@@ -145,9 +159,8 @@ class TestMultiEpoch:
             assert plan.node_order[0] == node_id(epoch.index, NODE_PREPROCESS)
             assert plan.node_order[-1] == node_id(epoch.index, NODE_CHECKPOINT)
 
-    def test_epoch_digests_pin_distinct_inputs(self, served):
-        epochs = slice_epochs(served.trace, served.advice, 4)
-        digests = [epoch_digest(e.trace, e.advice) for e in epochs]
+    def test_epoch_digests_pin_distinct_inputs(self, sealed):
+        digests = [epoch_digest(e.trace, e.advice) for e in sealed]
         assert len(set(digests)) == len(digests)
 
 

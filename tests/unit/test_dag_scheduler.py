@@ -13,16 +13,17 @@ Two determinism properties license every scheduler:
   run, with only the frontier re-executed.
 """
 
+import inspect
 import random
 
 import pytest
 
 from repro.apps import motd_app
+from repro.continuous import Epoch
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.storage import MemoryBackend
 from repro.verifier import Auditor
-from repro.verifier.audit import SimulatedKill
 from repro.verifier.dag import NodeJournal, Scheduler
 from repro.verifier.oooaudit import ooo_audit
 from repro.workload import motd_workload, wiki_workload
@@ -203,6 +204,28 @@ class TestConstruction:
         assert clamped.parallelism == 1
         assert clamped.run().accepted and clamped.scheduler == "serial"
 
+    def test_engine_keywords(self):
+        """The checkpoint node is armed by ``for_epoch`` alone and the
+        ready-queue order is the Scheduler's: these are the engine's
+        only options."""
+        params = inspect.signature(Auditor.__init__).parameters.values()
+        assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == [
+            "singleton_groups", "parallelism", "scheduler", "dedup",
+            "metrics", "progress", "node_journal",
+        ]
+
+    def test_for_epoch_chains_from_its_parent(self):
+        """Each epoch audited from the checkpoint the one before left
+        reproduces the golden stream's checkpoint chain."""
+        parent, got = None, []
+        for epoch in vg.streams("wiki")["honest"]:
+            auditor = Auditor.for_epoch(vg.APPS["wiki"](), epoch, parent)
+            result = auditor.run()
+            got.append([epoch.index, result.accepted, result.reason,
+                        auditor.checkpoint.digest])
+            parent = auditor.checkpoint
+        assert got == vg.golden("wiki")["stream"]["honest"]
+
 
 class TestScheduleIndependence:
     def test_shuffled_ready_queues_are_byte_identical(self):
@@ -243,11 +266,32 @@ class TestScheduleIndependence:
 # -- crash independence (kill at every journal record) -------------------------
 
 
+class SimulatedKill(Exception):
+    """A hard kill at a persistence boundary: the record survives, the
+    process does not."""
+
+
+class KillingJournal(NodeJournal):
+    """A node journal whose process dies right after its
+    ``kill_after``-th delta record lands."""
+
+    def __init__(self, backend, kill_after):
+        super().__init__(backend)
+        self.kill_after = kill_after
+        self.writes = 0
+
+    def record_delta(self, node_id, payload):
+        super().record_delta(node_id, payload)
+        self.writes += 1
+        if self.writes >= self.kill_after:
+            raise SimulatedKill(f"simulated kill after {self.writes} records")
+
+
 class TestCrashResume:
-    def _run(self, served, journal, kill_after=None, **options):
+    def _run(self, served, journal, **options):
         auditor = Auditor(
             motd_app(), served.trace, served.advice,
-            node_journal=journal, kill_after=kill_after, **options,
+            node_journal=journal, **options,
         )
         return auditor, auditor.run()
 
@@ -274,13 +318,14 @@ class TestCrashResume:
             served, NodeJournal(backend), singleton_groups=True
         )
         baseline = _fingerprint(baseline_result)
-        groups = full._journal_writes
+        groups = full.executed_nodes
         assert groups == len(served.advice.tags) > 2
+        assert len(NodeJournal(backend).load().deltas) == groups
         for kill_at in range(1, groups + 1):
             backend = MemoryBackend()
             with pytest.raises(SimulatedKill):
                 self._run(
-                    served, NodeJournal(backend), kill_after=kill_at,
+                    served, KillingJournal(backend, kill_at),
                     singleton_groups=True,
                 )
             resumed, result = self._run(
@@ -320,7 +365,7 @@ class TestCrashResume:
         backend = MemoryBackend()
         # Kill mid-reexec: one delta journaled, the other group not.
         with pytest.raises(SimulatedKill):
-            self._run(served, NodeJournal(backend), kill_after=1)
+            self._run(served, KillingJournal(backend, 1))
         metrics = MetricsRegistry()
         auditor, result = self._run(
             served, NodeJournal(backend), metrics=metrics
@@ -368,8 +413,7 @@ class TestCrashResume:
         # killed right after the last delta
         with pytest.raises(SimulatedKill):
             self._run(
-                served, NodeJournal(FileBackend(str(tmp_path))),
-                kill_after=groups,
+                served, KillingJournal(FileBackend(str(tmp_path)), groups)
             )
         reads = MetricsRegistry()
         auditor, result = self._run(
@@ -386,8 +430,7 @@ class TestCrashResume:
         backend = MemoryBackend()
         with pytest.raises(SimulatedKill):
             self._run(
-                served, NodeJournal(backend),
-                kill_after=len(served.advice.groups()),
+                served, KillingJournal(backend, len(served.advice.groups()))
             )
         raw = backend.raw("nodes")
         # Corrupt a mid-stream record body, keep the header record whole.
@@ -479,18 +522,18 @@ class TestJournalPayloads:
         return calls
 
     def test_no_journal_no_encoding(self, served, encodes):
-        result = Auditor(
-            motd_app(), served.trace, served.advice, checkpoint_index=0
-        ).run()
-        assert result.accepted
+        auditor = Auditor.for_epoch(
+            motd_app(), Epoch(0, served.trace.freeze(), served.advice)
+        )
+        assert auditor.run().accepted and auditor.checkpoint is not None
         assert encodes == {"delta": 0, "checkpoint": 0}
 
     def test_journal_records_every_delta_and_nothing_else(self, served, encodes):
         """The checkpoint store holds the checkpoint; the journal does
         not copy it."""
         backend = MemoryBackend()
-        auditor = Auditor(
-            motd_app(), served.trace, served.advice, checkpoint_index=0,
+        auditor = Auditor.for_epoch(
+            motd_app(), Epoch(0, served.trace.freeze(), served.advice),
             node_journal=NodeJournal(backend),
         )
         assert auditor.run().accepted and auditor.checkpoint is not None

@@ -462,7 +462,7 @@ def test_tenant_storage_counters_show_two_barriers_per_verified_epoch(
     final = service.fleet_snapshot()["counters"]
     assert final["tenant.w.storage.file.fsyncs"] == 2 * 5 + 2
     for counters in (final, written):
-        # 5 x (sealed + checkpoint + verified) on audit/, plus every
-        # node-journal record
+        # 5 x (checkpoint + verified) on audit/, plus every node-journal
+        # record (a header and one delta per group, each epoch)
         assert counters["tenant.w.storage.file.records_written"] > 3 * 5
         assert counters["tenant.w.storage.file.bytes_written"] > 0

@@ -246,10 +246,8 @@ def test_durability_protocol_barriers(tmp_path, fsyncs):
     """The commit points, and nothing else, take a barrier."""
     backend = FileBackend(str(tmp_path))
     journal = AuditJournal(backend=backend)
-    journal.record("sealed", 0)
-    assert fsyncs == []  # nothing reads a sealed event back
     journal.record("verified", 0, digest="d")
-    assert fsyncs == ["journal.rec"]  # one barrier covers both records
+    assert fsyncs == ["journal.rec"]
     journal.record("rejected", 1, reason="r", detail="")
     assert fsyncs == ["journal.rec"] * 2
 
@@ -312,7 +310,7 @@ def test_checkpoint_barrier_precedes_every_verified_append(
     """The invariant behind resume: a durable ``verified k`` implies a
     durable checkpoint k.  Per epoch: the checkpoints barrier, then the
     ``verified`` record reaches the journal, then the journal barrier --
-    and no other barrier at all."""
+    and no other barrier or journal record at all."""
     from repro.apps import wiki_app
 
     events = fsyncs  # one list: barriers by file name, appends by event
@@ -332,8 +330,7 @@ def test_checkpoint_barrier_precedes_every_verified_append(
     monkeypatch.setattr(AuditJournal, "record", record)
     verdicts = auditor.run(five_wiki_epochs)
     assert all(v.accepted for v in verdicts)
-    commits = [e for e in events if e[0] != "sealed"]
-    assert commits == [
+    assert events == [
         step
         for k in range(5)
         for step in ("checkpoints.rec", ("verified", k), "journal.rec")

@@ -36,6 +36,7 @@ from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.store import IsolationLevel, KVStore
 from repro.verifier import Auditor
+from repro.verifier.dag import Scheduler
 from repro.workload import (
     feed_workload,
     motd_workload,
@@ -174,15 +175,26 @@ def stream_fingerprint(verdicts):
     ]
 
 
-def audit_case(run_name, grouping, case, **engine):
-    """Fingerprint of one engine run over a golden case."""
+def run_ordered(auditor, order_key):
+    """Run ``auditor``'s plan on a serial ready queue that pops in
+    ``order_key`` order, then collect its verdict: the runner seam the
+    fleet pool drives the engine through."""
+    nodes, edges = auditor.prepare()
+    Scheduler("serial", order_key=order_key).execute(nodes, edges, auditor)
+    return auditor.collect()
+
+
+def audit_case(run_name, grouping, case, order_key=None, **engine):
+    """Fingerprint of one engine run over a golden case; with an
+    ``order_key``, its ready queue drains in that order."""
     trace, advice = cases(run_name)[case]
-    return fingerprint(
-        Auditor(
-            app_of(run_name)(), trace, advice,
-            singleton_groups=GROUPINGS[grouping], **engine,
-        ).run()
+    auditor = Auditor(
+        app_of(run_name)(), trace, advice,
+        singleton_groups=GROUPINGS[grouping], **engine,
     )
+    if order_key is None:
+        return fingerprint(auditor.run())
+    return fingerprint(run_ordered(auditor, order_key))
 
 
 def audit_stream(app, which, **engine):
