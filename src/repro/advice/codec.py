@@ -2,11 +2,13 @@
 
 The server ships advice to the verifier over a network (paper section 2.1:
 "the advice sent from the server to the verifier needs to be kept small").
-A bundle is a record stream (:mod:`repro.storage`): one meta record, then
-one record per tag / handler log / variable log / transaction log and one
-per singleton section, so a bundle is emitted and consumed incrementally
-(:func:`iter_advice_frames` / :class:`AdviceAccumulator`).  Epoch streams
-embed the same frames, so each advice entry has exactly one encoding.
+A bundle is a sequence of record frames (:mod:`repro.storage`): one meta
+record, then one record per tag / handler log / variable log /
+transaction log and one per singleton section, so a bundle is emitted
+and consumed incrementally (:func:`iter_advice_frames` /
+:class:`AdviceAccumulator`).  It is stored only inside sealed epoch
+streams (:mod:`repro.continuous.codec`), so each advice entry has
+exactly one encoding.
 
 Decoding is strict: any structural surprise raises
 :class:`~repro.errors.AdviceFormatError`, which the audit treats as a
@@ -15,7 +17,7 @@ rejection (malformed advice is server misbehaviour, never a crash).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.advice.records import (
     Advice,
@@ -25,14 +27,11 @@ from repro.advice.records import (
 )
 from repro.core.ids import HandlerId, TxId
 from repro.errors import AdviceFormatError
-from repro.storage.backend import RecordReader, StorageBackend
 from repro.storage.records import json_text, unpack_json
 from repro.storage.values import TextEncoder, decode_hid, decode_tid, decode_value
 from repro.store.kv import IsolationLevel
 
 FORMAT_VERSION = 1
-
-STREAM_KIND = "advice"
 
 # Record types (stable wire identifiers; epoch streams embed these, so
 # they must not collide with the epoch meta record (1) or the trace
@@ -282,11 +281,9 @@ def _record(template: str, *fields: object) -> bytes:
 
 
 class AdviceAccumulator:
-    """Builds an :class:`Advice` from a sequence of advice frames.
-
-    Shared by the advice stream reader and the epoch stream reader, so
-    both apply the same strict per-section validation.
-    """
+    """Builds an :class:`Advice` from a sequence of advice frames, with
+    strict per-section validation: the epoch stream reader feeds it the
+    advice frames of each stored epoch."""
 
     def __init__(self) -> None:
         self.advice = Advice()
@@ -349,28 +346,6 @@ _SINGLETON_SECTIONS = {
     RT_NONDET: _accum_nondet,
     RT_TX_WINDOWS: _accum_tx_windows,
 }
-
-
-def read_advice_records(reader: RecordReader) -> Advice:
-    if reader.kind != STREAM_KIND:
-        raise AdviceFormatError(
-            f"expected an {STREAM_KIND!r} stream, found {reader.kind!r}"
-        )
-    accum = AdviceAccumulator()
-    for rtype, payload in reader:
-        accum.feed(rtype, payload)
-    return accum.finish()
-
-
-def write_advice(backend: StorageBackend, name: str, advice: Advice) -> None:
-    with backend.create(name, STREAM_KIND) as writer:
-        for rtype, payload in iter_advice_frames(advice):
-            writer.append(rtype, payload)
-
-
-def read_advice(backend: StorageBackend, name: str) -> Advice:
-    with backend.reader(name) as reader:
-        return read_advice_records(reader)
 
 
 # -- small validators ------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 ``audit`` exits 0 on ACCEPT and 3 on REJECT so it can gate deployments;
 ``lint`` exits 0 when clean and 4 on violations so it can gate merges.
+Any command exits 1 when the reader of its stdout closes early.
 The analysis subcommands (``lint``, ``analyze``) are offline tools: no
 audit consults them.
 """
@@ -18,10 +19,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
-from repro.advice.codec import read_advice, write_advice
 from repro.advice.sizing import advice_size_bytes
 from repro.analysis import analyze_app, suggest_annotations
 from repro.apps import APP_NAMES, app_needs_store, make_app
@@ -31,12 +32,11 @@ from repro.kem.threaded import ThreadedRuntime
 from repro.server import KarousosPolicy, OrochiPolicy, UnmodifiedPolicy, run_server
 from repro.store import IsolationLevel, KVStore
 from repro.storage import backend_for
-from repro.trace.codec import read_trace, write_trace
-from repro.verifier import Auditor
 from repro.verifier.dag.plan import PLAN_SPEC
 from repro.workload import workload_for
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_REJECTED = 3
 EXIT_LINT = 4
@@ -73,19 +73,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run on the threaded KEM runtime with N workers")
     serve.add_argument("--seal-every", type=int, default=0, metavar="N",
                        help="seal an epoch stream into the store after every "
-                       "N responses (continuous auditing); 0 disables sealing")
+                       "N responses (continuous auditing); 0 seals the whole "
+                       "run as one epoch")
     _add_store_args(serve)
     _add_obs_args(serve)
 
     aud = sub.add_parser(
         "audit",
-        help="audit a served store: its sealed epochs when serve --seal-every "
-        "wrote any (continuously, resuming from the store's own checkpoints "
-        "and journal), else its trace against its advice",
+        help="audit a served store's sealed epochs in order, resuming from "
+        "the store's own checkpoints and journal",
     )
     aud.add_argument("--app", required=True, choices=APP_NAMES)
-    aud.add_argument("--singleton-groups", action="store_true",
-                     help="use the sequential OOOAudit (one group per request)")
     aud.add_argument("--jobs", type=int, default=1,
                      help="shard re-execution groups across N worker "
                      "processes (in-process, with a diagnostic, when the "
@@ -186,8 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument("--app", required=True, choices=APP_NAMES)
     _add_store_args(plan)
-    plan.add_argument("--singleton-groups", action="store_true",
-                      help="one re-execution group per request (OOOAudit)")
     plan.add_argument("--dedup", action="store_true",
                       help="plan with the dedup barrier armed")
     plan.add_argument("--format", default="text", choices=["text", "json"],
@@ -203,7 +199,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        "audit --cache-dir")
     cache.add_argument("--format", default="text", choices=["text", "json"])
 
-    attack = sub.add_parser("attack", help="tamper with advice, then audit")
+    attack = sub.add_parser(
+        "attack",
+        help="tamper with the first stored epoch an attack has a target in, "
+        "then audit the stream in memory",
+    )
     attack.add_argument("--app", required=True, choices=APP_NAMES)
     attack.add_argument("--name", required=True,
                         choices=[a.name for a in ALL_ATTACKS])
@@ -267,9 +267,9 @@ def _add_store_args(sub: argparse.ArgumentParser) -> None:
                      "(default file; gzip compresses every stream)")
     sub.add_argument("--store-path", metavar="DIR",
                      help="the run's store directory (required): serve writes "
-                     "the trace, advice, binlog and sealed-epoch streams "
-                     "here; audit, plan and attack read them, and audit "
-                     "keeps its checkpoints and journal here")
+                     "its sealed-epoch and binlog streams here; audit, plan "
+                     "and attack read the epochs, and audit keeps its "
+                     "checkpoints and journal here")
 
 
 def _add_obs_args(sub: argparse.ArgumentParser) -> None:
@@ -355,14 +355,16 @@ def _store_backend(args, metrics=None):
     return backend_for(args.store, args.store_path, metrics=metrics)
 
 
-def _stored_pair(args, backend):
-    """The store's monolithic ``(trace, advice)`` pair, or None (after a
-    usage message) when serve left none there."""
-    if not backend.exists("trace") or not backend.exists("advice"):
-        print(f"error: no trace/advice streams in {args.store_path}",
-              file=sys.stderr)
+def _stored_epochs(args, backend):
+    """The store's sealed epochs, read lazily in index order, or None
+    (after a usage message) when serve left none there."""
+    from repro.continuous import iter_epochs_stored
+    from repro.continuous.codec import list_epoch_streams
+
+    if not list_epoch_streams(backend):
+        print(f"error: no epoch streams in {args.store_path}", file=sys.stderr)
         return None
-    return read_trace(backend, "trace"), read_advice(backend, "advice")
+    return iter_epochs_stored(backend)
 
 
 def _cmd_serve(args) -> int:
@@ -384,24 +386,24 @@ def _cmd_serve(args) -> int:
     if args.seal_every < 0:
         print("error: --seal-every must be >= 0", file=sys.stderr)
         return EXIT_USAGE
-    sealer = None
-    if args.seal_every:
-        if args.threads > 0:
-            # The threaded runtime has no quiescent drain hook; sealing is
-            # a property of the cooperative serve loop.
-            print("error: --seal-every is not supported with --threads",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        from repro.continuous import EpochSealer
-        from repro.continuous.codec import write_epoch_stored
+    if args.seal_every and args.threads > 0:
+        # The threaded runtime has no quiescent drain hook: it seals the
+        # whole run as one epoch once serving ends.
+        print("error: --seal-every is not supported with --threads",
+              file=sys.stderr)
+        return EXIT_USAGE
+    from repro.continuous import EpochSealer
+    from repro.continuous.codec import write_epoch_stored
 
-        def sink(epoch):
-            write_epoch_stored(backend, epoch)
-            if args.progress:
-                print(f"progress: sealed epoch {epoch.index} "
-                      f"({epoch.request_count} requests)", file=sys.stderr)
+    def sink(epoch):
+        write_epoch_stored(backend, epoch)
+        if args.progress:
+            print(f"progress: sealed epoch {epoch.index} "
+                  f"({epoch.request_count} requests)", file=sys.stderr)
 
-        sealer = EpochSealer(args.seal_every, sink=sink)
+    # Sealed epochs are the one stored form of a served run; with
+    # --seal-every 0 the end-of-serve flush seals it whole as epoch 0.
+    sealer = EpochSealer(args.seal_every, sink=sink)
     if args.threads > 0:
         runtime = ThreadedRuntime(
             app, policy, store=store, scheduler=RandomScheduler(args.seed),
@@ -409,24 +411,21 @@ def _cmd_serve(args) -> int:
             metrics=metrics,
         )
         policy.runtime = runtime
-        # The threaded collector is shared across workers; spill the
-        # frozen trace post-hoc instead of spooling live.
-        write_trace(backend, "trace", runtime.serve(requests))
+        sealer.attach(runtime)
+        runtime.serve(requests)
+        sealer.flush()
         advice = policy.advice()
     else:
         advice = run_server(
             app, requests, policy, store=store,
             scheduler=RandomScheduler(args.seed), concurrency=args.concurrency,
-            sealer=sealer, trace_spool=backend.create("trace", "trace"),
-            metrics=metrics,
+            sealer=sealer, metrics=metrics,
         ).advice
     print(f"served {len(requests)} requests on the {args.server} server")
-    if sealer is not None:
-        print(f"sealed {len(sealer.epochs)} epochs")
+    print(f"sealed {len(sealer.epochs)} epochs")
     if advice is not None:
         print(f"advice: {advice_size_bytes(advice)} bytes, "
               f"{len(set(advice.tags.values()))} re-execution groups")
-        write_advice(backend, "advice", advice)
     if store is not None:
         store.binlog.seal()
     print(f"store ({args.store}) -> {args.store_path}: "
@@ -472,87 +471,22 @@ def _dispatch_audit(args) -> int:
 
 
 def _dispatch_audit_inner(args, metrics, progress, dedup) -> int:
-    from repro.continuous import iter_epochs_stored
-    from repro.continuous.codec import list_epoch_streams
-
-    backend = _store_backend(args, metrics=metrics)
-    engine = dict(
-        parallelism=args.jobs, scheduler=args.scheduler,
-        metrics=metrics, progress=progress, dedup=dedup,
-        node_journal=_make_node_journal(args, metrics),
-    )
-    if list_epoch_streams(backend):
-        # Sealed epoch streams take precedence: audit them lazily, one
-        # epoch resident at a time (O(epoch) memory).
-        return _cmd_audit_continuous(
-            args, backend, iter_epochs_stored(backend), engine
-        )
-    pair = _stored_pair(args, backend)
-    if pair is None:
-        return EXIT_USAGE
-    trace, advice = pair
-    auditor = Auditor(
-        make_app(args.app), trace, advice,
-        singleton_groups=args.singleton_groups, **engine,
-    )
-    return _finish_audit(
-        args, auditor.run(), metrics,
-        explain_ctx=lambda: (make_app(args.app), trace, advice),
-    )
-
-
-def _explain_report(args, result, explain_ctx=None, epoch=None):
-    """A DivergenceReport for a rejecting result, or None when --explain
-    is off.  With an explain_ctx thunk the pair is replayed for first-op
-    localization; without one (continuous epochs) the report degrades to
-    the rejecting check's own site."""
-    if not getattr(args, "explain", False) or result.accepted:
-        return None
-    from repro.verifier.explain import explain_rejection, report_from_result
-
-    if explain_ctx is not None:
-        return explain_rejection(*explain_ctx(), result, epoch=epoch)
-    return report_from_result(result, epoch=epoch)
-
-
-def _finish_audit(args, result, metrics=None, explain_ctx=None) -> int:
-    _write_metrics(args, metrics)
-    report = _explain_report(args, result, explain_ctx)
-    if args.format == "json":
-        doc = {
-            "accepted": result.accepted,
-            "reason": result.reason,
-            "detail": result.detail,
-            "stats": result.stats,
-        }
-        if report is not None:
-            doc["explain"] = report.as_json()
-        print(json.dumps(doc, sort_keys=True))
-        return EXIT_OK if result.accepted else EXIT_REJECTED
-    if result.accepted:
-        workers = f", {args.jobs} workers" if args.jobs > 1 else ""
-        print(f"ACCEPT  ({result.stats['elapsed_seconds']:.3f}s, "
-              f"{result.stats.get('groups', 0):.0f} groups, "
-              f"graph {result.stats.get('graph_nodes', 0):.0f} nodes{workers})")
-        return EXIT_OK
-    print(f"REJECT  reason={result.reason}")
-    if result.detail:
-        print(f"        {result.detail}")
-    if report is not None:
-        print(report.as_text())
-    return EXIT_REJECTED
-
-
-def _cmd_audit_continuous(args, backend, epochs, engine) -> int:
     from repro.continuous import AuditJournal, CheckpointStore, ContinuousAuditor
 
-    metrics = engine["metrics"]
+    backend = _store_backend(args, metrics=metrics)
+    epochs = _stored_epochs(args, backend)
+    if epochs is None:
+        return EXIT_USAGE
     # Checkpoints and journal live as record streams in the same store,
-    # so a crashed audit resumes on re-run.
+    # so a crashed audit resumes on re-run.  Epochs are read lazily, one
+    # resident at a time (O(epoch) memory).
     checkpoints = CheckpointStore(backend=backend)
     journal = AuditJournal(backend=backend)
     auditor = ContinuousAuditor(
-        make_app(args.app), checkpoints=checkpoints, journal=journal, **engine
+        make_app(args.app), checkpoints=checkpoints, journal=journal,
+        parallelism=args.jobs, scheduler=args.scheduler, metrics=metrics,
+        progress=progress, dedup=dedup,
+        node_journal=_make_node_journal(args, metrics),
     )
     try:
         verdicts = auditor.run(epochs)
@@ -564,9 +498,9 @@ def _cmd_audit_continuous(args, backend, epochs, engine) -> int:
     rejection = auditor.first_rejection
     accepted = rejection is None and all(v.accepted for v in verdicts)
     report = (
-        None
-        if rejection is None
-        else _explain_report(args, rejection.result, epoch=rejection.epoch)
+        _explain_report(args, backend, checkpoints, rejection)
+        if rejection is not None and args.explain
+        else None
     )
     if args.format == "json":
         doc = {
@@ -591,9 +525,7 @@ def _cmd_audit_continuous(args, backend, epochs, engine) -> int:
             print(f"epoch {verdict.epoch}: REJECT  reason={verdict.result.reason}")
             if verdict.result.detail:
                 print(f"        {verdict.result.detail}")
-            if report is not None and rejection is not None and (
-                verdict.epoch == rejection.epoch
-            ):
+            if report is not None and verdict.epoch == rejection.epoch:
                 print(report.as_text())
     print(f"{stats['epochs']:.0f} epochs, "
           f"{stats['epochs_accepted']:.0f} accepted "
@@ -601,6 +533,26 @@ def _cmd_audit_continuous(args, backend, epochs, engine) -> int:
     if not accepted:
         return EXIT_REJECTED
     return EXIT_OK
+
+
+def _explain_report(args, backend, checkpoints, rejection):
+    """The --explain divergence report of the stream's first rejection:
+    its epoch is re-read and replayed from its parent checkpoint with
+    singleton groups, localising the first diverging operation.  A
+    rejection decided before re-execution (a forged chain, an epoch
+    without advice, a missing checkpoint) has nothing to replay and
+    reports its own site."""
+    from repro.continuous.codec import epoch_stream_name, read_epoch_stream
+    from repro.verifier.explain import explain_rejection, report_from_result
+
+    index, result = rejection.epoch, rejection.result
+    if not result.stage:  # only ContinuousAuditor's preflight has none
+        return report_from_result(result, epoch=index)
+    name = epoch_stream_name(index)
+    with backend.reader(name) as reader:
+        epoch = read_epoch_stream(reader, name)
+    parent = checkpoints.get(index - 1) if index > 0 else None
+    return explain_rejection(make_app(args.app), epoch, parent, result)
 
 
 def _cmd_serve_audit(args) -> int:
@@ -668,27 +620,20 @@ def _cmd_plan(args) -> int:
     if usage is not None:
         print(f"error: {usage}", file=sys.stderr)
         return EXIT_USAGE
-    from repro.continuous import iter_epochs_stored
-    from repro.continuous.codec import list_epoch_streams
-    from repro.verifier.dag import compile_plan, format_plan_text, single_epoch, validate_plan
+    from repro.verifier.dag import PlanError, compile_plan, format_plan_text, validate_plan
 
     # One plan per epoch, exactly the plans `audit` compiles and journals.
-    backend = _store_backend(args)
-    if list_epoch_streams(backend):
-        epochs = iter_epochs_stored(backend)
-    else:
-        pair = _stored_pair(args, backend)
-        if pair is None:
-            return EXIT_USAGE
-        epochs = [single_epoch(0, *pair)]
-    for epoch in epochs:
-        plan = compile_plan(
-            args.app, epoch,
-            singleton_groups=args.singleton_groups,
-            dedup=args.dedup,
-        )
-        validate_plan(plan)
-        print(plan.to_json() if args.format == "json" else format_plan_text(plan))
+    epochs = _stored_epochs(args, _store_backend(args))
+    if epochs is None:
+        return EXIT_USAGE
+    try:
+        for epoch in epochs:
+            plan = compile_plan(args.app, epoch, dedup=args.dedup)
+            validate_plan(plan)
+            print(plan.to_json() if args.format == "json" else format_plan_text(plan))
+    except PlanError as exc:  # an epoch without advice has no plan
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -734,20 +679,38 @@ def _cmd_attack(args) -> int:
     if usage is not None:
         print(f"error: {usage}", file=sys.stderr)
         return EXIT_USAGE
-    pair = _stored_pair(args, _store_backend(args))
-    if pair is None:
+    from repro.continuous import ContinuousAuditor, Epoch, iter_epochs_stored
+
+    backend = _store_backend(args)
+    epochs = _stored_epochs(args, backend)
+    if epochs is None:
         return EXIT_USAGE
-    trace, advice = pair
     attack = next(a for a in ALL_ATTACKS if a.name == args.name)
-    try:
-        tampered_trace, tampered_advice = attack.apply(trace, advice)
-    except LookupError as exc:
-        print(f"attack has no target in this run: {exc}", file=sys.stderr)
+    tampered = None
+    for epoch in epochs:
+        try:
+            if epoch.advice is None:
+                raise LookupError(f"epoch {epoch.index} carries no advice")
+            trace, advice = attack.apply(epoch.trace, epoch.advice)
+        except LookupError as exc:
+            miss = exc
+            continue
+        tampered = Epoch(epoch.index, trace, advice, epoch.binlog_range)
+        break
+    if tampered is None:
+        print(f"attack has no target in this run: {miss}", file=sys.stderr)
         return EXIT_USAGE
-    result = Auditor(make_app(args.app), tampered_trace, tampered_advice).run()
-    verdict = "ACCEPT" if result.accepted else f"REJECT({result.reason})"
+    # The stream is audited in memory, the tampered epoch in its place;
+    # the store is not written.
+    auditor = ContinuousAuditor(make_app(args.app))
+    auditor.run(
+        tampered if epoch.index == tampered.index else epoch
+        for epoch in iter_epochs_stored(backend)
+    )
+    rejection = auditor.first_rejection
+    verdict = "ACCEPT" if rejection is None else f"REJECT({rejection.result.reason})"
     print(f"{attack.name}: {verdict}")
-    return EXIT_OK if not result.accepted else EXIT_REJECTED
+    return EXIT_REJECTED if rejection is None else EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
@@ -864,7 +827,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "fuzz": _cmd_fuzz,
         "list-attacks": _cmd_list_attacks,
     }[args.command]
-    return handler(args)
+    try:
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+    except BrokenPipeError:
+        # The reader of stdout went away (``| head``).  Python docs
+        # recipe: point stdout at devnull so the interpreter's own flush
+        # at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -206,7 +206,7 @@ class ContinuousAuditor:
 
     def start_job(self) -> Optional[Tuple[Epoch, Auditor, list, list]]:
         """Pop queued epochs until one needs re-execution; short-circuit
-        verdicts (chain forged, predecessor rejected, missing
+        verdicts (chain forged, predecessor rejected, no advice, missing
         checkpoint) are recorded inline.  Returns ``(epoch, auditor,
         nodes, edges)`` -- the epoch's engine with its plan prepared, for
         :meth:`step` or the fleet's shared pool to execute -- or None
@@ -272,9 +272,9 @@ class ContinuousAuditor:
     ) -> tuple[Optional[EpochVerdict], Optional[Checkpoint]]:
         """Checks that precede any re-execution.  Returns
         ``(verdict, parent)``: a non-None verdict short-circuits the
-        audit (chain forged, predecessor rejected, missing checkpoint);
-        otherwise ``parent`` is the carry-in checkpoint (None at epoch
-        0)."""
+        audit (chain forged, predecessor rejected, no advice, missing
+        checkpoint); otherwise ``parent`` is the carry-in checkpoint (None
+        at epoch 0)."""
         if self._chain_error is not None:
             return (
                 self._reject(epoch, "checkpoint-chain-forged", self._chain_error),
@@ -287,6 +287,15 @@ class ContinuousAuditor:
                     "predecessor-rejected",
                     f"epoch {self._failed.epoch} rejected "
                     f"({self._failed.result.reason}); initial state unverifiable",
+                ),
+                None,
+            )
+        if epoch.advice is None:
+            # ``has_advice`` is server-written: an epoch without advice
+            # is malformed input, like any other unreadable stream.
+            return (
+                self._reject(
+                    epoch, "input-format", f"epoch {epoch.index} carries no advice"
                 ),
                 None,
             )
@@ -355,6 +364,7 @@ class ContinuousAuditor:
         )
 
     def _reject(self, epoch: Epoch, reason: str, detail: str) -> EpochVerdict:
+        """A verdict decided before re-execution: it names no stage."""
         verdict = EpochVerdict(
             epoch.index, AuditResult(accepted=False, reason=reason, detail=detail)
         )

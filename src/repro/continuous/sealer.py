@@ -28,15 +28,20 @@ from repro.trace.trace import RESP
 
 
 class EpochSealer:
-    """Cuts the live stream into epochs at quiescent points."""
+    """Cuts the live stream into epochs at quiescent points.
+
+    ``seal_every=0`` never cuts mid-stream: :meth:`flush` seals the whole
+    run as epoch 0.  It is also the only sealing a runtime without a
+    quiescent drain hook (:class:`~repro.kem.threaded.ThreadedRuntime`)
+    gets."""
 
     def __init__(
         self,
         seal_every: int,
         sink: Optional[Callable[[Epoch], None]] = None,
     ):
-        if seal_every < 1:
-            raise ValueError("seal_every must be >= 1")
+        if seal_every < 0:
+            raise ValueError("seal_every must be >= 0")
         self.seal_every = seal_every
         self.sink = sink
         self.epochs: List[Epoch] = []
@@ -54,6 +59,8 @@ class EpochSealer:
 
     def seal_due(self) -> bool:
         """True once the unsealed suffix holds ``seal_every`` responses."""
+        if not self.seal_every:
+            return False
         events = self.runtime.collector.trace(live=True).events
         responses = sum(1 for e in events[self._cut :] if e.kind == RESP)
         return responses >= self.seal_every

@@ -39,9 +39,10 @@ from hypothesis import HealthCheck, given
 from hypothesis import seed as hypothesis_seed
 from hypothesis import settings as hypothesis_settings
 
-from repro.advice.codec import read_advice, write_advice
 from repro.advice.records import Advice
 from repro.apps import make_app
+from repro.continuous import ContinuousAuditor, Epoch
+from repro.continuous.codec import read_epoch_stream, write_epoch_stored
 from repro.core.digest import value_digest
 from repro.fuzz.strategies import (
     APPS,
@@ -58,7 +59,6 @@ from repro.kem.scheduler import RandomScheduler
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.server import KarousosPolicy, run_server
 from repro.store import IsolationLevel, KVStore
-from repro.trace.codec import read_trace, write_trace
 from repro.trace.trace import Trace
 from repro.verifier import Auditor
 from repro.verifier.dag import Scheduler
@@ -185,15 +185,15 @@ def run_soundness_case(
     return None
 
 
-def _roundtrip(backend_kind: str, trace: Trace, advice: Advice, tmp: str):
-    """Push the pair through a storage backend and decode it back."""
+def _roundtrip(backend_kind: str, epoch: Epoch, tmp: str) -> Epoch:
+    """Push an epoch stream through a storage backend and decode it back."""
     from repro.storage import backend_for
 
     path = None if backend_kind == "memory" else os.path.join(tmp, backend_kind)
     backend = backend_for(backend_kind, path)
-    write_trace(backend, "trace", trace)
-    write_advice(backend, "advice", advice)
-    return read_trace(backend, "trace"), read_advice(backend, "advice")
+    name = write_epoch_stored(backend, epoch)
+    with backend.reader(name) as reader:
+        return read_epoch_stream(reader, name)
 
 
 def run_completeness_case(
@@ -209,26 +209,12 @@ def run_completeness_case(
     stats.examples += 1
     app = make_app(case.workload.app)
     if case.driver == "continuous":
-        from repro.continuous import ContinuousAuditor, Epoch
-
         epochs = serve_sealed_case(
             case.workload, max(2, case.workload.n // 3)
         )
         if case.backend != "direct":
             with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
-                epochs = [
-                    Epoch(
-                        e.index,
-                        *_roundtrip(
-                            case.backend,
-                            e.trace,
-                            e.advice,
-                            os.path.join(tmp, f"epoch{e.index}"),
-                        ),
-                        e.binlog_range,
-                    )
-                    for e in epochs
-                ]
+                epochs = [_roundtrip(case.backend, e, tmp) for e in epochs]
         auditor = ContinuousAuditor(app, dedup=dedup)
         verdicts = auditor.run(epochs)
         rejection = auditor.first_rejection
@@ -244,7 +230,8 @@ def run_completeness_case(
     trace, advice = serve_case(case.workload)
     if case.backend != "direct":
         with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
-            trace, advice = _roundtrip(case.backend, trace, advice, tmp)
+            stored = _roundtrip(case.backend, Epoch(0, trace, advice), tmp)
+            trace, advice = stored.trace, stored.advice
     auditor = Auditor(
         app, trace, advice, dedup=dedup,
         singleton_groups=case.driver == "singleton",

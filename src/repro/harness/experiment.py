@@ -15,8 +15,8 @@ driver hands back zero-argument callables and the figure benchmarks
   streaming audit and the monolithic audit of one run.
 * :func:`advice_sizes` (Figure 8): serialized advice bytes under both
   policies, with the variable-log share.
-* :func:`streaming_memory` (DESIGN.md §8): the tracemalloc peak of a
-  streamed and a monolithic audit of one stored run.
+* :func:`streaming_memory` (DESIGN.md §8): the tracemalloc peak of the
+  audit of a workload stored as many epochs and as one.
 
 All runs are seeded and deterministic; Karousos and Orochi-JS servers see
 identical schedules (the dispatch schedule depends only on the seed and
@@ -25,6 +25,7 @@ the activation structure, which policies do not affect).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -204,9 +205,9 @@ def advice_sizes(cfg: ExperimentConfig) -> AdviceSizes:
 
 @dataclass
 class StreamingMemoryComparison:
-    """Continuous audit over stored epoch streams vs a monolithic audit of
-    the same run.  ``*_peak_bytes`` are tracemalloc peaks of the audit
-    phase (deterministic, interpreter baseline excluded)."""
+    """Continuous audit of a run stored as many epochs vs the same
+    workload stored as one epoch.  ``*_peak_bytes`` are tracemalloc peaks
+    of the audit phase (deterministic, interpreter baseline excluded)."""
 
     seal_every: int
     epochs: int
@@ -222,16 +223,15 @@ class StreamingMemoryComparison:
 
 
 def serve_to_store(cfg: ExperimentConfig, seal_every: int, root: str) -> int:
-    """Serve once, persisting trace, advice, and sealed epoch streams to a
-    file backend at ``root``; returns the epoch count."""
-    from repro.advice.codec import write_advice
+    """Serve once, persisting the sealed epoch streams to a file backend
+    at ``root`` (``seal_every=0``: the whole run as one epoch); returns
+    the epoch count."""
     from repro.continuous.codec import write_epoch_stored
     from repro.storage import FileBackend
 
     backend = FileBackend(root)
     sealer = EpochSealer(seal_every, sink=lambda e: write_epoch_stored(backend, e))
-    spool = backend.create("trace", "trace")
-    run = run_server(
+    run_server(
         make_app(cfg.app_name),
         _workload(cfg),
         KarousosPolicy(),
@@ -239,32 +239,17 @@ def serve_to_store(cfg: ExperimentConfig, seal_every: int, root: str) -> int:
         scheduler=RandomScheduler(cfg.seed),
         concurrency=cfg.concurrency,
         sealer=sealer,
-        trace_spool=spool,
     )
-    write_advice(backend, "advice", run.advice)
     return len(sealer.epochs)
 
 
-def _audit_streamed(app_name: str, root: str) -> bool:
+def _audit_stored(app_name: str, root: str) -> bool:
     from repro.continuous import iter_epochs_stored
     from repro.storage import FileBackend
 
     auditor = ContinuousAuditor(make_app(app_name))
     auditor.run(iter_epochs_stored(FileBackend(root)))
     return auditor.accepted
-
-
-def _audit_monolithic(app_name: str, root: str) -> bool:
-    from repro.advice.codec import read_advice
-    from repro.storage import FileBackend
-    from repro.trace.codec import read_trace
-
-    backend = FileBackend(root)
-    return audit(
-        make_app(app_name),
-        read_trace(backend, "trace"),
-        read_advice(backend, "advice"),
-    ).accepted
 
 
 def _traced_peak(fn) -> Tuple[int, bool]:
@@ -282,16 +267,21 @@ def _traced_peak(fn) -> Tuple[int, bool]:
 def streaming_memory(
     cfg: ExperimentConfig, seal_every: int, root: str
 ) -> StreamingMemoryComparison:
-    """Serve to a file store once, then audit it both ways and record the
-    audit phase's peak memory.  The streamed side consumes
-    ``iter_epochs_stored`` lazily, so its peak tracks the epoch size; the
-    monolithic side must hold the whole decoded trace+advice."""
-    epochs = serve_to_store(cfg, seal_every, root)
+    """Serve the workload to two file stores under ``root``: sealed
+    every ``seal_every`` responses, and whole as one epoch (the
+    monolithic arm).  Audit each through the same
+    :class:`ContinuousAuditor`, which reads ``iter_epochs_stored``
+    lazily, and record the audit phase's peak memory: the streamed peak
+    tracks the epoch size, the monolithic one the whole decoded run."""
+    streamed = os.path.join(root, "streamed")
+    monolithic = os.path.join(root, "monolithic")
+    epochs = serve_to_store(cfg, seal_every, streamed)
+    serve_to_store(cfg, 0, monolithic)
     streamed_peak, streamed_ok = _traced_peak(
-        lambda: _audit_streamed(cfg.app_name, root)
+        lambda: _audit_stored(cfg.app_name, streamed)
     )
     mono_peak, mono_ok = _traced_peak(
-        lambda: _audit_monolithic(cfg.app_name, root)
+        lambda: _audit_stored(cfg.app_name, monolithic)
     )
     return StreamingMemoryComparison(
         seal_every=seal_every,

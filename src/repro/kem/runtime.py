@@ -124,7 +124,6 @@ class Runtime:
         store: Optional[KVStore] = None,
         scheduler: Optional[Scheduler] = None,
         concurrency: int = 1,
-        trace_spool: Optional[object] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         if concurrency < 1:
@@ -138,9 +137,7 @@ class Runtime:
         # registry but never reads it back, so enabling metrics cannot
         # perturb scheduling, the trace, or the advice.
         self.metrics = ensure_metrics(metrics)
-        # ``trace_spool`` (a repro.storage RecordWriter) makes the
-        # collector spill each trace event to a backend as it logs.
-        self.collector = Collector(spool=trace_spool)
+        self.collector = Collector()
         self.init_ctx = app.run_init()
         self.policy.setup(self.init_ctx)
         self._pending: List[Activation] = []

@@ -37,25 +37,21 @@ def run_server(
     scheduler: Optional[Scheduler] = None,
     concurrency: int = 1,
     sealer: Optional[object] = None,
-    trace_spool: Optional[object] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ServerRun:
     """Serve ``requests`` and return the trace, advice, and wall-clock time.
 
     ``sealer`` (an :class:`repro.continuous.sealer.EpochSealer`) attaches
     to the runtime before serving and flushes the tail epoch after, so the
-    returned run's stream has been fully sealed.  ``trace_spool`` (a
-    :class:`repro.storage.backend.RecordWriter`) makes the collector spill
-    trace events to a storage backend as it logs; it is sealed before
-    returning.  ``metrics`` (a :class:`repro.obs.MetricsRegistry`) is
-    handed to the runtime's dispatch loop (observe-only)."""
+    returned run's stream has been fully sealed.  ``metrics`` (a
+    :class:`repro.obs.MetricsRegistry`) is handed to the runtime's
+    dispatch loop (observe-only)."""
     runtime = Runtime(
         app,
         policy,
         store=store,
         scheduler=scheduler or RandomScheduler(seed=0),
         concurrency=concurrency,
-        trace_spool=trace_spool,
         metrics=metrics,
     )
     # Give advice-collecting policies access to the store's binlog.
@@ -66,7 +62,6 @@ def run_server(
     trace = runtime.serve(requests)
     if sealer is not None:
         sealer.flush()
-    runtime.collector.seal_spool()
     elapsed = time.perf_counter() - start
     return ServerRun(
         trace=trace,

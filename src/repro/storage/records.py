@@ -1,11 +1,12 @@
 """The record-stream wire format shared by every persistence surface.
 
 A *record stream* is a stream header followed by zero or more framed
-records.  It is the one on-disk/in-memory shape behind traces, advice,
-epochs, checkpoints, the audit journal, and the binlog (DESIGN.md §8):
+records.  It is the one on-disk/in-memory shape behind sealed epochs
+(a trace segment and its advice slice), checkpoints, the audit journal,
+and the binlog (DESIGN.md §8):
 
 * stream header: ``magic "KRS1" | kind_len u8 | kind utf-8`` -- ``kind``
-  names what the stream holds ("trace", "advice", ...), so opening the
+  names what the stream holds ("epoch", "checkpoint", ...), so opening the
   wrong file is a format error, not garbage decoding;
 * record frame: ``rtype u8 | length u32 LE | payload | crc32 u32 LE`` --
   length-prefixed so a reader never over-reads, CRC-checked (crc32 over

@@ -12,54 +12,29 @@ never as corrupting the collector's record of what was actually sent.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.trace.codec import RT_EVENT, RT_META, trace_event_record, trace_meta_record
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
 
 
 class Collector:
-    """Appends REQ/RESP events in observation order.
+    """Appends REQ/RESP events in observation order.  The stored copy of
+    the trace is the sealed epochs (:mod:`repro.continuous`), cut from
+    :meth:`trace` with ``live=True``."""
 
-    With a ``spool`` (a :class:`repro.storage.backend.RecordWriter`), every
-    event is additionally spilled to the storage backend *as it is
-    observed* -- the trace never needs to be re-serialised from memory,
-    and a crash leaves at most one torn record (which the storage layer's
-    tail recovery drops).  Call :meth:`seal_spool` once serving ends.
-    """
-
-    def __init__(self, spool: Optional[object] = None) -> None:
+    def __init__(self) -> None:
         self._trace = Trace()
         self._open = set()
-        self._spool = spool
-        if spool is not None:
-            spool.append(RT_META, trace_meta_record())
-
-    def _spill(self, event: TraceEvent) -> None:
-        if self._spool is not None:
-            self._spool.append(RT_EVENT, trace_event_record(event))
 
     def on_request(self, request: Request) -> None:
         if request.rid in self._open:
             raise ValueError(f"duplicate request id {request.rid}")
         self._open.add(request.rid)
-        event = TraceEvent(REQ, request.rid, request)
-        self._trace.append(event)
-        self._spill(event)
+        self._trace.append(TraceEvent(REQ, request.rid, request))
 
     def on_response(self, rid: str, data: object) -> None:
         if rid not in self._open:
             raise ValueError(f"response for unknown/finished request {rid}")
         self._open.remove(rid)
-        event = TraceEvent(RESP, rid, data)
-        self._trace.append(event)
-        self._spill(event)
-
-    def seal_spool(self) -> None:
-        """Durably finish the spilled trace stream (no-op without one)."""
-        if self._spool is not None:
-            self._spool.seal()
-            self._spool = None
+        self._trace.append(TraceEvent(RESP, rid, data))
 
     @property
     def in_flight(self) -> int:

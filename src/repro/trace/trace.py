@@ -136,10 +136,8 @@ class Trace:
     @classmethod
     def from_events(cls, events: "TraceLike") -> "Trace":
         """Normalise a trace-like input: a :class:`Trace` passes through,
-        any iterable of :class:`TraceEvent` (e.g. the storage layer's
-        :func:`~repro.trace.codec.iter_trace_records` generator) is
-        drained into a frozen trace.  This is how the verifier consumes a
-        record stream without the codec materialising a list first."""
+        any iterable of :class:`TraceEvent` is drained into a frozen
+        trace."""
         if isinstance(events, Trace):
             return events
         return cls(list(events), frozen=True)

@@ -81,7 +81,6 @@ from repro.verifier.dag.plan import (
     NODE_REEXEC,
     STAGE_ORDER,
     AuditPlan,
-    PlanError,
     PlanNode,
     compile_plan,
     single_epoch,
@@ -246,9 +245,8 @@ class Auditor:
         if scheduler is not None and scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {scheduler!r}")
         self.app = app
-        # ``trace`` may be a lazy event iterator (a storage-layer record
-        # stream): drain it exactly once into a frozen snapshot here, while
-        # the caller's reader is still open.
+        # ``trace`` may be any event iterable: drain it exactly once into
+        # a frozen snapshot here.
         self.trace = Trace.from_events(trace)
         self.advice = advice
         self.singleton_groups = singleton_groups
@@ -340,8 +338,6 @@ class Auditor:
                 singleton_groups=self.singleton_groups,
                 dedup=self.dedup is not None,
             )
-        except PlanError:
-            raise  # a caller error (an epoch without advice), not evidence
         except Exception as exc:
             self._finish(self._unplannable(exc))
             return [], []

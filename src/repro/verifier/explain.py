@@ -1,7 +1,7 @@
 """Time-travel REJECT diagnosis: turn a rejection into a divergence report.
 
 A bare ``REJECT(reason)`` tells an operator *that* the server misbehaved,
-not *where*.  This module replays a rejected trace/advice pair with
+not *where*.  This module replays a rejected epoch with
 singleton groups -- every request re-executed in its own group, in epoch
 arrival order -- so the rejection localises to the **first diverging
 operation** rather than to whatever grouped batch happened to trip the
@@ -28,7 +28,6 @@ from typing import Dict, List, Optional
 from repro.advice.records import TX_GET, TX_PUT, Advice
 from repro.kem.program import AppSpec
 from repro.server.variables import INIT_REF
-from repro.trace.trace import TraceLike
 from repro.verifier.audit import Auditor, AuditResult, jsonable
 
 # Precedence chains are advice-controlled; never follow them unboundedly.
@@ -240,22 +239,25 @@ def report_from_result(
 
 def explain_rejection(
     app: AppSpec,
-    trace: TraceLike,
-    advice: Advice,
+    epoch: object,
+    parent: Optional[object],
     result: AuditResult,
-    epoch: Optional[int] = None,
 ) -> DivergenceReport:
     """Localise the divergence behind ``result``, the rejecting grouped
-    audit of this pair the caller already ran.
+    audit of ``epoch`` (a sealed epoch, audited from ``parent``, the
+    verified checkpoint before it; None at genesis) the caller already
+    ran.
 
-    Replays with ``singleton_groups=True`` (each request its own group,
-    epoch arrival order) so the re-execution stops at the first
-    diverging operation.  Some rejections are artifacts of *grouping*
-    (e.g. a deduplicated group whose members disagree) and vanish under
-    singleton replay; those report ``result`` itself, marked
-    ``localized=False``.
+    Replays :meth:`Auditor.for_epoch` with ``singleton_groups=True``
+    (each request its own group, epoch arrival order) so the
+    re-execution stops at the first diverging operation.  Some
+    rejections are artifacts of *grouping* (e.g. a deduplicated group
+    whose members disagree) and vanish under singleton replay; those
+    report ``result`` itself, marked ``localized=False``.
     """
-    singleton = Auditor(app, trace, advice, singleton_groups=True).run()
-    if not singleton.accepted:
-        return report_from_result(singleton, advice, localized=True, epoch=epoch)
-    return report_from_result(result, advice, localized=False, epoch=epoch)
+    singleton = Auditor.for_epoch(app, epoch, parent, singleton_groups=True).run()
+    localized = not singleton.accepted
+    return report_from_result(
+        singleton if localized else result, epoch.advice,
+        localized=localized, epoch=epoch.index,
+    )

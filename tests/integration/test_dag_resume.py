@@ -16,6 +16,7 @@ kill) lives in tests/unit/test_dag_scheduler.py; this test is the real
 import glob
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -23,7 +24,7 @@ import time
 
 import pytest
 
-from repro.advice.codec import read_advice
+from repro.continuous import iter_epochs_stored
 from repro.core.work import WORK_SCALE_ENV, scaled_work
 from repro.storage import backend_for
 
@@ -38,9 +39,18 @@ def served_files(served_store, tmp_path_factory):
         store = served_store(
             "wiki", "--requests", "14", "--seed", "23", "--concurrency", "5"
         )
-    advice = read_advice(backend_for("file", str(store)), "advice")
+    [epoch] = iter_epochs_stored(backend_for("file", str(store)))
     tmp = tmp_path_factory.mktemp("dagresume")
-    return tmp, str(store), len(advice.groups())
+    return tmp, str(store), len(epoch.advice.groups())
+
+
+def _copy(store, tmp, name):
+    """A fresh copy of the served store: an audit journals its verdicts
+    into the store it reads, and a re-run there resumes at the epoch
+    level, re-executing (and replaying) nothing."""
+    copy = str(tmp / name)
+    shutil.copytree(store, copy)
+    return copy
 
 
 def _audit_cmd(store, journal_dir, *extra):
@@ -68,7 +78,8 @@ def _journal_bytes(journal_dir):
 
 
 def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
-    tmp, store, groups = served_files
+    tmp, served, groups = served_files
+    store = _copy(served, tmp, "killed")
     journal_dir = str(tmp / "nodejournal")
     metrics_out = str(tmp / "metrics.json")
 
@@ -113,10 +124,12 @@ def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
     assert resumed_nodes + executed == groups, counters
     assert executed < groups, counters
 
-    # The resumed run journaled the frontier too: a third run replays
-    # every group without re-executing any.
+    # The resumed run journaled the frontier too: a third run (on a store
+    # whose epoch is not yet verified) replays every group without
+    # re-executing any.
     replay = subprocess.run(
-        _audit_cmd(store, journal_dir, "--metrics-out", metrics_out),
+        _audit_cmd(_copy(served, tmp, "replay"), journal_dir,
+                   "--metrics-out", metrics_out),
         env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert replay.returncode == 0, replay.stderr
@@ -127,10 +140,10 @@ def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
 
 
 def test_unkilled_run_matches_resumed_stats(served_files):
-    tmp, store, groups = served_files
+    tmp, served, groups = served_files
     journal_dir = str(tmp / "nodejournal-clean")
     clean = subprocess.run(
-        _audit_cmd(store, journal_dir),
+        _audit_cmd(_copy(served, tmp, "clean"), journal_dir),
         env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert clean.returncode == 0, clean.stderr

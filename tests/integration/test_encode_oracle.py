@@ -1,7 +1,7 @@
 """The one-pass record writers change no byte (DESIGN.md §8).
 
-Every stored record -- trace events (in a trace stream, the collector's
-spool and epoch frames), the ten advice sections, the epoch meta record,
+Every stored record -- trace events and the ten advice sections (the
+frames of an epoch stream), the epoch meta record,
 binlog entries and checkpoint records and digests -- is written as text
 by one walk over the value.  :mod:`tests.encode_oracle` keeps the
 document-building encoders they replaced; these tests hold the writers
@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.advice.codec import iter_advice_frames
-from repro.continuous import ContinuousAuditor
+from repro.continuous import ContinuousAuditor, EpochSealer
 from repro.continuous.checkpoint import STREAM_NAME as CHECKPOINTS
 from repro.continuous.checkpoint import RT_CHECKPOINT, RT_DELTA, CheckpointStore
 from repro.continuous.codec import epoch_stream_name, write_epoch_stored
@@ -31,7 +31,7 @@ from repro.storage.values import value_text, value_texts
 from repro.storage.records import canonical_json
 from repro.store import KVStore
 from repro.store.binlog import STREAM_NAME as BINLOG
-from repro.trace.codec import RT_EVENT, STREAM_KIND as TRACE_KIND
+from repro.trace.codec import RT_EVENT
 from tests import encode_oracle as oracle
 from tests import verdict_goldens as vg
 
@@ -134,19 +134,21 @@ def _records(backend, name):
 
 @pytest.mark.parametrize("run_name", sorted(vg.RUNS))
 def test_served_records_match_the_documents(run_name):
-    """Trace (through the collector's spool), advice and binlog records
-    of a golden run, served again with both spooled to a store."""
+    """Epoch (trace and advice) and binlog records of a golden run,
+    served again as ``repro serve`` stores it: sealed whole as epoch 0."""
     app, workload, level = vg.RUNS[run_name]
     backend = MemoryBackend()
     store = KVStore(level, binlog_backend=backend) if level is not None else None
+    sealer = EpochSealer(0, sink=lambda epoch: write_epoch_stored(backend, epoch))
     run = run_server(
         vg.APPS[app](), workload(), KarousosPolicy(), store=store,
-        scheduler=RandomScheduler(1), concurrency=5,
-        trace_spool=backend.create("trace", TRACE_KIND),
+        scheduler=RandomScheduler(1), concurrency=5, sealer=sealer,
     )
     assert run.trace == vg.served(run_name).trace
-    events = [payload for rtype, payload in _records(backend, "trace")
-              if rtype == RT_EVENT]
+    [epoch] = sealer.epochs
+    stored = _records(backend, epoch_stream_name(0))
+    assert stored == list(oracle.epoch_records(epoch))
+    events = [payload for rtype, payload in stored if rtype == RT_EVENT]
     assert events == [oracle.trace_event_record(e) for e in run.trace]
     if store is not None:
         store.binlog.seal()

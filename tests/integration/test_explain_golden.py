@@ -19,6 +19,7 @@ import pytest
 
 from repro.apps import feed_app, motd_app, stackdump_app, wiki_app
 from repro.attacks import applicable_attacks
+from repro.continuous import Epoch
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.store import IsolationLevel, KVStore
@@ -86,7 +87,7 @@ def compute_reports(app_name: str):
             # the crafted soundness suite pins them on bespoke workloads.
             continue
         assert not result.accepted, f"{attack.name} must reject"
-        report = explain_rejection(app_fn(), trace, advice, result)
+        report = explain_rejection(app_fn(), Epoch(0, trace, advice), None, result)
         assert report is not None, (
             f"{attack.name}: rejected audit must yield a divergence report"
         )

@@ -29,6 +29,7 @@ from repro.fuzz import (
     read_corpus,
     run_fuzz,
 )
+from repro.continuous import Epoch
 from repro.fuzz.driver import serve_case
 from repro.verifier import Auditor, explain_rejection
 from repro.verifier.preprocess import _tx_entry
@@ -146,7 +147,9 @@ def test_every_fuzzer_reject_yields_a_divergence_report(case):
     result = Auditor(app, tampered_trace, tampered_advice).run()
     if result.accepted:
         return
-    report = explain_rejection(app, tampered_trace, tampered_advice, result)
+    report = explain_rejection(
+        app, Epoch(0, tampered_trace, tampered_advice), None, result
+    )
     assert report is not None, result.reason
     assert report.reason
     assert report.stage

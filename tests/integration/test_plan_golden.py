@@ -151,8 +151,8 @@ def test_printed_plan_is_the_plan_the_audit_journals(
     assert main(["plan", *args, "--format", "json"]) == EXIT_OK
     docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     streams = list_epoch_streams(backend_for("file", str(store)))
-    assert len(docs) == max(1, len(streams))
-    assert (len(streams) > 1) if seal else not streams
+    assert len(docs) == len(streams)
+    assert (len(streams) > 1) if seal else streams == ["epoch-0"]
     assert [d["epochs"][0]["index"] for d in docs] == list(range(len(docs)))
 
     nodes = tmp_path / "nodes"

@@ -430,6 +430,31 @@ class TestCorruptInput:
         got, _ = _stream_fingerprints(service, "good")
         assert got == _solo("feed", fleets["feed"])[0]
 
+    def test_epoch_without_advice_fails_only_its_tenant(self, fleets, tmp_path):
+        """``has_advice`` is server-written: a stored epoch without advice
+        rejects its tenant as ``input-format`` in the preflight, and the
+        daemon keeps auditing an honest neighbour."""
+        epochs = [
+            Epoch(e.index, e.trace, None, e.binlog_range)
+            for e in _sealed("motd", motd_workload(10, mix="mixed", seed=7), 5)
+        ]
+        bad_store = _store_epochs(tmp_path, "no-advice", epochs)
+        good_store = _store_epochs(tmp_path, "good-no-advice", fleets["feed"])
+        service = _service_run(
+            tmp_path,
+            [
+                TenantConfig(app="motd", store=bad_store, name="bad"),
+                TenantConfig(app="feed", store=good_store, name="good"),
+            ],
+            label="no-advice",
+        )
+        doc = service.summary()
+        bad = doc["tenants"]["bad"]
+        assert bad["accepted"] is False and bad["reason"] == "input-format"
+        assert doc["tenants"]["good"]["accepted"] is True
+        got, _ = _stream_fingerprints(service, "good")
+        assert got == _solo("feed", fleets["feed"])[0]
+
     @pytest.mark.parametrize("stream,kind,payload", [
         ("checkpoints", "checkpoint", b'{"epoch":"x"}'),
         ("journal", "journal", b"[1,2]"),

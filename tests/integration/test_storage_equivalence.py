@@ -1,7 +1,8 @@
 """The storage layer is transparent to the audit (DESIGN.md §8).
 
 An audit must be a pure function of the *logical* trace+advice pair:
-writing it to a record store and reading it back -- on any backend --
+writing it to a record store as an epoch stream and reading it back --
+on any backend --
 must never change the verdict, the rejection reason, the rejection site
 or the deterministic statistics.  Proven here against the golden verdict
 fingerprints (:mod:`tests.verdict_goldens`) on all four bundled apps,
@@ -11,11 +12,10 @@ surface (``--store file|gzip``).
 
 import pytest
 
-from repro.advice.codec import read_advice, write_advice
 from repro.cli import EXIT_OK, EXIT_REJECTED, main
+from repro.continuous import Epoch
 from repro.continuous.codec import read_epoch_stream, write_epoch_stored
 from repro.storage import MemoryBackend, backend_for
-from repro.trace.codec import read_trace, write_trace
 from repro.verifier import Auditor
 from repro.verifier.dag.plan import epoch_digest
 from tests import verdict_goldens as vg
@@ -40,14 +40,17 @@ def _backend(scheme, tmp_path):
 
 
 def _assert_stored_audit_is_golden(backend, app, case):
-    """Write the case's pair, read it back, audit the copy: the golden
-    fingerprint of the pair that never touched storage must come out."""
+    """Write the case's pair as one epoch stream, read it back, audit the
+    copy: the golden fingerprint of the pair that never touched storage
+    must come out."""
     run_name = RUN_OF[app]
     trace, advice = vg.cases(run_name)[case]
-    write_trace(backend, "trace", trace)
-    write_advice(backend, "advice", advice)
-    stored = read_trace(backend, "trace"), read_advice(backend, "advice")
-    got = vg.fingerprint(Auditor(vg.app_of(run_name)(), *stored).run())
+    name = write_epoch_stored(backend, Epoch(0, trace, advice))
+    with backend.reader(name) as reader:
+        stored = read_epoch_stream(reader, name)
+    got = vg.fingerprint(
+        Auditor(vg.app_of(run_name)(), stored.trace, stored.advice).run()
+    )
     assert got == vg.expected(run_name, "grouped", case), (app, case)
     return got
 
@@ -120,9 +123,9 @@ def test_cli_gzip_epoch_store_resumes(app, served_store):
 
 def test_cli_corrupt_store_rejected(served_store):
     out = served_store("wiki", *SERVE)
-    blob = (out / "advice.rec").read_bytes()
+    blob = (out / "epoch-0.rec").read_bytes()
     flipped = bytearray(blob)
     flipped[len(flipped) // 2] ^= 0xFF
-    (out / "advice.rec").write_bytes(bytes(flipped))
+    (out / "epoch-0.rec").write_bytes(bytes(flipped))
     assert main(["audit", "--app", "wiki", "--store", "file",
                  "--store-path", str(out)]) == EXIT_REJECTED

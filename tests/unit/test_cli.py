@@ -1,11 +1,15 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
+from repro.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
+from repro.storage import backend_for
 
 
 @pytest.fixture()
@@ -17,16 +21,46 @@ def served(served_store):
 
 class TestServe:
     def test_serve_writes_files(self, served):
-        assert (served / "trace.rec").stat().st_size > 0
-        assert (served / "advice.rec").stat().st_size > 0
+        assert (served / "epoch-0.rec").stat().st_size > 0
 
-    def test_unmodified_server_has_no_advice(self, served_store):
+    @pytest.mark.parametrize(
+        "serve_args",
+        [(), ("--threads", "3", "--isolation", "snapshot"),
+         ("--server", "unmodified")],
+        ids=["default", "threads", "unmodified"],
+    )
+    def test_serve_stores_only_sealed_epochs(self, served_store, serve_args):
+        """A served run has one stored form: its sealed epochs (the whole
+        run as epoch 0 without --seal-every) next to the store's binlog."""
+        store = served_store("stacks", "--requests", "12", *serve_args)
+        streams = backend_for("file", str(store)).list_streams()
+        assert sorted(streams) == ["binlog", "epoch-0"]
+
+    def test_unmodified_server_has_no_advice(self, served_store, capsys):
         store = served_store("motd", "--requests", "5", "--server", "unmodified")
-        assert (store / "trace.rec").exists()
-        assert not (store / "advice.rec").exists()
-        # Nothing to audit against: a usage error, not a verdict.
+        assert sorted(os.listdir(store)) == ["epoch-0.rec"]
+        capsys.readouterr()
+        # An epoch without advice cannot be audited: a verdict, not a crash.
         code = main(["audit", "--app", "motd", "--store-path", str(store)])
-        assert code == EXIT_USAGE
+        assert code == EXIT_REJECTED
+        assert "REJECT  reason=input-format" in capsys.readouterr().out
+
+    def test_epoch_without_advice_is_input_format(self, served_store, capsys):
+        """``has_advice`` is server-written: a sealed epoch that carries no
+        advice rejects as malformed input, and so does every epoch after."""
+        store = served_store("motd", "--requests", "10", "--server",
+                             "unmodified", "--seal-every", "5")
+        capsys.readouterr()
+        code = main(["audit", "--app", "motd", "--store-path", str(store),
+                     "--format", "json", "--explain"])
+        assert code == EXIT_REJECTED
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["reason"] == "input-format"
+        assert doc["epochs"][0]["detail"] == "epoch 0 carries no advice"
+        assert doc["explain"]["localized"] is False
+        # Such an epoch has no plan either.
+        plan = ["plan", "--app", "motd", "--store-path", str(store)]
+        assert main(plan) == EXIT_USAGE
 
     def test_threaded_serving(self, served_store):
         store = served_store(
@@ -42,11 +76,6 @@ class TestAudit:
         code = main(["audit", "--app", "motd", "--store-path", str(served)])
         assert code == EXIT_OK
         assert "ACCEPT" in capsys.readouterr().out
-
-    def test_singleton_groups_mode(self, served):
-        code = main(["audit", "--app", "motd", "--store-path", str(served),
-                     "--singleton-groups"])
-        assert code == EXIT_OK
 
     def test_wrong_app_rejects(self, served, capsys):
         code = main(["audit", "--app", "wiki", "--store-path", str(served)])
@@ -78,6 +107,48 @@ class TestAudit:
                      "--format", "json"])
         assert code == EXIT_REJECTED
         assert json.loads(capsys.readouterr().out)["reason"] == "input-format"
+
+
+    def test_explain_localizes_a_rejected_later_epoch(self, served_store, capsys):
+        """``--explain`` replays the rejected epoch from its parent
+        checkpoint with singleton groups: the report names the first
+        diverging operation of epoch 1."""
+        from repro.attacks.tamper import tamper_response
+        from repro.continuous import Epoch, iter_epochs_stored, write_epoch_stored
+
+        store = served_store("wiki", "--requests", "12", "--seed", "6",
+                             "--concurrency", "2", "--seal-every", "3")
+        backend = backend_for("file", str(store))
+        epoch = list(iter_epochs_stored(backend))[1]
+        trace, advice = tamper_response(epoch.trace, epoch.advice)
+        write_epoch_stored(backend, Epoch(1, trace, advice, epoch.binlog_range))
+        capsys.readouterr()
+        code = main(["audit", "--app", "wiki", "--store-path", str(store),
+                     "--explain", "--format", "json"])
+        assert code == EXIT_REJECTED
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["reason"] == "output-mismatch"
+        assert doc["explain"]["localized"] is True
+        assert doc["explain"]["epoch"] == 1
+        assert doc["explain"]["rid"] in trace.request_ids()
+
+    def test_closed_stdout_exits_without_a_traceback(self, served):
+        """A reader that closes stdout early (``| head``) ends the audit
+        with exit 1 and nothing on stderr but what it chose to say."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src"),
+             os.environ.get("PYTHONPATH", "")]
+        ))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "audit", "--app", "motd",
+             "--store-path", str(served), "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 class TestServeAudit:

@@ -2,6 +2,7 @@
 --no-cache` and the `repro cache` maintenance command (DESIGN.md §11)."""
 
 import json
+import shutil
 
 import pytest
 
@@ -20,6 +21,14 @@ def served(served_store):
 
 def _audit(store, *extra, app="stacks"):
     return main(["audit", "--app", app, "--store-path", str(store), *extra])
+
+
+def _copy(store, tmp_path, name):
+    """A fresh copy of the served store: a re-run audit of one store
+    resumes from its journal and re-executes nothing."""
+    copy = tmp_path / name
+    shutil.copytree(store, copy)
+    return copy
 
 
 def _metrics(path):
@@ -41,9 +50,10 @@ class TestAuditFlags:
     def test_cache_dir_warm_start(self, served, tmp_path):
         cache_dir = tmp_path / "cache"
         cold_out, warm_out = tmp_path / "cold.json", tmp_path / "warm.json"
+        unaudited = _copy(served, tmp_path, "warm")
         assert _audit(served, "--cache-dir", str(cache_dir),
                       "--metrics-out", str(cold_out)) == EXIT_OK
-        assert _audit(served, "--cache-dir", str(cache_dir),
+        assert _audit(unaudited, "--cache-dir", str(cache_dir),
                       "--metrics-out", str(warm_out)) == EXIT_OK
         cold = _metrics(cold_out)["counters"]
         warm = _metrics(warm_out)["counters"]
@@ -57,20 +67,20 @@ class TestAuditFlags:
 
     def test_dedup_verdict_matches_plain(self, served, tmp_path, capsys):
 
-        def verdict(*extra):
-            code = _audit(served, "--format", "json", *extra)
+        def verdict(copy, *extra):
+            code = _audit(_copy(served, tmp_path, copy), "--format", "json", *extra)
             doc = json.loads(capsys.readouterr().out)
             stats = {
-                k: v for k, v in doc["stats"].items() if k != "elapsed_seconds"
+                k: v for k, v in doc["stats"].items() if not k.endswith("_seconds")
             }
             return code, doc["accepted"], doc["reason"], stats
 
-        plain = verdict()
+        plain = verdict("plain")
         cache_dir = str(tmp_path / "cache")
-        assert verdict("--dedup") == plain
-        assert verdict("--cache-dir", cache_dir) == plain
-        assert verdict("--cache-dir", cache_dir) == plain  # warm
-        assert verdict("--dedup", "--no-cache") == plain
+        assert verdict("dedup", "--dedup") == plain
+        assert verdict("cold", "--cache-dir", cache_dir) == plain
+        assert verdict("warm", "--cache-dir", cache_dir) == plain
+        assert verdict("no-cache", "--dedup", "--no-cache") == plain
 
     def test_dedup_with_epochs(self, served_store, capsys):
         sealed = served_store(

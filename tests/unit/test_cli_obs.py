@@ -29,8 +29,11 @@ class TestJsonFormat:
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is True
         assert doc["reason"] == "accepted"
-        assert set(doc) == {"accepted", "reason", "detail", "stats"}
+        assert set(doc) == {
+            "accepted", "reason", "detail", "stats", "resumed_epochs", "epochs",
+        }
         assert doc["stats"]["handlers_executed"] > 0
+        assert [e["epoch"] for e in doc["epochs"]] == [0]
 
     def test_rejected_verdict_json(self, served, capsys):
         code = _audit(served, "--format", "json", app="wiki")
@@ -41,7 +44,7 @@ class TestJsonFormat:
         assert isinstance(doc["detail"], str)
 
     def test_input_format_error_json(self, served, capsys):
-        (served / "advice.rec").write_bytes(b"{}")
+        (served / "epoch-0.rec").write_bytes(b"{}")
         code = _audit(served, "--format", "json")
         assert code == EXIT_REJECTED
         doc = json.loads(capsys.readouterr().out)
@@ -104,4 +107,4 @@ class TestMetricsOut:
         code = _audit(served, "--progress")
         assert code == EXIT_OK
         err = capsys.readouterr().err
-        assert "progress: reexec" in err
+        assert "progress: epoch[0].reexec" in err

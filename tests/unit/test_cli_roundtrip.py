@@ -1,16 +1,15 @@
 """CLI round-trips: serve -> store -> audit for every app, honest and
-tampered, in both monolithic and continuous (epoch) modes."""
+tampered, unsealed (the whole run as one epoch) and sealed every N
+responses."""
 
 import json
 
 import pytest
 
-from repro.advice.codec import read_advice, write_advice
 from repro.attacks import ALL_ATTACKS
 from repro.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from repro.continuous import Epoch, iter_epochs_stored, write_epoch_stored
 from repro.storage import backend_for
-from repro.trace.codec import read_trace
 
 pytestmark = pytest.mark.tier1
 
@@ -38,14 +37,6 @@ def _advice_tamper(trace, advice):
     raise AssertionError("no applicable advice tamper")
 
 
-def _tamper(store):
-    """Tamper with the stored pair's advice."""
-    backend = backend_for("file", str(store))
-    trace = read_trace(backend, "trace")
-    advice = read_advice(backend, "advice")
-    write_advice(backend, "advice", _advice_tamper(trace, advice))
-
-
 def _tamper_epoch(store, index):
     """Tamper with the advice of the stored epoch ``index``."""
     backend = backend_for("file", str(store))
@@ -61,20 +52,21 @@ def _audit(app, store, *extra):
 
 
 class TestMonolithicRoundtrip:
+    """An unsealed serve stores the whole run as epoch 0."""
+
     def test_honest_accepts(self, served_app):
         assert _audit(*served_app) == EXIT_OK
 
     def test_tampered_rejects(self, served_app):
         app, store = served_app
-        _tamper(store)
+        _tamper_epoch(store, 0)
         assert _audit(app, store) == EXIT_REJECTED
 
 
 class TestContinuousRoundtrip:
     @pytest.fixture()
     def sealed(self, served_store):
-        """A wiki store holding sealed epoch streams next to the whole
-        trace and advice."""
+        """A wiki store holding an epoch stream per two responses."""
         return "wiki", served_store("wiki", *SERVE, "--seal-every", "2")
 
     def test_epochs_dir_honest_accepts(self, sealed, capsys):
@@ -121,7 +113,7 @@ class TestContinuousUsageErrors:
                      "--name", "tamper-response"]) == EXIT_USAGE
 
     def test_empty_epochs_dir_is_usage_error(self, tmp_path):
-        """A store with neither epoch streams nor a trace/advice pair."""
+        """A store without epoch streams has nothing to audit or plan."""
         empty = tmp_path / "none"
         empty.mkdir()
         for command in ("audit", "plan"):
@@ -163,8 +155,9 @@ class TestEngineFlags:
 REMOVED_FLAGS = {
     "serve": ["--out-trace", "--out-advice", "--out-epochs"],
     "audit": ["--trace", "--advice", "--epochs", "--epochs-dir",
-              "--checkpoint-dir", "--journal"],
-    "plan": ["--trace", "--advice", "--epochs", "--epochs-dir"],
+              "--checkpoint-dir", "--journal", "--singleton-groups"],
+    "plan": ["--trace", "--advice", "--epochs", "--epochs-dir",
+             "--singleton-groups"],
     "attack": ["--trace", "--advice"],
 }
 

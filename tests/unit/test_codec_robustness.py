@@ -2,7 +2,9 @@
 
 The verifier consumes advice from an adversary: the decoder must never
 crash with anything other than a clean AdviceFormatError, no matter how
-a CRC-valid frame's payload is corrupted.  (A crash inside the audit
+a CRC-valid frame's payload is corrupted.  Trace events and advice
+sections are stored only inside epoch streams, so every hostile frame
+is decoded through :func:`~repro.continuous.codec.read_epoch_stream`.  (A crash inside the audit
 would still be caught and rejected, but the codec contract is stricter:
 corrupt bytes are a *format* error, not an internal failure.)
 """
@@ -13,25 +15,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.advice.codec import (
-    ADVICE_RECORD_TYPES,
-    AdviceAccumulator,
-    iter_advice_frames,
-)
+from repro.advice.codec import ADVICE_RECORD_TYPES, iter_advice_frames
 from repro.advice.records import Advice
 from repro.apps import stackdump_app
+from repro.continuous.codec import (
+    EPOCH_FORMAT_VERSION,
+    RT_EPOCH_META,
+    read_epoch_stream,
+)
 from repro.errors import AdviceFormatError
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.store import IsolationLevel, KVStore
-from repro.storage import MemoryBackend
-from repro.trace.codec import (
-    RT_EVENT,
-    RT_META,
-    iter_trace_records,
-    trace_event_record,
-    trace_meta_record,
-)
+from repro.storage import MemoryBackend, pack_json
+from repro.trace.codec import RT_EVENT, trace_event_record
 from repro.verifier import audit
 from repro.workload import stacks_workload
 
@@ -101,24 +98,34 @@ def _mutate_frames(frames, rng):
     return frames
 
 
+def _epoch_meta(has_advice):
+    return RT_EPOCH_META, pack_json({
+        "version": EPOCH_FORMAT_VERSION, "index": 0, "binlog_range": [0, 0],
+        "has_advice": has_advice,
+    })
+
+
+def _decode_epoch(frames):
+    backend = MemoryBackend()
+    with backend.create("epoch-0", "epoch") as writer:
+        for rtype, payload in frames:
+            writer.append(rtype, payload)
+    with backend.reader("epoch-0") as reader:
+        return read_epoch_stream(reader, "epoch-0")
+
+
 def _decode_advice(frames):
-    accum = AdviceAccumulator()
-    for rtype, payload in frames:
-        accum.feed(rtype, payload)
-    return accum.finish()
+    """Advice sections, decoded as the advice of an epoch stream."""
+    return _decode_epoch([_epoch_meta(True), *frames]).advice
 
 
 def _decode_trace(frames):
-    backend = MemoryBackend()
-    with backend.create("trace", "trace") as writer:
-        for rtype, payload in frames:
-            writer.append(rtype, payload)
-    with backend.reader("trace") as reader:
-        return list(iter_trace_records(reader))
+    """Epoch frames -- the meta record first -- decoded to their trace."""
+    return list(_decode_epoch(frames).trace)
 
 
 def _trace_frames(trace):
-    frames = [(RT_META, trace_meta_record())]
+    frames = [_epoch_meta(False)]
     frames += [
         (RT_EVENT, trace_event_record(e)) for e in trace
     ]
@@ -162,8 +169,8 @@ def test_arbitrary_text_rejected_cleanly(junk, rtype):
         except AdviceFormatError:
             pass
     for frames in (
-        [(RT_META, payload)],
-        [(RT_META, trace_meta_record()), (RT_EVENT, payload)],
+        [(RT_EPOCH_META, payload)],
+        [_epoch_meta(False), (RT_EVENT, payload)],
     ):
         try:
             _decode_trace(frames)

@@ -336,9 +336,20 @@ class TestEpochSealer:
         assert seen == sealer.epochs
         assert len(seen) == 4
 
-    def test_rejects_nonpositive_interval(self):
+    def test_rejects_negative_interval(self):
         with pytest.raises(ValueError):
-            EpochSealer(0)
+            EpochSealer(-1)
+
+    def test_zero_interval_seals_the_whole_run_at_flush(self):
+        seen = []
+        sealer = EpochSealer(0, sink=seen.append)
+        run = run_server(
+            motd_app(), motd_workload(6, mix="mixed", seed=1), KarousosPolicy(),
+            scheduler=RandomScheduler(1), concurrency=1, sealer=sealer,
+        )
+        [epoch] = seen
+        assert epoch.index == 0 and epoch.trace == run.trace
+        assert epoch.advice == run.advice
 
 
 class TestContinuousAuditorQueue:

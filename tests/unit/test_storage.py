@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.advice.codec import read_advice, write_advice
 from repro.advice.records import Advice, VariableLogEntry
 from repro.continuous.codec import (
     iter_epochs_stored,
@@ -38,7 +37,6 @@ from repro.storage import (
     value_text,
 )
 from repro.storage.records import clean_prefix, iter_records, read_header
-from repro.trace.codec import iter_trace_records, read_trace, write_trace
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
 from repro.verifier.dag import NodeJournal
 
@@ -188,8 +186,8 @@ def test_gzip_unsealed_stream_readable(tmp_path):
 
 
 def test_gzip_stores_a_served_run_in_under_half_the_file_bytes(tmp_path):
-    """Compression earns its CPU: a served wiki run's trace and advice
-    take well under half the uncompressed file store's bytes."""
+    """Compression earns its CPU: a served wiki run, stored as one epoch,
+    takes well under half the uncompressed file store's bytes."""
     from repro.apps import wiki_app
     from repro.kem.scheduler import RandomScheduler
     from repro.server import KarousosPolicy, run_server
@@ -205,8 +203,7 @@ def test_gzip_stores_a_served_run_in_under_half_the_file_bytes(tmp_path):
     for scheme in ("file", "gzip"):
         root = tmp_path / scheme
         backend = backend_for(scheme, str(root))
-        write_trace(backend, "trace", run.trace)
-        write_advice(backend, "advice", run.advice)
+        write_epoch_stored(backend, Epoch(0, run.trace, run.advice))
         stored[scheme] = sum(f.stat().st_size for f in root.iterdir())
     assert stored["gzip"] < 0.5 * stored["file"], stored
 
@@ -469,21 +466,23 @@ def _fuzz_bundle(values):
     return trace.freeze(), advice
 
 
+def _load_epoch(backend, name="epoch-0"):
+    with backend.reader(name) as reader:
+        return read_epoch_stream(reader, name)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(_values, min_size=1, max_size=3))
 def test_fuzz_trace_advice_epoch_records(values):
+    """Epoch records embed the trace events and the advice sections; an
+    epoch without advice carries the trace alone."""
     trace, advice = _fuzz_bundle(values)
     backend = MemoryBackend()
-    # Trace records.
-    write_trace(backend, "trace", trace)
-    assert read_trace(backend, "trace").events == trace.events
-    # Advice records.
-    write_advice(backend, "advice", advice)
-    assert read_advice(backend, "advice") == advice
-    # Epoch records embed both.
+    write_epoch_stored(backend, Epoch(index=0, trace=trace, advice=None))
+    epoch = _load_epoch(backend)
+    assert epoch.trace.events == trace.events and epoch.advice is None
     write_epoch_stored(backend, Epoch(index=0, trace=trace, advice=advice))
-    with backend.reader("epoch-0") as reader:
-        epoch = read_epoch_stream(reader)
+    epoch = _load_epoch(backend)
     assert epoch.trace.events == trace.events and epoch.advice == advice
     assert [e.index for e in iter_epochs_stored(backend)] == [0]
 
@@ -492,10 +491,10 @@ def test_large_payload_roundtrip():
     big = {"blob": "☃" * 50_000, "nested": [list(range(1000))] * 5}
     trace, advice = _fuzz_bundle([big])
     backend = MemoryBackend()
-    write_trace(backend, "trace", trace)
-    write_advice(backend, "advice", advice)
-    assert read_trace(backend, "trace").events == trace.events
-    assert read_advice(backend, "advice") == advice
+    write_epoch_stored(backend, Epoch(index=0, trace=trace, advice=advice))
+    epoch = _load_epoch(backend)
+    assert epoch.trace.events == trace.events
+    assert epoch.advice == advice
 
 
 @settings(max_examples=40, deadline=None)
@@ -503,12 +502,12 @@ def test_large_payload_roundtrip():
 def test_fuzz_single_byte_flip_never_decodes(values, data):
     trace, _ = _fuzz_bundle(values)
     backend = MemoryBackend()
-    write_trace(backend, "trace", trace)
-    raw = backend.raw("trace")
+    write_epoch_stored(backend, Epoch(index=0, trace=trace, advice=None))
+    raw = backend.raw("epoch-0")
     pos = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
     raw[pos] ^= data.draw(st.integers(min_value=1, max_value=255))
     with pytest.raises(AdviceFormatError):
-        read_trace(backend, "trace")
+        _load_epoch(backend)
 
 
 @settings(max_examples=40, deadline=None)
@@ -516,12 +515,12 @@ def test_fuzz_single_byte_flip_never_decodes(values, data):
 def test_fuzz_truncation_raises_or_yields_prefix(values, data):
     trace, _ = _fuzz_bundle(values)
     backend = MemoryBackend()
-    write_trace(backend, "trace", trace)
-    raw = backend.raw("trace")
+    write_epoch_stored(backend, Epoch(index=0, trace=trace, advice=None))
+    raw = backend.raw("epoch-0")
     cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
     del raw[cut:]
     try:
-        got = read_trace(backend, "trace")
+        got = _load_epoch(backend).trace
     except AdviceFormatError:
         return  # detected -- the common case
     # A cut at a record boundary is indistinguishable from a shorter
@@ -531,16 +530,16 @@ def test_fuzz_truncation_raises_or_yields_prefix(values, data):
 
 
 def test_trace_stream_requires_meta_first():
+    """A trace event ahead of its epoch's meta record is malformed."""
     backend = MemoryBackend()
-    with backend.create("trace", "trace") as w:
-        w.append(2, b'{"kind": "REQ"}')  # RT_EVENT before RT_META
-    with pytest.raises(AdviceFormatError):
-        with backend.reader("trace") as r:
-            list(iter_trace_records(r))
+    with backend.create("epoch-0", "epoch") as w:
+        w.append(2, b'{"kind": "REQ"}')  # RT_EVENT before RT_EPOCH_META
+    with pytest.raises(AdviceFormatError, match="no meta record"):
+        _load_epoch(backend)
 
 
 def test_wrong_stream_kind_rejected():
     backend = MemoryBackend()
-    backend.create("trace", "advice").seal()
+    backend.create("epoch-0", "advice").seal()
     with pytest.raises(AdviceFormatError):
-        read_trace(backend, "trace")
+        _load_epoch(backend)

@@ -1,4 +1,4 @@
-"""Unit tests for the trace wire format."""
+"""Unit tests for the trace wire format, as the epoch streams carry it."""
 
 import json
 
@@ -7,18 +7,17 @@ import pytest
 from repro.errors import AdviceFormatError
 from repro.kem.scheduler import RandomScheduler
 from repro.apps import stackdump_app
+from repro.continuous import Epoch
+from repro.continuous.codec import (
+    EPOCH_FORMAT_VERSION,
+    RT_EPOCH_META,
+    read_epoch_stream,
+    write_epoch_stored,
+)
 from repro.server import KarousosPolicy, run_server
 from repro.store import IsolationLevel, KVStore
 from repro.storage import MemoryBackend, pack_json
-from repro.trace.codec import (
-    RT_EVENT,
-    RT_META,
-    iter_trace_records,
-    read_trace,
-    trace_event_record,
-    trace_meta_record,
-    write_trace,
-)
+from repro.trace.codec import RT_EVENT, trace_event_record
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
 from repro.verifier import audit
 from repro.workload import stacks_workload
@@ -31,20 +30,30 @@ def sample_trace():
     return t
 
 
+def _read(backend):
+    with backend.reader("epoch-0") as reader:
+        return read_epoch_stream(reader, "epoch-0")
+
+
 def _roundtrip(trace):
     backend = MemoryBackend()
-    write_trace(backend, "trace", trace)
-    return read_trace(backend, "trace")
+    write_epoch_stored(backend, Epoch(0, trace, None))
+    return _read(backend).trace
+
+
+def _meta(version=EPOCH_FORMAT_VERSION):
+    return RT_EPOCH_META, pack_json(
+        {"version": version, "index": 0, "binlog_range": [0, 0], "has_advice": False}
+    )
 
 
 def _decode(frames):
-    """Decode hand-built ``(rtype, payload)`` frames as a trace stream."""
+    """Decode hand-built ``(rtype, payload)`` frames as an epoch stream."""
     backend = MemoryBackend()
-    with backend.create("trace", "trace") as writer:
+    with backend.create("epoch-0", "epoch") as writer:
         for rtype, payload in frames:
             writer.append(rtype, payload)
-    with backend.reader("trace") as reader:
-        return list(iter_trace_records(reader))
+    return list(_read(backend).trace)
 
 
 def _event_docs():
@@ -77,20 +86,21 @@ class TestRoundtrip:
 class TestStrictness:
     def test_bad_json(self):
         with pytest.raises(AdviceFormatError):
-            _decode([(RT_META, trace_meta_record()), (RT_EVENT, b"nope{")])
+            _decode([_meta(), (RT_EVENT, b"nope{")])
 
     def test_wrong_version(self):
+        """The trace is versioned by the epoch stream that carries it."""
         with pytest.raises(AdviceFormatError):
-            _decode([(RT_META, pack_json({"version": 99}))])
+            _decode([_meta(version=99)])
 
     def test_unknown_event_kind(self):
         doc = _event_docs()[0]
         doc["kind"] = "PING"
         with pytest.raises(AdviceFormatError):
-            _decode([(RT_META, trace_meta_record()), (RT_EVENT, pack_json(doc))])
+            _decode([_meta(), (RT_EVENT, pack_json(doc))])
 
     def test_non_mapping_payload(self):
         doc = _event_docs()[0]
         doc["payload"] = {"t": "p", "v": 3}
         with pytest.raises(AdviceFormatError):
-            _decode([(RT_META, trace_meta_record()), (RT_EVENT, pack_json(doc))])
+            _decode([_meta(), (RT_EVENT, pack_json(doc))])
