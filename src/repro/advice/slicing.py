@@ -1,9 +1,12 @@
 """Per-epoch advice slicing (continuous auditing, DESIGN.md §6).
 
 ``slice_advice(advice, rids)`` restricts an advice bundle to the requests
-of one epoch.  Epochs are cut at *quiescent* points -- no in-flight
-request, pending activation, or open transaction spans a cut -- which
-makes the slice self-contained up to references into the past:
+of one epoch.  The epoch sealer applies it to what the policy recorded
+since the previous cut (a superset of the epoch's entries); applied to a
+whole run's advice at the same seal, it gives the same slice.  Epochs
+are cut at *quiescent* points -- no in-flight request, pending
+activation, or open transaction spans a cut -- which makes the slice
+self-contained up to references into the past:
 
 * a variable-log read/write whose ``prec`` names an earlier epoch's write
   is rewritten to reference :data:`~repro.server.variables.INIT_REF`, the

@@ -355,16 +355,35 @@ def _store_backend(args, metrics=None):
     return backend_for(args.store, args.store_path, metrics=metrics)
 
 
-def _stored_epochs(args, backend):
-    """The store's sealed epochs, read lazily in index order, or None
-    (after a usage message) when serve left none there."""
-    from repro.continuous import iter_epochs_stored
+def _no_epochs(args, backend) -> bool:
+    """True, after a usage message, when serve left no epoch in the store."""
     from repro.continuous.codec import list_epoch_streams
 
-    if not list_epoch_streams(backend):
-        print(f"error: no epoch streams in {args.store_path}", file=sys.stderr)
-        return None
-    return iter_epochs_stored(backend)
+    if list_epoch_streams(backend):
+        return False
+    print(f"error: no epoch streams in {args.store_path}", file=sys.stderr)
+    return True
+
+
+class _UnreadableEpoch(Exception):
+    """A stored epoch stream that does not decode: ``plan`` and ``attack``
+    report it as an unusable store (``audit`` REJECTs it)."""
+
+
+def _readable_epochs(backend):
+    """The store's epochs, like :func:`iter_epochs_stored`, except that a
+    stream that does not decode raises :class:`_UnreadableEpoch` naming
+    it."""
+    from repro.continuous.codec import list_epoch_streams, read_epoch_stream
+    from repro.errors import AdviceFormatError
+
+    for name in list_epoch_streams(backend):
+        try:
+            with backend.reader(name) as reader:
+                epoch = read_epoch_stream(reader, name)
+        except AdviceFormatError as exc:
+            raise _UnreadableEpoch(f"epoch stream {name} is unreadable: {exc}") from exc
+        yield epoch
 
 
 def _cmd_serve(args) -> int:
@@ -471,11 +490,15 @@ def _dispatch_audit(args) -> int:
 
 
 def _dispatch_audit_inner(args, metrics, progress, dedup) -> int:
-    from repro.continuous import AuditJournal, CheckpointStore, ContinuousAuditor
+    from repro.continuous import (
+        AuditJournal,
+        CheckpointStore,
+        ContinuousAuditor,
+        iter_epochs_stored,
+    )
 
     backend = _store_backend(args, metrics=metrics)
-    epochs = _stored_epochs(args, backend)
-    if epochs is None:
+    if _no_epochs(args, backend):
         return EXIT_USAGE
     # Checkpoints and journal live as record streams in the same store,
     # so a crashed audit resumes on re-run.  Epochs are read lazily, one
@@ -489,7 +512,7 @@ def _dispatch_audit_inner(args, metrics, progress, dedup) -> int:
         node_journal=_make_node_journal(args, metrics),
     )
     try:
-        verdicts = auditor.run(epochs)
+        verdicts = auditor.run(iter_epochs_stored(backend))
     finally:
         checkpoints.close()
         journal.close()
@@ -623,15 +646,15 @@ def _cmd_plan(args) -> int:
     from repro.verifier.dag import PlanError, compile_plan, format_plan_text, validate_plan
 
     # One plan per epoch, exactly the plans `audit` compiles and journals.
-    epochs = _stored_epochs(args, _store_backend(args))
-    if epochs is None:
+    backend = _store_backend(args)
+    if _no_epochs(args, backend):
         return EXIT_USAGE
     try:
-        for epoch in epochs:
+        for epoch in _readable_epochs(backend):
             plan = compile_plan(args.app, epoch, dedup=args.dedup)
             validate_plan(plan)
             print(plan.to_json() if args.format == "json" else format_plan_text(plan))
-    except PlanError as exc:  # an epoch without advice has no plan
+    except (PlanError, _UnreadableEpoch) as exc:  # no advice, or no epoch
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
@@ -679,34 +702,37 @@ def _cmd_attack(args) -> int:
     if usage is not None:
         print(f"error: {usage}", file=sys.stderr)
         return EXIT_USAGE
-    from repro.continuous import ContinuousAuditor, Epoch, iter_epochs_stored
+    from repro.continuous import ContinuousAuditor, Epoch
 
     backend = _store_backend(args)
-    epochs = _stored_epochs(args, backend)
-    if epochs is None:
+    if _no_epochs(args, backend):
         return EXIT_USAGE
     attack = next(a for a in ALL_ATTACKS if a.name == args.name)
-    tampered = None
-    for epoch in epochs:
-        try:
-            if epoch.advice is None:
-                raise LookupError(f"epoch {epoch.index} carries no advice")
-            trace, advice = attack.apply(epoch.trace, epoch.advice)
-        except LookupError as exc:
-            miss = exc
-            continue
-        tampered = Epoch(epoch.index, trace, advice, epoch.binlog_range)
-        break
-    if tampered is None:
-        print(f"attack has no target in this run: {miss}", file=sys.stderr)
+    try:
+        tampered = None
+        for epoch in _readable_epochs(backend):
+            try:
+                if epoch.advice is None:
+                    raise LookupError(f"epoch {epoch.index} carries no advice")
+                trace, advice = attack.apply(epoch.trace, epoch.advice)
+            except LookupError as exc:
+                miss = exc
+                continue
+            tampered = Epoch(epoch.index, trace, advice, epoch.binlog_range)
+            break
+        if tampered is None:
+            print(f"attack has no target in this run: {miss}", file=sys.stderr)
+            return EXIT_USAGE
+        # The stream is audited in memory, the tampered epoch in its
+        # place; the store is not written.
+        auditor = ContinuousAuditor(make_app(args.app))
+        auditor.run(
+            tampered if epoch.index == tampered.index else epoch
+            for epoch in _readable_epochs(backend)
+        )
+    except _UnreadableEpoch as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # The stream is audited in memory, the tampered epoch in its place;
-    # the store is not written.
-    auditor = ContinuousAuditor(make_app(args.app))
-    auditor.run(
-        tampered if epoch.index == tampered.index else epoch
-        for epoch in iter_epochs_stored(backend)
-    )
     rejection = auditor.first_rejection
     verdict = "ACCEPT" if rejection is None else f"REJECT({rejection.result.reason})"
     print(f"{attack.name}: {verdict}")

@@ -6,12 +6,14 @@ the last cut, the serve loop stops admitting new requests, drains to a
 quiescent point (no in-flight request, no pending activation, no open
 store transaction -- :meth:`Runtime.quiescent`), and calls :meth:`seal`:
 the events since the last cut become a frozen trace segment, the advice
-collected for exactly those requests is sliced out
-(:func:`repro.advice.slicing.slice_advice`), and the pair is published as
-an :class:`~repro.continuous.epoch.Epoch` -- optionally pushed into a
-``sink`` (e.g. :meth:`ContinuousAuditor.submit <repro.continuous.auditor.
-ContinuousAuditor.submit>`) so verification starts while the server keeps
-serving.
+recorded since the last cut (:meth:`ServerPolicy.advice_since_cut
+<repro.kem.runtime.ServerPolicy.advice_since_cut>`) is sliced to exactly
+those requests (:func:`repro.advice.slicing.slice_advice`), and the pair
+is published as an :class:`~repro.continuous.epoch.Epoch` -- optionally
+pushed into a ``sink`` (e.g. :meth:`ContinuousAuditor.submit
+<repro.continuous.auditor.ContinuousAuditor.submit>`) so verification
+starts while the server keeps serving.  However long the stream has
+run, a seal costs O(epoch) and :meth:`seal_due` O(1).
 
 Quiescence is what makes a cut *sound to audit in isolation*: nothing
 spans the boundary except committed state, so the epoch's advice slice
@@ -24,7 +26,6 @@ from typing import Callable, List, Optional, Set
 
 from repro.advice.slicing import slice_advice
 from repro.continuous.epoch import Epoch
-from repro.trace.trace import RESP
 
 
 class EpochSealer:
@@ -48,6 +49,7 @@ class EpochSealer:
         self.runtime = None
         self._cut = 0  # first trace event index not yet sealed
         self._binlog_cut = 0
+        self._responses_cut = 0  # the collector's response count at the cut
 
     def attach(self, runtime) -> "EpochSealer":
         """Register with ``runtime`` so its serve loop drains and seals."""
@@ -61,8 +63,7 @@ class EpochSealer:
         """True once the unsealed suffix holds ``seal_every`` responses."""
         if not self.seal_every:
             return False
-        events = self.runtime.collector.trace(live=True).events
-        responses = sum(1 for e in events[self._cut :] if e.kind == RESP)
+        responses = self.runtime.collector.responses - self._responses_cut
         return responses >= self.seal_every
 
     def seal(self) -> Optional[Epoch]:
@@ -74,7 +75,7 @@ class EpochSealer:
         if not len(segment):
             return None
         rids: Set[str] = set(segment.request_ids())
-        advice = runtime.policy.advice()
+        advice = runtime.policy.advice_since_cut(self._binlog_cut)
         if advice is not None:
             advice = slice_advice(advice, rids)
         binlog_len = (
@@ -88,6 +89,7 @@ class EpochSealer:
         )
         self._cut = len(trace.events)
         self._binlog_cut = binlog_len
+        self._responses_cut = runtime.collector.responses
         self.epochs.append(epoch)
         if self.sink is not None:
             self.sink(epoch)

@@ -103,6 +103,13 @@ class ServerPolicy:
         """The collected advice, or None for the unmodified server."""
         return None
 
+    def advice_since_cut(self, binlog_start: int) -> Optional[Advice]:
+        """The advice recorded since the previous call, for the epoch
+        sealer to slice (``binlog_start``: the binlog's length at that
+        call).  Any superset is correct, since the sealer keeps only the
+        epoch's requests; this default is the whole run's."""
+        return self.advice()
+
 
 @dataclass
 class _RequestState:

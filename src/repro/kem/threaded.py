@@ -96,6 +96,9 @@ class _LockedPolicy(ServerPolicy):
     def advice(self):
         return self._inner.advice()
 
+    def advice_since_cut(self, binlog_start):
+        return self._inner.advice_since_cut(binlog_start)
+
 
 class ThreadedRuntime(Runtime):
     """KEM runtime executing handler activations on a thread pool."""

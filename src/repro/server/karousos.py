@@ -13,6 +13,7 @@ Collects, while the application serves real traffic:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.advice.records import Advice, HandlerOpEntry, TxLogEntry
@@ -24,6 +25,20 @@ from repro.kem.program import InitContext
 from repro.kem.runtime import Runtime, ServerPolicy
 from repro.server.variables import LoggableCell
 
+# The advice sections keyed by request coordinates, each read by a cut
+# from where the previous cut left it.
+_CUT_SECTIONS = (
+    "tags", "handler_logs", "response_emitted_by", "opcounts", "nondet", "tx_logs",
+)
+
+
+def _since(section: dict, mark: int) -> dict:
+    """The entries inserted into ``section`` after its first ``mark``, in
+    insertion order, visiting none of the older ones."""
+    recent = list(islice(reversed(section.items()), len(section) - mark))
+    recent.reverse()
+    return dict(recent)
+
 
 class KarousosPolicy(ServerPolicy):
     """Advice-collecting policy.  One instance per served trace."""
@@ -34,6 +49,10 @@ class KarousosPolicy(ServerPolicy):
         self._plain: Dict[str, object] = {}
         # Per request: handler fingerprints in completion order.
         self._fingerprints: Dict[str, List[Tuple[HandlerId, str]]] = {}
+        # Where the previous cut left each section, the runtime's
+        # transactions ("txs") and each cell's log: their lengths then.
+        self._cut: Dict[str, int] = {}
+        self._log_cut: Dict[str, int] = {}
         self.runtime: Optional[Runtime] = None  # set by run_server
 
     # -- setup -------------------------------------------------------------
@@ -139,3 +158,34 @@ class KarousosPolicy(ServerPolicy):
                 key: store.tx_window(tx) for key, tx in self.runtime._txs.items()
             }
         return out
+
+    def advice_since_cut(self, binlog_start: int) -> Advice:
+        """What was recorded since the previous cut, read without visiting
+        anything older (DESIGN.md §6): the newest entries of each section
+        and cell log, the windows of the transactions begun since, and the
+        write order of the binlog from ``binlog_start``."""
+        out, cut = self.advice_out, self._cut
+        recent = Advice(isolation_level=out.isolation_level)
+        for name in _CUT_SECTIONS:
+            section = getattr(out, name)
+            setattr(recent, name, _since(section, cut.get(name, 0)))
+            cut[name] = len(section)
+        for var_id, cell in self._cells.items():
+            log = _since(cell.log, self._log_cut.get(var_id, 0))
+            if log:
+                recent.variable_logs[var_id] = log
+                self._log_cut[var_id] = len(cell.log)
+        if self.runtime is not None and self.runtime.store is not None:
+            store, txs = self.runtime.store, self.runtime._txs
+            recent.isolation_level = store.isolation
+            recent.write_order = [
+                entry.writer_token
+                for entry in store.binlog.since(binlog_start)
+                if entry.writer_token is not None
+            ]
+            recent.tx_windows = {
+                key: store.tx_window(tx)
+                for key, tx in _since(txs, cut.get("txs", 0)).items()
+            }
+            cut["txs"] = len(txs)
+        return recent

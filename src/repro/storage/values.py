@@ -63,14 +63,17 @@ def decode_tid(data: object) -> TxId:
 
 
 class TextEncoder:
-    """One encode pass.  Id texts are memoised for the pass by identity
-    (the memo holds every id it has seen, so no key is reused while it
-    lives), never on the id itself: DESIGN.md §8 says why."""
+    """One encode pass.  Id and container (dict, list, tuple) texts are
+    memoised for the pass by identity, so a value shared by several
+    entries is encoded once; each memo holds every object it has seen, so
+    no key is reused while it lives.  Nothing is stored on the objects
+    themselves: DESIGN.md §8 says why, and why this is sound."""
 
-    __slots__ = ("_ids",)
+    __slots__ = ("_ids", "_values")
 
     def __init__(self) -> None:
         self._ids: Dict[int, Tuple[object, str]] = {}
+        self._values: Dict[int, Tuple[object, str]] = {}
 
     def hid(self, hid: HandlerId) -> str:  # the text of encode_hid(hid)
         entry = self._ids.get(id(hid))
@@ -114,15 +117,21 @@ def _text(value: object, enc: TextEncoder) -> str:
     if cls is int:
         return '{"t":"p","v":%d}' % value
     tag = _tag(value)
-    if tag == "d":
-        return '{"t":"d","v":[%s]}' % ",".join(
-            ["[%s,%s]" % (_text(k, enc), _text(v, enc)) for k, v in value.items()]
-        )
     if tag == "p":
         return '{"t":"p","v":%s}' % json_text(value)
     if tag == "x":
         return '{"t":"x","v":%s}' % enc.tid(value)
-    return '{"t":"%s","v":[%s]}' % (tag, ",".join([_text(v, enc) for v in value]))
+    entry = enc._values.get(id(value))
+    if entry is not None:
+        return entry[1]
+    if tag == "d":
+        text = '{"t":"d","v":[%s]}' % ",".join(
+            ["[%s,%s]" % (_text(k, enc), _text(v, enc)) for k, v in value.items()]
+        )
+    else:
+        text = '{"t":"%s","v":[%s]}' % (tag, ",".join([_text(v, enc) for v in value]))
+    enc._values[id(value)] = (value, text)
+    return text
 
 
 def _texts(value: object, enc: TextEncoder) -> Tuple[str, str]:

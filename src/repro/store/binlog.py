@@ -92,8 +92,9 @@ class Binlog:
             self._writer.seal()
             self._writer = None
 
-    def entries(self) -> List[BinlogEntry]:
-        return list(self._entries)
+    def since(self, start: int) -> List[BinlogEntry]:
+        """The entries from index ``start`` on, copying only those."""
+        return self._entries[start:]
 
     def __iter__(self) -> Iterator[BinlogEntry]:
         return iter(self._entries)

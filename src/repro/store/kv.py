@@ -110,7 +110,7 @@ class KVStore:
         self._commit_seq = 0
         self._read_locks: Dict[str, Set[int]] = {}
         self._write_locks: Dict[str, int] = {}
-        self._txs: Dict[int, Transaction] = {}
+        self._active: Dict[int, Transaction] = {}  # begun, not yet ended
         self._serials = itertools.count(1)
         # ``binlog_backend`` (a repro.storage StorageBackend) makes the
         # binlog durable: entries stream to storage as they install.
@@ -126,7 +126,7 @@ class KVStore:
         tx = Transaction(
             serial=next(self._serials), owner=owner, start_seq=self._commit_seq
         )
-        self._txs[tx.serial] = tx
+        self._active[tx.serial] = tx
         return tx
 
     def _require_active(self, tx: Transaction) -> None:
@@ -245,6 +245,7 @@ class KVStore:
             if self._dirty.get(key, (None, None, None))[2] == tx.serial:
                 del self._dirty[key]
         tx.status = TxStatus.COMMITTED
+        del self._active[tx.serial]
         self._release_locks(tx)
 
     def abort(self, tx: Transaction) -> None:
@@ -256,6 +257,7 @@ class KVStore:
             if self._dirty.get(key, (None, None, None))[2] == tx.serial:
                 del self._dirty[key]
         tx.status = TxStatus.ABORTED
+        del self._active[tx.serial]
         self._release_locks(tx)
 
     # -- inspection -----------------------------------------------------------
@@ -272,7 +274,7 @@ class KVStore:
         return list(self._rows.keys())
 
     def active_transactions(self) -> List[Transaction]:
-        return [t for t in self._txs.values() if t.is_active]
+        return list(self._active.values())
 
     def version_history(self, key: str) -> List[Tuple[int, object, object]]:
         """Committed versions of ``key`` as (commit_seq, value, token)."""

@@ -23,6 +23,7 @@ class Collector:
     def __init__(self) -> None:
         self._trace = Trace()
         self._open = set()
+        self.responses = 0  # RESP events so far (the sealer's count)
 
     def on_request(self, request: Request) -> None:
         if request.rid in self._open:
@@ -35,6 +36,7 @@ class Collector:
             raise ValueError(f"response for unknown/finished request {rid}")
         self._open.remove(rid)
         self._trace.append(TraceEvent(RESP, rid, data))
+        self.responses += 1
 
     @property
     def in_flight(self) -> int:

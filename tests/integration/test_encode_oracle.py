@@ -18,7 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.advice.codec import iter_advice_frames
-from repro.continuous import ContinuousAuditor, EpochSealer
+from repro.advice.records import Advice, VariableLogEntry
+from repro.continuous import ContinuousAuditor, Epoch, EpochSealer
 from repro.continuous.checkpoint import STREAM_NAME as CHECKPOINTS
 from repro.continuous.checkpoint import RT_CHECKPOINT, RT_DELTA, CheckpointStore
 from repro.continuous.codec import epoch_stream_name, write_epoch_stored
@@ -32,6 +33,7 @@ from repro.storage.records import canonical_json
 from repro.store import KVStore
 from repro.store.binlog import STREAM_NAME as BINLOG
 from repro.trace.codec import RT_EVENT
+from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
 from tests import encode_oracle as oracle
 from tests import verdict_goldens as vg
 
@@ -208,6 +210,68 @@ def test_epoch_and_checkpoint_records_match_the_documents(app, which):
         if index:
             record = oracle.checkpoint_delta(cp, checkpoints.get(index - 1))
         assert payload == record.encode()
+
+
+# -- one text per shared object, per pass --------------------------------------
+
+
+def _logging_epoch(index, *values):
+    """An epoch whose one variable log writes ``values`` in turn, and
+    whose one response is the last of them."""
+    hid = HandlerId.intern("render")
+    advice = Advice()
+    advice.variable_logs["acc"] = {
+        ("r1", hid, i): VariableLogEntry(
+            "write", value=v, prec=("r1", hid, i - 1) if i else None
+        )
+        for i, v in enumerate(values)
+    }
+    trace = Trace([TraceEvent(REQ, "r1", Request.make("r1", "render")),
+                   TraceEvent(RESP, "r1", values[-1])], frozen=True)
+    return Epoch(index, trace, advice)
+
+
+def _stored_epoch(backend, epoch):
+    write_epoch_stored(backend, epoch)
+    return _records(backend, epoch_stream_name(epoch.index))
+
+
+class Walked(dict):
+    """A dict that counts the walks over its items."""
+
+    walks = 0
+
+    def items(self):
+        Walked.walks += 1
+        return super().items()
+
+
+def test_an_object_shared_by_entries_of_one_epoch():
+    """Two writes share sub-values, as wiki's ``{**acc, rid: slot}``
+    does, and one object is written twice and sent as the response:
+    each object's text is the document's, and is built once."""
+    slot = Walked(page="p", parts=[1, (2, "x")])
+    first = {"r0": slot}
+    second = {**first, "r1": slot, "both": [slot, slot]}
+    epoch = _logging_epoch(0, first, second, first)
+    expected = list(oracle.epoch_records(epoch))
+    Walked.walks = 0
+    assert _stored_epoch(MemoryBackend(), epoch) == expected
+    assert Walked.walks == 1
+
+
+def test_a_value_replaced_between_two_passes():
+    """Each epoch is encoded as its values stand at its own pass: one
+    mutated in place, and one freed and replaced (its id free for reuse)."""
+    backend = MemoryBackend()
+    kept, dropped = {"k": [1, 2]}, ([3, 4], {"z": 0})
+    epoch = _logging_epoch(0, kept, dropped, kept)
+    assert _stored_epoch(backend, epoch) == list(oracle.epoch_records(epoch))
+    kept["k"].append(5)
+    del epoch, dropped
+    replacement = ([6], {"z": 1})
+    epoch = _logging_epoch(1, kept, replacement, kept)
+    assert _stored_epoch(backend, epoch) == list(oracle.epoch_records(epoch))
 
 
 def test_writing_an_epoch_adds_no_attribute_to_its_ids():

@@ -19,6 +19,14 @@ def served(served_store):
     )
 
 
+def _corrupt_epoch(served_store, stream):
+    """A sealed two-epoch motd store in which ``stream`` is not a record
+    stream at all."""
+    store = served_store("motd", "--requests", "20", "--seal-every", "5")
+    (store / f"{stream}.rec").write_bytes(b"garbage")
+    return store
+
+
 class TestServe:
     def test_serve_writes_files(self, served):
         assert (served / "epoch-0.rec").stat().st_size > 0
@@ -177,6 +185,16 @@ class TestPlan:
         assert "unrecognized arguments: --epochs" in capsys.readouterr().err
 
 
+    def test_corrupt_epoch_stream_is_a_usage_error(self, served_store, capsys):
+        store = _corrupt_epoch(served_store, "epoch-1")
+        capsys.readouterr()
+        code = main(["plan", "--app", "motd", "--store-path", str(store)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: epoch stream epoch-1 is unreadable: ")
+        assert err.count("\n") == 1
+
+
 class TestAttack:
     def test_guaranteed_attack_caught(self, served, capsys):
         code = main(["attack", "--app", "motd", "--store-path", str(served),
@@ -189,6 +207,21 @@ class TestAttack:
         code = main(["attack", "--app", "motd", "--store-path", str(served),
                      "--name", "tamper-put-value"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("stream", ["epoch-0", "epoch-1"])
+    def test_corrupt_epoch_stream_is_a_usage_error(self, served_store, capsys,
+                                                   stream):
+        """Whether the damaged stream is where the attack looks for its
+        target or after it (read only by the in-memory audit)."""
+        store = _corrupt_epoch(served_store, stream)
+        capsys.readouterr()
+        code = main(["attack", "--app", "motd", "--store-path", str(store),
+                     "--name", "tamper-response"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: epoch stream {stream} is unreadable: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestAnalyze:
