@@ -21,11 +21,10 @@ from repro.core.ids import make_rid
 from repro.harness import print_series
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
-from repro.storage import backend_for
 from repro.store import IsolationLevel, KVStore
 from repro.trace.trace import Request
 from repro.verifier import Auditor
-from repro.verifier.dedup import Deduplicator, VerdictCache
+from repro.verifier.dedup import Deduplicator
 
 COLUMNS = ["arm", "reexec_seconds", "speedup", "hits", "misses"]
 
@@ -76,7 +75,7 @@ def _audit(run, dedup=None, metrics=None):
     return result, auditor.stage_seconds["reexec"]
 
 
-def _measure(scale, tmp_path, work_scale):
+def _measure(scale, work_scale):
     n = max(80, scale.n_requests // 3)
     with work_scale(WORK_SCALE):
         run = run_server(
@@ -88,25 +87,21 @@ def _measure(scale, tmp_path, work_scale):
             concurrency=8,
         )
         off, t_off = _audit(run)
-        prime = Deduplicator(
-            VerdictCache(backend_for("file", str(tmp_path / "cache")))
-        )
-        _audit(run, dedup=prime)
-        prime.close()
+        # Prime one in-memory cache on a first audit; the warm audit
+        # reuses the same Deduplicator.
+        dedup = Deduplicator()
+        _audit(run, dedup=dedup)
         from repro.obs import MetricsRegistry
 
         metrics = MetricsRegistry()
-        warm_dedup = Deduplicator(
-            VerdictCache(backend_for("file", str(tmp_path / "cache")))
-        )
-        warm, t_warm = _audit(run, dedup=warm_dedup, metrics=metrics)
+        warm, t_warm = _audit(run, dedup=dedup, metrics=metrics)
         counters = metrics.snapshot()["counters"]
     return n, off, t_off, warm, t_warm, counters
 
 
-def test_warm_cache_reexec_speedup(scale, tmp_path, work_scale):
-    n, off, t_off, warm, t_warm, counters = _measure(scale, tmp_path, work_scale)
-    hits = counters["reexec.cache_hits"]
+def test_warm_cache_reexec_speedup(scale, work_scale):
+    n, off, t_off, warm, t_warm, counters = _measure(scale, work_scale)
+    hits = counters["reexec.dedup_groups"]
     misses = counters["reexec.cache_misses"]
 
     # The speedup never costs a verdict: byte-identical outcome.
@@ -115,7 +110,7 @@ def test_warm_cache_reexec_speedup(scale, tmp_path, work_scale):
     )
     assert _strip(warm.stats) == _strip(off.stats)
 
-    # The skew materialises: most groups hit the persisted cache.
+    # The skew materialises: most groups hit the primed cache.
     assert hits > 0
     assert hits >= misses
 

@@ -87,10 +87,3 @@ class History:
 
     def tx(self, tid: object) -> HTransaction:
         return self.transactions[tid]
-
-    def installed_versions(self) -> List[WriteRef]:
-        """All version-order entries, flattened."""
-        out: List[WriteRef] = []
-        for refs in self.version_order.values():
-            out.extend(refs)
-        return out

@@ -85,9 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     aud.add_argument("--app", required=True, choices=APP_NAMES)
     aud.add_argument("--jobs", type=int, default=1,
-                     help="shard re-execution groups across N worker "
-                     "processes (in-process, with a diagnostic, when the "
-                     "inputs do not pickle)")
+                     help="1 (default) runs serially; N > 1 shards "
+                     "re-execution groups across N worker processes "
+                     "(in-process, with a diagnostic, when the inputs do "
+                     "not pickle); verdict-identical either way")
     aud.add_argument("--format", default="text", choices=["text", "json"],
                      help="verdict output: human text (default) or one "
                      "machine-readable JSON object on stdout")
@@ -101,20 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_args(aud)
     aud.add_argument("--dedup", action="store_true",
                      help="deduplicated re-execution: digest-identical groups "
-                     "execute once per run, backed by an in-memory verdict "
-                     "cache (verdicts provably unchanged; see DESIGN.md §11)")
-    aud.add_argument("--cache-dir", metavar="DIR",
-                     help="persist the verdict cache here (implies --dedup); "
-                     "later audits over this directory warm-start from it")
-    aud.add_argument("--no-cache", action="store_true",
-                     help="with --dedup: in-run batching only, no verdict "
-                     "cache carried across epochs or runs")
-    aud.add_argument("--scheduler", default=None,
-                     choices=["serial", "process"],
-                     help="worker-pool backend of the audit engine's "
-                     "ready-queue loop (default: serial for --jobs 1, else "
-                     "process; verdict-identical; see DESIGN.md §5 and "
-                     "repro plan)")
+                     "execute once per audit, across its epochs, through an "
+                     "in-memory verdict cache (verdicts provably unchanged; "
+                     "see DESIGN.md §11)")
     aud.add_argument("--node-journal", metavar="DIR",
                      help="journal each re-executed group's result here "
                      "(digest-chained); a later audit of the same inputs "
@@ -136,11 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="service state root: per-tenant checkpoint chains, "
                      "audit journals, and node journals live under "
                      "DIR/<tenant>/ (the resume substrate)")
-    svc.add_argument("--scheduler", default="serial",
-                     choices=["serial", "process"],
-                     help="shared pool's execution backend (default serial)")
     svc.add_argument("--jobs", type=int, default=1,
-                     help="worker width for --scheduler process")
+                     help="1 (default) runs the shared pool serially; N > 1 "
+                     "runs it on N worker processes")
     svc.add_argument("--no-quotas", action="store_true",
                      help="disable per-tenant quotas and fair scheduling: "
                      "strict FIFO admission order (exhibits super-producer "
@@ -169,11 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      "rather than waiting forever; 0 = retry forever "
                      "(default 16)")
     svc.add_argument("--dedup", action="store_true",
-                     help="share one cross-tenant verdict cache (per-tenant "
-                     "hit/miss attribution in the fleet snapshot)")
-    svc.add_argument("--cache-dir", metavar="DIR",
-                     help="persist the shared verdict cache here "
-                     "(implies --dedup)")
+                     help="share one in-memory cross-tenant verdict cache "
+                     "(per-tenant hit/miss attribution in the fleet "
+                     "snapshot)")
     svc.add_argument("--format", default="text", choices=["text", "json"],
                      help="final per-tenant summary: human text (default) "
                      "or one JSON document on stdout")
@@ -189,15 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--format", default="text", choices=["text", "json"],
                       help=f"human text (default) or one {PLAN_SPEC} JSON "
                       "document per epoch, one per line, on stdout")
-
-    cache = sub.add_parser(
-        "cache", help="inspect or manage a persisted verdict cache"
-    )
-    cache.add_argument("action", choices=["stats", "verify", "clear"])
-    cache.add_argument("--cache-dir", required=True, metavar="DIR",
-                       help="the verdict-cache directory written by "
-                       "audit --cache-dir")
-    cache.add_argument("--format", default="text", choices=["text", "json"])
 
     attack = sub.add_parser(
         "attack",
@@ -318,14 +295,6 @@ def _store_usage_error(args) -> Optional[str]:
     return None
 
 
-def _dedup_usage_error(args) -> Optional[str]:
-    if args.no_cache and args.cache_dir:
-        return "--no-cache and --cache-dir are mutually exclusive"
-    if args.no_cache and not args.dedup:
-        return "--no-cache requires --dedup"
-    return None
-
-
 def _make_node_journal(args, metrics=None):
     """A NodeJournal over a file backend for --node-journal, else None."""
     if not getattr(args, "node_journal", None):
@@ -333,21 +302,6 @@ def _make_node_journal(args, metrics=None):
     from repro.verifier.dag import NodeJournal
 
     return NodeJournal(backend_for("file", args.node_journal, metrics=metrics))
-
-
-def _make_dedup(args, metrics=None):
-    """A Deduplicator per the --dedup/--cache-dir/--no-cache flags, or
-    None when deduplication is off."""
-    if not (args.dedup or args.cache_dir):
-        return None
-    from repro.verifier.dedup import Deduplicator, VerdictCache
-
-    if args.no_cache:
-        return Deduplicator(cache=None)
-    if args.cache_dir:
-        backend = backend_for("file", args.cache_dir, metrics=metrics)
-        return Deduplicator(VerdictCache(backend, metrics=metrics))
-    return Deduplicator(VerdictCache(metrics=metrics))
 
 
 def _store_backend(args, metrics=None):
@@ -454,7 +408,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    usage = _store_usage_error(args) or _dedup_usage_error(args)
+    usage = _store_usage_error(args) or (
+        "--jobs must be >= 1" if args.jobs < 1 else None
+    )
     if usage is not None:
         print(f"error: {usage}", file=sys.stderr)
         return EXIT_USAGE
@@ -479,24 +435,15 @@ def _cmd_audit(args) -> int:
 
 
 def _dispatch_audit(args) -> int:
-    metrics = _make_metrics(args)
-    progress = _progress_hook(args)
-    dedup = _make_dedup(args, metrics=metrics)
-    try:
-        return _dispatch_audit_inner(args, metrics, progress, dedup)
-    finally:
-        if dedup is not None:
-            dedup.close()  # seal the verdict-cache stream
-
-
-def _dispatch_audit_inner(args, metrics, progress, dedup) -> int:
     from repro.continuous import (
         AuditJournal,
         CheckpointStore,
         ContinuousAuditor,
         iter_epochs_stored,
     )
+    from repro.verifier.dedup import Deduplicator
 
+    metrics = _make_metrics(args)
     backend = _store_backend(args, metrics=metrics)
     if _no_epochs(args, backend):
         return EXIT_USAGE
@@ -507,8 +454,8 @@ def _dispatch_audit_inner(args, metrics, progress, dedup) -> int:
     journal = AuditJournal(backend=backend)
     auditor = ContinuousAuditor(
         make_app(args.app), checkpoints=checkpoints, journal=journal,
-        parallelism=args.jobs, scheduler=args.scheduler, metrics=metrics,
-        progress=progress, dedup=dedup,
+        parallelism=args.jobs, metrics=metrics, progress=_progress_hook(args),
+        dedup=Deduplicator() if args.dedup else None,
         node_journal=_make_node_journal(args, metrics),
     )
     try:
@@ -592,11 +539,10 @@ def _cmd_serve_audit(args) -> int:
         service = AuditService(
             tenants,
             state_dir=args.state_dir,
-            scheduler=args.scheduler,
+            scheduler="process" if args.jobs > 1 else "serial",
             jobs=args.jobs,
             quotas_enabled=not args.no_quotas,
-            dedup=args.dedup or bool(args.cache_dir),
-            cache_dir=args.cache_dir,
+            dedup=args.dedup,
             status_port=args.status_port,
             metrics_out=args.metrics_out,
             metrics_every=args.metrics_every,
@@ -657,43 +603,6 @@ def _cmd_plan(args) -> int:
     except (PlanError, _UnreadableEpoch) as exc:  # no advice, or no epoch
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_OK
-
-
-def _cmd_cache(args) -> int:
-    from repro.verifier.dedup import VerdictCache
-
-    backend = backend_for("file", args.cache_dir)
-    cache = VerdictCache(backend)
-    if args.action == "stats":
-        doc = cache.stats()
-        if args.format == "json":
-            print(json.dumps(doc, sort_keys=True))
-        else:
-            print(f"verdict cache {args.cache_dir} (spec {doc['spec']})")
-            print(f"  entries:  {doc['entries']} "
-                  f"({doc['members']} members, {doc['handlers']} handlers)")
-            print(f"  loaded:   {doc['loaded']}")
-            print(f"  skipped:  {doc['skipped']}")
-        return EXIT_OK
-    if args.action == "verify":
-        rows = cache.verify()
-        bad = [row for row in rows if row["status"] != "ok"]
-        if args.format == "json":
-            print(json.dumps(
-                {"records": rows, "ok": len(rows) - len(bad), "bad": len(bad)},
-                sort_keys=True,
-            ))
-        else:
-            for row in rows:
-                if row["status"] == "ok":
-                    print(f"ok       {row['key'][:16]}  members={row['members']}")
-                else:
-                    print(f"{row['status']:<8s} {row['detail']}")
-            print(f"{len(rows) - len(bad)} ok, {len(bad)} bad")
-        return EXIT_OK if not bad else EXIT_REJECTED
-    count = cache.clear()
-    print(f"cleared {count} entries from {args.cache_dir}")
     return EXIT_OK
 
 
@@ -846,7 +755,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve-audit": _cmd_serve_audit,
         "audit": _cmd_audit,
         "plan": _cmd_plan,
-        "cache": _cmd_cache,
         "attack": _cmd_attack,
         "analyze": _cmd_analyze,
         "lint": _cmd_lint,

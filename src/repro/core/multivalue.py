@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import copysign
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Iterable, List, Sequence
 
 from repro.errors import KarousosError
 
@@ -121,10 +121,6 @@ class Multivalue:
         mv._shared = value
         mv._slots = None
         return mv
-
-    @classmethod
-    def from_map(cls, rids: Sequence[str], mapping: Dict[str, object]) -> "Multivalue":
-        return cls(rids, [mapping[rid] for rid in rids])
 
     # -- inspection ------------------------------------------------------
 

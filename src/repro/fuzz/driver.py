@@ -380,14 +380,12 @@ def run_fuzz(
     # with a fresh verdict cache -- so shrunk reproducers exercise the
     # cache path by default.
     for path, case in read_corpus(corpus_dir, prop):
-        from repro.verifier.dedup import Deduplicator, VerdictCache
+        from repro.verifier.dedup import Deduplicator
 
         report.corpus_replayed += 1
         detail = run_case(case, stats, metrics)
         if detail is None:
-            detail = run_case(
-                case, stats, metrics, dedup=Deduplicator(VerdictCache())
-            )
+            detail = run_case(case, stats, metrics, dedup=Deduplicator())
             if detail is not None:
                 detail = f"[dedup replay] {detail}"
         if detail is not None:

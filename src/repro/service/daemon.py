@@ -30,8 +30,7 @@ One process-wide :class:`~repro.verifier.dedup.cache.VerdictCache` may
 be shared across tenants (``dedup=True``): each tenant keeps its *own*
 :class:`~repro.verifier.dedup.executor.Deduplicator` (per-stage stats
 stay per-tenant, so hit/miss attribution lands in that tenant's
-metrics) over the one cache, and the service closes the cache exactly
-once at shutdown.
+metrics) over the one cache.
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ class AuditService:
         jobs: int = 1,
         quotas_enabled: bool = True,
         dedup: bool = False,
-        cache_dir: Optional[str] = None,
         status_port: Optional[int] = None,
         metrics_out: Optional[str] = None,
         metrics_every: float = 2.0,
@@ -102,6 +100,10 @@ class AuditService:
             raise ValueError(f"duplicate tenant names: {sorted(names)}")
         if not poll_interval >= 0:
             raise ValueError(f"poll interval must be >= 0, got {poll_interval}")
+        if torn_limit < 0:
+            raise ValueError(f"torn limit must be >= 0, got {torn_limit}")
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.state_dir = state_dir
         self.status_port = status_port
         self.metrics_out = metrics_out
@@ -123,11 +125,7 @@ class AuditService:
         if dedup:
             from repro.verifier.dedup import VerdictCache
 
-            cache_backend = (
-                backend_for("file", cache_dir) if cache_dir else None
-            )
-            self.cache = VerdictCache(backend=cache_backend,
-                                      metrics=self.metrics)
+            self.cache = VerdictCache()
 
         quotas: Dict[str, TokenBucket] = {}
         self._tenants: List[_TenantRuntime] = []
@@ -262,8 +260,6 @@ class AuditService:
             self.status = None
         for rt in self._tenants:
             rt.stream.close()
-        if self.cache is not None:
-            self.cache.close()
         self.pool.shutdown()
 
     # -- loop phases -------------------------------------------------------

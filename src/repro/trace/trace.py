@@ -27,9 +27,6 @@ class Request:
     def make(cls, rid: str, route: str, **payload: object) -> "Request":
         return cls(rid, route, tuple(sorted(payload.items())))
 
-    def payload_dict(self) -> Dict[str, object]:
-        return dict(self.payload)
-
     @property
     def inputs(self) -> Dict[str, object]:
         return dict(self.payload)

@@ -218,7 +218,8 @@ class Auditor:
     arms the dedup barrier: digest-identical groups execute once per
     Deduplicator lifetime and verdict-cache hits skip re-execution
     entirely, with verdicts provably unchanged (DESIGN.md §11).  The same
-    object may be shared across many Auditors (epochs, runs).
+    object may be shared across many Auditors (epochs, repeated audits
+    in one process).
 
     ``node_journal`` gives node-granular crash resume: a journal this
     plan wrote is replayed, one left by another plan (or damaged) is

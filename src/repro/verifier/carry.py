@@ -34,6 +34,3 @@ class CarryIn:
 
     vars: Dict[str, object] = field(default_factory=dict)
     kv: Dict[str, object] = field(default_factory=dict)
-
-    def is_empty(self) -> bool:
-        return not self.vars and not self.kv

@@ -24,7 +24,7 @@ plan that wrote it -- same inputs, same spec, same node IDs -- which the
 header's plan digest pins.
 
 Trust model: the journal is auditor-private state, in the same class as
-the checkpoint store and the verdict cache -- the chain defends against
+the checkpoint store -- the chain defends against
 corruption and tampering-in-storage, not against an adversary who can
 rewrite the auditor binary.  Deltas are pickled (auditor-written,
 auditor-read); the digest chain is verified *before* any of them is

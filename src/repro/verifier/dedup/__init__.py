@@ -10,9 +10,9 @@ the same read-set values.  This package makes that redundancy explicit:
   advice slice with external read values resolved inline, and the
   carry-in state), with request ids normalised away so the digest is
   stable across runs and machines;
-* :mod:`repro.verifier.dedup.cache` -- the persistent verdict cache on
-  the storage backend layer, storing per-digest verdict + output digest
-  + post-state effects behind self-certifying records;
+* :mod:`repro.verifier.dedup.cache` -- the in-memory verdict cache:
+  per-digest verdict + output digest + post-state effects, for the
+  lifetime of the process;
 * :mod:`repro.verifier.dedup.executor` -- the :class:`Deduplicator`:
   the digest / match / rehydrate / store hooks the audit engine's
   ``dedup`` and ``merge`` nodes call.

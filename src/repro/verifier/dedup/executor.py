@@ -14,10 +14,10 @@ Trust model (why a hit can never flip a verdict):
   response.  The cache stores facts about isolated executions, never
   audit verdicts -- ``_final_checks``, postprocess, isolation, and
   checkpoint extraction always run for real over the merged state;
-* a hit is honoured only after revalidation: the entry's self-digest
-  (load time), spec version, member count, *output digest against the
-  current trace's claimed responses*, and effect digest must all match;
-  any failure falls back to full re-execution (counted, never fatal);
+* a hit is honoured only after revalidation: the entry's spec version,
+  verdict, member count, *output digest against the current trace's
+  claimed responses*, and effect digest must all match; any failure
+  falls back to full re-execution (counted, never fatal);
 * effects are stored rid-normalised with *positional* cross-references:
   external precedence references are re-resolved from the current run's
   advice at rehydration time (spec ``["log"]``), so a replayed claim
@@ -28,11 +28,8 @@ Trust model (why a hit can never flip a verdict):
   isomorphic up to rid renaming and the fanned-out effects are the ones
   execution would have produced.
 
-The cache itself is auditor-private state, in the same trust class as
-the checkpoint store: the integrity machinery defends against
-corruption, truncation, staleness, and spec drift -- not against an
-adversary with arbitrary write access to the auditor's own disk (who
-could equally replace the auditor binary).
+The cache lives in the auditor's own memory and dies with the process:
+no entry is ever read from outside it.
 """
 
 from __future__ import annotations
@@ -319,32 +316,27 @@ def rehydrate_delta(
 class StageStats:
     """One reexec stage's dedup accounting."""
 
-    hits_memo: int = 0
-    hits_cache: int = 0
+    hits: int = 0
     misses: int = 0
     fallbacks: int = 0
     uncacheable: int = 0
     saved_handlers: List[int] = field(default_factory=list)
 
-    @property
-    def hits(self) -> int:
-        return self.hits_memo + self.hits_cache
-
 
 class Deduplicator:
     """Content-addressed re-execution dedup.
 
-    ``cache=None`` disables the verdict cache (the CLI's ``--no-cache``)
-    but keeps the in-run memo: digest-identical groups within one stage
-    run still execute once and fan out.  One Deduplicator may serve many
-    audits (the continuous auditor shares one across epochs; the CLI
-    shares one across a sealed epoch stream), and the memo spans its
-    whole lifetime.
+    Entries live in ``cache``: the :class:`VerdictCache` given (the
+    fleet service shares one across tenants, each tenant keeping its own
+    Deduplicator so its hits and misses land in its own metrics), or a
+    private one.  One Deduplicator may serve many audits (the continuous
+    auditor shares one across epochs; the CLI shares one across a sealed
+    epoch stream), so digest-identical groups execute once per cache
+    lifetime and fan out.
     """
 
     def __init__(self, cache: Optional[VerdictCache] = None):
-        self.cache = cache
-        self.memo: Dict[str, Dict[str, object]] = {}
+        self.cache = VerdictCache() if cache is None else cache
         self.stage_stats: Optional[StageStats] = None
 
     # -- stage accounting -------------------------------------------------------
@@ -357,7 +349,6 @@ class Deduplicator:
         stats = self.stage_stats
         if stats is None:
             return
-        metrics.counter("reexec.cache_hits").inc(stats.hits_cache)
         metrics.counter("reexec.cache_misses").inc(stats.misses)
         metrics.counter("reexec.dedup_groups").inc(stats.hits)
         metrics.counter("reexec.cache_fallbacks").inc(stats.fallbacks)
@@ -388,28 +379,22 @@ class Deduplicator:
             self._count("uncacheable")
             self._count("misses")
             return None, None
-        sources = [("memo", self.memo.get(digest.key))]
-        if self.cache is not None:
-            sources.append(("cache", self.cache.get(digest.key)))
-        for source, entry in sources:
-            if entry is None:
-                continue
-            if not self._validate(digest, entry, len(rids)):
-                self._count("fallbacks")
-                continue
+        entry = self.cache.get(digest.key)
+        delta = None
+        if entry is not None and self._validate(digest, entry, len(rids)):
             try:
                 delta = rehydrate_delta(state, tag, rids, entry)
             except RehydrateMismatch:
+                pass
+        if delta is None:
+            if entry is not None:
                 self._count("fallbacks")
-                continue
-            self._count("hits_memo" if source == "memo" else "hits_cache")
-            if self.stage_stats is not None:
-                self.stage_stats.saved_handlers.append(
-                    int(entry.get("handlers", 0))
-                )
-            return digest, delta
-        self._count("misses")
-        return digest, None
+            self._count("misses")
+            return digest, None
+        self._count("hits")
+        if self.stage_stats is not None:
+            self.stage_stats.saved_handlers.append(int(entry.get("handlers", 0)))
+        return digest, delta
 
     @staticmethod
     def _validate(digest: GroupDigest, entry: Dict[str, object], members: int) -> bool:
@@ -438,7 +423,7 @@ class Deduplicator:
         rehydration feeds the claims back, so caching a group whose
         output diverged would flip a later ``output-mismatch`` REJECT.
         "Equal" is :func:`same_value`, the final response check's notion."""
-        if delta.rejection is not None or digest.key in self.memo:
+        if delta.rejection is not None or digest.key in self.cache:
             return False
         try:
             for rid in rids:
@@ -460,14 +445,8 @@ class Deduplicator:
             # Unencodable effects keep the group out of the cache; it
             # just re-executes next time.
             return False
-        self.memo[digest.key] = entry
-        if self.cache is not None:
-            self.cache.put(entry, effect_text)
+        self.cache.put(entry)
         return True
-
-    def close(self) -> None:
-        if self.cache is not None:
-            self.cache.close()
 
 
 __all__ = [

@@ -66,7 +66,6 @@ class TestHonestEquivalence:
                 served, "singleton", order_key=vg.shuffled(served),
                 dedup=dedup,
             )
-        dedup.close()
 
 
 @pytest.mark.parametrize("attack", ALL_ATTACKS, ids=lambda a: a.name)

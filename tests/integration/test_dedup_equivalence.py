@@ -1,8 +1,7 @@
 """Deduplicated re-execution is invisible in the verdict (DESIGN.md §11).
 
-Audits with the dedup barrier armed -- cold cache, warm cache, or warm
-across runs from a persisted stream -- must reproduce the golden verdict
-fingerprints (:mod:`tests.verdict_goldens`), across
+Audits with the dedup barrier armed -- cold cache or warm cache -- must
+reproduce the golden verdict fingerprints (:mod:`tests.verdict_goldens`), across
 
 * apps x isolation levels x seeds (honest traces),
 * every tamper in the attack library, audited against a cache warmed on
@@ -16,7 +15,6 @@ import functools
 import pytest
 
 from repro.attacks import ALL_ATTACKS
-from repro.storage import backend_for
 from repro.verifier.dedup import Deduplicator, VerdictCache
 from tests import verdict_goldens as vg
 
@@ -35,16 +33,8 @@ class TestHonestEquivalence:
         assert cold["accepted"], cold["reason"]
         vg.assert_golden(served, dedup=dedup)  # warm
 
-    def test_warm_across_runs_from_persisted_cache(self, served, tmp_path):
-        first = Deduplicator(VerdictCache(backend_for("file", str(tmp_path))))
-        vg.assert_golden(served, dedup=first)
-        first.close()
-        # A fresh Deduplicator over the stored stream: the cross-run path.
-        second = Deduplicator(VerdictCache(backend_for("file", str(tmp_path))))
-        vg.assert_golden(served, dedup=second)
-        assert second.cache.loaded > 0
-
     def test_no_cache_batching_matches_plain(self, served):
+        """A Deduplicator given no cache keeps a private one."""
         vg.assert_golden(served, dedup=Deduplicator(cache=None))
 
     def test_parallel_dedup_matches_plain(self, served):
@@ -56,7 +46,7 @@ class TestHonestEquivalence:
 
     def test_singleton_groups_dedup_matches_plain(self, served):
         """Singleton grouping is where *within-run* batching materialises:
-        digest-identical requests execute once and fan out via the memo."""
+        digest-identical requests execute once and fan out via the cache."""
         vg.assert_golden(served, "singleton", dedup=Deduplicator(VerdictCache()))
 
 

@@ -1,9 +1,9 @@
 """The dedup miss path changes no byte (DESIGN.md §11).
 
-Activation digests, output digests, effect documents, effect digests and
-persisted cache records are assembled from per-row canonical texts
-(:mod:`repro.verifier.dedup.digest`).  They key persisted caches, so
-they are pinned against the whole-document formulas below -- the
+Activation digests, output digests, effect documents and effect digests
+are assembled from per-row canonical texts
+(:mod:`repro.verifier.dedup.digest`).  They key and revalidate the
+verdict cache, so they are pinned against the whole-document formulas below -- the
 definitions, spelled the way they were before rows were spliced: build
 the document, sort every row list with ``key=canonical_json``, encode
 the whole.  The golden runs of :mod:`tests.verdict_goldens` (honest and
@@ -25,10 +25,9 @@ from repro.advice.records import TX_GET
 from repro.core.ids import HandlerId, TxId
 from repro.kem.program import request_event
 from repro.server.variables import INIT_REF
-from repro.storage import backend_for
 from repro.storage.values import encode_hid, encode_tid
-from repro.verifier.dedup import VerdictCache, app_fingerprint, group_digest
-from repro.verifier.dedup.cache import RT_CACHE_ENTRY, effect_sum, make_entry
+from repro.verifier.dedup import app_fingerprint, group_digest
+from repro.verifier.dedup.cache import effect_sum, make_entry
 from repro.verifier.dedup.digest import DIGEST_SPEC, member_token, normalize_value
 from repro.verifier.dedup.executor import normalize_effect
 from repro.verifier.parallel import GroupDelta, execute_group
@@ -282,10 +281,6 @@ def reference_effect(rids, delta, tokens):
     return effect
 
 
-def reference_record(entry):
-    return canonical_json({"entry": entry, "sum": sha256(canonical_json(entry))})
-
-
 # -- comparing -----------------------------------------------------------------
 
 UNCACHEABLE = "uncacheable"
@@ -307,19 +302,6 @@ def _reference_effect(rids, delta, tokens):
     return effect, canonical_json(effect)
 
 
-def _stored_record(effect, text):
-    """An entry for one effect, and the record a ``VerdictCache`` writes."""
-    entry = make_entry("k" * 64, 2, 3, "o" * 64, effect, text)
-    backend = backend_for("memory", None)
-    cache = VerdictCache(backend)
-    cache.put(entry, text)
-    cache.close()
-    with backend.reader("verdicts") as reader:
-        records = [payload for rtype, payload in reader if rtype == RT_CACHE_ENTRY]
-    assert len(records) == 1
-    return entry, records[0].decode("utf-8")
-
-
 def _groupings(advice):
     """The grouped and the singleton groups, each member list once."""
     grouped = [tuple(rids) for rids in advice.groups().values()]
@@ -332,10 +314,10 @@ def test_golden_runs_match_the_whole_document_formula(run_name):
     """Every group of every golden case, grouped and singleton: equal
     key, output digest, and uncacheable outcome; equal effect document
     and effect digest for each distinct key (a tamper leaves most groups
-    digest-equal to an honest one); for the honest runs, equal cache
-    record bytes."""
+    digest-equal to an honest one); for the honest runs, the entry's
+    effect digest is the digest of that document."""
     app = vg.app_of(run_name)()
-    compared, records, executed = 0, 0, set()
+    compared, entries, executed = 0, 0, set()
     for case, (trace, advice) in vg.cases(run_name).items():
         try:
             state = preprocess(app, trace, advice)
@@ -357,11 +339,10 @@ def test_golden_runs_match_the_whole_document_formula(run_name):
             )
             if got is UNCACHEABLE or case != "honest":
                 continue
-            entry, record = _stored_record(*got)
+            entry = make_entry("k" * 64, 2, 3, "o" * 64, *got)
             assert entry["effect_digest"] == sha256(got[1])
-            assert record == reference_record(entry)
-            records += 1
-    assert compared > len(executed) > 0 and records > 0, (compared, records)
+            entries += 1
+    assert compared > len(executed) > 0 and entries > 0, (compared, entries)
 
 
 # -- values no application writes ------------------------------------------------

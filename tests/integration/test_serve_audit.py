@@ -223,7 +223,7 @@ class TestSharedCache:
             assert got == want, name
         snap = service.fleet_snapshot()
         hits = {
-            name: snap["counters"].get(f"tenant.{name}.reexec.cache_hits", 0)
+            name: snap["counters"].get(f"tenant.{name}.reexec.dedup_groups", 0)
             for name in ("wiki-a", "wiki-b")
         }
         misses = {

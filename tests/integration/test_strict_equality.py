@@ -247,7 +247,7 @@ class TestResponse:
             result = Auditor(app, trace, run.advice, dedup=dedup).run()
             assert not result.accepted
             assert result.reason == "output-mismatch", (result.reason, result.detail)
-            assert not dedup.memo and len(dedup.cache) == 0
+            assert len(dedup.cache) == 0
 
     def test_reordered_dict_response_same_verdict_cached_or_not(self):
         app = respond_app({"a": 1, "b": 2})

@@ -197,6 +197,89 @@ class TestOneStore:
             assert flag + " " not in out
 
 
+# Flags of the on-disk verdict cache and of the worker-pool backend.
+CACHE_AND_SCHEDULER_ARGV = {
+    "audit --cache-dir": ["audit", "--app", "motd", "--store-path", "{s}",
+                          "--cache-dir", "{s}/cache"],
+    "audit --no-cache": ["audit", "--app", "motd", "--store-path", "{s}",
+                         "--dedup", "--no-cache"],
+    "audit --scheduler": ["audit", "--app", "motd", "--store-path", "{s}",
+                          "--scheduler", "serial"],
+    "serve-audit --cache-dir": ["serve-audit", "--tenant", "app=motd,store={s}",
+                                "--state-dir", "{s}/state", "--once",
+                                "--cache-dir", "{s}/cache"],
+    "serve-audit --scheduler": ["serve-audit", "--tenant", "app=motd,store={s}",
+                                "--state-dir", "{s}/state", "--once",
+                                "--scheduler", "serial"],
+    "cache stats": ["cache", "stats", "--cache-dir", "{s}/cache"],
+}
+
+
+class TestOneCacheTier:
+    """The verdict cache lives in memory only, and ``--jobs`` alone picks
+    the worker pool: no flag names a cache directory or a backend."""
+
+    @pytest.mark.parametrize("case", sorted(CACHE_AND_SCHEDULER_ARGV))
+    def test_cache_and_scheduler_flags_are_gone(self, served_store, capsys, case):
+        store = str(served_store("motd", *SERVE))
+        argv = [a.replace("{s}", store) for a in CACHE_AND_SCHEDULER_ARGV[case]]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err, err
+
+    @pytest.mark.parametrize("command", ["audit", "serve-audit"])
+    def test_help_names_no_cache_or_scheduler_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        out = capsys.readouterr().out
+        for flag in ("--cache-dir", "--no-cache", "--scheduler"):
+            assert flag not in out
+
+
+class TestWorkerFlags:
+    @pytest.fixture()
+    def store(self, served_store):
+        return str(served_store("motd", *SERVE))
+
+    def _serve_audit(self, store, tmp_path, *extra):
+        return main(["serve-audit", "--tenant", f"app=motd,store={store}",
+                     "--state-dir", str(tmp_path / "state"), "--once", *extra])
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_audit_jobs_below_one_is_usage_error(self, store, capsys, jobs):
+        assert _audit("motd", store, "--jobs", jobs) == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_serve_audit_jobs_below_one_is_usage_error(self, store, tmp_path, jobs):
+        assert self._serve_audit(store, tmp_path, "--jobs", jobs) == EXIT_USAGE
+
+    def test_negative_torn_limit_is_usage_error(self, store, tmp_path, capsys):
+        code = self._serve_audit(store, tmp_path, "--torn-limit", "-1")
+        assert code == EXIT_USAGE
+        assert "torn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs,backend", [("1", "serial"), ("2", "process")])
+    def test_serve_audit_jobs_picks_the_pool(
+        self, store, tmp_path, monkeypatch, jobs, backend
+    ):
+        from repro.service import AuditService
+
+        pools = []
+
+        def run(service, once=False):
+            pools.append(service.pool)
+            return 0
+
+        monkeypatch.setattr(AuditService, "run", run)
+        assert self._serve_audit(store, tmp_path, "--jobs", jobs) == EXIT_OK
+        (pool,) = pools
+        assert (pool.name, pool.jobs) == (backend, int(jobs))
+        assert pool.parallel is (jobs != "1")
+
+
 class TestDamagedAuditorState:
     """The auditor's own checkpoints and journal are evidence too: a
     CRC-valid but malformed record in either is a rejection through the

@@ -1,18 +1,18 @@
-"""Unit tests for the persistent verdict cache (DESIGN.md §11)."""
+"""Unit tests for the in-memory verdict cache and the hit-time
+revalidation of its entries (DESIGN.md §11)."""
 
 import pytest
 
+from repro.apps import wiki_app
+from repro.kem.scheduler import RandomScheduler
 from repro.obs import MetricsRegistry
-from repro.storage import backend_for
+from repro.server import KarousosPolicy, run_server
 from repro.storage.records import canonical_json
-from repro.verifier.dedup import VerdictCache
-from repro.verifier.dedup.cache import (
-    RT_CACHE_ENTRY,
-    STREAM_KIND,
-    effect_sum,
-    entry_sum,
-    make_entry,
-)
+from repro.store import IsolationLevel, KVStore
+from repro.verifier import Auditor
+from repro.verifier.dedup import Deduplicator, VerdictCache
+from repro.verifier.dedup.cache import effect_sum, make_entry
+from repro.workload import wiki_workload
 
 pytestmark = pytest.mark.tier1
 
@@ -22,140 +22,111 @@ def _entry(key="k" * 64, members=2, handlers=3):
     return make_entry(key, members, handlers, "o" * 64, effect, canonical_json(effect))
 
 
-def _put(cache, entry):
-    cache.put(entry, canonical_json(entry["effect"]))
-
-
-@pytest.fixture(params=["memory", "file", "gzip"])
-def backend(request, tmp_path):
-    if request.param == "memory":
-        return backend_for("memory", None)
-    return backend_for(request.param, str(tmp_path / request.param))
-
-
 class TestRoundtrip:
-    def test_put_get_reload(self, backend):
-        cache = VerdictCache(backend)
-        entry = _entry()
-        _put(cache, entry)
-        assert cache.get(entry["key"]) == entry
-        cache.close()
-        fresh = VerdictCache(backend)
-        assert fresh.loaded == 1
-        assert fresh.get(entry["key"]) == entry
-
-    def test_put_is_idempotent_per_key(self, backend):
-        cache = VerdictCache(backend)
-        entry = _entry()
-        _put(cache, entry)
-        _put(cache, dict(entry))
-        cache.close()
-        fresh = VerdictCache(backend)
-        assert fresh.loaded == 1 and len(fresh) == 1
-
-    def test_appends_across_sessions(self, backend):
-        first = VerdictCache(backend)
-        _put(first, _entry(key="a" * 64))
-        first.close()
-        second = VerdictCache(backend)
-        _put(second, _entry(key="b" * 64))
-        second.close()
-        third = VerdictCache(backend)
-        assert third.loaded == 2
-        assert {"a" * 64, "b" * 64} <= set(third._entries)
-
     def test_no_backend_is_process_local(self):
         cache = VerdictCache()
-        _put(cache, _entry())
+        entry = _entry()
+        cache.put(entry)
         assert len(cache) == 1
-        assert cache.stats()["backend"] is None
+        assert entry["key"] in cache
+        assert cache.get(entry["key"]) is entry
+        assert VerdictCache().get(entry["key"]) is None
 
+    def test_first_entry_per_key_is_kept(self):
+        cache = VerdictCache()
+        first, second = _entry(handlers=3), _entry(handlers=4)
+        cache.put(first)
+        cache.put(second)
+        assert len(cache) == 1
+        assert cache.get(first["key"]) is first
 
-class TestValidation:
-    def test_bad_entry_skipped_good_prefix_kept(self, backend):
-        cache = VerdictCache(backend)
-        _put(cache, _entry(key="a" * 64))
+    def test_takes_no_backend(self):
+        with pytest.raises(TypeError):
+            VerdictCache(None)
+
+    def test_close_is_a_noop(self):
+        cache = VerdictCache()
+        cache.put(_entry())
         cache.close()
-        writer = backend.append("verdicts", STREAM_KIND)
-        writer.append(RT_CACHE_ENTRY, b'{"entry": {"key": "x"}, "sum": "nope"}')
-        writer.seal()
-        later = VerdictCache(backend)
-        _put(later, _entry(key="b" * 64))
-        later.close()
-        fresh = VerdictCache(backend)
-        assert fresh.loaded == 2
-        assert fresh.skipped == 1
+        assert len(cache) == 1
 
-    def test_tampered_sum_rejected(self, backend):
-        cache = VerdictCache(backend)
-        entry = _entry()
-        _put(cache, entry)
-        cache.close()
-        bad = dict(entry, members=entry["members"] + 1)
-        assert entry_sum(bad) != entry_sum(entry)
-
-    def test_effect_digest_must_match_effect(self, backend):
-        """A re-signed record whose effect digest no longer covers its
-        effect document fails load-time validation."""
-        entry = _entry()
-        entry["effect"] = {"journal": [], "executed": [["t", "h"]]}
-        assert entry["effect_digest"] != effect_sum(entry["effect"])
-        record = {"entry": entry, "sum": entry_sum(entry)}  # re-signed
-        writer = backend.create("verdicts", STREAM_KIND)
-        writer.append(RT_CACHE_ENTRY, canonical_json(record).encode("utf-8"))
-        writer.seal()
-        fresh = VerdictCache(backend)
-        assert fresh.loaded == 0
-        assert fresh.skipped == 1
-
-    def test_verify_rows(self, backend):
-        cache = VerdictCache(backend)
-        _put(cache, _entry())
-        cache.close()
-        rows = VerdictCache(backend).verify()
-        assert [row["status"] for row in rows] == ["ok"]
+    def test_deduplicator_owns_one_store(self):
+        shared = VerdictCache()
+        assert Deduplicator(shared).cache is shared
+        assert isinstance(Deduplicator().cache, VerdictCache)
+        assert not hasattr(Deduplicator(), "memo")
 
 
-class TestMaintenance:
-    def test_stats_shape(self, backend):
-        cache = VerdictCache(backend)
-        _put(cache, _entry(members=3, handlers=5))
-        stats = cache.stats()
-        assert stats["entries"] == 1
-        assert stats["members"] == 3
-        assert stats["handlers"] == 5
-        assert stats["spec"] == "repro.digest/1"
-        assert stats["backend"] == backend.scheme
+# -- hit-time revalidation -----------------------------------------------------
 
-    def test_clear_drops_stream(self, backend):
-        cache = VerdictCache(backend)
-        _put(cache, _entry())
-        assert cache.clear() == 1
-        assert len(cache) == 0
-        assert not backend.exists("verdicts")
-        assert VerdictCache(backend).loaded == 0
 
-    def test_write_failure_degrades_to_memory(self):
-        class ExplodingBackend:
-            scheme = "boom"
+def _flip_verdict(entry):
+    entry["verdict"] = "reject"
 
-            def exists(self, name):
-                return False
 
-            def append(self, name, kind):
-                raise OSError("disk full")
+def _stale_output(entry):
+    entry["output_digest"] = "0" * 64
 
-        metrics = MetricsRegistry()
-        cache = VerdictCache.__new__(VerdictCache)
-        cache.backend = ExplodingBackend()
-        cache.name = "verdicts"
-        cache.metrics = metrics
-        cache._writer = None
-        cache._entries = {}
-        cache.loaded = 0
-        cache.skipped = 0
-        entry = _entry()
-        _put(cache, entry)  # must not raise
-        assert cache.get(entry["key"]) == entry
-        assert cache.backend is None
-        assert metrics.counter("cache.write_failures").value == 1
+
+def _tamper_effect(entry):
+    entry["effect"] = dict(entry["effect"], executed=[])
+
+
+def _wrong_members(entry):
+    entry["members"] += 1
+
+
+def _foreign_spec(entry):
+    entry["spec"] = "repro.digest/0"
+
+
+def _unreplayable(entry):
+    """Passes validation (its effect digest is recomputed) but does not
+    rehydrate against the current advice."""
+    entry["effect"] = dict(entry["effect"], journal=[["bogus"]])
+    entry["effect_digest"] = effect_sum(entry["effect"])
+
+
+POISONS = [_flip_verdict, _stale_output, _tamper_effect, _wrong_members,
+           _foreign_spec, _unreplayable]
+
+
+@pytest.fixture(scope="module")
+def served():
+    return run_server(
+        wiki_app(),
+        wiki_workload(14, seed=51),
+        KarousosPolicy(),
+        store=KVStore(IsolationLevel.SERIALIZABLE),
+        scheduler=RandomScheduler(1),
+        concurrency=5,
+    )
+
+
+def _strip(stats):
+    return {k: v for k, v in stats.items() if k != "elapsed_seconds"}
+
+
+@pytest.mark.parametrize("poison", POISONS, ids=lambda f: f.__name__.strip("_"))
+def test_a_damaged_entry_falls_back_to_execution(served, poison):
+    """Every entry that fails revalidation or rehydration re-executes its
+    group: the verdict and stats equal the dedup-off audit, and no hit
+    is served."""
+    plain = Auditor(wiki_app(), served.trace, served.advice).run()
+    dedup = Deduplicator()
+    primed = Auditor(wiki_app(), served.trace, served.advice, dedup=dedup).run()
+    assert primed.accepted, primed.reason
+    assert len(dedup.cache) > 0
+    for key in list(dedup.cache._entries):
+        poison(dedup.cache._entries[key])
+    metrics = MetricsRegistry()
+    got = Auditor(
+        wiki_app(), served.trace, served.advice, dedup=dedup, metrics=metrics
+    ).run()
+    assert (got.accepted, got.reason, got.detail) == (
+        plain.accepted, plain.reason, plain.detail
+    )
+    assert _strip(got.stats) == _strip(plain.stats)
+    counters = metrics.snapshot()["counters"]
+    assert counters.get("reexec.dedup_groups", 0) == 0
+    assert counters["reexec.cache_fallbacks"] > 0

@@ -165,12 +165,12 @@ class TestLiteralTokens:
             ).run()
             assert result.accepted, result.reason
             counters = metrics.snapshot()["counters"]
-            return counters.get("reexec.uncacheable_groups", 0), dedup.memo
+            return counters.get("reexec.uncacheable_groups", 0), dedup.cache
 
         plain_uncacheable, _ = audit("hello")
-        uncacheable, memo = audit(member_token(0))
+        uncacheable, cache = audit(member_token(0))
         assert uncacheable > plain_uncacheable
-        assert not any("grp0" in json.dumps(entry) for entry in memo.values())
+        assert not any("grp0" in json.dumps(entry) for entry in cache._entries.values())
 
 
 class TestAppFingerprint:
