@@ -28,7 +28,7 @@ from repro.advice.records import (
 from repro.core.ids import HandlerId, TxId
 from repro.errors import AdviceFormatError
 from repro.storage.records import json_text, unpack_json
-from repro.storage.values import TextEncoder, decode_hid, decode_tid, decode_value
+from repro.storage.values import TextEncoder, decode_hid, decode_tid, decode_value, expect_int
 from repro.store.kv import IsolationLevel
 
 FORMAT_VERSION = 1
@@ -77,17 +77,13 @@ def _txpos_text(enc: TextEncoder, pos: Tuple[str, TxId, int]) -> str:
 def _decode_opkey(data: object) -> Tuple[str, HandlerId, int]:
     if not isinstance(data, list) or len(data) != 3 or not isinstance(data[0], str):
         raise AdviceFormatError(f"bad op key: {data!r}")
-    if not isinstance(data[2], int):
-        raise AdviceFormatError(f"bad op key opnum: {data!r}")
-    return (data[0], decode_hid(data[1]), data[2])
+    return (data[0], decode_hid(data[1]), expect_int(data[2]))
 
 
 def _decode_txpos(data: object) -> Tuple[str, TxId, int]:
     if not isinstance(data, list) or len(data) != 3 or not isinstance(data[0], str):
         raise AdviceFormatError(f"bad tx position: {data!r}")
-    if not isinstance(data[2], int):
-        raise AdviceFormatError(f"bad tx position index: {data!r}")
-    return (data[0], decode_tid(data[1]), data[2])
+    return (data[0], decode_tid(data[1]), expect_int(data[2]))
 
 
 # -- per-section entry codecs ---------------------------------------------------
@@ -96,7 +92,7 @@ def _decode_txpos(data: object) -> Tuple[str, TxId, int]:
 def _decode_handler_entry(e: Dict) -> HandlerOpEntry:
     return HandlerOpEntry(
         decode_hid(e["hid"]),
-        _expect_int(e["opnum"]),
+        expect_int(e["opnum"]),
         _expect_str(e["optype"]),
         _expect_str(e["event"]),
         e.get("fid"),
@@ -123,7 +119,7 @@ def _decode_tx_entry(e: Dict) -> TxLogEntry:
         contents = decode_value(e["contents"])
     return TxLogEntry(
         decode_hid(e["hid"]),
-        _expect_int(e["opnum"]),
+        expect_int(e["opnum"]),
         optype,
         e.get("key"),
         contents,
@@ -182,7 +178,7 @@ def _accum_response_by(advice: Advice, doc: object) -> None:
     for rid, pair in doc.items():
         if not isinstance(pair, list) or len(pair) != 2:
             raise AdviceFormatError("bad response_emitted_by entry")
-        advice.response_emitted_by[rid] = (decode_hid(pair[0]), _expect_int(pair[1]))
+        advice.response_emitted_by[rid] = (decode_hid(pair[0]), expect_int(pair[1]))
 
 
 def _accum_opcounts(advice: Advice, doc: object) -> None:
@@ -190,7 +186,7 @@ def _accum_opcounts(advice: Advice, doc: object) -> None:
         if not isinstance(item, list) or len(item) != 3:
             raise AdviceFormatError("bad opcounts entry")
         rid, hid_doc, count = item
-        advice.opcounts[(_expect_str(rid), decode_hid(hid_doc))] = _expect_int(count)
+        advice.opcounts[(_expect_str(rid), decode_hid(hid_doc))] = expect_int(count)
 
 
 def _accum_nondet(advice: Advice, doc: object) -> None:
@@ -208,7 +204,7 @@ def _accum_tx_windows(advice: Advice, doc: object) -> None:
         if commit is not None and not isinstance(commit, int):
             raise AdviceFormatError("bad tx window commit")
         advice.tx_windows[(_expect_str(rid), decode_tid(tid_doc))] = (
-            _expect_int(start),
+            expect_int(start),
             commit,
         )
 
@@ -354,12 +350,6 @@ _SINGLETON_SECTIONS = {
 def _expect_list(value: object) -> list:
     if not isinstance(value, list):
         raise AdviceFormatError("expected a list")
-    return value
-
-
-def _expect_int(value: object) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise AdviceFormatError(f"expected an int, got {value!r}")
     return value
 
 

@@ -127,7 +127,16 @@ class AuditService:
 
             self.cache = VerdictCache()
 
+        # Built before any tenant touches its state directory, so a
+        # contradictory scheduler and jobs pair fails first; the pool
+        # holds ``quotas`` itself, filled below.
         quotas: Dict[str, TokenBucket] = {}
+        self.pool = SharedDagPool(
+            scheduler=scheduler,
+            jobs=jobs,
+            quotas=quotas,
+            fair=quotas_enabled,
+        )
         self._tenants: List[_TenantRuntime] = []
         for config in tenants:
             tenant_state = config.state or os.path.join(state_dir, config.name)
@@ -152,12 +161,6 @@ class AuditService:
             if quotas_enabled:
                 quotas[config.name] = TokenBucket(config.quota)
         self._by_name = {rt.name: rt for rt in self._tenants}
-        self.pool = SharedDagPool(
-            scheduler=scheduler,
-            jobs=jobs,
-            quotas=quotas,
-            fair=quotas_enabled,
-        )
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -31,6 +31,14 @@ def encode_hid(hid: HandlerId) -> List[List]:
     return [[fid, opnum] for fid, opnum in hid.canonical()]
 
 
+def expect_int(value: object) -> int:
+    """``value`` if it is an int and not a bool (``True`` is an ``int``
+    to ``isinstance``, never an opnum, index or count)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise AdviceFormatError(f"expected an int, got {value!r}")
+    return value
+
+
 def decode_hid(data: object) -> HandlerId:
     if not isinstance(data, list) or not data:
         raise AdviceFormatError(f"bad handler id encoding: {data!r}")
@@ -40,10 +48,9 @@ def decode_hid(data: object) -> HandlerId:
             not isinstance(part, list)
             or len(part) != 2
             or not isinstance(part[0], str)
-            or not isinstance(part[1], int)
         ):
             raise AdviceFormatError(f"bad handler id segment: {part!r}")
-        hid = HandlerId.intern(part[0], hid, part[1])
+        hid = HandlerId.intern(part[0], hid, expect_int(part[1]))
     return hid
 
 
@@ -54,9 +61,7 @@ def encode_tid(tid: TxId) -> Dict:
 def decode_tid(data: object) -> TxId:
     if not isinstance(data, dict) or set(data) != {"hid", "opnum"}:
         raise AdviceFormatError(f"bad transaction id encoding: {data!r}")
-    if not isinstance(data["opnum"], int):
-        raise AdviceFormatError("transaction opnum must be an int")
-    return TxId(decode_hid(data["hid"]), data["opnum"])
+    return TxId(decode_hid(data["hid"]), expect_int(data["opnum"]))
 
 
 # -- values --------------------------------------------------------------------

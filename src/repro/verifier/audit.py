@@ -204,7 +204,8 @@ class Auditor:
     (closure-based apps cannot cross a process boundary) every node runs
     in this process and a ``parallel-disabled`` diagnostic says so.
     Either way groups reduce in canonical order, so verdict and
-    deterministic statistics do not depend on the choice.
+    deterministic statistics do not depend on the choice.  ``serial``
+    with a ``parallelism`` above 1 is a contradiction: a ValueError.
 
     :meth:`for_epoch` is the one way to arm the checkpoint node
     (continuous auditing): it takes a sealed epoch and its parent
@@ -245,6 +246,8 @@ class Auditor:
     ):
         if scheduler is not None and scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {scheduler!r}")
+        if scheduler == SCHEDULER_SERIAL and parallelism > 1:
+            raise ValueError(f"the serial scheduler runs one job, not {parallelism}")
         self.app = app
         # ``trace`` may be any event iterable: drain it exactly once into
         # a frozen snapshot here.
@@ -317,7 +320,10 @@ class Auditor:
     ) -> AuditResult:
         """Execute :meth:`prepare`'s nodes on this engine's own
         ready-queue loop, then :meth:`collect`."""
-        loop = Scheduler(self.scheduler, jobs=self.parallelism)
+        # A payload that cannot cross a process boundary resolves an
+        # unset backend to serial, whatever the parallelism.
+        jobs = self.parallelism if self.scheduler == SCHEDULER_PROCESS else 1
+        loop = Scheduler(self.scheduler, jobs=jobs)
         try:
             loop.execute(nodes, edges, self)
         finally:

@@ -155,8 +155,10 @@ class Scheduler:
     ):
         if name not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {name!r}")
+        if name == SCHEDULER_SERIAL and jobs > 1:
+            raise ValueError(f"the serial scheduler runs one job, not {jobs}")
         self.name = name
-        self.jobs = 1 if name == SCHEDULER_SERIAL else max(1, int(jobs))
+        self.jobs = max(1, int(jobs))
         self.parallel = self.jobs > 1
         self.order_key = order_key
         self.ticks = 0

@@ -3,15 +3,18 @@
 One in-memory map from activation digest to verdict entry, living as
 long as the process: no backend, no stream, no load path.  An entry
 carries the activation digest (the key), the verdict, the member count,
-the saved handler count, the output digest, the normalised effect
-document, and the effect digest.  The hit-time revalidation (output
-digest vs the *current* trace, effect digest vs the stored effects)
-lives with the :class:`~repro.verifier.dedup.executor.Deduplicator`.
+the saved handler count and the output digest, and its effect: first as
+``source`` (the stored group's member rids, their tokens and a snapshot
+of its delta), then, from its first validated hit on, as the normalised
+effect document and the effect digest.  Normalising and the hit-time
+revalidation (output digest vs the *current* trace, effect digest vs the
+stored effects) live with the
+:class:`~repro.verifier.dedup.executor.Deduplicator`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.storage.records import canonical_json
 from repro.verifier.dedup.digest import DIGEST_SPEC, sha256_text
@@ -28,10 +31,10 @@ def make_entry(
     members: int,
     handlers: int,
     output_digest: str,
-    effect: Dict[str, object],
-    effect_text: str,
+    source: Tuple[List[str], Dict[str, str], object],
 ) -> Dict[str, object]:
-    """A cache entry; ``effect_text`` is ``canonical_json(effect)``."""
+    """A cache entry whose effect is still its ``source``: the stored
+    group's member rids, their tokens and a snapshot of its delta."""
     return {
         "spec": DIGEST_SPEC,
         "key": key,
@@ -39,8 +42,7 @@ def make_entry(
         "members": members,
         "handlers": handlers,
         "output_digest": output_digest,
-        "effect_digest": sha256_text(effect_text),
-        "effect": effect,
+        "source": source,
     }
 
 
@@ -66,6 +68,9 @@ class VerdictCache:
 
     def put(self, entry: Dict[str, object]) -> None:
         self._entries.setdefault(entry["key"], entry)
+
+    def discard(self, key: str) -> None:
+        self._entries.pop(key, None)
 
     def close(self) -> None:
         """A no-op: nothing is persisted, so nothing needs sealing."""

@@ -34,7 +34,7 @@ import hashlib
 import inspect
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.advice.records import TX_GET
 from repro.core.ids import TxId
@@ -47,7 +47,7 @@ from repro.verifier.preprocess import AuditState
 DIGEST_SPEC = "repro.digest/1"
 
 # Positional member tokens.  Values are untrusted, so a string holding NUL
-# is uncacheable (:func:`normalize_value`): a token in a normalised value
+# is uncacheable (:func:`text_normaliser`): a token in a normalised value
 # is then always a member rid, and the residue check (executor.py) can
 # treat any surviving member rid as a rid inside a longer string.
 def member_token(index: int) -> str:
@@ -72,47 +72,44 @@ class Uncacheable(Exception):
 # -- canonical text ------------------------------------------------------------
 
 
-def normalize_value(value: object, tokens: Dict[str, str]) -> Tuple[object, str]:
-    """``value``'s tagged storage encoding, member rids tokenised and dict
-    pairs ordered by key text, and its canonical text, in one pass.  Raises
-    on unencodable types and NUL (:func:`member_token`): uncacheable."""
-    if isinstance(value, str):
-        token = tokens.get(value)
-        if token is None:
-            if "\x00" in value:
-                raise Uncacheable("NUL in a value string")
-            token = value
-        return {"t": "p", "v": token}, '{"t":"p","v":%s}' % encode_basestring_ascii(token)
-    if isinstance(value, dict):
-        rows = []
-        for k, v in value.items():
-            key, key_text = normalize_value(k, tokens)
-            encoded, text = normalize_value(v, tokens)
-            rows.append((key_text, [key, encoded], text))
-        rows.sort(key=itemgetter(0))  # stable: equal key texts keep their order
-        return (
-            {"t": "d", "v": [pair for _, pair, _ in rows]},
-            '{"t":"d","v":[%s]}' % ",".join([f"[{k},{v}]" for k, _, v in rows]),
-        )
-    if isinstance(value, (tuple, list)):
-        tag = "t" if isinstance(value, tuple) else "l"
-        items = [normalize_value(v, tokens) for v in value]
-        return (
-            {"t": tag, "v": [encoded for encoded, _ in items]},
-            '{"t":"%s","v":%s}' % (tag, array_text([text for _, text in items])),
-        )
-    if value is None or value is True or value is False:
-        text = "null" if value is None else "true" if value else "false"
-    elif isinstance(value, int):
-        text = int.__repr__(value)  # json's text for any int
-    elif isinstance(value, float):
-        text = canonical_json(value)  # and for NaN and the infinities
-    elif isinstance(value, TxId):
-        tid = encode_tid(value)
-        return {"t": "x", "v": tid}, '{"t":"x","v":%s}' % canonical_json(tid)
-    else:
+Normaliser = Callable[[object], str]
+
+
+def text_normaliser(tokens: Dict[str, str]) -> Normaliser:
+    """An encoder of a value's canonical text: the compact JSON of its
+    tagged storage encoding with the member rids in ``tokens`` replaced
+    by their tokens and dict pairs ordered by key text.  Raises on
+    unencodable types and NUL (:func:`member_token`): uncacheable."""
+
+    def text(value: object) -> str:
+        if isinstance(value, str):
+            token = tokens.get(value)
+            if token is None:
+                if "\x00" in value:
+                    raise Uncacheable("NUL in a value string")
+                token = value
+            return '{"t":"p","v":%s}' % encode_basestring_ascii(token)
+        if isinstance(value, dict):
+            rows = sorted(  # stable: equal key texts keep their order
+                [(text(k), text(v)) for k, v in value.items()], key=itemgetter(0)
+            )
+            return '{"t":"d","v":[%s]}' % ",".join([f"[{k},{v}]" for k, v in rows])
+        if isinstance(value, (list, tuple)):
+            return '{"t":"%s","v":[%s]}' % (
+                "t" if isinstance(value, tuple) else "l",
+                ",".join([text(v) for v in value]),
+            )
+        if value is None or value is True or value is False:
+            return '{"t":"p","v":%s}' % ("null" if value is None else str(value).lower())
+        if isinstance(value, int):
+            return '{"t":"p","v":%s}' % int.__repr__(value)  # json's text for any int
+        if isinstance(value, float):
+            return '{"t":"p","v":%s}' % canonical_json(value)  # and for NaN, inf
+        if isinstance(value, TxId):
+            return '{"t":"x","v":%s}' % canonical_json(encode_tid(value))
         raise Uncacheable(f"unencodable value of type {type(value).__name__}")
-    return {"t": "p", "v": value}, '{"t":"p","v":%s}' % text
+
+    return text
 
 
 def _substitute(value: object, mapping: Dict[str, str]) -> object:
@@ -131,12 +128,9 @@ def _substitute(value: object, mapping: Dict[str, str]) -> object:
 
 
 def denormalize_value(encoded: object, detokens: Dict[str, str]) -> object:
-    """Inverse of :func:`normalize_value` given token -> rid."""
+    """The value whose normalised text parses to ``encoded``, given
+    token -> rid."""
     return _substitute(decode_value(encoded), detokens)
-
-
-def value_hash(value: object, tokens: Dict[str, str]) -> str:
-    return sha256_text(normalize_value(value, tokens)[1])
 
 
 def sha256_text(text: str) -> str:
@@ -209,13 +203,13 @@ def app_fingerprint(app: AppSpec) -> str:
 # -- per-group advice/trace slices ---------------------------------------------
 
 
-def _norm_key(key: Any, tokens: Dict[str, str]) -> List[object]:
+def norm_key(key: Any, tokens: Dict[str, str]) -> List[object]:
     rid, hid, opnum = key
     return [tokens.get(rid, rid), encode_hid(hid), opnum]
 
 
 def _prec_spec(
-    var_log: Any, prec: Any, member_set: Any, tokens: Dict[str, str]
+    var_log: Any, prec: Any, member_set: Any, tokens: Dict[str, str], text: Normaliser
 ) -> str:
     """How a variable-log entry's ``prec`` reference enters the digest.
 
@@ -231,15 +225,15 @@ def _prec_spec(
     if prec == INIT_REF:
         return row_text(["init"])
     if prec[0] in member_set:
-        return row_text(["in"] + _norm_key(prec, tokens))
+        return row_text(["in"] + norm_key(prec, tokens))
     dictating = var_log.get(prec)
     if dictating is None:
         raise Uncacheable(f"dangling external prec {prec!r}")
-    return row_text(["ext", dictating.access], normalize_value(dictating.value, tokens)[1])
+    return row_text(["ext", dictating.access], text(dictating.value))
 
 
 def _advice_text(
-    state: AuditState, rids: List[str], member_set: Any, tokens: Dict[str, str]
+    state: AuditState, rids: List[str], member_set: Any, tokens: Dict[str, str], text: Normaliser
 ) -> str:
     advice = state.advice
     opcounts = []
@@ -262,9 +256,9 @@ def _advice_text(
             if key[0] in member_set:
                 variable_logs.append(
                     row_text(
-                        [var_id, _norm_key(key, tokens), entry.access],
-                        normalize_value(entry.value, tokens)[1],
-                        _prec_spec(log, entry.prec, member_set, tokens),
+                        [var_id, norm_key(key, tokens), entry.access],
+                        text(entry.value),
+                        _prec_spec(log, entry.prec, member_set, tokens, text),
                     )
                 )
 
@@ -275,13 +269,13 @@ def _advice_text(
         entries = []
         for entry in log:
             if entry.optype == TX_GET:
-                contents = _get_contents_spec(state, entry, member_set, tokens)
+                contents = _get_contents_spec(state, entry, member_set, tokens, text)
             else:
-                contents = row_text(["v"], normalize_value(entry.opcontents, tokens)[1])
+                contents = row_text(["v"], text(entry.opcontents))
             entries.append(
                 row_text(
                     [encode_hid(entry.hid), entry.opnum, entry.optype],
-                    normalize_value(entry.key, tokens)[1],
+                    text(entry.key),
                     contents,
                 )
             )
@@ -298,13 +292,13 @@ def _advice_text(
     nondet = []
     for key, value in advice.nondet.items():
         if key[0] in member_set:
-            nondet.append(row_text([_norm_key(key, tokens)], normalize_value(value, tokens)[1]))
+            nondet.append(row_text([norm_key(key, tokens)], text(value)))
 
     activated = []
     for key, children in state.activated_handlers.items():
         if key[0] in member_set:
             activated.append(
-                canonical_json([_norm_key(key, tokens), [encode_hid(c) for c in children]])
+                canonical_json([norm_key(key, tokens), [encode_hid(c) for c in children]])
             )
 
     return object_text(
@@ -319,14 +313,14 @@ def _advice_text(
 
 
 def _get_contents_spec(
-    state: AuditState, entry: Any, member_set: Any, tokens: Dict[str, str]
+    state: AuditState, entry: Any, member_set: Any, tokens: Dict[str, str], text: Normaliser
 ) -> str:
     """A TX_GET's fed value: the carried-in store value for an initial
     read, a positional reference for an in-group dictating PUT, and the
     *resolved value* for an external one."""
     if entry.opcontents is None:
         return row_text(
-            ["initkv"], normalize_value(state.initial_kv.get(entry.key), tokens)[1]
+            ["initkv"], text(state.initial_kv.get(entry.key))
         )
     rid_w, tid_w, i_w = entry.opcontents
     if rid_w in member_set:
@@ -334,17 +328,17 @@ def _get_contents_spec(
     log = state.advice.tx_logs.get((rid_w, tid_w))
     if log is None or not 0 <= i_w < len(log):
         raise Uncacheable(f"dangling external tx reference {entry.opcontents!r}")
-    return row_text(["ext"], normalize_value(log[i_w].opcontents, tokens)[1])
+    return row_text(["ext"], text(log[i_w].opcontents))
 
 
-def _init_text(state: AuditState, tokens: Dict[str, str]) -> str:
+def _init_text(state: AuditState, text: Normaliser) -> str:
     """The init slice of the digest document: every variable's initial
     (or carried-in) value, whether or not the group reads it."""
     init_ctx = state.init_ctx
     return object_text(
         global_handlers=canonical_json(list(map(list, init_ctx.global_handlers))),
         initial_vars=array_text(
-            row_text([var_id], normalize_value(value, tokens)[1])
+            row_text([var_id], text(value))
             for var_id, value in sorted(init_ctx.initial_vars.items(), key=itemgetter(0))
         ),
         loggable=canonical_json(
@@ -364,29 +358,26 @@ def group_digest(state: AuditState, rids: List[str]) -> Optional[GroupDigest]:
     """
     tokens = {rid: member_token(i) for i, rid in enumerate(rids)}
     member_set = set(rids)
+    text = text_normaliser(tokens)
     try:
         requests = [state.trace.request(rid) for rid in rids]
+        responses = [text(state.trace.response(rid)) for rid in rids]
         key = sha256_text(
             object_text(
                 spec=canonical_json(DIGEST_SPEC),
                 app=canonical_json(app_fingerprint(state.app)),
                 members=canonical_json(len(rids)),
                 requests=array_text(
-                    row_text(
-                        [request.route],
-                        normalize_value(dict(request.inputs), tokens)[1],
-                        normalize_value(state.trace.response(rid), tokens)[1],
-                    )
-                    for rid, request in zip(rids, requests)
+                    row_text([request.route], text(dict(request.inputs)), response)
+                    for request, response in zip(requests, responses)
                 ),
                 event=canonical_json(request_event(requests[0].route)),
-                advice=_advice_text(state, rids, member_set, tokens),
-                init=_init_text(state, tokens),
+                advice=_advice_text(state, rids, member_set, tokens, text),
+                init=_init_text(state, text),
             )
         )
-        output_digest = value_hash(
-            [state.trace.response(rid) for rid in rids], tokens
-        )
+        # The text of the list of the members' responses.
+        output_digest = sha256_text('{"t":"l","v":[%s]}' % ",".join(responses))
     except Exception:
         # Anything the spec cannot canonicalise (unencodable values, NUL,
         # malformed cross-references, missing trace rows) simply keeps
@@ -404,9 +395,9 @@ __all__ = [
     "denormalize_value",
     "group_digest",
     "member_token",
-    "normalize_value",
+    "norm_key",
     "object_text",
     "row_text",
     "sha256_text",
-    "value_hash",
+    "text_normaliser",
 ]

@@ -3,8 +3,10 @@
 :class:`Deduplicator` wraps the activation digest and the verdict cache
 behind the three hooks the audit engine's ``dedup`` and ``merge`` nodes
 call -- ``fetch`` (digest + validated lookup + rehydration), ``store``
-(normalise a cleanly merged group's effects and cache them), and
-``begin_stage``/``finish_stage`` (metrics).
+(cache a snapshot of a cleanly merged group's delta), and
+``begin_stage``/``finish_stage`` (metrics).  A miss costs its digest and
+a copy of the delta's maps: an entry's effect is normalised only on its
+first validated hit (:func:`materialize`), and kept for later hits.
 
 Trust model (why a hit can never flip a verdict):
 
@@ -17,7 +19,12 @@ Trust model (why a hit can never flip a verdict):
 * a hit is honoured only after revalidation: the entry's spec version,
   verdict, member count, *output digest against the current trace's
   claimed responses*, and effect digest must all match; any failure
-  falls back to full re-execution (counted, never fatal);
+  falls back to full re-execution (counted, never fatal).  The effect
+  digest guards an entry from its first hit on, when its effect is
+  normalised; before that the entry holds a snapshot of the group's
+  delta whose values are shared with the audit and trusted under the
+  rule that a carried value is never mutated in place (DESIGN.md §6,
+  lint rule R2);
 * effects are stored rid-normalised with *positional* cross-references:
   external precedence references are re-resolved from the current run's
   advice at rehydration time (spec ``["log"]``), so a replayed claim
@@ -34,6 +41,7 @@ no entry is ever read from outside it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
@@ -52,9 +60,11 @@ from repro.verifier.dedup.digest import (
     denormalize_value,
     group_digest,
     member_token,
-    normalize_value,
+    norm_key,
     object_text,
     row_text,
+    sha256_text,
+    text_normaliser,
 )
 from repro.verifier.parallel import GroupDelta
 from repro.verifier.preprocess import AuditState
@@ -65,11 +75,6 @@ class RehydrateMismatch(Exception):
 
 
 # -- op-key and prec-spec codecs ----------------------------------------------
-
-
-def _encode_key(key: Any, tokens: Dict[str, str]) -> List[object]:
-    rid, hid, opnum = key
-    return [tokens.get(rid, rid), encode_hid(hid), opnum]
 
 
 def _decode_key(spec: Any, detokens: Dict[str, str]) -> Tuple[str, object, int]:
@@ -83,24 +88,42 @@ def _write_key_spec(key: Any, member_set: Any, tokens: Dict[str, str]) -> List[o
     if key == INIT_REF:
         return ["init"]
     if key[0] in member_set:
-        return ["in"] + _encode_key(key, tokens)
+        return ["in"] + norm_key(key, tokens)
     return ["log"]
 
 
 # -- effect normalisation ------------------------------------------------------
 
 
-def normalize_effect(
-    state: AuditState, rids: List[str], delta: GroupDelta, tokens: Dict[str, str]
-) -> Tuple[Dict[str, object], str]:
-    """The storable, rid-free effect document of one clean group delta,
-    and its canonical text (what the effect digest hashes).
+def snapshot_delta(delta: GroupDelta) -> GroupDelta:
+    """A copy of a clean delta that no later merge can change: its
+    journal, executed set and per-variable maps are copied, its values
+    shared (carried values are never mutated in place, DESIGN.md §6).
+    Outputs are left out: a hit takes them from the current trace."""
+    return GroupDelta(
+        tag=delta.tag,
+        journal=list(delta.journal),
+        executed=set(delta.executed),
+        var_dicts={var_id: {key: list(writes) for key, writes in var_dict.items()}
+                   for var_id, var_dict in delta.var_dicts.items()},
+        read_observers={var_id: {key: set(readers) for key, readers in observers.items()}
+                        for var_id, observers in delta.read_observers.items()},
+        consumed={var_id: set(keys) for var_id, keys in delta.consumed.items()},
+        plain_values={var_id: dict(values) for var_id, values in delta.plain_values.items()},
+    )
+
+
+def normalize_effect(rids: List[str], delta: GroupDelta, tokens: Dict[str, str]) -> str:
+    """The canonical text of one clean group delta's storable, rid-free
+    effect document: what the effect digest hashes, and what the cached
+    document is parsed from.
 
     Raises :class:`Uncacheable` when any cross-reference cannot be made
     positional or any member rid survives normalisation (a value embeds
     a rid inside a longer string) -- the group then simply is not cached.
     """
     member_set = set(rids)
+    text = text_normaliser(tokens)
     journal: List[List[object]] = []
     for event in delta.journal:
         kind = event[0]
@@ -111,17 +134,17 @@ def normalize_effect(
             journal.append(
                 ["claim", var_id,
                  _write_key_spec(prec, member_set, tokens),
-                 _encode_key(key, tokens)]
+                 norm_key(key, tokens)]
             )
         elif kind == "fallback":
             _, var_id, prec, key = event
             spec = _write_key_spec(prec, member_set, tokens)
             if spec == ["log"]:
                 raise Uncacheable(f"fallback prec {prec!r} escapes the group")
-            journal.append(["fallback", var_id, spec, _encode_key(key, tokens)])
+            journal.append(["fallback", var_id, spec, norm_key(key, tokens)])
         elif kind == "initializer":
             _, var_id, key = event
-            journal.append(["initializer", var_id, _encode_key(key, tokens)])
+            journal.append(["initializer", var_id, norm_key(key, tokens)])
         else:
             raise Uncacheable(f"unknown journal event {kind!r}")
 
@@ -130,23 +153,19 @@ def normalize_effect(
         key=canonical_json,
     )
 
-    # The written values (the bulk of an effect) are encoded once, with
-    # their section's text; every other section is encoded once below.
-    var_dicts, var_texts = [], []
+    var_texts = []
     for var_id in sorted(delta.var_dicts):
         rows = []
         for (rid, hid), writes in delta.var_dicts[var_id].items():
-            handler = [tokens.get(rid, rid), encode_hid(hid)]
             # Write order within a handler is load-bearing
             # (FindNearestRPrecedingWrite): keep it verbatim.
-            values = [(opnum, *normalize_value(value, tokens)) for opnum, value in writes]
-            rows.append((canonical_json(handler), handler, values))
+            rows.append((
+                canonical_json([tokens.get(rid, rid), encode_hid(hid)]),
+                array_text(row_text([opnum], text(value)) for opnum, value in writes),
+            ))
         rows.sort(key=itemgetter(0))  # by handler only, stable
-        var_dicts.append([var_id, [[handler, [[n, enc] for n, enc, _ in values]]
-                                   for _, handler, values in rows]])
         var_texts.append(row_text([var_id], array_text(
-            "[%s,%s]" % (head, array_text(row_text([n], text) for n, _, text in values))
-            for head, _, values in rows
+            "[%s,%s]" % (head, writes) for head, writes in rows
         )))
 
     read_observers = []
@@ -156,7 +175,7 @@ def normalize_effect(
             rows.append(
                 [
                     _write_key_spec(write_key, member_set, tokens),
-                    sorted((_encode_key(r, tokens) for r in readers),
+                    sorted((norm_key(r, tokens) for r in readers),
                            key=canonical_json),
                 ]
             )
@@ -168,40 +187,45 @@ def normalize_effect(
         consumed.append(
             [
                 var_id,
-                sorted((_encode_key(k, tokens) for k in delta.consumed[var_id]),
+                sorted((norm_key(k, tokens) for k in delta.consumed[var_id]),
                        key=canonical_json),
             ]
         )
 
-    plain_values = [
-        [var_id, sorted(
-            ([tokens.get(rid, rid), normalize_value(value, tokens)[0]]
-             for rid, value in delta.plain_values[var_id].items()),
-            key=canonical_json,
-        )]
+    plain_texts = [
+        row_text([var_id], array_text(sorted(
+            row_text([tokens.get(rid, rid)], text(value))
+            for rid, value in delta.plain_values[var_id].items()
+        )))
         for var_id in sorted(delta.plain_values)
     ]
 
-    effect = {
-        "journal": journal,
-        "executed": executed,
-        "var_dicts": var_dicts,
-        "read_observers": read_observers,
-        "consumed": consumed,
-        "plain_values": plain_values,
-    }
     serialized = object_text(
         journal=canonical_json(journal),
         executed=canonical_json(executed),
         var_dicts=array_text(var_texts),
         read_observers=canonical_json(read_observers),
         consumed=canonical_json(consumed),
-        plain_values=canonical_json(plain_values),
+        plain_values=array_text(plain_texts),
     )
     for rid in rids:
         if rid in serialized:
             raise Uncacheable(f"member rid {rid!r} survives normalisation")
-    return effect, serialized
+    return serialized
+
+
+def materialize(entry: Dict[str, object]) -> None:
+    """Normalise a stored entry's effect, once: its ``source`` gives way
+    to ``effect`` (the document, parsed from its canonical text) and
+    ``effect_digest``.  Raises :class:`Uncacheable` when it cannot be."""
+    rids, tokens, snapshot = entry["source"]
+    try:
+        text = normalize_effect(rids, snapshot, tokens)
+    except Exception as exc:
+        raise Uncacheable(f"effect cannot be normalised: {exc}") from exc
+    entry["effect"] = json.loads(text)
+    entry["effect_digest"] = sha256_text(text)
+    del entry["source"]
 
 
 # -- rehydration ---------------------------------------------------------------
@@ -381,7 +405,14 @@ class Deduplicator:
             return None, None
         entry = self.cache.get(digest.key)
         delta = None
-        if entry is not None and self._validate(digest, entry, len(rids)):
+        try:
+            valid = entry is not None and self._validate(digest, entry, len(rids))
+        except Uncacheable:
+            # The stored group's effect cannot be normalised: drop the
+            # entry, and this group is a plain miss, as if never stored.
+            self.cache.discard(digest.key)
+            entry, valid = None, False
+        if valid:
             try:
                 delta = rehydrate_delta(state, tag, rids, entry)
             except RehydrateMismatch:
@@ -398,14 +429,21 @@ class Deduplicator:
 
     @staticmethod
     def _validate(digest: GroupDigest, entry: Dict[str, object], members: int) -> bool:
+        """An entry's first validated hit normalises its effect; the
+        effect digest is checked on the hits after it (on that first hit
+        it is the digest of the text just produced)."""
         try:
-            return (
+            if not (
                 entry["spec"] == DIGEST_SPEC
                 and entry["verdict"] == VERDICT_ACCEPT
                 and entry["members"] == members
                 and entry["output_digest"] == digest.output_digest
-                and effect_sum(entry["effect"]) == entry["effect_digest"]
-            )
+            ):
+                return False
+            if "source" in entry:
+                materialize(entry)
+                return True
+            return effect_sum(entry["effect"]) == entry["effect_digest"]
         except (KeyError, TypeError):
             return False
 
@@ -422,7 +460,8 @@ class Deduplicator:
         outputs equal the trace's claimed responses are eligible --
         rehydration feeds the claims back, so caching a group whose
         output diverged would flip a later ``output-mismatch`` REJECT.
-        "Equal" is :func:`same_value`, the final response check's notion."""
+        "Equal" is :func:`same_value`, the final response check's notion.
+        Returns whether an entry was stored."""
         if delta.rejection is not None or digest.key in self.cache:
             return False
         try:
@@ -431,20 +470,18 @@ class Deduplicator:
                     return False
                 if not same_value(delta.outputs[rid], state.trace.response(rid)):
                     return False
-            handlers = sum(e[1] for e in delta.journal if e[0] == "handlers")
-            effect, effect_text = normalize_effect(state, rids, delta, digest.tokens)
-            entry = make_entry(
-                key=digest.key,
-                members=len(rids),
-                handlers=handlers,
-                output_digest=digest.output_digest,
-                effect=effect,
-                effect_text=effect_text,
-            )
         except Exception:
-            # Unencodable effects keep the group out of the cache; it
-            # just re-executes next time.
+            # Outputs that cannot be compared keep the group out of the
+            # cache; it just re-executes next time.
             return False
+        handlers = sum(e[1] for e in delta.journal if e[0] == "handlers")
+        entry = make_entry(
+            key=digest.key,
+            members=len(rids),
+            handlers=handlers,
+            output_digest=digest.output_digest,
+            source=(list(rids), digest.tokens, snapshot_delta(delta)),
+        )
         self.cache.put(entry)
         return True
 
@@ -453,6 +490,7 @@ __all__ = [
     "Deduplicator",
     "RehydrateMismatch",
     "StageStats",
+    "materialize",
     "normalize_effect",
     "rehydrate_delta",
 ]

@@ -41,7 +41,8 @@ class TestHonestEquivalence:
     @pytest.mark.parametrize("scheduler", ["serial", "process"])
     def test_every_scheduler_matches(self, served, scheduler):
         vg.assert_golden(
-            served, "singleton", scheduler=scheduler, parallelism=JOBS
+            served, "singleton", scheduler=scheduler,
+            parallelism=JOBS if scheduler == "process" else 1,
         )
 
     def test_auditor_scheduler_flag_routes_to_dag(self, served):

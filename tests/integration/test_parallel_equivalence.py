@@ -36,7 +36,9 @@ class TestHonestEquivalence:
 
     @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_every_executor_mode_matches(self, served, mode):
-        vg.assert_golden(served, scheduler=mode, parallelism=JOBS)
+        vg.assert_golden(
+            served, scheduler=mode, parallelism=JOBS if mode == "process" else 1
+        )
 
 
 @pytest.mark.parametrize("attack", ALL_ATTACKS, ids=lambda a: a.name)

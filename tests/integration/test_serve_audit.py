@@ -430,6 +430,50 @@ class TestCorruptInput:
         got, _ = _stream_fingerprints(service, "good")
         assert got == _solo("feed", fleets["feed"])[0]
 
+    def test_bool_opnum_fails_only_its_tenant(self, fleets, tmp_path):
+        """``[["f",false]]`` is not a handler id: ``False == 0``, so
+        decoding it would intern the bool for the whole process and every
+        tenant's ``f@0`` would then encode as ``false``.  The epoch is an
+        ``input-format`` REJECT and handler ids keep their int opnums."""
+        from repro.advice.codec import RT_RESPONSE_BY
+        from repro.continuous.codec import STREAM_KIND, epoch_stream_name
+        from repro.core.ids import HandlerId
+        from repro.storage.values import TextEncoder
+
+        probe = "bool-opnum-probe"
+        epochs = _sealed("motd", motd_workload(8, mix="mixed", seed=9), 4)
+        bad_store = _store_epochs(tmp_path, "bool-opnum", epochs[:1])
+        backend = backend_for("file", bad_store)
+        name = epoch_stream_name(0)
+        with backend.reader(name) as reader:
+            records = list(reader)
+        at = next(i for i, (t, _) in enumerate(records) if t == RT_RESPONSE_BY)
+        doc = json.loads(records[at][1])
+        next(iter(doc.values()))[0] = [[probe, False]]
+        records[at] = (RT_RESPONSE_BY, json.dumps(doc).encode())
+        with backend.create(name, STREAM_KIND) as writer:
+            for rtype, payload in records:
+                writer.append(rtype, payload)
+        good_store = _store_epochs(tmp_path, "good-bool-opnum", fleets["feed"])
+        service = _service_run(
+            tmp_path,
+            [
+                TenantConfig(app="motd", store=bad_store, name="bad"),
+                TenantConfig(app="feed", store=good_store, name="good"),
+            ],
+            label="bool-opnum",
+            torn_limit=2,
+            poll_interval=0.001,
+        )
+        doc = service.summary()
+        bad = doc["tenants"]["bad"]
+        assert bad["accepted"] is False and bad["reason"] == "input-format"
+        assert doc["tenants"]["good"]["accepted"] is True
+        got, _ = _stream_fingerprints(service, "good")
+        assert got == _solo("feed", fleets["feed"])[0]
+        hid = HandlerId.intern(probe, None, 0)
+        assert TextEncoder().hid(hid) == '[["%s",0]]' % probe
+
     def test_epoch_without_advice_fails_only_its_tenant(self, fleets, tmp_path):
         """``has_advice`` is server-written: a stored epoch without advice
         rejects its tenant as ``input-format`` in the preflight, and the

@@ -75,7 +75,8 @@ def test_engine_options_reproduce_golden(scheduler, dedup_state):
         if scheduler == "shuffled":
             engine = dict(scheduler="serial", order_key=vg.shuffled(run_name))
         else:
-            engine = dict(scheduler=scheduler, parallelism=2)
+            engine = dict(scheduler=scheduler,
+                          parallelism=2 if scheduler == "process" else 1)
         if dedup_state == "warm":
             # One cache per run, primed on the honest pair: every tamper
             # then meets the hits an unsound revalidation would trust.

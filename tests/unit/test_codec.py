@@ -10,7 +10,10 @@ from repro.advice.codec import (
     FORMAT_VERSION,
     RT_META,
     RT_OPCOUNTS,
+    RT_RESPONSE_BY,
     RT_TAG,
+    RT_VARIABLE_LOG,
+    RT_WRITE_ORDER,
     AdviceAccumulator,
     iter_advice_frames,
 )
@@ -20,7 +23,7 @@ from repro.errors import AdviceFormatError
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.storage.records import RecordFormatError, unpack_json
-from repro.storage.values import decode_hid, decode_value, encode_hid, value_text
+from repro.storage.values import decode_hid, decode_tid, decode_value, encode_hid, value_text
 from repro.store import IsolationLevel, KVStore
 from repro.verifier import audit
 from repro.workload import motd_workload, stacks_workload, wiki_workload
@@ -39,6 +42,15 @@ class TestHidEncoding:
     def test_malformed_rejected(self, bad):
         with pytest.raises(AdviceFormatError):
             decode_hid(bad)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_opnums_rejected(self, flag):
+        """``True == 1``: a bool opnum would intern as the int's handler
+        id, for every later caller in the process."""
+        with pytest.raises(AdviceFormatError):
+            decode_hid([["f", 0], ["g", flag]])
+        with pytest.raises(AdviceFormatError):
+            decode_tid({"hid": [["f", 0]], "opnum": flag})
 
 
 values = st.recursive(
@@ -192,6 +204,26 @@ class TestStrictDecoding:
         frames = self._with(RT_TAG, lambda doc: [doc[0], 42])
         with pytest.raises(AdviceFormatError):
             _decode(frames)
+
+    def test_bool_op_key_opnum_rejected(self):
+        def edit(doc):
+            doc["entries"][0]["at"][2] = True
+
+        with pytest.raises(AdviceFormatError):
+            _decode(self._with(RT_VARIABLE_LOG, edit))
+
+    def test_bool_handler_opnum_rejected(self):
+        def edit(doc):
+            pair = next(iter(doc.values()))
+            pair[0][0][1] = False
+
+        with pytest.raises(AdviceFormatError):
+            _decode(self._with(RT_RESPONSE_BY, edit))
+
+    def test_bool_tx_position_index_rejected(self):
+        position = ["r000001", {"hid": [["handle_set", 0]], "opnum": 1}, True]
+        with pytest.raises(AdviceFormatError):
+            _decode(self._with(RT_WRITE_ORDER, lambda doc: [position]))
 
     def test_bool_opcount_rejected(self):
         def edit(doc):

@@ -135,6 +135,19 @@ class TestSchedulerKahn:
             with pytest.raises(ValueError, match="scheduler"):
                 Scheduler(name)
 
+    def test_serial_with_more_jobs_rejected(self):
+        """A serial loop runs one job: asking it for more is a
+        contradiction, never a silent downgrade -- for the loop and for
+        the fleet's pool built on it."""
+        from repro.service.pool import SharedDagPool
+
+        for make in (lambda jobs: Scheduler("serial", jobs=jobs),
+                     lambda jobs: SharedDagPool("serial", jobs=jobs)):
+            with pytest.raises(ValueError, match="serial"):
+                make(4)
+            assert make(1).jobs == 1
+        assert Scheduler("process", jobs=4).jobs == 4
+
     def test_cycle_deadlocks_loudly(self):
         nodes = [_FakeNode("a"), _FakeNode("b")]
         edges = [("a", "b"), ("b", "a")]
@@ -196,6 +209,19 @@ class TestConstruction:
         for name in ("quantum", "thread"):
             with pytest.raises(ValueError, match="scheduler"):
                 Auditor(*inputs, scheduler=name)
+
+    def test_serial_with_more_jobs_rejected(self, served, tmp_path):
+        from repro.service import AuditService, TenantConfig
+
+        inputs = (motd_app(), served.trace, served.advice)
+        with pytest.raises(ValueError, match="serial"):
+            Auditor(*inputs, scheduler="serial", parallelism=4)
+        assert Auditor(*inputs, scheduler="serial", parallelism=1).run().accepted
+        tenants = [TenantConfig(app="motd", store=str(tmp_path / "store"))]
+        state_dir = tmp_path / "state"
+        with pytest.raises(ValueError, match="serial"):
+            AuditService(tenants, state_dir=str(state_dir), scheduler="serial", jobs=4)
+        assert not state_dir.exists()  # refused before any tenant state
 
     def test_jobs_defaults_to_cpu_count_and_clamps(self, served):
         inputs = (motd_app(), served.trace, served.advice)
