@@ -46,7 +46,7 @@ from repro.continuous.epoch import Epoch
 from repro.continuous.journal import AuditJournal
 from repro.kem.program import AppSpec
 from repro.obs import MetricsRegistry, ensure_metrics
-from repro.verifier.audit import Auditor, AuditResult, StageHook
+from repro.verifier.audit import Auditor, AuditResult, StageHook, check_scheduler
 
 
 @dataclass
@@ -97,6 +97,9 @@ class ContinuousAuditor:
     ):
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
+        # Each epoch's Auditor would refuse these: refuse them before any
+        # epoch is audited.
+        check_scheduler(scheduler, parallelism)
         self.app = app
         self.parallelism = parallelism
         # One Deduplicator shared across every epoch's Auditor: digests

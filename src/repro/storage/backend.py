@@ -43,7 +43,7 @@ from repro.storage.records import (
     clean_prefix,
     encode_record,
     encode_stream_header,
-    iter_records,
+    iter_frames,
     read_header,
 )
 
@@ -105,10 +105,16 @@ class RecordReader:
             raise
 
     def __iter__(self) -> Iterator[Tuple[int, bytes]]:
-        for rtype, payload in iter_records(self._fh):
-            self._metrics.counter(f"storage.{self._scheme}.records_read").inc()
-            self._metrics.counter(f"storage.{self._scheme}.bytes_read").inc(len(payload))
+        for rtype, payload, _, _ in self.frames():
             yield rtype, payload
+
+    def frames(self) -> Iterator[Tuple[int, bytes, bytes, bytes]]:
+        """``(rtype, payload, head, crc)`` per record: the frame as read
+        (:func:`~repro.storage.records.iter_frames`)."""
+        for frame in iter_frames(self._fh):
+            self._metrics.counter(f"storage.{self._scheme}.records_read").inc()
+            self._metrics.counter(f"storage.{self._scheme}.bytes_read").inc(len(frame[1]))
+            yield frame
 
     def close(self) -> None:
         self._fh.close()

@@ -15,7 +15,7 @@ and the binlog (DESIGN.md §8):
   stream.
 
 This module holds the one frame parser.  It reads a binary file object
-incrementally (:func:`read_header`, :func:`iter_records`,
+incrementally (:func:`read_header`, :func:`iter_frames`,
 :func:`clean_prefix`); every backend hands it one -- a file, or an
 ``io.BytesIO`` over a memory buffer or inflated gzip bytes -- for reads
 and for append-time recovery alike.
@@ -107,10 +107,12 @@ def read_header(fh: BinaryIO, where: str) -> str:
         raise RecordFormatError(f"{where}: stream kind is not utf-8: {exc}") from None
 
 
-def iter_records(fh: BinaryIO) -> Iterator[Tuple[int, bytes]]:
-    """Yield ``(rtype, payload)`` for each record from ``fh``'s position
-    to its end, never materialising the stream -- the memory bound
-    behind ``--store file`` audits.
+def iter_frames(fh: BinaryIO) -> Iterator[Tuple[int, bytes, bytes, bytes]]:
+    """Yield ``(rtype, payload, head, crc)`` for each record from ``fh``'s
+    position to its end, never materialising the stream -- the memory
+    bound behind ``--store file`` audits.  ``head + payload + crc`` is
+    the frame as read, ``encode_record(rtype, payload)`` byte for byte,
+    so a reader can hash frames without framing them again.
 
     Raises :class:`RecordTruncatedError` at a torn tail and
     :class:`RecordFormatError` on a mid-stream CRC mismatch or an
@@ -129,7 +131,8 @@ def iter_records(fh: BinaryIO) -> Iterator[Tuple[int, bytes]]:
         if length > MAX_RECORD_LEN:
             raise RecordFormatError(f"record claims {length} bytes (corrupt length)")
         payload = _read_exact(fh, length, "record payload")
-        (stored_crc,) = _FRAME_CRC.unpack(_read_exact(fh, _FRAME_CRC.size, "record CRC"))
+        crc_bytes = _read_exact(fh, _FRAME_CRC.size, "record CRC")
+        (stored_crc,) = _FRAME_CRC.unpack(crc_bytes)
         crc = zlib.crc32(payload, zlib.crc32(head)) & 0xFFFFFFFF
         if crc != stored_crc:
             # A CRC failure on the *final* record is what an interrupted
@@ -138,7 +141,7 @@ def iter_records(fh: BinaryIO) -> Iterator[Tuple[int, bytes]]:
             if fh.read(1):
                 raise RecordFormatError("CRC mismatch on mid-stream record")
             raise RecordTruncatedError("CRC mismatch on final record")
-        yield rtype, payload
+        yield rtype, payload, head, crc_bytes
 
 
 def clean_prefix(fh: BinaryIO, kind: str, where: str) -> Optional[int]:
@@ -155,7 +158,7 @@ def clean_prefix(fh: BinaryIO, kind: str, where: str) -> Optional[int]:
         raise RecordFormatError(f"{where} holds {got_kind!r} records, wanted {kind!r}")
     good = fh.tell()
     try:
-        for _ in iter_records(fh):
+        for _ in iter_frames(fh):
             good = fh.tell()
     except RecordTruncatedError:
         pass

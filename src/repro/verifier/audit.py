@@ -192,6 +192,16 @@ def jsonable(value: object) -> object:
     return repr(value)
 
 
+def check_scheduler(scheduler: Optional[str], parallelism: int) -> None:
+    """The ValueError an :class:`Auditor` raises for ``scheduler`` and
+    ``parallelism``: an unknown backend, or the serial one asked to run
+    more than one job.  ``None`` (resolved per audit) passes."""
+    if scheduler is not None and scheduler not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler {scheduler!r}")
+    if scheduler == SCHEDULER_SERIAL and parallelism > 1:
+        raise ValueError(f"the serial scheduler runs one job, not {parallelism}")
+
+
 class Auditor:
     """Audits one epoch through its compiled execution DAG; exposes
     intermediate state (``state``, ``re_exec``, ``checkpoint``, ``plan``,
@@ -244,10 +254,7 @@ class Auditor:
         progress: Optional[StageHook] = None,
         node_journal: Optional[NodeJournal] = None,
     ):
-        if scheduler is not None and scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {scheduler!r}")
-        if scheduler == SCHEDULER_SERIAL and parallelism > 1:
-            raise ValueError(f"the serial scheduler runs one job, not {parallelism}")
+        check_scheduler(scheduler, parallelism)
         self.app = app
         # ``trace`` may be any event iterable: drain it exactly once into
         # a frozen snapshot here.
@@ -640,6 +647,7 @@ __all__ = [
     "PlanAborted",
     "StageHook",
     "audit",
+    "check_scheduler",
     "collect_stats",
     "jsonable",
     "rejection_result",

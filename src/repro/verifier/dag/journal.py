@@ -14,14 +14,17 @@ process, and never barriered: the journal caches re-derivable work, so
 when a power loss shortens or damages it the answer is to re-execute
 (DESIGN.md §8).
 
-Records are digest-chained exactly like checkpoints: every record
-carries its predecessor's digest and its own
-``sha256(canonical_json(record sans digest))``, so truncation beyond the
-storage layer's torn-tail window, reordering, or in-place edits are
-detected on load (``NodeJournalError``) and the journal is discarded
-rather than trusted.  A journal is only replayable against the exact
-plan that wrote it -- same inputs, same spec, same node IDs -- which the
-header's plan digest pins.
+Records are binary and digest-chained: a record's payload is its digest
+(32 bytes) and then its body, where the digest is
+``sha256(previous digest || rtype || body)`` over the raw bytes (the
+first record chains to 32 zero bytes).  A header's body is the plan
+digest; a delta's is the node ID (a u32 length, then UTF-8) and then
+the pickled delta, as pickled.  Truncation beyond the storage layer's
+torn-tail window, reordering, a record spliced in from another journal
+or an in-place edit breaks the chain on load (``NodeJournalError``), and
+the journal is discarded rather than trusted.  A journal is only
+replayable against the exact plan that wrote it -- same inputs, same
+spec, same node IDs -- which the header's plan digest pins.
 
 Trust model: the journal is auditor-private state, in the same class as
 the checkpoint store -- the chain defends against
@@ -33,31 +36,35 @@ unpickled.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import pickle
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import KarousosError
 from repro.storage.backend import StorageBackend
-from repro.storage.records import RecordFormatError, canonical_json, pack_json, unpack_json
+from repro.storage.records import RecordFormatError
 
 STREAM_NAME = "nodes"
 STREAM_KIND = "nodejournal"
 RT_HEADER = 1
 RT_DELTA = 2
 
-GENESIS_DIGEST = "genesis"
+_DIGEST_LEN = 32
+GENESIS_DIGEST = bytes(_DIGEST_LEN)
+_NODE_LEN = struct.Struct("<I")
 
 
 class NodeJournalError(KarousosError):
     """A node journal is forged or damaged."""
 
 
-def _record_digest(doc: Dict[str, object]) -> str:
-    body = {k: v for k, v in doc.items() if k != "digest"}
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
+def _chain(prev: bytes, rtype: int, body: bytes) -> bytes:
+    digest = hashlib.sha256(prev)
+    digest.update(bytes((rtype,)))
+    digest.update(body)
+    return digest.digest()
 
 
 @dataclass
@@ -77,32 +84,35 @@ class NodeJournal:
         self.backend = backend
         self._writer = None
         self._prev = GENESIS_DIGEST
+        # The plan of the stream this instance started or loaded: its
+        # own stream's header, answered without a read.
+        self._plan: Optional[str] = None
 
     # -- writing -----------------------------------------------------------
 
     def start(self, plan_digest: str) -> None:
         """Begin a fresh journal for ``plan_digest``, discarding any
         previous stream (a restarted journal must not interleave with a
-        stale one)."""
+        stale one, nor go to a writer still open on the deleted one)."""
+        self.close()
+        self._plan = None
         if self.backend.exists(STREAM_NAME):
             self.backend.delete(STREAM_NAME)
         self._prev = GENESIS_DIGEST
-        self._append(RT_HEADER, {"plan": plan_digest})
+        self._append(RT_HEADER, plan_digest.encode("utf-8"))
+        self._plan = plan_digest
 
-    def _append(self, rtype: int, doc: Dict[str, object]) -> None:
-        doc["prev"] = self._prev
-        doc["digest"] = _record_digest(doc)
+    def _append(self, rtype: int, body: bytes) -> None:
+        digest = _chain(self._prev, rtype, body)
         if self._writer is None:
             self._writer = self.backend.append(STREAM_NAME, STREAM_KIND)
-        self._writer.append(rtype, pack_json(doc))
-        self._prev = doc["digest"]  # type: ignore[assignment]
+        self._writer.append(rtype, digest + body)
+        self._prev = digest
 
     def record_delta(self, node_id: str, payload: bytes) -> None:
         """Journal one completed ``reexec`` node's pickled delta."""
-        self._append(
-            RT_DELTA,
-            {"node": node_id, "delta": base64.b64encode(payload).decode("ascii")},
-        )
+        node = node_id.encode("utf-8")
+        self._append(RT_DELTA, _NODE_LEN.pack(len(node)) + node + payload)
 
     def close(self) -> None:
         """Release the stream; no barrier (see the module docstring)."""
@@ -112,23 +122,33 @@ class NodeJournal:
 
     # -- loading -----------------------------------------------------------
 
-    def header_plan(self) -> Optional[object]:
+    def header_plan(self) -> Optional[str]:
         """The plan digest the stored journal's header claims (None
-        without a readable header), from that one record: enough to
-        dismiss another plan's journal without verifying the chain it is
-        about to lose.  :meth:`load` verifies all of it before a resume."""
+        without a readable header): enough to dismiss another plan's
+        journal without verifying the chain it is about to lose.  For
+        the stream this instance started or loaded it is answered from
+        memory; otherwise from that one record.  :meth:`load` verifies
+        all of it before a resume."""
+        if self._plan is not None:
+            return self._plan
         try:
             with self.backend.reader(STREAM_NAME) as reader:
                 rtype, payload = next(iter(reader))
-                doc = unpack_json(payload)
         except (FileNotFoundError, StopIteration, RecordFormatError):
             return None
-        return doc.get("plan") if rtype == RT_HEADER and isinstance(doc, dict) else None
+        if rtype != RT_HEADER:
+            return None
+        try:
+            return payload[_DIGEST_LEN:].decode("utf-8")
+        except UnicodeDecodeError:
+            return None
 
     def load(self) -> NodeJournalState:
         """Load and chain-verify the journal (torn tail dropped by the
         storage layer; any other inconsistency raises
-        :class:`NodeJournalError`)."""
+        :class:`NodeJournalError`).  No delta is unpickled here."""
+        self.close()
+        self._plan = None
         try:
             records = self.backend.load_tolerant(STREAM_NAME, STREAM_KIND)
         except RecordFormatError as exc:  # damaged past the torn-tail window
@@ -136,33 +156,40 @@ class NodeJournal:
         state: Optional[NodeJournalState] = None
         prev = GENESIS_DIGEST
         for rtype, payload in records:
-            doc = unpack_json(payload)
-            if not isinstance(doc, dict):
-                raise NodeJournalError("node journal record is not an object")
-            if doc.get("prev") != prev or doc.get("digest") != _record_digest(doc):
+            digest, body = payload[:_DIGEST_LEN], payload[_DIGEST_LEN:]
+            if digest != _chain(prev, rtype, body):
                 raise NodeJournalError(
                     "node journal chain broken: record digest or parent "
                     "link does not verify (forged or corrupt journal)"
                 )
-            prev = doc["digest"]
+            prev = digest
             if rtype == RT_HEADER:
                 if state is not None:
                     raise NodeJournalError("node journal has two headers")
-                state = NodeJournalState(plan_digest=str(doc.get("plan", "")))
+                state = NodeJournalState(plan_digest=_text(body))
             elif state is None:
                 raise NodeJournalError("node journal does not start with a header")
             elif rtype == RT_DELTA:
-                try:
-                    blob = base64.b64decode(str(doc["delta"]), validate=True)
-                except (KeyError, ValueError) as exc:
-                    raise NodeJournalError(f"malformed delta record: {exc}") from exc
-                state.deltas[str(doc.get("node"))] = blob
+                if len(body) < _NODE_LEN.size:
+                    raise NodeJournalError("malformed delta record: no node ID")
+                end = _NODE_LEN.size + _NODE_LEN.unpack_from(body)[0]
+                if len(body) < end:
+                    raise NodeJournalError("malformed delta record: node ID overruns it")
+                state.deltas[_text(body[_NODE_LEN.size:end])] = body[end:]
             else:
                 raise NodeJournalError(f"unknown node journal record type {rtype}")
         if state is None:
             raise NodeJournalError("node journal has no header")
         self._prev = prev
+        self._plan = state.plan_digest
         return state
+
+
+def _text(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NodeJournalError(f"malformed node journal record: {exc}") from exc
 
 
 # -- the delta codec -----------------------------------------------------------

@@ -385,3 +385,27 @@ class TestContinuousAuditorQueue:
     def test_rejects_max_pending_zero(self):
         with pytest.raises(ValueError):
             ContinuousAuditor(motd_app(), max_pending=0)
+
+    @pytest.mark.parametrize("scheduler, parallelism, message", [
+        ("serial", 4, "the serial scheduler runs one job, not 4"),
+        ("threads", 1, "unknown scheduler 'threads'"),
+    ])
+    def test_refuses_what_each_epoch_auditor_would_before_any_epoch(
+        self, monkeypatch, scheduler, parallelism, message
+    ):
+        from repro.verifier import Auditor
+        from tests import verdict_goldens as vg
+
+        epochs = vg.streams("wiki")["honest"]
+        built = []
+        for_epoch = Auditor.for_epoch.__func__
+        monkeypatch.setattr(Auditor, "for_epoch", classmethod(
+            lambda cls, *args, **kw: built.append(args[1].index) or for_epoch(cls, *args, **kw)
+        ))
+        auditor = None
+        with pytest.raises(ValueError, match=message):
+            auditor = ContinuousAuditor(
+                wiki_app(), scheduler=scheduler, parallelism=parallelism
+            )
+            auditor.run(epochs)
+        assert auditor is None and built == []

@@ -36,7 +36,7 @@ from repro.storage import (
     unpack_json,
     value_text,
 )
-from repro.storage.records import clean_prefix, iter_records, read_header
+from repro.storage.records import clean_prefix, iter_frames, read_header
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
 from repro.verifier.dag import NodeJournal
 
@@ -57,7 +57,7 @@ def _read(buf):
     """A whole stream read strictly: its kind and every record."""
     fh = io.BytesIO(buf)
     kind = read_header(fh, "stream")
-    return kind, list(iter_records(fh))
+    return kind, [(rtype, payload) for rtype, payload, _, _ in iter_frames(fh)]
 
 
 def test_header_roundtrip():
