@@ -28,7 +28,7 @@ from repro.advice.records import (
 from repro.core.ids import HandlerId, TxId
 from repro.errors import AdviceFormatError
 from repro.storage.records import json_text, unpack_json
-from repro.storage.values import Decoder, TextEncoder, expect_int
+from repro.storage.values import TextEncoder, decode_hid, decode_tid, decode_value, expect_int
 from repro.store.kv import IsolationLevel
 
 FORMAT_VERSION = 1
@@ -74,26 +74,24 @@ def _txpos_text(enc: TextEncoder, pos: Tuple[str, TxId, int]) -> str:
     return "[%s,%s,%s]" % (json_text(rid), enc.tid(tid), json_text(i))
 
 
-def _decode_opkey(data: object, dec: Decoder) -> Tuple[str, HandlerId, int]:
+def _decode_opkey(data: object) -> Tuple[str, HandlerId, int]:
     if not isinstance(data, list) or len(data) != 3 or not isinstance(data[0], str):
         raise AdviceFormatError(f"bad op key: {data!r}")
-    return (data[0], dec.hid(data[1]), expect_int(data[2]))
+    return (data[0], decode_hid(data[1]), expect_int(data[2]))
 
 
-def _decode_txpos(data: object, dec: Decoder) -> Tuple[str, TxId, int]:
+def _decode_txpos(data: object) -> Tuple[str, TxId, int]:
     if not isinstance(data, list) or len(data) != 3 or not isinstance(data[0], str):
         raise AdviceFormatError(f"bad tx position: {data!r}")
-    return (data[0], dec.tid(data[1]), expect_int(data[2]))
+    return (data[0], decode_tid(data[1]), expect_int(data[2]))
 
 
 # -- section accumulators -------------------------------------------------------
 #
 # The per-entry loops of the three big sections decode each entry's
-# fields inline.  A field of exactly the type the encoder writes (``str``,
-# ``int``, an op key ``[str, id, int]``) is taken as is; any other goes
-# through its checker, which rejects it or (a subclass) accepts it.  So
-# every entry is accepted or rejected as the checkers alone would, and
-# with the same first error (tests/unit/test_decode_oracle.py).
+# fields in one loop, in the order the per-entry decoders they replaced
+# did, so every entry is accepted or rejected as before and with the same
+# first error (tests/unit/test_decode_oracle.py).
 
 
 def _accum_tag(advice: Advice, rid: object, tag: object) -> None:
@@ -104,105 +102,88 @@ def _accum_tag(advice: Advice, rid: object, tag: object) -> None:
     advice.tags[rid] = tag
 
 
-def _accum_handler_log(advice: Advice, rid: object, log: object, dec: Decoder) -> None:
+def _accum_handler_log(advice: Advice, rid: object, log: object) -> None:
     rid = _expect_str(rid)
     if rid in advice.handler_logs:
         raise AdviceFormatError(f"duplicate handler log for request {rid}")
     entries = []
     for e in _expect_list(log):
-        hid, opnum = dec.hid(e["hid"]), e["opnum"]
-        if type(opnum) is not int:
-            opnum = expect_int(opnum)
+        hid, opnum = decode_hid(e["hid"]), expect_int(e["opnum"])
         optype, event = _expect_str(e["optype"]), _expect_str(e["event"])
         entries.append(HandlerOpEntry(hid, opnum, optype, event, e.get("fid")))
     advice.handler_logs[rid] = entries
 
 
-def _accum_variable_log(
-    advice: Advice, var_id: object, entries: object, dec: Decoder
-) -> None:
+def _accum_variable_log(advice: Advice, var_id: object, entries: object) -> None:
     var_id = _expect_str(var_id)
     if var_id in advice.variable_logs:
         raise AdviceFormatError(f"duplicate variable log for {var_id}")
-    hid, value = dec.hid, dec.value
-    log: Dict = {}
+    log = {}
     for e in _expect_list(entries):
-        at = e["at"]
-        if (type(at) is list and len(at) == 3 and type(at[0]) is str
-                and type(at[2]) is int):
-            key = (at[0], hid(at[1]), at[2])
-        else:
-            key = _decode_opkey(at, dec)
+        key = _decode_opkey(e["at"])
         access = _expect_str(e["access"])
-        v, prec = value(e["value"]), e["prec"]
-        if prec is None:
-            pass
-        elif (type(prec) is list and len(prec) == 3 and type(prec[0]) is str
-                and type(prec[2]) is int):
-            prec = (prec[0], hid(prec[1]), prec[2])
-        else:
-            prec = _decode_opkey(prec, dec)
-        entry = VariableLogEntry(access, v, prec)
-        if log.setdefault(key, entry) is not entry:
+        v, prec = decode_value(e["value"]), e["prec"]
+        if prec is not None:
+            prec = _decode_opkey(prec)
+        if key in log:
             raise AdviceFormatError(f"duplicate variable log key {key}")
+        log[key] = VariableLogEntry(access, v, prec)
     advice.variable_logs[var_id] = log
 
 
-def _accum_tx_log(advice: Advice, tx: Dict, dec: Decoder) -> None:
+def _accum_tx_log(advice: Advice, tx: Dict) -> None:
     rid = _expect_str(tx["rid"])
-    tid = dec.tid(tx["tid"])
+    tid = decode_tid(tx["tid"])
     ops = []
     for e in _expect_list(tx["ops"]):
         optype, contents = _expect_str(e["optype"]), e["contents"]
         if optype == "GET" and contents is not None and isinstance(contents, list):
-            contents = _decode_txpos(contents, dec)
+            contents = _decode_txpos(contents)
         else:
-            contents = dec.value(contents)
-        hid, opnum = dec.hid(e["hid"]), e["opnum"]
-        if type(opnum) is not int:
-            opnum = expect_int(opnum)
+            contents = decode_value(contents)
+        hid, opnum = decode_hid(e["hid"]), expect_int(e["opnum"])
         ops.append(TxLogEntry(hid, opnum, optype, e.get("key"), contents))
     if (rid, tid) in advice.tx_logs:
         raise AdviceFormatError(f"duplicate transaction {(rid, tid)}")
     advice.tx_logs[(rid, tid)] = ops
 
 
-def _accum_write_order(advice: Advice, doc: object, dec: Decoder) -> None:
-    advice.write_order = [_decode_txpos(p, dec) for p in _expect_list(doc)]
+def _accum_write_order(advice: Advice, doc: object) -> None:
+    advice.write_order = [_decode_txpos(p) for p in _expect_list(doc)]
 
 
-def _accum_response_by(advice: Advice, doc: object, dec: Decoder) -> None:
+def _accum_response_by(advice: Advice, doc: object) -> None:
     if not isinstance(doc, dict):
         raise AdviceFormatError("response_emitted_by must be an object")
     for rid, pair in doc.items():
         if not isinstance(pair, list) or len(pair) != 2:
             raise AdviceFormatError("bad response_emitted_by entry")
-        advice.response_emitted_by[rid] = (dec.hid(pair[0]), expect_int(pair[1]))
+        advice.response_emitted_by[rid] = (decode_hid(pair[0]), expect_int(pair[1]))
 
 
-def _accum_opcounts(advice: Advice, doc: object, dec: Decoder) -> None:
+def _accum_opcounts(advice: Advice, doc: object) -> None:
     for item in _expect_list(doc):
         if not isinstance(item, list) or len(item) != 3:
             raise AdviceFormatError("bad opcounts entry")
         rid, hid_doc, count = item
-        advice.opcounts[(_expect_str(rid), dec.hid(hid_doc))] = expect_int(count)
+        advice.opcounts[(_expect_str(rid), decode_hid(hid_doc))] = expect_int(count)
 
 
-def _accum_nondet(advice: Advice, doc: object, dec: Decoder) -> None:
+def _accum_nondet(advice: Advice, doc: object) -> None:
     for item in _expect_list(doc):
         if not isinstance(item, list) or len(item) != 2:
             raise AdviceFormatError("bad nondet entry")
-        advice.nondet[_decode_opkey(item[0], dec)] = dec.value(item[1])
+        advice.nondet[_decode_opkey(item[0])] = decode_value(item[1])
 
 
-def _accum_tx_windows(advice: Advice, doc: object, dec: Decoder) -> None:
+def _accum_tx_windows(advice: Advice, doc: object) -> None:
     for item in _expect_list(doc):
         if not isinstance(item, list) or len(item) != 4:
             raise AdviceFormatError("bad tx window entry")
         rid, tid_doc, start, commit = item
         if commit is not None and not isinstance(commit, int):
             raise AdviceFormatError("bad tx window commit")
-        advice.tx_windows[(_expect_str(rid), dec.tid(tid_doc))] = (
+        advice.tx_windows[(_expect_str(rid), decode_tid(tid_doc))] = (
             expect_int(start),
             commit,
         )
@@ -278,13 +259,10 @@ def _record(template: str, *fields: object) -> bytes:
 class AdviceAccumulator:
     """Builds an :class:`Advice` from a sequence of advice frames, with
     strict per-section validation: the epoch stream reader feeds it the
-    advice frames of each stored epoch, and ``decoder`` (the epoch's
-    :class:`~repro.storage.values.Decoder`) decodes each distinct id of
-    the pass once."""
+    advice frames of each stored epoch."""
 
-    def __init__(self, decoder: Optional[Decoder] = None) -> None:
+    def __init__(self) -> None:
         self.advice = Advice()
-        self._dec = decoder or Decoder()
         self._saw_meta = False
         self._singletons: set = set()
 
@@ -318,16 +296,16 @@ class AdviceAccumulator:
                 raise AdviceFormatError(f"bad tag record {doc!r}")
             _accum_tag(self.advice, doc[0], doc[1])
         elif rtype == RT_HANDLER_LOG:
-            _accum_handler_log(self.advice, doc["rid"], doc["entries"], self._dec)
+            _accum_handler_log(self.advice, doc["rid"], doc["entries"])
         elif rtype == RT_VARIABLE_LOG:
-            _accum_variable_log(self.advice, doc["var"], doc["entries"], self._dec)
+            _accum_variable_log(self.advice, doc["var"], doc["entries"])
         elif rtype == RT_TX_LOG:
-            _accum_tx_log(self.advice, doc, self._dec)
+            _accum_tx_log(self.advice, doc)
         elif rtype in _SINGLETON_SECTIONS:
             if rtype in self._singletons:
                 raise AdviceFormatError(f"duplicate advice section record {rtype}")
             self._singletons.add(rtype)
-            _SINGLETON_SECTIONS[rtype](self.advice, doc, self._dec)
+            _SINGLETON_SECTIONS[rtype](self.advice, doc)
         else:
             raise AdviceFormatError(f"unknown advice record type {rtype}")
 

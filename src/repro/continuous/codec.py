@@ -24,7 +24,7 @@ from repro.continuous.epoch import Epoch
 from repro.errors import AdviceFormatError
 from repro.storage.backend import RecordReader, StorageBackend
 from repro.storage.records import json_text, unpack_json
-from repro.storage.values import Decoder, TextEncoder
+from repro.storage.values import TextEncoder
 from repro.trace.codec import RT_EVENT, decode_trace_event, trace_event_record
 from repro.trace.trace import Trace
 
@@ -91,16 +91,14 @@ def read_epoch_stream(reader: RecordReader, name: Optional[str] = None) -> Epoch
     """Decode one epoch from its record stream (strict).  Given ``name``,
     the stream it is read from, the meta record must hold the index that
     name spells: a copied or renamed stream is not another epoch.  The
-    content digest hashes each frame as the parser read it, and one
-    :class:`~repro.storage.values.Decoder` decodes the epoch's ids."""
+    content digest hashes each frame as the parser read it."""
     if reader.kind != STREAM_KIND:
         raise AdviceFormatError(
             f"expected an {STREAM_KIND!r} stream, found {reader.kind!r}"
         )
     meta = None
     trace = Trace()
-    dec = Decoder()  # one id memo for the epoch
-    accum: AdviceAccumulator = AdviceAccumulator(dec)
+    accum: AdviceAccumulator = AdviceAccumulator()
     saw_advice = False
     content = hashlib.sha256()  # epoch_digest(), over the frames at rest
     for rtype, payload, head, crc in reader.frames():
@@ -117,7 +115,7 @@ def read_epoch_stream(reader: RecordReader, name: Optional[str] = None) -> Epoch
         content.update(payload)
         content.update(crc)
         if rtype == RT_EVENT:
-            trace.append(decode_trace_event(unpack_json(payload), dec))
+            trace.append(decode_trace_event(unpack_json(payload)))
         elif rtype in ADVICE_RECORD_TYPES:
             if not meta.get("has_advice"):
                 raise AdviceFormatError("advice records in an advice-less epoch")

@@ -10,14 +10,13 @@ This lives in the storage layer because *every* codec needs it: trace
 payloads, advice entries, checkpoints, and the binlog all carry values.
 Writers emit a value's tagged document as text in one pass, never
 building it (:func:`value_text`, DESIGN.md §8); readers parse it and
-:func:`decode_value` inverts it in one walk, or a :class:`Decoder`, which
-also decodes each distinct id of one epoch's records once.
+:func:`decode_value` inverts it in one walk.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _str_text
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.ids import HandlerId, TxId
 from repro.errors import AdviceFormatError
@@ -35,6 +34,8 @@ def encode_hid(hid: HandlerId) -> List[List]:
 def expect_int(value: object) -> int:
     """``value`` if it is an int and not a bool (``True`` is an ``int``
     to ``isinstance``, never an opnum, index or count)."""
+    if type(value) is int:
+        return value
     if not isinstance(value, int) or isinstance(value, bool):
         raise AdviceFormatError(f"expected an int, got {value!r}")
     return value
@@ -174,7 +175,7 @@ def value_texts(value: object) -> Tuple[str, str]:
 def decode_value(data: object) -> object:
     """The value a tagged document encodes (too deep: a format error)."""
     try:
-        return _decode(data, decode_tid)
+        return _decode(data)
     except RecursionError:
         raise RecordFormatError("value nests too deeply") from None
 
@@ -182,12 +183,15 @@ def decode_value(data: object) -> object:
 # The exact types of a primitive leaf.  A container takes a ``"p"`` child
 # holding one of these inline; any other child (a container, a subclass,
 # a damaged node) goes through ``_decode``, which has the last word, so
-# both paths accept and reject the same documents.
+# both paths accept and reject the same documents.  The test is written
+# out where each child is read, not called: a call per child is what
+# the inline path saves, and a helper frame per level would reject, as
+# nested too deeply, documents the per-node decoder accepted.
 _LEAVES = frozenset((type(None), bool, int, float, str))
 _ABSENT = object()
 
 
-def _decode(data: object, tid: Callable[[object], TxId]) -> object:
+def _decode(data: object) -> object:
     if not isinstance(data, dict) or "t" not in data or "v" not in data:
         raise AdviceFormatError(f"bad value encoding: {data!r}")
     tag, v = data["t"], data["v"]
@@ -195,86 +199,40 @@ def _decode(data: object, tid: Callable[[object], TxId]) -> object:
         if v is not None and not isinstance(v, (bool, int, float, str)):
             raise AdviceFormatError(f"bad primitive: {v!r}")
         return v
-    if tag == "x":
-        return tid(v)
-    if tag != "t" and tag != "l" and tag != "d":
-        raise AdviceFormatError(f"unknown value tag {tag!r}")
-    if not isinstance(v, list):
-        raise AdviceFormatError("expected a list")
-    if tag != "d":
+    if tag == "t" or tag == "l":
         items = [
             x["v"] if type(x) is dict and type(x.get("v", _ABSENT)) in _LEAVES
-            and x.get("t") == "p" else _decode(x, tid)
-            for x in v
+            and x.get("t") == "p" else _decode(x)
+            for x in _expect_list(v)
         ]
         return items if tag == "l" else tuple(items)
-    out = {}
-    for pair in v:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise AdviceFormatError(f"bad dict entry: {pair!r}")
-        key, value = pair
-        if type(key) is dict and type(key.get("v", _ABSENT)) in _LEAVES and key.get("t") == "p":
-            key = key["v"]
-        else:
-            key = _decode(key, tid)
-        if (type(value) is dict and type(value.get("v", _ABSENT)) in _LEAVES
-                and value.get("t") == "p"):
-            value = value["v"]
-        else:
-            value = _decode(value, tid)
-        try:
-            out[key] = value
-        except TypeError:
-            raise AdviceFormatError(f"unhashable dict key: {key!r}") from None
-    return out
-
-
-class Decoder:
-    """One decode pass over a sealed epoch's records.  Each distinct id
-    encoding is decoded once: an id path whose segments are exactly a
-    ``str`` and an ``int`` is memoised by those segments, and every
-    prefix of it too, so :meth:`HandlerId.intern` runs once per distinct
-    id and the ids are still the process-wide interned instances.  Any
-    other encoding goes to :func:`decode_hid`, which rejects it or
-    decodes it unmemoised.  The memo lives as long as the pass (one
-    :func:`~repro.continuous.codec.read_epoch_stream` call), so hostile
-    advice cannot grow it past the ids of one epoch."""
-
-    __slots__ = ("_hids",)
-
-    def __init__(self) -> None:
-        self._hids: Dict[tuple, HandlerId] = {}
-
-    def hid(self, data: object) -> HandlerId:
-        if type(data) is list and data:
-            key: tuple = ()
-            for part in data:
-                if type(part) is not list or len(part) != 2:
-                    break
-                fid, opnum = part
-                if type(fid) is not str or type(opnum) is not int:
-                    break
-                key += (fid, opnum)
+    if tag == "d":
+        out = {}
+        for pair in _expect_list(v):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise AdviceFormatError(f"bad dict entry: {pair!r}")
+            key, value = pair
+            if (type(key) is dict and type(key.get("v", _ABSENT)) in _LEAVES
+                    and key.get("t") == "p"):
+                key = key["v"]
             else:
-                return self._hids.get(key) or self._intern(key)
-        return decode_hid(data)
+                key = _decode(key)
+            if (type(value) is dict and type(value.get("v", _ABSENT)) in _LEAVES
+                    and value.get("t") == "p"):
+                value = value["v"]
+            else:
+                value = _decode(value)
+            try:
+                out[key] = value
+            except TypeError:
+                raise AdviceFormatError(f"unhashable dict key: {key!r}") from None
+        return out
+    if tag == "x":
+        return decode_tid(v)
+    raise AdviceFormatError(f"unknown value tag {tag!r}")
 
-    def _intern(self, key: tuple) -> HandlerId:
-        parent = None
-        if len(key) > 2:
-            parent = self._hids.get(key[:-2]) or self._intern(key[:-2])
-        hid = self._hids[key] = HandlerId.intern(key[-2], parent, key[-1])
-        return hid
 
-    def tid(self, data: object) -> TxId:  # decode_tid, ids memoised
-        if not isinstance(data, dict) or set(data) != {"hid", "opnum"}:
-            raise AdviceFormatError(f"bad transaction id encoding: {data!r}")
-        return TxId(self.hid(data["hid"]), expect_int(data["opnum"]))
-
-    def value(self, data: object) -> object:  # decode_value, ids memoised
-        if type(data) is dict and type(data.get("v", _ABSENT)) in _LEAVES and data.get("t") == "p":
-            return data["v"]
-        try:
-            return _decode(data, self.tid)
-        except RecursionError:
-            raise RecordFormatError("value nests too deeply") from None
+def _expect_list(value: object) -> list:
+    if not isinstance(value, list):
+        raise AdviceFormatError("expected a list")
+    return value

@@ -18,7 +18,7 @@ from typing import Optional
 
 from repro.errors import AdviceFormatError
 from repro.storage.records import json_text
-from repro.storage.values import Decoder, TextEncoder
+from repro.storage.values import TextEncoder, decode_value
 from repro.trace.trace import REQ, RESP, Request, TraceEvent
 
 # The event record's type inside an epoch stream (a stable wire
@@ -41,14 +41,11 @@ def trace_event_record(event: TraceEvent, enc: Optional[TextEncoder] = None) -> 
     return ('{"kind":"RESP","rid":%s,"data":%s}' % (rid, enc.value(event.data))).encode()
 
 
-def decode_trace_event(event: object, dec: Decoder) -> TraceEvent:
-    """The event a decoded record payload holds; ``dec`` is the decode
-    pass of the epoch it belongs to."""
-    value = dec.value
+def decode_trace_event(event: object) -> TraceEvent:
     if not isinstance(event, dict) or not isinstance(event.get("rid"), str):
         raise AdviceFormatError(f"bad trace event: {event!r}")
     if event.get("kind") == REQ:
-        payload_value = value(event.get("payload"))
+        payload_value = decode_value(event.get("payload"))
         if not isinstance(payload_value, dict) or not all(
             isinstance(name, str) for name in payload_value
         ):
@@ -61,5 +58,5 @@ def decode_trace_event(event: object, dec: Decoder) -> TraceEvent:
             Request.make(event["rid"], event["route"], **payload_value),
         )
     if event.get("kind") == RESP:
-        return TraceEvent(RESP, event["rid"], value(event.get("data")))
+        return TraceEvent(RESP, event["rid"], decode_value(event.get("data")))
     raise AdviceFormatError(f"unknown trace event kind {event.get('kind')!r}")

@@ -1,15 +1,13 @@
 """The one-walk decoders against the decoders they replaced (DESIGN.md §8).
 
-A sealed epoch is decoded by one walk per value container, a per-epoch
-:class:`~repro.storage.values.Decoder` for ids, inline loops over the
-variable-log, handler-log and tx-log entries, and a content digest taken
-from the frames as read.  The reference below is a frozen copy of the
-decoders they replaced: a tagged-node-at-a-time ``decode_value``,
-``decode_hid`` straight into ``HandlerId.intern``, ``_decode_opkey`` and
-the per-entry section accumulators, and the digest over re-framed
-records.  For every input, both must accept it with type-strictly equal
-results and the same content digest, or both reject it with the same
-exception class.
+A sealed epoch is decoded by one walk per value container, one loop over
+the variable-log, handler-log and tx-log entries, and a content digest
+taken from the frames as read.  The reference below is a frozen copy of
+the decoders they replaced: a tagged-node-at-a-time ``decode_value``,
+``decode_hid``, ``_decode_opkey`` and the per-entry section accumulators,
+and the digest over re-framed records.  For every input, both must
+accept it with type-strictly equal results and the same content digest,
+or both reject it with the same exception class.
 """
 
 import copy
@@ -18,8 +16,6 @@ import enum
 import hashlib
 import json
 import sys
-from collections import Counter
-from typing import Dict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,10 +30,10 @@ from repro.continuous.codec import (
 )
 from repro.continuous.epoch import Epoch
 from repro.core.ids import HandlerId, TxId
-from repro.errors import AdviceFormatError
+from repro.errors import AdviceFormatError, KarousosError
 from repro.storage import MemoryBackend
 from repro.storage.records import RecordFormatError, encode_record, pack_json, unpack_json
-from repro.storage.values import Decoder, decode_hid, decode_value, value_text
+from repro.storage.values import decode_hid, decode_value, value_text
 from repro.store.kv import IsolationLevel
 from repro.trace.codec import RT_EVENT
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
@@ -375,8 +371,8 @@ def shape(x):
         return (cls.__name__, [shape(v) for v in x])
     if cls is dict:
         return ("dict", [(shape(k), shape(v)) for k, v in x.items()])
-    if cls is HandlerId:
-        return ("hid", shape(x.function_id), shape(x.opnum), shape(x.parent))
+    if cls is HandlerId:  # root first, without recursing up a long parent chain
+        return ("hid", [(shape(f), shape(o)) for f, o in x.canonical()])
     if isinstance(x, enum.Enum):
         return (cls.__name__, x.value)
     if cls is Epoch:
@@ -436,14 +432,58 @@ NAMED_VALUES = {
 def test_named_values(name):
     doc = NAMED_VALUES[name]
     assert_same(decode_value, ref_decode_value, doc)
-    assert_same(Decoder().value, ref_decode_value, doc)
+
+
+def _nested(tag, depth):
+    doc = {"t": "p", "v": 1}
+    for i in range(depth):
+        if tag == "d" or (tag == "mixed" and i % 3 == 0):
+            doc = {"t": "d", "v": [[{"t": "p", "v": "k"}, doc]]}
+        else:
+            doc = {"t": "t" if tag == "mixed" and i % 3 == 1 else tag.replace("mixed", "l"),
+                   "v": [{"t": "p", "v": 0}, doc]}
+    return doc
+
+
+def _status(fn, doc):
+    """``"ok"`` or the exception class, without walking the result (a
+    value this deep is too deep to compare or print)."""
+    try:
+        fn(doc)
+    except Exception as exc:
+        return type(exc)
+    return "ok"
+
+
+def _deepest(fn, tag):
+    """The deepest ``_nested(tag, n)`` that ``fn`` decodes from here, and
+    how it fails on one level more."""
+    lo, hi = 1, 2 * sys.getrecursionlimit()
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _status(fn, _nested(tag, mid)) == "ok":
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo, _status(fn, _nested(tag, lo + 1))
+
+
+@pytest.mark.parametrize("tag", ["l", "t", "d", "mixed"])
+def test_a_level_costs_the_stack_it_cost_the_reference(tag):
+    """Called from the same depth, the one-walk decoder accepts the
+    documents the reference accepts, and one level more at most: the
+    innermost leaf, which it reads without a call.  Past that, a
+    ``RecordFormatError``.  (A helper frame per level would accept only
+    two thirds of the depth.)"""
+    (deepest, past), (ref_deepest, ref_past) = (
+        _deepest(decode_value, tag), _deepest(ref_decode_value, tag))
+    assert deepest - ref_deepest in (0, 1)
+    assert past is ref_past is RecordFormatError
 
 
 def test_a_value_past_the_recursion_limit_is_a_record_format_error():
     with pytest.raises(RecordFormatError):
         decode_value(NAMED_VALUES["past the recursion limit"])
-    with pytest.raises(RecordFormatError):
-        Decoder().value(NAMED_VALUES["past the recursion limit"])
 
 
 @pytest.mark.parametrize("doc", [
@@ -451,17 +491,7 @@ def test_a_value_past_the_recursion_limit_is_a_record_format_error():
     [["f", 0, 1]], "f", [("f", 0)], [["f", 0], "g"], [["f", 0], ["g", 2]],
 ])
 def test_named_handler_ids(doc):
-    assert_same(Decoder().hid, ref_decode_hid, doc)
     assert_same(decode_hid, ref_decode_hid, doc)
-
-
-def test_a_bool_opnum_never_meets_a_memoised_int():
-    dec = Decoder()
-    assert dec.hid([["f", 1]]) is HandlerId.intern("f", None, 1)
-    with pytest.raises(AdviceFormatError):
-        dec.hid([["f", True]])
-    with pytest.raises(AdviceFormatError):
-        _decode_opkey(["r", [["f", 1]], True], dec)
 
 
 # -- epochs: a golden epoch's records, one of them damaged ---------------------------
@@ -545,20 +575,40 @@ def test_a_bool_variable_log_opnum_is_rejected():
     assert outcome(new) == outcome(ref) == ("raised", AdviceFormatError)
 
 
-def test_decoding_an_epoch_interns_each_distinct_id_once(monkeypatch):
-    calls: Dict[tuple, int] = Counter()
-    real = HandlerId.intern
+def _long_hid(n):
+    return [["f", i] for i in range(n)]
 
-    def counting(cls, function_id, parent=None, opnum=0):
-        calls[(function_id, parent, opnum)] += 1
-        return real(function_id, parent, opnum)
 
-    monkeypatch.setattr(HandlerId, "intern", classmethod(counting))
-    new, _ = _both(GOLDEN[0])
-    epoch = new()
-    assert calls and max(calls.values()) == 1
-    ids = {h for (_, h, _) in epoch.advice.variable_logs["nav_cache"]}
-    assert ids <= {real(*key) for key in calls}
+def _put_long_hid(frames, rtype, n, last):
+    """``frames`` with one id of ``n`` segments (the last one ``last``) in
+    section ``rtype``: the first variable-log ``at``, tx-log op ``hid`` or
+    opcounts entry."""
+    i = _section(frames, rtype)
+    doc = unpack_json(frames[i][1])
+    hid = _long_hid(n - 1) + [last]
+    if rtype == 22:
+        doc["entries"][0]["at"][1] = hid
+    elif rtype == 23:
+        doc["ops"][0]["hid"] = hid
+    else:
+        doc[0][1] = hid
+    return _replace(frames, i, doc)
+
+
+@pytest.mark.parametrize("times", [2, 50])
+@pytest.mark.parametrize("rtype", [22, 23, 26])
+@pytest.mark.parametrize("last", [["g", 1], ["g", True]], ids=["good", "bool-opnum"])
+def test_an_id_far_past_the_recursion_limit_decodes_as_the_reference_decodes_it(
+    times, rtype, last
+):
+    frames = _put_long_hid(GOLDEN[0], rtype, times * sys.getrecursionlimit(), last)
+    new, ref = _both(frames)
+    got = outcome(new)
+    assert got == outcome(ref)
+    if type(last[1]) is int:
+        assert got[0] == "ok"
+    else:
+        assert got == ("raised", AdviceFormatError)
 
 
 # -- hostile documents --------------------------------------------------------------
@@ -625,7 +675,9 @@ HOSTILE_RUNS = settings(max_examples=300, deadline=None,
 @given(damaged_epoch())
 def test_a_damaged_epoch_decodes_as_the_reference_decodes_it(frames):
     new, ref = _both(frames)
-    assert outcome(new) == outcome(ref)
+    got = outcome(new)
+    assert got == outcome(ref)
+    assert got[0] == "ok" or issubclass(got[1], KarousosError)  # fails a tenant, not the daemon
 
 
 # Tagged leaves, whole and damaged (the nodes a container takes inline),
@@ -706,7 +758,6 @@ def _one_bad_node(draw):
 @given(st.one_of(_one_bad_node(), _one_bad_node(), _hostile_values, _hostile_containers))
 def test_a_hostile_value_decodes_as_the_reference_decodes_it(doc):
     assert_same(decode_value, ref_decode_value, doc)
-    assert_same(Decoder().value, ref_decode_value, doc)
 
 
 _hostile_hids = st.lists(
@@ -722,14 +773,12 @@ _hostile_hids = st.lists(
 @HOSTILE_RUNS
 @given(st.lists(_hostile_hids, min_size=1, max_size=4))
 def test_hostile_ids_and_op_keys_decode_as_the_reference_decodes_them(docs):
-    dec = Decoder()  # one memo across the draws, as across an epoch
     for doc in docs:
-        assert_same(dec.hid, ref_decode_hid, doc)
-        key = ["r", doc, 1]
-        assert_same(lambda d: _decode_opkey(d, dec), ref_decode_opkey, key)
+        assert_same(decode_hid, ref_decode_hid, doc)
+        assert_same(_decode_opkey, ref_decode_opkey, ["r", doc, 1])
     for doc in docs:
         try:
             want = ref_decode_hid(doc)
         except AdviceFormatError:
             continue
-        assert dec.hid(doc) is want  # the process-wide interned instance
+        assert decode_hid(doc) is want  # the process-wide interned instance
